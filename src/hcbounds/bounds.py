@@ -18,7 +18,9 @@ convex/sigmoid surrogates.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -94,8 +96,10 @@ class MonteCarlo:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"Monte Carlo sample size must be >= 1, got {self.n}")
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"Monte Carlo sample size must be an integer, got {self.n!r}")
+        if self.n < 2:
+            raise ValueError(f"Monte Carlo sample size must be >= 2 for a standard error, got {self.n}")
 
 
 class Target(enum.Enum):
@@ -192,7 +196,7 @@ def risk(
     if isinstance(mode, MonteCarlo):
         xs, ys = sample(dist, mode.n, mode.seed)
         vals = _pointwise_losses(loss, h, xs, ys, adversarial, gamma)
-        se = float(vals.std(ddof=1)) / math.sqrt(mode.n) if mode.n > 1 else 0.0
+        se = float(vals.std(ddof=1)) / math.sqrt(mode.n)
         return float(vals.mean()), se
     w = _hyp_w(h)
     total = 0.0
@@ -234,6 +238,14 @@ class BestInClass:
     b: float = math.nan
 
 
+@functools.lru_cache(maxsize=1)
+def _gauss_legendre():
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
+    nodes.setflags(write=False)  # shared by every caller
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def _risk_grid(loss, dist, w_vals, b_vals, adversarial, gamma):
     """Risk of every (w, b) pair: exact tail masses for zero-one, fixed
     Gauss-Legendre panels for margin losses (search accuracy only)."""
@@ -273,7 +285,7 @@ def _risk_grid(loss, dist, w_vals, b_vals, adversarial, gamma):
                 flat = ((b_row + shift) >= 0.0 if adversarial else b_row >= 0.0).astype(float)
             out += c.weight * np.where(w_col == 0.0, flat * np.ones_like(sided), sided)
         return out
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
+    nodes, weights = _gauss_legendre()
     for c in dist.continuous():
         law = c.law
         half = 0.5 * (law.hi - law.lo)
@@ -421,14 +433,14 @@ class BoundReport:
         }
 
 
-def _check_massart_on_dist(dist: LabeledDistribution, beta: float) -> None:
-    """Grid check of |eta - 1/2| >= beta off zero-density sets; warn on violation."""
+def _check_massart_on_dist(dist: LabeledDistribution, beta: float) -> int:
+    """Grid check of |eta - 1/2| >= beta off zero-density sets; warns on
+    violation and returns the number of violating grid points and atoms."""
     xs = np.linspace(-1.0, 1.0, 10001)
-    bad = 0
-    for x in xs:
-        dens = sum(c.weight * c.law.pdf(x) for c in dist.continuous())
-        if dens > 1e-12 and abs(dist.eta(float(x)) - 0.5) < beta - 1e-12:
-            bad += 1
+    dens = np.zeros_like(xs)
+    for c in dist.continuous():
+        dens += c.weight * c.law.pdf(xs)
+    bad = int(np.count_nonzero((dens > 1e-12) & (np.abs(dist.eta(xs) - 0.5) < beta - 1e-12)))
     for c in dist.atoms():
         if abs(dist.eta(c.law.x) - 0.5) < beta - 1e-12:
             bad += 1
@@ -437,6 +449,7 @@ def _check_massart_on_dist(dist: LabeledDistribution, beta: float) -> None:
             f"distribution violates the beta={beta:g} noise condition at {bad} grid points",
             stacklevel=3,
         )
+    return bad
 
 
 def _select_transform(target, surrogate, spec, massart):
@@ -497,7 +510,7 @@ def assemble_bound(
             )
     pt, label, relaxed = _select_transform(target, surrogate, spec, massart)
     if massart is not None:
-        _check_massart_on_dist(dist, massart)
+        massart_violations = _check_massart_on_dist(dist, massart)
     gamma = spec.gamma
 
     if isinstance(mode, MonteCarlo):
@@ -553,6 +566,8 @@ def assemble_bound(
         ("massart_beta", massart if massart is not None else ""),
         ("target", target.value),
     )
+    if massart is not None:
+        prov += (("massart_violations", massart_violations),)
     return BoundReport(
         lhs=lhs,
         rhs=rhs,

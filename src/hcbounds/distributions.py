@@ -21,6 +21,7 @@ CLI: ``sect7-nonadv`` / ``sect7-adv``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -73,11 +74,15 @@ class TruncNormal:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if not self.std > 0:
             raise ValueError(f"std must be positive, got {self.std}")
+        if not self._mass > 0.0:
+            raise ValueError(
+                f"Normal({self.mean}, {self.std}) puts no floating-point mass on [{self.lo}, {self.hi}]"
+            )
 
     def _z(self, x):
         return (np.asarray(x, dtype=float) - self.mean) / self.std
 
-    @property
+    @functools.cached_property
     def _mass(self) -> float:
         return float(ndtr(self._z(self.hi)) - ndtr(self._z(self.lo)))
 
@@ -141,35 +146,51 @@ class LabeledDistribution:
                     raise ValueError(f"truncated normal support [{c.law.lo}, {c.law.hi}] outside [-1, 1]")
             else:
                 raise ValueError(f"unknown law {c.law!r}")
+        atoms = tuple(c for c in comps if isinstance(c.law, Atom))
+        object.__setattr__(self, "_atoms", atoms)
+        object.__setattr__(self, "_continuous", tuple(c for c in comps if isinstance(c.law, TruncNormal)))
+        # eta at each atom location that carries mass, summed in component order
+        masses = {}
+        for c in atoms:
+            m_pos, m_neg = masses.get(c.law.x, (0.0, 0.0))
+            masses[c.law.x] = (m_pos + c.weight, m_neg) if c.label > 0 else (m_pos, m_neg + c.weight)
+        object.__setattr__(
+            self, "_atom_eta", {x: p / (p + n) for x, (p, n) in masses.items() if p + n > 0.0}
+        )
 
-    def atoms(self):
-        return [c for c in self.components if isinstance(c.law, Atom)]
+    def atoms(self) -> tuple:
+        return self._atoms
 
-    def continuous(self):
-        return [c for c in self.components if isinstance(c.law, TruncNormal)]
+    def continuous(self) -> tuple:
+        return self._continuous
 
-    def eta(self, x: float) -> float:
-        """P(y = +1 | x). Point masses dominate at their exact locations;
-        where neither atoms nor densities put mass, returns 1/2."""
-        m_pos = m_neg = 0.0
-        for c in self.atoms():
-            if c.law.x == x:
-                if c.label > 0:
-                    m_pos += c.weight
-                else:
-                    m_neg += c.weight
-        if m_pos + m_neg > 0.0:
-            return m_pos / (m_pos + m_neg)
+    def eta(self, x):
+        """P(y = +1 | x), for a scalar x or elementwise for an ndarray.
+
+        Point masses dominate at their exact locations; where neither atoms
+        nor densities put mass, returns 1/2."""
+        array = isinstance(x, np.ndarray)
+        if not array:
+            e = self._atom_eta.get(x)
+            if e is not None:
+                return e
         d_pos = d_neg = 0.0
-        for c in self.continuous():
+        for c in self._continuous:
             d = c.weight * c.law.pdf(x)
             if c.label > 0:
                 d_pos += d
             else:
                 d_neg += d
-        if d_pos + d_neg == 0.0:
-            return 0.5
-        return d_pos / (d_pos + d_neg)
+        if not array:
+            if d_pos + d_neg == 0.0:
+                return 0.5
+            return d_pos / (d_pos + d_neg)
+        total = d_pos + d_neg
+        out = np.full(x.shape, 0.5)
+        np.divide(d_pos, total, out=out, where=total != 0.0)
+        for loc, e in self._atom_eta.items():
+            out[x == loc] = e
+        return out
 
 
 @dataclass(frozen=True)

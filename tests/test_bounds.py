@@ -1,6 +1,7 @@
 """Risks, best-in-class values, gaps, assembled bounds, and the discrete verifier."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hcbounds.bounds import (
     Exact,
     MonteCarlo,
     Target,
+    _check_massart_on_dist,
     assemble_bound,
     best_in_class_risk,
     minimizability_gap,
@@ -17,7 +19,15 @@ from hcbounds.bounds import (
     verify_psi_bound_discrete,
 )
 from hcbounds.conditional import ConditionalPoint, min_conditional_risk
-from hcbounds.distributions import FiniteDistribution, sect7_adversarial, sect7_nonadversarial
+from hcbounds.distributions import (
+    Atom,
+    Component,
+    FiniteDistribution,
+    LabeledDistribution,
+    TruncNormal,
+    sect7_adversarial,
+    sect7_nonadversarial,
+)
 from hcbounds.hypotheses import HypothesisClass, HypothesisSpec, LinearHypothesis
 from hcbounds.losses import ZERO_ONE, exponential, hinge, logistic, quadratic, rho_margin, sigmoid
 from hcbounds.transforms import NegativeResultError, transform
@@ -178,13 +188,58 @@ class TestAssembleBound:
             assert rep.rhs == pytest.approx(rq, abs=1e-6)
         assert rep.lhs == pytest.approx(r01, abs=1e-8)
         assert rep.holds
+        assert dict(rep.provenance)["massart_violations"] == 0
 
     def test_massart_warns_on_violating_distribution(self):
         d = singleton(0.3, 0.6)  # |eta - 1/2| = 0.1 < 0.25
         spec = HypothesisSpec(ALL)
         h = LinearHypothesis((1.0,), 0.0)
-        with pytest.warns(UserWarning):
-            assemble_bound(Target.ZERO_ONE, quadratic(), spec, d, h, massart=0.25)
+        with pytest.warns(UserWarning, match="at 2 grid points"):
+            rep = assemble_bound(Target.ZERO_ONE, quadratic(), spec, d, h, massart=0.25)
+        assert dict(rep.provenance)["massart_violations"] == 2  # one per atom
+        plain = assemble_bound(Target.ZERO_ONE, quadratic(), spec, d, h)
+        assert "massart_violations" not in dict(plain.provenance)
+
+    @pytest.mark.parametrize("beta", [0.5, 0.25, 0.1])
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            sect7_nonadversarial(0.2),
+            sect7_nonadversarial(0.02),
+            sect7_adversarial(0.2),
+            sect7_adversarial(0.02),
+            # overlapping lobes: eta crosses 1/2 inside the support
+            LabeledDistribution(
+                (
+                    Component(0.4, 1, TruncNormal(-1.0, 1.0, 0.2, 0.3)),
+                    Component(0.4, -1, TruncNormal(-0.5, 1.0, -0.1, 0.4)),
+                    Component(0.1, 1, Atom(0.0)),
+                    Component(0.1, -1, Atom(0.0)),
+                )
+            ),
+        ],
+        ids=["nonadv-0.2", "nonadv-0.02", "adv-0.2", "adv-0.02", "overlap"],
+    )
+    def test_massart_count_matches_scalar_loop(self, dist, beta):
+        def reference(dist, beta):
+            bad = 0
+            for x in np.linspace(-1.0, 1.0, 10001):
+                dens = sum(c.weight * c.law.pdf(float(x)) for c in dist.continuous())
+                if dens > 1e-12 and abs(dist.eta(float(x)) - 0.5) < beta - 1e-12:
+                    bad += 1
+            for c in dist.atoms():
+                if abs(dist.eta(c.law.x) - 0.5) < beta - 1e-12:
+                    bad += 1
+            return bad
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert _check_massart_on_dist(dist, beta) == reference(dist, beta)
+
+    @pytest.mark.parametrize("n", [1, 1.5, True])
+    def test_degenerate_monte_carlo_size_rejected(self, n):
+        with pytest.raises(ValueError):
+            MonteCarlo(n)
 
     def test_saturated_transform_still_valid(self):
         # far-from-optimal quadratic risk exceeds T(1); the report clamps and flags

@@ -81,6 +81,21 @@ class TestBoundCommand:
                      "--massart-beta", "0.7"])
         assert code == 2
 
+    def test_single_sample_monte_carlo_rejected(self, capsys):
+        code = main(["bound", "--loss", "quadratic", "--class", "all", "--dist", "sect7-nonadv",
+                     "--massart-beta", "0.5", "--mode", "mc", "--n", "1"])
+        assert code == 2
+        assert "sample size" in capsys.readouterr().err
+
+    def test_zero_mass_component_rejected(self, capsys):
+        dist = json.dumps(
+            {"components": [{"weight": 1.0, "label": 1,
+                             "law": {"kind": "truncnormal", "lo": 0.5, "hi": 1.0, "mean": 0.0, "std": 0.01}}]}
+        )
+        code = main(["bound", "--loss", "hinge", "--class", "linear", "--dist", dist])
+        assert code == 2
+        assert "no floating-point mass" in capsys.readouterr().err
+
     def test_dist_file_path(self, tmp_path):
         path = tmp_path / "dist.json"
         path.write_text(SINGLETON)

@@ -94,6 +94,31 @@ class TestValidation:
         with pytest.raises(ValueError):
             TruncNormal(0.5, 0.5, 0.0, 0.1)
 
+    def test_truncnormal_needs_positive_mass(self):
+        # [0.5, 1] lies 50 standard deviations above the mean: the mass underflows
+        with pytest.raises(ValueError, match="no floating-point mass"):
+            TruncNormal(0.5, 1.0, 0.0, 0.01)
+
+
+_GRID = np.linspace(-1.0, 1.0, 10001)
+
+
+class TestArrayPosterior:
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            sect7_nonadversarial(0.05),
+            sect7_adversarial(0.05),
+            # atoms only (eta is 1/2 off them), one exactly on a grid point
+            FiniteDistribution(((0.3, 0.5, 0.6), (-0.2, 0.25, 0.1), (float(_GRID[4000]), 0.25, 0.9))).to_labeled(),
+        ],
+        ids=["sect7-nonadv", "sect7-adv", "finite"],
+    )
+    def test_matches_scalar_bit_for_bit(self, dist):
+        arr = dist.eta(_GRID)
+        assert isinstance(arr, np.ndarray) and arr.shape == _GRID.shape
+        assert np.array_equal(arr, np.array([dist.eta(float(x)) for x in _GRID]))
+
 
 class TestSampling:
     def test_deterministic_given_seed(self):
