@@ -46,6 +46,7 @@ from .conditional import (
     conditional_risk_zero_one,
     min_conditional_risk,
     min_conditional_risk_adversarial,
+    thread_cap,
 )
 from .transforms import (
     Direction,

@@ -11,8 +11,9 @@ Subcommands::
 Flags mirror the mathematical symbols one-to-one (--W, --B, --Lambda, --k,
 --rho, --gamma, --massart-beta).  A JSON config file can supply any flag
 (--config file.json); explicit flags win.  Exit codes: 0 success, 1 check
-failure, 2 validation error.  HCB_THREADS caps worker parallelism (the
-numeric kernels are vectorized single-threaded, so any cap >= 1 is honored).
+failure, 2 validation error.  HCB_THREADS caps the worker threads of the
+adversarial grid oracle (default and ceiling: the CPU count; results do not
+depend on it); an invalid value is a validation error.
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import experiments
 from .bounds import Exact, MonteCarlo, Target, assemble_bound
+from .conditional import thread_cap
 from .distributions import dist_from_json_dict, preset_distribution
 from .hypotheses import HypothesisClass, HypothesisSpec, LinearHypothesis
 from .losses import LossFamily, MarginLoss
@@ -42,19 +43,6 @@ from .transforms import (
 
 _CLASSES = {"all": HypothesisClass.ALL, "linear": HypothesisClass.LINEAR, "relu": HypothesisClass.ONE_HIDDEN_RELU}
 _LOSS_NAMES = ("hinge", "logistic", "exponential", "quadratic", "sigmoid", "rho-margin")
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("HCB_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"HCB_THREADS must be an integer >= 1, got {raw!r}")
-    if cap < 1:
-        raise ValueError(f"HCB_THREADS must be >= 1, got {cap}")
-    return cap
 
 
 def _parse_loss(name: str, k: float, rho: float) -> tuple:
@@ -160,6 +148,13 @@ def cmd_bound(args, defaults) -> int:
     loss, wants_sup = _parse_loss(args.loss, args.k, args.rho)
     spec = _build_spec(args)
     target = Target.ADVERSARIAL_ZERO_ONE if wants_sup else Target.ZERO_ONE
+    if args.target is not None and args.target != target.value:
+        raise ValueError(
+            f"--target {args.target} does not match --loss {args.loss}: "
+            "the adversarial-zero-one target takes a sup- loss, the zero-one target a plain one"
+        )
+    if args.eps != 0.0:
+        raise ValueError(f"bound does not truncate its transforms; --eps must be 0, got {args.eps}")
     if wants_sup and not spec.adversarial:
         raise ValueError(f"{args.loss} requires --gamma > 0")
     dist = _load_dist(args)
@@ -180,8 +175,10 @@ def cmd_oracle_check(args, defaults) -> int:
         status = "PASS" if row.passed else "FAIL"
         ok = ok and row.passed
         trans = "" if math.isnan(row.max_dev_transform) else f" transform_dev={row.max_dev_transform:.3e}"
+        over = row.max_closed_over_oracle
+        over = "" if math.isnan(over) else f" closed_over_oracle={over:.3e}"
         print(
-            f"[{status}] {row.label}: min_risk_dev={row.max_dev_min_risk:.3e}{trans} "
+            f"[{status}] {row.label}: min_risk_dev={row.max_dev_min_risk:.3e}{trans}{over} "
             f"(threshold {row.threshold:.3e}, {row.instances} instances)"
         )
     if args.out:
@@ -192,6 +189,7 @@ def cmd_oracle_check(args, defaults) -> int:
                     "instances": r.instances,
                     "max_dev_min_risk": r.max_dev_min_risk,
                     "max_dev_transform": r.max_dev_transform,
+                    "max_closed_over_oracle": r.max_closed_over_oracle,
                     "threshold": r.threshold,
                     "passed": r.passed,
                 }
@@ -273,7 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.set_defaults(func=cmd_transform, _subparser=p_tr)
 
     p_b = sub.add_parser("bound", help="assemble and check one bound")
-    p_b.add_argument("--target", choices=["zero-one", "adversarial-zero-one"], default="zero-one")
+    p_b.add_argument(
+        "--target", choices=["zero-one", "adversarial-zero-one"], default=None,
+        help="defaults to the one the loss implies: adversarial-zero-one for sup- losses",
+    )
     p_b.add_argument("--loss", required=True)
     _add_spec_flags(p_b)
     p_b.add_argument("--dist", required=True, help="preset name, JSON literal, or path")
@@ -324,7 +325,7 @@ def main(argv=None) -> int:
         if key not in ("func", "command", "_subparser")
     }
     try:
-        _thread_cap()
+        thread_cap()
         return args.func(args, defaults)
     except (ValueError, NegativeResultError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

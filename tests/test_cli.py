@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hcbounds import oracle_check
 from hcbounds.cli import main
 
 SINGLETON = json.dumps(
@@ -96,6 +97,22 @@ class TestBoundCommand:
         assert code == 2
         assert "no floating-point mass" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "target, loss",
+        [("adversarial-zero-one", "hinge"), ("zero-one", "sup-hinge")],
+    )
+    def test_target_must_match_loss(self, capsys, target, loss):
+        code = main(["bound", "--target", target, "--loss", loss, "--class", "linear", "--gamma", "0.1",
+                     "--massart-beta", "0.5", "--dist", "sect7-adv", "--w", "-0.5"])
+        assert code == 2
+        assert "does not match" in capsys.readouterr().err
+
+    def test_nonzero_eps_rejected(self, capsys):
+        code = main(["bound", "--loss", "hinge", "--class", "linear", "--B", "0.5",
+                     "--dist", SINGLETON, "--w", "-0.4", "--eps", "0.1"])
+        assert code == 2
+        assert "--eps must be 0" in capsys.readouterr().err
+
     def test_dist_file_path(self, tmp_path):
         path = tmp_path / "dist.json"
         path.write_text(SINGLETON)
@@ -114,6 +131,23 @@ class TestOracleCheckCommand:
     def test_tampered_forms_fail(self, capsys):
         assert main(["oracle-check", "--grid-n", "501", "--instances", "2", "--tamper"]) == 1
         assert "[FAIL]" in capsys.readouterr().out
+
+    def test_one_sided_check_catches_overshoot_within_tolerance(self, monkeypatch, tmp_path, capsys):
+        # a closed form 1e-6 above the oracle passes the two-sided 2e-3 check;
+        # the grid never undershoots the infimum, so the one-sided check fails it
+        real = oracle_check.min_conditional_risk
+        monkeypatch.setattr(oracle_check, "min_conditional_risk", lambda *a: real(*a) + 1e-6)
+        out = tmp_path / "oc.json"
+        assert main(["oracle-check", "--grid-n", "501", "--instances", "2", "--out", str(out)]) == 1
+        assert "closed_over_oracle=" in capsys.readouterr().out
+        rows = {r["label"]: r for r in json.loads(out.read_text())["rows"]}
+        hinge_row = rows["hinge / linear"]
+        assert hinge_row["max_dev_min_risk"] <= hinge_row["threshold"]
+        assert hinge_row["max_closed_over_oracle"] >= 1e-6 and not hinge_row["passed"]
+        assert rows["sup-rho-margin / linear"]["passed"]
+
+    def test_zero_instances_rejected(self, capsys):
+        assert main(["oracle-check", "--instances", "0"]) == 2
 
 
 class TestSweepCommand:

@@ -1,6 +1,7 @@
 """Conditional risks: closed forms vs the grid oracle, regret lemmas, cases."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hcbounds.conditional import (
     min_conditional_risk,
     min_conditional_risk_adversarial,
     min_risk_symmetric,
+    thread_cap,
 )
 from hcbounds.hypotheses import (
     HypothesisClass,
@@ -26,6 +28,7 @@ from hcbounds.hypotheses import (
     adversarial_extrema_linear,
 )
 from hcbounds.losses import (
+    eval_margin_loss,
     exponential,
     hinge,
     logistic,
@@ -323,3 +326,72 @@ def test_min_risk_symmetric_handles_infinite_reach():
         assert 0.0 <= v <= 1.0
     assert min_risk_symmetric(hinge(), math.inf, 0.5) == pytest.approx(1.0)
     assert min_risk_symmetric(rho_margin(1.0), math.inf, 0.3) == pytest.approx(0.3)
+
+
+ADV_SPEC = HypothesisSpec(LIN, W=1.1, B=0.7, gamma=0.15)
+ADV_POINT = ConditionalPoint(0.6, 0.3)
+ADV_CONSTRAINTS = [Constraint.NONE, Constraint.ADV_STRADDLE, Constraint.ADV_SUP_NEGATIVE]
+ADV_LOSSES = [rho_margin(0.8), hinge(), sigmoid(1.3)]
+
+
+def _one_shot_adversarial_min(loss, spec, pt, constraint, n):
+    """The adversarial grid minimum over the whole (w, b) grid at once, unchunked."""
+    w = np.linspace(-spec.W, spec.W, n)[:, None]
+    b = np.linspace(-spec.B, spec.B, n)[None, :]
+    spread = spec.gamma * np.abs(w)
+    base = w * pt.x_norm_p + b
+    lo, hi = base - spread, base + spread
+    risk = pt.t * eval_margin_loss(loss, lo) + (1.0 - pt.t) * eval_margin_loss(loss, -hi)
+    if constraint is Constraint.ADV_STRADDLE:
+        risk = risk[(lo <= 0.0) & (hi >= 0.0)]
+    elif constraint is Constraint.ADV_SUP_NEGATIVE:
+        risk = risk[hi <= 0.0]
+    return float(risk.min())
+
+
+class TestAdversarialGridKernel:
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        # two workers even on a one-CPU host, so the threaded path always runs
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        return monkeypatch
+
+    # every size leaves a ragged last chunk
+    @pytest.mark.parametrize("grid_n", [37, 1001, 4001])
+    @pytest.mark.parametrize("constraint", ADV_CONSTRAINTS, ids=lambda c: c.value)
+    @pytest.mark.parametrize("loss", ADV_LOSSES, ids=lambda l: l.family.value)
+    def test_thread_count_does_not_change_minimum(self, two_cpus, loss, constraint, grid_n):
+        got = {}
+        for threads in ("1", "2"):
+            two_cpus.setenv("HCB_THREADS", threads)
+            got[threads] = brute_force_inf(loss, ADV_SPEC, ADV_POINT, constraint, grid_n)
+        assert got["1"] == got["2"]
+
+    # at grid_n=255 some hinge/sigmoid minima sit alone in the first or the
+    # last row of a chunk, so a chunk boundary that skips a row shows
+    @pytest.mark.parametrize("grid_n", [255, 257])
+    @pytest.mark.parametrize("constraint", ADV_CONSTRAINTS, ids=lambda c: c.value)
+    @pytest.mark.parametrize("loss", ADV_LOSSES, ids=lambda l: l.family.value)
+    def test_matches_unchunked_reference(self, two_cpus, loss, constraint, grid_n):
+        two_cpus.setenv("HCB_THREADS", "2")
+        for t in (0.3, 0.7):
+            pt = ConditionalPoint(ADV_POINT.x_norm_p, t)
+            ref = _one_shot_adversarial_min(loss, ADV_SPEC, pt, constraint, grid_n)
+            assert brute_force_inf(loss, ADV_SPEC, pt, constraint, grid_n) == ref
+
+
+class TestThreadCap:
+    def test_defaults_to_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("HCB_THREADS", raising=False)
+        assert thread_cap() == os.cpu_count()
+
+    def test_clamped_to_cpu_count(self, monkeypatch):
+        # only the returned value is checked; no pool is started at this setting
+        monkeypatch.setenv("HCB_THREADS", "1000000")
+        assert thread_cap() == os.cpu_count()
+
+    @pytest.mark.parametrize("raw", ["0", "-2", "two", "1.5"])
+    def test_invalid_values_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("HCB_THREADS", raw)
+        with pytest.raises(ValueError, match="HCB_THREADS"):
+            thread_cap()
