@@ -118,20 +118,34 @@ def _hyp_w(h: LinearHypothesis) -> float:
     return h.w[0]
 
 
-def _pointwise_losses(loss, h, xs, ys, adversarial, gamma):
+def _score_kernel(h, xs, ys, adversarial, gamma, overwrite=False):
+    """(err, arg) for h on a sample with labels ys in {-1, +1}.
+
+    err is the zero-one error indicator (bool): sign(s) != y for the score
+    s = w*x + b, or in the robust case whether the gamma-ball reaches the
+    wrong side.  arg is the argument at which every margin loss is taken:
+    y*s, or the worst-case margin np.where(y > 0, lo, -hi) over the ball
+    [lo, hi] = [s - gamma|w|, s + gamma|w|].  With ``overwrite`` the score
+    and arg are computed in place in xs, a float64 array the caller owns.
+    """
     w = _hyp_w(h)
-    s = w * np.asarray(xs, dtype=float) + h.b
     ys = np.asarray(ys)
+    s = np.multiply(xs, w, out=xs) if overwrite else w * np.asarray(xs, dtype=float)
+    s += h.b
     if adversarial:
-        spread = gamma * abs(w)
-        lo, hi = s - spread, s + spread
-        if isinstance(loss, ZeroOneLoss):
-            return np.where(ys > 0, lo <= 0.0, hi >= 0.0).astype(float)
-        return np.where(ys > 0, eval_margin_loss(loss, lo), eval_margin_loss(loss, -hi))
+        s -= (gamma * abs(w)) * ys  # lo where y = +1, hi where y = -1
+        s *= ys
+        return s <= 0.0, s
+    err = (s >= 0.0) != (ys > 0)
+    s *= ys
+    return err, s
+
+
+def _pointwise_losses(loss, h, xs, ys, adversarial, gamma):
+    err, arg = _score_kernel(h, xs, ys, adversarial, gamma)
     if isinstance(loss, ZeroOneLoss):
-        pred = np.where(s >= 0.0, 1, -1)
-        return (pred != ys).astype(float)
-    return eval_margin_loss(loss, ys * s)
+        return err.astype(float)
+    return eval_margin_loss(loss, arg)
 
 
 def _kink_margins(loss) -> tuple:
@@ -498,6 +512,8 @@ def assemble_bound(
         raise ValueError("adversarial target requires spec.gamma > 0")
     if not adversarial and spec.adversarial:
         raise ValueError("non-adversarial target requires spec.gamma = 0")
+    if spec.cls is HypothesisClass.LINEAR:
+        h.validate(spec)  # a bound about H says nothing about an h outside it
     if massart is not None and not adversarial:
         if spec.cls is not HypothesisClass.ALL or surrogate.family not in (
             LossFamily.QUADRATIC,
@@ -515,8 +531,9 @@ def assemble_bound(
 
     if isinstance(mode, MonteCarlo):
         xs, ys = sample(dist, mode.n, mode.seed)
-        tvals = _pointwise_losses(ZERO_ONE, h, xs, ys, adversarial, gamma)
-        svals = _pointwise_losses(surrogate, h, xs, ys, adversarial, gamma)
+        err, arg = _score_kernel(h, xs, ys, adversarial, gamma, overwrite=True)
+        del xs, ys
+        tvals, svals = err.astype(float), eval_margin_loss(surrogate, arg)
         r_target, se_target = float(tvals.mean()), float(tvals.std(ddof=1)) / math.sqrt(mode.n)
         r_surr, se_surr = float(svals.mean()), float(svals.std(ddof=1)) / math.sqrt(mode.n)
     else:

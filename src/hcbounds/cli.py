@@ -4,16 +4,19 @@ Subcommands::
 
     hcbounds transform    --loss hinge --class linear --B 0.8 [--out t.json]
     hcbounds bound        --target zero-one --loss hinge --class linear --B 0.5
-                          --dist '{"components": [...]}' --w -5 --b 0 --mode mc --n 100000
+                          --dist '{"components": [...]}' --w -0.4 --b 0 --mode mc --n 100000
     hcbounds oracle-check [--grid-n 4001 --instances 25 --seed 0]
     hcbounds sweep        --experiment sect7-nonadv --n 1000000 --seed 7 --out run1
 
 Flags mirror the mathematical symbols one-to-one (--W, --B, --Lambda, --k,
 --rho, --gamma, --massart-beta).  A JSON config file can supply any flag
 (--config file.json); explicit flags win.  Exit codes: 0 success, 1 check
-failure, 2 validation error.  HCB_THREADS caps the worker threads of the
-adversarial grid oracle (default and ceiling: the CPU count; results do not
-depend on it); an invalid value is a validation error.
+failure, 2 validation error.  For a linear class, bound requires h(x) = w*x + b
+to lie in the class: the default --w -5 (the sweeps' h) needs --W >= 5, so
+under the default --W 1 it exits 2.  HCB_THREADS caps the worker threads of
+the adversarial grid oracle and of the sweeps' sigma cells (default and
+ceiling: the CPU count; results never depend on it); an invalid value is a
+validation error.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ import math
 import sys
 
 import numpy as np
+import scipy
 
-from . import experiments
+from . import __version__, experiments
 from .bounds import Exact, MonteCarlo, Target, assemble_bound
 from .conditional import thread_cap
 from .distributions import dist_from_json_dict, preset_distribution
@@ -227,6 +231,8 @@ def cmd_sweep(args, defaults) -> int:
             "gamma": args.gamma,
             "note": "sigma grid is a package choice; the reference experiment does not state one",
         }
+    meta["threads"] = thread_cap()
+    meta["versions"] = {"hcbounds": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
     out = args.out or args.experiment
     wrote = []
     if args.format in ("csv", "both"):
@@ -279,7 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_flags(p_b)
     p_b.add_argument("--dist", required=True, help="preset name, JSON literal, or path")
     p_b.add_argument("--sigma", type=float, default=0.05)
-    p_b.add_argument("--w", type=float, default=-5.0)
+    p_b.add_argument(
+        "--w", type=float, default=-5.0,
+        help="slope of h; must satisfy |w| <= W for a linear class (the default needs --W >= 5)",
+    )
     p_b.add_argument("--b", type=float, default=0.0)
     p_b.add_argument("--mode", choices=["exact", "mc"], default="exact")
     p_b.add_argument("--n", type=int, default=10**6)

@@ -41,6 +41,7 @@ __all__ = [
     "conditional_regret_adversarial",
     "brute_force_inf",
     "thread_cap",
+    "thread_map",
 ]
 
 # Score cap standing in for the unbounded class in grid oracles.  Optimal
@@ -312,9 +313,10 @@ _ADV_CHUNK = 32
 
 
 def thread_cap() -> int:
-    """Worker threads for the adversarial grid oracle: ``HCB_THREADS``, clamped
-    to ``os.cpu_count()``, which is also the default when it is unset.  Raises
-    ValueError unless the variable is an integer >= 1."""
+    """Worker threads for the adversarial grid oracle and the simulation
+    sweeps' sigma cells: ``HCB_THREADS``, clamped to ``os.cpu_count()``, which
+    is also the default when it is unset.  Results never depend on it.
+    Raises ValueError unless the variable is an integer >= 1."""
     cpus = os.cpu_count() or 1
     raw = os.environ.get("HCB_THREADS", "")
     if not raw:
@@ -326,6 +328,19 @@ def thread_cap() -> int:
     if cap < 1:
         raise ValueError(f"HCB_THREADS must be >= 1, got {cap}")
     return min(cap, cpus)
+
+
+def thread_map(fn, items) -> list:
+    """``[fn(item) for item in items]``, run on ``min(thread_cap(), len(items))``
+    threads of a per-call pool; inline when that is 1.  Results come back in
+    item order, so a caller that merges them in order gets the same answer at
+    every thread count."""
+    items = list(items)
+    workers = min(thread_cap(), len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def _sup_risk_inplace(loss, t, h_lo, h_hi):
@@ -383,12 +398,8 @@ def _adversarial_grid_inf(loss, spec, point, constraint, grid_n):
 
     starts = range(0, grid_n, _ADV_CHUNK)
     workers = min(thread_cap(), len(starts))
-    if workers == 1:
-        best = block_min(starts)
-    else:
-        # min is exact, so the merged minimum does not depend on the split
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            best = min(pool.map(block_min, [starts[i::workers] for i in range(workers)]))
+    # min is exact, so the merged minimum does not depend on the split
+    best = min(thread_map(block_min, [starts[i::workers] for i in range(workers)]))
     if not math.isfinite(best):
         raise OracleInfeasibleError(f"constraint {constraint.value} is infeasible on the grid")
     return best

@@ -101,9 +101,14 @@ class TruncNormal:
         return out if isinstance(x, np.ndarray) else float(out)
 
     def ppf(self, u):
-        lo_mass = ndtr(self._z(self.lo))
-        x = self.mean + self.std * ndtri(lo_mass + np.asarray(u, dtype=float) * self._mass)
-        return np.clip(x, self.lo, self.hi)
+        # clip(mean + std * ndtri(lo_mass + u * mass)), computed in one buffer
+        x = np.multiply(u, self._mass, out=np.empty(np.shape(u)))
+        x += ndtr(self._z(self.lo))
+        ndtri(x, out=x)
+        x *= self.std
+        x += self.mean
+        np.clip(x, self.lo, self.hi, out=x)
+        return x if isinstance(u, np.ndarray) else float(x)
 
     def truncated_mean(self) -> float:
         a, b = float(self._z(self.lo)), float(self._z(self.hi))
@@ -265,29 +270,28 @@ def sample(dist: LabeledDistribution, n: int, seed: int):
         raise ValueError(f"need n >= 1, got {n}")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
-    cum = np.cumsum([c.weight for c in dist.components])
+    comps = dist.components
+    cum = np.cumsum([c.weight for c in comps])
+    cum[-1] = np.inf  # a draw past the rounded total belongs to the last component
+    labels = np.array([c.label for c in comps], dtype=np.int64)
+    # continuous components get a placeholder location, overwritten by their ppf
+    locs = np.array([c.law.x if isinstance(c.law, Atom) else 0.0 for c in comps])
     xs = np.empty(n, dtype=float)
     ys = np.empty(n, dtype=np.int64)
     for chunk, start in enumerate(range(0, n, _SAMPLE_CHUNK)):
         m = min(_SAMPLE_CHUNK, n - start)
+        x_out, y_out = xs[start : start + m], ys[start : start + m]
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
-        u_comp = rng.random(m)
-        u_pos = rng.random(m)
-        idx = np.searchsorted(cum, u_comp, side="right")
-        idx = np.minimum(idx, len(cum) - 1)
-        x_chunk = np.empty(m, dtype=float)
-        y_chunk = np.empty(m, dtype=np.int64)
-        for ci, comp in enumerate(dist.components):
-            mask = idx == ci
-            if not mask.any():
-                continue
-            if isinstance(comp.law, Atom):
-                x_chunk[mask] = comp.law.x
-            else:
-                x_chunk[mask] = comp.law.ppf(u_pos[mask])
-            y_chunk[mask] = comp.label
-        xs[start : start + m] = x_chunk
-        ys[start : start + m] = y_chunk
+        u = rng.random(m)  # component draws
+        idx = np.searchsorted(cum, u, side="right")
+        rng.random(out=u)  # position draws, same stream order, same buffer
+        np.take(locs, idx, out=x_out)
+        for ci, comp in enumerate(comps):
+            if isinstance(comp.law, TruncNormal):
+                mask = idx == ci
+                x_out[mask] = comp.law.ppf(u[mask])
+        del u
+        np.take(labels, idx, out=y_out)
     return xs, ys
 
 

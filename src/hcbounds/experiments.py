@@ -23,12 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _pointwise_losses
+from .bounds import _score_kernel
 from .distributions import expectation, sect7_adversarial, sect7_nonadversarial, sample
 from .hypotheses import HypothesisClass, HypothesisSpec, LinearHypothesis
 from .losses import (
-    ZERO_ONE,
     LossFamily,
+    eval_margin_loss,
     exponential,
     hinge,
     logistic,
@@ -36,7 +36,7 @@ from .losses import (
     rho_margin,
     sigmoid,
 )
-from .conditional import ConditionalPoint, min_conditional_risk
+from .conditional import ConditionalPoint, min_conditional_risk, thread_map
 from .transforms import transform, transform_inverse
 
 __all__ = [
@@ -86,30 +86,39 @@ def _mean_se(vals: np.ndarray) -> tuple:
     return float(vals.mean()), float(vals.std(ddof=1)) / math.sqrt(n)
 
 
+def _cell_args(h, dist, cfg, i, adversarial):
+    """Seed, lhs, its stderr and the shared margin-loss argument of one
+    sigma cell.  The sample is scored in place and dropped as it is used."""
+    seed = _cell_seed(cfg.seed, i)
+    xs, ys = sample(dist, cfg.n_samples, seed)
+    err, arg = _score_kernel(h, xs, ys, adversarial, cfg.gamma if adversarial else 0.0, overwrite=True)
+    del xs, ys
+    lhs, se_lhs = _mean_se(err.astype(float))
+    return seed, lhs, se_lhs, arg
+
+
 def run_nonadversarial_sweep(cfg: SweepConfig):
     """Rows {sigma, loss, lhs, rhs, stderrs, slack, holds} for the standard sweep.
 
     lhs is the empirical zero-one risk of h (its minimal risk vanishes on
     these distributions), rhs the surrogate risk scaled by 2*beta/T(2*beta),
-    which is exactly 1 at beta = 1/2.
+    which is exactly 1 at beta = 1/2.  The sigma cells run on
+    ``thread_cap()`` threads; rows come back in sigma order.
     """
     losses = cfg.losses or (quadratic(), logistic(), exponential())
     allowed = {LossFamily.QUADRATIC, LossFamily.LOGISTIC, LossFamily.EXPONENTIAL}
     if any(l.family not in allowed for l in losses):
         raise ValueError("non-adversarial sweep covers quadratic/logistic/exponential")
     spec_all = HypothesisSpec(HypothesisClass.ALL)
+    mults = [2.0 * cfg.beta / float(transform(loss, spec_all)(2.0 * cfg.beta)) for loss in losses]
     h = LinearHypothesis((cfg.w,), cfg.b)
-    rows = []
-    for i, sigma in enumerate(cfg.sigmas):
-        dist = sect7_nonadversarial(sigma)
-        seed = _cell_seed(cfg.seed, i)
-        xs, ys = sample(dist, cfg.n_samples, seed)
-        t_vals = _pointwise_losses(ZERO_ONE, h, xs, ys, False, 0.0)
-        lhs, se_lhs = _mean_se(t_vals)
-        for loss in losses:
-            mult = 2.0 * cfg.beta / float(transform(loss, spec_all)(2.0 * cfg.beta))
-            s_vals = _pointwise_losses(loss, h, xs, ys, False, 0.0)
-            mean_s, se_s = _mean_se(s_vals)
+
+    def cell(i):
+        sigma = cfg.sigmas[i]
+        seed, lhs, se_lhs, arg = _cell_args(h, sect7_nonadversarial(sigma), cfg, i, False)
+        rows = []
+        for loss, mult in zip(losses, mults):
+            mean_s, se_s = _mean_se(eval_margin_loss(loss, arg))
             rhs, se_rhs = mult * mean_s, mult * se_s
             slack = rhs - lhs
             rows.append(
@@ -128,13 +137,15 @@ def run_nonadversarial_sweep(cfg: SweepConfig):
                     "holds": bool(slack >= -3.0 * (se_lhs + se_rhs)),
                 }
             )
-    return rows
+        return rows
+
+    return [row for rows in thread_map(cell, range(len(cfg.sigmas))) for row in rows]
 
 
 def run_adversarial_sweep(cfg: SweepConfig):
     """Rows for the adversarial sweep: absolute robust zero-one risk of h
     against the absolute worst-case surrogate risk (the reduced beta = 1/2
-    form of the bounds)."""
+    form of the bounds).  Cells run as in ``run_nonadversarial_sweep``."""
     losses = cfg.losses or (rho_margin(1.0), hinge(), sigmoid(1.0))
     allowed = {LossFamily.RHO_MARGIN, LossFamily.HINGE, LossFamily.SIGMOID}
     if any(l.family not in allowed for l in losses):
@@ -142,24 +153,24 @@ def run_adversarial_sweep(cfg: SweepConfig):
     if not 0.0 < cfg.gamma < 1.0:
         raise ValueError("adversarial sweep needs gamma in (0, 1)")
     h = LinearHypothesis((cfg.w,), cfg.b)
-    rows = []
-    for i, sigma in enumerate(cfg.sigmas):
-        dist = sect7_adversarial(sigma, cfg.gamma)
-        seed = _cell_seed(cfg.seed, i)
-        xs, ys = sample(dist, cfg.n_samples, seed)
-        t_vals = _pointwise_losses(ZERO_ONE, h, xs, ys, True, cfg.gamma)
-        lhs, se_lhs = _mean_se(t_vals)
-        sup_vals = {
-            loss.label(): _pointwise_losses(loss, h, xs, ys, True, cfg.gamma) for loss in losses
-        }
-        rho_key = next((l.label() for l in losses if l.family is LossFamily.RHO_MARGIN), None)
-        hinge_key = next((l.label() for l in losses if l.family is LossFamily.HINGE), None)
-        if rho_key and hinge_key:
-            frac = float(np.mean(sup_vals[rho_key] <= sup_vals[hinge_key] + 1e-12))
-        else:
-            frac = math.nan
+    # the first rho-margin and the first hinge loss are compared pointwise
+    pair = [
+        next((l for l in losses if l.family is fam), None)
+        for fam in (LossFamily.RHO_MARGIN, LossFamily.HINGE)
+    ]
+
+    def cell(i):
+        sigma = cfg.sigmas[i]
+        seed, lhs, se_lhs, arg = _cell_args(h, sect7_adversarial(sigma, cfg.gamma), cfg, i, True)
+        stats, paired = [], {}
         for loss in losses:
-            rhs, se_rhs = _mean_se(sup_vals[loss.label()])
+            vals = eval_margin_loss(loss, arg)
+            stats.append(_mean_se(vals))
+            if loss in pair:
+                paired[loss] = vals
+        frac = math.nan if None in pair else float(np.mean(paired[pair[0]] <= paired[pair[1]] + 1e-12))
+        rows = []
+        for loss, (rhs, se_rhs) in zip(losses, stats):
             slack = rhs - lhs
             rows.append(
                 {
@@ -178,7 +189,9 @@ def run_adversarial_sweep(cfg: SweepConfig):
                     "frac_rho_rhs_le_hinge": frac,
                 }
             )
-    return rows
+        return rows
+
+    return [row for rows in thread_map(cell, range(len(cfg.sigmas))) for row in rows]
 
 
 def nonadversarial_minimal_risks(sigma: float, losses=()):
@@ -204,8 +217,6 @@ def emit_transform_curves(losses=(), spec: HypothesisSpec = None, grid_n: int = 
     if spec is None:
         spec = HypothesisSpec(HypothesisClass.LINEAR, W=1.0, B=0.8)
     losses = losses or (hinge(), logistic(), exponential(), quadratic(), sigmoid(1.0), rho_margin(1.0))
-    from .losses import eval_margin_loss
-
     rows = []
     alphas = np.linspace(-2.0, 2.0, grid_n)
     ts = np.linspace(0.0, 1.0, grid_n)

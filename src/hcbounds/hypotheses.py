@@ -143,9 +143,9 @@ class LinearHypothesis:
         if spec.cls is not HypothesisClass.LINEAR:
             raise ValueError("LinearHypothesis only validates against a LINEAR spec")
         if self.w_norm(spec.q) > spec.W * (1 + 1e-12):
-            raise ValueError(f"||w||_q = {self.w_norm(spec.q)} exceeds W = {spec.W}")
+            raise ValueError(f"h is outside the class: ||w||_q = {self.w_norm(spec.q)} exceeds W = {spec.W}")
         if abs(self.b) > spec.B * (1 + 1e-12):
-            raise ValueError(f"|b| = {abs(self.b)} exceeds B = {spec.B}")
+            raise ValueError(f"h is outside the class: |b| = {abs(self.b)} exceeds B = {spec.B}")
         return self
 
 

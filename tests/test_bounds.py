@@ -5,12 +5,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hcbounds.bounds import (
     Exact,
     MonteCarlo,
     Target,
     _check_massart_on_dist,
+    _pointwise_losses,
+    _score_kernel,
     assemble_bound,
     best_in_class_risk,
     minimizability_gap,
@@ -29,7 +33,16 @@ from hcbounds.distributions import (
     sect7_nonadversarial,
 )
 from hcbounds.hypotheses import HypothesisClass, HypothesisSpec, LinearHypothesis
-from hcbounds.losses import ZERO_ONE, exponential, hinge, logistic, quadratic, rho_margin, sigmoid
+from hcbounds.losses import (
+    ZERO_ONE,
+    eval_margin_loss,
+    exponential,
+    hinge,
+    logistic,
+    quadratic,
+    rho_margin,
+    sigmoid,
+)
 from hcbounds.transforms import NegativeResultError, transform
 
 LIN = HypothesisClass.LINEAR
@@ -138,7 +151,75 @@ class TestMinimizabilityGap:
         assert g01 >= -1e-6
 
 
+MARGIN_LOSSES = (hinge(), logistic(), exponential(), quadratic(), sigmoid(1.7), rho_margin(0.6))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _reference_pointwise(w, b, xs, ys, adversarial, gamma):
+    """(err, arg, {loss: values}) by the formulas the shared kernel replaced."""
+    s = w * xs + b
+    if adversarial:
+        lo, hi = s - gamma * abs(w), s + gamma * abs(w)
+        err = np.where(ys > 0, lo <= 0.0, hi >= 0.0)
+        arg = np.where(ys > 0, lo, -hi)
+        vals = {l: np.where(ys > 0, eval_margin_loss(l, lo), eval_margin_loss(l, -hi)) for l in MARGIN_LOSSES}
+    else:
+        err = np.where(s >= 0.0, 1, -1) != ys
+        arg = ys * s
+        vals = {l: eval_margin_loss(l, ys * s) for l in MARGIN_LOSSES}
+    return err, arg, vals
+
+
+@st.composite
+def _kernel_cases(draw):
+    gamma = draw(st.sampled_from([0.0, 0.1, 0.25]))
+    adversarial = gamma > 0.0
+    w = draw(st.one_of(st.sampled_from([0.0, -0.0, 2.0, -5.0]), st.floats(-6.0, 6.0)))
+    spread = gamma * abs(w)
+    # b = +-spread puts the ball's edge at exactly 0 for x = 0
+    b = draw(st.one_of(st.sampled_from([0.0, -0.0, spread, -spread]), st.floats(-1.0, 1.0)))
+    n = draw(st.integers(1, 40))
+    x = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1.0, 1.0))
+    xs = np.array(draw(st.lists(x, min_size=n, max_size=n)))
+    ys = np.array(draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)), dtype=np.int64)
+    return w, b, xs, ys, adversarial, gamma
+
+
+class TestScoreKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(_kernel_cases())
+    @example((2.0, 0.5, np.array([0.0, -0.0, 0.0, -0.0]), np.array([1, 1, -1, -1]), True, 0.25))
+    @example((2.0, -0.5, np.array([0.0, -0.0, 0.0, -0.0]), np.array([1, 1, -1, -1]), True, 0.25))
+    @example((3.0, 0.0, np.array([0.0, -0.0, 0.0, -0.0]), np.array([1, -1, 1, -1]), False, 0.0))
+    @example((-0.0, -0.0, np.array([0.5, -0.5]), np.array([1, -1]), False, 0.0))
+    def test_matches_reference_formulas_bit_for_bit(self, case):
+        w, b, xs, ys, adversarial, gamma = case
+        h = LinearHypothesis((w,), b)
+        err_ref, arg_ref, vals_ref = _reference_pointwise(w, b, xs, ys, adversarial, gamma)
+        for overwrite in (False, True):
+            buf = xs.copy()
+            err, arg = _score_kernel(h, buf, ys, adversarial, gamma, overwrite=overwrite)
+            assert err.dtype == bool and np.array_equal(err, err_ref)
+            assert np.array_equal(_bits(arg), _bits(arg_ref))
+            assert (arg is buf) == overwrite
+        assert np.array_equal(_pointwise_losses(ZERO_ONE, h, xs, ys, adversarial, gamma), err_ref.astype(float))
+        for loss, ref in vals_ref.items():
+            assert np.array_equal(_bits(eval_margin_loss(loss, arg)), _bits(ref))
+            assert np.array_equal(_bits(_pointwise_losses(loss, h, xs, ys, adversarial, gamma)), _bits(ref))
+
+
 class TestAssembleBound:
+    def test_out_of_class_hypothesis_rejected(self):
+        d = singleton(0.5, 0.8)
+        for gamma, target in ((0.0, Target.ZERO_ONE), (0.1, Target.ADVERSARIAL_ZERO_ONE)):
+            spec = HypothesisSpec(LIN, W=1.0, B=0.5, gamma=gamma)
+            for h in (LinearHypothesis((3.0,), 0.0), LinearHypothesis((0.5,), 2.0)):
+                with pytest.raises(ValueError, match="outside the class"):
+                    assemble_bound(target, rho_margin(1.0), spec, d, h)
+
     def test_singleton_hinge_exact(self):
         d = singleton(0.5, 0.8)
         spec = HypothesisSpec(LIN, W=1.0, B=0.5)

@@ -2,10 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
+import scipy
 
-from hcbounds import oracle_check
+from hcbounds import __version__, oracle_check
 from hcbounds.cli import main
+from hcbounds.conditional import thread_cap
 
 SINGLETON = json.dumps(
     {
@@ -113,6 +116,20 @@ class TestBoundCommand:
         assert code == 2
         assert "--eps must be 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [[], ["--loss", "sup-rho-margin", "--gamma", "0.1"]])
+    def test_out_of_class_hypothesis_rejected(self, capsys, extra):
+        code = main(["bound", "--loss", "rho-margin", "--class", "linear", "--W", "1", "--B", "0.5",
+                     "--w", "3", "--b", "2", "--dist", "sect7-nonadv", *extra])
+        assert code == 2
+        assert "outside the class" in capsys.readouterr().err
+
+    def test_default_w_needs_wider_class(self, capsys):
+        # the default h(x) = -5x lies outside the default linear class (W = 1)
+        args = ["bound", "--loss", "hinge", "--class", "linear", "--dist", SINGLETON]
+        assert main(args) == 2
+        assert "||w||_q = 5.0 exceeds W = 1.0" in capsys.readouterr().err
+        assert main(args + ["--W", "5"]) == 0
+
     def test_dist_file_path(self, tmp_path):
         path = tmp_path / "dist.json"
         path.write_text(SINGLETON)
@@ -158,6 +175,9 @@ class TestSweepCommand:
         assert main(base + ["--out", str(tmp_path / "s2")]) == 0
         assert (tmp_path / "s1.csv").read_bytes() == (tmp_path / "s2.csv").read_bytes()
         assert (tmp_path / "s1.json").read_bytes() == (tmp_path / "s2.json").read_bytes()
+        meta = json.loads((tmp_path / "s1.json").read_text())["meta"]
+        assert meta["threads"] == thread_cap()
+        assert meta["versions"] == {"hcbounds": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
 
     def test_figure1_emission(self, tmp_path):
         assert main(["sweep", "--experiment", "figure1", "--out", str(tmp_path / "f"),

@@ -2,6 +2,7 @@
 
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hcbounds.conditional import (
     min_conditional_risk_adversarial,
     min_risk_symmetric,
     thread_cap,
+    thread_map,
 )
 from hcbounds.hypotheses import (
     HypothesisClass,
@@ -395,3 +397,21 @@ class TestThreadCap:
         monkeypatch.setenv("HCB_THREADS", raw)
         with pytest.raises(ValueError, match="HCB_THREADS"):
             thread_cap()
+
+
+class TestThreadMap:
+    @pytest.mark.parametrize("threads, pooled", [("1", False), ("2", True)])
+    def test_results_in_item_order(self, monkeypatch, threads, pooled):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("HCB_THREADS", threads)
+        main = threading.get_ident()
+        got = thread_map(lambda i: (i * i, threading.get_ident() != main), range(7))
+        assert [v for v, _ in got] == [i * i for i in range(7)]
+        assert {off_main for _, off_main in got} == {pooled}
+
+    def test_empty_and_single_item_run_inline(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("HCB_THREADS", "2")
+        main = threading.get_ident()
+        assert thread_map(lambda i: i, []) == []
+        assert thread_map(lambda i: threading.get_ident() == main, ["only"]) == [True]

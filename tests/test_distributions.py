@@ -1,5 +1,6 @@
 """Mixture distributions: posteriors, sampling, quadrature, serialization."""
 
+import hashlib
 import json
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from hcbounds.distributions import (
+    _SAMPLE_CHUNK,
     Atom,
     Component,
     FiniteDistribution,
@@ -164,6 +166,33 @@ class TestSampling:
         n = (1 << 20) + 17
         xs, ys = sample(d, n, seed=9)
         assert len(xs) == n == len(ys)
+
+    # SHA-256 of xs then ys bytes at n spanning two chunks, pinned from the
+    # sampler before it gathered labels and locations per chunk: the Philox
+    # stream, its draw order and every float operation must stay as they are
+    @pytest.mark.parametrize(
+        "name, seed, digest",
+        [
+            ("nonadv", 21, "78ffafe40c39bcd0302534614283e36b77d5ca69a76f39ecfedf5dd26d6b930b"),
+            ("adv", 22, "c26068054104f787c526e56324f633bf21cfe5005ec4b5f26d61d6830c9727fe"),
+            ("finite", 23, "58c2398e124894d82fc834759ba98f8ab16d6901da0035bda3cf57939f4fdfad"),
+        ],
+    )
+    def test_output_pinned(self, name, seed, digest):
+        etas = (0.0, 0.1, 0.25, 0.5, 1.0, 0.9, 0.3, 0.6, 0.75, 0.05, 0.4, 1.0)
+        # sigmas whose truncated normals have a mass that is not exactly 1/2,
+        # so that a reordered ppf changes the output
+        dists = {
+            "nonadv": sect7_nonadversarial(0.2),
+            "adv": sect7_adversarial(0.5, 0.1),
+            # 12 atoms, 21 labeled components (eta in {0, 1} drops one side)
+            "finite": FiniteDistribution(
+                tuple((float(x), 1.0 / 12.0, e) for x, e in zip(np.linspace(-1.0, 1.0, 12), etas))
+            ).to_labeled(),
+        }
+        xs, ys = sample(dists[name], _SAMPLE_CHUNK + 4097, seed)
+        assert xs.dtype == np.float64 and ys.dtype == np.int64
+        assert hashlib.sha256(xs.tobytes() + ys.tobytes()).hexdigest() == digest
 
 
 class TestExpectation:

@@ -1,6 +1,9 @@
 """Sweep runners: determinism, bound validity, stderr scaling, curve tables."""
 
+import hashlib
+import json
 import math
+import os
 
 import pytest
 
@@ -14,7 +17,7 @@ from hcbounds.experiments import (
     write_rows_json,
 )
 from hcbounds.hypotheses import HypothesisClass, HypothesisSpec
-from hcbounds.losses import quadratic, sigmoid
+from hcbounds.losses import hinge, logistic, quadratic, sigmoid
 
 
 SMALL = SweepConfig(sigmas=(0.2, 0.05), n_samples=20_000, seed=11)
@@ -169,3 +172,41 @@ class TestWriters:
         write_rows_csv(rows, path)
         body = path.read_text().splitlines()[1]
         assert body.split(",")[0] == "0.333333333333"
+
+
+def _rows_digest(rows) -> str:
+    return hashlib.sha256(json.dumps(rows, sort_keys=True, allow_nan=True).encode()).hexdigest()
+
+
+# SHA-256 of the rows (every float at full precision), pinned from the
+# sequential, per-loss implementation the threaded cells replaced
+PINNED_SWEEPS = [
+    ("nonadv", run_nonadversarial_sweep, SweepConfig(n_samples=10**4, seed=11),
+     "fee25c4fce2b5d419fd0d9b0209bd7d5e1f75510d8afa9d7ae5e507c9fda681d"),
+    ("adv", run_adversarial_sweep, SweepConfig(n_samples=10**4, seed=11),
+     "80a0b271996962846be7bd23bbdd1192b20c06ef77bbbe928a93229e9e221105"),
+    ("nonadv-custom", run_nonadversarial_sweep,
+     SweepConfig(n_samples=10**4, seed=11, losses=(logistic(),), w=-3.0, b=0.25),
+     "5ee4847869fbe147116a45daa56994747ab128ba76583d9bfdc3220f11d62124"),
+    # no rho-margin/hinge pair: frac_rho_rhs_le_hinge is NaN
+    ("adv-custom", run_adversarial_sweep,
+     SweepConfig(n_samples=10**4, seed=11, losses=(sigmoid(2.0), hinge()), gamma=0.2, w=-2.0, b=0.1),
+     "50f1293d8cc9dca3685a6ff84a2db8d94ac949d1d95490b6d223c48bb779593e"),
+]
+
+
+class TestThreadedCells:
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        # two workers even on a one-CPU host, so the threaded path always runs
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        return monkeypatch
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("name, run, cfg, digest", PINNED_SWEEPS, ids=[p[0] for p in PINNED_SWEEPS])
+    def test_rows_pinned_at_every_thread_count(self, two_cpus, threads, name, run, cfg, digest):
+        two_cpus.setenv("HCB_THREADS", threads)
+        rows = run(cfg)
+        if name == "adv-custom":
+            assert all(math.isnan(r["frac_rho_rhs_le_hinge"]) for r in rows)
+        assert _rows_digest(rows) == digest
