@@ -118,22 +118,26 @@ def _hyp_w(h: LinearHypothesis) -> float:
     return h.w[0]
 
 
-def _score_kernel(h, xs, ys, adversarial, gamma, overwrite=False):
-    """(err, arg) for h on a sample with labels ys in {-1, +1}.
+def _score_kernel(w, b, xs, ys, adversarial, gamma, overwrite=False):
+    """(err, arg) for the scores s = w*x + b at points xs with labels ys in {-1, +1}.
 
-    err is the zero-one error indicator (bool): sign(s) != y for the score
-    s = w*x + b, or in the robust case whether the gamma-ball reaches the
-    wrong side.  arg is the argument at which every margin loss is taken:
-    y*s, or the worst-case margin np.where(y > 0, lo, -hi) over the ball
-    [lo, hi] = [s - gamma|w|, s + gamma|w|].  With ``overwrite`` the score
-    and arg are computed in place in xs, a float64 array the caller owns.
+    w and b broadcast against xs: scalars for one hypothesis on a sample, or
+    a (w, b) grid against one atom or a quadrature rule.  err is the zero-one
+    error indicator (bool): sign(s) != y, or in the robust case whether the
+    gamma-ball reaches the wrong side.  arg is the argument at which every
+    margin loss is taken: y*s, or the worst-case margin np.where(y > 0, lo, -hi)
+    over the ball [lo, hi] = [s - gamma|w|, s + gamma|w|].  With ``overwrite``
+    the score and arg are computed in place in xs, a float64 array the caller
+    owns (w and b scalars).
     """
-    w = _hyp_w(h)
     ys = np.asarray(ys)
-    s = np.multiply(xs, w, out=xs) if overwrite else w * np.asarray(xs, dtype=float)
-    s += h.b
+    if overwrite:
+        s = np.multiply(xs, w, out=xs)
+        s += b
+    else:
+        s = w * np.asarray(xs, dtype=float) + b
     if adversarial:
-        s -= (gamma * abs(w)) * ys  # lo where y = +1, hi where y = -1
+        s -= (gamma * np.abs(w)) * ys  # lo where y = +1, hi where y = -1
         s *= ys
         return s <= 0.0, s
     err = (s >= 0.0) != (ys > 0)
@@ -141,11 +145,13 @@ def _score_kernel(h, xs, ys, adversarial, gamma, overwrite=False):
     return err, s
 
 
+def _loss_values(loss, err, arg):
+    """The pointwise loss from the kernel's (err, arg)."""
+    return err.astype(float) if isinstance(loss, ZeroOneLoss) else eval_margin_loss(loss, arg)
+
+
 def _pointwise_losses(loss, h, xs, ys, adversarial, gamma):
-    err, arg = _score_kernel(h, xs, ys, adversarial, gamma)
-    if isinstance(loss, ZeroOneLoss):
-        return err.astype(float)
-    return eval_margin_loss(loss, arg)
+    return _loss_values(loss, *_score_kernel(_hyp_w(h), h.b, xs, ys, adversarial, gamma))
 
 
 def _kink_margins(loss) -> tuple:
@@ -173,29 +179,6 @@ def _discontinuity_points(loss, h, adversarial, gamma):
     return tuple(sorted(set(pts)))
 
 
-def _error_prob_truncnormal(law, y, w, b, adversarial, gamma):
-    """Exact zero-one error mass of a linear score on one truncated normal.
-
-    Standard case: y=+1 errs where w*x + b < 0 (strict: a zero score predicts
-    +1), y=-1 errs where w*x + b >= 0.  Robust case: y=+1 errs where the ball
-    minimum w*x + b - gamma|w| <= 0, y=-1 where the ball maximum >= 0.  The
-    strictness only matters when the score is constant (w = 0); thresholds
-    are null sets for the continuous laws otherwise.
-    """
-    shift = gamma * abs(w) if adversarial else 0.0
-    if y > 0:
-        if w == 0.0:
-            err = (b - shift <= 0.0) if adversarial else (b < 0.0)
-            return 1.0 if err else 0.0
-        thr = (shift - b) / w
-        return law.cdf(thr) if w > 0 else 1.0 - law.cdf(thr)
-    if w == 0.0:
-        err = (b + shift >= 0.0) if adversarial else (b >= 0.0)
-        return 1.0 if err else 0.0
-    thr = (-shift - b) / w
-    return 1.0 - law.cdf(thr) if w > 0 else law.cdf(thr)
-
-
 def risk(
     loss,
     h: LinearHypothesis,
@@ -213,15 +196,9 @@ def risk(
         se = float(vals.std(ddof=1)) / math.sqrt(mode.n)
         return float(vals.mean()), se
     w = _hyp_w(h)
-    total = 0.0
-    for c in dist.atoms():
-        total += c.weight * float(
-            _pointwise_losses(loss, h, np.array([c.law.x]), np.array([c.label]), adversarial, gamma)[0]
-        )
     if isinstance(loss, ZeroOneLoss):
-        for c in dist.continuous():
-            total += c.weight * _error_prob_truncnormal(c.law, c.label, w, h.b, adversarial, gamma)
-        return total, 0.0
+        return float(_risk_grid(loss, dist, [w], [h.b], adversarial, gamma)[0, 0]), 0.0
+    total = float(_atom_risk(loss, dist, w, h.b, adversarial, gamma))
     pts = _discontinuity_points(loss, h, adversarial, gamma)
     for c in dist.continuous():
         law = c.law
@@ -260,44 +237,41 @@ def _gauss_legendre():
     return nodes, weights
 
 
+def _atom_risk(loss, dist, w, b, adversarial, gamma):
+    """Risk mass on the atoms of dist of the scores w*x + b (w, b broadcast)."""
+    out = 0.0
+    for c in dist.atoms():
+        err, arg = _score_kernel(w, b, c.law.x, c.label, adversarial, gamma)
+        out = out + c.weight * _loss_values(loss, err, arg)
+    return out
+
+
+def _error_mass(law, label, w, b, adversarial, gamma):
+    """Exact zero-one error mass of the scores w*x + b (w, b broadcast) on one
+    truncated normal with the given label.
+
+    The kernel's margin at x is margin0 + label*w*x.  For w != 0 the errors
+    fill the half-line beyond the x where it crosses 0; that threshold is a
+    null set, so its strictness does not matter.  For w = 0 the score is the
+    constant b, and the kernel's indicator decides, strictness included.
+    """
+    err0, margin0 = _score_kernel(w, b, 0.0, label, adversarial, gamma)
+    thr = -margin0 / np.where(w == 0.0, np.nan, label * w)
+    cdf = law.cdf(np.nan_to_num(thr, nan=0.0))
+    sided = np.where((w > 0) == (label > 0), cdf, 1.0 - cdf)
+    return np.where(w == 0.0, err0, sided)
+
+
 def _risk_grid(loss, dist, w_vals, b_vals, adversarial, gamma):
     """Risk of every (w, b) pair: exact tail masses for zero-one, fixed
     Gauss-Legendre panels for margin losses (search accuracy only)."""
-    nw, nb = len(w_vals), len(b_vals)
-    out = np.zeros((nw, nb))
-    w_col = np.asarray(w_vals)[:, None]
-    b_row = np.asarray(b_vals)[None, :]
-    spread = gamma * np.abs(w_col) if adversarial else 0.0
-    for c in dist.atoms():
-        s = w_col * c.law.x + b_row
-        if isinstance(loss, ZeroOneLoss):
-            if adversarial:
-                vals = (s - spread <= 0.0) if c.label > 0 else (s + spread >= 0.0)
-            else:
-                vals = (s < 0.0) if c.label > 0 else (s >= 0.0)
-            out += c.weight * vals.astype(float)
-        else:
-            if adversarial:
-                arg = (s - spread) if c.label > 0 else (-s - spread)
-            else:
-                arg = c.label * s
-            out += c.weight * eval_margin_loss(loss, arg)
+    w = np.asarray(w_vals, dtype=float)[:, None]
+    b = np.asarray(b_vals, dtype=float)[None, :]
+    out = np.zeros((w.shape[0], b.shape[1]))
+    out += _atom_risk(loss, dist, w, b, adversarial, gamma)
     if isinstance(loss, ZeroOneLoss):
-        shift = spread if adversarial else np.zeros_like(w_col)
-        w_nonzero = np.where(w_col == 0.0, np.nan, w_col)
         for c in dist.continuous():
-            law = c.law
-            if c.label > 0:
-                thr = (shift - b_row) / w_nonzero
-                cdf = law.cdf(np.nan_to_num(thr, nan=0.0))
-                sided = np.where(w_col > 0, cdf, 1.0 - cdf)
-                flat = ((b_row - shift) <= 0.0 if adversarial else b_row < 0.0).astype(float)
-            else:
-                thr = (-shift - b_row) / w_nonzero
-                cdf = law.cdf(np.nan_to_num(thr, nan=0.0))
-                sided = np.where(w_col > 0, 1.0 - cdf, cdf)
-                flat = ((b_row + shift) >= 0.0 if adversarial else b_row >= 0.0).astype(float)
-            out += c.weight * np.where(w_col == 0.0, flat * np.ones_like(sided), sided)
+            out += c.weight * _error_mass(c.law, c.label, w, b, adversarial, gamma)
         return out
     nodes, weights = _gauss_legendre()
     for c in dist.continuous():
@@ -305,12 +279,7 @@ def _risk_grid(loss, dist, w_vals, b_vals, adversarial, gamma):
         half = 0.5 * (law.hi - law.lo)
         xg = law.lo + half * (nodes + 1.0)
         wg = weights * half * law.pdf(xg) * c.weight
-        s = w_col[:, :, None] * xg[None, None, :] + b_row[:, :, None]
-        if adversarial:
-            sp = (gamma * np.abs(w_col))[:, :, None]
-            arg = (s - sp) if c.label > 0 else (-s - sp)
-        else:
-            arg = c.label * s
+        _, arg = _score_kernel(w[:, :, None], b[:, :, None], xg, c.label, adversarial, gamma)
         out += eval_margin_loss(loss, arg) @ wg
     return out
 
@@ -467,7 +436,8 @@ def _check_massart_on_dist(dist: LabeledDistribution, beta: float) -> int:
 
 
 def _select_transform(target, surrogate, spec, massart):
-    """Returns (gamma_fn, label, relaxed, forward_pt_or_None) for the bound RHS."""
+    """Returns (pt, label, relaxed) for the bound RHS: pt is the transform
+    inverse (applied directly) or a forward transform (inverted numerically)."""
     adversarial = target is Target.ADVERSARIAL_ZERO_ONE
     if adversarial:
         if surrogate.family is LossFamily.RHO_MARGIN:
@@ -531,7 +501,7 @@ def assemble_bound(
 
     if isinstance(mode, MonteCarlo):
         xs, ys = sample(dist, mode.n, mode.seed)
-        err, arg = _score_kernel(h, xs, ys, adversarial, gamma, overwrite=True)
+        err, arg = _score_kernel(_hyp_w(h), h.b, xs, ys, adversarial, gamma, overwrite=True)
         del xs, ys
         tvals, svals = err.astype(float), eval_margin_loss(surrogate, arg)
         r_target, se_target = float(tvals.mean()), float(tvals.std(ddof=1)) / math.sqrt(mode.n)

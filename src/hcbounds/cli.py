@@ -96,6 +96,14 @@ def _emit(payload: dict, out: str) -> None:
         sys.stdout.write(text)
 
 
+def _run_meta() -> dict:
+    """What every JSON artifact records about the run that wrote it."""
+    return {
+        "threads": thread_cap(),
+        "versions": {"hcbounds": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
+    }
+
+
 def _apply_config(args, parser_defaults: dict) -> None:
     if not getattr(args, "config", None):
         return
@@ -120,6 +128,8 @@ def cmd_transform(args, defaults) -> int:
         raise ValueError(f"{args.loss} requires --gamma > 0")
     if spec.adversarial and not wants_sup:
         raise ValueError("--gamma > 0 requires a sup- loss")
+    if args.massart_beta is not None and args.eps != 0.0:
+        raise ValueError(f"Massart-modified transforms are not truncated; --eps must be 0, got {args.eps}")
     inverse = None
     if wants_sup:
         if args.massart_beta is not None:
@@ -142,6 +152,7 @@ def cmd_transform(args, defaults) -> int:
         "transform": fwd.to_json_dict(),
         "inverse": inverse.to_json_dict() if inverse is not None else None,
         "samples": samples,
+        "meta": _run_meta(),
     }
     _emit(payload, args.out)
     return 0
@@ -165,7 +176,7 @@ def cmd_bound(args, defaults) -> int:
     h = LinearHypothesis((args.w,), args.b)
     mode = MonteCarlo(args.n, args.seed) if args.mode == "mc" else Exact()
     report = assemble_bound(target, loss, spec, dist, h, massart=args.massart_beta, mode=mode)
-    _emit(report.to_json_dict(), args.out)
+    _emit({**report.to_json_dict(), "meta": _run_meta()}, args.out)
     return 0 if report.holds else 1
 
 
@@ -231,8 +242,7 @@ def cmd_sweep(args, defaults) -> int:
             "gamma": args.gamma,
             "note": "sigma grid is a package choice; the reference experiment does not state one",
         }
-    meta["threads"] = thread_cap()
-    meta["versions"] = {"hcbounds": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
+    meta.update(_run_meta())
     out = args.out or args.experiment
     wrote = []
     if args.format in ("csv", "both"):

@@ -120,7 +120,11 @@ def _log_odds_within(t: float, s: float, half: bool = False) -> bool:
 
 
 def min_risk_symmetric(loss: MarginLoss, s: float, t: float) -> float:
-    """Infimum of the conditional risk over scores in [-s, s] (s may be +inf)."""
+    """Infimum of the conditional risk over scores in [-s, s] (s may be +inf).
+
+    For the rho-margin, hinge and sigmoid losses this is also the minimal
+    worst-case conditional risk when s is the class's best worst-case score
+    (which may be negative)."""
     tmax, tmin = max(t, 1.0 - t), min(t, 1.0 - t)
     fam = loss.family
     if fam is LossFamily.HINGE:
@@ -180,32 +184,11 @@ def min_conditional_risk_adversarial(
         )
     reach_lo, reach_hi = attainable_adversarial_range(spec, point.x_norm_p)
     t = point.t
-    if fam is LossFamily.RHO_MARGIN:
-        # Exact given the class's best worst-case score; bracket that score.
-        return (
-            min_risk_adversarial_form(loss, reach_hi, t),
-            min_risk_adversarial_form(loss, reach_lo, t),
-        )
-    # Hinge / sigmoid: lower bound decouples the two worst-case scores, upper
-    # bound takes the bias-only witness (reach of magnitude margin_scale).
-    return (
-        min_risk_adversarial_form(loss, reach_hi, t),
-        min_risk_adversarial_form(loss, spec.margin_scale(), t),
-    )
-
-
-def min_risk_adversarial_form(loss: MarginLoss, reach: float, t: float) -> float:
-    """Appendix-style minimal worst-case conditional risk given the best
-    attainable worst-case score ``reach`` (rho-margin, hinge and sigmoid)."""
-    tmax, tmin = max(t, 1.0 - t), min(t, 1.0 - t)
-    fam = loss.family
-    if fam is LossFamily.RHO_MARGIN:
-        return tmax * (1.0 - min(reach, loss.rho) / loss.rho) + tmin
-    if fam is LossFamily.HINGE:
-        return 1.0 - abs(2.0 * t - 1.0) * min(reach, 1.0)
-    if fam is LossFamily.SIGMOID:
-        return 1.0 - abs(1.0 - 2.0 * t) * math.tanh(loss.k * reach)
-    raise ValueError(f"no adversarial closed form for {fam.value}")
+    # Rho-margin: exact given the class's best worst-case score; bracket that
+    # score.  Hinge / sigmoid: the lower bound decouples the two worst-case
+    # scores, the upper bound takes the bias-only witness (reach margin_scale).
+    upper_reach = reach_lo if fam is LossFamily.RHO_MARGIN else spec.margin_scale()
+    return min_risk_symmetric(loss, reach_hi, t), min_risk_symmetric(loss, upper_reach, t)
 
 
 def _check_sign_rich(spec: HypothesisSpec) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _score_kernel
+from .bounds import _hyp_w, _score_kernel
 from .distributions import expectation, sect7_adversarial, sect7_nonadversarial, sample
 from .hypotheses import HypothesisClass, HypothesisSpec, LinearHypothesis
 from .losses import (
@@ -91,7 +91,8 @@ def _cell_args(h, dist, cfg, i, adversarial):
     sigma cell.  The sample is scored in place and dropped as it is used."""
     seed = _cell_seed(cfg.seed, i)
     xs, ys = sample(dist, cfg.n_samples, seed)
-    err, arg = _score_kernel(h, xs, ys, adversarial, cfg.gamma if adversarial else 0.0, overwrite=True)
+    gamma = cfg.gamma if adversarial else 0.0
+    err, arg = _score_kernel(_hyp_w(h), h.b, xs, ys, adversarial, gamma, overwrite=True)
     del xs, ys
     lhs, se_lhs = _mean_se(err.astype(float))
     return seed, lhs, se_lhs, arg

@@ -16,9 +16,11 @@ Segment kinds:
 The forward transforms for the six margin losses over bounded linear or ReLU
 classes only differ through one scalar, the class's bias reach c (B, or
 Lambda*B for networks); c = +inf recovers the classical unrestricted-class
-forms.  Inverses are exact except for the logistic and exponential losses,
-whose materialized inverses are the standard upper-bounding relaxations
-(flagged ``relaxed``); their exact inverses are available by bisection.
+forms.  Exact inverses are derived from the forward segments
+(``PiecewiseTransform.inverse``), except for the logistic and exponential
+losses, whose materialized inverses are the standard upper-bounding
+relaxations (flagged ``relaxed``); their exact inverses are available by
+bisection.
 
 Worst-case (adversarial) transforms exist only for the rho-margin family;
 for worst-case hinge and sigmoid losses, transforms exist only under a
@@ -102,6 +104,17 @@ class Segment:
                 return math.inf
             return t / math.sqrt(1.0 - t * t)
         raise ValueError(f"unknown segment kind {self.kind!r}")
+
+    def inverse(self) -> "Segment":
+        """The inverse function of an increasing affine or power segment."""
+        if self.kind == "affine":
+            slope, intercept = self.coefficients
+            # 0.0 - intercept keeps a zero intercept +0.0
+            return Segment("affine", (1.0 / slope, (0.0 - intercept) / slope))
+        if self.kind == "power":
+            scale, exponent = self.coefficients
+            return Segment("power", (scale ** (-1.0 / exponent), 1.0 / exponent))
+        raise ValueError(f"no closed-form inverse for segment kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -191,6 +204,20 @@ class PiecewiseTransform:
                 raise ValueError(f"cannot scale segment kind {seg.kind!r} in closed form")
         return replace(self, segments=tuple(segs), note=f"scaled x{factor:g}")
 
+    def inverse(self) -> "PiecewiseTransform":
+        """Inverse of an increasing forward transform with affine and power
+        segments.  Its knots are this transform's values at its knots, and its
+        last segment extends to +inf."""
+        if self.direction is not Direction.FORWARD:
+            raise ValueError("only forward transforms are inverted in closed form")
+        knots = [float(self(k)) for k in self.breakpoints[1:-1]]
+        return replace(
+            self,
+            breakpoints=(0.0, *knots, math.inf),
+            segments=tuple(seg.inverse() for seg in self.segments),
+            direction=Direction.INVERSE,
+        )
+
     def to_json_dict(self) -> dict:
         return {
             "loss": self.loss_label,
@@ -226,7 +253,8 @@ def _log2_1p_exp(c: float) -> float:
 
 
 def _forward_pieces(loss: MarginLoss, c: float):
-    """Interior knots and segments of the forward transform on [0, 1]."""
+    """Interior knots and segments of the forward transform's formula on
+    [0, inf); knots at or beyond 1 lie outside the transform's domain."""
     fam = loss.family
     if fam is LossFamily.HINGE:
         return [], [_affine(min(c, 1.0))]
@@ -236,7 +264,7 @@ def _forward_pieces(loss: MarginLoss, c: float):
     if fam is LossFamily.RHO_MARGIN:
         return [], [_affine(min(c, loss.rho) / loss.rho)]
     if fam is LossFamily.QUADRATIC:
-        if c >= 1.0:
+        if math.isinf(c):
             return [], [_power(1.0, 2.0)]
         return [c], [_power(1.0, 2.0), _affine(2.0 * c, -c * c)]
     if fam is LossFamily.LOGISTIC:
@@ -258,20 +286,21 @@ def _forward_pieces(loss: MarginLoss, c: float):
     raise ValueError(f"unknown loss family {fam!r}")
 
 
+def _restricted(knots, segs, end: float = 1.0, **labels) -> PiecewiseTransform:
+    """The forward transform with these pieces on [0, inf), restricted to [0, end]."""
+    inside = sum(k < end for k in knots)
+    return PiecewiseTransform(
+        (0.0, *knots[:inside], end), segs[: inside + 1], Direction.FORWARD, **labels
+    )
+
+
 def transform(loss: MarginLoss, spec: HypothesisSpec, eps: float = 0.0) -> PiecewiseTransform:
     """Forward estimation-error transform of a margin loss for the given class."""
     check_truncation_eps(eps)
     if spec.adversarial:
         raise ValueError("spec has gamma > 0; use adversarial_transform")
     c = _check_scale(spec.margin_scale())
-    knots, segs = _forward_pieces(loss, c)
-    pt = PiecewiseTransform(
-        (0.0, *knots, 1.0),
-        segs,
-        Direction.FORWARD,
-        loss_label=loss.label(),
-        class_label=spec.label(),
-    )
+    pt = _restricted(*_forward_pieces(loss, c), loss_label=loss.label(), class_label=spec.label())
     if eps > 0.0:
         pt = _apply_eps_floor(pt, eps)
     return pt
@@ -298,40 +327,25 @@ def _apply_eps_floor(pt: PiecewiseTransform, eps: float) -> PiecewiseTransform:
 
 def transform_inverse(loss: MarginLoss, spec: HypothesisSpec) -> PiecewiseTransform:
     """Inverse transform on R+ (exact, or the standard upper-bounding relaxation
-    for the logistic and exponential losses, flagged ``relaxed``)."""
+    for the logistic and exponential losses, flagged ``relaxed``).
+
+    The exact inverses invert the forward formula on [0, inf), so a knot the
+    forward transform has beyond 1 (quadratic loss, B >= 1) is kept."""
     if spec.adversarial:
         raise ValueError("spec has gamma > 0; use adversarial_transform")
     c = _check_scale(spec.margin_scale())
+    labels = dict(loss_label=loss.label(), class_label=spec.label())
     fam = loss.family
-    relaxed = False
-    if fam is LossFamily.HINGE:
-        knots, segs = [], [_affine(1.0 / min(c, 1.0))]
-    elif fam is LossFamily.SIGMOID:
-        slope = 1.0 if math.isinf(c) else math.tanh(loss.k * c)
-        knots, segs = [], [_affine(1.0 / slope)]
-    elif fam is LossFamily.RHO_MARGIN:
-        slope = min(c, loss.rho) / loss.rho
-        knots, segs = [], [_affine(1.0 / slope)]
-    elif fam is LossFamily.QUADRATIC:
-        if math.isinf(c):
-            knots, segs = [], [_power(1.0, 0.5)]
-        else:
-            knots, segs = [c * c], [_power(1.0, 0.5), _affine(1.0 / (2.0 * c), c / 2.0)]
-    elif fam in (LossFamily.LOGISTIC, LossFamily.EXPONENTIAL):
-        relaxed = True
-        half_c = c / 2.0 if fam is LossFamily.LOGISTIC else c
-        tanh_c = 1.0 if math.isinf(half_c) else math.tanh(half_c)
-        knot = 0.5 * tanh_c * tanh_c
-        knots, segs = [knot], [_power(math.sqrt(2.0), 0.5), _affine(2.0 / tanh_c)]
-    else:
-        raise ValueError(f"unknown loss family {fam!r}")
+    if fam not in (LossFamily.LOGISTIC, LossFamily.EXPONENTIAL):
+        return _restricted(*_forward_pieces(loss, c), math.inf, **labels).inverse()
+    half_c = c / 2.0 if fam is LossFamily.LOGISTIC else c
+    tanh_c = 1.0 if math.isinf(half_c) else math.tanh(half_c)
     return PiecewiseTransform(
-        (0.0, *knots, math.inf),
-        segs,
+        (0.0, 0.5 * tanh_c * tanh_c, math.inf),
+        [_power(math.sqrt(2.0), 0.5), _affine(2.0 / tanh_c)],
         Direction.INVERSE,
-        relaxed=relaxed,
-        loss_label=loss.label(),
-        class_label=spec.label(),
+        relaxed=True,
+        **labels,
     )
 
 
@@ -361,10 +375,8 @@ def adversarial_transform(
         )
     c = _check_scale(spec.margin_scale())
     note = "Lambda*B relaxation" if spec.cls is HypothesisClass.ONE_HIDDEN_RELU else ""
-    return PiecewiseTransform(
-        (0.0, 1.0),
-        [_affine(min(c, loss.rho) / loss.rho)],
-        Direction.FORWARD,
+    return _restricted(
+        *_forward_pieces(loss, c),
         eps=eps,
         loss_label="sup-" + loss.label(),
         class_label=spec.label(),
@@ -381,21 +393,10 @@ def massart_transform(loss: MarginLoss, spec: HypothesisSpec, beta: float) -> Pi
     if loss.family not in (LossFamily.QUADRATIC, LossFamily.LOGISTIC, LossFamily.EXPONENTIAL):
         raise ValueError(f"Massart-modified transform not derived for {loss.family.value}")
     _, (base,) = _forward_pieces(loss, math.inf)
-    knot = 2.0 * beta
-    label = f"massart(beta={beta:g})-" + loss.label()
-    if knot >= 1.0:
-        seg = _affine(float(base(1.0)))
-        return PiecewiseTransform(
-            (0.0, 1.0), [seg], Direction.FORWARD, loss_label=label, class_label=spec.label()
-        )
+    knot = 2.0 * beta  # at beta = 1/2 the chord covers all of [0, 1]
     chord = _affine(float(base(knot)) / knot)
-    return PiecewiseTransform(
-        (0.0, knot, 1.0),
-        [chord, base],
-        Direction.FORWARD,
-        loss_label=label,
-        class_label=spec.label(),
-    )
+    label = f"massart(beta={beta:g})-" + loss.label()
+    return _restricted([knot], [chord, base], loss_label=label, class_label=spec.label())
 
 
 def massart_adversarial_transform(
@@ -410,32 +411,15 @@ def massart_adversarial_transform(
         raise ValueError("adversarial transform requires gamma > 0")
     if spec.cls not in (HypothesisClass.LINEAR, HypothesisClass.ONE_HIDDEN_RELU):
         raise ValueError("adversarial transforms cover linear and ReLU classes only")
-    scale = _check_scale(spec.margin_scale())
-    if loss.family is LossFamily.HINGE:
-        c = min(scale, 1.0)
-    elif loss.family is LossFamily.SIGMOID:
-        c = 1.0 if math.isinf(scale) else math.tanh(loss.k * scale)
-    else:
+    if loss.family not in (LossFamily.HINGE, LossFamily.SIGMOID):
         raise ValueError(
             f"Massart-modified worst-case transform not derived for {loss.family.value}"
         )
-    knot = 0.5 + beta
+    _, (base,) = _forward_pieces(loss, _check_scale(spec.margin_scale()))
+    c = base.coefficients[0]  # the standard transform's slope
+    segs = [_affine(c * 4.0 * beta / (1.0 + 2.0 * beta)), _affine(2.0 * c, -c)]
     label = f"massart(beta={beta:g})-sup-" + loss.label()
-    if knot >= 1.0:
-        return PiecewiseTransform(
-            (0.0, 1.0),
-            [_affine(c * 4.0 * beta / (1.0 + 2.0 * beta))],
-            Direction.FORWARD,
-            loss_label=label,
-            class_label=spec.label(),
-        )
-    return PiecewiseTransform(
-        (0.0, knot, 1.0),
-        [_affine(c * 4.0 * beta / (1.0 + 2.0 * beta)), _affine(2.0 * c, -c)],
-        Direction.FORWARD,
-        loss_label=label,
-        class_label=spec.label(),
-    )
+    return _restricted([0.5 + beta], segs, loss_label=label, class_label=spec.label())
 
 
 def invert_numerically(pt: PiecewiseTransform, y: float, tol: float = 1e-12) -> float:

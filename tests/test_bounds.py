@@ -1,5 +1,7 @@
 """Risks, best-in-class values, gaps, assembled bounds, and the discrete verifier."""
 
+import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -8,12 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hcbounds import bounds
 from hcbounds.bounds import (
     Exact,
     MonteCarlo,
     Target,
     _check_massart_on_dist,
     _pointwise_losses,
+    _risk_grid,
     _score_kernel,
     assemble_bound,
     best_in_class_risk,
@@ -35,6 +39,7 @@ from hcbounds.distributions import (
 from hcbounds.hypotheses import HypothesisClass, HypothesisSpec, LinearHypothesis
 from hcbounds.losses import (
     ZERO_ONE,
+    ZeroOneLoss,
     eval_margin_loss,
     exponential,
     hinge,
@@ -86,6 +91,66 @@ class TestRisk:
     def test_adversarial_needs_gamma(self):
         with pytest.raises(ValueError):
             risk(ZERO_ONE, LinearHypothesis((1.0,), 0.0), sect7_nonadversarial(0.1), Exact(), adversarial=True)
+
+
+def _hexdigest(values):
+    return hashlib.sha256(",".join(float(v).hex() for v in values).encode()).hexdigest()
+
+
+def _pin_hypotheses():
+    rng = np.random.default_rng(2024)
+    fixed = [(0.0, 0.0), (-0.0, 0.0), (0.0, 0.3), (0.0, -0.3), (2.0, 0.2), (2.0, -0.2), (-5.0, 0.0)]
+    drawn = zip(rng.uniform(-6.0, 6.0, 33), rng.uniform(-1.0, 1.0, 33))
+    return [LinearHypothesis((w,), b) for w, b in fixed + [(float(w), float(b)) for w, b in drawn]]
+
+
+_PIN_DISTS = {"nonadv": lambda: sect7_nonadversarial(0.1), "adv": lambda: sect7_adversarial(0.1, 0.1)}
+
+# SHA-256 of the exact zero-one risks (hex floats) of _pin_hypotheses(),
+# computed when risk still had its own atom loop and scalar tail-mass code;
+# (2.0, +-0.2) put the robust ball's edge at 0 for x = 0, gamma = 0.1.
+_ZERO_ONE_RISK_DIGESTS = {
+    ("nonadv", False): "c3a309c2d070d0e8e4d3c95c3638d46ed3c3e56511ff40c0f58be143a59e6408",
+    ("nonadv", True): "517f089c97c712b1c1f9b312d818786331918fcf931347ba78fa628f22b5a77f",
+    ("adv", False): "516e668ff4d3ca8fc718644f1d4626198ac56e636266431545f857f2a1fdf458",
+    ("adv", True): "6bf1461c6bacad1f66bfdff0231a0ccdbc45361b8ed80a86041aafa6bbb00b3e",
+}
+
+# SHA-256 of the bytes of _risk_grid on a 21 x 21 (w, b) grid, computed when
+# its atom and Gauss-Legendre branches still typed out the score arithmetic.
+_RISK_GRID_DIGESTS = {
+    ("zero-one", False): "220ac628af4ebc399d5c146b0cb06ae87b1a79dfe5a63acbc95e17d36a14c61d",
+    ("zero-one", True): "bc2068b3e088cdb50d548b15f5f13a86ff9e8a779474f1494a68134c9b89b617",
+    ("hinge", False): "e5f299961d65d0e5d0283d971e271b0328b978b440279ad9f17d57d58c4e85b8",
+    ("hinge", True): "e1d23d15128cbd716b5a59c3273191b36a2751f3229e21e47fa7e8bd35247e7d",
+    ("logistic", False): "54fa007cb781f978bd9d95f74866a532019d8a1b9e910d582e16ead15a430f05",
+    ("logistic", True): "178af915da058b7665dc3494e081cb72e33f70fde5f6cddc83789e7a800a0238",
+    ("exponential", False): "223a68e6853bc6ba106ca2f6335cac33a6f7ff1913b4b95e0a5e759df2de1c0f",
+    ("exponential", True): "17c481389be26be57493832dfa75d71e432daeb67f001e0cb58a8da3c9f6e382",
+    ("quadratic", False): "05065f4e75daf843c9c967b36668648921d9370e6ada3c9ff72ebd5ffeaf8d26",
+    ("quadratic", True): "a4557f00da231f8ad9b851403a2b410e427f4b7b56f1fa04d1463629b5db667a",
+    ("sigmoid(k=1)", False): "f1b40d50c76644757dc68334177cf7680ae17ea6ae0a16b43c9000d0b85dec1e",
+    ("sigmoid(k=1)", True): "21eb51a98422e97df00d0177f6cba84acbb3d3380c572e1f4620796a56f424ad",
+    ("rho-margin(rho=0.5)", False): "25077859aace46ce983e47f128a8c4d9421baac893646a9970d1083ee6f6e2b4",
+    ("rho-margin(rho=0.5)", True): "efbf52252a48570a4535fdf28449ce30f44a97c638e12b3f771c040394c7eb6a",
+}
+_GRID_LOSSES = (ZERO_ONE, hinge(), logistic(), exponential(), quadratic(), sigmoid(1.0), rho_margin(0.5))
+
+
+class TestPinnedRiskValues:
+    @pytest.mark.parametrize("dist_name, adversarial", sorted(_ZERO_ONE_RISK_DIGESTS))
+    def test_exact_zero_one_risk_digest(self, dist_name, adversarial):
+        dist, gamma = _PIN_DISTS[dist_name](), 0.1 if adversarial else 0.0
+        vals = [risk(ZERO_ONE, h, dist, Exact(), adversarial, gamma)[0] for h in _pin_hypotheses()]
+        assert _hexdigest(vals) == _ZERO_ONE_RISK_DIGESTS[dist_name, adversarial]
+
+    @pytest.mark.parametrize("loss", _GRID_LOSSES, ids=lambda l: l.label())
+    @pytest.mark.parametrize("adversarial", [False, True])
+    def test_risk_grid_digest(self, loss, adversarial):
+        dist = _PIN_DISTS["adv" if adversarial else "nonadv"]()
+        w_vals, b_vals = np.linspace(-3.0, 3.0, 21), np.linspace(-1.0, 1.0, 21)
+        grid = _risk_grid(loss, dist, w_vals, b_vals, adversarial, 0.1 if adversarial else 0.0)
+        assert hashlib.sha256(grid.tobytes()).hexdigest() == _RISK_GRID_DIGESTS[loss.label(), adversarial]
 
 
 class TestBestInClass:
@@ -201,7 +266,7 @@ class TestScoreKernel:
         err_ref, arg_ref, vals_ref = _reference_pointwise(w, b, xs, ys, adversarial, gamma)
         for overwrite in (False, True):
             buf = xs.copy()
-            err, arg = _score_kernel(h, buf, ys, adversarial, gamma, overwrite=overwrite)
+            err, arg = _score_kernel(w, b, buf, ys, adversarial, gamma, overwrite=overwrite)
             assert err.dtype == bool and np.array_equal(err, err_ref)
             assert np.array_equal(_bits(arg), _bits(arg_ref))
             assert (arg is buf) == overwrite
@@ -377,6 +442,54 @@ class TestAssembleBound:
             rep = assemble_bound(Target.ZERO_ONE, hinge(), HypothesisSpec(LIN, W=1.0, B=B), d, h)
             assert rep.rhs <= prev + 1e-9
             prev = rep.rhs
+
+
+def _shift_zero_one_best_in_class(monkeypatch, delta):
+    real = bounds.best_in_class_risk
+
+    def shifted(loss, *args, **kwargs):
+        got = real(loss, *args, **kwargs)
+        return dataclasses.replace(got, value=got.value + delta) if isinstance(loss, ZeroOneLoss) else got
+
+    monkeypatch.setattr(bounds, "best_in_class_risk", shifted)
+
+
+class TestZeroOneBestInClassCancels:
+    """For a linear class the zero-one best-in-class value R* enters lhs as
+    -R* and rhs through M_target = R* - E[C*] as -R*, so it cancels in
+    slack = rhs - lhs: moving it by delta moves slack by rounding only and
+    never flips holds.  With the unrestricted class (``--class all``)
+    M_target is 0, so lhs alone moves and slack shifts by delta."""
+
+    @pytest.mark.parametrize(
+        "target, loss, spec, dist, h",
+        [
+            (Target.ZERO_ONE, hinge(), HypothesisSpec(LIN, W=1.0, B=0.5), sect7_nonadversarial(0.1),
+             LinearHypothesis((-0.6,), 0.1)),
+            (Target.ADVERSARIAL_ZERO_ONE, rho_margin(1.0), HypothesisSpec(LIN, W=1.0, B=0.5, gamma=0.1),
+             sect7_adversarial(0.1, 0.1), LinearHypothesis((0.7,), -0.2)),
+        ],
+        ids=["hinge-linear", "sup-rho-margin-adversarial-linear"],
+    )
+    def test_linear_class_slack_moves_by_rounding_only(self, monkeypatch, target, loss, spec, dist, h):
+        base = assemble_bound(target, loss, spec, dist, h)
+        for delta in (1e-3, -0.05, 0.2):
+            _shift_zero_one_best_in_class(monkeypatch, delta)
+            rep = assemble_bound(target, loss, spec, dist, h)
+            monkeypatch.undo()
+            assert rep.lhs == pytest.approx(base.lhs - delta, abs=1e-12)
+            assert rep.m_target == pytest.approx(base.m_target + delta, abs=1e-12)
+            assert abs(rep.slack - base.slack) <= 1e-12
+            assert rep.holds == base.holds
+
+    def test_unrestricted_class_slack_moves_with_lhs(self, monkeypatch):
+        args = (Target.ZERO_ONE, quadratic(), HypothesisSpec(ALL), sect7_nonadversarial(0.1),
+                LinearHypothesis((-5.0,), 0.0))
+        base = assemble_bound(*args)
+        _shift_zero_one_best_in_class(monkeypatch, 0.05)
+        rep = assemble_bound(*args)
+        assert rep.m_target == base.m_target == 0.0
+        assert rep.slack == pytest.approx(base.slack + 0.05, abs=1e-12)
 
 
 class TestDiscretePsiBound:

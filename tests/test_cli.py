@@ -10,6 +10,14 @@ from hcbounds import __version__, oracle_check
 from hcbounds.cli import main
 from hcbounds.conditional import thread_cap
 
+
+def expected_meta():
+    return {
+        "threads": thread_cap(),
+        "versions": {"hcbounds": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
+    }
+
+
 SINGLETON = json.dumps(
     {
         "components": [
@@ -30,6 +38,7 @@ class TestTransformCommand:
         assert len(segs) == 1 and segs[0]["kind"] == "affine"
         assert segs[0]["coefficients"][0] == pytest.approx(0.8)
         assert doc["inverse"]["segments"][0]["coefficients"][0] == pytest.approx(1.25)
+        assert doc["meta"] == expected_meta()
 
     def test_sup_hinge_without_beta_rejected(self, capsys):
         code = main(["transform", "--loss", "sup-hinge", "--class", "linear", "--gamma", "0.1"])
@@ -57,6 +66,19 @@ class TestTransformCommand:
         doc = json.loads(out.read_text())
         assert doc["transform"]["segments"][0]["coefficients"][0] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "loss_args",
+        [["--loss", "quadratic", "--class", "all", "--massart-beta", "0.25"],
+         ["--loss", "sup-hinge", "--class", "linear", "--gamma", "0.1", "--massart-beta", "0.5"]],
+        ids=["quadratic-all", "sup-hinge-linear"],
+    )
+    def test_massart_with_eps_rejected(self, tmp_path, capsys, loss_args):
+        out = tmp_path / "m.json"
+        assert main(["transform", *loss_args, "--eps", "0.1", "--out", str(out)]) == 2
+        assert "--eps must be 0" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["transform", *loss_args, "--eps", "0", "--out", str(out)]) == 0
+
 
 class TestBoundCommand:
     def test_singleton_inline_json(self, tmp_path):
@@ -70,6 +92,7 @@ class TestBoundCommand:
         assert doc["holds"] is True
         assert doc["lhs"] == pytest.approx(0.6)
         assert doc["rhs"] == pytest.approx(1.44)
+        assert doc["meta"] == expected_meta()
 
     def test_mc_mode_deterministic_files(self, tmp_path):
         args = ["bound", "--loss", "quadratic", "--class", "all", "--dist", "sect7-nonadv",
@@ -176,8 +199,7 @@ class TestSweepCommand:
         assert (tmp_path / "s1.csv").read_bytes() == (tmp_path / "s2.csv").read_bytes()
         assert (tmp_path / "s1.json").read_bytes() == (tmp_path / "s2.json").read_bytes()
         meta = json.loads((tmp_path / "s1.json").read_text())["meta"]
-        assert meta["threads"] == thread_cap()
-        assert meta["versions"] == {"hcbounds": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
+        assert {k: meta[k] for k in ("threads", "versions")} == expected_meta()
 
     def test_figure1_emission(self, tmp_path):
         assert main(["sweep", "--experiment", "figure1", "--out", str(tmp_path / "f"),

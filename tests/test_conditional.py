@@ -1,5 +1,6 @@
 """Conditional risks: closed forms vs the grid oracle, regret lemmas, cases."""
 
+import hashlib
 import math
 import os
 import threading
@@ -169,6 +170,41 @@ class TestMinConditionalRiskAdversarial:
         for loss in (logistic(), exponential(), quadratic()):
             with pytest.raises(ValueError):
                 min_conditional_risk_adversarial(loss, spec, ConditionalPoint(0.5, 0.5))
+
+
+# SHA-256 of the brackets (hex floats) on a 4 x 5 (||x||, t) grid, computed
+# when the adversarial brackets had their own copy of the minimal-risk formula.
+_BRACKET_SPECS = {
+    "lin": HypothesisSpec(LIN, W=0.5, B=0.2, gamma=0.1),
+    "lin-wide": HypothesisSpec(LIN, W=2.0, B=0.1, gamma=0.2),
+    "relu": HypothesisSpec(RELU, W=1.0, B=0.2, Lambda=1.5, gamma=0.1),
+}
+_BRACKET_DIGESTS = {
+    ("lin", "rho-margin(rho=2)"): "5ab3b85f9954b0a8eeee83f48c3c77d346b481ca638f972f13d7d2198de17b95",
+    ("lin", "rho-margin(rho=0.3)"): "89e7dbf3601e51a94c9b5e3621b1485a8a652b6afe37d62a374dc39ba82f8cfc",
+    ("lin", "hinge"): "b3d2d6e6235a2dd943464b0ccb9e8e2a2029b78059335b5ff992b5b183b76d7d",
+    ("lin", "sigmoid(k=2)"): "a63b8ba1cdb202b944f1a0796c69587edf5e80e2305cc649a41a4f8ffcfcee90",
+    ("lin-wide", "rho-margin(rho=2)"): "1bec2d0d8d14aa97ce28ac91cf6125332a43e66124b6ee95c300c7410b579adc",
+    ("lin-wide", "rho-margin(rho=0.3)"): "80a1d152fd94408a5523cd849f23400536d9d1d19270d9828404ac9213aa46e0",
+    ("lin-wide", "hinge"): "43b185be7a4bc87974c202151bac736f6c548886e92ca72bf6cfea8bd4c6a8fb",
+    ("lin-wide", "sigmoid(k=2)"): "2b1a2eaca47045249e65956d920180214dcc9391b732c51203bc4a9c2e981f31",
+    ("relu", "rho-margin(rho=2)"): "1bb860366932cfa58d9598495d8f90cc8b916c2be446171c23d9ec32e3d409b1",
+    ("relu", "rho-margin(rho=0.3)"): "8ff05023418c00d5806f153faf0d906be4ea1c0db78ac24e1e81a39548b459c8",
+    ("relu", "hinge"): "d16eb1a9fd2513046ea82d82962713919ae8208a765bbffa7917a2d84a66989b",
+    ("relu", "sigmoid(k=2)"): "0b8bb8b84a1c8f950f9dcea3f9705bc40ff07eaadfc9a8e13f8979042d80702a",
+}
+
+
+@pytest.mark.parametrize("spec_name", sorted(_BRACKET_SPECS))
+@pytest.mark.parametrize("loss", [rho_margin(2.0), rho_margin(0.3), hinge(), sigmoid(2.0)], ids=lambda l: l.label())
+def test_adversarial_brackets_pinned(spec_name, loss):
+    vals = []
+    for x in (0.0, 0.05, 0.3, 1.0):
+        for t in (0.0, 0.2, 0.5, 0.9, 1.0):
+            point = ConditionalPoint(x, t)
+            vals.extend(min_conditional_risk_adversarial(loss, _BRACKET_SPECS[spec_name], point))
+    digest = hashlib.sha256(",".join(v.hex() for v in vals).encode()).hexdigest()
+    assert digest == _BRACKET_DIGESTS[spec_name, loss.label()]
 
 
 class TestRegrets:

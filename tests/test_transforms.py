@@ -113,6 +113,75 @@ class TestInverseTable:
                 assert invert_numerically(fwd, y) == pytest.approx(t, abs=1e-9)
 
 
+# Breakpoints and (kind, coefficients) of each exact inverse, as hex floats,
+# from when the inverses were typed out by hand instead of derived from the
+# forward segments.  Keys: (loss label, B) for the linear class with W = 1.
+_HAND_TYPED_INVERSES = {
+    ("hinge", "0.4"): (('0x0.0p+0', 'inf'), (('affine', '0x1.4000000000000p+1', '0x0.0p+0'),)),
+    ("hinge", "1.0"): (('0x0.0p+0', 'inf'), (('affine', '0x1.0000000000000p+0', '0x0.0p+0'),)),
+    ("hinge", "1.7"): (('0x0.0p+0', 'inf'), (('affine', '0x1.0000000000000p+0', '0x0.0p+0'),)),
+    ("hinge", "inf"): (('0x0.0p+0', 'inf'), (('affine', '0x1.0000000000000p+0', '0x0.0p+0'),)),
+    ("sigmoid(k=3)", "0.4"): (('0x0.0p+0', 'inf'), (('affine', '0x1.3314e47aa15b6p+0', '0x0.0p+0'),)),
+    ("sigmoid(k=3)", "1.0"): (('0x0.0p+0', 'inf'), (('affine', '0x1.0145b3cc9964cp+0', '0x0.0p+0'),)),
+    ("sigmoid(k=3)", "1.7"): (('0x0.0p+0', 'inf'), (('affine', '0x1.0004df46798edp+0', '0x0.0p+0'),)),
+    ("sigmoid(k=3)", "inf"): (('0x0.0p+0', 'inf'), (('affine', '0x1.0000000000000p+0', '0x0.0p+0'),)),
+    ("rho-margin(rho=2)", "0.4"): (('0x0.0p+0', 'inf'), (('affine', '0x1.4000000000000p+2', '0x0.0p+0'),)),
+    ("rho-margin(rho=2)", "1.0"): (('0x0.0p+0', 'inf'), (('affine', '0x1.0000000000000p+1', '0x0.0p+0'),)),
+    ("rho-margin(rho=2)", "1.7"): (('0x0.0p+0', 'inf'), (('affine', '0x1.2d2d2d2d2d2d3p+0', '0x0.0p+0'),)),
+    ("rho-margin(rho=2)", "inf"): (('0x0.0p+0', 'inf'), (('affine', '0x1.0000000000000p+0', '0x0.0p+0'),)),
+    ("quadratic", "0.4"): (
+        ('0x0.0p+0', '0x1.47ae147ae147cp-3', 'inf'),
+        (('power', '0x1.0000000000000p+0', '0x1.0000000000000p-1'),
+         ('affine', '0x1.4000000000000p+0', '0x1.999999999999ap-3')),
+    ),
+    ("quadratic", "1.0"): (
+        ('0x0.0p+0', '0x1.0000000000000p+0', 'inf'),
+        (('power', '0x1.0000000000000p+0', '0x1.0000000000000p-1'),
+         ('affine', '0x1.0000000000000p-1', '0x1.0000000000000p-1')),
+    ),
+    ("quadratic", "1.7"): (
+        ('0x0.0p+0', '0x1.71eb851eb851ep+1', 'inf'),
+        (('power', '0x1.0000000000000p+0', '0x1.0000000000000p-1'),
+         ('affine', '0x1.2d2d2d2d2d2d3p-2', '0x1.b333333333333p-1')),
+    ),
+    ("quadratic", "inf"): (('0x0.0p+0', 'inf'), (('power', '0x1.0000000000000p+0', '0x1.0000000000000p-1'),)),
+}
+
+
+def _within_one_ulp(got, want_hex):
+    want = float.fromhex(want_hex)
+    return got == want or abs(got - want) <= math.ulp(want)
+
+
+class TestDerivedInverse:
+    @pytest.mark.parametrize("key", sorted(_HAND_TYPED_INVERSES))
+    def test_matches_hand_typed_inverse_within_one_ulp(self, key):
+        label, B = key
+        loss = {"hinge": hinge(), "sigmoid(k=3)": sigmoid(3.0), "rho-margin(rho=2)": rho_margin(2.0),
+                "quadratic": quadratic()}[label]
+        inv = transform_inverse(loss, HypothesisSpec(LIN, W=1.0, B=float(B)))
+        bps, segs = _HAND_TYPED_INVERSES[key]
+        assert inv.direction is Direction.INVERSE and not inv.relaxed
+        assert len(inv.breakpoints) == len(bps) and len(inv.segments) == len(segs)
+        assert all(_within_one_ulp(got, want) for got, want in zip(inv.breakpoints, bps))
+        for seg, (kind, *coefs) in zip(inv.segments, segs):
+            assert seg.kind == kind
+            assert all(_within_one_ulp(got, want) for got, want in zip(seg.coefficients, coefs))
+        # a zero intercept stays +0.0 (no "-0.0" in the JSON)
+        assert all(math.copysign(1.0, c) > 0 for s in inv.segments for c in s.coefficients)
+
+    def test_segment_inverse_roundtrip(self):
+        for seg in (Segment("affine", (2.5, -0.3)), Segment("power", (0.7, 2.0)), Segment("power", (3.0, 0.5))):
+            ts = np.linspace(0.1, 2.0, 20)
+            assert seg.inverse()(seg(ts)) == pytest.approx(ts, rel=1e-12)
+
+    def test_no_closed_form_inverse_rejected(self):
+        with pytest.raises(ValueError, match="no closed-form inverse"):
+            transform(logistic(), HypothesisSpec(LIN, W=1.0, B=0.8)).inverse()
+        with pytest.raises(ValueError, match="forward"):
+            transform_inverse(hinge(), HypothesisSpec(LIN, W=1.0, B=0.8)).inverse()
+
+
 class TestStructuralInvariants:
     @pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda l: l.label())
     def test_forward_calculus(self, loss):
