@@ -88,6 +88,7 @@ from .bounds import (
     minimizability_gap,
     negative_result_demo,
     risk,
+    surrogate_split,
     verify_psi_bound_discrete,
 )
 from .experiments import (

@@ -9,8 +9,12 @@ conditional risk), and complete bound reports of the form
     target_excess  <=  Gamma(surrogate_excess + M_surrogate) - M_target
 
 where Gamma is the inverse of the appropriate estimation-error transform
-(standard, worst-case, or Massart-modified).  The module also carries the
-discrete verifier for the general convex-Psi bound on finite-support
+(standard, worst-case, or Massart-modified).  The surrogate's best-in-class
+risk cancels in Gamma's argument, surrogate_excess + M_surrogate =
+R_surrogate(h) - E[C*_surrogate], so the verdict never searches for it; the
+split into surrogate_excess and M_surrogate is computed on request
+(``surrogate_split``), as the CLI does for its JSON.  The module also carries
+the discrete verifier for the general convex-Psi bound on finite-support
 distributions and the constructive no-guarantee demonstration for worst-case
 convex/sigmoid surrogates.
 """
@@ -75,6 +79,7 @@ __all__ = [
     "best_in_class_risk",
     "minimizability_gap",
     "assemble_bound",
+    "surrogate_split",
     "verify_psi_bound_discrete",
     "negative_result_demo",
 ]
@@ -382,10 +387,13 @@ def minimizability_gap(
 
 @dataclass(frozen=True)
 class BoundReport:
+    """One assembled bound.  The verdict needs the surrogate only through
+    r_surrogate - e_cstar_surrogate, which ``surrogate_split`` splits."""
+
     lhs: float
     rhs: float
-    surrogate_excess: float
-    m_surrogate: float
+    r_surrogate: float
+    e_cstar_surrogate: float
     m_target: float
     transform_label: str
     mc_stderr_lhs: float
@@ -396,13 +404,15 @@ class BoundReport:
     relaxed_inverse: bool = False
     provenance: tuple = ()
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, split: tuple) -> dict:
+        """JSON form; split is (surrogate_excess, M_surrogate) from ``surrogate_split``."""
+        surrogate_excess, m_surrogate = split
         return {
             "lhs": self.lhs,
             "rhs": self.rhs,
             "components": {
-                "surrogate_excess": self.surrogate_excess,
-                "M_surrogate": self.m_surrogate,
+                "surrogate_excess": surrogate_excess,
+                "M_surrogate": m_surrogate,
                 "M_target": self.m_target,
                 "transform": self.transform_label,
             },
@@ -474,8 +484,12 @@ def assemble_bound(
 
     lhs is the target estimation error of h; rhs applies the selected
     transform inverse to (surrogate excess + surrogate gap) and subtracts the
-    target gap.  In Monte Carlo mode both risks are estimated from one shared
-    sample and carry delta-method standard errors.
+    target gap.  That argument is R_surrogate(h) - E[C*_surrogate]: the
+    surrogate's best-in-class risk cancels, so only the zero-one target is
+    searched.  The split of the argument into surrogate excess and gap is
+    not part of the verdict; ``surrogate_split`` computes it on request.  In
+    Monte Carlo mode both risks are estimated from one shared sample and
+    carry delta-method standard errors.
     """
     adversarial = target is Target.ADVERSARIAL_ZERO_ONE
     if adversarial and not spec.adversarial:
@@ -514,17 +528,9 @@ def assemble_bound(
     e_cstar_target = _expect_min_conditional(ZERO_ONE, spec, dist, adversarial)
     m_target = 0.0 if spec.cls is HypothesisClass.ALL else star_target.value - e_cstar_target
     e_cstar_surr = _expect_min_conditional(surrogate, spec, dist, adversarial)
-    if spec.cls is HypothesisClass.ALL:
-        m_surr = 0.0
-        star_surr_value = e_cstar_surr
-    else:
-        star_surr = best_in_class_risk(surrogate, spec, dist, adversarial=adversarial)
-        star_surr_value = star_surr.value
-        m_surr = star_surr_value - e_cstar_surr
 
     lhs = r_target - star_target.value
     arg = r_surr - e_cstar_surr  # = surrogate excess + surrogate gap, grid-noise free
-    surrogate_excess = r_surr - star_surr_value
 
     saturated = False
     if pt.direction is Direction.INVERSE:
@@ -558,8 +564,8 @@ def assemble_bound(
     return BoundReport(
         lhs=lhs,
         rhs=rhs,
-        surrogate_excess=surrogate_excess,
-        m_surrogate=m_surr,
+        r_surrogate=r_surr,
+        e_cstar_surrogate=e_cstar_surr,
         m_target=m_target,
         transform_label=label,
         mc_stderr_lhs=se_target,
@@ -570,6 +576,22 @@ def assemble_bound(
         relaxed_inverse=relaxed,
         provenance=prov,
     )
+
+
+def surrogate_split(
+    report: BoundReport, surrogate: MarginLoss, spec: HypothesisSpec, dist: LabeledDistribution
+) -> tuple:
+    """(surrogate_excess, M_surrogate) of a report from ``assemble_bound``
+    with the same surrogate, spec and dist: R(h) - R*_H and R*_H - E[C*].
+
+    For a linear class this runs the best-in-class search on the surrogate;
+    the unrestricted class has R*_H = E[C*] and needs no search.
+    """
+    r_surr, e_cstar = report.r_surrogate, report.e_cstar_surrogate
+    if spec.cls is HypothesisClass.ALL:
+        return r_surr - e_cstar, 0.0
+    star = best_in_class_risk(surrogate, spec, dist, adversarial=spec.adversarial).value
+    return r_surr - star, star - e_cstar
 
 
 # ---------------------------------------------------------------------------

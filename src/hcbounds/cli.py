@@ -30,7 +30,7 @@ import numpy as np
 import scipy
 
 from . import __version__, experiments
-from .bounds import Exact, MonteCarlo, Target, assemble_bound
+from .bounds import Exact, MonteCarlo, Target, assemble_bound, surrogate_split
 from .conditional import thread_cap
 from .distributions import dist_from_json_dict, preset_distribution
 from .hypotheses import HypothesisClass, HypothesisSpec, LinearHypothesis
@@ -176,7 +176,8 @@ def cmd_bound(args, defaults) -> int:
     h = LinearHypothesis((args.w,), args.b)
     mode = MonteCarlo(args.n, args.seed) if args.mode == "mc" else Exact()
     report = assemble_bound(target, loss, spec, dist, h, massart=args.massart_beta, mode=mode)
-    _emit({**report.to_json_dict(), "meta": _run_meta()}, args.out)
+    split = surrogate_split(report, loss, spec, dist)
+    _emit({**report.to_json_dict(split), "meta": _run_meta()}, args.out)
     return 0 if report.holds else 1
 
 

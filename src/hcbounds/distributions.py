@@ -82,8 +82,16 @@ class TruncNormal:
     def _z(self, x):
         return (np.asarray(x, dtype=float) - self.mean) / self.std
 
+    @property
+    def _upper(self) -> bool:
+        # Above the mean ndtr(z) is near 1 and differences of it cancel; there
+        # the complementary tail ndtr(-z) keeps full relative precision.
+        return self.lo > self.mean
+
     @functools.cached_property
     def _mass(self) -> float:
+        if self._upper:
+            return float(ndtr(-self._z(self.lo)) - ndtr(-self._z(self.hi)))
         return float(ndtr(self._z(self.hi)) - ndtr(self._z(self.lo)))
 
     def pdf(self, x):
@@ -96,16 +104,24 @@ class TruncNormal:
 
     def cdf(self, x):
         x_arr = np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
-        lo_mass = ndtr(self._z(self.lo))
-        out = (ndtr(self._z(x_arr)) - lo_mass) / self._mass
+        if self._upper:
+            out = (ndtr(-self._z(self.lo)) - ndtr(-self._z(x_arr))) / self._mass
+        else:
+            out = (ndtr(self._z(x_arr)) - ndtr(self._z(self.lo))) / self._mass
         return out if isinstance(x, np.ndarray) else float(out)
 
     def ppf(self, u):
-        # clip(mean + std * ndtri(lo_mass + u * mass)), computed in one buffer
+        # clip(mean + std * ndtri(lo_mass + u * mass)), computed in one buffer;
+        # on an upper tail, clip(mean - std * ndtri(upper_lo_mass - u * mass))
         x = np.multiply(u, self._mass, out=np.empty(np.shape(u)))
-        x += ndtr(self._z(self.lo))
-        ndtri(x, out=x)
-        x *= self.std
+        if self._upper:
+            np.subtract(ndtr(-self._z(self.lo)), x, out=x)
+            ndtri(x, out=x)
+            x *= -self.std
+        else:
+            x += ndtr(self._z(self.lo))
+            ndtri(x, out=x)
+            x *= self.std
         x += self.mean
         np.clip(x, self.lo, self.hi, out=x)
         return x if isinstance(u, np.ndarray) else float(x)

@@ -264,7 +264,9 @@ def _forward_pieces(loss: MarginLoss, c: float):
     if fam is LossFamily.RHO_MARGIN:
         return [], [_affine(min(c, loss.rho) / loss.rho)]
     if fam is LossFamily.QUADRATIC:
-        if math.isinf(c):
+        # no knot once the affine piece overflows there (2c^2 = inf): the
+        # inverse of t^2 alone is then exact up to y = c^2, past 1e307
+        if math.isinf(2.0 * c * c):
             return [], [_power(1.0, 2.0)]
         return [c], [_power(1.0, 2.0), _affine(2.0 * c, -c * c)]
     if fam is LossFamily.LOGISTIC:

@@ -24,6 +24,7 @@ from hcbounds.bounds import (
     minimizability_gap,
     negative_result_demo,
     risk,
+    surrogate_split,
     verify_psi_bound_discrete,
 )
 from hcbounds.conditional import ConditionalPoint, min_conditional_risk
@@ -490,6 +491,97 @@ class TestZeroOneBestInClassCancels:
         rep = assemble_bound(*args)
         assert rep.m_target == base.m_target == 0.0
         assert rep.slack == pytest.approx(base.slack + 0.05, abs=1e-12)
+
+
+_NONADV_CASE = (HypothesisSpec(LIN, W=1.0, B=0.5), sect7_nonadversarial(0.05), LinearHypothesis((-0.8,), 0.1))
+_ADV_SPEC = HypothesisSpec(LIN, W=1.0, B=0.5, gamma=0.1)
+_ADV_CASE = (_ADV_SPEC, sect7_adversarial(0.1, 0.1), LinearHypothesis((0.7,), -0.2))
+_VERDICT_CASES = {
+    "hinge-linear": (Target.ZERO_ONE, hinge(), *_NONADV_CASE, None, Exact()),
+    "logistic-linear": (Target.ZERO_ONE, logistic(), *_NONADV_CASE, None, Exact()),
+    "quadratic-linear": (Target.ZERO_ONE, quadratic(), *_NONADV_CASE, None, Exact()),
+    "sup-rho-margin-adversarial-linear": (Target.ADVERSARIAL_ZERO_ONE, rho_margin(1.0), *_ADV_CASE, None, Exact()),
+    "mc-sup-hinge-massart": (
+        Target.ADVERSARIAL_ZERO_ONE, hinge(), _ADV_SPEC, sect7_adversarial(0.1, 0.1),
+        LinearHypothesis((-0.9,), -0.3), 0.5, MonteCarlo(20000, seed=3),
+    ),
+    "mc-sup-hinge-massart-saturated": (
+        Target.ADVERSARIAL_ZERO_ONE, hinge(), *_ADV_CASE, 0.5, MonteCarlo(20000, seed=3),
+    ),
+}
+_VERDICT_FLOATS = ("lhs", "rhs", "slack", "mc_stderr_lhs", "mc_stderr_rhs")
+# (lhs, rhs, slack, mc_stderr_lhs, mc_stderr_rhs) as float.hex(), holds,
+# saturated; computed while assemble_bound still ran the surrogate search
+_VERDICT_PINS = {
+    "hinge-linear": ("0x1.7bdbf7f60dfbcp-2", "0x1.154a6bacd3116p+0", "0x1.6ca6db5e9f24ep-1",
+                     "0x0.0p+0", "0x0.0p+0", True, False),
+    "logistic-linear": ("0x1.7bdbf7f60dfbcp-2", "0x1.8eaf67e5b9320p+1", "0x1.5f33e8e6f7728p+1",
+                        "0x0.0p+0", "0x0.0p+0", True, False),
+    "quadratic-linear": ("0x1.7bdbf7f60dfbcp-2", "0x1.fef0612bc4a94p-1", "0x1.41026530bdab6p-1",
+                         "0x0.0p+0", "0x0.0p+0", True, False),
+    "sup-rho-margin-adversarial-linear": ("0x1.fffffffffffb2p-4", "0x1.a86824dfa2ff6p-1",
+                                          "0x1.686824dfa3000p-1", "0x0.0p+0", "0x0.0p+0", True, False),
+    "mc-sup-hinge-massart": ("0x1.18fc504816dc6p-6", "0x1.73f8933f7cff6p-1", "0x1.6b30b0bd3c488p-1",
+                             "0x1.e1541015e2387p-11", "0x1.a269957f06f8bp-9", True, False),
+    "mc-sup-hinge-massart-saturated": ("0x1.f9a6b50b0f22ep-4", "0x1.ffffffffffff6p-1",
+                                       "0x1.c0cb295e9e1b0p-1", "0x1.30e336024f2fdp-9", "0x0.0p+0",
+                                       True, True),
+}
+
+
+def _count_best_in_class_calls(monkeypatch):
+    calls = []
+    real = bounds.best_in_class_risk
+
+    def counting(loss, *args, **kwargs):
+        calls.append(loss)
+        return real(loss, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "best_in_class_risk", counting)
+    return calls
+
+
+class TestVerdictPath:
+    """The verdict needs the surrogate only through R(h) - E[C*]: its
+    best-in-class risk cancels, so assemble_bound searches the zero-one
+    target alone and surrogate_split runs the surrogate search on request."""
+
+    @pytest.mark.parametrize(
+        "name", ["hinge-linear", "sup-rho-margin-adversarial-linear", "mc-sup-hinge-massart"]
+    )
+    def test_only_the_zero_one_target_is_searched(self, monkeypatch, name):
+        target, loss, spec, dist, h, massart, mode = _VERDICT_CASES[name]
+        calls = _count_best_in_class_calls(monkeypatch)
+        assemble_bound(target, loss, spec, dist, h, massart=massart, mode=mode)
+        assert len(calls) == 1 and isinstance(calls[0], ZeroOneLoss)
+
+    @pytest.mark.parametrize("name", sorted(_VERDICT_PINS))
+    def test_verdict_fields_pinned(self, name):
+        target, loss, spec, dist, h, massart, mode = _VERDICT_CASES[name]
+        rep = assemble_bound(target, loss, spec, dist, h, massart=massart, mode=mode)
+        got = tuple(float(getattr(rep, f)).hex() for f in _VERDICT_FLOATS) + (rep.holds, rep.saturated)
+        assert got == _VERDICT_PINS[name]
+
+    @pytest.mark.parametrize("name", ["hinge-linear", "sup-rho-margin-adversarial-linear"])
+    def test_split_searches_the_surrogate_once(self, monkeypatch, name):
+        target, loss, spec, dist, h, massart, mode = _VERDICT_CASES[name]
+        rep = assemble_bound(target, loss, spec, dist, h, massart=massart, mode=mode)
+        calls = _count_best_in_class_calls(monkeypatch)
+        excess, gap = surrogate_split(rep, loss, spec, dist)
+        assert calls == [loss]
+        star = best_in_class_risk(loss, spec, dist, adversarial=spec.adversarial).value
+        assert (excess, gap) == (rep.r_surrogate - star, star - rep.e_cstar_surrogate)
+        assert excess + gap == pytest.approx(rep.r_surrogate - rep.e_cstar_surrogate, abs=1e-15)
+        assert gap >= -1e-6
+
+    def test_unrestricted_split_needs_no_search(self, monkeypatch):
+        spec = HypothesisSpec(ALL)
+        rep = assemble_bound(Target.ZERO_ONE, quadratic(), spec, sect7_nonadversarial(0.1),
+                             LinearHypothesis((-5.0,), 0.0))
+        calls = _count_best_in_class_calls(monkeypatch)
+        split = surrogate_split(rep, quadratic(), spec, sect7_nonadversarial(0.1))
+        assert calls == []
+        assert split == (rep.r_surrogate - rep.e_cstar_surrogate, 0.0)
 
 
 class TestDiscretePsiBound:

@@ -1,6 +1,7 @@
 """CLI contract: flags, exit codes, output determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,26 @@ class TestTransformCommand:
         doc = json.loads(out.read_text())
         assert [s["kind"] for s in doc["transform"]["segments"]] == ["power"]
         assert doc["transform"]["segments"][0]["coefficients"] == [1.0, 2.0]
+
+    @pytest.mark.parametrize("B", ["1e200", "1.3e154"])
+    def test_huge_bias_budget_inverse_is_unbounded_one(self, tmp_path, capsys, B):
+        # the inverse's knot B^2 (or the affine piece's value 2B*B there)
+        # overflows, so it is dropped: sqrt(y) below it, as for B = inf
+        docs = []
+        for budget in (B, "inf"):
+            out = tmp_path / f"q{budget}.json"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["transform", "--loss", "quadratic", "--class", "linear", "--B", budget,
+                             "--out", str(out)])
+            assert code == 0
+            assert capsys.readouterr().err == ""
+            docs.append(json.loads(out.read_text()))
+        huge, unbounded = docs
+        for key in ("direction", "relaxed", "breakpoints", "segments"):
+            assert huge["inverse"][key] == unbounded["inverse"][key]
+        assert huge["inverse"]["breakpoints"] == [0.0, "inf"]
+        assert huge["transform"]["segments"] == unbounded["transform"]["segments"]
 
     def test_sup_loss_requires_gamma(self, capsys):
         assert main(["transform", "--loss", "sup-rho-margin", "--class", "linear"]) == 2
@@ -152,6 +173,29 @@ class TestBoundCommand:
         assert main(args) == 2
         assert "||w||_q = 5.0 exceeds W = 1.0" in capsys.readouterr().err
         assert main(args + ["--W", "5"]) == 0
+
+    @pytest.mark.parametrize(
+        "args, surrogate_excess, m_surrogate",
+        [
+            ("--loss hinge --class linear --W 1 --B 0.5 --w -0.8 --b 0.1 --dist sect7-nonadv --sigma 0.05",
+             "0x1.2fb5e5ddb1480p-7", "0x1.308b94155c4c4p-1"),
+            ("--loss sup-rho-margin --class linear --W 1 --B 0.5 --gamma 0.1 --w 0.7 --b -0.2 "
+             "--dist sect7-adv --sigma 0.1", "0x1.397a07b9229fap-2", "0x1.bbb8749a04050p-4"),
+            ("--loss quadratic --class all --B inf --w -5 --b 0 --dist sect7-nonadv --sigma 0.1",
+             "0x1.9e0b6b501a1d3p+1", "0x0.0p+0"),
+        ],
+        ids=["linear", "adversarial-linear", "all"],
+    )
+    def test_surrogate_split_pinned(self, tmp_path, args, surrogate_excess, m_surrogate):
+        # pinned while assemble_bound still ran the surrogate search itself
+        out = tmp_path / "split.json"
+        assert main(["bound", *args.split(), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert set(doc) == {"lhs", "rhs", "components", "mc_stderr_lhs", "mc_stderr_rhs", "holds",
+                            "slack", "saturated", "relaxed_inverse", "provenance", "meta"}
+        assert set(doc["components"]) == {"surrogate_excess", "M_surrogate", "M_target", "transform"}
+        assert doc["components"]["surrogate_excess"].hex() == surrogate_excess
+        assert doc["components"]["M_surrogate"].hex() == m_surrogate
 
     def test_dist_file_path(self, tmp_path):
         path = tmp_path / "dist.json"

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from hcbounds.distributions import (
     _SAMPLE_CHUNK,
@@ -101,6 +102,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="no floating-point mass"):
             TruncNormal(0.5, 1.0, 0.0, 0.01)
 
+    @pytest.mark.parametrize("std", [0.1, 0.08, 0.06])
+    def test_far_upper_tail(self, std):
+        # [0.5, 1] lies 5 to 8.3 standard deviations above the mean, where
+        # ndtr(b) - ndtr(a) cancels (at std 0.06 to 0); upper-tail masses do not
+        law = TruncNormal(0.5, 1.0, 0.0, std)
+        mass = ndtr(-0.5 / std) - ndtr(-1.0 / std)
+        assert law._mass == pytest.approx(mass, rel=1e-12, abs=0.0)
+        xs = np.linspace(0.5, 1.0, 11)
+        want = (ndtr(-0.5 / std) - ndtr(-xs / std)) / mass
+        np.testing.assert_allclose(law.cdf(xs), want, rtol=1e-12, atol=0.0)
+        u = np.linspace(0.0, 1.0, 11)
+        np.testing.assert_allclose(law.cdf(law.ppf(u)), u, rtol=0.0, atol=1e-12)
+        assert law.cdf(law.ppf(0.5)) == pytest.approx(0.5, abs=1e-12)
 
 _GRID = np.linspace(-1.0, 1.0, 10001)
 

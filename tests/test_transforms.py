@@ -170,6 +170,17 @@ class TestDerivedInverse:
         # a zero intercept stays +0.0 (no "-0.0" in the JSON)
         assert all(math.copysign(1.0, c) > 0 for s in inv.segments for c in s.coefficients)
 
+    def test_quadratic_knot_kept_while_representable(self):
+        # 2B*B still fits a float at B = 9e153, so the knot B^2 stays; past
+        # that it overflows and the inverse is sqrt(y), as for B = inf
+        kept = transform_inverse(quadratic(), HypothesisSpec(LIN, W=1.0, B=9e153))
+        assert kept.breakpoints == (0.0, 9e153 * 9e153, math.inf)
+        assert [s.kind for s in kept.segments] == ["power", "affine"]
+        unbounded = transform_inverse(quadratic(), HypothesisSpec(LIN, W=1.0, B=math.inf))
+        for B in (1.3e154, 1e200, 1e308):
+            dropped = transform_inverse(quadratic(), HypothesisSpec(LIN, W=1.0, B=B))
+            assert (dropped.breakpoints, dropped.segments) == (unbounded.breakpoints, unbounded.segments)
+
     def test_segment_inverse_roundtrip(self):
         for seg in (Segment("affine", (2.5, -0.3)), Segment("power", (0.7, 2.0)), Segment("power", (3.0, 0.5))):
             ts = np.linspace(0.1, 2.0, 20)
