@@ -1,10 +1,10 @@
 """Assembled estimation-error bounds and their verification primitives.
 
-Pieces: generalization risks of a concrete linear hypothesis (exact by
-quadrature / closed-form tail probabilities, or Monte Carlo with standard
-errors), best-in-class risks at d=1 by coarse-to-fine (w, b) grid refinement,
-minimizability gaps (best-in-class risk minus the expected pointwise minimal
-conditional risk), and complete bound reports of the form
+Pieces: generalization risks of a concrete linear hypothesis (exact, or
+Monte Carlo with standard errors), best-in-class risks at d=1 by
+coarse-to-fine (w, b) grid refinement, minimizability gaps (best-in-class
+risk minus the expected pointwise minimal conditional risk), and complete
+bound reports of the form
 
     target_excess  <=  Gamma(surrogate_excess + M_surrogate) - M_target
 
@@ -17,6 +17,14 @@ split into surrogate_excess and M_surrogate is computed on request
 the discrete verifier for the general convex-Psi bound on finite-support
 distributions and the constructive no-guarantee demonstration for worst-case
 convex/sigmoid surrogates.
+
+Exact zero-one risks are closed-form tail masses.  Exact margin-loss risks
+and the expectations E[C*] integrate each truncated normal with
+``distributions._gauss_kronrod``, QUADPACK's adaptive 21-point Gauss-Kronrod
+rule (absolute and relative tolerance 1e-10; an error estimate above 1e-8
+raises ``QuadratureError``); a report's ``provenance`` key ``quad_err`` sums
+the error estimates of every integration it ran.  scipy is used only for the
+normal cdf and its inverse.
 """
 
 from __future__ import annotations
@@ -29,7 +37,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .conditional import (
     ConditionalPoint,
@@ -45,6 +52,8 @@ from .distributions import (
     FiniteDistribution,
     LabeledDistribution,
     QuadratureError,
+    _gauss_kronrod,
+    expectation,
     sample,
 )
 from .hypotheses import HypothesisClass, HypothesisSpec, LinearHypothesis
@@ -191,33 +200,43 @@ def risk(
     mode=Exact(),
     adversarial: bool = False,
     gamma: float = 0.0,
+    with_error: bool = False,
 ):
-    """Generalization risk of h; returns (value, stderr). stderr is 0 in Exact mode."""
+    """Generalization risk of h; returns (value, stderr). stderr is 0 in Exact mode.
+
+    Exact mode takes the zero-one risk from closed-form tail masses and a
+    margin loss's risk from ``distributions._gauss_kronrod`` (QUADPACK's
+    adaptive 21-point Gauss-Kronrod rule, absolute and relative tolerance
+    1e-10) over each truncated normal, split where the loss of h has a kink or
+    jump; an error estimate above 1e-8 raises ``QuadratureError``.  With
+    ``with_error`` returns (value, stderr, quad_err), quad_err being the
+    components' error estimates weighted like their risks (0 unless the
+    margin-loss quadrature ran).
+    """
     if adversarial and not gamma > 0:
         raise ValueError("adversarial risk needs gamma > 0")
+    quad_err = 0.0
     if isinstance(mode, MonteCarlo):
         xs, ys = sample(dist, mode.n, mode.seed)
         vals = _pointwise_losses(loss, h, xs, ys, adversarial, gamma)
-        se = float(vals.std(ddof=1)) / math.sqrt(mode.n)
-        return float(vals.mean()), se
-    w = _hyp_w(h)
-    if isinstance(loss, ZeroOneLoss):
-        return float(_risk_grid(loss, dist, [w], [h.b], adversarial, gamma)[0, 0]), 0.0
-    total = float(_atom_risk(loss, dist, w, h.b, adversarial, gamma))
-    pts = _discontinuity_points(loss, h, adversarial, gamma)
-    for c in dist.continuous():
-        law = c.law
+        value, se = float(vals.mean()), float(vals.std(ddof=1)) / math.sqrt(mode.n)
+    elif isinstance(loss, ZeroOneLoss):
+        value, se = float(_risk_grid(loss, dist, [_hyp_w(h)], [h.b], adversarial, gamma)[0, 0]), 0.0
+    else:
+        value, se = float(_atom_risk(loss, dist, _hyp_w(h), h.b, adversarial, gamma)), 0.0
+        pts = _discontinuity_points(loss, h, adversarial, gamma)
+        for c in dist.continuous():
+            law = c.law
 
-        def f(x, _law=law, _y=c.label):
-            val = _pointwise_losses(loss, h, np.array([x]), np.array([_y]), adversarial, gamma)
-            return float(val[0]) * _law.pdf(x)
+            def f(xs, _law=law, _y=c.label):
+                return _pointwise_losses(loss, h, xs, _y, adversarial, gamma) * _law.pdf(xs)
 
-        inner = sorted(p for p in pts if law.lo < p < law.hi)
-        val, err = quad(f, law.lo, law.hi, points=inner or None, limit=200, epsabs=1e-10, epsrel=1e-10)
-        if err > 1e-8:
-            raise QuadratureError(f"risk quadrature error {err:.2e} on [{law.lo}, {law.hi}]")
-        total += c.weight * val
-    return total, 0.0
+            val, err = _gauss_kronrod(f, law.lo, law.hi, pts)
+            if err > 1e-8:
+                raise QuadratureError(f"risk quadrature error {err:.2e} on [{law.lo}, {law.hi}]")
+            value += c.weight * val
+            quad_err += c.weight * err
+    return (value, se, quad_err) if with_error else (value, se)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +251,7 @@ class BestInClass:
     tol: float
     w: float = math.nan
     b: float = math.nan
+    quad_err: float = 0.0  # error estimate of the quadrature behind value
 
 
 @functools.lru_cache(maxsize=1)
@@ -297,7 +317,7 @@ def best_in_class_risk(
     Unrestricted class: exact, as the expectation of the pointwise minimal
     conditional risk (the class attains the pointwise optimum everywhere).
     Linear class: coarse-to-fine (w, b) grid refinement; the returned value
-    re-evaluates the best grid point with adaptive quadrature.
+    re-evaluates the best grid point with ``risk``'s exact quadrature.
     """
     if adversarial and not spec.adversarial:
         raise ValueError("adversarial best-in-class risk needs spec.gamma > 0")
@@ -305,10 +325,10 @@ def best_in_class_risk(
         if adversarial:
             raise ValueError("no exact machinery for the unrestricted class under perturbations")
         if isinstance(loss, ZeroOneLoss):
-            val = _expect_eta(dist, lambda e: min(e, 1.0 - e))
+            val, err = _expect_eta(dist, lambda e: min(e, 1.0 - e))
         else:
-            val = _expect_eta(dist, lambda e: min_risk_symmetric(loss, math.inf, e))
-        return BestInClass(val, exact=True, tol=0.0)
+            val, err = _expect_eta(dist, lambda e: min_risk_symmetric(loss, math.inf, e))
+        return BestInClass(val, exact=True, tol=0.0, quad_err=err)
     if spec.cls is not HypothesisClass.LINEAR:
         raise ValueError("best-in-class search supports the linear and unrestricted classes")
     if not (math.isfinite(spec.W) and math.isfinite(spec.B)):
@@ -328,21 +348,18 @@ def best_in_class_risk(
         w_lo, w_hi = max(-spec.W, wi - 2 * dw), min(spec.W, wi + 2 * dw)
         b_lo, b_hi = max(-spec.B, bi - 2 * db), min(spec.B, bi + 2 * db)
     best_h = LinearHypothesis((wi,), bi)
-    val, _ = risk(loss, best_h, dist, Exact(), adversarial=adversarial, gamma=gamma)
-    return BestInClass(val, exact=False, tol=_BIC_TOL, w=wi, b=bi)
+    val, _, err = risk(loss, best_h, dist, Exact(), adversarial=adversarial, gamma=gamma, with_error=True)
+    return BestInClass(val, exact=False, tol=_BIC_TOL, w=wi, b=bi, quad_err=err)
 
 
-def _expect_eta(dist: LabeledDistribution, fn) -> float:
-    from .distributions import expectation
-
-    return expectation(dist, lambda x, e: fn(e))
+def _expect_eta(dist: LabeledDistribution, fn) -> tuple:
+    return expectation(dist, lambda x, e: fn(e), with_error=True)
 
 
-def _expect_min_conditional(loss, spec, dist, adversarial) -> float:
-    """E_X of the pointwise minimal conditional risk (lower endpoint when only
-    a bracket is available, which upper-bounds the resulting gap)."""
-    from .distributions import expectation
-
+def _expect_min_conditional(loss, spec, dist, adversarial) -> tuple:
+    """(E_X of the pointwise minimal conditional risk, quadrature error
+    estimate); the lower endpoint when only a bracket is available, which
+    upper-bounds the resulting gap."""
     if isinstance(loss, ZeroOneLoss):
         return _expect_eta(dist, lambda e: min(e, 1.0 - e))
     if adversarial:
@@ -351,9 +368,12 @@ def _expect_min_conditional(loss, spec, dist, adversarial) -> float:
             lambda x, e: min_conditional_risk_adversarial(
                 loss, spec, ConditionalPoint(abs(x), e)
             )[0],
+            with_error=True,
         )
     return expectation(
-        dist, lambda x, e: min_conditional_risk(loss, spec, ConditionalPoint(abs(x), e))
+        dist,
+        lambda x, e: min_conditional_risk(loss, spec, ConditionalPoint(abs(x), e)),
+        with_error=True,
     )
 
 
@@ -377,7 +397,7 @@ def minimizability_gap(
     if _is_singleton(dist):
         return 0.0
     star = best_in_class_risk(loss, spec, dist, adversarial=adversarial)
-    return star.value - _expect_min_conditional(loss, spec, dist, adversarial)
+    return star.value - _expect_min_conditional(loss, spec, dist, adversarial)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -520,14 +540,15 @@ def assemble_bound(
         tvals, svals = err.astype(float), eval_margin_loss(surrogate, arg)
         r_target, se_target = float(tvals.mean()), float(tvals.std(ddof=1)) / math.sqrt(mode.n)
         r_surr, se_surr = float(svals.mean()), float(svals.std(ddof=1)) / math.sqrt(mode.n)
+        r_surr_err = 0.0
     else:
         r_target, se_target = risk(ZERO_ONE, h, dist, Exact(), adversarial, gamma)
-        r_surr, se_surr = risk(surrogate, h, dist, Exact(), adversarial, gamma)
+        r_surr, se_surr, r_surr_err = risk(surrogate, h, dist, Exact(), adversarial, gamma, with_error=True)
 
     star_target = best_in_class_risk(ZERO_ONE, spec, dist, adversarial=adversarial)
-    e_cstar_target = _expect_min_conditional(ZERO_ONE, spec, dist, adversarial)
+    e_cstar_target, e_target_err = _expect_min_conditional(ZERO_ONE, spec, dist, adversarial)
     m_target = 0.0 if spec.cls is HypothesisClass.ALL else star_target.value - e_cstar_target
-    e_cstar_surr = _expect_min_conditional(surrogate, spec, dist, adversarial)
+    e_cstar_surr, e_surr_err = _expect_min_conditional(surrogate, spec, dist, adversarial)
 
     lhs = r_target - star_target.value
     arg = r_surr - e_cstar_surr  # = surrogate excess + surrogate gap, grid-noise free
@@ -558,6 +579,7 @@ def assemble_bound(
         ("best_in_class_tol", _BIC_TOL if spec.cls is not HypothesisClass.ALL else 0.0),
         ("massart_beta", massart if massart is not None else ""),
         ("target", target.value),
+        ("quad_err", r_surr_err + star_target.quad_err + e_target_err + e_surr_err),
     )
     if massart is not None:
         prov += (("massart_violations", massart_violations),)

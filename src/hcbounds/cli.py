@@ -32,7 +32,7 @@ import scipy
 from . import __version__, experiments
 from .bounds import Exact, MonteCarlo, Target, assemble_bound, surrogate_split
 from .conditional import thread_cap
-from .distributions import dist_from_json_dict, preset_distribution
+from .distributions import QuadratureError, dist_from_json_dict, preset_distribution
 from .hypotheses import HypothesisClass, HypothesisSpec, LinearHypothesis
 from .losses import LossFamily, MarginLoss
 from .oracle_check import run_oracle_checks
@@ -347,7 +347,7 @@ def main(argv=None) -> int:
     try:
         thread_cap()
         return args.func(args, defaults)
-    except (ValueError, NegativeResultError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, NegativeResultError, QuadratureError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -34,6 +34,7 @@ from hcbounds.distributions import (
     FiniteDistribution,
     LabeledDistribution,
     TruncNormal,
+    expectation,
     sect7_adversarial,
     sect7_nonadversarial,
 )
@@ -527,6 +528,33 @@ _VERDICT_PINS = {
                                        "0x1.c0cb295e9e1b0p-1", "0x1.30e336024f2fdp-9", "0x0.0p+0",
                                        True, True),
 }
+# Fields the Gauss-Kronrod quadrature moved (E[C*] to within 1e-11): the new
+# hex; the pin above stays as the parent's anchor, within 1e-10 of it.
+_VERDICT_REPINS = {
+    "mc-sup-hinge-massart": {"rhs": "0x1.73f8933f82ff6p-1", "slack": "0x1.6b30b0bd42488p-1"},
+    "sup-rho-margin-adversarial-linear": {"rhs": "0x1.a86824dfa8ff6p-1", "slack": "0x1.686824dfa9000p-1"},
+}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="E[C*] quadrature is not split where the score bound W|x| + B meets rho, so a "
+    "kink inside the first panel's outer node gap is never sampled",
+)
+def test_expected_min_conditional_sees_the_score_bound_kink():
+    # benchmark pool op rho-margin/linear (slot 28, position 3): the minimal
+    # conditional risk is nonzero only on |x| in [0.1, 0.10085]
+    loss = rho_margin(0.7959584781912772)
+    spec = HypothesisSpec(LIN, W=2.5784703113736116, B=0.5359267221846399)
+    dist = sect7_nonadversarial(0.1)
+    rep = assemble_bound(Target.ZERO_ONE, loss, spec, dist,
+                         LinearHypothesis((0.3625695023656945,), 0.2640957738521452))
+    kink = (loss.rho - spec.B) / spec.W
+    want = expectation(
+        dist, lambda x, e: min_conditional_risk(loss, spec, ConditionalPoint(abs(x), e)), points=(-kink, kink)
+    )
+    assert want == pytest.approx(8.118e-6, rel=1e-3)
+    assert rep.e_cstar_surrogate == pytest.approx(want, rel=1e-6)
 
 
 def _count_best_in_class_calls(monkeypatch):
@@ -560,7 +588,18 @@ class TestVerdictPath:
         target, loss, spec, dist, h, massart, mode = _VERDICT_CASES[name]
         rep = assemble_bound(target, loss, spec, dist, h, massart=massart, mode=mode)
         got = tuple(float(getattr(rep, f)).hex() for f in _VERDICT_FLOATS) + (rep.holds, rep.saturated)
-        assert got == _VERDICT_PINS[name]
+        repins = _VERDICT_REPINS.get(name, {})
+        want = tuple(repins.get(f, pin) for f, pin in zip(_VERDICT_FLOATS, _VERDICT_PINS[name]))
+        assert got == want + _VERDICT_PINS[name][len(_VERDICT_FLOATS):]
+        for f, pin in zip(_VERDICT_FLOATS, _VERDICT_PINS[name]):
+            assert abs(float.fromhex(repins.get(f, pin)) - float.fromhex(pin)) <= 1e-10
+
+    @pytest.mark.parametrize("name", sorted(_VERDICT_CASES))
+    def test_quadrature_error_in_provenance(self, name):
+        target, loss, spec, dist, h, massart, mode = _VERDICT_CASES[name]
+        rep = assemble_bound(target, loss, spec, dist, h, massart=massart, mode=mode)
+        quad_err = dict(rep.provenance)["quad_err"]
+        assert math.isfinite(quad_err) and 0.0 <= quad_err <= 1e-8
 
     @pytest.mark.parametrize("name", ["hinge-linear", "sup-rho-margin-adversarial-linear"])
     def test_split_searches_the_surrogate_once(self, monkeypatch, name):

@@ -160,6 +160,20 @@ class TestBoundCommand:
         assert code == 2
         assert "--eps must be 0" in capsys.readouterr().err
 
+    def test_failed_quadrature_is_a_validation_error(self, capsys):
+        # exp(900 * |x|) overflows on the continuous components
+        dist = json.dumps({"components": [
+            {"weight": 0.5, "label": 1, "law": {"kind": "truncnormal", "lo": 0.1, "hi": 1.0, "mean": 0.1, "std": 0.1}},
+            {"weight": 0.5, "label": -1, "law": {"kind": "truncnormal", "lo": -1.0, "hi": -0.1, "mean": -0.1,
+                                                  "std": 0.1}},
+        ]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["bound", "--loss", "exponential", "--class", "linear", "--W", "1000", "--B", "0.5",
+                         "--w", "-900", "--b", "0", "--dist", dist])
+        assert code == 2
+        assert "integrand not finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("extra", [[], ["--loss", "sup-rho-margin", "--gamma", "0.1"]])
     def test_out_of_class_hypothesis_rejected(self, capsys, extra):
         code = main(["bound", "--loss", "rho-margin", "--class", "linear", "--W", "1", "--B", "0.5",
@@ -175,27 +189,32 @@ class TestBoundCommand:
         assert main(args + ["--W", "5"]) == 0
 
     @pytest.mark.parametrize(
-        "args, surrogate_excess, m_surrogate",
+        "args, surrogate_excess, m_surrogate, repins",
         [
             ("--loss hinge --class linear --W 1 --B 0.5 --w -0.8 --b 0.1 --dist sect7-nonadv --sigma 0.05",
-             "0x1.2fb5e5ddb1480p-7", "0x1.308b94155c4c4p-1"),
+             "0x1.2fb5e5ddb1480p-7", "0x1.308b94155c4c4p-1",
+             {"surrogate_excess": "0x1.2fb5e5ddb1500p-7", "M_surrogate": "0x1.308b94155c4c2p-1"}),
             ("--loss sup-rho-margin --class linear --W 1 --B 0.5 --gamma 0.1 --w 0.7 --b -0.2 "
-             "--dist sect7-adv --sigma 0.1", "0x1.397a07b9229fap-2", "0x1.bbb8749a04050p-4"),
+             "--dist sect7-adv --sigma 0.1", "0x1.397a07b9229fap-2", "0x1.bbb8749a04050p-4",
+             {"surrogate_excess": "0x1.397a07b9229fep-2", "M_surrogate": "0x1.bbb8749a1d540p-4"}),
             ("--loss quadratic --class all --B inf --w -5 --b 0 --dist sect7-nonadv --sigma 0.1",
-             "0x1.9e0b6b501a1d3p+1", "0x0.0p+0"),
+             "0x1.9e0b6b501a1d3p+1", "0x0.0p+0", {"surrogate_excess": "0x1.9e0b6b501a1d2p+1"}),
         ],
         ids=["linear", "adversarial-linear", "all"],
     )
-    def test_surrogate_split_pinned(self, tmp_path, args, surrogate_excess, m_surrogate):
-        # pinned while assemble_bound still ran the surrogate search itself
+    def test_surrogate_split_pinned(self, tmp_path, args, surrogate_excess, m_surrogate, repins):
+        # pinned while assemble_bound still ran the surrogate search itself;
+        # repins: the fields the Gauss-Kronrod quadrature moved, within 1e-10
         out = tmp_path / "split.json"
         assert main(["bound", *args.split(), "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert set(doc) == {"lhs", "rhs", "components", "mc_stderr_lhs", "mc_stderr_rhs", "holds",
                             "slack", "saturated", "relaxed_inverse", "provenance", "meta"}
         assert set(doc["components"]) == {"surrogate_excess", "M_surrogate", "M_target", "transform"}
-        assert doc["components"]["surrogate_excess"].hex() == surrogate_excess
-        assert doc["components"]["M_surrogate"].hex() == m_surrogate
+        for key, anchor in (("surrogate_excess", surrogate_excess), ("M_surrogate", m_surrogate)):
+            pin = repins.get(key, anchor)
+            assert doc["components"][key].hex() == pin
+            assert abs(float.fromhex(pin) - float.fromhex(anchor)) <= 1e-10
 
     def test_dist_file_path(self, tmp_path):
         path = tmp_path / "dist.json"

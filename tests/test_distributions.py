@@ -3,18 +3,25 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+import hcbounds
 from hcbounds.distributions import (
     _SAMPLE_CHUNK,
     Atom,
     Component,
     FiniteDistribution,
     LabeledDistribution,
+    QuadratureError,
     TruncNormal,
+    _gauss_kronrod,
     dist_from_json_dict,
     dist_to_json_dict,
     expectation,
@@ -238,6 +245,75 @@ class TestExpectation:
         mc = float(vals.mean())
         se = float(vals.std(ddof=1)) / math.sqrt(len(vals))
         assert abs(mc - exact) <= 4 * se
+
+
+    def test_error_estimate_weighted_like_the_value(self):
+        d = sect7_nonadversarial(0.1)
+        val, err = expectation(d, lambda x, e: x * x, with_error=True)
+        assert val == expectation(d, lambda x, e: x * x)
+        assert 0.0 < err <= 1e-8
+
+
+class TestGaussKronrod:
+    """The adaptive 21-point Gauss-Kronrod rule behind risks and E[C*]; each
+    case also checks that the error estimate covers the true error."""
+
+    @pytest.mark.parametrize("degree", range(32))
+    def test_exact_for_polynomials_on_one_panel(self, degree):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return x**degree
+
+        a, b = -0.7, 1.3
+        val, err = _gauss_kronrod(f, a, b, epsabs=math.inf)  # accept the first panel
+        exact = (b ** (degree + 1) - a ** (degree + 1)) / (degree + 1)
+        assert calls == [21]
+        assert abs(val - exact) <= 1e-14 * max(1.0, abs(exact))  # degree 32 misses by 2.6e-14
+        assert err >= abs(val - exact)
+
+    def test_narrow_normal_mass(self):
+        mean, std = 0.003, 0.01
+        val, err = _gauss_kronrod(
+            lambda x: np.exp(-0.5 * ((x - mean) / std) ** 2) / (std * math.sqrt(2 * math.pi)), -1.0, 1.0
+        )
+        exact = float(ndtr((1.0 - mean) / std) - ndtr((-1.0 - mean) / std))
+        assert abs(val - exact) <= 1e-12
+        assert err >= abs(val - exact)
+
+    @pytest.mark.parametrize(
+        "f, exact",
+        [(lambda x: np.abs(x - 1 / 3), 10 / 9), (lambda x: (x > 1 / 3).astype(float), 2 / 3)],
+        ids=["kink", "jump"],
+    )
+    @pytest.mark.parametrize("points", [(), (1 / 3,)], ids=["unmarked", "marked"])
+    def test_kinks_and_jumps(self, f, exact, points):
+        val, err = _gauss_kronrod(f, -1.0, 1.0, points)
+        assert err <= 1e-10
+        assert err >= abs(val - exact)
+        if points:
+            assert abs(val - exact) <= 1e-14
+
+    def test_panel_cap(self):
+        with pytest.raises(QuadratureError, match="more than 200 panels"):
+            _gauss_kronrod(lambda x: np.sin(1e6 * x), 0.0, 1.0)
+
+    def test_non_finite_integrand(self):
+        with pytest.raises(QuadratureError, match="not finite"):
+            _gauss_kronrod(lambda x: np.where(x < 0.5, x, np.inf), 0.0, 1.0)
+
+
+def test_import_leaves_scipy_integrate_and_special_unloaded():
+    src = str(Path(hcbounds.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for module in ("hcbounds", "hcbounds.cli"):
+        code = (
+            f"import sys, {module}\n"
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.integrate', 'scipy.special'))))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]", (module, out.stdout)
 
 
 class TestSerialization:
