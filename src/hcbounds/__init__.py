@@ -57,6 +57,7 @@ from .transforms import (
     invert_numerically,
     massart_adversarial_transform,
     massart_transform,
+    select_transform,
     transform,
     transform_inverse,
 )

@@ -8,8 +8,10 @@ bound reports of the form
 
     target_excess  <=  Gamma(surrogate_excess + M_surrogate) - M_target
 
-where Gamma is the inverse of the appropriate estimation-error transform
-(standard, worst-case, or Massart-modified).  The surrogate's best-in-class
+where Gamma is the inverse of the estimation-error transform (standard,
+worst-case, or Massart-modified) that ``transforms.select_transform`` picks.
+Every route applies Gamma the same way: an inverse-direction piecewise
+transform, saturating at 1 past its domain.  The surrogate's best-in-class
 risk cancels in Gamma's argument, surrogate_excess + M_surrogate =
 R_surrogate(h) - E[C*_surrogate], so the verdict never searches for it; the
 split into surrogate_excess and M_surrogate is computed on request
@@ -65,16 +67,7 @@ from .losses import (
     eval_margin_loss,
     truncate,
 )
-from .transforms import (
-    Direction,
-    NegativeResultError,
-    PiecewiseTransform,
-    adversarial_transform,
-    invert_numerically,
-    massart_adversarial_transform,
-    massart_transform,
-    transform_inverse,
-)
+from .transforms import PiecewiseTransform, select_transform
 
 __all__ = [
     "Exact",
@@ -465,30 +458,9 @@ def _check_massart_on_dist(dist: LabeledDistribution, beta: float) -> int:
     return bad
 
 
-def _select_transform(target, surrogate, spec, massart):
-    """Returns (pt, label, relaxed) for the bound RHS: pt is the transform
-    inverse (applied directly) or a forward transform (inverted numerically)."""
-    adversarial = target is Target.ADVERSARIAL_ZERO_ONE
-    if adversarial:
-        if surrogate.family is LossFamily.RHO_MARGIN:
-            fwd = adversarial_transform(surrogate, spec)
-        elif surrogate.family in (LossFamily.HINGE, LossFamily.SIGMOID):
-            if massart is None:
-                raise NegativeResultError(
-                    f"no distribution-independent guarantee exists for the worst-case "
-                    f"{surrogate.family.value} loss; supply a Massart beta"
-                )
-            fwd = massart_adversarial_transform(surrogate, spec, massart)
-        else:
-            raise NegativeResultError(
-                f"no nontrivial guarantee exists for the worst-case {surrogate.family.value} loss"
-            )
-        return fwd, fwd.loss_label, False
-    if massart is not None:
-        fwd = massart_transform(surrogate, spec, massart)
-        return fwd, fwd.loss_label, False
-    inv = transform_inverse(surrogate, spec)
-    return inv, inv.loss_label, inv.relaxed
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is not finite ({value}); the bound needs finite risks")
 
 
 def assemble_bound(
@@ -502,14 +474,18 @@ def assemble_bound(
 ) -> BoundReport:
     """Instantiate one complete estimation-error bound and check it.
 
-    lhs is the target estimation error of h; rhs applies the selected
-    transform inverse to (surrogate excess + surrogate gap) and subtracts the
-    target gap.  That argument is R_surrogate(h) - E[C*_surrogate]: the
-    surrogate's best-in-class risk cancels, so only the zero-one target is
-    searched.  The split of the argument into surrogate excess and gap is
-    not part of the verdict; ``surrogate_split`` computes it on request.  In
-    Monte Carlo mode both risks are estimated from one shared sample and
-    carry delta-method standard errors.
+    lhs is the target estimation error of h; rhs is Gamma(y) - M_target,
+    with Gamma from ``select_transform`` and y = surrogate excess + surrogate
+    gap = R_surrogate(h) - E[C*_surrogate]: the surrogate's best-in-class
+    risk cancels, so only the zero-one target is searched.  The split of y
+    into surrogate excess and gap is not part of the verdict;
+    ``surrogate_split`` computes it on request.  Gamma's domain is the
+    forward transform's range, [0, T(1)] (R+ on the standard route); a y
+    beyond it saturates: Gamma = 1, the largest target regret, and the
+    report says ``saturated``.  A non-finite R_surrogate(h), E[C*] or y
+    raises ``ValueError``.  In Monte Carlo mode both risks are estimated
+    from one shared sample and carry delta-method standard errors, rhs's
+    through Gamma's largest one-sided derivative at y.
     """
     adversarial = target is Target.ADVERSARIAL_ZERO_ONE
     if adversarial and not spec.adversarial:
@@ -518,17 +494,7 @@ def assemble_bound(
         raise ValueError("non-adversarial target requires spec.gamma = 0")
     if spec.cls is HypothesisClass.LINEAR:
         h.validate(spec)  # a bound about H says nothing about an h outside it
-    if massart is not None and not adversarial:
-        if spec.cls is not HypothesisClass.ALL or surrogate.family not in (
-            LossFamily.QUADRATIC,
-            LossFamily.LOGISTIC,
-            LossFamily.EXPONENTIAL,
-        ):
-            raise ValueError(
-                "Massart-modified bounds cover quadratic/logistic/exponential "
-                "surrogates with the unrestricted class"
-            )
-    pt, label, relaxed = _select_transform(target, surrogate, spec, massart)
+    _, inverse = select_transform(surrogate, spec, massart)
     if massart is not None:
         massart_violations = _check_massart_on_dist(dist, massart)
     gamma = spec.gamma
@@ -544,30 +510,23 @@ def assemble_bound(
     else:
         r_target, se_target = risk(ZERO_ONE, h, dist, Exact(), adversarial, gamma)
         r_surr, se_surr, r_surr_err = risk(surrogate, h, dist, Exact(), adversarial, gamma, with_error=True)
+    _require_finite("surrogate risk R_surrogate(h)", r_surr)
+    e_cstar_surr, e_surr_err = _expect_min_conditional(surrogate, spec, dist, adversarial)
+    _require_finite("expected minimal conditional surrogate risk E[C*]", e_cstar_surr)
+    y = r_surr - e_cstar_surr  # = surrogate excess + surrogate gap, grid-noise free
+    _require_finite("Gamma's argument R_surrogate(h) - E[C*]", y)
 
     star_target = best_in_class_risk(ZERO_ONE, spec, dist, adversarial=adversarial)
     e_cstar_target, e_target_err = _expect_min_conditional(ZERO_ONE, spec, dist, adversarial)
     m_target = 0.0 if spec.cls is HypothesisClass.ALL else star_target.value - e_cstar_target
-    e_cstar_surr, e_surr_err = _expect_min_conditional(surrogate, spec, dist, adversarial)
-
     lhs = r_target - star_target.value
-    arg = r_surr - e_cstar_surr  # = surrogate excess + surrogate gap, grid-noise free
 
-    saturated = False
-    if pt.direction is Direction.INVERSE:
-        gamma_val = float(pt(max(arg, 0.0)))
-        deriv = pt.derivative_upper(max(arg, 0.0))
+    y = max(y, 0.0)
+    saturated = y > inverse.domain_end
+    if saturated:
+        gamma_val, deriv = 1.0, 0.0
     else:
-        top = float(pt(pt.breakpoints[-1]))
-        if arg > top:
-            saturated = True
-            inv_val = pt.breakpoints[-1]
-            deriv = 0.0
-        else:
-            inv_val = invert_numerically(pt, max(arg, 0.0))
-            d_fwd = pt.derivative_lower(inv_val)  # smallest T' -> largest Gamma'
-            deriv = (1.0 / d_fwd) if d_fwd > 0 else math.inf
-        gamma_val = inv_val
+        gamma_val, deriv = float(inverse(y)), inverse.derivative_upper(y)
     rhs = gamma_val - m_target
     se_rhs = deriv * se_surr if se_surr else 0.0
     slack = rhs - lhs
@@ -589,13 +548,13 @@ def assemble_bound(
         r_surrogate=r_surr,
         e_cstar_surrogate=e_cstar_surr,
         m_target=m_target,
-        transform_label=label,
+        transform_label=inverse.loss_label,
         mc_stderr_lhs=se_target,
         mc_stderr_rhs=se_rhs,
         holds=bool(holds),
         slack=slack,
         saturated=saturated,
-        relaxed_inverse=relaxed,
+        relaxed_inverse=inverse.relaxed,
         provenance=prov,
     )
 

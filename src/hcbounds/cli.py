@@ -36,14 +36,7 @@ from .distributions import QuadratureError, dist_from_json_dict, preset_distribu
 from .hypotheses import HypothesisClass, HypothesisSpec, LinearHypothesis
 from .losses import LossFamily, MarginLoss
 from .oracle_check import run_oracle_checks
-from .transforms import (
-    NegativeResultError,
-    adversarial_transform,
-    massart_adversarial_transform,
-    massart_transform,
-    transform,
-    transform_inverse,
-)
+from .transforms import NegativeResultError, select_transform
 
 _CLASSES = {"all": HypothesisClass.ALL, "linear": HypothesisClass.LINEAR, "relu": HypothesisClass.ONE_HIDDEN_RELU}
 _LOSS_NAMES = ("hinge", "logistic", "exponential", "quadratic", "sigmoid", "rho-margin")
@@ -130,17 +123,7 @@ def cmd_transform(args, defaults) -> int:
         raise ValueError("--gamma > 0 requires a sup- loss")
     if args.massart_beta is not None and args.eps != 0.0:
         raise ValueError(f"Massart-modified transforms are not truncated; --eps must be 0, got {args.eps}")
-    inverse = None
-    if wants_sup:
-        if args.massart_beta is not None:
-            fwd = massart_adversarial_transform(loss, spec, args.massart_beta)
-        else:
-            fwd = adversarial_transform(loss, spec, eps=args.eps)
-    elif args.massart_beta is not None:
-        fwd = massart_transform(loss, spec, args.massart_beta)
-    else:
-        fwd = transform(loss, spec, eps=args.eps)
-        inverse = transform_inverse(loss, spec)
+    fwd, inverse = select_transform(loss, spec, args.massart_beta, eps=args.eps)
     ts = np.linspace(0.0, 1.0, args.grid_n)
     samples = [{"t": float(t), "T": float(fwd(float(t)))} for t in ts]
     if args.format == "csv":
@@ -150,7 +133,7 @@ def cmd_transform(args, defaults) -> int:
         return 0
     payload = {
         "transform": fwd.to_json_dict(),
-        "inverse": inverse.to_json_dict() if inverse is not None else None,
+        "inverse": inverse.to_json_dict(),
         "samples": samples,
         "meta": _run_meta(),
     }

@@ -1,31 +1,31 @@
 """Estimation-error transformations as explicit piecewise functions.
 
 A transform maps a target-loss regret t in [0, 1] to the least surrogate
-regret any hypothesis violating the target can incur; its inverse converts a
-surrogate regret into a target-regret guarantee.  Transforms are materialized
-as breakpoints plus closed-form segments so tests can assert their structure
-(segment kinds, slopes, knots) and the CLI can serialize them.
+regret any hypothesis violating the target can incur; its inverse Gamma turns
+a surrogate regret into a target-regret guarantee.  Transforms are breakpoints
+plus closed-form segments so tests can assert their structure (segment kinds,
+slopes, knots) and the CLI can serialize them.
 
 Segment kinds:
 
-    affine      slope*t + intercept
-    power       scale * t**exponent
-    entropy     (t+1)/2*log2(t+1) + (1-t)/2*log2(1-t)
-    exp_branch  1 - sqrt(1 - t^2)
+    affine              slope*t + intercept
+    power               scale * t**exponent
+    entropy             (t+1)/2*log2(t+1) + (1-t)/2*log2(1-t)
+    exp_branch          1 - sqrt(1 - t^2)
+    exp_branch_inverse  sqrt(y*(2 - y))
+    entropy_inverse     smallest float t in [0, 1] with entropy(t) >= y
 
 The forward transforms for the six margin losses over bounded linear or ReLU
 classes only differ through one scalar, the class's bias reach c (B, or
 Lambda*B for networks); c = +inf recovers the classical unrestricted-class
-forms.  Exact inverses are derived from the forward segments
-(``PiecewiseTransform.inverse``), except for the logistic and exponential
-losses, whose materialized inverses are the standard upper-bounding
-relaxations (flagged ``relaxed``); their exact inverses are available by
-bisection.
+forms.  Every segment kind has an inverse, so every forward transform is
+inverted segment by segment (``PiecewiseTransform.inverse``).
 
 Worst-case (adversarial) transforms exist only for the rho-margin family;
 for worst-case hinge and sigmoid losses, transforms exist only under a
 Massart noise assumption, and for worst-case convex losses no nontrivial
-transform exists at all (``NegativeResultError``).
+transform exists at all (``NegativeResultError``).  ``select_transform``
+alone decides which transform applies and returns it with its Gamma.
 """
 
 from __future__ import annotations
@@ -49,10 +49,12 @@ __all__ = [
     "adversarial_transform",
     "massart_transform",
     "massart_adversarial_transform",
+    "select_transform",
     "invert_numerically",
 ]
 
 _LN2 = math.log(2.0)
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 _CONTINUITY_TOL = 1e-12
 
 
@@ -67,7 +69,7 @@ class NegativeResultError(ValueError):
 
 @dataclass(frozen=True)
 class Segment:
-    kind: str  # "affine" | "power" | "entropy" | "exp_branch"
+    kind: str  # one of the kinds in the module docstring
     coefficients: tuple = ()
 
     def __call__(self, t):
@@ -79,12 +81,18 @@ class Segment:
             scale, exponent = self.coefficients
             return scale * np.power(t, exponent)
         if self.kind == "entropy":
-            # (t+1)/2*log2(t+1) + (1-t)/2*log2(1-t), with 0*log(0) = 0 at t=1
-            up = (t + 1.0) / 2.0 * np.log2(t + 1.0)
-            down = np.where(t < 1.0, (1.0 - t) / 2.0 * np.log2(np.maximum(1.0 - t, 1e-300)), 0.0)
-            return up + down
+            # log1p keeps the relative accuracy near 0, where the two terms
+            # cancel to ~t^2; 0*log(0) = 0 at t = 1
+            up = (1.0 + t) * np.log1p(t)
+            down = np.where(t < 1.0, (1.0 - t) * np.log1p(-np.minimum(t, _BELOW_ONE)), 0.0)
+            return (up + down) / (2.0 * _LN2)
         if self.kind == "exp_branch":
-            return 1.0 - np.sqrt(np.maximum(1.0 - t * t, 0.0))
+            # 1 - sqrt(1 - t^2) without its cancellation near 0
+            return t * t / (1.0 + np.sqrt(np.maximum(1.0 - t * t, 0.0)))
+        if self.kind == "exp_branch_inverse":
+            return np.sqrt(t * (2.0 - t))
+        if self.kind == "entropy_inverse":
+            return _entropy_inverse(t)
         raise ValueError(f"unknown segment kind {self.kind!r}")
 
     def derivative(self, t: float) -> float:
@@ -103,10 +111,13 @@ class Segment:
             if t >= 1.0:
                 return math.inf
             return t / math.sqrt(1.0 - t * t)
+        if self.kind.endswith("_inverse"):  # 1/T' at the inverted point
+            slope = Segment(self.kind.removesuffix("_inverse")).derivative(float(self(t)))
+            return 1.0 / slope if slope > 0.0 else math.inf
         raise ValueError(f"unknown segment kind {self.kind!r}")
 
     def inverse(self) -> "Segment":
-        """The inverse function of an increasing affine or power segment."""
+        """The inverse function of an increasing forward segment."""
         if self.kind == "affine":
             slope, intercept = self.coefficients
             # 0.0 - intercept keeps a zero intercept +0.0
@@ -114,7 +125,27 @@ class Segment:
         if self.kind == "power":
             scale, exponent = self.coefficients
             return Segment("power", (scale ** (-1.0 / exponent), 1.0 / exponent))
-        raise ValueError(f"no closed-form inverse for segment kind {self.kind!r}")
+        if self.kind in ("entropy", "exp_branch"):
+            return Segment(self.kind + "_inverse")
+        raise ValueError(f"no inverse for segment kind {self.kind!r}")
+
+
+_ONE_BITS = int(np.float64(1.0).view(np.int64))
+
+
+def _entropy_inverse(y):
+    """Smallest float t in [0, 1] with entropy(t) >= y, elementwise: bisection
+    over the ordered bit patterns of [0, 1], down to adjacent floats."""
+    y = np.asarray(y, dtype=float)
+    entropy = Segment("entropy")
+    lo = np.zeros(y.shape, dtype=np.int64)
+    hi = np.full(y.shape, _ONE_BITS, dtype=np.int64)
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        below = entropy(mid.view(np.float64)) < y
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return np.where(y > 0.0, hi.view(np.float64), 0.0)
 
 
 @dataclass(frozen=True)
@@ -122,9 +153,10 @@ class PiecewiseTransform:
     """Breakpoints plus per-interval segments; immutable after construction.
 
     ``breakpoints`` has one more entry than ``segments``; segment i applies on
-    [breakpoints[i], breakpoints[i+1]].  Inverse-direction transforms extend
-    their final segment beyond the last finite breakpoint (they are defined on
-    all of R+), forward transforms are restricted to [0, breakpoints[-1]].
+    [breakpoints[i], breakpoints[i+1]]; the domain is [0, ``domain_end``].
+    Forward transforms live on [0, 1] ([0, inf) for the pieces
+    ``transform_inverse`` inverts); an inverse's domain is its forward's
+    range: [0, T(1)], or R+ for ``transform_inverse``.
     """
 
     breakpoints: tuple
@@ -186,10 +218,6 @@ class PiecewiseTransform:
         """Largest one-sided derivative at t (conservative at breakpoints)."""
         return max(self._one_sided_derivatives(t))
 
-    def derivative_lower(self, t: float) -> float:
-        """Smallest one-sided derivative at t."""
-        return min(self._one_sided_derivatives(t))
-
     def scaled(self, factor: float) -> "PiecewiseTransform":
         """Pointwise multiple of this transform (used to build negative controls)."""
         segs = []
@@ -205,15 +233,14 @@ class PiecewiseTransform:
         return replace(self, segments=tuple(segs), note=f"scaled x{factor:g}")
 
     def inverse(self) -> "PiecewiseTransform":
-        """Inverse of an increasing forward transform with affine and power
-        segments.  Its knots are this transform's values at its knots, and its
-        last segment extends to +inf."""
+        """Inverse of an increasing forward transform, segment by segment.
+        Its breakpoints are this transform's values at its breakpoints, so its
+        domain is this transform's range: [0, T(1)] on [0, 1], R+ on R+."""
         if self.direction is not Direction.FORWARD:
-            raise ValueError("only forward transforms are inverted in closed form")
-        knots = [float(self(k)) for k in self.breakpoints[1:-1]]
+            raise ValueError("only forward transforms are inverted")
         return replace(
             self,
-            breakpoints=(0.0, *knots, math.inf),
+            breakpoints=(0.0, *(float(self(b)) for b in self.breakpoints[1:])),
             segments=tuple(seg.inverse() for seg in self.segments),
             direction=Direction.INVERSE,
         )
@@ -407,21 +434,45 @@ def massart_adversarial_transform(
     """Noise-adapted worst-case transform for hinge or sigmoid surrogates:
     slope c*4*beta/(1+2*beta) below 1/2+beta, then c*(2t-1), where c is
     min{B,1} (hinge) or tanh(k*B) (sigmoid), with Lambda*B replacing B for
-    ReLU networks."""
+    ReLU networks.  Worst-case convex losses have no nontrivial transform
+    (``NegativeResultError``); rho-margin has no Massart-modified one."""
     _check_beta(beta)
     if not spec.adversarial:
         raise ValueError("adversarial transform requires gamma > 0")
     if spec.cls not in (HypothesisClass.LINEAR, HypothesisClass.ONE_HIDDEN_RELU):
         raise ValueError("adversarial transforms cover linear and ReLU classes only")
+    if loss.family is LossFamily.RHO_MARGIN:
+        raise ValueError("Massart-modified worst-case transform not derived for rho-margin")
     if loss.family not in (LossFamily.HINGE, LossFamily.SIGMOID):
-        raise ValueError(
-            f"Massart-modified worst-case transform not derived for {loss.family.value}"
-        )
+        fam = loss.family.value
+        raise NegativeResultError(f"no nontrivial guarantee exists for the worst-case {fam} loss")
     _, (base,) = _forward_pieces(loss, _check_scale(spec.margin_scale()))
     c = base.coefficients[0]  # the standard transform's slope
     segs = [_affine(c * 4.0 * beta / (1.0 + 2.0 * beta)), _affine(2.0 * c, -c)]
     label = f"massart(beta={beta:g})-sup-" + loss.label()
     return _restricted([0.5 + beta], segs, loss_label=label, class_label=spec.label())
+
+
+def select_transform(
+    loss: MarginLoss, spec: HypothesisSpec, massart: float = None, eps: float = 0.0
+) -> tuple:
+    """(forward, gamma): the transform that applies to this loss, class and
+    Massart beta (worst-case if spec.gamma > 0, Massart-modified if beta is
+    given), and the Gamma a bound applies to a surrogate regret: on the
+    standard route ``transform_inverse`` on R+ (relaxed for logistic and
+    exponential), else ``forward.inverse()`` on [0, T(1)].  Massart-modified
+    transforms are not truncated, so a beta with eps != 0 is rejected."""
+    if massart is not None and eps != 0.0:
+        raise ValueError(f"Massart-modified transforms are not truncated; eps must be 0, got {eps}")
+    if not spec.adversarial:
+        if massart is None:
+            return transform(loss, spec, eps), transform_inverse(loss, spec)
+        forward = massart_transform(loss, spec, massart)
+    elif massart is None:
+        forward = adversarial_transform(loss, spec, eps)
+    else:
+        forward = massart_adversarial_transform(loss, spec, massart)
+    return forward, forward.inverse()
 
 
 def invert_numerically(pt: PiecewiseTransform, y: float, tol: float = 1e-12) -> float:

@@ -50,7 +50,7 @@ from hcbounds.losses import (
     rho_margin,
     sigmoid,
 )
-from hcbounds.transforms import NegativeResultError, transform
+from hcbounds.transforms import NegativeResultError, massart_transform, transform
 
 LIN = HypothesisClass.LINEAR
 ALL = HypothesisClass.ALL
@@ -528,11 +528,13 @@ _VERDICT_PINS = {
                                        "0x1.c0cb295e9e1b0p-1", "0x1.30e336024f2fdp-9", "0x0.0p+0",
                                        True, True),
 }
-# Fields the Gauss-Kronrod quadrature moved (E[C*] to within 1e-11): the new
-# hex; the pin above stays as the parent's anchor, within 1e-10 of it.
+# Fields that moved since: the Gauss-Kronrod quadrature (E[C*] to within
+# 1e-11), then the exact affine inverse replacing a 1e-12 bisection of the
+# forward transform.  The new hex; the pin above stays as the anchor, within
+# 1e-10 of it.
 _VERDICT_REPINS = {
-    "mc-sup-hinge-massart": {"rhs": "0x1.73f8933f82ff6p-1", "slack": "0x1.6b30b0bd42488p-1"},
-    "sup-rho-margin-adversarial-linear": {"rhs": "0x1.a86824dfa8ff6p-1", "slack": "0x1.686824dfa9000p-1"},
+    "mc-sup-hinge-massart": {"rhs": "0x1.73f8933f829cap-1", "slack": "0x1.6b30b0bd41e5cp-1"},
+    "sup-rho-margin-adversarial-linear": {"rhs": "0x1.a86824dfa9f44p-1", "slack": "0x1.686824dfa9f4ep-1"},
 }
 
 
@@ -621,6 +623,76 @@ class TestVerdictPath:
         split = surrogate_split(rep, quadratic(), spec, sect7_nonadversarial(0.1))
         assert calls == []
         assert split == (rep.r_surrogate - rep.e_cstar_surrogate, 0.0)
+
+
+# Massart logistic/exponential bounds with beta < 1/2, where Gamma reaches the
+# entropy and exp_branch inverses: (loss, beta, w of h = w*x) -> (rhs, slack)
+# as float.hex(), holds, saturated, computed when Gamma bisected the forward
+# transform to 1e-12.  The chord cases have y < T(2*beta), the base cases y
+# in (T(2*beta), T(1)).
+_MASSART_DIST = FiniteDistribution(((0.5, 0.5, 0.95), (-0.4, 0.5, 0.05))).to_labeled()
+_MASSART_PINS = {
+    ("logistic", 0.1, 6.0, "chord"): ("0x1.5576de0b70000p-5", "0x1.5576de0b70000p-5", True, False),
+    ("logistic", 0.1, 2.0, "base"): ("0x1.302abde1e9000p-1", "0x1.302abde1e9000p-1", True, False),
+    ("logistic", 0.25, 4.0, "chord"): ("0x1.6f20abe514000p-3", "0x1.6f20abe514000p-3", True, False),
+    ("logistic", 0.25, 1.0, "base"): ("0x1.809b39d207000p-1", "0x1.809b39d207000p-1", True, False),
+    ("logistic", 0.4, 2.0, "chord"): ("0x1.a3e9dbb37e000p-2", "0x1.a3e9dbb37e000p-2", True, False),
+    ("logistic", 0.4, 0.0, "base"): ("0x1.cccccccccd000p-1", "0x1.cccccccccd334p-2", True, False),
+    ("exponential", 0.1, 3.0, "chord"): ("0x1.4cdb7ddd18000p-4", "0x1.4cdb7ddd18000p-4", True, False),
+    ("exponential", 0.1, 1.0, "base"): ("0x1.52262f3f9d000p-1", "0x1.52262f3f9d000p-1", True, False),
+    ("exponential", 0.25, 3.0, "chord"): ("0x1.f5f798b060000p-6", "0x1.f5f798b060000p-6", True, False),
+    ("exponential", 0.25, 1.0, "base"): ("0x1.52262f3f9d000p-1", "0x1.52262f3f9d000p-1", True, False),
+    ("exponential", 0.4, 2.0, "chord"): ("0x1.36cd9908c4000p-3", "0x1.36cd9908c4000p-3", True, False),
+    ("exponential", 0.4, 0.0, "base"): ("0x1.cccccccccd000p-1", "0x1.cccccccccd334p-2", True, False),
+}
+
+
+class TestOneGammaPath:
+    @pytest.mark.parametrize("case", sorted(_MASSART_PINS), ids=lambda c: "-".join(map(str, c)))
+    def test_massart_entropy_and_exp_branch_inverses_pinned(self, case):
+        name, beta, w, segment = case
+        loss = {"logistic": logistic(), "exponential": exponential()}[name]
+        spec = HypothesisSpec(ALL)
+        rep = assemble_bound(Target.ZERO_ONE, loss, spec, _MASSART_DIST, LinearHypothesis((w,), 0.0), massart=beta)
+        y = rep.r_surrogate - rep.e_cstar_surrogate
+        knot = float(massart_transform(loss, spec, beta)(2.0 * beta))
+        assert (y < knot) == (segment == "chord") and y < 1.0
+        rhs, slack, holds, saturated = _MASSART_PINS[case]
+        assert abs(rep.rhs - float.fromhex(rhs)) <= 1e-12
+        assert abs(rep.slack - float.fromhex(slack)) <= 1e-12
+        assert (rep.holds, rep.saturated) == (holds, saturated)
+
+    def test_rho_margin_has_no_massart_route(self):
+        spec = HypothesisSpec(LIN, W=1.0, B=0.5, gamma=0.1)
+        with pytest.raises(ValueError, match="Massart-modified worst-case transform not derived for rho-margin"):
+            assemble_bound(Target.ADVERSARIAL_ZERO_ONE, rho_margin(1.0), spec, sect7_adversarial(0.1, 0.1),
+                           LinearHypothesis((0.7,), -0.2), massart=0.25)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+    @pytest.mark.parametrize("mode", [Exact(), MonteCarlo(2000, seed=1)], ids=["exact", "mc"])
+    def test_non_finite_surrogate_risk_rejected(self, mode):
+        # exp(900) overflows on the flipped-label atoms at x = -1 and x = 1
+        spec = HypothesisSpec(LIN, W=1000.0, B=0.5)
+        with pytest.raises(ValueError, match=r"R_surrogate\(h\) is not finite"):
+            assemble_bound(Target.ZERO_ONE, exponential(), spec, sect7_nonadversarial(0.1),
+                           LinearHypothesis((900.0,), 0.0), mode=mode)
+
+    @pytest.mark.parametrize(
+        "r_surr, e_cstar, quantity",
+        [(0.5, math.nan, r"E\[C\*\]"), (1e308, -1e308, "Gamma's argument")],
+    )
+    def test_non_finite_gap_or_argument_rejected(self, monkeypatch, r_surr, e_cstar, quantity):
+        real = bounds._expect_min_conditional
+
+        def fake(loss, *args):
+            return real(loss, *args) if isinstance(loss, ZeroOneLoss) else (e_cstar, 0.0)
+
+        monkeypatch.setattr(bounds, "risk", lambda loss, *a, **k: (0.0, 0.0) if isinstance(loss, ZeroOneLoss)
+                            else (r_surr, 0.0, 0.0))
+        monkeypatch.setattr(bounds, "_expect_min_conditional", fake)
+        with pytest.raises(ValueError, match=quantity + ".* is not finite"):
+            assemble_bound(Target.ZERO_ONE, hinge(), HypothesisSpec(LIN, W=1.0, B=0.5), sect7_nonadversarial(0.1),
+                           LinearHypothesis((0.5,), 0.0))
 
 
 class TestDiscretePsiBound:

@@ -101,6 +101,48 @@ class TestTransformCommand:
         assert main(["transform", *loss_args, "--eps", "0", "--out", str(out)]) == 0
 
 
+class TestOneTransformSelector:
+    """transform and bound pick their transform through one selector, and the
+    JSON inverse of transform is the Gamma that bound applies."""
+
+    @pytest.mark.parametrize(
+        "loss_args, end",
+        [(["--loss", "hinge", "--class", "linear", "--B", "0.8"], "inf"),
+         (["--loss", "sup-rho-margin", "--class", "linear", "--B", "0.8", "--gamma", "0.1"], 0.8),
+         (["--loss", "logistic", "--class", "all", "--massart-beta", "0.25"], 1.0),
+         (["--loss", "sup-hinge", "--class", "linear", "--gamma", "0.1", "--massart-beta", "0.25"], 1.0)],
+        ids=["standard", "sup-rho-margin", "massart", "massart-sup"],
+    )
+    def test_inverse_never_null(self, tmp_path, loss_args, end):
+        out = tmp_path / "t.json"
+        assert main(["transform", *loss_args, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["inverse"]["direction"] == "inverse"
+        top = doc["inverse"]["breakpoints"][-1]
+        if end == "inf":
+            assert top == "inf"
+        else:  # the inverse's domain is the forward's range [0, T(1)]
+            assert top == doc["samples"][-1]["T"] == pytest.approx(end, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "command",
+        [["transform"], ["bound", "--dist", "sect7-adv", "--W", "1", "--B", "0.5", "--w", "0.7", "--b", "-0.2"]],
+        ids=["transform", "bound"],
+    )
+    def test_sup_rho_margin_with_beta_rejected(self, capsys, command):
+        code = main([*command, "--loss", "sup-rho-margin", "--class", "linear", "--gamma", "0.1",
+                     "--massart-beta", "0.25"])
+        assert code == 2
+        assert "Massart-modified worst-case transform not derived for rho-margin" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # exp(900) overflows
+    def test_non_finite_surrogate_risk_exits_2(self, capsys):
+        code = main(["bound", "--loss", "exponential", "--class", "linear", "--W", "1000", "--B", "0.5",
+                     "--w", "900", "--b", "0", "--dist", "sect7-nonadv", "--sigma", "0.1"])
+        assert code == 2
+        assert "R_surrogate(h) is not finite" in capsys.readouterr().err
+
+
 class TestBoundCommand:
     def test_singleton_inline_json(self, tmp_path):
         out = tmp_path / "b.json"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcbounds.conditional import ConditionalPoint, Constraint, brute_force_inf
 from hcbounds.hypotheses import HypothesisClass, HypothesisSpec
@@ -17,6 +19,7 @@ from hcbounds.transforms import (
     invert_numerically,
     massart_adversarial_transform,
     massart_transform,
+    select_transform,
     transform,
     transform_inverse,
 )
@@ -182,13 +185,20 @@ class TestDerivedInverse:
             assert (dropped.breakpoints, dropped.segments) == (unbounded.breakpoints, unbounded.segments)
 
     def test_segment_inverse_roundtrip(self):
-        for seg in (Segment("affine", (2.5, -0.3)), Segment("power", (0.7, 2.0)), Segment("power", (3.0, 0.5))):
-            ts = np.linspace(0.1, 2.0, 20)
+        for seg, top in (
+            (Segment("affine", (2.5, -0.3)), 2.0),
+            (Segment("power", (0.7, 2.0)), 2.0),
+            (Segment("power", (3.0, 0.5)), 2.0),
+            (Segment("entropy"), 1.0),
+            (Segment("exp_branch"), 1.0),
+        ):
+            ts = np.linspace(0.1, top, 20)
             assert seg.inverse()(seg(ts)) == pytest.approx(ts, rel=1e-12)
 
     def test_no_closed_form_inverse_rejected(self):
-        with pytest.raises(ValueError, match="no closed-form inverse"):
-            transform(logistic(), HypothesisSpec(LIN, W=1.0, B=0.8)).inverse()
+        fwd = transform(logistic(), HypothesisSpec(LIN, W=1.0, B=0.8))
+        ts = np.linspace(0.0, 1.0, 101)
+        assert fwd.inverse()(fwd(ts)) == pytest.approx(ts, abs=1e-12)
         with pytest.raises(ValueError, match="forward"):
             transform_inverse(hinge(), HypothesisSpec(LIN, W=1.0, B=0.8)).inverse()
 
@@ -435,3 +445,41 @@ class TestDefinitionalConsistencyKeystone:
                 for x in xs
             )
             assert float(T(2 * t - 1)) == pytest.approx(best, abs=2e-3)
+
+
+@st.composite
+def selector_routes(draw):
+    """(loss, spec, massart) on every route of select_transform."""
+    cls = draw(st.sampled_from([LIN, RELU]))
+    B = draw(st.floats(0.05, 3.0) | st.just(math.inf))
+    beta = draw(st.floats(0.01, 0.5))
+    route = draw(st.sampled_from(["standard", "sup-rho-margin", "massart", "massart-sup"]))
+    if route == "standard":
+        spec = draw(st.sampled_from([HypothesisSpec(cls, W=1.0, B=B, Lambda=1.5), HypothesisSpec(ALL)]))
+        return draw(st.sampled_from(ALL_LOSSES)), spec, None
+    if route == "massart":
+        return draw(st.sampled_from([quadratic(), logistic(), exponential()])), HypothesisSpec(ALL), beta
+    spec = HypothesisSpec(cls, W=1.0, B=B, Lambda=1.5, gamma=0.1)
+    if route == "sup-rho-margin":
+        return rho_margin(draw(st.floats(0.1, 2.0))), spec, None
+    return draw(st.sampled_from([hinge(), sigmoid(2.0)])), spec, beta
+
+
+class TestSelectorGammaProperties:
+    @given(route=selector_routes(), ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_gamma_inverts_the_forward_on_every_route(self, route, ts):
+        fwd, gamma = select_transform(*route)
+        assert gamma.direction is Direction.INVERSE
+        ts = np.asarray(ts)
+        ys = fwd(ts)
+        back = gamma(ys)
+        if gamma.relaxed:  # the standard upper-bounding relaxation
+            assert np.all(back >= ts - 1e-12)
+        else:
+            assert np.all(np.abs(back - ts) <= 1e-12)
+        # non-decreasing, up to the knots' continuity tolerance
+        grid = np.sort(np.concatenate([ys, np.linspace(0.0, float(fwd(1.0)), 101)]))
+        assert np.all(np.diff(gamma(grid)) >= -1e-12)
+        # one array call equals the scalar calls
+        assert np.array_equal(back, [gamma(float(y)) for y in ys])
