@@ -31,7 +31,6 @@ from .hypotheses import (
     LinearHypothesis,
     adversarial_extrema_linear,
     attainable_adversarial_range,
-    conjugate_exponent,
     score_range,
 )
 from .conditional import (

@@ -119,12 +119,6 @@ class Target(enum.Enum):
 # ---------------------------------------------------------------------------
 
 
-def _hyp_w(h: LinearHypothesis) -> float:
-    if len(h.w) != 1:
-        raise ValueError("risk evaluation over these distributions requires d=1")
-    return h.w[0]
-
-
 def _score_kernel(w, b, xs, ys, adversarial, gamma, overwrite=False):
     """(err, arg) for the scores s = w*x + b at points xs with labels ys in {-1, +1}.
 
@@ -158,7 +152,7 @@ def _loss_values(loss, err, arg):
 
 
 def _pointwise_losses(loss, h, xs, ys, adversarial, gamma):
-    return _loss_values(loss, *_score_kernel(_hyp_w(h), h.b, xs, ys, adversarial, gamma))
+    return _loss_values(loss, *_score_kernel(h.w, h.b, xs, ys, adversarial, gamma))
 
 
 def _kink_margins(loss) -> tuple:
@@ -174,7 +168,7 @@ def _kink_margins(loss) -> tuple:
 
 def _discontinuity_points(loss, h, adversarial, gamma):
     """x locations where the pointwise loss of h has a kink or jump."""
-    w = _hyp_w(h)
+    w = h.w
     if w == 0.0:
         return ()
     shifts = (gamma * abs(w), -gamma * abs(w)) if adversarial else (0.0,)
@@ -214,9 +208,9 @@ def risk(
         vals = _pointwise_losses(loss, h, xs, ys, adversarial, gamma)
         value, se = float(vals.mean()), float(vals.std(ddof=1)) / math.sqrt(mode.n)
     elif isinstance(loss, ZeroOneLoss):
-        value, se = float(_risk_grid(loss, dist, [_hyp_w(h)], [h.b], adversarial, gamma)[0, 0]), 0.0
+        value, se = float(_risk_grid(loss, dist, [h.w], [h.b], adversarial, gamma)[0, 0]), 0.0
     else:
-        value, se = float(_atom_risk(loss, dist, _hyp_w(h), h.b, adversarial, gamma)), 0.0
+        value, se = float(_atom_risk(loss, dist, h.w, h.b, adversarial, gamma)), 0.0
         pts = _discontinuity_points(loss, h, adversarial, gamma)
         for c in dist.continuous():
             law = c.law
@@ -501,7 +495,7 @@ def assemble_bound(
 
     if isinstance(mode, MonteCarlo):
         xs, ys = sample(dist, mode.n, mode.seed)
-        err, arg = _score_kernel(_hyp_w(h), h.b, xs, ys, adversarial, gamma, overwrite=True)
+        err, arg = _score_kernel(h.w, h.b, xs, ys, adversarial, gamma, overwrite=True)
         del xs, ys
         tvals, svals = err.astype(float), eval_margin_loss(surrogate, arg)
         r_target, se_target = float(tvals.mean()), float(tvals.std(ddof=1)) / math.sqrt(mode.n)

@@ -9,19 +9,22 @@ Subcommands::
     hcbounds sweep        --experiment sect7-nonadv --n 1000000 --seed 7 --out run1
 
 Flags mirror the mathematical symbols one-to-one (--W, --B, --Lambda, --k,
---rho, --gamma, --massart-beta).  A JSON config file can supply any flag
-(--config file.json); explicit flags win.  Exit codes: 0 success, 1 check
-failure, 2 validation error.  For a linear class, bound requires h(x) = w*x + b
-to lie in the class: the default --w -5 (the sweeps' h) needs --W >= 5, so
-under the default --W 1 it exits 2.  HCB_THREADS caps the worker threads of
-the adversarial grid oracle and of the sweeps' sigma cells (default and
-ceiling: the CPU count; results never depend on it); an invalid value is a
-validation error.
+--rho, --gamma, --massart-beta; transform also takes --eps).  Inputs are
+scalars x in [-1, 1] (d = 1), where every p-norm of x is |x|, so there is no
+--p.  A JSON config file can supply any flag of its subcommand
+(--config file.json); explicit flags win, and an unknown key is a validation
+error.  Exit codes: 0 success, 1 check failure, 2 validation error.  For a
+linear class, bound requires h(x) = w*x + b to lie in the class: the default
+--w -5 (the sweeps' h) needs --W >= 5, so under the default --W 1 it exits 2.
+HCB_THREADS caps the worker threads of the adversarial grid oracle and of
+the sweeps' sigma cells (default and ceiling: the CPU count; results never
+depend on it); an invalid value is a validation error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -65,7 +68,6 @@ def _build_spec(args) -> HypothesisSpec:
         W=args.W,
         B=_parse_b(args.B),
         Lambda=args.Lambda,
-        p=args.p,
         gamma=args.gamma,
     )
 
@@ -151,8 +153,6 @@ def cmd_bound(args, defaults) -> int:
             f"--target {args.target} does not match --loss {args.loss}: "
             "the adversarial-zero-one target takes a sup- loss, the zero-one target a plain one"
         )
-    if args.eps != 0.0:
-        raise ValueError(f"bound does not truncate its transforms; --eps must be 0, got {args.eps}")
     if wants_sup and not spec.adversarial:
         raise ValueError(f"{args.loss} requires --gamma > 0")
     dist = _load_dist(args)
@@ -181,21 +181,7 @@ def cmd_oracle_check(args, defaults) -> int:
             f"(threshold {row.threshold:.3e}, {row.instances} instances)"
         )
     if args.out:
-        payload = {
-            "rows": [
-                {
-                    "label": r.label,
-                    "instances": r.instances,
-                    "max_dev_min_risk": r.max_dev_min_risk,
-                    "max_dev_transform": r.max_dev_transform,
-                    "max_closed_over_oracle": r.max_closed_over_oracle,
-                    "threshold": r.threshold,
-                    "passed": r.passed,
-                }
-                for r in rows
-            ]
-        }
-        _emit(payload, args.out)
+        _emit({"rows": [dataclasses.asdict(r) for r in rows]}, args.out)
     return 0 if ok else 1
 
 
@@ -204,7 +190,7 @@ def cmd_sweep(args, defaults) -> int:
     sigmas = tuple(float(s) for s in args.sigmas.split(",")) if args.sigmas else experiments._DEFAULT_SIGMAS
     if args.experiment == "figure1":
         spec = HypothesisSpec(HypothesisClass.LINEAR, W=args.W, B=_parse_b(args.B))
-        rows = experiments.emit_transform_curves(spec=spec, grid_n=max(args.grid_n, 100))
+        rows = experiments.emit_transform_curves(spec=spec, grid_n=args.grid_n)
         meta = {"experiment": "figure1", "B": _parse_b(args.B), "W": args.W, "grid_n": args.grid_n}
     else:
         cfg = experiments.SweepConfig(
@@ -251,10 +237,8 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--Lambda", type=float, default=1.0)
     p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--rho", type=float, default=1.0)
-    p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--massart-beta", dest="massart_beta", type=float, default=None)
-    p.add_argument("--eps", type=float, default=0.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,6 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr = sub.add_parser("transform", help="materialize an estimation-error transform")
     p_tr.add_argument("--loss", required=True)
     _add_spec_flags(p_tr)
+    p_tr.add_argument("--eps", type=float, default=0.0, help="truncation level of the transform")
     p_tr.add_argument("--grid-n", dest="grid_n", type=int, default=101)
     p_tr.add_argument("--format", choices=["json", "csv"], default="json")
     p_tr.add_argument("--out", default="")

@@ -1,6 +1,8 @@
 """Conditional risks, their class-restricted minima, and a grid oracle.
 
-The conditional risk of a score u at label-probability t is
+Inputs are scalars x in [-1, 1] (d = 1); a point is the pair (|x|, t), |x|
+standing for the paper's ||x||_p, which it equals at d = 1 for every p.  The
+conditional risk of a score u at label-probability t is
 C(u, t) = t*Phi(u) + (1-t)*Phi(-u).  For each loss family and bounded
 hypothesis class the infimum over attainable scores has a closed form; the
 same is true for the worst-case rho-margin loss over linear predictors, and
@@ -9,7 +11,7 @@ interval bounds are available for the worst-case hinge/sigmoid losses.
 Every closed form here is cross-checkable against ``brute_force_inf``, an
 independent oracle that minimizes the conditional risk over a uniform grid:
 a grid of attainable scores in the standard setting, or a grid of (w, b)
-pairs at d=1 in the adversarial setting.  Infima over open constraint sets
+pairs in the adversarial setting.  Infima over open constraint sets
 (score < 0, worst-case score < 0) are computed on the closure of the set,
 which is equivalent for continuous losses and lets the grid attain the
 boundary value exactly.
@@ -52,7 +54,8 @@ _ALL_SCORE_CAP = 20.0
 
 @dataclass(frozen=True)
 class ConditionalPoint:
-    """An input-norm / conditional-probability pair (||x||_p, t)."""
+    """An input-norm / conditional-probability pair (||x||_p, t); at d = 1,
+    ||x||_p = |x|."""
 
     x_norm_p: float
     t: float
@@ -90,8 +93,14 @@ def conditional_risk(loss: MarginLoss, spec: HypothesisSpec, u: float, point: Co
         lo, hi = score_range(spec, point.x_norm_p)
         if not lo <= u <= hi:
             raise ValueError(f"score u={u} outside attainable range [{lo}, {hi}]")
-    t = point.t
-    return t * eval_margin_loss(loss, u) + (1.0 - t) * eval_margin_loss(loss, -u)
+    return _interval_risk(loss, point.t, u, u)
+
+
+def _interval_risk(loss: MarginLoss, t, lo, hi):
+    """t*Phi(lo) + (1-t)*Phi(-hi): the worst-case conditional risk of a
+    score interval [lo, hi], and the conditional risk of u at lo = hi = u.
+    Scalars or broadcastable arrays."""
+    return t * eval_margin_loss(loss, lo) + (1.0 - t) * eval_margin_loss(loss, -hi)
 
 
 def conditional_risk_zero_one(u: float, t: float) -> float:
@@ -253,7 +262,7 @@ def brute_force_inf(
     gamma = 0: minimizes t*Phi(u) + (1-t)*Phi(-u) over a uniform grid of
     attainable scores u (``SCORE_NEGATIVE`` restricts to u <= 0, the closure
     of the open constraint).  gamma > 0 (linear class only): minimizes the
-    worst-case conditional risk over a uniform (w, b) grid at d=1, with the
+    worst-case conditional risk over a uniform (w, b) grid, with the
     requested case constraint applied to the worst-case score interval.
 
     Accuracy is O(1/grid_n); the default 4001 keeps the error within 2e-3
@@ -274,7 +283,6 @@ def brute_force_inf(
 
 
 def _score_grid_inf(loss, spec, point, constraint, grid_n):
-    t = point.t
     if spec.cls is HypothesisClass.ALL:
         lo, hi = -_ALL_SCORE_CAP, _ALL_SCORE_CAP
     else:
@@ -286,8 +294,7 @@ def _score_grid_inf(loss, spec, point, constraint, grid_n):
             raise OracleInfeasibleError("no attainable strictly negative score at this point")
         hi = 0.0
     grid = np.linspace(lo, hi, grid_n)
-    vals = t * eval_margin_loss(loss, grid) + (1.0 - t) * eval_margin_loss(loss, -grid)
-    return float(vals.min())
+    return float(_interval_risk(loss, point.t, grid, grid).min())
 
 
 # Rows of the (w, b) grid per chunk: at grid_n=4001 the two float64 chunk
@@ -327,8 +334,9 @@ def thread_map(fn, items) -> list:
 
 
 def _sup_risk_inplace(loss, t, h_lo, h_hi):
-    """Worst-case conditional risk t*Phi(h_lo) + (1-t)*Phi(-h_hi), overwriting
-    both buffers.  Fused for the rho-margin family (the oracle's hot path)."""
+    """Worst-case conditional risk t*Phi(h_lo) + (1-t)*Phi(-h_hi).  Fused and
+    in place, overwriting both buffers, for the rho-margin family (the
+    oracle's hot path); ``_interval_risk`` for the others."""
     if loss.family is LossFamily.RHO_MARGIN:
         h_lo /= -loss.rho
         h_lo += 1.0
@@ -340,13 +348,7 @@ def _sup_risk_inplace(loss, t, h_lo, h_hi):
         h_hi *= 1.0 - t
         h_lo += h_hi
         return h_lo
-    vals = eval_margin_loss(loss, h_lo)
-    vals *= t
-    np.negative(h_hi, out=h_hi)
-    other = eval_margin_loss(loss, h_hi)
-    other *= 1.0 - t
-    vals += other
-    return vals
+    return _interval_risk(loss, t, h_lo, h_hi)
 
 
 def _adversarial_grid_inf(loss, spec, point, constraint, grid_n):

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _hyp_w, _score_kernel
+from .bounds import _score_kernel
 from .distributions import expectation, sect7_adversarial, sect7_nonadversarial, sample
-from .hypotheses import HypothesisClass, HypothesisSpec, LinearHypothesis
+from .hypotheses import HypothesisClass, HypothesisSpec
 from .losses import (
     LossFamily,
     eval_margin_loss,
@@ -50,6 +50,9 @@ __all__ = [
 ]
 
 _DEFAULT_SIGMAS = (0.2, 0.1, 0.05, 0.02, 0.01)
+# Massart noise parameter of both sweep distributions: every conditional
+# probability is 0 or 1, so |eta - 1/2| = 1/2 everywhere.
+_BETA = 0.5
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,6 @@ class SweepConfig:
     w: float = -5.0
     b: float = 0.0
     gamma: float = 0.1
-    beta: float = 0.5
     losses: tuple = ()
 
     def __post_init__(self):
@@ -73,8 +75,6 @@ class SweepConfig:
             raise ValueError("each sigma must lie in (0, 1)")
         if self.n_samples < 10**4:
             raise ValueError("sweeps need at least 10^4 samples per cell")
-        if self.beta != 0.5:
-            raise ValueError("the simulation protocol fixes beta = 1/2")
 
 
 def _cell_seed(seed: int, index: int) -> int:
@@ -86,13 +86,13 @@ def _mean_se(vals: np.ndarray) -> tuple:
     return float(vals.mean()), float(vals.std(ddof=1)) / math.sqrt(n)
 
 
-def _cell_args(h, dist, cfg, i, adversarial):
+def _cell_args(dist, cfg, i, adversarial):
     """Seed, lhs, its stderr and the shared margin-loss argument of one
     sigma cell.  The sample is scored in place and dropped as it is used."""
     seed = _cell_seed(cfg.seed, i)
     xs, ys = sample(dist, cfg.n_samples, seed)
     gamma = cfg.gamma if adversarial else 0.0
-    err, arg = _score_kernel(_hyp_w(h), h.b, xs, ys, adversarial, gamma, overwrite=True)
+    err, arg = _score_kernel(cfg.w, cfg.b, xs, ys, adversarial, gamma, overwrite=True)
     del xs, ys
     lhs, se_lhs = _mean_se(err.astype(float))
     return seed, lhs, se_lhs, arg
@@ -111,12 +111,11 @@ def run_nonadversarial_sweep(cfg: SweepConfig):
     if any(l.family not in allowed for l in losses):
         raise ValueError("non-adversarial sweep covers quadratic/logistic/exponential")
     spec_all = HypothesisSpec(HypothesisClass.ALL)
-    mults = [2.0 * cfg.beta / float(transform(loss, spec_all)(2.0 * cfg.beta)) for loss in losses]
-    h = LinearHypothesis((cfg.w,), cfg.b)
+    mults = [2.0 * _BETA / float(transform(loss, spec_all)(2.0 * _BETA)) for loss in losses]
 
     def cell(i):
         sigma = cfg.sigmas[i]
-        seed, lhs, se_lhs, arg = _cell_args(h, sect7_nonadversarial(sigma), cfg, i, False)
+        seed, lhs, se_lhs, arg = _cell_args(sect7_nonadversarial(sigma), cfg, i, False)
         rows = []
         for loss, mult in zip(losses, mults):
             mean_s, se_s = _mean_se(eval_margin_loss(loss, arg))
@@ -153,7 +152,6 @@ def run_adversarial_sweep(cfg: SweepConfig):
         raise ValueError("adversarial sweep covers sup-rho-margin/sup-hinge/sup-sigmoid")
     if not 0.0 < cfg.gamma < 1.0:
         raise ValueError("adversarial sweep needs gamma in (0, 1)")
-    h = LinearHypothesis((cfg.w,), cfg.b)
     # the first rho-margin and the first hinge loss are compared pointwise
     pair = [
         next((l for l in losses if l.family is fam), None)
@@ -162,7 +160,7 @@ def run_adversarial_sweep(cfg: SweepConfig):
 
     def cell(i):
         sigma = cfg.sigmas[i]
-        seed, lhs, se_lhs, arg = _cell_args(h, sect7_adversarial(sigma, cfg.gamma), cfg, i, True)
+        seed, lhs, se_lhs, arg = _cell_args(sect7_adversarial(sigma, cfg.gamma), cfg, i, True)
         stats, paired = [], {}
         for loss in losses:
             vals = eval_margin_loss(loss, arg)

@@ -1,19 +1,21 @@
 """Hypothesis-class descriptors and attainable score ranges.
 
-Three classes are modeled over inputs with ||x||_p <= 1:
+Inputs are scalars x in [-1, 1] (d = 1).  The paper's classes are stated
+over ||x||_p <= 1 with ||w||_q <= W, and every closed form depends on x only
+through ||x||_p, which is |x| at d = 1 for every p; so p plays no part here.
+Three classes are modeled:
 
 * ``ALL`` -- all measurable functions (unbounded scores).
-* ``LINEAR`` -- x -> w.x + b with ||w||_q <= W and |b| <= B, where q is the
-  conjugate of p.
+* ``LINEAR`` -- x -> w*x + b with |w| <= W and |b| <= B.
 * ``ONE_HIDDEN_RELU`` -- one-hidden-layer ReLU networks with outer l1 budget
   Lambda and the same per-unit (W, B) constraints; scores attain exactly
-  +-Lambda*(W*||x||_p + B).
+  +-Lambda*(W*|x| + B).
 
 For a linear hypothesis the extreme scores over a gamma-ball are in closed
-form: w.x -+ gamma*||w||_q + b.  For the ReLU class only a class-level
+form: w*x -+ gamma*|w| + b.  For the ReLU class only a class-level
 sandwich on sup_h inf-ball scores is available (and is all the bounds need):
 the supremum over the class of the ball-infimum score lies between
-Lambda*B and Lambda*(W*max{||x||_p, gamma} - gamma*W + B).
+Lambda*B and Lambda*(W*max{|x|, gamma} - gamma*W + B).
 
 ``B = math.inf`` is an accepted sentinel and is propagated symbolically by
 the transform constructors; it never enters grid arithmetic.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +34,6 @@ __all__ = [
     "HypothesisClass",
     "HypothesisSpec",
     "LinearHypothesis",
-    "conjugate_exponent",
     "score_range",
     "adversarial_extrema_linear",
     "attainable_adversarial_range",
@@ -44,17 +46,6 @@ class HypothesisClass(enum.Enum):
     ONE_HIDDEN_RELU = "relu"
 
 
-def conjugate_exponent(p: float) -> float:
-    """q with 1/p + 1/q = 1; p=1 -> inf, p=inf -> 1."""
-    if p < 1:
-        raise ValueError(f"norm index p must satisfy p >= 1, got {p}")
-    if p == 1:
-        return math.inf
-    if math.isinf(p):
-        return 1.0
-    return p / (p - 1.0)
-
-
 @dataclass(frozen=True)
 class HypothesisSpec:
     """Class descriptor: which hypothesis set, its norm budgets, and the
@@ -64,7 +55,6 @@ class HypothesisSpec:
     W: float = 1.0
     B: float = 1.0
     Lambda: float = 1.0
-    p: float = 2.0
     gamma: float = 0.0
 
     def __post_init__(self):
@@ -77,13 +67,8 @@ class HypothesisSpec:
             self.Lambda >= 0 and math.isfinite(self.Lambda)
         ):
             raise ValueError(f"Lambda must be finite and >= 0, got {self.Lambda}")
-        conjugate_exponent(self.p)  # validates p
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
-
-    @property
-    def q(self) -> float:
-        return conjugate_exponent(self.p)
 
     @property
     def adversarial(self) -> bool:
@@ -117,33 +102,28 @@ class HypothesisSpec:
 
 @dataclass(frozen=True)
 class LinearHypothesis:
-    """A concrete linear predictor x -> w.x + b (w is a d-vector; d=1 common)."""
+    """A concrete linear predictor x -> w*x + b; w is one float (given as a
+    scalar or a 1-tuple)."""
 
-    w: tuple
+    w: float
     b: float
 
     def __post_init__(self):
-        w = tuple(float(v) for v in np.atleast_1d(self.w))
-        object.__setattr__(self, "w", w)
+        w = self.w
+        if isinstance(w, tuple) and len(w) == 1:
+            (w,) = w
+        if not isinstance(w, numbers.Real):
+            raise ValueError(f"inputs are scalars (d = 1): w must be a number or a 1-tuple, got {self.w!r}")
+        object.__setattr__(self, "w", float(w))
 
     def score(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        w_arr = np.asarray(self.w, dtype=float)
-        if x_arr.ndim <= 1 and w_arr.size == 1:
-            return w_arr[0] * x_arr + self.b
-        return x_arr @ w_arr + self.b
-
-    def w_norm(self, q: float) -> float:
-        w_arr = np.asarray(self.w, dtype=float)
-        if math.isinf(q):
-            return float(np.max(np.abs(w_arr)))
-        return float(np.sum(np.abs(w_arr) ** q) ** (1.0 / q))
+        return self.w * np.asarray(x, dtype=float) + self.b
 
     def validate(self, spec: HypothesisSpec) -> "LinearHypothesis":
         if spec.cls is not HypothesisClass.LINEAR:
             raise ValueError("LinearHypothesis only validates against a LINEAR spec")
-        if self.w_norm(spec.q) > spec.W * (1 + 1e-12):
-            raise ValueError(f"h is outside the class: ||w||_q = {self.w_norm(spec.q)} exceeds W = {spec.W}")
+        if abs(self.w) > spec.W * (1 + 1e-12):
+            raise ValueError(f"h is outside the class: |w| = {abs(self.w)} exceeds W = {spec.W}")
         if abs(self.b) > spec.B * (1 + 1e-12):
             raise ValueError(f"h is outside the class: |b| = {abs(self.b)} exceeds B = {spec.B}")
         return self
@@ -157,20 +137,20 @@ def score_range(spec: HypothesisSpec, x_norm_p: float) -> tuple:
     return (-hi, hi)
 
 
-def adversarial_extrema_linear(h: LinearHypothesis, x, gamma: float, q: float):
+def adversarial_extrema_linear(h: LinearHypothesis, x, gamma: float):
     """Extreme scores of a linear hypothesis over the gamma-ball around x:
-    w.x -+ gamma*||w||_q + b."""
+    w*x -+ gamma*|w| + b."""
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     center = h.score(x)
-    spread = gamma * h.w_norm(q)
+    spread = gamma * abs(h.w)
     return (center - spread, center + spread)
 
 
 def attainable_adversarial_range(spec: HypothesisSpec, x_norm_p: float) -> tuple:
     """Class-level bracket for sup_h (ball-infimum score) at a point.
 
-    Linear: the supremum equals W*max{||x||_p, gamma} - gamma*W + B exactly,
+    Linear: the supremum equals W*max{|x|, gamma} - gamma*W + B exactly,
     so both endpoints coincide.  ReLU: returns the (Lambda*B, upper-bound)
     sandwich; the exact value has no closed form.
     """

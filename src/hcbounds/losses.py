@@ -116,8 +116,13 @@ def rho_margin(rho: float = 1.0) -> MarginLoss:
 def sign(alpha: float) -> int:
     """Classification sign with the tie broken toward +1: sign(0) = +1.
 
-    Every classification decision in the package routes through here so the
-    zero-score convention is applied in exactly one place.
+    The scalar decisions (``eval_zero_one``,
+    ``conditional.conditional_risk_zero_one``) route through here.  The
+    array paths compare scores with 0 on their own: ``bounds._score_kernel``
+    and ``bounds._error_mass`` let a score of 0 predict +1;
+    ``eval_adversarial_zero_one`` and the kernel's robust case count a
+    worst-case score of 0 as an error; ``conditional._adversarial_grid_inf``
+    takes the closures of its sign constraints, so 0 is on both sides.
     """
     return 1 if alpha >= 0 else -1
 

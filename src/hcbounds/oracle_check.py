@@ -25,6 +25,7 @@ import numpy as np
 from .conditional import (
     ConditionalPoint,
     Constraint,
+    _interval_risk,
     brute_force_inf,
     min_conditional_risk,
     min_conditional_risk_adversarial,
@@ -32,7 +33,6 @@ from .conditional import (
 from .hypotheses import HypothesisClass, HypothesisSpec
 from .losses import (
     MarginLoss,
-    eval_margin_loss,
     exponential,
     hinge,
     logistic,
@@ -188,10 +188,7 @@ def _adv_relu_row(instances, seed, tamper):
                 w = rng.uniform(-spec.W, spec.W, n_units)
                 b = float(rng.uniform(-spec.B, spec.B))
             h_lo, h_hi = _relu_ball_extrema(u, w, b, x, spec.gamma)
-            val = t * float(eval_margin_loss(loss, h_lo)) + (1.0 - t) * float(
-                eval_margin_loss(loss, -h_hi)
-            )
-            best = min(best, val)
+            best = min(best, _interval_risk(loss, t, h_lo, h_hi))
         violation = max(lo - best, best - hi)  # sampled min must land inside [lo, hi]
         dev = max(dev, max(violation, 0.0))
     return dev

@@ -196,11 +196,13 @@ class TestBoundCommand:
         assert code == 2
         assert "does not match" in capsys.readouterr().err
 
-    def test_nonzero_eps_rejected(self, capsys):
-        code = main(["bound", "--loss", "hinge", "--class", "linear", "--B", "0.5",
-                     "--dist", SINGLETON, "--w", "-0.4", "--eps", "0.1"])
-        assert code == 2
-        assert "--eps must be 0" in capsys.readouterr().err
+    @pytest.mark.parametrize("eps", ["0.1", "0"])
+    def test_eps_is_not_a_bound_flag(self, capsys, eps):
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--loss", "hinge", "--class", "linear", "--B", "0.5",
+                  "--dist", SINGLETON, "--w", "-0.4", "--eps", eps])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --eps" in capsys.readouterr().err
 
     def test_failed_quadrature_is_a_validation_error(self, capsys):
         # exp(900 * |x|) overflows on the continuous components
@@ -227,7 +229,7 @@ class TestBoundCommand:
         # the default h(x) = -5x lies outside the default linear class (W = 1)
         args = ["bound", "--loss", "hinge", "--class", "linear", "--dist", SINGLETON]
         assert main(args) == 2
-        assert "||w||_q = 5.0 exceeds W = 1.0" in capsys.readouterr().err
+        assert "|w| = 5.0 exceeds W = 1.0" in capsys.readouterr().err
         assert main(args + ["--W", "5"]) == 0
 
     @pytest.mark.parametrize(
@@ -290,6 +292,9 @@ class TestOracleCheckCommand:
         assert hinge_row["max_dev_min_risk"] <= hinge_row["threshold"]
         assert hinge_row["max_closed_over_oracle"] >= 1e-6 and not hinge_row["passed"]
         assert rows["sup-rho-margin / linear"]["passed"]
+        fields = {"label", "instances", "max_dev_min_risk", "max_dev_transform", "max_closed_over_oracle",
+                  "threshold", "passed"}
+        assert all(set(r) == fields for r in rows.values())
 
     def test_zero_instances_rejected(self, capsys):
         assert main(["oracle-check", "--instances", "0"]) == 2
@@ -311,6 +316,20 @@ class TestSweepCommand:
                      "--format", "csv"]) == 0
         header = (tmp_path / "f.csv").read_text().splitlines()[0]
         assert header == "loss,curve,x,y"
+
+    def test_figure1_grid_n_is_what_meta_records(self, tmp_path, capsys):
+        out = tmp_path / "f"
+        assert main(["sweep", "--experiment", "figure1", "--grid-n", "120", "--out", str(out),
+                     "--format", "json"]) == 0
+        doc = json.loads((tmp_path / "f.json").read_text())
+        assert doc["meta"]["grid_n"] == 120
+        hinge_rows = [r for r in doc["rows"] if r["loss"] == "hinge" and r["curve"] == "transform"]
+        assert len(hinge_rows) == 120
+        # below the smooth-curve floor the run is refused, not silently widened
+        assert main(["sweep", "--experiment", "figure1", "--grid-n", "50", "--out", str(tmp_path / "g"),
+                     "--format", "json"]) == 2
+        assert "grid_n >= 100" in capsys.readouterr().err
+        assert not (tmp_path / "g.json").exists()
 
     def test_adversarial_preset(self, tmp_path):
         assert main(["sweep", "--experiment", "sect7-adv", "--n", "20000", "--seed", "3",
@@ -347,6 +366,30 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"bogus_key": 1}))
         assert main(["transform", "--loss", "hinge", "--config", str(cfg)]) == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["transform", "--loss", "hinge"],
+        ["bound", "--loss", "hinge", "--class", "linear", "--W", "5", "--B", "0.5", "--dist", "sect7-nonadv"],
+    ], ids=["transform", "bound"])
+    def test_norm_index_config_key_rejected(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": 2}))
+        assert main([*command, "--config", str(cfg)]) == 2
+        assert "unknown config keys: ['p']" in capsys.readouterr().err
+
+
+class TestRetiredFlags:
+    """Inputs are scalars, so no --p; bound does not truncate, so no --eps."""
+
+    @pytest.mark.parametrize("command", [
+        ["transform", "--loss", "hinge", "--class", "linear", "--B", "0.8"],
+        ["bound", "--loss", "hinge", "--class", "linear", "--W", "5", "--B", "0.5", "--dist", "sect7-nonadv"],
+    ], ids=["transform", "bound"])
+    def test_p_flag_exits_2(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--p", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --p" in capsys.readouterr().err
 
 
 class TestEnvironment:

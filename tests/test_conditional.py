@@ -258,7 +258,7 @@ class TestRegrets:
             h = LinearHypothesis((rng.uniform(-1, 1),), rng.uniform(-0.5, 0.5))
             x = float(rng.uniform(-1, 1))
             t = float(rng.uniform(0, 1))
-            lo, hi = adversarial_extrema_linear(h, x, spec.gamma, spec.q)
+            lo, hi = adversarial_extrema_linear(h, x, spec.gamma)
             if lo <= 0.0 <= hi:
                 case = RegretCase.STRADDLING
             elif hi < 0.0:

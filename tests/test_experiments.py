@@ -32,9 +32,10 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(n_samples=100)
 
-    def test_beta_fixed_at_half(self):
-        with pytest.raises(ValueError):
-            SweepConfig(beta=0.3)
+    def test_no_beta_setting(self):
+        # both sweep distributions fix beta = 1/2; it is not a setting
+        with pytest.raises(TypeError):
+            SweepConfig(beta=0.5)
 
     def test_loss_families_validated(self):
         with pytest.raises(ValueError):

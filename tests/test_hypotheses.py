@@ -11,7 +11,6 @@ from hcbounds.hypotheses import (
     LinearHypothesis,
     adversarial_extrema_linear,
     attainable_adversarial_range,
-    conjugate_exponent,
     score_range,
 )
 
@@ -20,12 +19,6 @@ RELU = HypothesisClass.ONE_HIDDEN_RELU
 
 
 class TestSpecValidation:
-    def test_conjugate_exponent(self):
-        assert conjugate_exponent(1.0) == math.inf
-        assert conjugate_exponent(math.inf) == 1.0
-        assert conjugate_exponent(2.0) == 2.0
-        assert conjugate_exponent(4.0) == pytest.approx(4.0 / 3.0)
-
     def test_gamma_range(self):
         with pytest.raises(ValueError):
             HypothesisSpec(LIN, gamma=1.0)
@@ -42,6 +35,24 @@ class TestSpecValidation:
             LinearHypothesis((1.5,), 0.0).validate(spec)
         with pytest.raises(ValueError):
             LinearHypothesis((0.5,), 0.9).validate(spec)
+
+    def test_no_norm_index(self):
+        # inputs are scalars, so the class has no p (or q) to set
+        with pytest.raises(TypeError):
+            HypothesisSpec(LIN, p=2.0)
+
+
+class TestLinearHypothesis:
+    def test_scalar_and_one_tuple_agree(self):
+        h = LinearHypothesis(0.5, 0.1)
+        assert h == LinearHypothesis((0.5,), 0.1)
+        assert isinstance(h.w, float)
+        assert h.score(0.4) == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("w", [(0.5, 0.5), (), np.array([0.5]), "0.5"], ids=["2-tuple", "empty", "array", "str"])
+    def test_anything_else_rejected(self, w):
+        with pytest.raises(ValueError):
+            LinearHypothesis(w, 0.0)
 
 
 class TestScoreRange:
@@ -90,17 +101,17 @@ class TestScoreRange:
 class TestAdversarialExtremaLinear:
     def test_bias_only(self):
         h = LinearHypothesis((0.0,), 0.3)
-        assert adversarial_extrema_linear(h, 0.7, 0.1, 2.0) == (0.3, 0.3)
+        assert adversarial_extrema_linear(h, 0.7, 0.1) == (0.3, 0.3)
 
     def test_steep_negative_slope(self):
         h = LinearHypothesis((-5.0,), 0.0)
-        lo, hi = adversarial_extrema_linear(h, 0.05, 0.1, 2.0)
+        lo, hi = adversarial_extrema_linear(h, 0.05, 0.1)
         assert lo == pytest.approx(-0.75)
         assert hi == pytest.approx(0.25)
 
     def test_zero_radius(self):
         h = LinearHypothesis((1.0,), 0.0)
-        assert adversarial_extrema_linear(h, 0.5, 0.0, 2.0) == (0.5, 0.5)
+        assert adversarial_extrema_linear(h, 0.5, 0.0) == (0.5, 0.5)
 
     def test_brackets_dense_grid(self):
         rng = np.random.default_rng(9)
@@ -108,7 +119,7 @@ class TestAdversarialExtremaLinear:
             w, b = rng.uniform(-3, 3), rng.uniform(-1, 1)
             x0, gamma = rng.uniform(-0.5, 0.5), rng.uniform(0.0, 0.4)
             h = LinearHypothesis((w,), b)
-            lo, hi = adversarial_extrema_linear(h, x0, gamma, 2.0)
+            lo, hi = adversarial_extrema_linear(h, x0, gamma)
             grid = w * np.linspace(x0 - gamma, x0 + gamma, 4001) + b
             assert lo <= grid.min() + 1e-9
             assert hi >= grid.max() - 1e-9
@@ -138,7 +149,7 @@ class TestAttainableAdversarialRange:
             best = -math.inf
             for _ in range(400):
                 h = LinearHypothesis((rng.uniform(-spec.W, spec.W),), rng.uniform(-spec.B, spec.B))
-                lo, _hi = adversarial_extrema_linear(h, x, spec.gamma, spec.q)
+                lo, _hi = adversarial_extrema_linear(h, x, spec.gamma)
                 best = max(best, lo)
                 assert lo <= target + 1e-12
             assert best > target - 0.15  # random search approaches the supremum
