@@ -16,9 +16,11 @@ scalars x in [-1, 1] (d = 1), where every p-norm of x is |x|, so there is no
 error.  Exit codes: 0 success, 1 check failure, 2 validation error.  For a
 linear class, bound requires h(x) = w*x + b to lie in the class: the default
 --w -5 (the sweeps' h) needs --W >= 5, so under the default --W 1 it exits 2.
-HCB_THREADS caps the worker threads of the adversarial grid oracle and of
-the sweeps' sigma cells (default and ceiling: the CPU count; results never
-depend on it); an invalid value is a validation error.
+sweep refuses, with exit 2, a flag that its experiment does not read.
+HCB_THREADS caps the worker threads of the adversarial grid oracle, of the
+sweeps' sigma cells and of the sampler's blocks (default and ceiling: the CPU
+count; pools do not nest; results never depend on it); an invalid value is a
+validation error.
 """
 
 from __future__ import annotations
@@ -125,6 +127,8 @@ def cmd_transform(args, defaults) -> int:
         raise ValueError("--gamma > 0 requires a sup- loss")
     if args.massart_beta is not None and args.eps != 0.0:
         raise ValueError(f"Massart-modified transforms are not truncated; --eps must be 0, got {args.eps}")
+    if args.grid_n < 2:
+        raise ValueError(f"--grid-n must be >= 2 to sample both t = 0 and t = 1, got {args.grid_n}")
     fwd, inverse = select_transform(loss, spec, args.massart_beta, eps=args.eps)
     ts = np.linspace(0.0, 1.0, args.grid_n)
     samples = [{"t": float(t), "T": float(fwd(float(t)))} for t in ts]
@@ -185,23 +189,46 @@ def cmd_oracle_check(args, defaults) -> int:
     return 0 if ok else 1
 
 
+# the flags each sweep experiment reads, besides --out, --format and --config,
+# with their defaults; the parser defaults them to None so that a flag the
+# chosen experiment would ignore is refused instead
+_SIGMAS = ",".join(map(str, experiments._DEFAULT_SIGMAS))
+_SIM_FLAGS = {"n": 10**6, "seed": 0, "sigmas": _SIGMAS, "w": -5.0, "b": 0.0}
+_SWEEP_FLAGS = {
+    "figure1": {"W": 1.0, "B": "0.8", "grid_n": 201},
+    "sect7-nonadv": _SIM_FLAGS,
+    "sect7-adv": {**_SIM_FLAGS, "gamma": 0.1},
+}
+
+
+def _sweep_help(key: str) -> str:
+    readers = [name for name, flags in _SWEEP_FLAGS.items() if key in flags]
+    return f"{' and '.join(readers)} only; default {_SWEEP_FLAGS[readers[0]][key]}"
+
+
 def cmd_sweep(args, defaults) -> int:
     _apply_config(args, defaults)
-    sigmas = tuple(float(s) for s in args.sigmas.split(",")) if args.sigmas else experiments._DEFAULT_SIGMAS
+    used = _SWEEP_FLAGS[args.experiment]
+    unused = {key for flags in _SWEEP_FLAGS.values() for key in flags} - used.keys()
+    stray = sorted("--" + key.replace("_", "-") for key in unused if getattr(args, key) is not None)
+    if stray:
+        raise ValueError(f"--experiment {args.experiment} does not use {', '.join(stray)}")
+    for key, default in used.items():
+        if getattr(args, key) is None:
+            setattr(args, key, default)
     if args.experiment == "figure1":
         spec = HypothesisSpec(HypothesisClass.LINEAR, W=args.W, B=_parse_b(args.B))
         rows = experiments.emit_transform_curves(spec=spec, grid_n=args.grid_n)
         meta = {"experiment": "figure1", "B": _parse_b(args.B), "W": args.W, "grid_n": args.grid_n}
     else:
+        sigmas = tuple(float(s) for s in args.sigmas.split(","))
+        adversarial = args.experiment == "sect7-adv"
+        extra = {"gamma": args.gamma} if adversarial else {}
         cfg = experiments.SweepConfig(
-            sigmas=sigmas, n_samples=args.n, seed=args.seed, w=args.w, b=args.b, gamma=args.gamma
+            sigmas=sigmas, n_samples=args.n, seed=args.seed, w=args.w, b=args.b, **extra
         )
-        if args.experiment == "sect7-nonadv":
-            rows = experiments.run_nonadversarial_sweep(cfg)
-        elif args.experiment == "sect7-adv":
-            rows = experiments.run_adversarial_sweep(cfg)
-        else:
-            raise ValueError(f"unknown experiment {args.experiment!r}")
+        run = experiments.run_adversarial_sweep if adversarial else experiments.run_nonadversarial_sweep
+        rows = run(cfg)
         meta = {
             "experiment": args.experiment,
             "sigmas": list(sigmas),
@@ -209,7 +236,7 @@ def cmd_sweep(args, defaults) -> int:
             "seed": args.seed,
             "w": args.w,
             "b": args.b,
-            "gamma": args.gamma,
+            **extra,
             "note": "sigma grid is a package choice; the reference experiment does not state one",
         }
     meta.update(_run_meta())
@@ -287,15 +314,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sw = sub.add_parser("sweep", help="run a simulation sweep or curve emission")
     p_sw.add_argument("--experiment", choices=["sect7-nonadv", "sect7-adv", "figure1"], required=True)
-    p_sw.add_argument("--n", type=int, default=10**6)
-    p_sw.add_argument("--seed", type=int, default=0)
-    p_sw.add_argument("--sigmas", default="")
-    p_sw.add_argument("--w", type=float, default=-5.0)
-    p_sw.add_argument("--b", type=float, default=0.0)
-    p_sw.add_argument("--gamma", type=float, default=0.1)
-    p_sw.add_argument("--W", type=float, default=1.0)
-    p_sw.add_argument("--B", type=str, default="0.8")
-    p_sw.add_argument("--grid-n", dest="grid_n", type=int, default=201)
+    # defaults in _SWEEP_FLAGS; a flag the chosen experiment does not read exits 2
+    p_sw.add_argument("--n", type=int, help=_sweep_help("n"))
+    p_sw.add_argument("--seed", type=int, help=_sweep_help("seed"))
+    p_sw.add_argument("--sigmas", help=_sweep_help("sigmas"))
+    p_sw.add_argument("--w", type=float, help=_sweep_help("w"))
+    p_sw.add_argument("--b", type=float, help=_sweep_help("b"))
+    p_sw.add_argument("--gamma", type=float, help=_sweep_help("gamma"))
+    p_sw.add_argument("--W", type=float, help=_sweep_help("W"))
+    p_sw.add_argument("--B", type=str, help=_sweep_help("B") + "; 'inf' allowed")
+    p_sw.add_argument("--grid-n", dest="grid_n", type=int, help=_sweep_help("grid_n"))
     p_sw.add_argument("--out", default="")
     p_sw.add_argument("--format", choices=["csv", "json", "both"], default="both")
     p_sw.add_argument("--config", default="")

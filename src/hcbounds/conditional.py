@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -303,10 +304,12 @@ _ADV_CHUNK = 32
 
 
 def thread_cap() -> int:
-    """Worker threads for the adversarial grid oracle and the simulation
-    sweeps' sigma cells: ``HCB_THREADS``, clamped to ``os.cpu_count()``, which
-    is also the default when it is unset.  Results never depend on it.
-    Raises ValueError unless the variable is an integer >= 1."""
+    """Worker threads for the adversarial grid oracle, the simulation sweeps'
+    sigma cells and the sampler's blocks: ``HCB_THREADS``, clamped to
+    ``os.cpu_count()``, which is also the default when it is unset.  Pools do
+    not nest (see ``thread_map``), so no more than this many workers run at
+    once.  Results never depend on it.  Raises ValueError unless the variable
+    is an integer >= 1."""
     cpus = os.cpu_count() or 1
     raw = os.environ.get("HCB_THREADS", "")
     if not raw:
@@ -320,16 +323,26 @@ def thread_cap() -> int:
     return min(cap, cpus)
 
 
+# set in every pool worker, so that a thread_map called from inside one runs inline
+_in_worker = threading.local()
+
+
+def _mark_worker() -> None:
+    _in_worker.flag = True
+
+
 def thread_map(fn, items) -> list:
     """``[fn(item) for item in items]``, run on ``min(thread_cap(), len(items))``
-    threads of a per-call pool; inline when that is 1.  Results come back in
-    item order, so a caller that merges them in order gets the same answer at
-    every thread count."""
+    threads of a per-call pool; inline when that is 1 or when called from a
+    worker of another ``thread_map`` (a sweep cell's sampler, say), so pools
+    never nest and ``thread_cap()`` bounds the live workers.  Results come
+    back in item order, so a caller that merges them in order gets the same
+    answer at every thread count."""
     items = list(items)
-    workers = min(thread_cap(), len(items))
+    workers = 1 if getattr(_in_worker, "flag", False) else min(thread_cap(), len(items))
     if workers <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers, initializer=_mark_worker) as pool:
         return list(pool.map(fn, items))
 
 

@@ -10,7 +10,8 @@ densities decide.
 
 Sampling is exact inverse-CDF sampling driven by a counter-based generator
 (Philox) with per-chunk substreams keyed by (seed, chunk index), so output is
-reproducible bit-for-bit and chunks could be generated in parallel.
+reproducible bit-for-bit.  ``sample`` fills fixed 2^16-draw blocks of each
+chunk on the shared thread pool, with the same output at every thread count.
 Expectations sum atoms exactly and integrate continuous components with
 ``_gauss_kronrod``, QUADPACK's adaptive 21-point Gauss-Kronrod rule evaluated
 on every open panel in one array call (absolute and relative tolerance 1e-10;
@@ -31,6 +32,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .conditional import thread_map
 
 __all__ = [
     "Atom",
@@ -53,7 +56,8 @@ _WEIGHT_TOL = 1e-12
 _QUAD_ABS_TOL = 1e-8
 _QUAD_REL_TOL = 1e-10
 _QUAD_LIMIT = 200  # most panels one integral may use
-_SAMPLE_CHUNK = 1 << 20
+_SAMPLE_CHUNK = 1 << 20  # draws per Philox substream
+_SAMPLE_BLOCK = 1 << 16  # draws per sampling task
 
 
 class QuadratureError(RuntimeError):
@@ -291,8 +295,31 @@ def sect7_adversarial(sigma: float, gamma: float = 0.1) -> LabeledDistribution:
     )
 
 
+def _philox_at(seed: int, chunk: int, offset: int):
+    """The generator of substream (seed, chunk), positioned after ``offset``
+    doubles: Philox yields four 64-bit words per counter step and each double
+    takes one word, so ``advance(offset // 4)`` skips whole steps and the
+    rest are drawn and dropped."""
+    bitgen = np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64))
+    bitgen.advance(offset // 4)
+    rng = np.random.Generator(bitgen)
+    rng.random(offset % 4)
+    return rng
+
+
 def sample(dist: LabeledDistribution, n: int, seed: int):
-    """n i.i.d. draws; returns (x, y) arrays. Deterministic given the seed."""
+    """n i.i.d. draws; returns (x, y) arrays. Deterministic given the seed.
+
+    Chunk c of 2^20 draws (m of them in a short last chunk) reads substream
+    (seed, c): its doubles 0..m-1 pick the components and its doubles m..2m-1
+    the positions.  Each chunk is cut into blocks of 2^16 draws, which run on
+    ``thread_map`` and fill their own slices of the output.  The block at
+    offset a reads the doubles from a and from m + a, so it consumes exactly
+    the words a single pass over the chunk would, and every element goes
+    through the same elementwise operations.  The output therefore does not
+    depend on the thread count, and working memory stays a few block-sized
+    buffers per thread.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if not 0 <= seed < 2**64:
@@ -303,22 +330,28 @@ def sample(dist: LabeledDistribution, n: int, seed: int):
     labels = np.array([c.label for c in comps], dtype=np.int64)
     # continuous components get a placeholder location, overwritten by their ppf
     locs = np.array([c.law.x if isinstance(c.law, Atom) else 0.0 for c in comps])
+    continuous = [(ci, c.law) for ci, c in enumerate(comps) if isinstance(c.law, TruncNormal)]
     xs = np.empty(n, dtype=float)
     ys = np.empty(n, dtype=np.int64)
-    for chunk, start in enumerate(range(0, n, _SAMPLE_CHUNK)):
-        m = min(_SAMPLE_CHUNK, n - start)
-        x_out, y_out = xs[start : start + m], ys[start : start + m]
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
-        u = rng.random(m)  # component draws
+
+    def fill(block):
+        chunk, m, a, start = block
+        x_out = xs[start : start + min(_SAMPLE_BLOCK, m - a)]
+        u = np.empty(x_out.size)
+        _philox_at(seed, chunk, a).random(out=u)  # component draws
         idx = np.searchsorted(cum, u, side="right")
-        rng.random(out=u)  # position draws, same stream order, same buffer
+        _philox_at(seed, chunk, m + a).random(out=u)  # position draws, same buffer
         np.take(locs, idx, out=x_out)
-        for ci, comp in enumerate(comps):
-            if isinstance(comp.law, TruncNormal):
-                mask = idx == ci
-                x_out[mask] = comp.law.ppf(u[mask])
-        del u
-        np.take(labels, idx, out=y_out)
+        for ci, law in continuous:
+            ix = np.flatnonzero(idx == ci)
+            x_out.put(ix, law.ppf(u.take(ix)))
+        np.take(labels, idx, out=ys[start : start + x_out.size])
+
+    blocks = []
+    for chunk, c0 in enumerate(range(0, n, _SAMPLE_CHUNK)):
+        m = min(_SAMPLE_CHUNK, n - c0)
+        blocks += [(chunk, m, a, c0 + a) for a in range(0, m, _SAMPLE_BLOCK)]
+    thread_map(fill, blocks)
     return xs, ys
 
 

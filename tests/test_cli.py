@@ -260,6 +260,20 @@ class TestBoundCommand:
             assert doc["components"][key].hex() == pin
             assert abs(float.fromhex(pin) - float.fromhex(anchor)) <= 1e-10
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("grid_n", ["0", "1", "-3"])
+    def test_grid_n_below_two_rejected(self, tmp_path, capsys, fmt, grid_n):
+        out = tmp_path / "t.out"
+        code = main(["transform", "--loss", "hinge", "--grid-n", grid_n, "--format", fmt, "--out", str(out)])
+        assert code == 2
+        assert f"--grid-n must be >= 2 to sample both t = 0 and t = 1, got {grid_n}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_n_two_samples_both_ends(self, tmp_path):
+        out = tmp_path / "t.json"
+        assert main(["transform", "--loss", "hinge", "--grid-n", "2", "--out", str(out)]) == 0
+        assert [s["t"] for s in json.loads(out.read_text())["samples"]] == [0.0, 1.0]
+
     def test_dist_file_path(self, tmp_path):
         path = tmp_path / "dist.json"
         path.write_text(SINGLETON)
@@ -336,6 +350,40 @@ class TestSweepCommand:
                      "--sigmas", "0.2,0.05", "--out", str(tmp_path / "a")]) == 0
         rows = json.loads((tmp_path / "a.json").read_text())["rows"]
         assert all(r["holds"] for r in rows)
+
+    @pytest.mark.parametrize(
+        "experiment, flags, named",
+        [
+            ("sect7-nonadv", ["--gamma", "0.7", "--W", "9", "--grid-n", "3"], "--W, --gamma, --grid-n"),
+            # the value equals the adversarial default: given is what counts
+            ("sect7-nonadv", ["--gamma", "0.1"], "--gamma"),
+            ("sect7-adv", ["--B", "0.8"], "--B"),
+            ("figure1", ["--n", "20000", "--seed", "3", "--sigmas", "0.2"], "--n, --seed, --sigmas"),
+            ("figure1", ["--gamma", "0.2", "--w", "1", "--b", "0"], "--b, --gamma, --w"),
+        ],
+    )
+    def test_flags_the_experiment_does_not_read_rejected(self, tmp_path, capsys, experiment, flags, named):
+        out = tmp_path / "s"
+        assert main(["sweep", "--experiment", experiment, *flags, "--out", str(out)]) == 2
+        assert f"--experiment {experiment} does not use {named}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_config_key_the_experiment_does_not_read_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": 0.3}))
+        assert main(["sweep", "--experiment", "sect7-nonadv", "--config", str(cfg)]) == 2
+        assert "does not use --gamma" in capsys.readouterr().err
+
+    def test_meta_records_gamma_only_when_adversarial(self, tmp_path):
+        common = ["--n", "20000", "--seed", "3", "--sigmas", "0.2", "--format", "json"]
+        assert main(["sweep", "--experiment", "sect7-nonadv", *common, "--out", str(tmp_path / "s")]) == 0
+        assert main(["sweep", "--experiment", "sect7-adv", *common, "--out", str(tmp_path / "a")]) == 0
+        nonadv = json.loads((tmp_path / "s.json").read_text())["meta"]
+        adv = json.loads((tmp_path / "a.json").read_text())["meta"]
+        assert "gamma" not in nonadv and adv["gamma"] == 0.1
+        assert {k: nonadv[k] for k in ("sigmas", "n", "seed", "w", "b")} == {
+            "sigmas": [0.2], "n": 20000, "seed": 3, "w": -5.0, "b": 0.0
+        }
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit) as exc:

@@ -445,6 +445,17 @@ class TestThreadMap:
         assert [v for v, _ in got] == [i * i for i in range(7)]
         assert {off_main for _, off_main in got} == {pooled}
 
+    def test_nested_call_runs_inline_on_the_worker(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("HCB_THREADS", "2")
+        main = threading.get_ident()
+
+        def outer(i):
+            me = threading.get_ident()
+            return me != main and thread_map(lambda j: threading.get_ident(), range(4)) == [me] * 4
+
+        assert thread_map(outer, range(3)) == [True] * 3
+
     def test_empty_and_single_item_run_inline(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setenv("HCB_THREADS", "2")

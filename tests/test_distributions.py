@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,9 @@ import pytest
 from scipy.special import ndtr
 
 import hcbounds
+from hcbounds import conditional
 from hcbounds.distributions import (
+    _SAMPLE_BLOCK,
     _SAMPLE_CHUNK,
     Atom,
     Component,
@@ -22,6 +26,7 @@ from hcbounds.distributions import (
     QuadratureError,
     TruncNormal,
     _gauss_kronrod,
+    _philox_at,
     dist_from_json_dict,
     dist_to_json_dict,
     expectation,
@@ -30,6 +35,7 @@ from hcbounds.distributions import (
     sect7_adversarial,
     sect7_nonadversarial,
 )
+from hcbounds.experiments import SweepConfig, run_nonadversarial_sweep
 
 
 class TestPresets:
@@ -214,6 +220,109 @@ class TestSampling:
         xs, ys = sample(dists[name], _SAMPLE_CHUNK + 4097, seed)
         assert xs.dtype == np.float64 and ys.dtype == np.int64
         assert hashlib.sha256(xs.tobytes() + ys.tobytes()).hexdigest() == digest
+
+
+_ETAS = (0.0, 0.1, 0.25, 0.5, 1.0, 0.9, 0.3, 0.6, 0.75, 0.05, 0.4, 1.0)
+# the three distributions of TestSampling.test_output_pinned
+PINNED_DISTS = {
+    "nonadv": sect7_nonadversarial(0.2),
+    "adv": sect7_adversarial(0.5, 0.1),
+    # 12 atoms, 21 labeled components (eta in {0, 1} drops one side)
+    "finite": FiniteDistribution(
+        tuple((float(x), 1.0 / 12.0, e) for x, e in zip(np.linspace(-1.0, 1.0, 12), _ETAS))
+    ).to_labeled(),
+}
+
+
+def _reference_sample(dist, n, seed):
+    """The sequential sampler: one pass per chunk, boolean-mask ppf scatter."""
+    comps = dist.components
+    cum = np.cumsum([c.weight for c in comps])
+    cum[-1] = np.inf  # a draw past the rounded total belongs to the last component
+    labels = np.array([c.label for c in comps], dtype=np.int64)
+    # continuous components get a placeholder location, overwritten by their ppf
+    locs = np.array([c.law.x if isinstance(c.law, Atom) else 0.0 for c in comps])
+    xs = np.empty(n, dtype=float)
+    ys = np.empty(n, dtype=np.int64)
+    for chunk, start in enumerate(range(0, n, _SAMPLE_CHUNK)):
+        m = min(_SAMPLE_CHUNK, n - start)
+        x_out, y_out = xs[start : start + m], ys[start : start + m]
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
+        u = rng.random(m)  # component draws
+        idx = np.searchsorted(cum, u, side="right")
+        rng.random(out=u)  # position draws, same stream order, same buffer
+        np.take(locs, idx, out=x_out)
+        for ci, comp in enumerate(comps):
+            if isinstance(comp.law, TruncNormal):
+                mask = idx == ci
+                x_out[mask] = comp.law.ppf(u[mask])
+        del u
+        np.take(labels, idx, out=y_out)
+    return xs, ys
+
+
+class TestBlockedSampler:
+    """``sample`` cuts chunks into 2^16-draw blocks on the thread pool; its
+    bytes must equal the sequential reference's at every thread count."""
+
+    @pytest.fixture
+    def four_cpus(self, monkeypatch):
+        # HCB_THREADS is clamped to the CPU count; 4 lets 3 mean 3 workers
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        return monkeypatch
+
+    @pytest.mark.parametrize(
+        "n",
+        [1, 3, 5, _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK + 1, 10**5, 10**6,
+         _SAMPLE_CHUNK + 4097, 3 * _SAMPLE_CHUNK + 7],
+    )
+    @pytest.mark.parametrize("name", sorted(PINNED_DISTS))
+    def test_matches_sequential_reference(self, four_cpus, name, n):
+        dist, seed = PINNED_DISTS[name], 1000 + n % 997
+        ref_x, ref_y = _reference_sample(dist, n, seed)
+        for threads in ("1", "2", "3"):
+            four_cpus.setenv("HCB_THREADS", threads)
+            xs, ys = sample(dist, n, seed)
+            assert xs.dtype == np.float64 and ys.dtype == np.int64
+            assert np.array_equal(xs.view(np.uint64), ref_x.view(np.uint64)), threads
+            assert np.array_equal(ys, ref_y), threads
+
+    @pytest.mark.parametrize("offset", [0, 1, 2, 3, 4, 5, 7, 8, 9, _SAMPLE_BLOCK + 3])
+    def test_philox_at_continues_the_stream(self, offset):
+        rng = np.random.Generator(np.random.Philox(key=np.array([11, 2], dtype=np.uint64)))
+        whole = rng.random(offset + 10)
+        got = _philox_at(11, 2, offset).random(10)
+        assert np.array_equal(got.view(np.uint64), whole[offset:].view(np.uint64))
+
+    def test_sweep_samplers_start_no_nested_pool(self, four_cpus):
+        four_cpus.setenv("HCB_THREADS", "2")
+        lock = threading.Lock()
+        counts = {"live": 0, "peak": 0, "pools": 0}
+
+        class CountingPool(ThreadPoolExecutor):
+            # a pool's worker count bounds the threads it has alive until shutdown
+            def __init__(self, max_workers, **kwargs):
+                super().__init__(max_workers, **kwargs)
+                self.slots = max_workers
+                with lock:
+                    counts["live"] += max_workers
+                    counts["peak"] = max(counts["peak"], counts["live"])
+                    counts["pools"] += 1
+
+            def shutdown(self, *args, **kwargs):
+                super().shutdown(*args, **kwargs)
+                with lock:
+                    counts["live"] -= self.slots
+
+        four_cpus.setattr(conditional, "ThreadPoolExecutor", CountingPool)
+        # each cell's sample spans 3 blocks, so a nested pool would start
+        cfg = SweepConfig(sigmas=(0.2, 0.1, 0.05), n_samples=2 * _SAMPLE_BLOCK + 5, seed=4)
+        rows = run_nonadversarial_sweep(cfg)
+        assert len(rows) == 9
+        assert counts == {"live": 0, "peak": 2, "pools": 1}
+        # outside a worker the same sample does start its own pool
+        sample(sect7_nonadversarial(0.2), cfg.n_samples, 0)
+        assert counts == {"live": 0, "peak": 2, "pools": 2}
 
 
 class TestExpectation:
