@@ -55,8 +55,8 @@ from .distributions import (
     LabeledDistribution,
     QuadratureError,
     _gauss_kronrod,
+    _map_sample_blocks,
     expectation,
-    sample,
 )
 from .hypotheses import HypothesisClass, HypothesisSpec, LinearHypothesis
 from .losses import (
@@ -155,6 +155,41 @@ def _pointwise_losses(loss, h, xs, ys, adversarial, gamma):
     return _loss_values(loss, *_score_kernel(h.w, h.b, xs, ys, adversarial, gamma))
 
 
+def _mc_risks(losses, h, dist, mode, adversarial, gamma) -> list:
+    """Monte Carlo (risk, stderr) of h under each loss, from one shared sample.
+
+    Each 2^16-draw sampling block is scored in place and reduced on its
+    worker to (count, mean, M2) per loss, M2 being the sum of squared
+    deviations as ``np.var`` computes it.  The blocks merge in block order by
+    the pairwise update of Chan, Golub and LeVeque, so memory does not grow
+    with n and the result is the same at every thread count; with one block
+    (n <= 2^16) it is bit-identical to ``np.mean`` and
+    ``np.std(ddof=1) / sqrt(n)`` over the sample, with more it differs from
+    them by rounding only.
+    """
+
+    def block_stats(xs, ys):
+        err, arg = _score_kernel(h.w, h.b, xs, ys, adversarial, gamma, overwrite=True)
+        stats = []
+        for loss in losses:
+            v = _loss_values(loss, err, arg)
+            mean = v.mean()
+            v -= mean
+            v *= v
+            stats.append((v.size, float(mean), float(v.sum())))
+        return stats
+
+    out = []
+    for by_block in zip(*_map_sample_blocks(dist, mode.n, mode.seed, block_stats)):  # one loss's blocks
+        n, mean, m2 = by_block[0]
+        for nb, mean_b, m2_b in by_block[1:]:
+            delta, n_a, n = mean_b - mean, n, n + nb
+            mean += delta * nb / n
+            m2 += m2_b + delta * delta * n_a * nb / n
+        out.append((mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n)))
+    return out
+
+
 def _kink_margins(loss) -> tuple:
     if isinstance(loss, ZeroOneLoss):
         return (0.0,)
@@ -191,6 +226,8 @@ def risk(
 ):
     """Generalization risk of h; returns (value, stderr). stderr is 0 in Exact mode.
 
+    MonteCarlo mode reduces the sample block by block (``_mc_risks``).
+
     Exact mode takes the zero-one risk from closed-form tail masses and a
     margin loss's risk from ``distributions._gauss_kronrod`` (QUADPACK's
     adaptive 21-point Gauss-Kronrod rule, absolute and relative tolerance
@@ -204,9 +241,7 @@ def risk(
         raise ValueError("adversarial risk needs gamma > 0")
     quad_err = 0.0
     if isinstance(mode, MonteCarlo):
-        xs, ys = sample(dist, mode.n, mode.seed)
-        vals = _pointwise_losses(loss, h, xs, ys, adversarial, gamma)
-        value, se = float(vals.mean()), float(vals.std(ddof=1)) / math.sqrt(mode.n)
+        ((value, se),) = _mc_risks((loss,), h, dist, mode, adversarial, gamma)
     elif isinstance(loss, ZeroOneLoss):
         value, se = float(_risk_grid(loss, dist, [h.w], [h.b], adversarial, gamma)[0, 0]), 0.0
     else:
@@ -276,23 +311,28 @@ def _error_mass(law, label, w, b, adversarial, gamma):
 
 def _risk_grid(loss, dist, w_vals, b_vals, adversarial, gamma):
     """Risk of every (w, b) pair: exact tail masses for zero-one, fixed
-    Gauss-Legendre panels for margin losses (search accuracy only)."""
+    Gauss-Legendre panels for margin losses (search accuracy only).  A loss
+    that overflows makes its cell's risk inf, silently; a node whose density
+    underflowed to 0 adds 0 there, never inf * 0."""
     w = np.asarray(w_vals, dtype=float)[:, None]
     b = np.asarray(b_vals, dtype=float)[None, :]
     out = np.zeros((w.shape[0], b.shape[1]))
-    out += _atom_risk(loss, dist, w, b, adversarial, gamma)
-    if isinstance(loss, ZeroOneLoss):
+    with np.errstate(over="ignore"):
+        out += _atom_risk(loss, dist, w, b, adversarial, gamma)
+        if isinstance(loss, ZeroOneLoss):
+            for c in dist.continuous():
+                out += c.weight * _error_mass(c.law, c.label, w, b, adversarial, gamma)
+            return out
+        nodes, weights = _gauss_legendre()
         for c in dist.continuous():
-            out += c.weight * _error_mass(c.law, c.label, w, b, adversarial, gamma)
-        return out
-    nodes, weights = _gauss_legendre()
-    for c in dist.continuous():
-        law = c.law
-        half = 0.5 * (law.hi - law.lo)
-        xg = law.lo + half * (nodes + 1.0)
-        wg = weights * half * law.pdf(xg) * c.weight
-        _, arg = _score_kernel(w[:, :, None], b[:, :, None], xg, c.label, adversarial, gamma)
-        out += eval_margin_loss(loss, arg) @ wg
+            law = c.law
+            half = 0.5 * (law.hi - law.lo)
+            xg = law.lo + half * (nodes + 1.0)
+            wg = weights * half * law.pdf(xg) * c.weight
+            _, arg = _score_kernel(w[:, :, None], b[:, :, None], xg, c.label, adversarial, gamma)
+            vals = eval_margin_loss(loss, arg)
+            vals[..., wg == 0.0] = 0.0
+            out += vals @ wg
     return out
 
 
@@ -452,6 +492,13 @@ def _check_massart_on_dist(dist: LabeledDistribution, beta: float) -> int:
     return bad
 
 
+def _holds(lhs: float, rhs: float, se_lhs: float, se_rhs: float) -> bool:
+    """The verdict on lhs <= rhs, for assembled bounds and the sweeps alike:
+    it fails only when lhs exceeds rhs by more than three combined standard
+    errors (0 for exact risks) plus 1e-9 of rounding."""
+    return bool(lhs <= rhs + 3.0 * (se_lhs + se_rhs) + 1e-9)
+
+
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{name} is not finite ({value}); the bound needs finite risks")
@@ -478,8 +525,9 @@ def assemble_bound(
     beyond it saturates: Gamma = 1, the largest target regret, and the
     report says ``saturated``.  A non-finite R_surrogate(h), E[C*] or y
     raises ``ValueError``.  In Monte Carlo mode both risks are estimated
-    from one shared sample and carry delta-method standard errors, rhs's
-    through Gamma's largest one-sided derivative at y.
+    from one shared sample, reduced block by block (``_mc_risks``), and
+    carry delta-method standard errors, rhs's through Gamma's largest
+    one-sided derivative at y.  ``holds`` follows ``_holds``.
     """
     adversarial = target is Target.ADVERSARIAL_ZERO_ONE
     if adversarial and not spec.adversarial:
@@ -494,12 +542,9 @@ def assemble_bound(
     gamma = spec.gamma
 
     if isinstance(mode, MonteCarlo):
-        xs, ys = sample(dist, mode.n, mode.seed)
-        err, arg = _score_kernel(h.w, h.b, xs, ys, adversarial, gamma, overwrite=True)
-        del xs, ys
-        tvals, svals = err.astype(float), eval_margin_loss(surrogate, arg)
-        r_target, se_target = float(tvals.mean()), float(tvals.std(ddof=1)) / math.sqrt(mode.n)
-        r_surr, se_surr = float(svals.mean()), float(svals.std(ddof=1)) / math.sqrt(mode.n)
+        (r_target, se_target), (r_surr, se_surr) = _mc_risks(
+            (ZERO_ONE, surrogate), h, dist, mode, adversarial, gamma
+        )
         r_surr_err = 0.0
     else:
         r_target, se_target = risk(ZERO_ONE, h, dist, Exact(), adversarial, gamma)
@@ -524,7 +569,6 @@ def assemble_bound(
     rhs = gamma_val - m_target
     se_rhs = deriv * se_surr if se_surr else 0.0
     slack = rhs - lhs
-    holds = lhs <= rhs + 3.0 * (se_target + se_rhs) + 1e-9
     prov = (
         ("mode", "mc" if isinstance(mode, MonteCarlo) else "exact"),
         ("n", getattr(mode, "n", 0)),
@@ -545,7 +589,7 @@ def assemble_bound(
         transform_label=inverse.loss_label,
         mc_stderr_lhs=se_target,
         mc_stderr_rhs=se_rhs,
-        holds=bool(holds),
+        holds=_holds(lhs, rhs, se_target, se_rhs),
         slack=slack,
         saturated=saturated,
         relaxed_inverse=inverse.relaxed,

@@ -11,7 +11,9 @@ densities decide.
 Sampling is exact inverse-CDF sampling driven by a counter-based generator
 (Philox) with per-chunk substreams keyed by (seed, chunk index), so output is
 reproducible bit-for-bit.  ``sample`` fills fixed 2^16-draw blocks of each
-chunk on the shared thread pool, with the same output at every thread count.
+chunk on the shared thread pool, with the same output at every thread count;
+``_map_sample_blocks`` hands the same blocks, in block-sized buffers, to a
+reduction that runs on the pool.
 Expectations sum atoms exactly and integrate continuous components with
 ``_gauss_kronrod``, QUADPACK's adaptive 21-point Gauss-Kronrod rule evaluated
 on every open panel in one array call (absolute and relative tolerance 1e-10;
@@ -307,18 +309,29 @@ def _philox_at(seed: int, chunk: int, offset: int):
     return rng
 
 
-def sample(dist: LabeledDistribution, n: int, seed: int):
-    """n i.i.d. draws; returns (x, y) arrays. Deterministic given the seed.
+def _component_index(cum, u):
+    """``np.searchsorted(cum, u, side="right")`` without its branches, for
+    sorted cum ending in inf: the count of the cutoffs cum[k] <= u, of which
+    the last never counts.  On random u a binary search mispredicts; this
+    pays one comparison per component instead."""
+    idx = np.greater_equal(u, cum[0], out=np.empty(u.size, dtype=np.intp))
+    hit = np.empty(u.size, dtype=bool)
+    for c in cum[1:-1]:
+        idx += np.greater_equal(u, c, out=hit)
+    return idx
 
-    Chunk c of 2^20 draws (m of them in a short last chunk) reads substream
-    (seed, c): its doubles 0..m-1 pick the components and its doubles m..2m-1
-    the positions.  Each chunk is cut into blocks of 2^16 draws, which run on
-    ``thread_map`` and fill their own slices of the output.  The block at
-    offset a reads the doubles from a and from m + a, so it consumes exactly
-    the words a single pass over the chunk would, and every element goes
-    through the same elementwise operations.  The output therefore does not
-    depend on the thread count, and working memory stays a few block-sized
-    buffers per thread.
+
+def _block_filler(dist: LabeledDistribution, n: int, seed: int):
+    """The blocks of an n-draw sample and the body that draws one of them.
+
+    Returns (blocks, fill): blocks lists (chunk, m, a, start, size) in sample
+    order, and fill(block, x_out, y_out) writes that block's draws into
+    buffers of its size.  Chunk c of 2^20 draws (m of them in a short last
+    chunk) reads substream (seed, c): its doubles 0..m-1 pick the components
+    and its doubles m..2m-1 the positions.  The block at offset a reads the
+    doubles from a and from m + a, so it consumes exactly the words a single
+    pass over the chunk would, and every element goes through the same
+    elementwise operations.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -331,28 +344,62 @@ def sample(dist: LabeledDistribution, n: int, seed: int):
     # continuous components get a placeholder location, overwritten by their ppf
     locs = np.array([c.law.x if isinstance(c.law, Atom) else 0.0 for c in comps])
     continuous = [(ci, c.law) for ci, c in enumerate(comps) if isinstance(c.law, TruncNormal)]
-    xs = np.empty(n, dtype=float)
-    ys = np.empty(n, dtype=np.int64)
 
-    def fill(block):
-        chunk, m, a, start = block
-        x_out = xs[start : start + min(_SAMPLE_BLOCK, m - a)]
+    def fill(block, x_out, y_out):
+        chunk, m, a = block[:3]
         u = np.empty(x_out.size)
         _philox_at(seed, chunk, a).random(out=u)  # component draws
-        idx = np.searchsorted(cum, u, side="right")
+        idx = _component_index(cum, u)
         _philox_at(seed, chunk, m + a).random(out=u)  # position draws, same buffer
-        np.take(locs, idx, out=x_out)
+        # idx is always in range; mode="raise" would buffer the output
+        np.take(locs, idx, out=x_out, mode="clip")
         for ci, law in continuous:
             ix = np.flatnonzero(idx == ci)
             x_out.put(ix, law.ppf(u.take(ix)))
-        np.take(labels, idx, out=ys[start : start + x_out.size])
+        np.take(labels, idx, out=y_out, mode="clip")
 
     blocks = []
     for chunk, c0 in enumerate(range(0, n, _SAMPLE_CHUNK)):
         m = min(_SAMPLE_CHUNK, n - c0)
-        blocks += [(chunk, m, a, c0 + a) for a in range(0, m, _SAMPLE_BLOCK)]
-    thread_map(fill, blocks)
+        blocks += [(chunk, m, a, c0 + a, min(_SAMPLE_BLOCK, m - a)) for a in range(0, m, _SAMPLE_BLOCK)]
+    return blocks, fill
+
+
+def sample(dist: LabeledDistribution, n: int, seed: int):
+    """n i.i.d. draws; returns (x, y) arrays. Deterministic given the seed.
+
+    The sample is cut into blocks of 2^16 draws (see ``_block_filler``),
+    which run on ``thread_map`` and fill their own slices of the output.  The
+    output therefore does not depend on the thread count, and working memory
+    stays a few block-sized buffers per thread.
+    """
+    blocks, fill = _block_filler(dist, n, seed)
+    xs = np.empty(n, dtype=float)
+    ys = np.empty(n, dtype=np.int64)
+
+    def run(block):
+        start, size = block[3:]
+        fill(block, xs[start : start + size], ys[start : start + size])
+
+    thread_map(run, blocks)
     return xs, ys
+
+
+def _map_sample_blocks(dist: LabeledDistribution, n: int, seed: int, fn) -> list:
+    """[fn(x, y) for each block of ``sample(dist, n, seed)``], in block order.
+
+    Each block's draws land in fresh block-sized buffers, which fn may
+    overwrite, and fn runs on the block's ``thread_map`` worker; memory
+    therefore does not grow with n.
+    """
+    blocks, fill = _block_filler(dist, n, seed)
+
+    def run(block):
+        x, y = np.empty(block[4]), np.empty(block[4], dtype=np.int64)
+        fill(block, x, y)
+        return fn(x, y)
+
+    return thread_map(run, blocks)
 
 
 # QUADPACK's qk21 pair (Piessens et al., QUADPACK, 1983): the Kronrod

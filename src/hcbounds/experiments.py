@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _score_kernel
+from .bounds import _holds, _score_kernel
 from .distributions import expectation, sect7_adversarial, sect7_nonadversarial, sample
 from .hypotheses import HypothesisClass, HypothesisSpec
 from .losses import (
@@ -134,7 +134,7 @@ def run_nonadversarial_sweep(cfg: SweepConfig):
                     "stderr_lhs": se_lhs,
                     "stderr_rhs": se_rhs,
                     "slack": slack,
-                    "holds": bool(slack >= -3.0 * (se_lhs + se_rhs)),
+                    "holds": _holds(lhs, rhs, se_lhs, se_rhs),
                 }
             )
         return rows
@@ -184,7 +184,7 @@ def run_adversarial_sweep(cfg: SweepConfig):
                     "stderr_lhs": se_lhs,
                     "stderr_rhs": se_rhs,
                     "slack": slack,
-                    "holds": bool(slack >= -3.0 * (se_lhs + se_rhs)),
+                    "holds": _holds(lhs, rhs, se_lhs, se_rhs),
                     "frac_rho_rhs_le_hinge": frac,
                 }
             )

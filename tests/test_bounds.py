@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import math
+import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +18,8 @@ from hcbounds.bounds import (
     MonteCarlo,
     Target,
     _check_massart_on_dist,
+    _holds,
+    _mc_risks,
     _pointwise_losses,
     _risk_grid,
     _score_kernel,
@@ -29,12 +33,14 @@ from hcbounds.bounds import (
 )
 from hcbounds.conditional import ConditionalPoint, min_conditional_risk
 from hcbounds.distributions import (
+    _SAMPLE_BLOCK,
     Atom,
     Component,
     FiniteDistribution,
     LabeledDistribution,
     TruncNormal,
     expectation,
+    sample,
     sect7_adversarial,
     sect7_nonadversarial,
 )
@@ -153,6 +159,30 @@ class TestPinnedRiskValues:
         w_vals, b_vals = np.linspace(-3.0, 3.0, 21), np.linspace(-1.0, 1.0, 21)
         grid = _risk_grid(loss, dist, w_vals, b_vals, adversarial, 0.1 if adversarial else 0.0)
         assert hashlib.sha256(grid.tobytes()).hexdigest() == _RISK_GRID_DIGESTS[loss.label(), adversarial]
+
+
+class TestNonFiniteRiskGrid:
+    """A class whose bias budget overflows the surrogate: the grid must hold
+    inf, never NaN, so the search never picks a NaN cell, and raise no
+    overflow warning."""
+
+    @pytest.mark.parametrize("loss", [quadratic(), exponential()], ids=lambda l: l.label())
+    @pytest.mark.parametrize("sigma", [0.1, 0.02])
+    def test_overflow_is_an_infinite_risk(self, loss, sigma):
+        dist = sect7_nonadversarial(sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = _risk_grid(loss, dist, np.linspace(-1.0, 1.0, 41), np.linspace(-1e200, 1e200, 41), False, 0.0)
+        assert not np.isnan(grid).any()
+        assert np.isinf(grid).any() and np.isfinite(grid).any()
+
+    @pytest.mark.parametrize("loss", [quadratic(), exponential()], ids=lambda l: l.label())
+    def test_search_skips_infinite_cells(self, loss):
+        spec = HypothesisSpec(LIN, W=1.0, B=1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            star = best_in_class_risk(loss, spec, sect7_nonadversarial(0.02))
+        assert math.isfinite(star.value) and abs(star.b) < 1e199
 
 
 class TestBestInClass:
@@ -569,6 +599,113 @@ def _count_best_in_class_calls(monkeypatch):
 
     monkeypatch.setattr(bounds, "best_in_class_risk", counting)
     return calls
+
+
+class TestStreamedMonteCarlo:
+    """Monte Carlo risks reduce each sampling block on its worker to
+    (count, mean, M2) and merge the blocks in order."""
+
+    LOSSES = (ZERO_ONE, quadratic(), hinge(), logistic(), rho_margin(0.5))
+    H = LinearHypothesis((-0.9,), -0.3)
+    CASES = {
+        "nonadv": (sect7_nonadversarial(0.05), False, 0.0),
+        "adv": (sect7_adversarial(0.1, 0.1), True, 0.1),
+    }
+
+    @pytest.fixture
+    def four_cpus(self, monkeypatch):
+        # HCB_THREADS is clamped to the CPU count; 4 lets 2 mean 2 workers
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        return monkeypatch
+
+    @pytest.mark.parametrize("n", [3 * _SAMPLE_BLOCK + 17, (1 << 20) + 5])  # the second crosses a chunk
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bits_identical_at_every_thread_count(self, four_cpus, case, n):
+        dist, adversarial, gamma = self.CASES[case]
+        got = {}
+        for threads in ("1", "2"):
+            four_cpus.setenv("HCB_THREADS", threads)
+            stats = _mc_risks(self.LOSSES, self.H, dist, MonteCarlo(n, 4), adversarial, gamma)
+            got[threads] = [(mean.hex(), se.hex()) for mean, se in stats]
+        assert got["1"] == got["2"]
+
+    @pytest.mark.parametrize(
+        "n", [2, 3, 1000, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1, 3 * _SAMPLE_BLOCK + 17, (1 << 20) + 5]
+    )
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_whole_sample_statistics(self, case, n):
+        dist, adversarial, gamma = self.CASES[case]
+        stats = _mc_risks(self.LOSSES, self.H, dist, MonteCarlo(n, 4), adversarial, gamma)
+        xs, ys = sample(dist, n, 4)
+        for loss, (mean, se) in zip(self.LOSSES, stats):
+            vals = _pointwise_losses(loss, self.H, xs, ys, adversarial, gamma)
+            want_mean, want_se = float(np.mean(vals)), float(np.std(vals, ddof=1)) / math.sqrt(n)
+            if n <= _SAMPLE_BLOCK:  # one block: the same operations as np.mean and np.std
+                assert (mean.hex(), se.hex()) == (want_mean.hex(), want_se.hex()), loss
+            else:  # merged blocks: rounding only
+                assert abs(mean - want_mean) <= 1e-15 * abs(want_mean), loss
+                assert abs(se - want_se) <= 1e-15 * abs(want_se), loss
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_risk_and_assemble_bound_agree(self, case):
+        dist, adversarial, gamma = self.CASES[case]
+        # the two Monte Carlo kinds of the benchmark's bound workload
+        if adversarial:
+            target, loss, spec = Target.ADVERSARIAL_ZERO_ONE, hinge(), _ADV_SPEC
+        else:
+            target, loss, spec = Target.ZERO_ONE, quadratic(), HypothesisSpec(ALL)
+        mode = MonteCarlo(3 * _SAMPLE_BLOCK + 17, seed=9)
+        rep = assemble_bound(target, loss, spec, dist, self.H, massart=0.5, mode=mode)
+        r_target, se_target = risk(ZERO_ONE, self.H, dist, mode, adversarial, gamma)
+        r_surr, _ = risk(loss, self.H, dist, mode, adversarial, gamma)
+        star = best_in_class_risk(ZERO_ONE, spec, dist, adversarial=adversarial).value
+        assert rep.r_surrogate == r_surr
+        assert (rep.lhs, rep.mc_stderr_lhs) == (r_target - star, se_target)
+
+    def test_memory_does_not_grow_with_n(self, monkeypatch):
+        monkeypatch.setenv("HCB_THREADS", "1")
+        dist = sect7_nonadversarial(0.05)
+        risk(quadratic(), self.H, dist, MonteCarlo(1000, 1))  # first-call imports
+        peaks = []
+        for n in (2 * _SAMPLE_BLOCK, (1 << 20) + 5):
+            tracemalloc.start()
+            try:
+                risk(quadratic(), self.H, dist, MonteCarlo(n, 1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # whole arrays of 2^20 draws alone would take 16 MB
+        assert peaks[1] <= 1.1 * peaks[0] < 8 * _SAMPLE_BLOCK * 10
+
+
+class TestVerdictRule:
+    """Assembled bounds and the sweeps judge lhs <= rhs by one rule."""
+
+    def test_three_standard_errors_plus_rounding(self):
+        assert _holds(1.0, 1.0, 0.0, 0.0)
+        assert _holds(1.0 + 1e-9, 1.0, 0.0, 0.0)
+        assert not _holds(1.0 + 2e-9, 1.0, 0.0, 0.0)
+        assert _holds(1.3, 1.0, 0.05, 0.05)
+        assert not _holds(1.31, 1.0, 0.05, 0.05)
+
+    def test_assemble_bound_and_sweeps_use_it(self, monkeypatch):
+        from hcbounds import experiments
+
+        calls = []
+
+        def recording(lhs, rhs, se_lhs, se_rhs):
+            calls.append((lhs, rhs, se_lhs, se_rhs))
+            return False
+
+        monkeypatch.setattr(bounds, "_holds", recording)
+        monkeypatch.setattr(experiments, "_holds", recording)
+        target, loss, spec, dist, h, massart, mode = _VERDICT_CASES["mc-sup-hinge-massart"]
+        rep = assemble_bound(target, loss, spec, dist, h, massart=massart, mode=mode)
+        assert not rep.holds
+        assert calls == [(rep.lhs, rep.rhs, rep.mc_stderr_lhs, rep.mc_stderr_rhs)]
+        rows = experiments.run_nonadversarial_sweep(experiments.SweepConfig(sigmas=(0.2,), n_samples=10**4))
+        assert not any(r["holds"] for r in rows)
+        assert calls[1:] == [(r["lhs"], r["rhs"], r["stderr_lhs"], r["stderr_rhs"]) for r in rows]
 
 
 class TestVerdictPath:

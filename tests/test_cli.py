@@ -1,15 +1,24 @@
 """CLI contract: flags, exit codes, output determinism."""
 
 import json
+import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
+import hcbounds
 from hcbounds import __version__, oracle_check
 from hcbounds.cli import main
 from hcbounds.conditional import thread_cap
+
+
+SRC = str(Path(hcbounds.__file__).resolve().parents[1])
 
 
 def expected_meta():
@@ -165,6 +174,34 @@ class TestBoundCommand:
         assert main(args + ["--out", str(o1)]) == 0
         assert main(args + ["--out", str(o2)]) == 0
         assert o1.read_bytes() == o2.read_bytes()
+
+    @pytest.mark.parametrize("loss", ["quadratic", "exponential"])
+    @pytest.mark.parametrize("sigma", ["0.1", "0.02"])
+    def test_overflowing_bias_budget_reports(self, tmp_path, loss, sigma):
+        # B = 1e200 overflows the surrogate on much of the search grid; at
+        # sigma 0.02 the far tail's density also underflows to 0 there
+        out = tmp_path / "b.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["bound", "--loss", loss, "--class", "linear", "--W", "1", "--B", "1e200",
+                         "--w", "0.5", "--b", "0.1", "--dist", "sect7-nonadv", "--sigma", sigma,
+                         "--out", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["holds"] is True
+        split = doc["components"]
+        assert all(math.isfinite(v) for v in (doc["lhs"], doc["rhs"], split["M_surrogate"], split["surrogate_excess"]))
+
+    def test_overflowing_bias_budget_under_warnings_as_errors(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "hcbounds.cli", "bound", "--loss", "quadratic",
+             "--class", "linear", "--W", "1", "--B", "1e200", "--w", "0.5", "--b", "0.1",
+             "--dist", "sect7-nonadv", "--sigma", "0.02"],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["holds"] is True
 
     def test_invalid_beta_rejected(self, capsys):
         code = main(["bound", "--loss", "quadratic", "--class", "all", "--dist", "sect7-nonadv",

@@ -25,6 +25,7 @@ from hcbounds.distributions import (
     LabeledDistribution,
     QuadratureError,
     TruncNormal,
+    _component_index,
     _gauss_kronrod,
     _philox_at,
     dist_from_json_dict,
@@ -323,6 +324,65 @@ class TestBlockedSampler:
         # outside a worker the same sample does start its own pool
         sample(sect7_nonadversarial(0.2), cfg.n_samples, 0)
         assert counts == {"live": 0, "peak": 2, "pools": 2}
+
+
+def _cumulative_weights(dist):
+    cum = np.cumsum([c.weight for c in dist.components])
+    cum[-1] = np.inf
+    return cum
+
+
+class TestComponentIndex:
+    """The sampler's branch-free component pick must equal
+    ``searchsorted(side="right")``, ties and all."""
+
+    DISTS = {
+        **PINNED_DISTS,
+        "one-atom": LabeledDistribution((Component(1.0, 1, Atom(0.3)),)),
+        "one-normal": LabeledDistribution((Component(1.0, -1, TruncNormal(-1.0, 1.0, 0.0, 0.5)),)),
+        # zero-weight components repeat a cutoff, where the tie rule decides
+        "zero-weights": LabeledDistribution(
+            (
+                Component(0.25, 1, Atom(-1.0)),
+                Component(0.0, -1, Atom(0.0)),
+                Component(0.0, 1, Atom(0.5)),
+                Component(0.75, -1, TruncNormal(0.0, 1.0, 0.5, 0.2)),
+            )
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DISTS))
+    def test_matches_searchsorted_right(self, name):
+        cum = _cumulative_weights(self.DISTS[name])
+        finite = cum[np.isfinite(cum)]
+        u = np.concatenate(
+            (
+                [0.0, np.nextafter(1.0, 0.0)],
+                finite,  # u exactly on a cumulative weight
+                np.nextafter(finite, 0.0),
+                np.nextafter(finite, 1.0),
+                np.random.default_rng(3).random(10_000),
+            )
+        )
+        u = u[u < 1.0]
+        got = _component_index(cum, u)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.searchsorted(cum, u, side="right"))
+
+    def test_u_on_a_cutoff_picks_the_next_component(self):
+        cum = _cumulative_weights(self.DISTS["zero-weights"])
+        # u = 0.25 lies on three cutoffs: the zero-weight components get nothing
+        assert _component_index(cum, np.array([0.0, 0.25])).tolist() == [0, 3]
+
+    @pytest.mark.parametrize("name", ["one-atom", "one-normal"])
+    def test_one_component_samples_match_reference(self, name):
+        dist = self.DISTS[name]
+        assert np.array_equal(_component_index(_cumulative_weights(dist), np.array([0.0, 0.5])), [0, 0])
+        n = _SAMPLE_BLOCK + 9
+        xs, ys = sample(dist, n, 5)
+        ref_x, ref_y = _reference_sample(dist, n, 5)
+        assert np.array_equal(xs.view(np.uint64), ref_x.view(np.uint64))
+        assert np.array_equal(ys, ref_y) and (ys == dist.components[0].label).all()
 
 
 class TestExpectation:
