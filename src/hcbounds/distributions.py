@@ -309,18 +309,6 @@ def _philox_at(seed: int, chunk: int, offset: int):
     return rng
 
 
-def _component_index(cum, u):
-    """``np.searchsorted(cum, u, side="right")`` without its branches, for
-    sorted cum ending in inf: the count of the cutoffs cum[k] <= u, of which
-    the last never counts.  On random u a binary search mispredicts; this
-    pays one comparison per component instead."""
-    idx = np.greater_equal(u, cum[0], out=np.empty(u.size, dtype=np.intp))
-    hit = np.empty(u.size, dtype=bool)
-    for c in cum[1:-1]:
-        idx += np.greater_equal(u, c, out=hit)
-    return idx
-
-
 def _block_filler(dist: LabeledDistribution, n: int, seed: int):
     """The blocks of an n-draw sample and the body that draws one of them.
 
@@ -349,7 +337,7 @@ def _block_filler(dist: LabeledDistribution, n: int, seed: int):
         chunk, m, a = block[:3]
         u = np.empty(x_out.size)
         _philox_at(seed, chunk, a).random(out=u)  # component draws
-        idx = _component_index(cum, u)
+        idx = np.searchsorted(cum, u, side="right")
         _philox_at(seed, chunk, m + a).random(out=u)  # position draws, same buffer
         # idx is always in range; mode="raise" would buffer the output
         np.take(locs, idx, out=x_out, mode="clip")

@@ -25,7 +25,6 @@ from hcbounds.distributions import (
     LabeledDistribution,
     QuadratureError,
     TruncNormal,
-    _component_index,
     _gauss_kronrod,
     _philox_at,
     dist_from_json_dict,
@@ -326,18 +325,12 @@ class TestBlockedSampler:
         assert counts == {"live": 0, "peak": 2, "pools": 2}
 
 
-def _cumulative_weights(dist):
-    cum = np.cumsum([c.weight for c in dist.components])
-    cum[-1] = np.inf
-    return cum
-
-
-class TestComponentIndex:
-    """The sampler's branch-free component pick must equal
-    ``searchsorted(side="right")``, ties and all."""
+class TestComponentPick:
+    """The sampler picks components by ``searchsorted(side="right")`` over
+    the cumulative weights: edge-case mixtures must match the sequential
+    reference bit for bit."""
 
     DISTS = {
-        **PINNED_DISTS,
         "one-atom": LabeledDistribution((Component(1.0, 1, Atom(0.3)),)),
         "one-normal": LabeledDistribution((Component(1.0, -1, TruncNormal(-1.0, 1.0, 0.0, 0.5)),)),
         # zero-weight components repeat a cutoff, where the tie rule decides
@@ -349,40 +342,31 @@ class TestComponentIndex:
                 Component(0.75, -1, TruncNormal(0.0, 1.0, 0.5, 0.2)),
             )
         ),
+        # 400 atoms, 800 labeled components
+        "many-atoms": FiniteDistribution(
+            tuple((float(x), 1.0 / 400.0, 0.3) for x in np.linspace(-1.0, 1.0, 400))
+        ).to_labeled(),
     }
 
     @pytest.mark.parametrize("name", sorted(DISTS))
-    def test_matches_searchsorted_right(self, name):
-        cum = _cumulative_weights(self.DISTS[name])
-        finite = cum[np.isfinite(cum)]
-        u = np.concatenate(
-            (
-                [0.0, np.nextafter(1.0, 0.0)],
-                finite,  # u exactly on a cumulative weight
-                np.nextafter(finite, 0.0),
-                np.nextafter(finite, 1.0),
-                np.random.default_rng(3).random(10_000),
-            )
-        )
-        u = u[u < 1.0]
-        got = _component_index(cum, u)
-        assert got.dtype == np.intp
-        assert np.array_equal(got, np.searchsorted(cum, u, side="right"))
-
-    def test_u_on_a_cutoff_picks_the_next_component(self):
-        cum = _cumulative_weights(self.DISTS["zero-weights"])
-        # u = 0.25 lies on three cutoffs: the zero-weight components get nothing
-        assert _component_index(cum, np.array([0.0, 0.25])).tolist() == [0, 3]
-
-    @pytest.mark.parametrize("name", ["one-atom", "one-normal"])
-    def test_one_component_samples_match_reference(self, name):
+    def test_samples_match_reference(self, name):
         dist = self.DISTS[name]
-        assert np.array_equal(_component_index(_cumulative_weights(dist), np.array([0.0, 0.5])), [0, 0])
         n = _SAMPLE_BLOCK + 9
         xs, ys = sample(dist, n, 5)
         ref_x, ref_y = _reference_sample(dist, n, 5)
         assert np.array_equal(xs.view(np.uint64), ref_x.view(np.uint64))
-        assert np.array_equal(ys, ref_y) and (ys == dist.components[0].label).all()
+        assert np.array_equal(ys, ref_y)
+
+    def test_zero_weight_components_get_no_draws(self):
+        xs, ys = sample(self.DISTS["zero-weights"], _SAMPLE_BLOCK + 9, 5)
+        assert not np.isin(xs, (0.0, 0.5)).any()
+        assert ((xs == -1.0) == (ys == 1)).all()
+
+    @pytest.mark.parametrize("name", ["one-atom", "one-normal"])
+    def test_one_component_takes_every_draw(self, name):
+        dist = self.DISTS[name]
+        _, ys = sample(dist, 100, 5)
+        assert (ys == dist.components[0].label).all()
 
 
 class TestExpectation:
