@@ -309,6 +309,42 @@ def _philox_at(seed: int, chunk: int, offset: int):
     return rng
 
 
+def _component_picker(cum):
+    """pick(u) = ``np.searchsorted(cum, u, side="right")`` for u in [0, 1) and
+    cum sorted and ending in inf, by a guide table (Chen and Asau, 1974).
+
+    [0, 1) is cut into 2^t >= 4K equal cells for K components.  u times a
+    power of two is exact, so u's cell is too, and the table gives the count
+    of cutoffs up to the cell's left edge.  Only draws in a cell with a
+    cutoff strictly inside it search further, by halving over as many
+    cutoffs as the fullest cell holds (log2 K steps at worst).  Nothing
+    branches on u, as a binary search over cum would, and the cost per draw
+    does not grow with K.  The sect7 weights are sixteenths, so their cutoffs
+    lie on cell edges and no draw searches.
+    """
+    cells = 1 << ((len(cum) - 1).bit_length() + 2)
+    edges = np.arange(cells + 1) / cells
+    start = np.searchsorted(cum, edges[:-1], side="right")
+    inside = np.searchsorted(cum, edges[1:], side="left") - start  # cutoffs strictly inside each cell
+    width = 1 << int(inside.max()).bit_length()  # a power of two above every cell's count
+    padded = np.concatenate((cum, np.full(width, np.inf)))
+
+    def pick(u):
+        cell = (u * cells).astype(np.intp)
+        idx = start.take(cell)
+        if width > 1:
+            ix = np.flatnonzero(inside.take(cell))
+            v, i = u.take(ix), idx.take(ix)
+            step = width // 2
+            while step:
+                i += step * (padded.take(i + (step - 1)) <= v)
+                step //= 2
+            idx.put(ix, i)
+        return idx
+
+    return pick
+
+
 def _block_filler(dist: LabeledDistribution, n: int, seed: int):
     """The blocks of an n-draw sample and the body that draws one of them.
 
@@ -332,12 +368,13 @@ def _block_filler(dist: LabeledDistribution, n: int, seed: int):
     # continuous components get a placeholder location, overwritten by their ppf
     locs = np.array([c.law.x if isinstance(c.law, Atom) else 0.0 for c in comps])
     continuous = [(ci, c.law) for ci, c in enumerate(comps) if isinstance(c.law, TruncNormal)]
+    pick = _component_picker(cum)
 
     def fill(block, x_out, y_out):
         chunk, m, a = block[:3]
         u = np.empty(x_out.size)
         _philox_at(seed, chunk, a).random(out=u)  # component draws
-        idx = np.searchsorted(cum, u, side="right")
+        idx = pick(u)
         _philox_at(seed, chunk, m + a).random(out=u)  # position draws, same buffer
         # idx is always in range; mode="raise" would buffer the output
         np.take(locs, idx, out=x_out, mode="clip")

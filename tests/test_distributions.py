@@ -25,6 +25,7 @@ from hcbounds.distributions import (
     LabeledDistribution,
     QuadratureError,
     TruncNormal,
+    _component_picker,
     _gauss_kronrod,
     _philox_at,
     dist_from_json_dict,
@@ -325,12 +326,24 @@ class TestBlockedSampler:
         assert counts == {"live": 0, "peak": 2, "pools": 2}
 
 
+def _cumulative_weights(dist):
+    cum = np.cumsum([c.weight for c in dist.components])
+    cum[-1] = np.inf
+    return cum
+
+
+def _random_weights(k, seed):
+    w = np.random.default_rng(seed).random(k)
+    return w / w.sum()
+
+
 class TestComponentPick:
-    """The sampler picks components by ``searchsorted(side="right")`` over
-    the cumulative weights: edge-case mixtures must match the sequential
-    reference bit for bit."""
+    """The sampler's guide-table pick must equal ``searchsorted(side="right")``
+    over the cumulative weights, ties and all, whatever the number of
+    components and however their cutoffs crowd into one cell."""
 
     DISTS = {
+        **PINNED_DISTS,
         "one-atom": LabeledDistribution((Component(1.0, 1, Atom(0.3)),)),
         "one-normal": LabeledDistribution((Component(1.0, -1, TruncNormal(-1.0, 1.0, 0.0, 0.5)),)),
         # zero-weight components repeat a cutoff, where the tie rule decides
@@ -342,13 +355,40 @@ class TestComponentPick:
                 Component(0.75, -1, TruncNormal(0.0, 1.0, 0.5, 0.2)),
             )
         ),
-        # 400 atoms, 800 labeled components
+        # 400 atoms, 800 labeled components with cutoffs off every cell edge
         "many-atoms": FiniteDistribution(
-            tuple((float(x), 1.0 / 400.0, 0.3) for x in np.linspace(-1.0, 1.0, 400))
+            tuple(zip(np.linspace(-1.0, 1.0, 400), _random_weights(400, 1), np.full(400, 0.3)))
+        ).to_labeled(),
+        # 299 cutoffs crowd into the first cell, so those draws search 9 steps
+        "crowded": FiniteDistribution(
+            tuple(zip(np.linspace(-1.0, 1.0, 300), [1e-9] * 299 + [1.0 - 299e-9], [1.0] * 300))
         ).to_labeled(),
     }
 
     @pytest.mark.parametrize("name", sorted(DISTS))
+    def test_matches_searchsorted_right(self, name):
+        cum = _cumulative_weights(self.DISTS[name])
+        finite = cum[np.isfinite(cum)]
+        u = np.concatenate(
+            (
+                [0.0, 5e-324, 1e-9, np.nextafter(1.0, 0.0)],
+                finite,  # u exactly on a cumulative weight
+                np.nextafter(finite, 0.0),
+                np.nextafter(finite, 1.0),
+                np.random.default_rng(3).random(10_000),
+            )
+        )
+        u = u[u < 1.0]
+        got = _component_picker(cum)(u)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.searchsorted(cum, u, side="right"))
+
+    def test_u_on_a_cutoff_picks_the_next_component(self):
+        pick = _component_picker(_cumulative_weights(self.DISTS["zero-weights"]))
+        # u = 0.25 lies on three cutoffs: the zero-weight components get nothing
+        assert pick(np.array([0.0, 0.25])).tolist() == [0, 3]
+
+    @pytest.mark.parametrize("name", ["one-atom", "one-normal", "zero-weights", "many-atoms", "crowded"])
     def test_samples_match_reference(self, name):
         dist = self.DISTS[name]
         n = _SAMPLE_BLOCK + 9
@@ -357,14 +397,10 @@ class TestComponentPick:
         assert np.array_equal(xs.view(np.uint64), ref_x.view(np.uint64))
         assert np.array_equal(ys, ref_y)
 
-    def test_zero_weight_components_get_no_draws(self):
-        xs, ys = sample(self.DISTS["zero-weights"], _SAMPLE_BLOCK + 9, 5)
-        assert not np.isin(xs, (0.0, 0.5)).any()
-        assert ((xs == -1.0) == (ys == 1)).all()
-
     @pytest.mark.parametrize("name", ["one-atom", "one-normal"])
     def test_one_component_takes_every_draw(self, name):
         dist = self.DISTS[name]
+        assert _component_picker(_cumulative_weights(dist))(np.array([0.0, 0.5])).tolist() == [0, 0]
         _, ys = sample(dist, 100, 5)
         assert (ys == dist.components[0].label).all()
 
