@@ -318,9 +318,10 @@ def _component_picker(cum):
     of cutoffs up to the cell's left edge.  Only draws in a cell with a
     cutoff strictly inside it search further, by halving over as many
     cutoffs as the fullest cell holds (log2 K steps at worst).  Nothing
-    branches on u, as a binary search over cum would, and the cost per draw
-    does not grow with K.  The sect7 weights are sixteenths, so their cutoffs
-    lie on cell edges and no draw searches.
+    branches on u, as a binary search over cum would, and with at least four
+    cells per component few draws search at all, whatever K.  The sect7
+    weights are sixteenths, so their cutoffs lie on cell edges and no draw
+    searches.
     """
     cells = 1 << ((len(cum) - 1).bit_length() + 2)
     edges = np.arange(cells + 1) / cells
