@@ -94,7 +94,6 @@ from .bounds import (
 from .experiments import (
     SweepConfig,
     emit_transform_curves,
-    nonadversarial_minimal_risks,
     run_adversarial_sweep,
     run_nonadversarial_sweep,
 )

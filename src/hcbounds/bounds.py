@@ -42,11 +42,12 @@ import numpy as np
 
 from .conditional import (
     ConditionalPoint,
+    _adversarial_bracket,
+    _min_risk,
     brute_force_inf,
     conditional_risk,
     conditional_risk_zero_one,
     min_conditional_risk,
-    min_conditional_risk_adversarial,
     min_risk_symmetric,
 )
 from .distributions import (
@@ -352,7 +353,7 @@ def best_in_class_risk(
         if adversarial:
             raise ValueError("no exact machinery for the unrestricted class under perturbations")
         if isinstance(loss, ZeroOneLoss):
-            val, err = _expect_eta(dist, lambda e: min(e, 1.0 - e))
+            val, err = _expect_eta(dist, lambda e: np.minimum(e, 1.0 - e))
         else:
             val, err = _expect_eta(dist, lambda e: min_risk_symmetric(loss, math.inf, e))
         return BestInClass(val, exact=True, tol=0.0, quad_err=err)
@@ -388,20 +389,12 @@ def _expect_min_conditional(loss, spec, dist, adversarial) -> tuple:
     estimate); the lower endpoint when only a bracket is available, which
     upper-bounds the resulting gap."""
     if isinstance(loss, ZeroOneLoss):
-        return _expect_eta(dist, lambda e: min(e, 1.0 - e))
+        return _expect_eta(dist, lambda e: np.minimum(e, 1.0 - e))
     if adversarial:
-        return expectation(
-            dist,
-            lambda x, e: min_conditional_risk_adversarial(
-                loss, spec, ConditionalPoint(abs(x), e)
-            )[0],
-            with_error=True,
-        )
-    return expectation(
-        dist,
-        lambda x, e: min_conditional_risk(loss, spec, ConditionalPoint(abs(x), e)),
-        with_error=True,
-    )
+        bracket = _adversarial_bracket(loss, spec)
+        return expectation(dist, lambda x, e: bracket(np.abs(x), e)[0], with_error=True)
+    min_risk = _min_risk(loss, spec)
+    return expectation(dist, lambda x, e: min_risk(np.abs(x), e), with_error=True)
 
 
 def _is_singleton(dist: LabeledDistribution) -> bool:

@@ -7,6 +7,8 @@ C(u, t) = t*Phi(u) + (1-t)*Phi(-u).  For each loss family and bounded
 hypothesis class the infimum over attainable scores has a closed form; the
 same is true for the worst-case rho-margin loss over linear predictors, and
 interval bounds are available for the worst-case hinge/sigmoid losses.
+The closed forms take arrays of (|x|, t), so that E[C*] integrates them on
+whole quadrature rounds; the public functions are their scalar case.
 
 Every closed form here is cross-checkable against ``brute_force_inf``, an
 independent oracle that minimizes the conditional risk over a uniform grid:
@@ -109,65 +111,90 @@ def conditional_risk_zero_one(u: float, t: float) -> float:
     return t if sign(u) < 0 else 1.0 - t
 
 
-def _entropy2(t: float) -> float:
-    """Binary entropy in bits, with 0*log(0) = 0."""
-    acc = 0.0
-    if t > 0.0:
-        acc -= t * math.log2(t)
-    if t < 1.0:
-        acc -= (1.0 - t) * math.log2(1.0 - t)
-    return acc
+def _weighted(w, v):
+    """w*v, taken as 0 where w = 0 (v may be infinite there)."""
+    return np.where(w > 0.0, w * v, 0.0)
 
 
-def _log_odds_within(t: float, s: float, half: bool = False) -> bool:
-    """Whether |log(t/(1-t))| (halved if requested) is <= s. Exact at t in {0,1}."""
-    if t in (0.0, 1.0):
-        return math.isinf(s)
-    lo = abs(math.log(t / (1.0 - t)))
-    if half:
-        lo *= 0.5
-    return lo <= s
+def _abs_log_odds(t):
+    """|log(t/(1-t))|; inf at t in {0, 1}, where only s = inf attains it."""
+    return np.abs(np.log(t / (1.0 - t)))
 
 
-def min_risk_symmetric(loss: MarginLoss, s: float, t: float) -> float:
+def min_risk_symmetric(loss: MarginLoss, s, t):
     """Infimum of the conditional risk over scores in [-s, s] (s may be +inf).
+
+    s and t broadcast; a scalar call returns a float.  Each family with a
+    constrained branch picks it by one ``np.where``: the unconstrained
+    minimizer (half the log-odds for the exponential loss, the log-odds for
+    the logistic, 2t - 1 for the quadratic) is attainable or it is not.  Both
+    branches are evaluated, so the one not picked may overflow unseen.
 
     For the rho-margin, hinge and sigmoid losses this is also the minimal
     worst-case conditional risk when s is the class's best worst-case score
     (which may be negative)."""
-    tmax, tmin = max(t, 1.0 - t), min(t, 1.0 - t)
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    tmax, tmin = np.maximum(t, 1.0 - t), np.minimum(t, 1.0 - t)
     fam = loss.family
-    if fam is LossFamily.HINGE:
-        return 1.0 - abs(2.0 * t - 1.0) * min(s, 1.0)
-    if fam is LossFamily.LOGISTIC:
-        if _log_odds_within(t, s):
-            return _entropy2(t)
-        # tmin = 0 happens only at t in {0,1}; skip the term so huge finite s
-        # cannot overflow exp
-        val = tmax * math.log2(1.0 + math.exp(-s))
-        return val + (tmin * math.log2(1.0 + math.exp(s)) if tmin > 0.0 else 0.0)
-    if fam is LossFamily.EXPONENTIAL:
-        if _log_odds_within(t, s, half=True):
-            return 2.0 * math.sqrt(t * (1.0 - t))
-        return tmax * math.exp(-s) + (tmin * math.exp(s) if tmin > 0.0 else 0.0)
-    if fam is LossFamily.QUADRATIC:
-        if abs(2.0 * t - 1.0) <= s:
-            return 4.0 * t * (1.0 - t)
-        return tmax * (1.0 - s) ** 2 + tmin * (1.0 + s) ** 2
-    if fam is LossFamily.SIGMOID:
-        return 1.0 - abs(1.0 - 2.0 * t) * (1.0 if math.isinf(s) else math.tanh(loss.k * s))
-    if fam is LossFamily.RHO_MARGIN:
-        return tmin + tmax * (1.0 - min(s, loss.rho) / loss.rho)
-    raise ValueError(f"unknown loss family {fam!r}")
+    with np.errstate(all="ignore"):
+        if fam is LossFamily.HINGE:
+            out = 1.0 - np.abs(2.0 * t - 1.0) * np.minimum(s, 1.0)
+        elif fam is LossFamily.LOGISTIC:
+            entropy = 0.0 - _weighted(t, np.log2(t)) - _weighted(1.0 - t, np.log2(1.0 - t))
+            clipped = tmax * np.log2(1.0 + np.exp(-s)) + _weighted(tmin, np.log2(1.0 + np.exp(s)))
+            out = np.where(_abs_log_odds(t) <= s, entropy, clipped)
+        elif fam is LossFamily.EXPONENTIAL:
+            clipped = tmax * np.exp(-s) + _weighted(tmin, np.exp(s))
+            out = np.where(0.5 * _abs_log_odds(t) <= s, 2.0 * np.sqrt(t * (1.0 - t)), clipped)
+        elif fam is LossFamily.QUADRATIC:
+            clipped = tmax * (1.0 - s) ** 2 + tmin * (1.0 + s) ** 2
+            out = np.where(np.abs(2.0 * t - 1.0) <= s, 4.0 * t * (1.0 - t), clipped)
+        elif fam is LossFamily.SIGMOID:
+            out = 1.0 - np.abs(1.0 - 2.0 * t) * np.tanh(loss.k * s)
+        elif fam is LossFamily.RHO_MARGIN:
+            out = tmin + tmax * (1.0 - np.minimum(s, loss.rho) / loss.rho)
+        else:
+            raise ValueError(f"unknown loss family {fam!r}")
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _min_risk(loss: MarginLoss, spec: HypothesisSpec):
+    """f(|x|, t): the closed-form minimal conditional risk over the class
+    (gamma = 0), on arrays of |x| and t that broadcast."""
+    if spec.adversarial:
+        raise ValueError("spec has gamma > 0; use min_conditional_risk_adversarial for worst-case losses")
+    return lambda x_abs, t: min_risk_symmetric(loss, spec.score_bound(x_abs), t)
 
 
 def min_conditional_risk(loss: MarginLoss, spec: HypothesisSpec, point: ConditionalPoint) -> float:
     """Closed-form minimal conditional risk over the class at a point (gamma = 0)."""
-    if spec.adversarial:
+    return _min_risk(loss, spec)(point.x_norm_p, point.t)
+
+
+def _adversarial_bracket(loss: MarginLoss, spec: HypothesisSpec):
+    """f(|x|, t) -> (lo, hi): ``min_conditional_risk_adversarial``'s bracket
+    on arrays of |x| and t that broadcast.  The class and loss are checked
+    here, once, not at every point."""
+    if not spec.adversarial:
+        raise ValueError("adversarial minimal conditional risk requires gamma > 0")
+    if spec.cls not in (HypothesisClass.LINEAR, HypothesisClass.ONE_HIDDEN_RELU):
+        raise ValueError("adversarial closed forms cover linear and ReLU classes only")
+    fam = loss.family
+    if fam in (LossFamily.LOGISTIC, LossFamily.EXPONENTIAL, LossFamily.QUADRATIC):
         raise ValueError(
-            "spec has gamma > 0; use min_conditional_risk_adversarial for worst-case losses"
+            f"no closed form for the worst-case {fam.value} loss; "
+            "only a trivial guarantee exists for worst-case convex losses"
         )
-    return min_risk_symmetric(loss, spec.score_bound(point.x_norm_p), point.t)
+
+    def bracket(x_abs, t):
+        reach_lo, reach_hi = attainable_adversarial_range(spec, x_abs)
+        # Rho-margin: exact given the class's best worst-case score; bracket that
+        # score.  Hinge / sigmoid: the lower bound decouples the two worst-case
+        # scores, the upper bound takes the bias-only witness (reach margin_scale).
+        upper_reach = reach_lo if fam is LossFamily.RHO_MARGIN else spec.margin_scale()
+        return min_risk_symmetric(loss, reach_hi, t), min_risk_symmetric(loss, upper_reach, t)
+
+    return bracket
 
 
 def min_conditional_risk_adversarial(
@@ -182,23 +209,7 @@ def min_conditional_risk_adversarial(
     form is available and no nontrivial distribution-independent guarantee
     exists for them.
     """
-    if not spec.adversarial:
-        raise ValueError("adversarial minimal conditional risk requires gamma > 0")
-    if spec.cls not in (HypothesisClass.LINEAR, HypothesisClass.ONE_HIDDEN_RELU):
-        raise ValueError("adversarial closed forms cover linear and ReLU classes only")
-    fam = loss.family
-    if fam in (LossFamily.LOGISTIC, LossFamily.EXPONENTIAL, LossFamily.QUADRATIC):
-        raise ValueError(
-            f"no closed form for the worst-case {fam.value} loss; "
-            "only a trivial guarantee exists for worst-case convex losses"
-        )
-    reach_lo, reach_hi = attainable_adversarial_range(spec, point.x_norm_p)
-    t = point.t
-    # Rho-margin: exact given the class's best worst-case score; bracket that
-    # score.  Hinge / sigmoid: the lower bound decouples the two worst-case
-    # scores, the upper bound takes the bias-only witness (reach margin_scale).
-    upper_reach = reach_lo if fam is LossFamily.RHO_MARGIN else spec.margin_scale()
-    return min_risk_symmetric(loss, reach_hi, t), min_risk_symmetric(loss, upper_reach, t)
+    return _adversarial_bracket(loss, spec)(point.x_norm_p, point.t)
 
 
 def _check_sign_rich(spec: HypothesisSpec) -> None:

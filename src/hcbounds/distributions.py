@@ -14,9 +14,10 @@ reproducible bit-for-bit.  ``sample`` fills fixed 2^16-draw blocks of each
 chunk on the shared thread pool, with the same output at every thread count;
 ``_map_sample_blocks`` hands the same blocks, in block-sized buffers, to a
 reduction that runs on the pool.
-Expectations sum atoms exactly and integrate continuous components with
-``_gauss_kronrod``, QUADPACK's adaptive 21-point Gauss-Kronrod rule evaluated
-on every open panel in one array call (absolute and relative tolerance 1e-10;
+Expectations take an integrand of arrays (x, eta(x)), sum atoms exactly and
+integrate continuous components with ``_gauss_kronrod``, QUADPACK's adaptive
+21-point Gauss-Kronrod rule evaluated on every open panel in one array call,
+so the integrand runs once per round (absolute and relative tolerance 1e-10;
 an error estimate above 1e-8 raises ``QuadratureError``).  The error estimates
 come back on request, and bound reports sum them into their ``quad_err``
 provenance entry.  scipy is used only for the normal cdf ``ndtr`` and its
@@ -516,21 +517,26 @@ def expectation(
     """E_X[integrand(x, eta(x))]: atoms summed exactly, continuous components
     integrated by ``_gauss_kronrod`` to absolute tolerance tol / 100.
 
-    ``points`` marks known integrand kinks and discontinuities.  integrand is
-    called once per node with Python floats; eta and the densities are
-    evaluated as arrays.  Raises ``QuadratureError`` when a component's error
-    estimate exceeds tol.  With ``with_error`` returns (value, error), the
-    error being the components' estimates weighted like their values.
+    integrand maps 1-D float arrays (x, eta(x)) to the integrand's values
+    there, an array of the same shape.  It is called once for all atoms and
+    once per quadrature round of each continuous component.  ``points``
+    marks known integrand kinks and discontinuities.  Raises
+    ``QuadratureError`` when a component's error estimate exceeds tol.  With
+    ``with_error`` returns (value, error), the error being the components'
+    estimates weighted like their values.
     """
     total = error = 0.0
-    for c in dist.atoms():
-        total += c.weight * integrand(c.law.x, dist.eta(c.law.x))
+    atoms = dist.atoms()
+    if atoms:
+        xs = np.array([c.law.x for c in atoms])
+        vals = integrand(xs, dist.eta(xs)).tolist()
+        for c, v in zip(atoms, vals):
+            total += c.weight * v
     for c in dist.continuous():
         law = c.law
 
         def f(xs, _law=law):
-            vals = [integrand(x, e) for x, e in zip(xs.tolist(), dist.eta(xs).tolist())]
-            return np.array(vals, dtype=float) * _law.pdf(xs)
+            return integrand(xs, dist.eta(xs)) * _law.pdf(xs)
 
         val, err = _gauss_kronrod(f, law.lo, law.hi, points, epsabs=tol * 1e-2)
         if err > tol:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _holds, _score_kernel
-from .distributions import expectation, sect7_adversarial, sect7_nonadversarial, sample
+from .distributions import sect7_adversarial, sect7_nonadversarial, sample
 from .hypotheses import HypothesisClass, HypothesisSpec
 from .losses import (
     LossFamily,
@@ -36,14 +36,13 @@ from .losses import (
     rho_margin,
     sigmoid,
 )
-from .conditional import ConditionalPoint, min_conditional_risk, thread_map
+from .conditional import thread_map
 from .transforms import transform, transform_inverse
 
 __all__ = [
     "SweepConfig",
     "run_nonadversarial_sweep",
     "run_adversarial_sweep",
-    "nonadversarial_minimal_risks",
     "emit_transform_curves",
     "write_rows_csv",
     "write_rows_json",
@@ -191,21 +190,6 @@ def run_adversarial_sweep(cfg: SweepConfig):
         return rows
 
     return [row for rows in thread_map(cell, range(len(cfg.sigmas))) for row in rows]
-
-
-def nonadversarial_minimal_risks(sigma: float, losses=()):
-    """Minimal risks over all measurable functions on the standard sweep
-    distribution, by quadrature of the pointwise minimal conditional risk;
-    used to verify that taking them as 0 in the sweep is sound."""
-    losses = losses or (quadratic(), logistic(), exponential())
-    dist = sect7_nonadversarial(sigma)
-    out = {"zero-one": expectation(dist, lambda x, e: min(e, 1.0 - e))}
-    spec_all = HypothesisSpec(HypothesisClass.ALL)
-    for loss in losses:
-        out[loss.label()] = expectation(
-            dist, lambda x, e, _l=loss: min_conditional_risk(_l, spec_all, ConditionalPoint(abs(x), e))
-        )
-    return out
 
 
 def emit_transform_curves(losses=(), spec: HypothesisSpec = None, grid_n: int = 201):

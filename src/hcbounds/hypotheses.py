@@ -74,8 +74,9 @@ class HypothesisSpec:
     def adversarial(self) -> bool:
         return self.gamma > 0.0
 
-    def score_bound(self, x_norm_p: float) -> float:
-        """Largest attainable |h(x)| at a point with the given input norm."""
+    def score_bound(self, x_norm_p):
+        """Largest attainable |h(x)| at a point with the given input norm
+        (elementwise for an array of norms)."""
         _check_x_norm(x_norm_p)
         if self.cls is HypothesisClass.ALL:
             return math.inf
@@ -147,8 +148,9 @@ def adversarial_extrema_linear(h: LinearHypothesis, x, gamma: float):
     return (center - spread, center + spread)
 
 
-def attainable_adversarial_range(spec: HypothesisSpec, x_norm_p: float) -> tuple:
-    """Class-level bracket for sup_h (ball-infimum score) at a point.
+def attainable_adversarial_range(spec: HypothesisSpec, x_norm_p) -> tuple:
+    """Class-level bracket for sup_h (ball-infimum score) at a point, or
+    elementwise for an array of input norms.
 
     Linear: the supremum equals W*max{|x|, gamma} - gamma*W + B exactly,
     so both endpoints coincide.  ReLU: returns the (Lambda*B, upper-bound)
@@ -157,12 +159,15 @@ def attainable_adversarial_range(spec: HypothesisSpec, x_norm_p: float) -> tuple
     _check_x_norm(x_norm_p)
     if spec.cls is HypothesisClass.ALL:
         raise ValueError("attainable_adversarial_range is undefined for the unbounded class")
-    shifted = spec.W * max(x_norm_p, spec.gamma) - spec.gamma * spec.W + spec.B
+    shifted = spec.W * np.maximum(x_norm_p, spec.gamma) - spec.gamma * spec.W + spec.B
     if spec.cls is HypothesisClass.LINEAR:
         return (shifted, shifted)
     return (spec.Lambda * spec.B, spec.Lambda * shifted)
 
 
-def _check_x_norm(x_norm_p: float) -> None:
-    if not 0.0 <= x_norm_p <= 1.0:
+def _check_x_norm(x_norm_p) -> None:
+    # an array is checked at its extremes; a scalar skips numpy's call overhead
+    array = isinstance(x_norm_p, np.ndarray)
+    lo, hi = (x_norm_p.min(), x_norm_p.max()) if array else (x_norm_p, x_norm_p)
+    if not (0.0 <= lo and hi <= 1.0):
         raise ValueError(f"||x||_p must lie in [0, 1], got {x_norm_p}")

@@ -10,6 +10,8 @@ import pytest
 
 from hcbounds.conditional import (
     ConditionalPoint,
+    _adversarial_bracket,
+    _min_risk,
     Constraint,
     OracleInfeasibleError,
     RegretCase,
@@ -183,7 +185,7 @@ _BRACKET_DIGESTS = {
     ("lin", "rho-margin(rho=2)"): "5ab3b85f9954b0a8eeee83f48c3c77d346b481ca638f972f13d7d2198de17b95",
     ("lin", "rho-margin(rho=0.3)"): "89e7dbf3601e51a94c9b5e3621b1485a8a652b6afe37d62a374dc39ba82f8cfc",
     ("lin", "hinge"): "b3d2d6e6235a2dd943464b0ccb9e8e2a2029b78059335b5ff992b5b183b76d7d",
-    ("lin", "sigmoid(k=2)"): "a63b8ba1cdb202b944f1a0796c69587edf5e80e2305cc649a41a4f8ffcfcee90",
+    ("lin", "sigmoid(k=2)"): "fba3203a8703a163889664efe69b30875bd55e3fb0116ccf8b18858d6a8b11af",
     ("lin-wide", "rho-margin(rho=2)"): "1bec2d0d8d14aa97ce28ac91cf6125332a43e66124b6ee95c300c7410b579adc",
     ("lin-wide", "rho-margin(rho=0.3)"): "80a1d152fd94408a5523cd849f23400536d9d1d19270d9828404ac9213aa46e0",
     ("lin-wide", "hinge"): "43b185be7a4bc87974c202151bac736f6c548886e92ca72bf6cfea8bd4c6a8fb",
@@ -191,7 +193,37 @@ _BRACKET_DIGESTS = {
     ("relu", "rho-margin(rho=2)"): "1bb860366932cfa58d9598495d8f90cc8b916c2be446171c23d9ec32e3d409b1",
     ("relu", "rho-margin(rho=0.3)"): "8ff05023418c00d5806f153faf0d906be4ea1c0db78ac24e1e81a39548b459c8",
     ("relu", "hinge"): "d16eb1a9fd2513046ea82d82962713919ae8208a765bbffa7917a2d84a66989b",
-    ("relu", "sigmoid(k=2)"): "0b8bb8b84a1c8f950f9dcea3f9705bc40ff07eaadfc9a8e13f8979042d80702a",
+    ("relu", "sigmoid(k=2)"): "eac48b783db4e3f4c0db6fc8cdf4a73418aefebed8242f72f933e69b7b792ac0",
+}
+
+# Pins that moved when the closed forms went to numpy: np.tanh differs from
+# math.tanh in the last ulp.  The 40 bracket values of the old pin stay as
+# anchors, and every new value lies within 2.2e-16 of its anchor.
+_BRACKET_ANCHORS = {
+    ("lin", "sigmoid(k=2)"): (
+        "0x1.3d775461ede95p-1 0x1.3d775461ede95p-1 0x1.8b4799078ebf3p-1 0x1.8b4799078ebf3p-1 "
+        "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.645f76b4be544p-1 0x1.645f76b4be544p-1 "
+        "0x1.3d775461ede95p-1 0x1.3d775461ede95p-1 0x1.3d775461ede95p-1 0x1.3d775461ede95p-1 "
+        "0x1.8b4799078ebf3p-1 0x1.8b4799078ebf3p-1 0x1.0000000000000p+0 0x1.0000000000000p+0 "
+        "0x1.645f76b4be544p-1 0x1.645f76b4be544p-1 0x1.3d775461ede95p-1 0x1.3d775461ede95p-1 "
+        "0x1.da0fada5a6608p-2 0x1.3d775461ede95p-1 0x1.5b04b41818502p-1 0x1.8b4799078ebf3p-1 "
+        "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.2406457575c03p-1 0x1.645f76b4be544p-1 "
+        "0x1.da0fada5a6608p-2 0x1.3d775461ede95p-1 0x1.1b30e36459318p-3 0x1.3d775461ede95p-1 "
+        "0x1.ee8eaa9e1ac22p-2 0x1.8b4799078ebf3p-1 0x1.0000000000000p+0 0x1.0000000000000p+0 "
+        "0x1.3e138e2823ad6p-2 0x1.645f76b4be544p-1 0x1.1b30e36459318p-3 0x1.3d775461ede95p-1"
+    ).split(),
+    ("relu", "sigmoid(k=2)"): (
+        "0x1.da0fada5a6606p-2 0x1.da0fada5a6606p-2 0x1.5b04b41818502p-1 0x1.5b04b41818502p-1 "
+        "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.2406457575c02p-1 0x1.2406457575c02p-1 "
+        "0x1.da0fada5a6606p-2 0x1.da0fada5a6606p-2 0x1.da0fada5a6606p-2 0x1.da0fada5a6606p-2 "
+        "0x1.5b04b41818502p-1 0x1.5b04b41818502p-1 0x1.0000000000000p+0 0x1.0000000000000p+0 "
+        "0x1.2406457575c02p-1 0x1.2406457575c02p-1 0x1.da0fada5a6606p-2 0x1.da0fada5a6606p-2 "
+        "0x1.54ace4b5c8d40p-3 0x1.da0fada5a6606p-2 0x1.ffcd77d022a60p-2 0x1.5b04b41818502p-1 "
+        "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.5511f51583880p-2 0x1.2406457575c02p-1 "
+        "0x1.54ace4b5c8d40p-3 0x1.da0fada5a6606p-2 0x1.6420bb083fd00p-9 0x1.da0fada5a6606p-2 "
+        "0x1.9b44f413a37fcp-2 0x1.5b04b41818502p-1 0x1.0000000000000p+0 0x1.0000000000000p+0 "
+        "0x1.9e0d3589b3ff4p-3 0x1.2406457575c02p-1 0x1.6420bb083fd00p-9 0x1.da0fada5a6606p-2"
+    ).split(),
 }
 
 
@@ -205,6 +237,10 @@ def test_adversarial_brackets_pinned(spec_name, loss):
             vals.extend(min_conditional_risk_adversarial(loss, _BRACKET_SPECS[spec_name], point))
     digest = hashlib.sha256(",".join(v.hex() for v in vals).encode()).hexdigest()
     assert digest == _BRACKET_DIGESTS[spec_name, loss.label()]
+    anchors = _BRACKET_ANCHORS.get((spec_name, loss.label()))
+    if anchors is not None:
+        assert len(anchors) == len(vals)
+        assert all(abs(v - float.fromhex(a)) <= 2.2e-16 for v, a in zip(vals, anchors))
 
 
 class TestRegrets:
@@ -364,6 +400,50 @@ def test_min_risk_symmetric_handles_infinite_reach():
         assert 0.0 <= v <= 1.0
     assert min_risk_symmetric(hinge(), math.inf, 0.5) == pytest.approx(1.0)
     assert min_risk_symmetric(rho_margin(1.0), math.inf, 0.3) == pytest.approx(0.3)
+
+
+class TestArrayClosedForms:
+    """The closed forms take broadcasting arrays of (s, t); a scalar call is
+    the 0-d case of the same code."""
+
+    S = np.array([-0.3, 0.0, 1e300, math.inf])[:, None]
+    T = np.array([0.0, 1e-300, 0.5, 1.0])[None, :]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda l: l.label())
+    def test_grid_is_finite_and_each_scalar_call_matches_its_element(self, loss):
+        # np.where evaluates both branches: the one not taken may overflow,
+        # but no RuntimeWarning escapes and no non-finite value is picked
+        grid = min_risk_symmetric(loss, self.S, self.T)
+        assert grid.shape == (4, 4) and np.isfinite(grid).all()
+        for (i, j), want in np.ndenumerate(grid):
+            got = min_risk_symmetric(loss, float(self.S[i, 0]), float(self.T[0, j]))
+            assert type(got) is float and got.hex() == float(want).hex()
+
+    def test_array_path_keeps_the_worst_case_convex_rejection(self):
+        spec = HypothesisSpec(LIN, W=1.0, B=0.6, gamma=0.1)
+        for loss in (logistic(), exponential(), quadratic()):
+            with pytest.raises(ValueError, match="no closed form"):
+                _adversarial_bracket(loss, spec)
+
+    def test_array_path_rejects_norms_above_one(self):
+        x = np.array([0.2, 1.5])
+        t = np.array([0.3, 0.7])
+        with pytest.raises(ValueError, match=r"\|\|x\|\|_p must lie in \[0, 1\]"):
+            _min_risk(hinge(), HypothesisSpec(LIN, W=1.0, B=0.5))(x, t)
+        with pytest.raises(ValueError, match=r"\|\|x\|\|_p must lie in \[0, 1\]"):
+            _adversarial_bracket(hinge(), HypothesisSpec(LIN, W=1.0, B=0.5, gamma=0.1))(x, t)
+
+    @pytest.mark.parametrize("spec_name", sorted(_BRACKET_SPECS))
+    def test_array_bracket_matches_the_scalar_api(self, spec_name):
+        spec = _BRACKET_SPECS[spec_name]
+        x = np.array([0.0, 0.05, 0.3, 1.0])[:, None]
+        t = np.array([0.0, 0.2, 0.5, 0.9, 1.0])[None, :]
+        for loss in (rho_margin(0.3), hinge(), sigmoid(2.0)):
+            lo, hi = np.broadcast_arrays(*_adversarial_bracket(loss, spec)(x, t))
+            for (i, j), want_lo in np.ndenumerate(lo):
+                got = min_conditional_risk_adversarial(loss, spec, ConditionalPoint(float(x[i, 0]), float(t[0, j])))
+                assert got == (want_lo, hi[i, j])
 
 
 ADV_SPEC = HypothesisSpec(LIN, W=1.1, B=0.7, gamma=0.15)

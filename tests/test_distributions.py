@@ -408,16 +408,16 @@ class TestComponentPick:
 class TestExpectation:
     def test_constant(self):
         d = sect7_nonadversarial(0.1)
-        assert expectation(d, lambda x, e: 1.0) == pytest.approx(1.0, abs=1e-10)
+        assert expectation(d, lambda x, e: np.ones_like(x)) == pytest.approx(1.0, abs=1e-10)
 
     def test_component_indicator(self):
         d = sect7_nonadversarial(0.1)
-        val = expectation(d, lambda x, e: 1.0 if x >= 0.1 else 0.0, points=(0.1,))
+        val = expectation(d, lambda x, e: np.where(x >= 0.1, 1.0, 0.0), points=(0.1,))
         assert val == pytest.approx(7 / 16 + 1 / 16, abs=1e-8)
 
     def test_min_eta_is_zero(self):
         d = sect7_nonadversarial(0.1)
-        assert expectation(d, lambda x, e: min(e, 1 - e)) == pytest.approx(0.0, abs=1e-8)
+        assert expectation(d, lambda x, e: np.minimum(e, 1 - e)) == pytest.approx(0.0, abs=1e-8)
 
     def test_posterior_integrates_to_positive_mass(self):
         d = sect7_nonadversarial(0.1)

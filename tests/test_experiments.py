@@ -5,19 +5,21 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
+from hcbounds.conditional import min_risk_symmetric
+from hcbounds.distributions import expectation, sect7_nonadversarial
 from hcbounds.experiments import (
     SweepConfig,
     emit_transform_curves,
-    nonadversarial_minimal_risks,
     run_adversarial_sweep,
     run_nonadversarial_sweep,
     write_rows_csv,
     write_rows_json,
 )
 from hcbounds.hypotheses import HypothesisClass, HypothesisSpec
-from hcbounds.losses import hinge, logistic, quadratic, sigmoid
+from hcbounds.losses import exponential, hinge, logistic, quadratic, sigmoid
 
 
 SMALL = SweepConfig(sigmas=(0.2, 0.05), n_samples=20_000, seed=11)
@@ -115,7 +117,19 @@ class TestAdversarialSweep:
         assert abs(hinge_row["rhs"] - exact_hinge) <= 4 * hinge_row["stderr_rhs"]
 
 
+def nonadversarial_minimal_risks(sigma: float):
+    """Minimal risks over all measurable functions on the standard sweep
+    distribution, by quadrature of the pointwise minimal conditional risk."""
+    dist = sect7_nonadversarial(sigma)
+    out = {"zero-one": expectation(dist, lambda x, e: np.minimum(e, 1.0 - e))}
+    for loss in (quadratic(), logistic(), exponential()):
+        out[loss.label()] = expectation(dist, lambda x, e, _l=loss: min_risk_symmetric(_l, math.inf, e))
+    return out
+
+
 class TestMinimalRiskVerification:
+    """Taking the unrestricted class's minimal risks as 0 in the sweep is sound."""
+
     def test_minimal_risks_vanish_at_small_sigma(self):
         for sigma in (0.05, 0.02):
             vals = nonadversarial_minimal_risks(sigma)
