@@ -17,10 +17,10 @@ error.  Exit codes: 0 success, 1 check failure, 2 validation error.  For a
 linear class, bound requires h(x) = w*x + b to lie in the class: the default
 --w -5 (the sweeps' h) needs --W >= 5, so under the default --W 1 it exits 2.
 sweep refuses, with exit 2, a flag that its experiment does not read.
-HCB_THREADS caps the worker threads of the adversarial grid oracle, of the
-sweeps' sigma cells and of the sampler's blocks (default and ceiling: the CPU
-count; pools do not nest; results never depend on it); an invalid value is a
-validation error.
+HCB_THREADS caps the worker threads of the sweeps' sigma cells and of the
+sampler's blocks (default and ceiling: the CPU count; pools do not nest;
+results never depend on it); an invalid value is a validation error.  The
+adversarial grid oracle runs on the calling thread.
 """
 
 from __future__ import annotations

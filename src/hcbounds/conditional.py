@@ -16,7 +16,9 @@ a grid of attainable scores in the standard setting, or a grid of (w, b)
 pairs in the adversarial setting.  Infima over open constraint sets
 (score < 0, worst-case score < 0) are computed on the closure of the set,
 which is equivalent for continuous losses and lets the grid attain the
-boundary value exactly.
+boundary value exactly.  The (w, b) oracle runs on the calling thread and
+skips blocks of cells whose rounded risks provably cannot go below the best
+cell found, so its minimum is the whole grid's, bit for bit.
 """
 
 from __future__ import annotations
@@ -273,7 +275,7 @@ def brute_force_inf(
 
     gamma = 0: minimizes t*Phi(u) + (1-t)*Phi(-u) over a uniform grid of
     attainable scores u (``SCORE_NEGATIVE`` restricts to u <= 0, the closure
-    of the open constraint).  gamma > 0 (linear class only): minimizes the
+    of the open constraint).  gamma > 0 (linear class, finite B): minimizes the
     worst-case conditional risk over a uniform (w, b) grid, with the
     requested case constraint applied to the worst-case score interval.
 
@@ -288,6 +290,8 @@ def brute_force_inf(
             raise ValueError("SCORE_NEGATIVE applies to the non-adversarial oracle only")
         if spec.cls is not HypothesisClass.LINEAR:
             raise ValueError("the adversarial oracle enumerates linear hypotheses only")
+        if math.isinf(spec.B):
+            raise ValueError("the adversarial oracle grids b over [-B, B] and needs a finite B, got B=inf")
         return _adversarial_grid_inf(loss, spec, point, constraint, grid_n)
     if constraint in (Constraint.ADV_STRADDLE, Constraint.ADV_SUP_NEGATIVE):
         raise ValueError("adversarial constraints require a spec with gamma > 0")
@@ -309,18 +313,23 @@ def _score_grid_inf(loss, spec, point, constraint, grid_n):
     return float(_interval_risk(loss, point.t, grid, grid).min())
 
 
-# Rows of the (w, b) grid per chunk: at grid_n=4001 the two float64 chunk
-# buffers take 1 MB each and fit a 2 MB per-core L2 cache together.
-_ADV_CHUNK = 32
+# Columns of the (w, b) grid per block, the unit that the adversarial oracle
+# bounds and skips; and rows per chunk of its bound pass, which is also the
+# number of blocks it evaluates per batch.  At grid_n=4001 a chunk's
+# temporaries take 64 KB each: fewer rows pay more per-call overhead, and a
+# whole-grid pass holds ~2 MB temporaries.
+_ADV_BLOCK = 64
+_ADV_CHUNK = 128
 
 
 def thread_cap() -> int:
-    """Worker threads for the adversarial grid oracle, the simulation sweeps'
-    sigma cells and the sampler's blocks: ``HCB_THREADS``, clamped to
-    ``os.cpu_count()``, which is also the default when it is unset.  Pools do
-    not nest (see ``thread_map``), so no more than this many workers run at
-    once.  Results never depend on it.  Raises ValueError unless the variable
-    is an integer >= 1."""
+    """Worker threads for the simulation sweeps' sigma cells and the
+    sampler's blocks: ``HCB_THREADS``, clamped to ``os.cpu_count()``, which is
+    also the default when it is unset.  Pools do not nest (see
+    ``thread_map``), so no more than this many workers run at once.  Results
+    never depend on it.  The adversarial grid oracle runs on the calling
+    thread: its block-bound pruning leaves too few cells to split.  Raises
+    ValueError unless the variable is an integer >= 1."""
     cpus = os.cpu_count() or 1
     raw = os.environ.get("HCB_THREADS", "")
     if not raw:
@@ -357,58 +366,75 @@ def thread_map(fn, items) -> list:
         return list(pool.map(fn, items))
 
 
-def _sup_risk_inplace(loss, t, h_lo, h_hi):
-    """Worst-case conditional risk t*Phi(h_lo) + (1-t)*Phi(-h_hi).  Fused and
-    in place, overwriting both buffers, for the rho-margin family (the
-    oracle's hot path); ``_interval_risk`` for the others."""
-    if loss.family is LossFamily.RHO_MARGIN:
-        h_lo /= -loss.rho
-        h_lo += 1.0
-        np.clip(h_lo, 0.0, 1.0, out=h_lo)
-        h_lo *= t
-        h_hi /= loss.rho
-        h_hi += 1.0
-        np.clip(h_hi, 0.0, 1.0, out=h_hi)
-        h_hi *= 1.0 - t
-        h_lo += h_hi
-        return h_lo
-    return _interval_risk(loss, t, h_lo, h_hi)
-
-
 def _adversarial_grid_inf(loss, spec, point, constraint, grid_n):
+    """Minimum of the worst-case conditional risk over the (w, b) grid.
+
+    Each w-row is cut into blocks of ``_ADV_BLOCK`` columns.  Along a row
+    both worst-case scores are non-decreasing in b (IEEE rounding is
+    monotone), and every margin loss is non-increasing in floating point
+    (the logistic one only between inputs more than a few ulps apart, as
+    columns are unless B < ~1e-12), so no cell of a block has a computed
+    risk below ``_interval_risk`` at (lo of its last column, hi of its
+    first): the block's bound.  Only blocks whose bound is strictly below
+    the best cell found so far are evaluated, cell by cell, with the
+    arithmetic of a whole-grid evaluation; the minimum is therefore the
+    grid's, bit for bit."""
     t, x, gam = point.t, point.x_norm_p, spec.gamma
     reach, _ = attainable_adversarial_range(spec, x)
     if constraint is Constraint.ADV_SUP_NEGATIVE and reach <= 0.0:
         raise OracleInfeasibleError("no hypothesis has a strictly negative worst-case score here")
     w_grid = np.linspace(-spec.W, spec.W, grid_n)
     b_grid = np.linspace(-spec.B, spec.B, grid_n)
+    wx, spread = w_grid * x, gam * np.abs(w_grid)
+    width = min(_ADV_BLOCK, grid_n)
+    first = np.arange(0, grid_n, width)
+    last = np.minimum(first + width - 1, grid_n - 1)
+    b_first, b_last = b_grid[first], b_grid[last]
 
-    def block_min(starts):
-        # one pair of cache-sized buffers per worker, sliced for the ragged last chunk
-        h_lo_buf = np.empty((min(_ADV_CHUNK, grid_n), grid_n))
-        h_hi_buf = np.empty_like(h_lo_buf)
-        best = math.inf
-        for start in starts:
-            w = w_grid[start : start + _ADV_CHUNK, None]
-            h_lo, h_hi = h_lo_buf[: w.shape[0]], h_hi_buf[: w.shape[0]]
-            spread = gam * np.abs(w)
-            np.add(w * x, b_grid, out=h_lo)
-            np.add(h_lo, spread, out=h_hi)
-            h_lo -= spread
-            if constraint is Constraint.ADV_STRADDLE:
-                mask = (h_lo <= 0.0) & (h_hi >= 0.0)
-            elif constraint is Constraint.ADV_SUP_NEGATIVE:
-                mask = h_hi <= 0.0  # closure of the open constraint
-            else:
-                mask = True
-            vals = _sup_risk_inplace(loss, t, h_lo, h_hi)
-            best = min(best, float(np.min(vals, where=mask, initial=math.inf)))
-        return best
+    def scores(rows, b):
+        base = wx[rows, None] + b
+        return base - spread[rows, None], base + spread[rows, None]
 
-    starts = range(0, grid_n, _ADV_CHUNK)
-    workers = min(thread_cap(), len(starts))
-    # min is exact, so the merged minimum does not depend on the split
-    best = min(thread_map(block_min, [starts[i::workers] for i in range(workers)]))
+    def block_bounds(rows):
+        lo_first, hi_first = scores(rows, b_first)
+        lo_last, hi_last = scores(rows, b_last)
+        bound = _interval_risk(loss, t, lo_last, hi_first)
+        # feasible columns are contiguous along a row; a block whose end
+        # columns rule all of them out cannot hold the minimum
+        if constraint is Constraint.ADV_STRADDLE:
+            bound[(lo_first > 0.0) | (hi_last < 0.0)] = math.inf
+        elif constraint is Constraint.ADV_SUP_NEGATIVE:
+            bound[hi_first > 0.0] = math.inf
+        return bound
+
+    def blocks_min(flat):
+        rows, blocks = np.divmod(flat, len(first))
+        cols = np.minimum(first[blocks, None] + np.arange(width), grid_n - 1)  # ragged last block: repeats
+        lo, hi = scores(rows, b_grid[cols])
+        risk = _interval_risk(loss, t, lo, hi)
+        if constraint is Constraint.ADV_STRADDLE:
+            risk[(lo > 0.0) | (hi < 0.0)] = math.inf
+        elif constraint is Constraint.ADV_SUP_NEGATIVE:
+            risk[hi > 0.0] = math.inf  # closure of the open constraint
+        return float(risk.min())
+
+    # the bound pass streams over row chunks, so its temporaries stay small
+    bounds = np.empty((grid_n, len(first)))
+    for start in range(0, grid_n, _ADV_CHUNK):
+        rows = slice(start, start + _ADV_CHUNK)
+        bounds[rows] = block_bounds(rows)
+    bounds = bounds.ravel()
+    best = blocks_min(np.array([np.argmin(bounds)]))
+    # strict: minima of flat losses are shared by many blocks, and a block
+    # whose bound ties the best cannot hold a smaller one
+    todo = np.flatnonzero(bounds < best)
+    todo = todo[np.argsort(bounds[todo])]
+    for start in range(0, len(todo), _ADV_CHUNK):
+        batch = todo[start : start + _ADV_CHUNK]
+        batch = batch[bounds[batch] < best]
+        if len(batch) == 0:
+            break
+        best = min(best, blocks_min(batch))
     if not math.isfinite(best):
         raise OracleInfeasibleError(f"constraint {constraint.value} is infeasible on the grid")
     return best

@@ -122,7 +122,11 @@ def sign(alpha: float) -> int:
     and ``bounds._error_mass`` let a score of 0 predict +1;
     ``eval_adversarial_zero_one`` and the kernel's robust case count a
     worst-case score of 0 as an error; ``conditional._adversarial_grid_inf``
-    takes the closures of its sign constraints, so 0 is on both sides.
+    takes the closures of its sign constraints, so 0 is on both sides.  That
+    oracle runs on the calling thread and rules out a block of its (w, b)
+    grid only when the block's end columns are strictly on the wrong side of
+    0, or when its rounded risks cannot beat the best cell: its minimum is
+    the whole grid's.
     """
     return 1 if alpha >= 0 else -1
 

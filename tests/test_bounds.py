@@ -31,7 +31,7 @@ from hcbounds.bounds import (
     surrogate_split,
     verify_psi_bound_discrete,
 )
-from hcbounds.conditional import ConditionalPoint, min_conditional_risk, min_risk_symmetric
+from hcbounds.conditional import ConditionalPoint, OracleInfeasibleError, min_conditional_risk, min_risk_symmetric
 from hcbounds.distributions import (
     _SAMPLE_BLOCK,
     Atom,
@@ -907,3 +907,9 @@ class TestNegativeResultDemo:
             negative_result_demo(hinge(), HypothesisSpec(LIN, W=1.0, B=0.0, gamma=0.1))
         with pytest.raises(ValueError):
             negative_result_demo(hinge(), HypothesisSpec(LIN, W=1.0, B=1.0))
+
+    @pytest.mark.filterwarnings("error")
+    def test_unbounded_bias_rejected_before_the_oracle_grid(self):
+        with pytest.raises(ValueError, match="finite B") as err:
+            negative_result_demo(hinge(), HypothesisSpec(LIN, W=1.0, B=math.inf, gamma=0.1))
+        assert not isinstance(err.value, OracleInfeasibleError)

@@ -7,6 +7,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hcbounds.conditional import (
     ConditionalPoint,
@@ -370,6 +372,14 @@ class TestBruteForceOracle:
         with pytest.raises(OracleInfeasibleError):
             brute_force_inf(rho_margin(1.0), adv, ConditionalPoint(0.1, 0.7), Constraint.ADV_SUP_NEGATIVE, 301)
 
+    @pytest.mark.filterwarnings("error")
+    def test_adversarial_oracle_rejects_unbounded_bias(self):
+        # before any grid is built: no overflow warning, no infeasibility report
+        spec = HypothesisSpec(LIN, W=1.0, B=math.inf, gamma=0.1)
+        with pytest.raises(ValueError, match="finite B") as err:
+            brute_force_inf(hinge(), spec, ConditionalPoint(0.0, 0.5))
+        assert not isinstance(err.value, OracleInfeasibleError)
+
     def test_constraint_mode_validation(self):
         spec = HypothesisSpec(LIN, W=1.0, B=0.5)
         with pytest.raises(ValueError):
@@ -453,7 +463,8 @@ ADV_LOSSES = [rho_margin(0.8), hinge(), sigmoid(1.3)]
 
 
 def _one_shot_adversarial_min(loss, spec, pt, constraint, n):
-    """The adversarial grid minimum over the whole (w, b) grid at once, unchunked."""
+    """The adversarial grid minimum over the whole (w, b) grid at once,
+    unchunked; inf when no cell meets the constraint."""
     w = np.linspace(-spec.W, spec.W, n)[:, None]
     b = np.linspace(-spec.B, spec.B, n)[None, :]
     spread = spec.gamma * np.abs(w)
@@ -464,13 +475,21 @@ def _one_shot_adversarial_min(loss, spec, pt, constraint, n):
         risk = risk[(lo <= 0.0) & (hi >= 0.0)]
     elif constraint is Constraint.ADV_SUP_NEGATIVE:
         risk = risk[hi <= 0.0]
-    return float(risk.min())
+    return float(np.min(risk, initial=math.inf))
+
+
+_ADV_GRID_LOSSES = st.one_of(
+    st.builds(rho_margin, st.floats(0.2, 2.0)),
+    st.just(hinge()),
+    st.builds(sigmoid, st.floats(0.3, 3.0)),
+)
 
 
 class TestAdversarialGridKernel:
     @pytest.fixture
     def two_cpus(self, monkeypatch):
-        # two workers even on a one-CPU host, so the threaded path always runs
+        # HCB_THREADS may ask for two threads even on a one-CPU host; the
+        # oracle runs on the calling thread at every setting
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         return monkeypatch
 
@@ -496,6 +515,33 @@ class TestAdversarialGridKernel:
             pt = ConditionalPoint(ADV_POINT.x_norm_p, t)
             ref = _one_shot_adversarial_min(loss, ADV_SPEC, pt, constraint, grid_n)
             assert brute_force_inf(loss, ADV_SPEC, pt, constraint, grid_n) == ref
+
+    # 2 and 3 columns are narrower than one block; 37, 255, 257 and 1001
+    # leave a ragged last block
+    @given(
+        loss=_ADV_GRID_LOSSES,
+        constraint=st.sampled_from(ADV_CONSTRAINTS),
+        grid_n=st.sampled_from([2, 3, 37, 255, 257, 1001]),
+        W=st.floats(0.0, 2.0),
+        B=st.floats(0.05, 2.0),
+        gamma=st.floats(0.01, 0.99),
+        x=st.floats(0.0, 1.0),
+        t=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+    )
+    @example(loss=rho_margin(0.8), constraint=Constraint.ADV_STRADDLE, grid_n=1001, W=1.1, B=0.7, gamma=0.15, x=0.6, t=0.5)
+    @example(loss=hinge(), constraint=Constraint.ADV_SUP_NEGATIVE, grid_n=37, W=1.1, B=0.7, gamma=0.15, x=0.6, t=0.0)
+    @example(loss=sigmoid(1.3), constraint=Constraint.NONE, grid_n=2, W=1.1, B=0.7, gamma=0.15, x=0.6, t=1.0)
+    @example(loss=hinge(), constraint=Constraint.ADV_STRADDLE, grid_n=2, W=0.0, B=0.7, gamma=0.15, x=0.6, t=0.3)
+    @settings(max_examples=120, deadline=None)
+    def test_pruned_minimum_is_the_whole_grid_minimum(self, loss, constraint, grid_n, W, B, gamma, x, t):
+        spec = HypothesisSpec(LIN, W=W, B=B, gamma=gamma)
+        pt = ConditionalPoint(x, t)
+        ref = _one_shot_adversarial_min(loss, spec, pt, constraint, grid_n)
+        if ref == math.inf:
+            with pytest.raises(OracleInfeasibleError):
+                brute_force_inf(loss, spec, pt, constraint, grid_n)
+        else:
+            assert brute_force_inf(loss, spec, pt, constraint, grid_n) == ref
 
 
 class TestThreadCap:

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hcbounds.losses import (
+    LossFamily,
     eval_adversarial_zero_one,
     eval_margin_loss,
     eval_sup_loss,
@@ -172,3 +173,44 @@ class TestInvariants:
                 sup_vals = eval_sup_loss(loss, np.full(100, y), lo, hi)
                 adv = eval_adversarial_zero_one(lo, hi, np.full(100, y))
                 assert np.all(sup_vals >= adv - 1e-12)
+
+
+# The adversarial grid oracle bounds a block of (w, b) cells by the loss at
+# the block's end columns and skips blocks that cannot hold the minimum.
+# Its minimum is the whole grid's, bit for bit, only if the loss is
+# non-increasing in floating point and a gathered subset of an array
+# evaluates to the bits of the full array.
+PREMISE_LOSSES = ALL_LOSSES + [sigmoid(1.3), rho_margin(0.8)]
+DENSE = np.linspace(-40.0, 40.0, 2_000_001)
+
+
+def _ulps_around(c, k=2000):
+    """The 2k + 1 consecutive doubles centred on c > 0."""
+    return (np.array([c]).view(np.int64) + np.arange(-k, k + 1)).view(float)
+
+
+class TestFloatingPointPremises:
+    @pytest.mark.parametrize("loss", PREMISE_LOSSES, ids=lambda l: l.label())
+    def test_nonincreasing_on_a_dense_grid(self, loss):
+        assert np.count_nonzero(np.diff(eval_margin_loss(loss, DENSE)) > 0.0) == 0
+
+    # np.logaddexp steps up by one ulp between some inputs a few ulps apart
+    # near a = -1/2, so the logistic family is left out at this scale: grid
+    # columns that close together need B below ~1e-12
+    @pytest.mark.parametrize(
+        "loss", [l for l in PREMISE_LOSSES if l.family is not LossFamily.LOGISTIC], ids=lambda l: l.label()
+    )
+    @pytest.mark.parametrize("c", [0.5, 0.8, 1.0, 1.25, 2.0])
+    def test_nonincreasing_ulp_by_ulp_near_the_kinks(self, loss, c):
+        for a in (_ulps_around(c), -_ulps_around(c)[::-1]):
+            assert np.count_nonzero(np.diff(eval_margin_loss(loss, a)) > 0.0) == 0
+
+    @pytest.mark.parametrize("loss", PREMISE_LOSSES, ids=lambda l: l.label())
+    def test_gathered_subset_keeps_the_bits(self, loss):
+        full = eval_margin_loss(loss, DENSE)
+        rng = np.random.default_rng(11)
+        for size in (1, 7, 63, 64, 65, 1000, 126 * 64):
+            idx = rng.integers(0, DENSE.size, size)
+            for shape in [(size,), (size, 1)] + ([(-1, 64)] if size % 64 == 0 else []):
+                got = eval_margin_loss(loss, DENSE[idx].reshape(shape))
+                assert got.tobytes() == full[idx].tobytes()
