@@ -12,10 +12,7 @@ from .losses import (
     ZERO_ONE,
     LossFamily,
     MarginLoss,
-    eval_adversarial_zero_one,
     eval_margin_loss,
-    eval_sup_loss,
-    eval_zero_one,
     exponential,
     hinge,
     logistic,
@@ -29,7 +26,6 @@ from .hypotheses import (
     HypothesisClass,
     HypothesisSpec,
     LinearHypothesis,
-    adversarial_extrema_linear,
     attainable_adversarial_range,
     score_range,
 )
@@ -37,10 +33,7 @@ from .conditional import (
     ConditionalPoint,
     Constraint,
     OracleInfeasibleError,
-    RegretCase,
     brute_force_inf,
-    conditional_regret_adversarial,
-    conditional_regret_zero_one,
     conditional_risk,
     conditional_risk_zero_one,
     min_conditional_risk,

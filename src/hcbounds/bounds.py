@@ -48,7 +48,6 @@ from .conditional import (
     conditional_risk,
     conditional_risk_zero_one,
     min_conditional_risk,
-    min_risk_symmetric,
 )
 from .distributions import (
     Atom,
@@ -352,10 +351,7 @@ def best_in_class_risk(
     if spec.cls is HypothesisClass.ALL:
         if adversarial:
             raise ValueError("no exact machinery for the unrestricted class under perturbations")
-        if isinstance(loss, ZeroOneLoss):
-            val, err = _expect_eta(dist, lambda e: np.minimum(e, 1.0 - e))
-        else:
-            val, err = _expect_eta(dist, lambda e: min_risk_symmetric(loss, math.inf, e))
+        val, err = _expect_min_conditional(loss, HypothesisSpec(HypothesisClass.ALL), dist, False)
         return BestInClass(val, exact=True, tol=0.0, quad_err=err)
     if spec.cls is not HypothesisClass.LINEAR:
         raise ValueError("best-in-class search supports the linear and unrestricted classes")
@@ -380,16 +376,12 @@ def best_in_class_risk(
     return BestInClass(val, exact=False, tol=_BIC_TOL, w=wi, b=bi, quad_err=err)
 
 
-def _expect_eta(dist: LabeledDistribution, fn) -> tuple:
-    return expectation(dist, lambda x, e: fn(e), with_error=True)
-
-
 def _expect_min_conditional(loss, spec, dist, adversarial) -> tuple:
     """(E_X of the pointwise minimal conditional risk, quadrature error
     estimate); the lower endpoint when only a bracket is available, which
     upper-bounds the resulting gap."""
     if isinstance(loss, ZeroOneLoss):
-        return _expect_eta(dist, lambda e: np.minimum(e, 1.0 - e))
+        return expectation(dist, lambda x, e: np.minimum(e, 1.0 - e), with_error=True)
     if adversarial:
         bracket = _adversarial_bracket(loss, spec)
         return expectation(dist, lambda x, e: bracket(np.abs(x), e)[0], with_error=True)

@@ -16,7 +16,9 @@ scalars x in [-1, 1] (d = 1), where every p-norm of x is |x|, so there is no
 error.  Exit codes: 0 success, 1 check failure, 2 validation error.  For a
 linear class, bound requires h(x) = w*x + b to lie in the class: the default
 --w -5 (the sweeps' h) needs --W >= 5, so under the default --W 1 it exits 2.
-sweep refuses, with exit 2, a flag that its experiment does not read.
+sweep refuses, with exit 2, a flag that its experiment does not read, and
+bound one that its run does not read: --n and --seed without --mode mc,
+--sigma with a JSON or path --dist.
 HCB_THREADS caps the worker threads of the sweeps' sigma cells and of the
 sampler's blocks (default and ceiling: the CPU count; pools do not nest;
 results never depend on it); an invalid value is a validation error.  The
@@ -74,9 +76,12 @@ def _build_spec(args) -> HypothesisSpec:
     )
 
 
+_PRESETS = ("sect7-nonadv", "sect7-adv")
+
+
 def _load_dist(args):
     spec = args.dist
-    if spec in ("sect7-nonadv", "sect7-adv"):
+    if spec in _PRESETS:
         return preset_distribution(spec, sigma=args.sigma, gamma=args.gamma or 0.1)
     if spec.strip().startswith("{"):
         return dist_from_json_dict(json.loads(spec))
@@ -147,8 +152,37 @@ def cmd_transform(args, defaults) -> int:
     return 0
 
 
+def _read_flags(args, table: dict, cases) -> list:
+    """Default the flags that the chosen cases of ``table`` (case -> {flag:
+    default}) read; return the table's other flags that were given (parser
+    default None), by flag or config key, as sorted '--name's."""
+    used = {key: default for case in cases for key, default in table[case].items()}
+    unused = {key for flags in table.values() for key in flags} - used.keys()
+    for key, default in used.items():
+        if getattr(args, key) is None:
+            setattr(args, key, default)
+    return sorted("--" + key.replace("_", "-") for key in unused if getattr(args, key) is not None)
+
+
+def _flag_help(table: dict, key: str) -> str:
+    readers = [case for case, flags in table.items() if key in flags]
+    return f"{' and '.join(readers)} only; default {table[readers[0]][key]}"
+
+
+# the flags bound reads only in some runs, with their defaults, by the case
+# that reads them
+_BOUND_FLAGS = {"--mode mc": {"n": 10**6, "seed": 0}, "a preset --dist": {"sigma": 0.05}}
+
+
 def cmd_bound(args, defaults) -> int:
     _apply_config(args, defaults)
+    reads = {"--mode mc": args.mode == "mc", "a preset --dist": args.dist in _PRESETS}
+    stray = _read_flags(args, _BOUND_FLAGS, [case for case, on in reads.items() if on])
+    if stray:
+        raise ValueError(
+            f"this bound run does not use {', '.join(stray)} "
+            "(--n and --seed need --mode mc, --sigma a preset --dist)"
+        )
     loss, wants_sup = _parse_loss(args.loss, args.k, args.rho)
     spec = _build_spec(args)
     target = Target.ADVERSARIAL_ZERO_ONE if wants_sup else Target.ZERO_ONE
@@ -201,21 +235,11 @@ _SWEEP_FLAGS = {
 }
 
 
-def _sweep_help(key: str) -> str:
-    readers = [name for name, flags in _SWEEP_FLAGS.items() if key in flags]
-    return f"{' and '.join(readers)} only; default {_SWEEP_FLAGS[readers[0]][key]}"
-
-
 def cmd_sweep(args, defaults) -> int:
     _apply_config(args, defaults)
-    used = _SWEEP_FLAGS[args.experiment]
-    unused = {key for flags in _SWEEP_FLAGS.values() for key in flags} - used.keys()
-    stray = sorted("--" + key.replace("_", "-") for key in unused if getattr(args, key) is not None)
+    stray = _read_flags(args, _SWEEP_FLAGS, [args.experiment])
     if stray:
         raise ValueError(f"--experiment {args.experiment} does not use {', '.join(stray)}")
-    for key, default in used.items():
-        if getattr(args, key) is None:
-            setattr(args, key, default)
     if args.experiment == "figure1":
         spec = HypothesisSpec(HypothesisClass.LINEAR, W=args.W, B=_parse_b(args.B))
         rows = experiments.emit_transform_curves(spec=spec, grid_n=args.grid_n)
@@ -290,15 +314,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_b.add_argument("--loss", required=True)
     _add_spec_flags(p_b)
     p_b.add_argument("--dist", required=True, help="preset name, JSON literal, or path")
-    p_b.add_argument("--sigma", type=float, default=0.05)
+    # defaults in _BOUND_FLAGS; a flag this run does not read exits 2
+    p_b.add_argument("--sigma", type=float, help=_flag_help(_BOUND_FLAGS, "sigma"))
     p_b.add_argument(
         "--w", type=float, default=-5.0,
         help="slope of h; must satisfy |w| <= W for a linear class (the default needs --W >= 5)",
     )
     p_b.add_argument("--b", type=float, default=0.0)
     p_b.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    p_b.add_argument("--n", type=int, default=10**6)
-    p_b.add_argument("--seed", type=int, default=0)
+    p_b.add_argument("--n", type=int, help=_flag_help(_BOUND_FLAGS, "n"))
+    p_b.add_argument("--seed", type=int, help=_flag_help(_BOUND_FLAGS, "seed"))
     p_b.add_argument("--out", default="")
     p_b.add_argument("--config", default="")
     p_b.set_defaults(func=cmd_bound, _subparser=p_b)
@@ -315,15 +340,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw = sub.add_parser("sweep", help="run a simulation sweep or curve emission")
     p_sw.add_argument("--experiment", choices=["sect7-nonadv", "sect7-adv", "figure1"], required=True)
     # defaults in _SWEEP_FLAGS; a flag the chosen experiment does not read exits 2
-    p_sw.add_argument("--n", type=int, help=_sweep_help("n"))
-    p_sw.add_argument("--seed", type=int, help=_sweep_help("seed"))
-    p_sw.add_argument("--sigmas", help=_sweep_help("sigmas"))
-    p_sw.add_argument("--w", type=float, help=_sweep_help("w"))
-    p_sw.add_argument("--b", type=float, help=_sweep_help("b"))
-    p_sw.add_argument("--gamma", type=float, help=_sweep_help("gamma"))
-    p_sw.add_argument("--W", type=float, help=_sweep_help("W"))
-    p_sw.add_argument("--B", type=str, help=_sweep_help("B") + "; 'inf' allowed")
-    p_sw.add_argument("--grid-n", dest="grid_n", type=int, help=_sweep_help("grid_n"))
+    p_sw.add_argument("--n", type=int, help=_flag_help(_SWEEP_FLAGS, "n"))
+    p_sw.add_argument("--seed", type=int, help=_flag_help(_SWEEP_FLAGS, "seed"))
+    p_sw.add_argument("--sigmas", help=_flag_help(_SWEEP_FLAGS, "sigmas"))
+    p_sw.add_argument("--w", type=float, help=_flag_help(_SWEEP_FLAGS, "w"))
+    p_sw.add_argument("--b", type=float, help=_flag_help(_SWEEP_FLAGS, "b"))
+    p_sw.add_argument("--gamma", type=float, help=_flag_help(_SWEEP_FLAGS, "gamma"))
+    p_sw.add_argument("--W", type=float, help=_flag_help(_SWEEP_FLAGS, "W"))
+    p_sw.add_argument("--B", type=str, help=_flag_help(_SWEEP_FLAGS, "B") + "; 'inf' allowed")
+    p_sw.add_argument("--grid-n", dest="grid_n", type=int, help=_flag_help(_SWEEP_FLAGS, "grid_n"))
     p_sw.add_argument("--out", default="")
     p_sw.add_argument("--format", choices=["csv", "json", "both"], default="both")
     p_sw.add_argument("--config", default="")

@@ -33,19 +33,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypotheses import HypothesisClass, HypothesisSpec, attainable_adversarial_range, score_range
-from .losses import LossFamily, MarginLoss, eval_margin_loss, sign, truncate
+from .losses import LossFamily, MarginLoss, eval_margin_loss, sign
 
 __all__ = [
     "ConditionalPoint",
-    "RegretCase",
     "Constraint",
     "OracleInfeasibleError",
     "conditional_risk",
     "conditional_risk_zero_one",
     "min_conditional_risk",
     "min_conditional_risk_adversarial",
-    "conditional_regret_zero_one",
-    "conditional_regret_adversarial",
     "brute_force_inf",
     "thread_cap",
     "thread_map",
@@ -70,15 +67,6 @@ class ConditionalPoint:
             raise ValueError(f"||x||_p must lie in [0, 1], got {self.x_norm_p}")
         if not 0.0 <= self.t <= 1.0:
             raise ValueError(f"t must lie in [0, 1], got {self.t}")
-
-
-class RegretCase(enum.Enum):
-    """Position of a hypothesis's worst-case score interval relative to 0."""
-
-    STRADDLING = "straddling"
-    STRICTLY_NEGATIVE = "strictly-negative"
-    STRICTLY_POSITIVE = "strictly-positive"
-    OTHER = "other"
 
 
 class Constraint(enum.Enum):
@@ -212,56 +200,6 @@ def min_conditional_risk_adversarial(
     exists for them.
     """
     return _adversarial_bracket(loss, spec)(point.x_norm_p, point.t)
-
-
-def _check_sign_rich(spec: HypothesisSpec) -> None:
-    if spec.cls is HypothesisClass.ALL:
-        return
-    if spec.margin_scale() <= 0:
-        raise ValueError(
-            "class cannot realize both signs at every point (needs B > 0, "
-            "and Lambda > 0 for ReLU networks)"
-        )
-
-
-def conditional_regret_zero_one(
-    spec: HypothesisSpec,
-    point: ConditionalPoint,
-    h_predicts_wrong_side: bool,
-    eps: float = 0.0,
-) -> float:
-    """Truncated conditional regret of the zero-one loss.
-
-    Equals <2|t - 1/2|>_eps when the hypothesis's sign disagrees with the
-    Bayes sign (or t = 1/2), and 0 otherwise.
-    """
-    _check_sign_rich(spec)
-    if not h_predicts_wrong_side:
-        return 0.0
-    return truncate(2.0 * abs(point.t - 0.5), eps)
-
-
-def conditional_regret_adversarial(
-    spec: HypothesisSpec,
-    point: ConditionalPoint,
-    case: RegretCase,
-    eps: float = 0.0,
-) -> float:
-    """Truncated conditional regret of the robust zero-one loss, by case.
-
-    The four cases partition hypotheses by where their worst-case score
-    interval sits: straddling zero, strictly negative, strictly positive,
-    or none of these (regret 0).
-    """
-    _check_sign_rich(spec)
-    delta = point.t - 0.5
-    if case is RegretCase.STRADDLING:
-        return truncate(abs(delta) + 0.5, eps)
-    if case is RegretCase.STRICTLY_NEGATIVE:
-        return truncate(2.0 * delta, eps)
-    if case is RegretCase.STRICTLY_POSITIVE:
-        return truncate(-2.0 * delta, eps)
-    return 0.0
 
 
 def brute_force_inf(

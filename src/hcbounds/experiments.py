@@ -85,18 +85,6 @@ def _mean_se(vals: np.ndarray) -> tuple:
     return float(vals.mean()), float(vals.std(ddof=1)) / math.sqrt(n)
 
 
-def _cell_args(dist, cfg, i, adversarial):
-    """Seed, lhs, its stderr and the shared margin-loss argument of one
-    sigma cell.  The sample is scored in place and dropped as it is used."""
-    seed = _cell_seed(cfg.seed, i)
-    xs, ys = sample(dist, cfg.n_samples, seed)
-    gamma = cfg.gamma if adversarial else 0.0
-    err, arg = _score_kernel(cfg.w, cfg.b, xs, ys, adversarial, gamma, overwrite=True)
-    del xs, ys
-    lhs, se_lhs = _mean_se(err.astype(float))
-    return seed, lhs, se_lhs, arg
-
-
 def run_nonadversarial_sweep(cfg: SweepConfig):
     """Rows {sigma, loss, lhs, rhs, stderrs, slack, holds} for the standard sweep.
 
@@ -111,34 +99,7 @@ def run_nonadversarial_sweep(cfg: SweepConfig):
         raise ValueError("non-adversarial sweep covers quadratic/logistic/exponential")
     spec_all = HypothesisSpec(HypothesisClass.ALL)
     mults = [2.0 * _BETA / float(transform(loss, spec_all)(2.0 * _BETA)) for loss in losses]
-
-    def cell(i):
-        sigma = cfg.sigmas[i]
-        seed, lhs, se_lhs, arg = _cell_args(sect7_nonadversarial(sigma), cfg, i, False)
-        rows = []
-        for loss, mult in zip(losses, mults):
-            mean_s, se_s = _mean_se(eval_margin_loss(loss, arg))
-            rhs, se_rhs = mult * mean_s, mult * se_s
-            slack = rhs - lhs
-            rows.append(
-                {
-                    "experiment": "sect7-nonadv",
-                    "sigma": sigma,
-                    "loss": loss.label(),
-                    "n": cfg.n_samples,
-                    "seed": seed,
-                    "multiplier": mult,
-                    "lhs": lhs,
-                    "rhs": rhs,
-                    "stderr_lhs": se_lhs,
-                    "stderr_rhs": se_rhs,
-                    "slack": slack,
-                    "holds": _holds(lhs, rhs, se_lhs, se_rhs),
-                }
-            )
-        return rows
-
-    return [row for rows in thread_map(cell, range(len(cfg.sigmas))) for row in rows]
+    return _run_cells(cfg, "sect7-nonadv", losses, [{"multiplier": m} for m in mults])
 
 
 def run_adversarial_sweep(cfg: SweepConfig):
@@ -151,42 +112,59 @@ def run_adversarial_sweep(cfg: SweepConfig):
         raise ValueError("adversarial sweep covers sup-rho-margin/sup-hinge/sup-sigmoid")
     if not 0.0 < cfg.gamma < 1.0:
         raise ValueError("adversarial sweep needs gamma in (0, 1)")
-    # the first rho-margin and the first hinge loss are compared pointwise
+    return _run_cells(cfg, "sect7-adv", losses, [{"gamma": cfg.gamma}] * len(losses))
+
+
+def _run_cells(cfg, experiment, losses, extras):
+    """The rows of both sweeps, one cell per sigma on ``thread_map``.  A cell
+    scores its sample in place, then evaluates and reduces one loss at a
+    time; extras are each loss's own row fields, and a "multiplier" there
+    scales its rhs.  Only the first rho-margin and hinge losses' values,
+    compared pointwise in the adversarial sweep, outlive their reduction."""
+    adversarial = experiment == "sect7-adv"
+    gamma = cfg.gamma if adversarial else 0.0
     pair = [
         next((l for l in losses if l.family is fam), None)
         for fam in (LossFamily.RHO_MARGIN, LossFamily.HINGE)
     ]
 
     def cell(i):
-        sigma = cfg.sigmas[i]
-        seed, lhs, se_lhs, arg = _cell_args(sect7_adversarial(sigma, cfg.gamma), cfg, i, True)
-        stats, paired = [], {}
-        for loss in losses:
+        sigma, seed = cfg.sigmas[i], _cell_seed(cfg.seed, i)
+        dist = sect7_adversarial(sigma, gamma) if adversarial else sect7_nonadversarial(sigma)
+        xs, ys = sample(dist, cfg.n_samples, seed)
+        err, arg = _score_kernel(cfg.w, cfg.b, xs, ys, adversarial, gamma, overwrite=True)
+        del xs, ys
+        lhs, se_lhs = _mean_se(err.astype(float))
+        del err
+        rows, paired = [], {}
+        for loss, extra in zip(losses, extras):
             vals = eval_margin_loss(loss, arg)
-            stats.append(_mean_se(vals))
+            mean, se = _mean_se(vals)
             if loss in pair:
                 paired[loss] = vals
-        frac = math.nan if None in pair else float(np.mean(paired[pair[0]] <= paired[pair[1]] + 1e-12))
-        rows = []
-        for loss, (rhs, se_rhs) in zip(losses, stats):
-            slack = rhs - lhs
+            del vals
+            mult = extra.get("multiplier", 1.0)
+            rhs, se_rhs = mult * mean, mult * se
             rows.append(
                 {
-                    "experiment": "sect7-adv",
+                    "experiment": experiment,
                     "sigma": sigma,
-                    "loss": "sup-" + loss.label(),
+                    "loss": ("sup-" if adversarial else "") + loss.label(),
                     "n": cfg.n_samples,
                     "seed": seed,
-                    "gamma": cfg.gamma,
+                    **extra,
                     "lhs": lhs,
                     "rhs": rhs,
                     "stderr_lhs": se_lhs,
                     "stderr_rhs": se_rhs,
-                    "slack": slack,
+                    "slack": rhs - lhs,
                     "holds": _holds(lhs, rhs, se_lhs, se_rhs),
-                    "frac_rho_rhs_le_hinge": frac,
                 }
             )
+        if adversarial:
+            frac = math.nan if None in pair else float(np.mean(paired[pair[0]] <= paired[pair[1]] + 1e-12))
+            for row in rows:
+                row["frac_rho_rhs_le_hinge"] = frac
         return rows
 
     return [row for rows in thread_map(cell, range(len(cfg.sigmas))) for row in rows]

@@ -11,11 +11,14 @@ Three classes are modeled:
   Lambda and the same per-unit (W, B) constraints; scores attain exactly
   +-Lambda*(W*|x| + B).
 
-For a linear hypothesis the extreme scores over a gamma-ball are in closed
-form: w*x -+ gamma*|w| + b.  For the ReLU class only a class-level
-sandwich on sup_h inf-ball scores is available (and is all the bounds need):
-the supremum over the class of the ball-infimum score lies between
-Lambda*B and Lambda*(W*max{|x|, gamma} - gamma*W + B).
+For a linear hypothesis the extreme scores over a gamma-ball are
+w*x -+ gamma*|w| + b; ``bounds._score_kernel`` takes them on whole samples
+and quadrature rules.  This module gives their class-level counterpart, the
+supremum over the class of the ball-infimum score
+(``attainable_adversarial_range``): W*max{|x|, gamma} - gamma*W + B exactly
+for linear predictors, and for the ReLU class only a sandwich between
+Lambda*B and Lambda*(W*max{|x|, gamma} - gamma*W + B), which is all the
+bounds need.
 
 ``B = math.inf`` is an accepted sentinel and is propagated symbolically by
 the transform constructors; it never enters grid arithmetic.
@@ -35,7 +38,6 @@ __all__ = [
     "HypothesisSpec",
     "LinearHypothesis",
     "score_range",
-    "adversarial_extrema_linear",
     "attainable_adversarial_range",
 ]
 
@@ -136,16 +138,6 @@ def score_range(spec: HypothesisSpec, x_norm_p: float) -> tuple:
         raise ValueError("score_range is undefined for the unbounded class")
     hi = spec.score_bound(x_norm_p)
     return (-hi, hi)
-
-
-def adversarial_extrema_linear(h: LinearHypothesis, x, gamma: float):
-    """Extreme scores of a linear hypothesis over the gamma-ball around x:
-    w*x -+ gamma*|w| + b."""
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    center = h.score(x)
-    spread = gamma * abs(h.w)
-    return (center - spread, center + spread)
 
 
 def attainable_adversarial_range(spec: HypothesisSpec, x_norm_p) -> tuple:

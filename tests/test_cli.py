@@ -320,6 +320,67 @@ class TestBoundCommand:
         assert code == 0
 
 
+class TestBoundFlagsTheRunDoesNotRead:
+    """--n/--seed are read only with --mode mc, --sigma only with a preset
+    --dist; given elsewhere, on the command line or in a config file, they
+    exit 2 instead of being ignored."""
+
+    PRESET = ["bound", "--loss", "hinge", "--class", "linear", "--W", "5", "--B", "0.5", "--dist", "sect7-nonadv"]
+    INLINE = ["bound", "--loss", "hinge", "--class", "linear", "--B", "0.5", "--w", "-0.4", "--dist", SINGLETON]
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--n", "7"], "--n"),
+            (["--seed", "3"], "--seed"),
+            (["--mode", "exact", "--n", "7", "--seed", "3"], "--n, --seed"),
+        ],
+    )
+    def test_sample_flags_without_monte_carlo(self, capsys, flags, named):
+        assert main([*self.PRESET, *flags]) == 2
+        assert f"does not use {named} (" in capsys.readouterr().err
+
+    def test_sigma_with_inline_json(self, capsys):
+        assert main([*self.INLINE, "--sigma", "0.05"]) == 2
+        assert "does not use --sigma (" in capsys.readouterr().err
+
+    def test_sigma_with_dist_path(self, tmp_path, capsys):
+        path = tmp_path / "dist.json"
+        path.write_text(SINGLETON)
+        args = [*self.INLINE[:-1], str(path), "--sigma", "0.1", "--n", "100"]
+        assert main(args) == 2
+        assert "does not use --n, --sigma (" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("n", 1000), ("seed", 3)])
+    def test_config_key_without_monte_carlo(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert main([*self.PRESET, "--config", str(cfg)]) == 2
+        assert f"does not use --{key} (" in capsys.readouterr().err
+
+    def test_config_sigma_with_inline_json(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sigma": 0.1}))
+        assert main([*self.INLINE, "--config", str(cfg)]) == 2
+        assert "does not use --sigma (" in capsys.readouterr().err
+
+    def test_read_flags_still_accepted(self, tmp_path):
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        assert main([*self.PRESET, "--sigma", "0.1", "--mode", "mc", "--n", "20000", "--seed", "3",
+                     "--out", str(out1)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sigma": 0.1, "mode": "mc", "n": 20000, "seed": 3}))
+        assert main([*self.PRESET, "--config", str(cfg), "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        assert json.loads(out1.read_text())["provenance"]["n"] == 20000
+
+    def test_defaults_fill_in_when_read(self, tmp_path):
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        assert main([*self.PRESET, "--out", str(out1)]) == 0
+        assert main([*self.PRESET, "--sigma", "0.05", "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+
 class TestOracleCheckCommand:
     def test_pass_at_coarse_grid(self, capsys):
         assert main(["oracle-check", "--grid-n", "501", "--instances", "2"]) == 0

@@ -16,10 +16,7 @@ from hcbounds.conditional import (
     _min_risk,
     Constraint,
     OracleInfeasibleError,
-    RegretCase,
     brute_force_inf,
-    conditional_regret_adversarial,
-    conditional_regret_zero_one,
     conditional_risk,
     conditional_risk_zero_one,
     min_conditional_risk,
@@ -28,11 +25,11 @@ from hcbounds.conditional import (
     thread_cap,
     thread_map,
 )
+from hcbounds.bounds import _score_kernel
 from hcbounds.hypotheses import (
     HypothesisClass,
     HypothesisSpec,
     LinearHypothesis,
-    adversarial_extrema_linear,
 )
 from hcbounds.losses import (
     eval_margin_loss,
@@ -42,6 +39,7 @@ from hcbounds.losses import (
     quadratic,
     rho_margin,
     sigmoid,
+    truncate,
 )
 
 LIN = HypothesisClass.LINEAR
@@ -245,37 +243,55 @@ def test_adversarial_brackets_pinned(spec_name, loss):
         assert all(abs(v - float.fromhex(a)) <= 2.2e-16 for v, a in zip(vals, anchors))
 
 
+def _lemma_zero_one(t, wrong_side, eps=0.0):
+    """The zero-one regret lemma: <2|t - 1/2|>_eps when h's sign disagrees
+    with the Bayes sign (or t = 1/2), else 0."""
+    return truncate(2.0 * abs(t - 0.5), eps) if wrong_side else 0.0
+
+
+def _lemma_adversarial(lo, hi, t):
+    """The robust zero-one regret lemma, by where the worst-case score
+    interval [lo, hi] sits: straddling 0, strictly negative or strictly
+    positive."""
+    delta = t - 0.5
+    if lo <= 0.0 <= hi:
+        return abs(delta) + 0.5
+    return truncate(2.0 * delta) if hi < 0.0 else truncate(-2.0 * delta)
+
+
+def _robust_regret(h, x, t, gamma):
+    """Robust conditional zero-one regret of h at (x, t), from the kernel's
+    robust indicator: t*err(+1) + (1-t)*err(-1) - min(t, 1-t)."""
+    err_pos, arg_pos = _score_kernel(h.w, h.b, x, 1, True, gamma)
+    err_neg, arg_neg = _score_kernel(h.w, h.b, x, -1, True, gamma)
+    regret = t * float(err_pos) + (1.0 - t) * float(err_neg) - min(t, 1.0 - t)
+    return regret, float(arg_pos), -float(arg_neg)  # the margins are lo and -hi
+
+
 class TestRegrets:
     def test_zero_one_wrong_side(self):
-        spec = HypothesisSpec(LIN, W=1.0, B=0.5)
-        pt = ConditionalPoint(0.3, 0.75)
-        assert conditional_regret_zero_one(spec, pt, True) == pytest.approx(0.5)
-        assert conditional_regret_zero_one(spec, pt, False) == 0.0
+        t = 0.75
+        assert conditional_risk_zero_one(-0.2, t) - min(t, 1.0 - t) == _lemma_zero_one(t, True) == 0.5
+        assert conditional_risk_zero_one(0.2, t) - min(t, 1.0 - t) == _lemma_zero_one(t, False) == 0.0
 
     def test_zero_one_balanced(self):
-        spec = HypothesisSpec(LIN, W=1.0, B=0.5)
-        assert conditional_regret_zero_one(spec, ConditionalPoint(0.3, 0.5), True) == 0.0
+        for u in (-0.2, 0.0, 0.2):
+            assert conditional_risk_zero_one(u, 0.5) - 0.5 == _lemma_zero_one(0.5, True) == 0.0
 
     def test_zero_one_truncated(self):
-        spec = HypothesisSpec(LIN, W=1.0, B=0.5)
-        assert conditional_regret_zero_one(spec, ConditionalPoint(0.3, 0.75), True, eps=0.5) == 0.0
-
-    def test_bias_free_class_rejected(self):
-        spec = HypothesisSpec(LIN, W=1.0, B=0.0)
-        with pytest.raises(ValueError):
-            conditional_regret_zero_one(spec, ConditionalPoint(0.3, 0.75), True)
+        regret = conditional_risk_zero_one(-0.2, 0.75) - 0.25
+        assert truncate(regret, 0.5) == _lemma_zero_one(0.75, True, eps=0.5) == 0.0
 
     def test_adversarial_cases(self):
-        spec = HypothesisSpec(LIN, W=1.0, B=0.5, gamma=0.1)
-        pt = ConditionalPoint(0.3, 0.8)
-        assert conditional_regret_adversarial(spec, pt, RegretCase.STRADDLING) == pytest.approx(0.8)
-        assert conditional_regret_adversarial(spec, pt, RegretCase.STRICTLY_NEGATIVE) == pytest.approx(0.6)
-        assert conditional_regret_adversarial(spec, pt, RegretCase.STRICTLY_POSITIVE) == 0.0
-        assert conditional_regret_adversarial(spec, pt, RegretCase.OTHER) == 0.0
+        # h = (1, b) around x = 0 with gamma = 0.1: worst-case scores [b - 0.1, b + 0.1]
+        t = 0.8
+        for b, lemma in ((0.0, 0.8), (-0.2, 0.6), (0.2, 0.0)):  # straddling, negative, positive
+            regret, lo, hi = _robust_regret(LinearHypothesis(1.0, b), 0.0, t, 0.1)
+            assert _lemma_adversarial(lo, hi, t) == pytest.approx(lemma, abs=1e-15)
+            assert regret == pytest.approx(lemma, abs=1e-15)
 
     def test_lemma_zero_one_exact_equality(self):
         # conditional zero-one regret of a concrete h equals the lemma value
-        spec = HypothesisSpec(LIN, W=1.0, B=0.5)
         rng = np.random.default_rng(4)
         for _ in range(200):
             w, b = rng.uniform(-1, 1), rng.uniform(-0.5, 0.5)
@@ -285,33 +301,19 @@ class TestRegrets:
             regret = conditional_risk_zero_one(u, t) - min(t, 1.0 - t)
             s = 1 if u >= 0 else -1
             wrong = s * (t - 0.5) <= 0
-            lemma = conditional_regret_zero_one(spec, ConditionalPoint(abs(x), t), wrong)
-            assert regret == pytest.approx(lemma, abs=1e-15)
+            assert regret == pytest.approx(_lemma_zero_one(t, wrong), abs=1e-15)
 
     def test_lemma_adversarial_case_partition(self):
-        # exactly one case fires and its value matches direct computation
-        spec = HypothesisSpec(LIN, W=1.0, B=0.5, gamma=0.15)
+        # the kernel's robust regret matches the lemma's value in every case
+        gamma = 0.15
         rng = np.random.default_rng(14)
         for _ in range(300):
             h = LinearHypothesis((rng.uniform(-1, 1),), rng.uniform(-0.5, 0.5))
             x = float(rng.uniform(-1, 1))
             t = float(rng.uniform(0, 1))
-            lo, hi = adversarial_extrema_linear(h, x, spec.gamma)
-            if lo <= 0.0 <= hi:
-                case = RegretCase.STRADDLING
-            elif hi < 0.0:
-                case = RegretCase.STRICTLY_NEGATIVE
-            elif lo > 0.0:
-                case = RegretCase.STRICTLY_POSITIVE
-            else:
-                case = RegretCase.OTHER
-            direct = (
-                t * (1.0 if lo <= 0 else 0.0)
-                + (1.0 - t) * (1.0 if hi >= 0 else 0.0)
-                - min(t, 1.0 - t)
-            )
-            lemma = conditional_regret_adversarial(spec, ConditionalPoint(abs(x), t), case)
-            assert max(direct, 0.0) == pytest.approx(lemma, abs=1e-15)
+            regret, lo, hi = _robust_regret(h, x, t, gamma)
+            assert lo <= hi
+            assert regret == pytest.approx(_lemma_adversarial(lo, hi, t), abs=1e-15)
 
 
 class TestBruteForceOracle:

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 import hcbounds
@@ -505,12 +507,46 @@ def test_import_leaves_scipy_integrate_and_special_unloaded():
         assert out.stdout.strip() == "[]", (module, out.stdout)
 
 
+_UNIT = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def _law(draw):
+    if draw(st.booleans()):
+        return Atom(draw(_UNIT))
+    lo = draw(st.floats(-1.0, 0.999))
+    hi = min(lo + draw(st.floats(1e-3, 2.0)), 1.0)
+    std = draw(st.floats(1e-2, 10.0))
+    mean = draw(st.floats(lo - 5.0 * std, hi + 5.0 * std))  # within 5 std: mass on [lo, hi]
+    return TruncNormal(lo, hi, mean, std)
+
+
+@st.composite
+def _mixture(draw):
+    """1-6 components of either kind, with weights n_i / sum(n) that sum to
+    1 within the distribution's tolerance (zero weights included)."""
+    k = draw(st.integers(1, 6))
+    counts = draw(st.lists(st.integers(0, 1000), min_size=k, max_size=k).filter(any))
+    total = sum(counts)
+    labels = draw(st.lists(st.sampled_from([-1, 1]), min_size=k, max_size=k))
+    return LabeledDistribution(
+        tuple(Component(n / total, y, draw(_law())) for n, y in zip(counts, labels))
+    )
+
+
 class TestSerialization:
     def test_round_trip(self):
         d = sect7_adversarial(0.05, 0.1)
         doc = dist_to_json_dict(d)
         again = dist_from_json_dict(json.loads(json.dumps(doc)))
         assert again == d
+
+    @given(d=_mixture())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_of_random_mixtures(self, d):
+        again = dist_from_json_dict(json.loads(json.dumps(dist_to_json_dict(d))))
+        assert again == d
+        assert [type(c.law) for c in again.components] == [type(c.law) for c in d.components]
 
     def test_unknown_keys_rejected(self):
         doc = dist_to_json_dict(sect7_nonadversarial(0.1))

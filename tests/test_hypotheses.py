@@ -5,17 +5,26 @@ import math
 import numpy as np
 import pytest
 
+from hcbounds.bounds import _score_kernel
 from hcbounds.hypotheses import (
     HypothesisClass,
     HypothesisSpec,
     LinearHypothesis,
-    adversarial_extrema_linear,
     attainable_adversarial_range,
     score_range,
 )
 
 LIN = HypothesisClass.LINEAR
 RELU = HypothesisClass.ONE_HIDDEN_RELU
+
+
+def adversarial_extrema(h, x, gamma):
+    """(lo, hi), the extreme scores of h over the gamma-ball around x, as
+    ``bounds._score_kernel`` takes them: its margin is lo at y = +1 and -hi
+    at y = -1."""
+    _, lo = _score_kernel(h.w, h.b, x, 1, True, gamma)
+    _, neg_hi = _score_kernel(h.w, h.b, x, -1, True, gamma)
+    return float(lo), -float(neg_hi)
 
 
 class TestSpecValidation:
@@ -101,17 +110,17 @@ class TestScoreRange:
 class TestAdversarialExtremaLinear:
     def test_bias_only(self):
         h = LinearHypothesis((0.0,), 0.3)
-        assert adversarial_extrema_linear(h, 0.7, 0.1) == (0.3, 0.3)
+        assert adversarial_extrema(h, 0.7, 0.1) == (0.3, 0.3)
 
     def test_steep_negative_slope(self):
         h = LinearHypothesis((-5.0,), 0.0)
-        lo, hi = adversarial_extrema_linear(h, 0.05, 0.1)
+        lo, hi = adversarial_extrema(h, 0.05, 0.1)
         assert lo == pytest.approx(-0.75)
         assert hi == pytest.approx(0.25)
 
     def test_zero_radius(self):
         h = LinearHypothesis((1.0,), 0.0)
-        assert adversarial_extrema_linear(h, 0.5, 0.0) == (0.5, 0.5)
+        assert adversarial_extrema(h, 0.5, 0.0) == (0.5, 0.5)
 
     def test_brackets_dense_grid(self):
         rng = np.random.default_rng(9)
@@ -119,7 +128,7 @@ class TestAdversarialExtremaLinear:
             w, b = rng.uniform(-3, 3), rng.uniform(-1, 1)
             x0, gamma = rng.uniform(-0.5, 0.5), rng.uniform(0.0, 0.4)
             h = LinearHypothesis((w,), b)
-            lo, hi = adversarial_extrema_linear(h, x0, gamma)
+            lo, hi = adversarial_extrema(h, x0, gamma)
             grid = w * np.linspace(x0 - gamma, x0 + gamma, 4001) + b
             assert lo <= grid.min() + 1e-9
             assert hi >= grid.max() - 1e-9
@@ -149,7 +158,7 @@ class TestAttainableAdversarialRange:
             best = -math.inf
             for _ in range(400):
                 h = LinearHypothesis((rng.uniform(-spec.W, spec.W),), rng.uniform(-spec.B, spec.B))
-                lo, _hi = adversarial_extrema_linear(h, x, spec.gamma)
+                lo, _hi = adversarial_extrema(h, x, spec.gamma)
                 best = max(best, lo)
                 assert lo <= target + 1e-12
             assert best > target - 0.15  # random search approaches the supremum

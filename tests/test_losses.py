@@ -1,4 +1,9 @@
-"""Pointwise loss evaluators: frozen examples and structural invariants."""
+"""Pointwise losses: frozen examples and structural invariants.
+
+The zero-one, robust zero-one and worst-case margin losses of a linear
+hypothesis are checked through ``bounds._score_kernel`` and
+``bounds._pointwise_losses``, the code that every risk, bound and sweep runs.
+"""
 
 import math
 
@@ -7,12 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hcbounds.bounds import _pointwise_losses, _score_kernel
+from hcbounds.conditional import conditional_risk_zero_one
+from hcbounds.hypotheses import LinearHypothesis
 from hcbounds.losses import (
+    ZERO_ONE,
     LossFamily,
-    eval_adversarial_zero_one,
     eval_margin_loss,
-    eval_sup_loss,
-    eval_zero_one,
     exponential,
     hinge,
     logistic,
@@ -25,6 +31,18 @@ from hcbounds.losses import (
 
 ALL_LOSSES = [hinge(), logistic(), exponential(), quadratic(), sigmoid(1.0), rho_margin(1.0)]
 CONVEX_LOSSES = [hinge(), logistic(), exponential(), quadratic()]
+
+
+def _zero_one(u, y):
+    """Zero-one loss of the score u against label y, from the kernel."""
+    return float(_pointwise_losses(ZERO_ONE, LinearHypothesis(0.0, u), 0.0, y, False, 0.0))
+
+
+def _on_interval(loss, y, lo, hi):
+    """Worst-case loss against label y of a hypothesis whose scores over the
+    ball are [lo, hi]: h = (1, (lo + hi)/2) around x = 0 with gamma = (hi - lo)/2."""
+    h = LinearHypothesis(1.0, (lo + hi) / 2.0)
+    return float(_pointwise_losses(loss, h, 0.0, y, True, (hi - lo) / 2.0))
 
 
 class TestPointwiseValues:
@@ -59,33 +77,33 @@ class TestPointwiseValues:
 class TestZeroOne:
     def test_zero_score_predicts_plus_one(self):
         assert sign(0.0) == 1
-        assert eval_zero_one(0.0, 1) == 0
-        assert eval_zero_one(0.0, -1) == 1
+        assert _zero_one(0.0, 1) == 0.0
+        assert _zero_one(0.0, -1) == 1.0
+        assert conditional_risk_zero_one(0.0, 0.3) == 0.7  # predicts +1: wrong with prob 1 - t
 
     def test_negative_score(self):
-        assert eval_zero_one(-0.3, -1) == 0
-        assert eval_zero_one(-0.3, 1) == 1
+        assert _zero_one(-0.3, -1) == 0.0
+        assert _zero_one(-0.3, 1) == 1.0
 
-    def test_bad_label_rejected(self):
-        with pytest.raises(ValueError):
-            eval_zero_one(0.1, 0)
+    def test_kernel_indicator_on_arrays(self):
+        scores = np.array([-1.0, -0.0, 0.0, 1e-300, 2.0])
+        for y in (-1, 1):
+            err, arg = _score_kernel(1.0, 0.0, scores.copy(), y, False, 0.0)
+            assert err.tolist() == [sign(u) != y for u in scores]
+            assert np.array_equal(arg, y * scores)
 
 
 class TestSupLoss:
     def test_rho_margin_worst_case(self):
-        assert eval_sup_loss(rho_margin(1.0), 1, 0.0, 0.5) == 1.0
+        assert _on_interval(rho_margin(1.0), 1, 0.0, 0.5) == 1.0
 
     def test_hinge_negative_interval(self):
         # y = -1 takes Phi(-h_hi) = Phi(1) = 0
-        assert eval_sup_loss(hinge(), -1, -2.0, -1.0) == 0.0
+        assert _on_interval(hinge(), -1, -2.0, -1.0) == 0.0
 
     def test_sigmoid_straddling_interval(self):
-        got = eval_sup_loss(sigmoid(1.0), 1, -0.1, 0.1)
+        got = _on_interval(sigmoid(1.0), 1, -0.1, 0.1)
         assert got == pytest.approx(1.0 - math.tanh(-0.1), abs=1e-15)
-
-    def test_rejects_inverted_interval(self):
-        with pytest.raises(ValueError):
-            eval_sup_loss(hinge(), 1, 0.5, 0.2)
 
     @pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda l: l.label())
     def test_matches_grid_maximum_over_ball(self, loss):
@@ -99,23 +117,31 @@ class TestSupLoss:
             grid_max = float(np.max(eval_margin_loss(loss, y * (w * grid + b))))
             h_lo = w * x0 - gamma * abs(w) + b
             h_hi = w * x0 + gamma * abs(w) + b
-            assert eval_sup_loss(loss, y, h_lo, h_hi) == pytest.approx(grid_max, abs=1e-4)
+            got = float(_pointwise_losses(loss, LinearHypothesis(w, b), x0, y, True, gamma))
+            # Phi(lo) for y = +1, Phi(-hi) for y = -1
+            closed = eval_margin_loss(loss, h_lo if y > 0 else -h_hi)
+            assert got == pytest.approx(closed, rel=1e-12, abs=1e-12)
+            assert got == pytest.approx(grid_max, abs=1e-4)
 
 
 class TestAdversarialZeroOne:
     def test_safe_interval(self):
-        assert eval_adversarial_zero_one(0.1, 0.2, 1) == 0
+        assert _on_interval(ZERO_ONE, 1, 0.1, 0.2) == 0.0
 
     def test_sign_crossing_hits_both_labels(self):
-        assert eval_adversarial_zero_one(-0.1, 0.1, 1) == 1
-        assert eval_adversarial_zero_one(-0.1, 0.1, -1) == 1
+        assert _on_interval(ZERO_ONE, 1, -0.1, 0.1) == 1.0
+        assert _on_interval(ZERO_ONE, -1, -0.1, 0.1) == 1.0
 
     def test_negative_interval_safe_for_negative_label(self):
-        assert eval_adversarial_zero_one(-0.2, -0.1, -1) == 0
+        assert _on_interval(ZERO_ONE, -1, -0.2, -0.1) == 0.0
 
-    def test_rejects_inverted_interval(self):
-        with pytest.raises(ValueError):
-            eval_adversarial_zero_one(1.0, 0.0, 1)
+    def test_worst_case_score_of_zero_is_an_error(self):
+        # lo = 0 exactly for y = +1, hi = 0 exactly for y = -1
+        assert _on_interval(ZERO_ONE, 1, 0.0, 0.5) == 1.0
+        assert _on_interval(ZERO_ONE, -1, -0.5, 0.0) == 1.0
+        tiny = 2.0**-20  # [tiny, tiny + 0.5] is exact on the kernel's arithmetic
+        assert _on_interval(ZERO_ONE, 1, tiny, tiny + 0.5) == 0.0
+        assert _on_interval(ZERO_ONE, -1, -tiny - 0.5, -tiny) == 0.0
 
 
 class TestTruncate:
@@ -162,16 +188,17 @@ class TestInvariants:
         for _ in range(200):
             u = rng.uniform(-5, 5)
             y = int(rng.choice([-1, 1]))
-            assert eval_margin_loss(loss, y * u) >= eval_zero_one(u, y) - 1e-12
+            assert eval_margin_loss(loss, y * u) >= _zero_one(u, y) - 1e-12
 
     def test_sup_loss_dominates_adversarial_zero_one(self):
         rng = np.random.default_rng(8)
         for loss in ALL_LOSSES:
-            lo = rng.uniform(-2, 2, 100)
-            hi = lo + rng.uniform(0, 1, 100)
+            h = LinearHypothesis(rng.uniform(-3, 3), rng.uniform(-1, 1))
+            xs = np.append(rng.uniform(-1, 1, 100), -h.b / h.w)  # a centre score of about 0
+            gamma = rng.uniform(0.0, 0.5)
             for y in (-1, 1):
-                sup_vals = eval_sup_loss(loss, np.full(100, y), lo, hi)
-                adv = eval_adversarial_zero_one(lo, hi, np.full(100, y))
+                sup_vals = _pointwise_losses(loss, h, xs, y, True, gamma)
+                adv = _pointwise_losses(ZERO_ONE, h, xs, y, True, gamma)
                 assert np.all(sup_vals >= adv - 1e-12)
 
 
