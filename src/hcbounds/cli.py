@@ -22,7 +22,8 @@ bound one that its run does not read: --n and --seed without --mode mc,
 HCB_THREADS caps the worker threads of the sweeps' sigma cells and of the
 sampler's blocks (default and ceiling: the CPU count; pools do not nest;
 results never depend on it); an invalid value is a validation error.  The
-adversarial grid oracle runs on the calling thread.
+grid oracles run on the calling thread.  oracle-check --grid-n below 2
+exits 2.
 """
 
 from __future__ import annotations

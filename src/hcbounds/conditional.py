@@ -16,9 +16,11 @@ a grid of attainable scores in the standard setting, or a grid of (w, b)
 pairs in the adversarial setting.  Infima over open constraint sets
 (score < 0, worst-case score < 0) are computed on the closure of the set,
 which is equivalent for continuous losses and lets the grid attain the
-boundary value exactly.  The (w, b) oracle runs on the calling thread and
-skips blocks of cells whose rounded risks provably cannot go below the best
-cell found, so its minimum is the whole grid's, bit for bit.
+boundary value exactly.  Both oracles run on the calling thread and skip
+blocks of cells whose rounded risks provably cannot go below the best cell
+found, so each minimum is the whole grid's, bit for bit.  The score-grid
+kernel takes many grids per call: the oracle-check rows pass all of an
+instance's grids at once.
 """
 
 from __future__ import annotations
@@ -219,7 +221,12 @@ def brute_force_inf(
 
     Accuracy is O(1/grid_n); the default 4001 keeps the error within 2e-3
     for the parameter ranges used in the verification suite.  Odd grid_n
-    places 0 on the grid.
+    places 0 on the grid.  Both grids are pruned by exact block bounds: only
+    blocks of cells that could hold a smaller value than the best cell found
+    are evaluated, and the result is the whole grid's minimum, bit for bit.
+    Score grids of at most 128 cells are evaluated whole.
+    The score grid is the one-grid case of a batched kernel, which the
+    oracle-check rows call once per instance with all of its grids.
     """
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
@@ -233,31 +240,110 @@ def brute_force_inf(
         return _adversarial_grid_inf(loss, spec, point, constraint, grid_n)
     if constraint in (Constraint.ADV_STRADDLE, Constraint.ADV_SUP_NEGATIVE):
         raise ValueError("adversarial constraints require a spec with gamma > 0")
-    return _score_grid_inf(loss, spec, point, constraint, grid_n)
+    lo, hi = _score_ranges(spec, point.x_norm_p, constraint)
+    return float(_score_grids_inf(loss, point.t, lo, hi, grid_n)[0])
 
 
-def _score_grid_inf(loss, spec, point, constraint, grid_n):
-    if spec.cls is HypothesisClass.ALL:
-        lo, hi = -_ALL_SCORE_CAP, _ALL_SCORE_CAP
-    else:
-        lo, hi = score_range(spec, point.x_norm_p)
-        if math.isinf(hi):  # unbounded-bias sentinel: fall back to the cap
-            lo, hi = -_ALL_SCORE_CAP, _ALL_SCORE_CAP
-    if constraint is Constraint.SCORE_NEGATIVE:
-        if lo >= 0.0:
-            raise OracleInfeasibleError("no attainable strictly negative score at this point")
-        hi = 0.0
-    grid = np.linspace(lo, hi, grid_n)
-    return float(_interval_risk(loss, point.t, grid, grid).min())
-
-
-# Columns of the (w, b) grid per block, the unit that the adversarial oracle
-# bounds and skips; and rows per chunk of its bound pass, which is also the
-# number of blocks it evaluates per batch.  At grid_n=4001 a chunk's
-# temporaries take 64 KB each: fewer rows pay more per-call overhead, and a
-# whole-grid pass holds ~2 MB temporaries.
+# Columns of the (w, b) grid, or cells of a score grid, per block: the unit
+# that both oracles bound and skip.  Rows per chunk of the (w, b) oracle's
+# bound pass, and the most blocks either oracle evaluates per batch.  At
+# grid_n=4001 a chunk's temporaries take 64 KB each: fewer rows pay more
+# per-call overhead, and a whole-grid pass holds ~2 MB temporaries.
 _ADV_BLOCK = 64
 _ADV_CHUNK = 128
+
+
+def _pruned_minima(bounds, blocks_min):
+    """Least cell of each group of blocks, skipping the blocks that cannot
+    hold it; bit for bit the minimum over all of the group's cells.
+
+    bounds[k, j] is no more than any computed cell of block j of group k;
+    ``blocks_min(flat)`` returns the least cell of each block
+    flat = k*n_blocks + j.  Each group's block of least bound is evaluated
+    first, then only the blocks whose bound is strictly below their group's
+    best cell so far, in ascending bound order and ``_ADV_CHUNK`` blocks per
+    batch.  bounds is overwritten."""
+    groups, n_blocks = np.arange(len(bounds)), bounds.shape[1]
+    least = np.argmin(bounds, axis=1)
+    best = blocks_min(groups * n_blocks + least)
+    bounds[groups, least] = math.inf
+    # strict: minima of flat losses are shared by many blocks, and a block
+    # whose bound ties its group's best cannot hold a smaller one
+    todo = np.flatnonzero(bounds < best[:, None])
+    bounds = bounds.ravel()
+    todo = todo[np.argsort(bounds[todo])]
+    while len(todo):
+        batch, todo = todo[:_ADV_CHUNK], todo[_ADV_CHUNK:]
+        batch = batch[bounds[batch] < best[batch // n_blocks]]
+        if len(batch):
+            np.minimum.at(best, batch // n_blocks, blocks_min(batch))
+        else:  # bounds ascend: what is left can only serve groups whose best is above it
+            todo = todo[bounds[todo] < best[todo // n_blocks]]
+    return best
+
+
+def _score_ranges(spec, x_abs, constraint):
+    """(lo, hi) of ``brute_force_inf``'s score grids (gamma = 0) at input
+    norms x_abs, elementwise for an array: the attainable scores [-s, s],
+    with s capped at ``_ALL_SCORE_CAP`` for the unbounded class and an
+    infinite bias, and cut to [-s, 0] under ``SCORE_NEGATIVE``."""
+    s = np.asarray(spec.score_bound(x_abs), dtype=float)
+    s = np.broadcast_to(np.where(np.isinf(s), _ALL_SCORE_CAP, s), np.shape(x_abs))
+    if constraint is Constraint.SCORE_NEGATIVE:
+        if np.any(-s >= 0.0):
+            raise OracleInfeasibleError("no attainable strictly negative score at this point")
+        return -s, np.zeros_like(s)
+    return -s, s
+
+
+def _linspace_cells(lo, hi, idx, grid_n):
+    """Cells idx of linspace(lo, hi, grid_n), with np.linspace's arithmetic:
+    i*step + lo, step = (hi - lo)/(grid_n - 1); (i/(grid_n - 1))*(hi - lo) + lo
+    where step rounds to 0; and hi last.  lo, hi and idx broadcast."""
+    div = grid_n - 1
+    delta = hi - lo
+    step = delta / div
+    u = idx * step
+    if np.any(step == 0.0):
+        u = np.where(step == 0.0, idx / div * delta, u)
+    u += lo
+    return np.where(idx == div, hi, u)
+
+
+def _score_grids_inf(loss, t, lo, hi, grid_n):
+    """Minimum of t[k]*Phi(u) + (1-t[k])*Phi(-u) over each grid
+    u = linspace(lo[k], hi[k], grid_n), bit for bit; t, lo and hi are 1-D
+    and broadcast.
+
+    Each grid is non-decreasing and is cut into blocks of ``_ADV_BLOCK``
+    cells.  Every margin loss is non-increasing in floating point (the
+    logistic one only between inputs more than a few ulps apart), so no cell
+    of a block has a computed risk below ``_interval_risk`` at (its last
+    cell, its first): the block's bound.  ``_pruned_minima`` picks the
+    blocks to evaluate, by the rule of the (w, b) oracle.  Grids of at most
+    two blocks are evaluated whole, in one pass: there the bound pass and
+    the first block alone cost as many loss calls as the whole grid."""
+    t, lo, hi = np.broadcast_arrays(*np.atleast_1d(t, lo, hi))
+    width = min(_ADV_BLOCK, grid_n)
+    first = np.arange(0, grid_n, width)
+    n_blocks = len(first)
+    every = np.arange(len(lo))
+
+    def cells(grids, idx):
+        return _linspace_cells(lo[grids, None], hi[grids, None], idx, grid_n)
+
+    if n_blocks <= 2:
+        u = cells(every, np.arange(grid_n))
+        return _interval_risk(loss, t[:, None], u, u).min(axis=1)
+
+    def blocks_min(flat):
+        grids, blocks = np.divmod(flat, n_blocks)
+        u = cells(grids, np.minimum(first[blocks, None] + np.arange(width), grid_n - 1))  # ragged last block: repeats
+        return _interval_risk(loss, t[grids, None], u, u).min(axis=1)
+
+    u_first = cells(every, first)
+    u_last = cells(every, np.minimum(first + width - 1, grid_n - 1))
+    return _pruned_minima(_interval_risk(loss, t[:, None], u_last, u_first), blocks_min)
 
 
 def thread_cap() -> int:
@@ -265,8 +351,8 @@ def thread_cap() -> int:
     sampler's blocks: ``HCB_THREADS``, clamped to ``os.cpu_count()``, which is
     also the default when it is unset.  Pools do not nest (see
     ``thread_map``), so no more than this many workers run at once.  Results
-    never depend on it.  The adversarial grid oracle runs on the calling
-    thread: its block-bound pruning leaves too few cells to split.  Raises
+    never depend on it.  The grid oracles run on the calling thread: their
+    block-bound pruning leaves too few cells to split.  Raises
     ValueError unless the variable is an integer >= 1."""
     cpus = os.cpu_count() or 1
     raw = os.environ.get("HCB_THREADS", "")
@@ -354,25 +440,14 @@ def _adversarial_grid_inf(loss, spec, point, constraint, grid_n):
             risk[(lo > 0.0) | (hi < 0.0)] = math.inf
         elif constraint is Constraint.ADV_SUP_NEGATIVE:
             risk[hi > 0.0] = math.inf  # closure of the open constraint
-        return float(risk.min())
+        return risk.min(axis=1)
 
     # the bound pass streams over row chunks, so its temporaries stay small
     bounds = np.empty((grid_n, len(first)))
     for start in range(0, grid_n, _ADV_CHUNK):
         rows = slice(start, start + _ADV_CHUNK)
         bounds[rows] = block_bounds(rows)
-    bounds = bounds.ravel()
-    best = blocks_min(np.array([np.argmin(bounds)]))
-    # strict: minima of flat losses are shared by many blocks, and a block
-    # whose bound ties the best cannot hold a smaller one
-    todo = np.flatnonzero(bounds < best)
-    todo = todo[np.argsort(bounds[todo])]
-    for start in range(0, len(todo), _ADV_CHUNK):
-        batch = todo[start : start + _ADV_CHUNK]
-        batch = batch[bounds[batch] < best]
-        if len(batch) == 0:
-            break
-        best = min(best, blocks_min(batch))
+    best = float(_pruned_minima(bounds.reshape(1, -1), blocks_min)[0])
     if not math.isfinite(best):
         raise OracleInfeasibleError(f"constraint {constraint.value} is infeasible on the grid")
     return best

@@ -26,6 +26,8 @@ from .conditional import (
     ConditionalPoint,
     Constraint,
     _interval_risk,
+    _score_grids_inf,
+    _score_ranges,
     brute_force_inf,
     min_conditional_risk,
     min_conditional_risk_adversarial,
@@ -99,23 +101,24 @@ def _nonadv_row(loss_name, cls, instances, grid_n, seed, tamper):
         loss = _pick_loss(loss_name, rng)
         spec = _sample_spec(rng, cls)
         point = ConditionalPoint(float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 1.0)))
+        t_arg = float(rng.uniform(0.5, 1.0))
+        # one oracle call per instance: the point's grid, then the constrained
+        # and the unconstrained grid at each x of x_grid
+        lo, hi = _score_ranges(spec, np.r_[point.x_norm_p, x_grid], Constraint.NONE)
+        neg_lo, neg_hi = _score_ranges(spec, x_grid, Constraint.SCORE_NEGATIVE)
+        ts = np.r_[point.t, np.full(2 * _X_GRID_POINTS, t_arg)]
+        mins = _score_grids_inf(loss, ts, np.r_[lo[:1], neg_lo, lo[1:]], np.r_[hi[:1], neg_hi, hi[1:]], grid_n)
         closed = min_conditional_risk(loss, spec, point)
         if tamper:
             closed += nudge
-        oracle = brute_force_inf(loss, spec, point, Constraint.NONE, grid_n)
+        oracle = float(mins[0])
         dev_min = max(dev_min, abs(closed - oracle))
         over = max(over, closed - oracle)
         # transform vs constrained-minus-unconstrained infima, minimized over x
-        t_arg = float(rng.uniform(0.5, 1.0))
         fwd = float(transform(loss, spec)(2.0 * t_arg - 1.0))
         if tamper:
             fwd += nudge
-        best = math.inf
-        for x in x_grid:
-            pt = ConditionalPoint(float(x), t_arg)
-            constrained = brute_force_inf(loss, spec, pt, Constraint.SCORE_NEGATIVE, grid_n)
-            unconstrained = brute_force_inf(loss, spec, pt, Constraint.NONE, grid_n)
-            best = min(best, constrained - unconstrained)
+        best = float(np.min(mins[1 : _X_GRID_POINTS + 1] - mins[_X_GRID_POINTS + 1 :]))
         dev_trans = max(dev_trans, abs(fwd - best))
     return dev_min, dev_trans, over
 
@@ -143,19 +146,36 @@ def _adv_linear_row(instances, grid_n, seed, tamper):
     return dev, over
 
 
-def _relu_ball_extrema(units_u, units_w, bias, x, gamma):
-    """Exact extrema of sum_j u_j*relu(w_j*x' + b) over [x-gamma, x+gamma] at d=1:
-    the network is piecewise linear, so extremes occur at endpoints or kinks."""
-    cands = [x - gamma, x + gamma]
-    for w in units_w:
-        if w != 0.0:
-            z = -bias / w
-            if x - gamma < z < x + gamma:
-                cands.append(z)
-    vals = [
-        float(np.sum(units_u * np.maximum(units_w * c + bias, 0.0))) for c in cands
-    ]
-    return min(vals), max(vals)
+def _sample_networks(rng, spec):
+    """(u, w, b) of an instance's 96 sampled networks of 1 to 3 hidden units,
+    one per row, padded to 3 units with u = w = 0 (a padded unit adds 0).
+    The first two are the bias-only witnesses h = +-Lambda*relu(B): the sign
+    must come through u because a ReLU discards a negative bias."""
+    u, w = np.zeros((96, 3)), np.zeros((96, 3))
+    b = np.full(96, spec.B)
+    u[:2, 0] = spec.Lambda, -spec.Lambda
+    for trial in range(96):
+        n_units = int(rng.integers(1, 4))
+        if trial >= 2:
+            raw = rng.uniform(-1.0, 1.0, n_units)
+            total = np.sum(np.abs(raw))
+            u[trial, :n_units] = raw * (spec.Lambda * rng.uniform(0.2, 1.0) / total) if total else raw
+            w[trial, :n_units] = rng.uniform(-spec.W, spec.W, n_units)
+            b[trial] = rng.uniform(-spec.B, spec.B)
+    return u, w, b
+
+
+def _relu_ball_extrema(u, w, b, x, gamma):
+    """Exact extrema of sum_j u_j*relu(w_j*x' + b) over [x-gamma, x+gamma] at
+    d=1, one network per row: the network is piecewise linear, so extremes
+    occur at the ball's ends or at the kinks inside it."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kinks = -b[:, None] / w
+    inside = (w != 0.0) & (x - gamma < kinks) & (kinks < x + gamma)
+    ends = np.broadcast_to([x - gamma, x + gamma], (len(b), 2))
+    cands = np.concatenate([ends, np.where(inside, kinks, x - gamma)], axis=1)
+    vals = np.sum(u[:, None, :] * np.maximum(w[:, None, :] * cands[:, :, None] + b[:, None, None], 0.0), axis=2)
+    return vals.min(axis=1), vals.max(axis=1)
 
 
 def _adv_relu_row(instances, seed, tamper):
@@ -168,27 +188,11 @@ def _adv_relu_row(instances, seed, tamper):
         spec = _sample_spec(rng, cls=HypothesisClass.ONE_HIDDEN_RELU, gamma=float(rng.uniform(0.05, 0.3)))
         x = float(rng.uniform(0.0, 1.0))
         t = float(rng.uniform(0.0, 1.0))
-        point = ConditionalPoint(x, t)
-        lo, hi = min_conditional_risk_adversarial(loss, spec, point)
+        lo, hi = min_conditional_risk_adversarial(loss, spec, ConditionalPoint(x, t))
         if tamper:
             lo, hi = lo + 1.0, hi + 1.0  # shove the bracket clear of every sampled value
-        best = math.inf
-        for trial in range(96):
-            n_units = int(rng.integers(1, 4))
-            if trial < 2:
-                # bias-only witnesses h = +-Lambda*relu(B): the sign must come
-                # through u because a ReLU discards a negative bias
-                u = np.array([spec.Lambda if trial == 0 else -spec.Lambda])
-                w = np.array([0.0])
-                b = spec.B
-            else:
-                raw = rng.uniform(-1.0, 1.0, n_units)
-                total = np.sum(np.abs(raw))
-                u = raw * (spec.Lambda * rng.uniform(0.2, 1.0) / total) if total else raw
-                w = rng.uniform(-spec.W, spec.W, n_units)
-                b = float(rng.uniform(-spec.B, spec.B))
-            h_lo, h_hi = _relu_ball_extrema(u, w, b, x, spec.gamma)
-            best = min(best, _interval_risk(loss, t, h_lo, h_hi))
+        h_lo, h_hi = _relu_ball_extrema(*_sample_networks(rng, spec), x, spec.gamma)
+        best = float(_interval_risk(loss, t, h_lo, h_hi).min())
         violation = max(lo - best, best - hi)  # sampled min must land inside [lo, hi]
         dev = max(dev, max(violation, 0.0))
     return dev
@@ -196,6 +200,8 @@ def _adv_relu_row(instances, seed, tamper):
 
 def run_oracle_checks(grid_n: int = 4001, instances: int = 25, seed: int = 0, tamper: bool = False):
     """Run every row; returns a list of OracleCheckRow (all must pass)."""
+    if grid_n < 2:
+        raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     if instances < 1:
         raise ValueError(f"instances must be >= 1, got {instances}")
     tol = _tolerance(grid_n)

@@ -408,8 +408,16 @@ class TestOracleCheckCommand:
                   "threshold", "passed"}
         assert all(set(r) == fields for r in rows.values())
 
-    def test_zero_instances_rejected(self, capsys):
-        assert main(["oracle-check", "--instances", "0"]) == 2
+    # a usage error, not a failed check: exit 2 with a message, no traceback
+    @pytest.mark.parametrize("flag, value, msg", [
+        ("--instances", "0", "instances"),
+        ("--grid-n", "1", "grid_n must be >= 2"),
+        ("--grid-n", "0", "grid_n must be >= 2"),
+        ("--grid-n", "-5", "grid_n must be >= 2"),
+    ])
+    def test_bad_sizes_rejected(self, capsys, flag, value, msg):
+        assert main(["oracle-check", flag, value]) == 2
+        assert msg in capsys.readouterr().err
 
 
 class TestSweepCommand:

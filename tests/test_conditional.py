@@ -11,9 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hcbounds.conditional import (
+    _ALL_SCORE_CAP,
     ConditionalPoint,
     _adversarial_bracket,
+    _interval_risk,
+    _linspace_cells,
     _min_risk,
+    _score_grids_inf,
     Constraint,
     OracleInfeasibleError,
     brute_force_inf,
@@ -544,6 +548,74 @@ class TestAdversarialGridKernel:
                 brute_force_inf(loss, spec, pt, constraint, grid_n)
         else:
             assert brute_force_inf(loss, spec, pt, constraint, grid_n) == ref
+
+
+_SCORE_GRID_LOSSES = st.one_of(
+    st.sampled_from([hinge(), logistic(), exponential(), quadratic()]),
+    st.builds(sigmoid, st.floats(0.3, 3.0)),
+    st.builds(rho_margin, st.floats(0.2, 2.0)),
+)
+# one score grid: (score bound s, SCORE_NEGATIVE?, t); s spans 1e-12 (where
+# the logistic loss is no longer monotone ulp by ulp) to the unbounded cap
+_SCORE_GRIDS = st.lists(
+    st.tuples(
+        st.one_of(st.floats(-12.0, 0.8).map(lambda e: 10.0**e), st.just(_ALL_SCORE_CAP)),
+        st.booleans(),
+        st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+    ),
+    min_size=1,
+    max_size=43,
+)
+
+
+class TestScoreGridKernel:
+    # 2 and 3 cells are narrower than one block; 37, 255, 257, 1001 and 4001
+    # leave a ragged last block
+    @given(loss=_SCORE_GRID_LOSSES, grid_n=st.sampled_from([2, 3, 37, 255, 257, 1001, 4001]), grids=_SCORE_GRIDS)
+    @example(loss=hinge(), grid_n=4001, grids=[(0.8, False, 0.5), (0.8, True, 0.5), (_ALL_SCORE_CAP, False, 0.0)])
+    @example(loss=logistic(), grid_n=4001, grids=[(1e-12, False, 0.3), (1e-12, True, 1.0)])
+    @example(loss=rho_margin(0.5), grid_n=257, grids=[(2.0, True, 0.9), (_ALL_SCORE_CAP, True, 0.5)])
+    # the minimum lies outside the block of least bound
+    @example(loss=hinge(), grid_n=257, grids=[(2.87, True, 0.43)])
+    @example(loss=quadratic(), grid_n=257, grids=[(0.64, True, 0.58)])
+    @example(loss=sigmoid(1.3), grid_n=4001, grids=[(_ALL_SCORE_CAP, False, 0.51)])
+    @settings(max_examples=150, deadline=None)
+    def test_pruned_minima_are_the_whole_grid_minima(self, loss, grid_n, grids):
+        s, negative, t = (np.array(v) for v in zip(*grids))
+        lo, hi = -s, np.where(negative, 0.0, s)
+        got = _score_grids_inf(loss, t, lo, hi, grid_n)
+        for k in range(len(grids)):
+            g = np.linspace(lo[k], hi[k], grid_n)
+            assert got[k] == _interval_risk(loss, t[k], g, g).min()
+
+    @given(
+        lo=st.floats(-50.0, 50.0),
+        width=st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-310]), st.floats(1e-13, 100.0)),
+        grid_n=st.sampled_from([2, 3, 37, 255, 257, 1001, 4001]),
+    )
+    @example(lo=-0.0, width=0.0, grid_n=4001)
+    @example(lo=0.3, width=0.0, grid_n=37)
+    @example(lo=0.0, width=5e-324, grid_n=1001)
+    @settings(max_examples=150, deadline=None)
+    def test_cells_are_linspace_bit_for_bit(self, lo, width, grid_n):
+        hi = lo + width
+        want = np.linspace(lo, hi, grid_n)
+        got = _linspace_cells(np.array(lo), np.array(hi), np.arange(grid_n), grid_n)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spec", [HypothesisSpec(LIN, W=1.2, B=0.4), HypothesisSpec(LIN, W=1.0, B=math.inf),
+                                      HypothesisSpec(RELU, W=0.7, B=0.3, Lambda=1.5), HypothesisSpec(ALL)],
+                             ids=["linear", "linear-inf-B", "relu", "all"])
+    @pytest.mark.parametrize("constraint", [Constraint.NONE, Constraint.SCORE_NEGATIVE], ids=lambda c: c.value)
+    def test_oracle_is_the_linspace_grid_minimum(self, spec, constraint):
+        # the attainable range, capped at +-_ALL_SCORE_CAP where it is unbounded
+        pt = ConditionalPoint(0.35, 0.8)
+        s = spec.score_bound(pt.x_norm_p)
+        s = _ALL_SCORE_CAP if math.isinf(s) else s
+        g = np.linspace(-s, 0.0 if constraint is Constraint.SCORE_NEGATIVE else s, 4001)
+        for loss in ALL_LOSSES:
+            got = brute_force_inf(loss, spec, pt, constraint, 4001)
+            assert type(got) is float and got == _interval_risk(loss, pt.t, g, g).min()
 
 
 class TestThreadCap:
