@@ -146,21 +146,34 @@ def _score_kernel(w, b, xs, ys, adversarial, gamma, overwrite=False):
     return err, s
 
 
-def _loss_values(loss, err, arg):
-    """The pointwise loss from the kernel's (err, arg)."""
-    return err.astype(float) if isinstance(loss, ZeroOneLoss) else eval_margin_loss(loss, arg)
+def _loss_values(loss, err, arg, out=None):
+    """The pointwise loss from the kernel's (err, arg), written into out
+    (a float64 array of arg's shape) when it is given."""
+    if isinstance(loss, ZeroOneLoss):
+        return np.multiply(err, 1.0, out=out)  # 0.0 or 1.0, as err.astype(float)
+    return eval_margin_loss(loss, arg, out)
 
 
 def _pointwise_losses(loss, h, xs, ys, adversarial, gamma):
     return _loss_values(loss, *_score_kernel(h.w, h.b, xs, ys, adversarial, gamma))
 
 
+def _mean_m2(v):
+    """(mean, M2) of v, M2 being the sum of squared deviations from the
+    mean, in the order and arithmetic of ``np.mean`` and ``np.var``: v is
+    overwritten by the squared deviations."""
+    mean = v.mean()
+    v -= mean
+    v *= v
+    return float(mean), float(v.sum())
+
+
 def _mc_risks(losses, h, dist, mode, adversarial, gamma) -> list:
     """Monte Carlo (risk, stderr) of h under each loss, from one shared sample.
 
     Each 2^16-draw sampling block is scored in place and reduced on its
-    worker to (count, mean, M2) per loss, M2 being the sum of squared
-    deviations as ``np.var`` computes it.  The blocks merge in block order by
+    worker to (count, mean, M2) per loss by ``_mean_m2``, the loss values
+    taking a spare buffer of the block.  The blocks merge in block order by
     the pairwise update of Chan, Golub and LeVeque, so memory does not grow
     with n and the result is the same at every thread count; with one block
     (n <= 2^16) it is bit-identical to ``np.mean`` and
@@ -168,16 +181,9 @@ def _mc_risks(losses, h, dist, mode, adversarial, gamma) -> list:
     them by rounding only.
     """
 
-    def block_stats(xs, ys):
+    def block_stats(start, xs, ys, spare):
         err, arg = _score_kernel(h.w, h.b, xs, ys, adversarial, gamma, overwrite=True)
-        stats = []
-        for loss in losses:
-            v = _loss_values(loss, err, arg)
-            mean = v.mean()
-            v -= mean
-            v *= v
-            stats.append((v.size, float(mean), float(v.sum())))
-        return stats
+        return [(xs.size, *_mean_m2(_loss_values(loss, err, arg, spare[0]))) for loss in losses]
 
     out = []
     for by_block in zip(*_map_sample_blocks(dist, mode.n, mode.seed, block_stats)):  # one loss's blocks

@@ -285,10 +285,11 @@ def _pruned_minima(bounds, blocks_min):
 def _score_ranges(spec, x_abs, constraint):
     """(lo, hi) of ``brute_force_inf``'s score grids (gamma = 0) at input
     norms x_abs, elementwise for an array: the attainable scores [-s, s],
-    with s capped at ``_ALL_SCORE_CAP`` for the unbounded class and an
-    infinite bias, and cut to [-s, 0] under ``SCORE_NEGATIVE``."""
+    with s capped at ``_ALL_SCORE_CAP`` where it is infinite (the unbounded
+    class, an infinite bias) or so large that the width 2s of [-s, s]
+    overflows, and cut to [-s, 0] under ``SCORE_NEGATIVE``."""
     s = np.asarray(spec.score_bound(x_abs), dtype=float)
-    s = np.broadcast_to(np.where(np.isinf(s), _ALL_SCORE_CAP, s), np.shape(x_abs))
+    s = np.broadcast_to(np.where(s > np.finfo(float).max / 2.0, _ALL_SCORE_CAP, s), np.shape(x_abs))
     if constraint is Constraint.SCORE_NEGATIVE:
         if np.any(-s >= 0.0):
             raise OracleInfeasibleError("no attainable strictly negative score at this point")

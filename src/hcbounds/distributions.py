@@ -10,10 +10,12 @@ densities decide.
 
 Sampling is exact inverse-CDF sampling driven by a counter-based generator
 (Philox) with per-chunk substreams keyed by (seed, chunk index), so output is
-reproducible bit-for-bit.  ``sample`` fills fixed 2^16-draw blocks of each
-chunk on the shared thread pool, with the same output at every thread count;
-``_map_sample_blocks`` hands the same blocks, in block-sized buffers, to a
-reduction that runs on the pool.
+reproducible bit-for-bit.  ``_map_sample_blocks``, the one block driver,
+draws fixed 2^16-draw blocks of each chunk on the shared thread pool into
+block buffers that each worker reuses, and hands each block to a consumer on
+its worker: ``sample`` copies it into its slice of the output, Monte Carlo
+risks and the sweep cells score it in place.  No output depends on the
+thread count.
 Expectations take an integrand of arrays (x, eta(x)), sum atoms exactly and
 integrate continuous components with ``_gauss_kronrod``, QUADPACK's adaptive
 21-point Gauss-Kronrod rule evaluated on every open panel in one array call,
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,12 +129,14 @@ class TruncNormal:
             out = (ndtr(self._z(x_arr)) - ndtr(self._z(self.lo))) / self._mass
         return out if isinstance(x, np.ndarray) else float(out)
 
-    def ppf(self, u):
+    def ppf(self, u, out=None):
+        """Inverse cdf at u, written into ``out`` when given (a float64 array
+        of u's shape, u itself included)."""
         from scipy.special import ndtr, ndtri
 
         # clip(mean + std * ndtri(lo_mass + u * mass)), computed in one buffer;
         # on an upper tail, clip(mean - std * ndtri(upper_lo_mass - u * mass))
-        x = np.multiply(u, self._mass, out=np.empty(np.shape(u)))
+        x = np.multiply(u, self._mass, out=np.empty(np.shape(u)) if out is None else out)
         if self._upper:
             np.subtract(ndtr(-self._z(self.lo)), x, out=x)
             ndtri(x, out=x)
@@ -142,7 +147,7 @@ class TruncNormal:
             x *= self.std
         x += self.mean
         np.clip(x, self.lo, self.hi, out=x)
-        return x if isinstance(u, np.ndarray) else float(x)
+        return x if out is not None or isinstance(u, np.ndarray) else float(x)
 
     def truncated_mean(self) -> float:
         a, b = float(self._z(self.lo)), float(self._z(self.hi))
@@ -311,8 +316,10 @@ def _philox_at(seed: int, chunk: int, offset: int):
 
 
 def _component_picker(cum):
-    """pick(u) = ``np.searchsorted(cum, u, side="right")`` for u in [0, 1) and
-    cum sorted and ending in inf, by a guide table (Chen and Asau, 1974).
+    """pick(u, out, cell) writes ``np.searchsorted(cum, u, side="right")``
+    into out, for u in [0, 1) and cum sorted and ending in inf, by a guide
+    table (Chen and Asau, 1974); out and cell are intp arrays of u's shape,
+    and cell is overwritten.
 
     [0, 1) is cut into 2^t >= 4K equal cells for K components.  u times a
     power of two is exact, so u's cell is too, and the table gives the count
@@ -328,21 +335,22 @@ def _component_picker(cum):
     edges = np.arange(cells + 1) / cells
     start = np.searchsorted(cum, edges[:-1], side="right")
     inside = np.searchsorted(cum, edges[1:], side="left") - start  # cutoffs strictly inside each cell
+    crowded = inside > 0
     width = 1 << int(inside.max()).bit_length()  # a power of two above every cell's count
     padded = np.concatenate((cum, np.full(width, np.inf)))
 
-    def pick(u):
-        cell = (u * cells).astype(np.intp)
-        idx = start.take(cell)
+    def pick(u, out, cell):
+        np.multiply(u, cells, out=cell, casting="unsafe")  # truncates, as astype(np.intp) does
+        np.take(start, cell, out=out, mode="clip")
         if width > 1:
-            ix = np.flatnonzero(inside.take(cell))
-            v, i = u.take(ix), idx.take(ix)
+            ix = np.flatnonzero(crowded.take(cell))
+            v, i = u.take(ix), out.take(ix)
             step = width // 2
             while step:
                 i += step * (padded.take(i + (step - 1)) <= v)
                 step //= 2
-            idx.put(ix, i)
-        return idx
+            out.put(ix, i)
+        return out
 
     return pick
 
@@ -351,13 +359,17 @@ def _block_filler(dist: LabeledDistribution, n: int, seed: int):
     """The blocks of an n-draw sample and the body that draws one of them.
 
     Returns (blocks, fill): blocks lists (chunk, m, a, start, size) in sample
-    order, and fill(block, x_out, y_out) writes that block's draws into
-    buffers of its size.  Chunk c of 2^20 draws (m of them in a short last
-    chunk) reads substream (seed, c): its doubles 0..m-1 pick the components
-    and its doubles m..2m-1 the positions.  The block at offset a reads the
-    doubles from a and from m + a, so it consumes exactly the words a single
-    pass over the chunk would, and every element goes through the same
-    elementwise operations.
+    order, and fill(block, bufs) draws that block into bufs, a worker's
+    (u, idx, scratch, x, y) arrays of at least its size (float, intp, float,
+    float, int64); it returns views (x, y, (u, scratch)) of the draws and of
+    the two float buffers they no longer need.  Chunk c of 2^20 draws (m of
+    them in a short last chunk) reads substream (seed, c): its doubles
+    0..m-1 pick the components and its doubles m..2m-1 the positions.  The
+    block at offset a reads the doubles from a and from m + a, so it
+    consumes exactly the words a single pass over the chunk would, and every
+    element goes through the same elementwise operations.  No step allocates
+    a block of floats: only each continuous component's index list and a
+    block of bools are fresh.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -372,18 +384,20 @@ def _block_filler(dist: LabeledDistribution, n: int, seed: int):
     continuous = [(ci, c.law) for ci, c in enumerate(comps) if isinstance(c.law, TruncNormal)]
     pick = _component_picker(cum)
 
-    def fill(block, x_out, y_out):
-        chunk, m, a = block[:3]
-        u = np.empty(x_out.size)
+    def fill(block, bufs):
+        chunk, m, a, _, size = block
+        u, idx, scratch, x, y = (buf[:size] for buf in bufs)
         _philox_at(seed, chunk, a).random(out=u)  # component draws
-        idx = pick(u)
+        pick(u, idx, y)  # y holds the cells until the labels overwrite it
         _philox_at(seed, chunk, m + a).random(out=u)  # position draws, same buffer
         # idx is always in range; mode="raise" would buffer the output
-        np.take(locs, idx, out=x_out, mode="clip")
+        np.take(locs, idx, out=x, mode="clip")
         for ci, law in continuous:
             ix = np.flatnonzero(idx == ci)
-            x_out.put(ix, law.ppf(u.take(ix)))
-        np.take(labels, idx, out=y_out, mode="clip")
+            part = scratch[: len(ix)]
+            x.put(ix, law.ppf(u.take(ix, out=part, mode="clip"), out=part))
+        np.take(labels, idx, out=y, mode="clip")
+        return x, y, (u, scratch)
 
     blocks = []
     for chunk, c0 in enumerate(range(0, n, _SAMPLE_CHUNK)):
@@ -395,36 +409,38 @@ def _block_filler(dist: LabeledDistribution, n: int, seed: int):
 def sample(dist: LabeledDistribution, n: int, seed: int):
     """n i.i.d. draws; returns (x, y) arrays. Deterministic given the seed.
 
-    The sample is cut into blocks of 2^16 draws (see ``_block_filler``),
-    which run on ``thread_map`` and fill their own slices of the output.  The
-    output therefore does not depend on the thread count, and working memory
-    stays a few block-sized buffers per thread.
+    A consumer of ``_map_sample_blocks``: each 2^16-draw block is copied
+    into its slice of the output, so the output does not depend on the
+    thread count.
     """
-    blocks, fill = _block_filler(dist, n, seed)
     xs = np.empty(n, dtype=float)
     ys = np.empty(n, dtype=np.int64)
 
-    def run(block):
-        start, size = block[3:]
-        fill(block, xs[start : start + size], ys[start : start + size])
+    def copy(start, x, y, spare):
+        xs[start : start + len(x)], ys[start : start + len(y)] = x, y
 
-    thread_map(run, blocks)
+    _map_sample_blocks(dist, n, seed, copy)
     return xs, ys
 
 
 def _map_sample_blocks(dist: LabeledDistribution, n: int, seed: int, fn) -> list:
-    """[fn(x, y) for each block of ``sample(dist, n, seed)``], in block order.
+    """[fn(start, x, y, spare) for each block of ``sample(dist, n, seed)``],
+    in block order: the sampler's one driver.
 
-    Each block's draws land in fresh block-sized buffers, which fn may
-    overwrite, and fn runs on the block's ``thread_map`` worker; memory
-    therefore does not grow with n.
+    start is the block's offset in the sample, x and y hold its draws, and
+    spare is a pair of float arrays of its size that the draws no longer
+    need; fn may overwrite all four, and runs on the block's ``thread_map``
+    worker.  Each worker reuses five block buffers, held in a
+    ``threading.local`` of this call: memory does not grow with n, and no
+    buffer outlives the call.
     """
     blocks, fill = _block_filler(dist, n, seed)
+    held = threading.local()
 
     def run(block):
-        x, y = np.empty(block[4]), np.empty(block[4], dtype=np.int64)
-        fill(block, x, y)
-        return fn(x, y)
+        if not hasattr(held, "bufs"):
+            held.bufs = tuple(np.empty(min(_SAMPLE_BLOCK, n), t) for t in (float, np.intp, float, float, np.int64))
+        return fn(block[3], *fill(block, held.bufs))
 
     return thread_map(run, blocks)
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _holds, _score_kernel
-from .distributions import sect7_adversarial, sect7_nonadversarial, sample
+from .bounds import _holds, _mean_m2, _score_kernel
+from .distributions import _map_sample_blocks, sect7_adversarial, sect7_nonadversarial
 from .hypotheses import HypothesisClass, HypothesisSpec
 from .losses import (
     LossFamily,
@@ -81,8 +81,10 @@ def _cell_seed(seed: int, index: int) -> int:
 
 
 def _mean_se(vals: np.ndarray) -> tuple:
-    n = len(vals)
-    return float(vals.mean()), float(vals.std(ddof=1)) / math.sqrt(n)
+    """``np.mean(vals)`` and ``np.std(vals, ddof=1) / sqrt(n)``, bit for bit,
+    computed in place: vals is overwritten."""
+    mean, m2 = _mean_m2(vals)
+    return mean, math.sqrt(m2 / (vals.size - 1)) / math.sqrt(vals.size)
 
 
 def run_nonadversarial_sweep(cfg: SweepConfig):
@@ -116,33 +118,43 @@ def run_adversarial_sweep(cfg: SweepConfig):
 
 
 def _run_cells(cfg, experiment, losses, extras):
-    """The rows of both sweeps, one cell per sigma on ``thread_map``.  A cell
-    scores its sample in place, then evaluates and reduces one loss at a
-    time; extras are each loss's own row fields, and a "multiplier" there
-    scales its rhs.  Only the first rho-margin and hinge losses' values,
-    compared pointwise in the adversarial sweep, outlive their reduction."""
+    """The rows of both sweeps, one cell per sigma on ``thread_map``.
+
+    A cell scores each block of its sample in place as it is drawn, and
+    keeps two n-sized arrays: the margins, and values that hold the zero-one
+    errors and then each loss in turn, each reduced in place by ``_mean_se``.
+    Each block counts where the first rho-margin loss is at most the first
+    hinge one (``frac_rho_rhs_le_hinge``).  extras are each loss's own row
+    fields, and a "multiplier" there scales its rhs."""
     adversarial = experiment == "sect7-adv"
     gamma = cfg.gamma if adversarial else 0.0
+    n = cfg.n_samples
     pair = [
         next((l for l in losses if l.family is fam), None)
         for fam in (LossFamily.RHO_MARGIN, LossFamily.HINGE)
     ]
+    counted = None not in pair  # only the adversarial sweep takes both
 
     def cell(i):
         sigma, seed = cfg.sigmas[i], _cell_seed(cfg.seed, i)
         dist = sect7_adversarial(sigma, gamma) if adversarial else sect7_nonadversarial(sigma)
-        xs, ys = sample(dist, cfg.n_samples, seed)
-        err, arg = _score_kernel(cfg.w, cfg.b, xs, ys, adversarial, gamma, overwrite=True)
-        del xs, ys
-        lhs, se_lhs = _mean_se(err.astype(float))
-        del err
-        rows, paired = [], {}
+        arg, vals = np.empty(n), np.empty(n)
+
+        def score(start, xs, ys, spare):
+            err, a = _score_kernel(cfg.w, cfg.b, xs, ys, adversarial, gamma, overwrite=True)
+            arg[start : start + len(a)] = a
+            vals[start : start + len(a)] = err
+            if not counted:
+                return 0
+            rho, hinge = (eval_margin_loss(loss, a, out) for loss, out in zip(pair, spare))
+            hinge += 1e-12
+            return int(np.count_nonzero(rho <= hinge))
+
+        hits = sum(_map_sample_blocks(dist, n, seed, score))
+        lhs, se_lhs = _mean_se(vals)
+        rows = []
         for loss, extra in zip(losses, extras):
-            vals = eval_margin_loss(loss, arg)
-            mean, se = _mean_se(vals)
-            if loss in pair:
-                paired[loss] = vals
-            del vals
+            mean, se = _mean_se(eval_margin_loss(loss, arg, vals))
             mult = extra.get("multiplier", 1.0)
             rhs, se_rhs = mult * mean, mult * se
             rows.append(
@@ -150,7 +162,7 @@ def _run_cells(cfg, experiment, losses, extras):
                     "experiment": experiment,
                     "sigma": sigma,
                     "loss": ("sup-" if adversarial else "") + loss.label(),
-                    "n": cfg.n_samples,
+                    "n": n,
                     "seed": seed,
                     **extra,
                     "lhs": lhs,
@@ -162,7 +174,8 @@ def _run_cells(cfg, experiment, losses, extras):
                 }
             )
         if adversarial:
-            frac = math.nan if None in pair else float(np.mean(paired[pair[0]] <= paired[pair[1]] + 1e-12))
+            # np.mean of the pointwise comparison: its count over n
+            frac = hits / n if counted else math.nan
             for row in rows:
                 row["frac_rho_rhs_le_hinge"] = frac
         return rows

@@ -111,26 +111,33 @@ def sign(alpha: float) -> int:
     return 1 if alpha >= 0 else -1
 
 
-def eval_margin_loss(loss: MarginLoss, alpha):
-    """Evaluate the margin loss at alpha (scalar or ndarray). Result is >= 0."""
+def eval_margin_loss(loss: MarginLoss, alpha, out=None):
+    """Evaluate the margin loss at alpha (scalar or ndarray). Result is >= 0.
+
+    With ``out``, a float64 array of alpha's shape (alpha itself included),
+    the values are computed in place there and out is returned; without it
+    the same steps run on a fresh array.
+    """
     a = np.asarray(alpha, dtype=float)
+    v = np.empty(a.shape) if out is None else out
     fam = loss.family
     if fam is LossFamily.HINGE:
-        out = np.maximum(0.0, 1.0 - a)
+        np.maximum(0.0, np.subtract(1.0, a, out=v), out=v)
     elif fam is LossFamily.LOGISTIC:
         # log2(1 + e^-a), through logaddexp for stability at large |a|
-        out = np.logaddexp(0.0, -a) / _LN2
+        np.divide(np.logaddexp(0.0, np.negative(a, out=v), out=v), _LN2, out=v)
     elif fam is LossFamily.EXPONENTIAL:
-        out = np.exp(-a)
+        np.exp(np.negative(a, out=v), out=v)
     elif fam is LossFamily.QUADRATIC:
-        out = np.where(a <= 1.0, (1.0 - a) ** 2, 0.0)
+        # (1 - a)^2 where a <= 1, else 0: fmin puts a > 1 and NaN at 1
+        np.square(np.subtract(1.0, np.fmin(a, 1.0, out=v), out=v), out=v)
     elif fam is LossFamily.SIGMOID:
-        out = 1.0 - np.tanh(loss.k * a)
+        np.subtract(1.0, np.tanh(np.multiply(loss.k, a, out=v), out=v), out=v)
     elif fam is LossFamily.RHO_MARGIN:
-        out = np.clip(1.0 - a / loss.rho, 0.0, 1.0)
+        np.clip(np.subtract(1.0, np.divide(a, loss.rho, out=v), out=v), 0.0, 1.0, out=v)
     else:
         raise ValueError(f"unknown loss family {fam!r}")
-    return out if isinstance(alpha, np.ndarray) else float(out)
+    return v if out is not None or isinstance(alpha, np.ndarray) else float(v)
 
 
 def truncate(t, eps: float = 0.0):

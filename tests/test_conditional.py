@@ -347,6 +347,17 @@ class TestBruteForceOracle:
             closed = min_conditional_risk(loss, spec, pt)
             assert brute_force_inf(loss, spec, pt, Constraint.NONE, 4001) == pytest.approx(closed, abs=2e-3)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda l: l.label())
+    @pytest.mark.parametrize("B", [1e308, np.nextafter(np.finfo(float).max / 2, math.inf)])
+    def test_range_whose_width_overflows_is_capped(self, loss, B):
+        # 2*(W|x| + B) overflows: the grid is capped like an infinite range,
+        # never a NaN step, and the minimum is the unbounded class's
+        spec, pt = HypothesisSpec(LIN, W=1.0, B=B), ConditionalPoint(0.5, 0.3)
+        got = brute_force_inf(loss, spec, pt)
+        assert got == brute_force_inf(loss, HypothesisSpec(LIN, W=1.0, B=math.inf), pt)
+        assert got == pytest.approx(min_conditional_risk(loss, spec, pt), abs=2e-3)
+
     def test_hinge_constrained_negative_is_one(self):
         spec = HypothesisSpec(LIN, W=1.0, B=0.8)
         for t in (0.6, 0.8, 1.0):

@@ -132,6 +132,18 @@ class TestValidation:
         np.testing.assert_allclose(law.cdf(law.ppf(u)), u, rtol=0.0, atol=1e-12)
         assert law.cdf(law.ppf(0.5)) == pytest.approx(0.5, abs=1e-12)
 
+    # a lower law, an upper tail, and one straddling its mean
+    @pytest.mark.parametrize(
+        "law", [TruncNormal(-1.0, -0.05, -0.05, 0.05), TruncNormal(0.5, 1.0, 0.0, 0.1), TruncNormal(-1.0, 1.0, 0.2, 0.3)]
+    )
+    def test_ppf_in_place_keeps_the_bits(self, law):
+        u = np.concatenate(([0.0, 5e-324, 0.5, np.nextafter(1.0, 0.0)], np.random.default_rng(2).random(1000)))
+        want = law.ppf(u)
+        buf = u.copy()
+        assert law.ppf(buf, out=buf) is buf
+        assert np.array_equal(buf.view(np.uint64), want.view(np.uint64))
+        assert law.ppf(0.5) == want[2]
+
 _GRID = np.linspace(-1.0, 1.0, 10001)
 
 
@@ -334,6 +346,11 @@ def _cumulative_weights(dist):
     return cum
 
 
+def _pick(cum, u):
+    """The sampler's pick of components for draws u, into fresh buffers."""
+    return _component_picker(cum)(u, np.empty(u.shape, np.intp), np.empty(u.shape, np.intp))
+
+
 def _random_weights(k, seed):
     w = np.random.default_rng(seed).random(k)
     return w / w.sum()
@@ -381,14 +398,14 @@ class TestComponentPick:
             )
         )
         u = u[u < 1.0]
-        got = _component_picker(cum)(u)
+        got = _pick(cum, u)
         assert got.dtype == np.intp
         assert np.array_equal(got, np.searchsorted(cum, u, side="right"))
 
     def test_u_on_a_cutoff_picks_the_next_component(self):
-        pick = _component_picker(_cumulative_weights(self.DISTS["zero-weights"]))
+        cum = _cumulative_weights(self.DISTS["zero-weights"])
         # u = 0.25 lies on three cutoffs: the zero-weight components get nothing
-        assert pick(np.array([0.0, 0.25])).tolist() == [0, 3]
+        assert _pick(cum, np.array([0.0, 0.25])).tolist() == [0, 3]
 
     @pytest.mark.parametrize("name", ["one-atom", "one-normal", "zero-weights", "many-atoms", "crowded"])
     def test_samples_match_reference(self, name):
@@ -402,7 +419,7 @@ class TestComponentPick:
     @pytest.mark.parametrize("name", ["one-atom", "one-normal"])
     def test_one_component_takes_every_draw(self, name):
         dist = self.DISTS[name]
-        assert _component_picker(_cumulative_weights(dist))(np.array([0.0, 0.5])).tolist() == [0, 0]
+        assert _pick(_cumulative_weights(dist), np.array([0.0, 0.5])).tolist() == [0, 0]
         _, ys = sample(dist, 100, 5)
         assert (ys == dist.components[0].label).all()
 

@@ -1,17 +1,22 @@
 """Sweep runners: determinism, bound validity, stderr scaling, curve tables."""
 
+import functools
 import hashlib
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hcbounds.bounds import _score_kernel
 from hcbounds.conditional import min_risk_symmetric
-from hcbounds.distributions import expectation, sect7_nonadversarial
+from hcbounds.distributions import _SAMPLE_BLOCK, expectation, sample, sect7_adversarial, sect7_nonadversarial
 from hcbounds.experiments import (
     SweepConfig,
+    _cell_seed,
+    _mean_se,
     emit_transform_curves,
     run_adversarial_sweep,
     run_nonadversarial_sweep,
@@ -19,7 +24,7 @@ from hcbounds.experiments import (
     write_rows_json,
 )
 from hcbounds.hypotheses import HypothesisClass, HypothesisSpec
-from hcbounds.losses import exponential, hinge, logistic, quadratic, sigmoid
+from hcbounds.losses import eval_margin_loss, exponential, hinge, logistic, quadratic, rho_margin, sigmoid
 
 
 SMALL = SweepConfig(sigmas=(0.2, 0.05), n_samples=20_000, seed=11)
@@ -225,3 +230,76 @@ class TestThreadedCells:
         if name == "adv-custom":
             assert all(math.isnan(r["frac_rho_rhs_le_hinge"]) for r in rows)
         assert _rows_digest(rows) == digest
+
+
+class TestInPlaceReduction:
+    @pytest.mark.parametrize("n", [2, 3, 1000, 2**16, 2**16 + 1, 10**6])
+    def test_mean_se_matches_numpy_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for vals in (np.exp(rng.normal(size=n)), (rng.random(n) < 0.1).astype(float), rng.normal(3.0, 1e-3, n)):
+            want = (float(np.mean(vals)), float(np.std(vals, ddof=1)) / math.sqrt(n))
+            got = _mean_se(vals.copy())
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+# n spanning several sampling blocks, and a whole chunk plus a short one
+STREAMED_N = [3 * _SAMPLE_BLOCK + 17, (1 << 20) + 5]
+STREAMED_SWEEPS = {"nonadv": run_nonadversarial_sweep, "adv": run_adversarial_sweep}
+
+
+@functools.lru_cache(maxsize=None)
+def _whole_array_rows(kind, n):
+    """Each row's (lhs, rhs, stderrs, frac) from whole arrays: ``sample``,
+    the score kernel, and ``np.mean``/``np.std`` over n-sized arrays."""
+    adversarial = kind == "adv"
+    cfg = SweepConfig(sigmas=(0.2, 0.05, 0.01), n_samples=n, seed=8)
+    losses = (rho_margin(1.0), hinge(), sigmoid(1.0)) if adversarial else (quadratic(), logistic(), exponential())
+    rows = STREAMED_SWEEPS[kind](SweepConfig(sigmas=cfg.sigmas, n_samples=10**4, seed=8))
+    mults = [r.get("multiplier", 1.0) for r in rows[: len(losses)]]
+    out = []
+    for i, sigma in enumerate(cfg.sigmas):
+        dist = sect7_adversarial(sigma, cfg.gamma) if adversarial else sect7_nonadversarial(sigma)
+        xs, ys = sample(dist, n, _cell_seed(cfg.seed, i))
+        err, arg = _score_kernel(cfg.w, cfg.b, xs, ys, adversarial, cfg.gamma if adversarial else 0.0)
+        err = err.astype(float)
+        lhs, se_lhs = np.mean(err), np.std(err, ddof=1) / math.sqrt(n)
+        vals = [eval_margin_loss(loss, arg) for loss in losses]
+        frac = np.mean(vals[0] <= vals[1] + 1e-12) if adversarial else None
+        for v, mult in zip(vals, mults):
+            row = (lhs, mult * np.mean(v), se_lhs, mult * (np.std(v, ddof=1) / math.sqrt(n)))
+            out.append([float(x).hex() for x in row] + ([float(frac).hex()] if adversarial else []))
+    return cfg, out
+
+
+class TestStreamedCells:
+    """Cells that stream their sample block by block give the rows of
+    whole-array sampling and reduction, bit for bit, at every thread count."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("n", STREAMED_N)
+    @pytest.mark.parametrize("kind", sorted(STREAMED_SWEEPS))
+    def test_rows_match_whole_array_reference(self, monkeypatch, kind, n, threads):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("HCB_THREADS", threads)
+        cfg, want = _whole_array_rows(kind, n)
+        rows = STREAMED_SWEEPS[kind](cfg)
+        keys = ["lhs", "rhs", "stderr_lhs", "stderr_rhs"] + (["frac_rho_rhs_le_hinge"] if kind == "adv" else [])
+        assert [[float(r[k]).hex() for k in keys] for r in rows] == want
+
+    @pytest.mark.parametrize("kind", sorted(STREAMED_SWEEPS))
+    def test_cell_memory_is_two_arrays_and_nothing_outlives_it(self, monkeypatch, kind):
+        monkeypatch.setenv("HCB_THREADS", "1")
+        run, n = STREAMED_SWEEPS[kind], (1 << 20) + 5
+        run(SweepConfig(sigmas=(0.05,), n_samples=10**4, seed=3))  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rows = run(SweepConfig(sigmas=(0.05,), n_samples=n, seed=3))
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 3
+        # the margins and one values array, 8n bytes each, plus block buffers
+        assert peak - base < 2.5 * 8 * n
+        # the rows alone remain: no block buffer (8 * 2^16 bytes) outlives the call
+        assert current - base < 8 * _SAMPLE_BLOCK / 4

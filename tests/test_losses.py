@@ -241,3 +241,47 @@ class TestFloatingPointPremises:
             for shape in [(size,), (size, 1)] + ([(-1, 64)] if size % 64 == 0 else []):
                 got = eval_margin_loss(loss, DENSE[idx].reshape(shape))
                 assert got.tobytes() == full[idx].tobytes()
+
+
+def _allocating_reference(loss, a):
+    """Each family by the whole-array expression it had before the loss
+    kernel took ``out``."""
+    fam = loss.family
+    if fam is LossFamily.HINGE:
+        return np.maximum(0.0, 1.0 - a)
+    if fam is LossFamily.LOGISTIC:
+        return np.logaddexp(0.0, -a) / math.log(2.0)
+    if fam is LossFamily.EXPONENTIAL:
+        return np.exp(-a)
+    if fam is LossFamily.QUADRATIC:
+        return np.where(a <= 1.0, (1.0 - a) ** 2, 0.0)
+    if fam is LossFamily.SIGMOID:
+        return 1.0 - np.tanh(loss.k * a)
+    return np.clip(1.0 - a / loss.rho, 0.0, 1.0)
+
+
+_EDGE_MARGINS = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 1.0, -1.0]
+
+
+class TestInPlaceKernel:
+    """``eval_margin_loss(loss, a, out=buf)`` computes in buf the bits of the
+    allocating call, which are those of the old whole-array expressions."""
+
+    @pytest.mark.parametrize(
+        "loss", ALL_LOSSES + [sigmoid(2.5), rho_margin(0.3)], ids=lambda l: l.label()
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.lists(st.one_of(st.floats(), st.sampled_from(_EDGE_MARGINS)), min_size=1, max_size=40))
+    @example(a=_EDGE_MARGINS)
+    def test_out_matches_the_allocating_call_bit_for_bit(self, loss, a):
+        a = np.array(a)
+        with np.errstate(all="ignore"):
+            want = eval_margin_loss(loss, a)
+            buf = np.full(a.shape, 7.0)
+            got = eval_margin_loss(loss, a, out=buf)
+            alias = a.copy()
+            eval_margin_loss(loss, alias, out=alias)  # the margins' own buffer
+            ref = _allocating_reference(loss, a)
+        assert got is buf
+        for arr in (got, alias, ref):
+            assert np.array_equal(arr.view(np.uint64), want.view(np.uint64))
