@@ -53,6 +53,7 @@ from .distributions import (
     Atom,
     FiniteDistribution,
     LabeledDistribution,
+    _SAMPLE_BLOCK,
     QuadratureError,
     _gauss_kronrod,
     _map_sample_blocks,
@@ -158,32 +159,58 @@ def _pointwise_losses(loss, h, xs, ys, adversarial, gamma):
     return _loss_values(loss, *_score_kernel(h.w, h.b, xs, ys, adversarial, gamma))
 
 
-def _mean_m2(v):
-    """(mean, M2) of v, M2 being the sum of squared deviations from the
-    mean, in the order and arithmetic of ``np.mean`` and ``np.var``: v is
-    overwritten by the squared deviations."""
-    mean = v.mean()
-    v -= mean
-    v *= v
-    return float(mean), float(v.sum())
+def _pairwise_sum(start, m, leaf_sum):
+    """The float64 sum over [start, start + m) in the order of numpy's
+    ``pairwise_sum`` (numpy/_core/src/umath/loops_utils.h.src), which splits
+    above 128 values at m/2 rounded down to a multiple of 8, from the sums
+    ``leaf_sum(start, stop)`` of leaves of at most ``_SAMPLE_BLOCK`` values."""
+    if m <= _SAMPLE_BLOCK:
+        return leaf_sum(start, start + m)
+    half = m // 2 - m // 2 % 8
+    return _pairwise_sum(start, half, leaf_sum) + _pairwise_sum(start + half, m - half, leaf_sum)
+
+
+def _mean_m2(n, values):
+    """(mean, M2) of n values, M2 being the sum of squared deviations from
+    the mean, bit for bit as ``np.mean`` and ``np.var`` compute them over
+    the whole array, without holding one.
+
+    ``values(start, stop)`` returns the values [start, stop) as a float64
+    array that this overwrites.  A first pass sums them by ``ndarray.sum``
+    leaf by leaf in ``_pairwise_sum``'s order, a second their squared
+    deviations from the mean.  With one leaf (n <= ``_SAMPLE_BLOCK``),
+    values is called once."""
+
+    def squares(start, stop):
+        v = values(start, stop)
+        v -= mean
+        v *= v
+        return v.sum()
+
+    if n <= _SAMPLE_BLOCK:  # one leaf, whose values serve both passes
+        leaf = values(0, n)
+        values = lambda start, stop: leaf
+    mean = _pairwise_sum(0, n, lambda start, stop: values(start, stop).sum()) / n
+    return float(mean), float(_pairwise_sum(0, n, squares))
 
 
 def _mc_risks(losses, h, dist, mode, adversarial, gamma) -> list:
     """Monte Carlo (risk, stderr) of h under each loss, from one shared sample.
 
     Each 2^16-draw sampling block is scored in place and reduced on its
-    worker to (count, mean, M2) per loss by ``_mean_m2``, the loss values
-    taking a spare buffer of the block.  The blocks merge in block order by
-    the pairwise update of Chan, Golub and LeVeque, so memory does not grow
-    with n and the result is the same at every thread count; with one block
-    (n <= 2^16) it is bit-identical to ``np.mean`` and
+    worker to (count, mean, M2) per loss by ``_mean_m2`` in one leaf, the
+    loss values taking a spare buffer of the block.  The blocks merge in
+    block order by the pairwise update of Chan, Golub and LeVeque, so memory
+    does not grow with n and the result is the same at every thread count;
+    with one block (n <= 2^16) it is bit-identical to ``np.mean`` and
     ``np.std(ddof=1) / sqrt(n)`` over the sample, with more it differs from
     them by rounding only.
     """
 
     def block_stats(start, xs, ys, spare):
         err, arg = _score_kernel(h.w, h.b, xs, ys, adversarial, gamma, overwrite=True)
-        return [(xs.size, *_mean_m2(_loss_values(loss, err, arg, spare[0]))) for loss in losses]
+        n = xs.size  # one leaf of _mean_m2: values(0, n) is its only call
+        return [(n, *_mean_m2(n, lambda a, b: _loss_values(loss, err, arg, spare[0]))) for loss in losses]
 
     out = []
     for by_block in zip(*_map_sample_blocks(dist, mode.n, mode.seed, block_stats)):  # one loss's blocks

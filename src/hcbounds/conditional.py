@@ -215,8 +215,8 @@ def brute_force_inf(
 
     gamma = 0: minimizes t*Phi(u) + (1-t)*Phi(-u) over a uniform grid of
     attainable scores u (``SCORE_NEGATIVE`` restricts to u <= 0, the closure
-    of the open constraint).  gamma > 0 (linear class, finite B): minimizes the
-    worst-case conditional risk over a uniform (w, b) grid, with the
+    of the open constraint).  gamma > 0 (linear class, finite 2W, 2B): minimizes
+    the worst-case conditional risk over a uniform (w, b) grid, with the
     requested case constraint applied to the worst-case score interval.
 
     Accuracy is O(1/grid_n); the default 4001 keeps the error within 2e-3
@@ -235,8 +235,9 @@ def brute_force_inf(
             raise ValueError("SCORE_NEGATIVE applies to the non-adversarial oracle only")
         if spec.cls is not HypothesisClass.LINEAR:
             raise ValueError("the adversarial oracle enumerates linear hypotheses only")
-        if math.isinf(spec.B):
-            raise ValueError("the adversarial oracle grids b over [-B, B] and needs a finite B, got B=inf")
+        for name, budget in (("W", spec.W), ("B", spec.B)):
+            if not budget <= np.finfo(float).max / 2.0:  # else np.linspace(-budget, budget) steps by inf
+                raise ValueError(f"the adversarial oracle needs a finite {name} and 2{name}, got {name}={budget!r}")
         return _adversarial_grid_inf(loss, spec, point, constraint, grid_n)
     if constraint in (Constraint.ADV_STRADDLE, Constraint.ADV_SUP_NEGATIVE):
         raise ValueError("adversarial constraints require a spec with gamma > 0")

@@ -23,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _holds, _mean_m2, _score_kernel
-from .distributions import _map_sample_blocks, sect7_adversarial, sect7_nonadversarial
+from .bounds import _holds, _loss_values, _mean_m2, _score_kernel
+from .distributions import _SAMPLE_BLOCK, _map_sample_blocks, sect7_adversarial, sect7_nonadversarial
 from .hypotheses import HypothesisClass, HypothesisSpec
 from .losses import (
+    ZERO_ONE,
     LossFamily,
     eval_margin_loss,
     exponential,
@@ -80,11 +81,11 @@ def _cell_seed(seed: int, index: int) -> int:
     return (seed ^ ((index + 1) * 0x9E3779B97F4A7C15)) % 2**64
 
 
-def _mean_se(vals: np.ndarray) -> tuple:
-    """``np.mean(vals)`` and ``np.std(vals, ddof=1) / sqrt(n)``, bit for bit,
-    computed in place: vals is overwritten."""
-    mean, m2 = _mean_m2(vals)
-    return mean, math.sqrt(m2 / (vals.size - 1)) / math.sqrt(vals.size)
+def _mean_se(n, values) -> tuple:
+    """``np.mean`` and ``np.std(ddof=1) / sqrt(n)`` of n values, bit for bit,
+    from ``bounds._mean_m2(n, values)``: no n-sized array of them is made."""
+    mean, m2 = _mean_m2(n, values)
+    return mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n)
 
 
 def run_nonadversarial_sweep(cfg: SweepConfig):
@@ -121,11 +122,14 @@ def _run_cells(cfg, experiment, losses, extras):
     """The rows of both sweeps, one cell per sigma on ``thread_map``.
 
     A cell scores each block of its sample in place as it is drawn, and
-    keeps two n-sized arrays: the margins, and values that hold the zero-one
-    errors and then each loss in turn, each reduced in place by ``_mean_se``.
-    Each block counts where the first rho-margin loss is at most the first
-    hinge one (``frac_rho_rhs_le_hinge``).  extras are each loss's own row
-    fields, and a "multiplier" there scales its rhs."""
+    keeps one n-sized float array, the margins, beside the zero-one errors
+    as bools.  ``_mean_se`` reduces the errors and then each loss leaf by
+    leaf, written into one leaf-sized buffer, except the loss reduced last:
+    that one is evaluated once, in place over the margins.  It is the
+    logistic or sigmoid loss where there is one, whose kernel costs the
+    most.  Each block counts where the first rho-margin loss is at most the
+    first hinge one (``frac_rho_rhs_le_hinge``).  extras are each loss's own
+    row fields, and a "multiplier" there scales its rhs."""
     adversarial = experiment == "sect7-adv"
     gamma = cfg.gamma if adversarial else 0.0
     n = cfg.n_samples
@@ -134,16 +138,18 @@ def _run_cells(cfg, experiment, losses, extras):
         for fam in (LossFamily.RHO_MARGIN, LossFamily.HINGE)
     ]
     counted = None not in pair  # only the adversarial sweep takes both
+    costly = (LossFamily.LOGISTIC, LossFamily.SIGMOID)
+    order = sorted(range(len(losses)), key=lambda k: losses[k].family in costly)  # reduction order
 
     def cell(i):
         sigma, seed = cfg.sigmas[i], _cell_seed(cfg.seed, i)
         dist = sect7_adversarial(sigma, gamma) if adversarial else sect7_nonadversarial(sigma)
-        arg, vals = np.empty(n), np.empty(n)
+        arg, errs = np.empty(n), np.empty(n, dtype=bool)
 
         def score(start, xs, ys, spare):
             err, a = _score_kernel(cfg.w, cfg.b, xs, ys, adversarial, gamma, overwrite=True)
             arg[start : start + len(a)] = a
-            vals[start : start + len(a)] = err
+            errs[start : start + len(a)] = err
             if not counted:
                 return 0
             rho, hinge = (eval_margin_loss(loss, a, out) for loss, out in zip(pair, spare))
@@ -151,10 +157,18 @@ def _run_cells(cfg, experiment, losses, extras):
             return int(np.count_nonzero(rho <= hinge))
 
         hits = sum(_map_sample_blocks(dist, n, seed, score))
-        lhs, se_lhs = _mean_se(vals)
+        buf = np.empty(min(_SAMPLE_BLOCK, n))
+
+        def leaves(loss):
+            return lambda a, b: _loss_values(loss, errs[a:b], arg[a:b], buf[: b - a])
+
+        lhs, se_lhs = _mean_se(n, leaves(ZERO_ONE))
+        stats = {k: _mean_se(n, leaves(losses[k])) for k in order[:-1]}
+        eval_margin_loss(losses[order[-1]], arg, arg)  # the margins are not needed after it
+        stats[order[-1]] = _mean_se(n, lambda a, b: arg[a:b])
         rows = []
-        for loss, extra in zip(losses, extras):
-            mean, se = _mean_se(eval_margin_loss(loss, arg, vals))
+        for k, (loss, extra) in enumerate(zip(losses, extras)):
+            mean, se = stats[k]
             mult = extra.get("multiplier", 1.0)
             rhs, se_rhs = mult * mean, mult * se
             rows.append(

@@ -397,6 +397,20 @@ class TestBruteForceOracle:
             brute_force_inf(hinge(), spec, ConditionalPoint(0.0, 0.5))
         assert not isinstance(err.value, OracleInfeasibleError)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "constraint", [Constraint.NONE, Constraint.ADV_STRADDLE, Constraint.ADV_SUP_NEGATIVE], ids=lambda c: c.value
+    )
+    @pytest.mark.parametrize("huge", [1e308, np.nextafter(np.finfo(float).max / 2, math.inf)])
+    @pytest.mark.parametrize("budget", ["W", "B"])
+    def test_adversarial_oracle_rejects_budget_whose_grid_width_overflows(self, budget, huge, constraint):
+        # 2W or 2B overflows, so np.linspace(-W, W) would step by inf: a
+        # ValueError naming the budget, before any grid is built
+        spec = HypothesisSpec(LIN, **{"W": 1.0, "B": 1.0, budget: huge}, gamma=0.1)
+        with pytest.raises(ValueError, match=f"finite {budget} and 2{budget}") as err:
+            brute_force_inf(hinge(), spec, ConditionalPoint(0.5, 0.3), constraint, grid_n=101)
+        assert not isinstance(err.value, OracleInfeasibleError)
+
     def test_constraint_mode_validation(self):
         spec = HypothesisSpec(LIN, W=1.0, B=0.5)
         with pytest.raises(ValueError):

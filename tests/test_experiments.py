@@ -9,8 +9,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hcbounds.bounds import _score_kernel
+from hcbounds.bounds import _mean_m2, _score_kernel
 from hcbounds.conditional import min_risk_symmetric
 from hcbounds.distributions import _SAMPLE_BLOCK, expectation, sample, sect7_adversarial, sect7_nonadversarial
 from hcbounds.experiments import (
@@ -232,14 +234,62 @@ class TestThreadedCells:
         assert _rows_digest(rows) == digest
 
 
+REDUCTION_KINDS = ["normal", "exp-normal", "0/1", "near-constant"]
+
+
+def _reduction_values(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        return rng.normal(size=n)
+    if kind == "exp-normal":
+        return np.exp(rng.normal(size=n))
+    if kind == "0/1":
+        return (rng.random(n) < 0.1).astype(float)
+    return rng.normal(3.0, 1e-3, n)
+
+
 class TestInPlaceReduction:
     @pytest.mark.parametrize("n", [2, 3, 1000, 2**16, 2**16 + 1, 10**6])
     def test_mean_se_matches_numpy_bit_for_bit(self, n):
         rng = np.random.default_rng(n)
         for vals in (np.exp(rng.normal(size=n)), (rng.random(n) < 0.1).astype(float), rng.normal(3.0, 1e-3, n)):
             want = (float(np.mean(vals)), float(np.std(vals, ddof=1)) / math.sqrt(n))
-            got = _mean_se(vals.copy())
+            got = _mean_se(n, lambda a, b: vals[a:b].copy())
             assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @staticmethod
+    def _leaf_reduction(v):
+        """``_mean_m2`` over v read as leaf copies, its calls, and numpy's
+        (mean, M2) over the whole array, both as float hex."""
+        calls = []
+
+        def values(start, stop):
+            calls.append((start, stop))
+            return v[start:stop].copy()
+
+        got = _mean_m2(v.size, values)
+        want = (float(np.mean(v)), float(((v - v.mean()) ** 2).sum()))
+        return [x.hex() for x in got], [x.hex() for x in want], calls
+
+    @pytest.mark.parametrize("kind", REDUCTION_KINDS)
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 2**16 - 1, 2**16, 2**16 + 1, 10**6, 2**20 + 5])
+    def test_leaf_reduction_matches_numpy_bit_for_bit(self, n, kind):
+        got, want, calls = self._leaf_reduction(_reduction_values(kind, n, n))
+        assert got == want
+        if n <= _SAMPLE_BLOCK:  # one leaf, read once
+            assert calls == [(0, n)]
+            return
+        # two passes over the same leaves, each at most one block, in order
+        leaves = calls[: len(calls) // 2]
+        assert calls == leaves * 2
+        assert [a for a, _ in leaves] == [0] + [b for _, b in leaves[:-1]] and leaves[-1][1] == n
+        assert all(b - a <= _SAMPLE_BLOCK for a, b in leaves)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3 * 2**16), kind=st.sampled_from(REDUCTION_KINDS), seed=st.integers(0, 2**32 - 1))
+    def test_leaf_reduction_matches_numpy_at_any_size(self, n, kind, seed):
+        got, want, _ = self._leaf_reduction(_reduction_values(kind, n, seed))
+        assert got == want
 
 
 # n spanning several sampling blocks, and a whole chunk plus a short one
@@ -287,7 +337,7 @@ class TestStreamedCells:
         assert [[float(r[k]).hex() for k in keys] for r in rows] == want
 
     @pytest.mark.parametrize("kind", sorted(STREAMED_SWEEPS))
-    def test_cell_memory_is_two_arrays_and_nothing_outlives_it(self, monkeypatch, kind):
+    def test_cell_memory_is_one_array_and_nothing_outlives_it(self, monkeypatch, kind):
         monkeypatch.setenv("HCB_THREADS", "1")
         run, n = STREAMED_SWEEPS[kind], (1 << 20) + 5
         run(SweepConfig(sigmas=(0.05,), n_samples=10**4, seed=3))  # first-call imports and caches
@@ -299,7 +349,7 @@ class TestStreamedCells:
         finally:
             tracemalloc.stop()
         assert len(rows) == 3
-        # the margins and one values array, 8n bytes each, plus block buffers
-        assert peak - base < 2.5 * 8 * n
+        # the margins (8n bytes), the errors as bools (n bytes), block buffers
+        assert peak - base < 1.75 * 8 * n
         # the rows alone remain: no block buffer (8 * 2^16 bytes) outlives the call
         assert current - base < 8 * _SAMPLE_BLOCK / 4
