@@ -56,7 +56,6 @@ from .transforms import (
 from .distributions import (
     Atom,
     Component,
-    FiniteDistribution,
     LabeledDistribution,
     QuadratureError,
     TruncNormal,

@@ -16,9 +16,11 @@ risk cancels in Gamma's argument, surrogate_excess + M_surrogate =
 R_surrogate(h) - E[C*_surrogate], so the verdict never searches for it; the
 split into surrogate_excess and M_surrogate is computed on request
 (``surrogate_split``), as the CLI does for its JSON.  The module also carries
-the discrete verifier for the general convex-Psi bound on finite-support
-distributions and the constructive no-guarantee demonstration for worst-case
-convex/sigmoid surrogates.
+the discrete verifier for the general convex-Psi bound on atom-only
+distributions, whose assembled inequality uses the same ``risk`` and E[C*] as
+the bound reports and whose pointwise condition uses the array closed forms,
+and the constructive no-guarantee demonstration for worst-case convex/sigmoid
+surrogates.
 
 Exact zero-one risks are closed-form tail masses.  Exact margin-loss risks
 and the expectations E[C*] integrate each truncated normal with
@@ -40,18 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditional import (
-    ConditionalPoint,
-    _adversarial_bracket,
-    _min_risk,
-    brute_force_inf,
-    conditional_risk,
-    conditional_risk_zero_one,
-    min_conditional_risk,
-)
+from .conditional import ConditionalPoint, _adversarial_bracket, _interval_risk, _min_risk, brute_force_inf
 from .distributions import (
     Atom,
-    FiniteDistribution,
     LabeledDistribution,
     _SAMPLE_BLOCK,
     QuadratureError,
@@ -66,7 +59,6 @@ from .losses import (
     MarginLoss,
     ZeroOneLoss,
     eval_margin_loss,
-    truncate,
 )
 from .transforms import PiecewiseTransform, select_transform
 
@@ -91,6 +83,7 @@ _BIC_TOL = 1e-4
 _GL_NODES = 201
 _REFINE_ROUNDS = 4  # initial grid + 3 tenfold refinements
 _GRID_SIDE = 41
+_PSI_TOL = 1e-10  # rounding allowance of the discrete verifier's checks
 
 
 @dataclass(frozen=True)
@@ -640,57 +633,60 @@ def surrogate_split(
 class PsiBoundCheck:
     holds: bool
     precondition_ok: bool
-    violations: tuple  # (atom_index, hypothesis_index, gap)
+    violations: tuple  # (location_index, hypothesis_index, gap)
     max_bound_slack: float
 
 
 def verify_psi_bound_discrete(
-    dist: FiniteDistribution,
+    dist: LabeledDistribution,
     surrogate: MarginLoss,
     spec: HypothesisSpec,
     psi: PiecewiseTransform,
     hypotheses,
-    eps: float = 0.0,
-    atol: float = 1e-10,
 ) -> PsiBoundCheck:
-    """Exact check of the convex-Psi estimation-error bound on finite support.
+    """Exact check of the convex-Psi estimation-error bound on an atom-only
+    distribution (``LabeledDistribution.from_atoms``); a continuous
+    component raises ``ValueError``, as does an h outside a linear class or
+    a score outside a bounded class's attainable range.
 
-    First verifies the pointwise condition Psi(<target regret>_eps) <=
-    surrogate regret at every (atom, hypothesis) pair, then the assembled
-    inequality Psi(E[target regret]) <= E[surrogate regret] + max{Psi(0),
-    Psi(eps)} for each hypothesis.  All quantities are conditional-risk
-    differences with closed-form minima, so arithmetic is exact.
+    The pointwise precondition Psi(target regret) <= surrogate regret is
+    checked at every (location, hypothesis) pair in one array evaluation of
+    the closed forms, at the distinct atom locations in order of first
+    appearance, each with the distribution's eta there; ``violations`` holds
+    (location index, hypothesis index, gap) where it fails by more than
+    1e-10.  The assembled inequality Psi(R_01(h) - E[C*_01]) <=
+    R_s(h) - E[C*_s] + Psi(0) is checked per hypothesis from ``risk`` and
+    the expected minimal conditional risks, as ``assemble_bound`` computes
+    them; ``holds`` fails when it is violated by more than 1e-10.
     """
-    violations = []
-    max_slack = -math.inf
-    d2 = np.empty(len(dist.atoms))
-    d1 = np.empty(len(dist.atoms))
-    weights = np.array([w for _, w, _ in dist.atoms])
-    holds = True
+    if dist.continuous():
+        raise ValueError("the discrete verifier needs an atom-only distribution")
+    hypotheses = tuple(hypotheses)
+    if spec.cls is HypothesisClass.LINEAR:
+        for h in hypotheses:
+            h.validate(spec)  # a bound about H says nothing about an h outside it
+    xs = np.array(list(dict.fromkeys(c.law.x for c in dist.atoms())))
+    eta = dist.eta(xs)
+    w = np.array([h.w for h in hypotheses])[:, None]
+    u = w * xs + np.array([h.b for h in hypotheses])[:, None]  # h.score at every location
+    if spec.cls is not HypothesisClass.ALL and np.any(np.abs(u) > spec.score_bound(np.abs(xs))):
+        raise ValueError("a hypothesis scores outside the class's attainable range")
+    target_regret = np.where(u < 0, eta, 1.0 - eta) - np.minimum(eta, 1.0 - eta)  # sign(0) = +1
+    surrogate_regret = _interval_risk(surrogate, eta, u, u) - _min_risk(surrogate, spec)(np.abs(xs), eta)
+    gap = psi(target_regret) - surrogate_regret
+    violations = tuple((int(ai), int(hj), float(gap[hj, ai])) for hj, ai in np.argwhere(gap > _PSI_TOL))
+
+    e_target = _expect_min_conditional(ZERO_ONE, spec, dist, False)[0]
+    e_surr = _expect_min_conditional(surrogate, spec, dist, False)[0]
     psi0 = float(psi(0.0))
-    psi_eps = float(psi(eps)) if eps > 0 else psi0
-    offset = max(psi0, psi_eps)
-    for hj, h in enumerate(hypotheses):
-        for ai, (x, _w, e) in enumerate(dist.atoms):
-            point = ConditionalPoint(abs(x), e)
-            u = float(h.score(x))
-            d2[ai] = conditional_risk_zero_one(u, e) - min(e, 1.0 - e)
-            d1[ai] = conditional_risk(surrogate, spec, u, point) - min_conditional_risk(
-                surrogate, spec, point
-            )
-            lhs_pt = float(psi(truncate(d2[ai], eps)))
-            if lhs_pt > d1[ai] + atol:
-                violations.append((ai, hj, lhs_pt - d1[ai]))
-        lhs = float(psi(float(weights @ d2)))
-        rhs = float(weights @ d1) + offset
-        max_slack = max(max_slack, lhs - rhs)
-        if lhs > rhs + atol:
-            holds = False
+    slack = np.array(
+        [psi(risk(ZERO_ONE, h, dist)[0] - e_target) - (risk(surrogate, h, dist)[0] - e_surr + psi0) for h in hypotheses]
+    )
     return PsiBoundCheck(
-        holds=holds,
+        holds=bool(np.all(slack <= _PSI_TOL)),
         precondition_ok=not violations,
-        violations=tuple(violations),
-        max_bound_slack=max_slack,
+        violations=violations,
+        max_bound_slack=float(slack.max(initial=-math.inf)),
     )
 
 

@@ -46,7 +46,6 @@ __all__ = [
     "TruncNormal",
     "Component",
     "LabeledDistribution",
-    "FiniteDistribution",
     "QuadratureError",
     "sect7_nonadversarial",
     "sect7_adversarial",
@@ -149,12 +148,6 @@ class TruncNormal:
         np.clip(x, self.lo, self.hi, out=x)
         return x if out is not None or isinstance(u, np.ndarray) else float(x)
 
-    def truncated_mean(self) -> float:
-        a, b = float(self._z(self.lo)), float(self._z(self.hi))
-        phi_a = math.exp(-0.5 * a * a) / _SQRT_2PI
-        phi_b = math.exp(-0.5 * b * b) / _SQRT_2PI
-        return self.mean + self.std * (phi_a - phi_b) / self._mass
-
 
 @dataclass(frozen=True)
 class Component:
@@ -202,6 +195,22 @@ class LabeledDistribution:
             self, "_atom_eta", {x: p / (p + n) for x, (p, n) in masses.items() if p + n > 0.0}
         )
 
+    @classmethod
+    def from_atoms(cls, atoms) -> "LabeledDistribution":
+        """The atom-only distribution of (x, weight, eta) triples: at x, mass
+        weight*eta with label +1 and weight*(1 - eta) with label -1, a side of
+        zero mass left out.  Each x must lie in [-1, 1] and each weight and
+        eta in [0, 1], NaN failing; triples at one x merge, as the posterior
+        always does."""
+        comps = []
+        for x, w, e in atoms:
+            x, w, e = float(x), float(w), float(e)
+            if not (-1.0 <= x <= 1.0 and 0.0 <= e <= 1.0):
+                raise ValueError(f"need x in [-1, 1] and eta in [0, 1], got x={x}, eta={e}")
+            Component(w, 1, Atom(x))  # rejects a weight outside [0, 1], NaN included
+            comps += [Component(m, y, Atom(x)) for m, y in ((w * e, 1), (w * (1.0 - e), -1)) if m > 0.0]
+        return cls(tuple(comps))
+
     def atoms(self) -> tuple:
         return self._atoms
 
@@ -235,39 +244,6 @@ class LabeledDistribution:
         for loc, e in self._atom_eta.items():
             out[x == loc] = e
         return out
-
-
-@dataclass(frozen=True)
-class FiniteDistribution:
-    """Finite-support distribution given as (x, weight, eta) triples; the
-    exact-arithmetic carrier for the discrete bound checks."""
-
-    atoms: tuple
-
-    def __post_init__(self):
-        atoms = tuple((float(x), float(w), float(e)) for x, w, e in self.atoms)
-        object.__setattr__(self, "atoms", atoms)
-        if not atoms:
-            raise ValueError("need at least one atom")
-        total = math.fsum(w for _, w, _ in atoms)
-        if abs(total - 1.0) > _WEIGHT_TOL:
-            raise ValueError(f"atom weights must sum to 1, got {total!r}")
-        for x, w, e in atoms:
-            if not -1.0 <= x <= 1.0:
-                raise ValueError(f"atom at {x} outside [-1, 1]")
-            if w < 0:
-                raise ValueError("atom weights must be nonnegative")
-            if not 0.0 <= e <= 1.0:
-                raise ValueError(f"eta must lie in [0, 1], got {e}")
-
-    def to_labeled(self) -> LabeledDistribution:
-        comps = []
-        for x, w, e in self.atoms:
-            if w * e > 0.0:
-                comps.append(Component(w * e, 1, Atom(x)))
-            if w * (1.0 - e) > 0.0:
-                comps.append(Component(w * (1.0 - e), -1, Atom(x)))
-        return LabeledDistribution(tuple(comps))
 
 
 def sect7_nonadversarial(sigma: float) -> LabeledDistribution:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from hcbounds.bounds import negative_result_demo, verify_psi_bound_discrete
-from hcbounds.distributions import FiniteDistribution
+from hcbounds.distributions import LabeledDistribution
 from hcbounds.experiments import (
     SweepConfig,
     run_adversarial_sweep,
@@ -178,7 +178,7 @@ def test_criterion_5_discrete_psi_verification():
     for trial in range(50):
         k = int(rng.integers(1, 6))
         ws = rng.dirichlet(np.ones(k))
-        dist = FiniteDistribution(
+        dist = LabeledDistribution.from_atoms(
             tuple((float(rng.uniform(-1, 1)), float(ws[j]), float(rng.uniform(0, 1))) for j in range(k))
         )
         spec = HypothesisSpec(LIN, W=1.0, B=float(rng.uniform(0.2, 1.5)))
@@ -193,7 +193,7 @@ def test_criterion_5_discrete_psi_verification():
         assert res.precondition_ok and res.holds
         worst = max(worst, res.max_bound_slack)
     # constructed violation: doubled transform fails the pointwise condition
-    dist = FiniteDistribution(((0.2, 0.6, 0.9), (0.7, 0.4, 0.2)))
+    dist = LabeledDistribution.from_atoms(((0.2, 0.6, 0.9), (0.7, 0.4, 0.2)))
     spec = HypothesisSpec(LIN, W=1.0, B=0.5)
     control = verify_psi_bound_discrete(
         dist, hinge(), spec, transform(hinge(), spec).scaled(2.0), [LinearHypothesis((1.0,), -0.21)]
@@ -202,8 +202,8 @@ def test_criterion_5_discrete_psi_verification():
         "criterion 5 (discrete convex-Psi verification)",
         worst <= 1e-10 and not control.precondition_ok,
         f"50 random finite-support distributions x 20 hypotheses verified exactly "
-        f"(max slack {worst:.1e} <= 1e-10); constructed violation flagged at atom "
-        f"{control.violations[0][0]}",
+        f"(max slack {worst:.1e} <= 1e-10); constructed violation flagged at "
+        f"location {control.violations[0][0]}",
     )
 
 

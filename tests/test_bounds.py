@@ -31,12 +31,18 @@ from hcbounds.bounds import (
     surrogate_split,
     verify_psi_bound_discrete,
 )
-from hcbounds.conditional import ConditionalPoint, OracleInfeasibleError, min_conditional_risk, min_risk_symmetric
+from hcbounds.conditional import (
+    ConditionalPoint,
+    OracleInfeasibleError,
+    conditional_risk,
+    conditional_risk_zero_one,
+    min_conditional_risk,
+    min_risk_symmetric,
+)
 from hcbounds.distributions import (
     _SAMPLE_BLOCK,
     Atom,
     Component,
-    FiniteDistribution,
     LabeledDistribution,
     TruncNormal,
     expectation,
@@ -63,7 +69,7 @@ ALL = HypothesisClass.ALL
 
 
 def singleton(x, eta):
-    return FiniteDistribution(((x, 1.0, eta),)).to_labeled()
+    return LabeledDistribution.from_atoms(((x, 1.0, eta),))
 
 
 class TestRisk:
@@ -334,7 +340,7 @@ class TestAssembleBound:
             ws = rng.dirichlet(np.ones(k))
             for j in range(k):
                 atoms.append((float(rng.uniform(-1, 1)), float(ws[j]), float(rng.uniform(0, 1))))
-            d = FiniteDistribution(tuple(atoms)).to_labeled()
+            d = LabeledDistribution.from_atoms(tuple(atoms))
             spec = HypothesisSpec(LIN, W=1.0, B=float(rng.uniform(0.2, 1.5)))
             h = LinearHypothesis((float(rng.uniform(-1, 1)),), float(rng.uniform(-spec.B, spec.B)))
             loss = losses[trial % len(losses)]
@@ -465,7 +471,7 @@ class TestAssembleBound:
 
     def test_monotone_tightening_in_bias(self):
         # hinge RHS is non-increasing in B on (0, 1] for fixed h and distribution
-        d = FiniteDistribution(((0.3, 0.55, 0.85), (-0.6, 0.45, 0.2))).to_labeled()
+        d = LabeledDistribution.from_atoms(((0.3, 0.55, 0.85), (-0.6, 0.45, 0.2)))
         h = LinearHypothesis((0.6,), -0.25)
         prev = math.inf
         for B in (0.3, 0.5, 0.8, 1.0):
@@ -766,7 +772,7 @@ class TestVerdictPath:
 # as float.hex(), holds, saturated, computed when Gamma bisected the forward
 # transform to 1e-12.  The chord cases have y < T(2*beta), the base cases y
 # in (T(2*beta), T(1)).
-_MASSART_DIST = FiniteDistribution(((0.5, 0.5, 0.95), (-0.4, 0.5, 0.05))).to_labeled()
+_MASSART_DIST = LabeledDistribution.from_atoms(((0.5, 0.5, 0.95), (-0.4, 0.5, 0.05)))
 _MASSART_PINS = {
     ("logistic", 0.1, 6.0, "chord"): ("0x1.5576de0b70000p-5", "0x1.5576de0b70000p-5", True, False),
     ("logistic", 0.1, 2.0, "base"): ("0x1.302abde1e9000p-1", "0x1.302abde1e9000p-1", True, False),
@@ -838,7 +844,7 @@ class TestDiscretePsiBound:
         atoms = tuple(
             (float(rng.uniform(-1, 1)), float(ws[j]), float(rng.uniform(0, 1))) for j in range(k)
         )
-        dist = FiniteDistribution(atoms)
+        dist = LabeledDistribution.from_atoms(atoms)
         spec = HypothesisSpec(LIN, W=1.0, B=float(rng.uniform(0.2, 1.5)))
         hyps = [
             LinearHypothesis((float(rng.uniform(-spec.W, spec.W)),), float(rng.uniform(-spec.B, spec.B)))
@@ -861,7 +867,7 @@ class TestDiscretePsiBound:
     def test_scaled_transform_flagged(self):
         # doubling the transform breaks the pointwise condition at an atom with
         # small reach and a barely-negative score
-        dist = FiniteDistribution(((0.2, 0.6, 0.9), (0.7, 0.4, 0.2)))
+        dist = LabeledDistribution.from_atoms(((0.2, 0.6, 0.9), (0.7, 0.4, 0.2)))
         spec = HypothesisSpec(LIN, W=1.0, B=0.5)
         psi2 = transform(hinge(), spec).scaled(2.0)
         hyps = [LinearHypothesis((1.0,), -0.21)]  # score -0.01 at x=0.2
@@ -872,12 +878,90 @@ class TestDiscretePsiBound:
         assert atom_idx == 0 and hyp_idx == 0 and gap > 0
 
     def test_single_atom_reduces_to_pointwise(self):
-        dist = FiniteDistribution(((0.5, 1.0, 0.85),))
+        dist = LabeledDistribution.from_atoms(((0.5, 1.0, 0.85),))
         spec = HypothesisSpec(LIN, W=1.0, B=0.6)
         psi = transform(quadratic(), spec)
         hyps = [LinearHypothesis((-0.5,), 0.1)]
         res = verify_psi_bound_discrete(dist, quadratic(), spec, psi, hyps)
         assert res.holds and res.precondition_ok
+
+    def test_hypothesis_outside_class_rejected(self):
+        dist = LabeledDistribution.from_atoms(((0.2, 1.0, 0.9),))
+        spec = HypothesisSpec(LIN, W=1.0, B=0.5)
+        with pytest.raises(ValueError, match="outside the class"):
+            verify_psi_bound_discrete(dist, hinge(), spec, transform(hinge(), spec), [LinearHypothesis((1.5,), 0.0)])
+
+    def test_score_outside_relu_range_rejected(self):
+        dist = LabeledDistribution.from_atoms(((0.2, 1.0, 0.9),))
+        spec = HypothesisSpec(HypothesisClass.ONE_HIDDEN_RELU, W=1.0, B=0.5, Lambda=1.0)
+        psi = transform(hinge(), spec)
+        assert verify_psi_bound_discrete(dist, hinge(), spec, psi, [LinearHypothesis((0.5,), 0.6)]).holds  # 0.7 = reach
+        with pytest.raises(ValueError, match="attainable range"):
+            verify_psi_bound_discrete(dist, hinge(), spec, psi, [LinearHypothesis((0.5,), 0.65)])
+
+    def test_continuous_component_rejected(self):
+        spec = HypothesisSpec(LIN, W=1.0, B=0.5)
+        with pytest.raises(ValueError, match="atom-only"):
+            verify_psi_bound_discrete(sect7_nonadversarial(0.1), hinge(), spec, transform(hinge(), spec),
+                                      [LinearHypothesis((0.5,), 0.0)])
+
+    def test_repeated_location_uses_its_eta(self):
+        # the two triples at x = 0.2 are one location with eta = 1/2, where
+        # h = -x has zero regret under both losses
+        spec = HypothesisSpec(LIN, W=1.0, B=0.5)
+        psi, hyps = transform(hinge(), spec), [LinearHypothesis((-1.0,), 0.0)]
+        split = verify_psi_bound_discrete(
+            LabeledDistribution.from_atoms(((0.2, 0.5, 0.9), (0.2, 0.5, 0.1))), hinge(), spec, psi, hyps
+        )
+        whole = verify_psi_bound_discrete(LabeledDistribution.from_atoms(((0.2, 1.0, 0.5),)), hinge(), spec, psi, hyps)
+        assert (split.holds, split.precondition_ok, split.violations) == (whole.holds, whole.precondition_ok, ())
+        assert split.max_bound_slack == pytest.approx(whole.max_bound_slack, abs=1e-15)
+        assert whole.max_bound_slack == pytest.approx(0.0, abs=1e-15)
+
+    def test_violations_index_locations_in_first_appearance_order(self):
+        # test_scaled_transform_flagged's distribution, x = 0.7 listed first
+        # and each location split in two: the violation moves to location 1
+        spec = HypothesisSpec(LIN, W=1.0, B=0.5)
+        psi2 = transform(hinge(), spec).scaled(2.0)
+        hyps = [LinearHypothesis((1.0,), -0.21)]
+        dist = LabeledDistribution.from_atoms(((0.2, 0.6, 0.9), (0.7, 0.4, 0.2)))
+        shuffled = LabeledDistribution.from_atoms(((0.7, 0.1, 0.2), (0.2, 0.3, 0.9), (0.7, 0.3, 0.2), (0.2, 0.3, 0.9)))
+        ((loc, hyp, gap),) = verify_psi_bound_discrete(dist, hinge(), spec, psi2, hyps).violations
+        ((loc2, hyp2, gap2),) = verify_psi_bound_discrete(shuffled, hinge(), spec, psi2, hyps).violations
+        assert (loc, hyp, loc2, hyp2) == (0, 0, 1, 0)
+        assert gap2 == pytest.approx(gap, abs=1e-15)
+
+    def test_pointwise_gaps_match_scalar_forms(self):
+        # the array precondition against a scalar double loop over hypotheses
+        # and distinct locations; the doubled transform makes many violations
+        rng = np.random.default_rng(31)
+        losses = [hinge(), quadratic(), sigmoid(1.0), rho_margin(1.0)]
+        flagged = 0
+        for trial in range(24):
+            k = int(rng.integers(1, 7))
+            # a coarse x grid, so that some triples share a location
+            atoms = tuple(zip(rng.choice(np.linspace(-1.0, 1.0, 9), k), rng.dirichlet(np.ones(k)), rng.uniform(0, 1, k)))
+            dist = LabeledDistribution.from_atoms(atoms)
+            spec = HypothesisSpec(LIN, W=1.0, B=float(rng.uniform(0.2, 1.5)))
+            hyps = [LinearHypothesis((float(rng.uniform(-1, 1)),), float(rng.uniform(-spec.B, spec.B)))
+                    for _ in range(8)]
+            loss = losses[trial % len(losses)]
+            psi2 = transform(loss, spec).scaled(2.0)
+            want = []
+            locations = list(dict.fromkeys(float(x) for x, _, _ in atoms))
+            for hj, h in enumerate(hyps):
+                for ai, x in enumerate(locations):
+                    e = dist.eta(x)
+                    point, u = ConditionalPoint(abs(x), e), float(h.score(x))
+                    target = conditional_risk_zero_one(u, e) - min(e, 1.0 - e)
+                    surr = conditional_risk(loss, spec, u, point) - min_conditional_risk(loss, spec, point)
+                    if float(psi2(target)) - surr > 1e-10:
+                        want.append((ai, hj, float(psi2(target)) - surr))
+            got = verify_psi_bound_discrete(dist, loss, spec, psi2, hyps).violations
+            assert [v[:2] for v in got] == [v[:2] for v in want], trial
+            assert np.allclose([v[2] for v in got], [v[2] for v in want], rtol=0.0, atol=1e-12), trial
+            flagged += len(got)
+        assert flagged >= 50
 
 
 class TestNegativeResultDemo:

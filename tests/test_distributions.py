@@ -23,7 +23,6 @@ from hcbounds.distributions import (
     _SAMPLE_CHUNK,
     Atom,
     Component,
-    FiniteDistribution,
     LabeledDistribution,
     QuadratureError,
     TruncNormal,
@@ -154,7 +153,7 @@ class TestArrayPosterior:
             sect7_nonadversarial(0.05),
             sect7_adversarial(0.05),
             # atoms only (eta is 1/2 off them), one exactly on a grid point
-            FiniteDistribution(((0.3, 0.5, 0.6), (-0.2, 0.25, 0.1), (float(_GRID[4000]), 0.25, 0.9))).to_labeled(),
+            LabeledDistribution.from_atoms(((0.3, 0.5, 0.6), (-0.2, 0.25, 0.1), (float(_GRID[4000]), 0.25, 0.9))),
         ],
         ids=["sect7-nonadv", "sect7-adv", "finite"],
     )
@@ -190,11 +189,13 @@ class TestSampling:
         n = 10**6
         xs, ys = sample(d, n, seed=6)
         mask = (ys == 1) & (xs != -1.0)
+        # the mean by quadrature of x over the component alone, not by sampling
         law = TruncNormal(0.1, 1.0, 0.1, 0.1)
+        mean = expectation(LabeledDistribution((Component(1.0, 1, law),)), lambda x, e: x)
         emp = float(xs[mask].mean())
         var = float(xs[mask].var())
         se = math.sqrt(var / mask.sum())
-        assert abs(emp - law.truncated_mean()) <= 4 * se
+        assert abs(emp - mean) <= 4 * se
 
     def test_samples_stay_in_support(self):
         d = sect7_adversarial(0.05, 0.1)
@@ -228,9 +229,9 @@ class TestSampling:
             "nonadv": sect7_nonadversarial(0.2),
             "adv": sect7_adversarial(0.5, 0.1),
             # 12 atoms, 21 labeled components (eta in {0, 1} drops one side)
-            "finite": FiniteDistribution(
+            "finite": LabeledDistribution.from_atoms(
                 tuple((float(x), 1.0 / 12.0, e) for x, e in zip(np.linspace(-1.0, 1.0, 12), etas))
-            ).to_labeled(),
+            ),
         }
         xs, ys = sample(dists[name], _SAMPLE_CHUNK + 4097, seed)
         assert xs.dtype == np.float64 and ys.dtype == np.int64
@@ -243,9 +244,9 @@ PINNED_DISTS = {
     "nonadv": sect7_nonadversarial(0.2),
     "adv": sect7_adversarial(0.5, 0.1),
     # 12 atoms, 21 labeled components (eta in {0, 1} drops one side)
-    "finite": FiniteDistribution(
+    "finite": LabeledDistribution.from_atoms(
         tuple((float(x), 1.0 / 12.0, e) for x, e in zip(np.linspace(-1.0, 1.0, 12), _ETAS))
-    ).to_labeled(),
+    ),
 }
 
 
@@ -375,13 +376,13 @@ class TestComponentPick:
             )
         ),
         # 400 atoms, 800 labeled components with cutoffs off every cell edge
-        "many-atoms": FiniteDistribution(
+        "many-atoms": LabeledDistribution.from_atoms(
             tuple(zip(np.linspace(-1.0, 1.0, 400), _random_weights(400, 1), np.full(400, 0.3)))
-        ).to_labeled(),
+        ),
         # 299 cutoffs crowd into the first cell, so those draws search 9 steps
-        "crowded": FiniteDistribution(
+        "crowded": LabeledDistribution.from_atoms(
             tuple(zip(np.linspace(-1.0, 1.0, 300), [1e-9] * 299 + [1.0 - 299e-9], [1.0] * 300))
-        ).to_labeled(),
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(DISTS))
@@ -576,16 +577,26 @@ class TestSerialization:
             dist_from_json_dict(doc2)
 
 
-class TestFiniteDistribution:
-    def test_to_labeled_recovers_eta(self):
-        fd = FiniteDistribution(((0.5, 0.4, 0.8), (-0.25, 0.6, 0.0)))
-        d = fd.to_labeled()
+class TestFromAtoms:
+    def test_recovers_eta(self):
+        d = LabeledDistribution.from_atoms(((0.5, 0.4, 0.8), (-0.25, 0.6, 0.0)))
+        assert not d.continuous()
         assert d.eta(0.5) == pytest.approx(0.8)
         assert d.eta(-0.25) == 0.0
         assert math.fsum(c.weight for c in d.components) == pytest.approx(1.0, abs=1e-15)
 
-    def test_validation(self):
+    @pytest.mark.parametrize(
+        "atoms",
+        [
+            ((0.0, 0.7, 0.5),),
+            ((0.0, 1.0, 1.5),),
+            ((0.2, math.nan, 0.5), (0.1, 1.0, 0.5)),  # the NaN triple must not drop out
+            ((0.0, 1.0, -0.1),),
+            ((0.0, 1.0, math.nan),),
+            ((0.5, 1.0, math.nan), (0.5, 0.0, 0.5)),
+            ((2.0, 0.0, 0.5), (0.0, 1.0, 0.5)),  # a zero-weight triple is still checked
+        ],
+    )
+    def test_validation(self, atoms):
         with pytest.raises(ValueError):
-            FiniteDistribution(((0.0, 0.7, 0.5),))
-        with pytest.raises(ValueError):
-            FiniteDistribution(((0.0, 1.0, 1.5),))
+            LabeledDistribution.from_atoms(atoms)
