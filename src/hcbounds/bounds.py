@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditional import ConditionalPoint, _adversarial_bracket, _interval_risk, _min_risk, brute_force_inf
+from .conditional import ConditionalPoint, _adversarial_bracket, _interval_risk, _min_risk, brute_force_inf, thread_map
 from .distributions import (
     Atom,
     LabeledDistribution,
@@ -113,7 +113,7 @@ class Target(enum.Enum):
 # ---------------------------------------------------------------------------
 
 
-def _score_kernel(w, b, xs, ys, adversarial, gamma, overwrite=False):
+def _score_kernel(w, b, xs, ys, adversarial, gamma, out=None):
     """(err, arg) for the scores s = w*x + b at points xs with labels ys in {-1, +1}.
 
     w and b broadcast against xs: scalars for one hypothesis on a sample, or
@@ -121,13 +121,13 @@ def _score_kernel(w, b, xs, ys, adversarial, gamma, overwrite=False):
     error indicator (bool): sign(s) != y, or in the robust case whether the
     gamma-ball reaches the wrong side.  arg is the argument at which every
     margin loss is taken: y*s, or the worst-case margin np.where(y > 0, lo, -hi)
-    over the ball [lo, hi] = [s - gamma|w|, s + gamma|w|].  With ``overwrite``
-    the score and arg are computed in place in xs, a float64 array the caller
-    owns (w and b scalars).
+    over the ball [lo, hi] = [s - gamma|w|, s + gamma|w|].  Given ``out``, a
+    float64 array of xs's shape (xs itself included), the score and arg are
+    computed in it (w and b scalars), and arg is out.
     """
     ys = np.asarray(ys)
-    if overwrite:
-        s = np.multiply(xs, w, out=xs)
+    if out is not None:
+        s = np.multiply(xs, w, out=out)
         s += b
     else:
         s = w * np.asarray(xs, dtype=float) + b
@@ -161,6 +161,20 @@ def _pairwise_sum(start, m, leaf_sum):
         return leaf_sum(start, start + m)
     half = m // 2 - m // 2 % 8
     return _pairwise_sum(start, half, leaf_sum) + _pairwise_sum(start + half, m - half, leaf_sum)
+
+
+def _leaf_totals(n, leaf_sums) -> list:
+    """Totals of several sets of n values, each the float64 sum in
+    ``_pairwise_sum``'s order.
+
+    ``leaf_sums(start, stop)`` returns the sums of every set's values
+    [start, stop), one per set.  It runs once for each of ``_pairwise_sum``'s
+    leaves over n values, on ``thread_map``, so it may run on several threads
+    at once; the totals do not depend on how many."""
+    leaves = []
+    _pairwise_sum(0, n, lambda start, stop: leaves.append((start, stop)) or 0.0)
+    by_start = dict(zip((start for start, _ in leaves), thread_map(lambda leaf: leaf_sums(*leaf), leaves)))
+    return [_pairwise_sum(0, n, lambda start, stop: by_start[start][k]) for k in range(len(by_start[0]))]
 
 
 def _mean_m2(n, values):
@@ -201,7 +215,7 @@ def _mc_risks(losses, h, dist, mode, adversarial, gamma) -> list:
     """
 
     def block_stats(start, xs, ys, spare):
-        err, arg = _score_kernel(h.w, h.b, xs, ys, adversarial, gamma, overwrite=True)
+        err, arg = _score_kernel(h.w, h.b, xs, ys, adversarial, gamma, out=xs)
         n = xs.size  # one leaf of _mean_m2: values(0, n) is its only call
         return [(n, *_mean_m2(n, lambda a, b: _loss_values(loss, err, arg, spare[0]))) for loss in losses]
 

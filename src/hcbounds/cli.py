@@ -19,10 +19,11 @@ linear class, bound requires h(x) = w*x + b to lie in the class: the default
 sweep refuses, with exit 2, a flag that its experiment does not read, and
 bound one that its run does not read: --n and --seed without --mode mc,
 --sigma with a JSON or path --dist.
-HCB_THREADS caps the worker threads of the sweeps' sigma cells and of the
-sampler's blocks (default and ceiling: the CPU count; pools do not nest;
-results never depend on it); an invalid value is a validation error.  The
-grid oracles run on the calling thread.  oracle-check --grid-n below 2
+HCB_THREADS sizes the process's one worker pool, which runs the sampler's
+blocks and each sweep cell's leaf passes while the sigma cells run one after
+another (default and ceiling: the CPU count; results never depend on it); an
+invalid value is a validation error.  The grid oracles run on the calling
+thread.  oracle-check --grid-n below 2
 exits 2.
 """
 

@@ -50,9 +50,9 @@ __all__ = [
     "thread_map",
 ]
 
-# Score cap standing in for the unbounded class in grid oracles.  Optimal
-# scores of the losses in scope are within +-0.5*log-odds, so the cap only
-# matters for t within e^-40 of {0, 1}.
+# Score cap standing in for the unbounded class, and for any wider range, in
+# the score-grid oracle.  Optimal scores of the losses in scope are within
+# +-0.5*log-odds, so the cap only matters for t within e^-40 of {0, 1}.
 _ALL_SCORE_CAP = 20.0
 
 
@@ -286,11 +286,13 @@ def _pruned_minima(bounds, blocks_min):
 def _score_ranges(spec, x_abs, constraint):
     """(lo, hi) of ``brute_force_inf``'s score grids (gamma = 0) at input
     norms x_abs, elementwise for an array: the attainable scores [-s, s],
-    with s capped at ``_ALL_SCORE_CAP`` where it is infinite (the unbounded
-    class, an infinite bias) or so large that the width 2s of [-s, s]
-    overflows, and cut to [-s, 0] under ``SCORE_NEGATIVE``."""
+    with s capped at ``_ALL_SCORE_CAP`` wherever it exceeds it (the
+    unbounded class, an infinite bias, or a finite range so wide that its
+    grid would step past every minimizer, or its width 2s overflow), and cut
+    to [-s, 0] under ``SCORE_NEGATIVE``.  The capped range is attainable, so
+    the grid minimum still bounds the infimum from above."""
     s = np.asarray(spec.score_bound(x_abs), dtype=float)
-    s = np.broadcast_to(np.where(s > np.finfo(float).max / 2.0, _ALL_SCORE_CAP, s), np.shape(x_abs))
+    s = np.broadcast_to(np.where(s > _ALL_SCORE_CAP, _ALL_SCORE_CAP, s), np.shape(x_abs))
     if constraint is Constraint.SCORE_NEGATIVE:
         if np.any(-s >= 0.0):
             raise OracleInfeasibleError("no attainable strictly negative score at this point")
@@ -349,10 +351,9 @@ def _score_grids_inf(loss, t, lo, hi, grid_n):
 
 
 def thread_cap() -> int:
-    """Worker threads for the simulation sweeps' sigma cells and the
-    sampler's blocks: ``HCB_THREADS``, clamped to ``os.cpu_count()``, which is
-    also the default when it is unset.  Pools do not nest (see
-    ``thread_map``), so no more than this many workers run at once.  Results
+    """Worker threads of ``thread_map``'s pool, which runs the sampler's
+    blocks and the sweep cells' leaf passes: ``HCB_THREADS``, clamped to
+    ``os.cpu_count()``, which is also the default when it is unset.  Results
     never depend on it.  The grid oracles run on the calling thread: their
     block-bound pruning leaves too few cells to split.  Raises
     ValueError unless the variable is an integer >= 1."""
@@ -371,25 +372,47 @@ def thread_cap() -> int:
 
 # set in every pool worker, so that a thread_map called from inside one runs inline
 _in_worker = threading.local()
+_pool = None  # (thread_cap() it was made for, the process's one executor)
+_pool_lock = threading.Lock()
 
 
 def _mark_worker() -> None:
     _in_worker.flag = True
 
 
+def _forget_pool() -> None:
+    # a forked child has none of the parent's worker threads
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _shared_pool(cap: int) -> ThreadPoolExecutor:
+    """The process's executor of ``cap`` workers, made on first use and
+    shut down and rebuilt when the cap changes."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != cap:
+            if _pool is not None:
+                _pool[1].shutdown()
+            _pool = (cap, ThreadPoolExecutor(max_workers=cap, initializer=_mark_worker))
+        return _pool[1]
+
+
 def thread_map(fn, items) -> list:
-    """``[fn(item) for item in items]``, run on ``min(thread_cap(), len(items))``
-    threads of a per-call pool; inline when that is 1 or when called from a
-    worker of another ``thread_map`` (a sweep cell's sampler, say), so pools
-    never nest and ``thread_cap()`` bounds the live workers.  Results come
-    back in item order, so a caller that merges them in order gets the same
-    answer at every thread count."""
+    """``[fn(item) for item in items]``, run on the process's one pool of
+    ``thread_cap()`` workers, which every pooled call reuses; inline when
+    ``min(thread_cap(), len(items))`` is 1, or when called from one of the
+    pool's workers, which waiting on the pool it runs on could deadlock.
+    Results come back in item order, so a caller that merges them in order
+    gets the same answer at every thread count."""
     items = list(items)
-    workers = 1 if getattr(_in_worker, "flag", False) else min(thread_cap(), len(items))
-    if workers <= 1:
+    cap = 1 if getattr(_in_worker, "flag", False) else thread_cap()
+    if min(cap, len(items)) <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers, initializer=_mark_worker) as pool:
-        return list(pool.map(fn, items))
+    return list(_shared_pool(cap).map(fn, items))
 
 
 def _adversarial_grid_inf(loss, spec, point, constraint, grid_n):

@@ -12,9 +12,10 @@ Sampling is exact inverse-CDF sampling driven by a counter-based generator
 (Philox) with per-chunk substreams keyed by (seed, chunk index), so output is
 reproducible bit-for-bit.  ``_map_sample_blocks``, the one block driver,
 draws fixed 2^16-draw blocks of each chunk on the shared thread pool into
-block buffers that each worker reuses, and hands each block to a consumer on
-its worker: ``sample`` copies it into its slice of the output, Monte Carlo
-risks and the sweep cells score it in place.  No output depends on the
+block buffers that each worker reuses, or the positions straight into a
+caller's array, and hands each block to a consumer on its worker: ``sample``
+draws into its output and copies the labels, Monte Carlo risks and the sweep
+cells score each block in place.  No output depends on the
 thread count.
 Expectations take an integrand of arrays (x, eta(x)), sum atoms exactly and
 integrate continuous components with ``_gauss_kronrod``, QUADPACK's adaptive
@@ -222,11 +223,11 @@ class LabeledDistribution:
 
         Point masses dominate at their exact locations; where neither atoms
         nor densities put mass, returns 1/2."""
-        array = isinstance(x, np.ndarray)
-        if not array:
-            e = self._atom_eta.get(x)
-            if e is not None:
-                return e
+        if isinstance(x, np.ndarray):
+            return self._eta_from(x, [(c, c.law.pdf(x)) for c in self._continuous])
+        e = self._atom_eta.get(x)
+        if e is not None:
+            return e
         d_pos = d_neg = 0.0
         for c in self._continuous:
             d = c.weight * c.law.pdf(x)
@@ -234,10 +235,20 @@ class LabeledDistribution:
                 d_pos += d
             else:
                 d_neg += d
-        if not array:
-            if d_pos + d_neg == 0.0:
-                return 0.5
-            return d_pos / (d_pos + d_neg)
+        if d_pos + d_neg == 0.0:
+            return 0.5
+        return d_pos / (d_pos + d_neg)
+
+    def _eta_from(self, x, densities):
+        """eta at the array x from (continuous component, its pdf at x)
+        pairs; a component left out must have zero density on x."""
+        d_pos = d_neg = 0.0
+        for c, pdf in densities:
+            d = c.weight * pdf
+            if c.label > 0:
+                d_pos += d
+            else:
+                d_neg += d
         total = d_pos + d_neg
         out = np.full(x.shape, 0.5)
         np.divide(d_pos, total, out=out, where=total != 0.0)
@@ -335,17 +346,18 @@ def _block_filler(dist: LabeledDistribution, n: int, seed: int):
     """The blocks of an n-draw sample and the body that draws one of them.
 
     Returns (blocks, fill): blocks lists (chunk, m, a, start, size) in sample
-    order, and fill(block, bufs) draws that block into bufs, a worker's
-    (u, idx, scratch, x, y) arrays of at least its size (float, intp, float,
-    float, int64); it returns views (x, y, (u, scratch)) of the draws and of
-    the two float buffers they no longer need.  Chunk c of 2^20 draws (m of
-    them in a short last chunk) reads substream (seed, c): its doubles
-    0..m-1 pick the components and its doubles m..2m-1 the positions.  The
-    block at offset a reads the doubles from a and from m + a, so it
-    consumes exactly the words a single pass over the chunk would, and every
-    element goes through the same elementwise operations.  No step allocates
-    a block of floats: only each continuous component's index list and a
-    block of bools are fresh.
+    order, and fill(block, bufs, x) draws that block's positions into x, a
+    float64 array of its size, and the rest into bufs, a worker's
+    (u, idx, scratch, y) arrays of at least its size (float, intp, float,
+    int8); it returns views (x, y, (u, scratch)) of the draws, the labels
+    as int8, and of the two float buffers they no longer need.  Chunk c of
+    2^20 draws (m of them in a short last chunk) reads substream (seed, c):
+    its doubles 0..m-1 pick the components and its doubles m..2m-1 the
+    positions.  The block at offset a reads the doubles from a and from
+    m + a, so it consumes exactly the words a single pass over the chunk
+    would, and every element goes through the same elementwise operations.
+    No step allocates a block of floats: only each continuous component's
+    index list and a block of bools are fresh.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -354,24 +366,24 @@ def _block_filler(dist: LabeledDistribution, n: int, seed: int):
     comps = dist.components
     cum = np.cumsum([c.weight for c in comps])
     cum[-1] = np.inf  # a draw past the rounded total belongs to the last component
-    labels = np.array([c.label for c in comps], dtype=np.int64)
+    labels = np.array([c.label for c in comps], dtype=np.int8)
     # continuous components get a placeholder location, overwritten by their ppf
     locs = np.array([c.law.x if isinstance(c.law, Atom) else 0.0 for c in comps])
     continuous = [(ci, c.law) for ci, c in enumerate(comps) if isinstance(c.law, TruncNormal)]
     pick = _component_picker(cum)
 
-    def fill(block, bufs):
+    def fill(block, bufs, x):
         chunk, m, a, _, size = block
-        u, idx, scratch, x, y = (buf[:size] for buf in bufs)
+        u, idx, scratch, y = (buf[:size] for buf in bufs)
         _philox_at(seed, chunk, a).random(out=u)  # component draws
-        pick(u, idx, y)  # y holds the cells until the labels overwrite it
+        pick(u, idx, scratch.view(np.intp)[:size])  # scratch holds the cells until the positions need it
         _philox_at(seed, chunk, m + a).random(out=u)  # position draws, same buffer
         # idx is always in range; mode="raise" would buffer the output
         np.take(locs, idx, out=x, mode="clip")
         for ci, law in continuous:
             ix = np.flatnonzero(idx == ci)
             part = scratch[: len(ix)]
-            x.put(ix, law.ppf(u.take(ix, out=part, mode="clip"), out=part))
+            x[ix] = law.ppf(u.take(ix, out=part, mode="clip"), out=part)
         np.take(labels, idx, out=y, mode="clip")
         return x, y, (u, scratch)
 
@@ -385,38 +397,44 @@ def _block_filler(dist: LabeledDistribution, n: int, seed: int):
 def sample(dist: LabeledDistribution, n: int, seed: int):
     """n i.i.d. draws; returns (x, y) arrays. Deterministic given the seed.
 
-    A consumer of ``_map_sample_blocks``: each 2^16-draw block is copied
-    into its slice of the output, so the output does not depend on the
-    thread count.
+    A consumer of ``_map_sample_blocks``: each 2^16-draw block's positions
+    are drawn into their slice of the output and its labels copied there,
+    so the output does not depend on the thread count.
     """
     xs = np.empty(n, dtype=float)
     ys = np.empty(n, dtype=np.int64)
 
     def copy(start, x, y, spare):
-        xs[start : start + len(x)], ys[start : start + len(y)] = x, y
+        ys[start : start + len(y)] = y
 
-    _map_sample_blocks(dist, n, seed, copy)
+    _map_sample_blocks(dist, n, seed, copy, into=xs)
     return xs, ys
 
 
-def _map_sample_blocks(dist: LabeledDistribution, n: int, seed: int, fn) -> list:
+def _map_sample_blocks(dist: LabeledDistribution, n: int, seed: int, fn, into=None) -> list:
     """[fn(start, x, y, spare) for each block of ``sample(dist, n, seed)``],
     in block order: the sampler's one driver.
 
-    start is the block's offset in the sample, x and y hold its draws, and
-    spare is a pair of float arrays of its size that the draws no longer
-    need; fn may overwrite all four, and runs on the block's ``thread_map``
-    worker.  Each worker reuses five block buffers, held in a
-    ``threading.local`` of this call: memory does not grow with n, and no
-    buffer outlives the call.
+    start is the block's offset in the sample, x and y hold its positions
+    and its labels (int8), and spare is a pair of float arrays of its size
+    that the draws no longer need; fn may overwrite all four, and runs on
+    the block's ``thread_map`` worker.  Given ``into``, a float64 array of n
+    values, x is the block's slice of it; else a worker buffer.  Each worker
+    reuses its block buffers, five floats or int8 labels per draw (four with
+    ``into``), held in a ``threading.local`` of this call: memory does not
+    grow with n, and no buffer outlives the call.
     """
     blocks, fill = _block_filler(dist, n, seed)
     held = threading.local()
+    size = min(_SAMPLE_BLOCK, n)
 
     def run(block):
+        start, m = block[3:]
         if not hasattr(held, "bufs"):
-            held.bufs = tuple(np.empty(min(_SAMPLE_BLOCK, n), t) for t in (float, np.intp, float, float, np.int64))
-        return fn(block[3], *fill(block, held.bufs))
+            held.bufs = tuple(np.empty(size, t) for t in (float, np.intp, float, np.int8))
+            held.x = np.empty(size) if into is None else None
+        x = held.x[:m] if into is None else into[start : start + m]
+        return fn(start, *fill(block, held.bufs, x))
 
     return thread_map(run, blocks)
 
@@ -526,9 +544,14 @@ def expectation(
             total += c.weight * v
     for c in dist.continuous():
         law = c.law
+        # eta from the components whose support meets this one's: the others'
+        # densities are exact zeros here, and this one's pdf is the weight
+        near = [o for o in dist.continuous() if o.law.lo <= law.hi and law.lo <= o.law.hi]
 
-        def f(xs, _law=law):
-            return integrand(xs, dist.eta(xs)) * _law.pdf(xs)
+        def f(xs, _c=c, _near=near):
+            densities = [(o, o.law.pdf(xs)) for o in _near]
+            own = next(pdf for o, pdf in densities if o is _c)
+            return integrand(xs, dist._eta_from(xs, densities)) * own
 
         val, err = _gauss_kronrod(f, law.lo, law.hi, points, epsabs=tol * 1e-2)
         if err > tol:

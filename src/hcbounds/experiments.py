@@ -19,11 +19,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _holds, _loss_values, _mean_m2, _score_kernel
+from .bounds import _holds, _leaf_totals, _loss_values, _score_kernel
 from .distributions import _SAMPLE_BLOCK, _map_sample_blocks, sect7_adversarial, sect7_nonadversarial
 from .hypotheses import HypothesisClass, HypothesisSpec
 from .losses import (
@@ -37,7 +38,6 @@ from .losses import (
     rho_margin,
     sigmoid,
 )
-from .conditional import thread_map
 from .transforms import transform, transform_inverse
 
 __all__ = [
@@ -81,20 +81,14 @@ def _cell_seed(seed: int, index: int) -> int:
     return (seed ^ ((index + 1) * 0x9E3779B97F4A7C15)) % 2**64
 
 
-def _mean_se(n, values) -> tuple:
-    """``np.mean`` and ``np.std(ddof=1) / sqrt(n)`` of n values, bit for bit,
-    from ``bounds._mean_m2(n, values)``: no n-sized array of them is made."""
-    mean, m2 = _mean_m2(n, values)
-    return mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n)
-
-
 def run_nonadversarial_sweep(cfg: SweepConfig):
     """Rows {sigma, loss, lhs, rhs, stderrs, slack, holds} for the standard sweep.
 
     lhs is the empirical zero-one risk of h (its minimal risk vanishes on
     these distributions), rhs the surrogate risk scaled by 2*beta/T(2*beta),
-    which is exactly 1 at beta = 1/2.  The sigma cells run on
-    ``thread_cap()`` threads; rows come back in sigma order.
+    which is exactly 1 at beta = 1/2.  The sigma cells run one after
+    another, in sigma order, each spreading its sampling blocks and its
+    reduction over ``thread_map``'s pool (``_run_cells``).
     """
     losses = cfg.losses or (quadratic(), logistic(), exponential())
     allowed = {LossFamily.QUADRATIC, LossFamily.LOGISTIC, LossFamily.EXPONENTIAL}
@@ -108,7 +102,8 @@ def run_nonadversarial_sweep(cfg: SweepConfig):
 def run_adversarial_sweep(cfg: SweepConfig):
     """Rows for the adversarial sweep: absolute robust zero-one risk of h
     against the absolute worst-case surrogate risk (the reduced beta = 1/2
-    form of the bounds).  Cells run as in ``run_nonadversarial_sweep``."""
+    form of the bounds).  Cells run as in ``run_nonadversarial_sweep``, one
+    at a time."""
     losses = cfg.losses or (rho_margin(1.0), hinge(), sigmoid(1.0))
     allowed = {LossFamily.RHO_MARGIN, LossFamily.HINGE, LossFamily.SIGMOID}
     if any(l.family not in allowed for l in losses):
@@ -119,17 +114,25 @@ def run_adversarial_sweep(cfg: SweepConfig):
 
 
 def _run_cells(cfg, experiment, losses, extras):
-    """The rows of both sweeps, one cell per sigma on ``thread_map``.
+    """The rows of both sweeps: one cell per sigma, run one after another in
+    sigma order on the calling thread, each spreading its work over
+    ``thread_map``.
 
-    A cell scores each block of its sample in place as it is drawn, and
-    keeps one n-sized float array, the margins, beside the zero-one errors
-    as bools.  ``_mean_se`` reduces the errors and then each loss leaf by
-    leaf, written into one leaf-sized buffer, except the loss reduced last:
-    that one is evaluated once, in place over the margins.  It is the
-    logistic or sigmoid loss where there is one, whose kernel costs the
-    most.  Each block counts where the first rho-margin loss is at most the
-    first hinge one (``frac_rho_rhs_le_hinge``).  extras are each loss's own
-    row fields, and a "multiplier" there scales its rhs."""
+    One n-sized float array, the margins, and the zero-one errors as bools
+    are allocated per call and serve every cell, so one cell's arrays are
+    alive at a time.  A cell draws each block of its sample's positions
+    into the margins' array and scores it there, in place.  Three passes
+    over ``_leaf_totals``' leaves then reduce them, each leaf's losses
+    written into a leaf-sized buffer of its worker: the first sums the
+    errors and every loss but the last; the second sums their squared
+    deviations from the mean, and evaluates the last loss in place over the
+    margins and sums it; the third sums the last loss's squared deviations.
+    The last is the logistic or sigmoid loss where there is one, whose
+    kernel costs the most, so it is evaluated once.  Each mean and stderr is
+    ``np.mean`` and ``np.std(ddof=1) / sqrt(n)`` of the values, bit for bit.
+    Each block counts where the first rho-margin loss is at most the first
+    hinge one (``frac_rho_rhs_le_hinge``).  extras are each loss's own row
+    fields, and a "multiplier" there scales its rhs."""
     adversarial = experiment == "sect7-adv"
     gamma = cfg.gamma if adversarial else 0.0
     n = cfg.n_samples
@@ -140,15 +143,20 @@ def _run_cells(cfg, experiment, losses, extras):
     counted = None not in pair  # only the adversarial sweep takes both
     costly = (LossFamily.LOGISTIC, LossFamily.SIGMOID)
     order = sorted(range(len(losses)), key=lambda k: losses[k].family in costly)  # reduction order
+    early, last = [ZERO_ONE] + [losses[k] for k in order[:-1]], losses[order[-1]]
+    arg, errs = np.empty(n), np.empty(n, dtype=bool)
+
+    def squares(v, mean):
+        v -= mean
+        v *= v
+        return v.sum()
 
     def cell(i):
         sigma, seed = cfg.sigmas[i], _cell_seed(cfg.seed, i)
         dist = sect7_adversarial(sigma, gamma) if adversarial else sect7_nonadversarial(sigma)
-        arg, errs = np.empty(n), np.empty(n, dtype=bool)
 
         def score(start, xs, ys, spare):
-            err, a = _score_kernel(cfg.w, cfg.b, xs, ys, adversarial, gamma, overwrite=True)
-            arg[start : start + len(a)] = a
+            err, a = _score_kernel(cfg.w, cfg.b, xs, ys, adversarial, gamma, out=xs)  # xs is arg's slice
             errs[start : start + len(a)] = err
             if not counted:
                 return 0
@@ -156,16 +164,24 @@ def _run_cells(cfg, experiment, losses, extras):
             hinge += 1e-12
             return int(np.count_nonzero(rho <= hinge))
 
-        hits = sum(_map_sample_blocks(dist, n, seed, score))
-        buf = np.empty(min(_SAMPLE_BLOCK, n))
+        hits = sum(_map_sample_blocks(dist, n, seed, score, into=arg))
+        held = threading.local()  # each worker's leaf buffer, for this cell
 
-        def leaves(loss):
-            return lambda a, b: _loss_values(loss, errs[a:b], arg[a:b], buf[: b - a])
+        def values(loss, a, b):
+            if not hasattr(held, "buf"):
+                held.buf = np.empty(min(_SAMPLE_BLOCK, n))
+            return _loss_values(loss, errs[a:b], arg[a:b], held.buf[: b - a])
 
-        lhs, se_lhs = _mean_se(n, leaves(ZERO_ONE))
-        stats = {k: _mean_se(n, leaves(losses[k])) for k in order[:-1]}
-        eval_margin_loss(losses[order[-1]], arg, arg)  # the margins are not needed after it
-        stats[order[-1]] = _mean_se(n, lambda a, b: arg[a:b])
+        def second(a, b):
+            m2s = [squares(values(loss, a, b), mean) for loss, mean in zip(early, means)]
+            return m2s + [eval_margin_loss(last, arg[a:b], arg[a:b]).sum()]  # the margins' last use
+
+        means = [total / n for total in _leaf_totals(n, lambda a, b: [values(loss, a, b).sum() for loss in early])]
+        *m2s, total = _leaf_totals(n, second)
+        means.append(total / n)
+        m2s += _leaf_totals(n, lambda a, b: [squares(arg[a:b], means[-1])])
+        (lhs, se_lhs), *stats = [(float(m), math.sqrt(m2 / (n - 1)) / math.sqrt(n)) for m, m2 in zip(means, m2s)]
+        stats = dict(zip(order, stats))
         rows = []
         for k, (loss, extra) in enumerate(zip(losses, extras)):
             mean, se = stats[k]
@@ -194,7 +210,7 @@ def _run_cells(cfg, experiment, losses, extras):
                 row["frac_rho_rhs_le_hinge"] = frac
         return rows
 
-    return [row for rows in thread_map(cell, range(len(cfg.sigmas))) for row in rows]
+    return [row for i in range(len(cfg.sigmas)) for row in cell(i)]
 
 
 def emit_transform_curves(losses=(), spec: HypothesisSpec = None, grid_n: int = 201):

@@ -300,12 +300,12 @@ class TestScoreKernel:
         w, b, xs, ys, adversarial, gamma = case
         h = LinearHypothesis((w,), b)
         err_ref, arg_ref, vals_ref = _reference_pointwise(w, b, xs, ys, adversarial, gamma)
-        for overwrite in (False, True):
+        for in_place in (False, True):
             buf = xs.copy()
-            err, arg = _score_kernel(w, b, buf, ys, adversarial, gamma, overwrite=overwrite)
+            err, arg = _score_kernel(w, b, buf, ys, adversarial, gamma, out=buf if in_place else None)
             assert err.dtype == bool and np.array_equal(err, err_ref)
             assert np.array_equal(_bits(arg), _bits(arg_ref))
-            assert (arg is buf) == overwrite
+            assert (arg is buf) == in_place
         assert np.array_equal(_pointwise_losses(ZERO_ONE, h, xs, ys, adversarial, gamma), err_ref.astype(float))
         for loss, ref in vals_ref.items():
             assert np.array_equal(_bits(eval_margin_loss(loss, arg)), _bits(ref))

@@ -358,6 +358,21 @@ class TestBruteForceOracle:
         assert got == brute_force_inf(loss, HypothesisSpec(LIN, W=1.0, B=math.inf), pt)
         assert got == pytest.approx(min_conditional_risk(loss, spec, pt), abs=2e-3)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda l: l.label())
+    @pytest.mark.parametrize("B", [25.0, 1e6, np.finfo(float).max / 2])
+    @pytest.mark.parametrize("constraint", [Constraint.NONE, Constraint.SCORE_NEGATIVE], ids=lambda c: c.value)
+    def test_finite_range_above_the_cap_is_capped(self, loss, B, constraint):
+        # every s above _ALL_SCORE_CAP is capped, not only the infinite or
+        # overflowing ones: [-cap, cap] is attainable, and its grid is as fine
+        # as the unbounded class's (at B = max/2 an uncapped grid steps by
+        # ~4.5e304, and its hinge minimum read 2.99e291)
+        spec, pt = HypothesisSpec(LIN, W=1.0, B=B), ConditionalPoint(0.5, 0.3)
+        got = brute_force_inf(loss, spec, pt, constraint)
+        assert got == brute_force_inf(loss, HypothesisSpec(LIN, W=1.0, B=math.inf), pt, constraint)
+        if constraint is Constraint.NONE:
+            assert got == pytest.approx(min_conditional_risk(loss, spec, pt), abs=2e-3)
+
     def test_hinge_constrained_negative_is_one(self):
         spec = HypothesisSpec(LIN, W=1.0, B=0.8)
         for t in (0.6, 0.8, 1.0):

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 import hcbounds
-from hcbounds import conditional
+from hcbounds import conditional, distributions
+from hcbounds.conditional import _adversarial_bracket, _min_risk
 from hcbounds.distributions import (
     _SAMPLE_BLOCK,
     _SAMPLE_CHUNK,
@@ -28,6 +29,7 @@ from hcbounds.distributions import (
     TruncNormal,
     _component_picker,
     _gauss_kronrod,
+    _map_sample_blocks,
     _philox_at,
     dist_from_json_dict,
     dist_to_json_dict,
@@ -38,6 +40,8 @@ from hcbounds.distributions import (
     sect7_nonadversarial,
 )
 from hcbounds.experiments import SweepConfig, run_nonadversarial_sweep
+from hcbounds.hypotheses import HypothesisClass, HypothesisSpec
+from hcbounds.losses import hinge, logistic, quadratic
 
 
 class TestPresets:
@@ -310,35 +314,37 @@ class TestBlockedSampler:
         got = _philox_at(11, 2, offset).random(10)
         assert np.array_equal(got.view(np.uint64), whole[offset:].view(np.uint64))
 
-    def test_sweep_samplers_start_no_nested_pool(self, four_cpus):
-        four_cpus.setenv("HCB_THREADS", "2")
-        lock = threading.Lock()
-        counts = {"live": 0, "peak": 0, "pools": 0}
+    def test_sweep_and_sample_reuse_one_pool_that_the_cap_resizes(self, four_cpus):
+        made = []
 
         class CountingPool(ThreadPoolExecutor):
-            # a pool's worker count bounds the threads it has alive until shutdown
             def __init__(self, max_workers, **kwargs):
                 super().__init__(max_workers, **kwargs)
-                self.slots = max_workers
-                with lock:
-                    counts["live"] += max_workers
-                    counts["peak"] = max(counts["peak"], counts["live"])
-                    counts["pools"] += 1
+                self.workers, self.closed = max_workers, False
+                made.append(self)
 
             def shutdown(self, *args, **kwargs):
                 super().shutdown(*args, **kwargs)
-                with lock:
-                    counts["live"] -= self.slots
+                self.closed = True
 
         four_cpus.setattr(conditional, "ThreadPoolExecutor", CountingPool)
-        # each cell's sample spans 3 blocks, so a nested pool would start
-        cfg = SweepConfig(sigmas=(0.2, 0.1, 0.05), n_samples=2 * _SAMPLE_BLOCK + 5, seed=4)
-        rows = run_nonadversarial_sweep(cfg)
-        assert len(rows) == 9
-        assert counts == {"live": 0, "peak": 2, "pools": 1}
-        # outside a worker the same sample does start its own pool
-        sample(sect7_nonadversarial(0.2), cfg.n_samples, 0)
-        assert counts == {"live": 0, "peak": 2, "pools": 2}
+        four_cpus.setattr(conditional, "_pool", None)  # the next pooled call makes one
+        four_cpus.setenv("HCB_THREADS", "2")
+        main, n = threading.get_ident(), 2 * _SAMPLE_BLOCK + 5  # three blocks per sample
+        try:
+            # the cells run in turn on this thread, their blocks and leaves on the pool
+            rows = run_nonadversarial_sweep(SweepConfig(sigmas=(0.2, 0.1), n_samples=n, seed=4))
+            assert len(rows) == 6
+            sample(sect7_nonadversarial(0.2), n, 0)
+            assert [(p.workers, p.closed) for p in made] == [(2, False)]
+            ran_on = set(_map_sample_blocks(sect7_nonadversarial(0.2), n, 0, lambda *_: threading.get_ident()))
+            assert 1 <= len(ran_on) <= 2 and main not in ran_on
+            four_cpus.setenv("HCB_THREADS", "3")
+            sample(sect7_nonadversarial(0.2), n, 0)
+            assert [(p.workers, p.closed) for p in made] == [(2, True), (3, False)]
+        finally:
+            for pool in made:
+                pool.shutdown()
 
 
 def _cumulative_weights(dist):
@@ -455,6 +461,47 @@ class TestExpectation:
         se = float(vals.std(ddof=1)) / math.sqrt(len(vals))
         assert abs(mc - exact) <= 4 * se
 
+
+    OVERLAPPING = dist_from_json_dict({"components": [
+        {"weight": 0.3, "label": 1, "law": {"kind": "truncnormal", "lo": -0.5, "hi": 0.8, "mean": 0.1, "std": 0.3}},
+        {"weight": 0.25, "label": -1, "law": {"kind": "truncnormal", "lo": 0.2, "hi": 1.0, "mean": 0.6, "std": 0.2}},
+        {"weight": 0.25, "label": -1, "law": {"kind": "truncnormal", "lo": -1.0, "hi": -0.6, "mean": -0.8, "std": 0.1}},
+        {"weight": 0.2, "label": 1, "law": {"kind": "atom", "x": 0.5}},
+    ]})
+
+    @pytest.mark.parametrize("name", ["sect7-nonadv", "sect7-adv", "overlapping"])
+    def test_integrand_is_the_full_posterior_one_bit_for_bit(self, monkeypatch, name):
+        """Every quadrature round's integrand equals integrand(xs, eta(xs)) *
+        pdf(xs) over all components, although only the components whose
+        support meets the integrated one enter it."""
+        dist = self.OVERLAPPING if name == "overlapping" else preset_distribution(name, 0.05)
+        linear = HypothesisSpec(HypothesisClass.LINEAR, W=1.0, B=0.5)
+        logistic_min, quadratic_min = _min_risk(logistic(), linear), _min_risk(quadratic(), linear)
+        hinge_bracket = _adversarial_bracket(hinge(), HypothesisSpec(HypothesisClass.LINEAR, W=1.0, B=0.5, gamma=0.1))
+        integrands = (
+            lambda x, e: np.minimum(e, 1.0 - e),
+            lambda x, e: logistic_min(np.abs(x), e),
+            lambda x, e: quadratic_min(np.abs(x), e),
+            lambda x, e: hinge_bracket(np.abs(x), e)[0],
+        )
+        real, rounds = distributions._gauss_kronrod, []
+        for integrand in integrands:
+            laws = iter(c.law for c in dist.continuous())  # integrated in component order
+
+            def checked(f, a, b, points=(), epsabs=1e-10):
+                law = next(laws)
+                assert (law.lo, law.hi) == (a, b)
+
+                def both(xs):
+                    got, want = f(xs), integrand(xs, dist.eta(xs)) * law.pdf(xs)
+                    rounds.append(np.array_equal(got.view(np.uint64), want.view(np.uint64)))
+                    return got
+
+                return real(both, a, b, points, epsabs)
+
+            monkeypatch.setattr(distributions, "_gauss_kronrod", checked)
+            expectation(dist, integrand)
+        assert rounds and all(rounds)
 
     def test_error_estimate_weighted_like_the_value(self):
         d = sect7_nonadversarial(0.1)

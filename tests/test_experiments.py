@@ -12,13 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcbounds.bounds import _mean_m2, _score_kernel
+from hcbounds.bounds import _leaf_totals, _mean_m2, _score_kernel
 from hcbounds.conditional import min_risk_symmetric
 from hcbounds.distributions import _SAMPLE_BLOCK, expectation, sample, sect7_adversarial, sect7_nonadversarial
 from hcbounds.experiments import (
     SweepConfig,
     _cell_seed,
-    _mean_se,
     emit_transform_curves,
     run_adversarial_sweep,
     run_nonadversarial_sweep,
@@ -250,11 +249,17 @@ def _reduction_values(kind, n, seed):
 
 class TestInPlaceReduction:
     @pytest.mark.parametrize("n", [2, 3, 1000, 2**16, 2**16 + 1, 10**6])
-    def test_mean_se_matches_numpy_bit_for_bit(self, n):
+    def test_mean_se_matches_numpy_bit_for_bit(self, monkeypatch, n):
+        """The sweep cells' mean and stderr: leaf totals on two threads, a
+        sum pass and a squared-deviation pass, each set from its own array."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         rng = np.random.default_rng(n)
-        for vals in (np.exp(rng.normal(size=n)), (rng.random(n) < 0.1).astype(float), rng.normal(3.0, 1e-3, n)):
+        sets = (np.exp(rng.normal(size=n)), (rng.random(n) < 0.1).astype(float), rng.normal(3.0, 1e-3, n))
+        means = [total / n for total in _leaf_totals(n, lambda a, b: [v[a:b].sum() for v in sets])]
+        m2s = _leaf_totals(n, lambda a, b: [((v[a:b] - m) ** 2).sum() for v, m in zip(sets, means)])
+        for vals, mean, m2 in zip(sets, means, m2s):
             want = (float(np.mean(vals)), float(np.std(vals, ddof=1)) / math.sqrt(n))
-            got = _mean_se(n, lambda a, b: vals[a:b].copy())
+            got = (float(mean), math.sqrt(m2 / (n - 1)) / math.sqrt(n))
             assert [v.hex() for v in got] == [v.hex() for v in want]
 
     @staticmethod
@@ -337,19 +342,22 @@ class TestStreamedCells:
         assert [[float(r[k]).hex() for k in keys] for r in rows] == want
 
     @pytest.mark.parametrize("kind", sorted(STREAMED_SWEEPS))
-    def test_cell_memory_is_one_array_and_nothing_outlives_it(self, monkeypatch, kind):
-        monkeypatch.setenv("HCB_THREADS", "1")
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_cell_memory_is_one_array_and_nothing_outlives_it(self, monkeypatch, threads, kind):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("HCB_THREADS", threads)
         run, n = STREAMED_SWEEPS[kind], (1 << 20) + 5
-        run(SweepConfig(sigmas=(0.05,), n_samples=10**4, seed=3))  # first-call imports and caches
+        run(SweepConfig(sigmas=(0.05,), n_samples=10**4, seed=3))  # first-call imports, caches and the pool
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            rows = run(SweepConfig(sigmas=(0.05,), n_samples=n, seed=3))
+            rows = run(SweepConfig(sigmas=(0.1, 0.05), n_samples=n, seed=3))
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(rows) == 3
-        # the margins (8n bytes), the errors as bools (n bytes), block buffers
+        assert len(rows) == 6
+        # one cell's margins (8n bytes) and errors as bools (n bytes), and
+        # each worker's block buffers: two live cells would take 2 x 9n
         assert peak - base < 1.75 * 8 * n
         # the rows alone remain: no block buffer (8 * 2^16 bytes) outlives the call
         assert current - base < 8 * _SAMPLE_BLOCK / 4
