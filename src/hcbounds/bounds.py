@@ -177,36 +177,28 @@ def _leaf_totals(n, leaf_sums) -> list:
     return [_pairwise_sum(0, n, lambda start, stop: by_start[start][k]) for k in range(len(by_start[0]))]
 
 
-def _mean_m2(n, values):
-    """(mean, M2) of n values, M2 being the sum of squared deviations from
-    the mean, bit for bit as ``np.mean`` and ``np.var`` compute them over
-    the whole array, without holding one.
+def _squares_sum(v, mean):
+    """The sum of v's squared deviations from mean, computed in place in v
+    (a float64 array) as ``np.var`` computes it."""
+    v -= mean
+    v *= v
+    return v.sum()
 
-    ``values(start, stop)`` returns the values [start, stop) as a float64
-    array that this overwrites.  A first pass sums them by ``ndarray.sum``
-    leaf by leaf in ``_pairwise_sum``'s order, a second their squared
-    deviations from the mean.  With one leaf (n <= ``_SAMPLE_BLOCK``),
-    values is called once."""
 
-    def squares(start, stop):
-        v = values(start, stop)
-        v -= mean
-        v *= v
-        return v.sum()
-
-    if n <= _SAMPLE_BLOCK:  # one leaf, whose values serve both passes
-        leaf = values(0, n)
-        values = lambda start, stop: leaf
-    mean = _pairwise_sum(0, n, lambda start, stop: values(start, stop).sum()) / n
-    return float(mean), float(_pairwise_sum(0, n, squares))
+def _mean_m2(v):
+    """(mean, M2) of a float64 array v, which this overwrites, M2 being the
+    sum of squared deviations from the mean, bit for bit as ``np.mean`` and
+    ``np.var`` compute them."""
+    mean = v.sum() / v.size
+    return float(mean), float(_squares_sum(v, mean))
 
 
 def _mc_risks(losses, h, dist, mode, adversarial, gamma) -> list:
     """Monte Carlo (risk, stderr) of h under each loss, from one shared sample.
 
     Each 2^16-draw sampling block is scored in place and reduced on its
-    worker to (count, mean, M2) per loss by ``_mean_m2`` in one leaf, the
-    loss values taking a spare buffer of the block.  The blocks merge in
+    worker to (count, mean, M2) per loss by ``_mean_m2``, the loss values
+    taking a spare buffer of the block.  The blocks merge in
     block order by the pairwise update of Chan, Golub and LeVeque, so memory
     does not grow with n and the result is the same at every thread count;
     with one block (n <= 2^16) it is bit-identical to ``np.mean`` and
@@ -216,8 +208,7 @@ def _mc_risks(losses, h, dist, mode, adversarial, gamma) -> list:
 
     def block_stats(start, xs, ys, spare):
         err, arg = _score_kernel(h.w, h.b, xs, ys, adversarial, gamma, out=xs)
-        n = xs.size  # one leaf of _mean_m2: values(0, n) is its only call
-        return [(n, *_mean_m2(n, lambda a, b: _loss_values(loss, err, arg, spare[0]))) for loss in losses]
+        return [(xs.size, *_mean_m2(_loss_values(loss, err, arg, spare[0]))) for loss in losses]
 
     out = []
     for by_block in zip(*_map_sample_blocks(dist, mode.n, mode.seed, block_stats)):  # one loss's blocks

@@ -26,6 +26,7 @@ instance's grids at once.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import os
 import threading
@@ -372,33 +373,18 @@ def thread_cap() -> int:
 
 # set in every pool worker, so that a thread_map called from inside one runs inline
 _in_worker = threading.local()
-_pool = None  # (thread_cap() it was made for, the process's one executor)
-_pool_lock = threading.Lock()
 
 
 def _mark_worker() -> None:
     _in_worker.flag = True
 
 
-def _forget_pool() -> None:
-    # a forked child has none of the parent's worker threads
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _shared_pool(cap: int) -> ThreadPoolExecutor:
-    """The process's executor of ``cap`` workers, made on first use and
-    shut down and rebuilt when the cap changes."""
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != cap:
-            if _pool is not None:
-                _pool[1].shutdown()
-            _pool = (cap, ThreadPoolExecutor(max_workers=cap, initializer=_mark_worker))
-        return _pool[1]
+@functools.lru_cache(maxsize=1)
+def _pool(cap: int, pid: int) -> ThreadPoolExecutor:
+    """The executor of ``cap`` workers that process ``pid`` reuses.  A new
+    cap, or a forked child, which has none of its parent's threads, makes a
+    new one; the dropped one's idle workers then exit."""
+    return ThreadPoolExecutor(max_workers=cap, initializer=_mark_worker)
 
 
 def thread_map(fn, items) -> list:
@@ -412,7 +398,7 @@ def thread_map(fn, items) -> list:
     cap = 1 if getattr(_in_worker, "flag", False) else thread_cap()
     if min(cap, len(items)) <= 1:
         return [fn(item) for item in items]
-    return list(_shared_pool(cap).map(fn, items))
+    return list(_pool(cap, os.getpid()).map(fn, items))
 
 
 def _adversarial_grid_inf(loss, spec, point, constraint, grid_n):

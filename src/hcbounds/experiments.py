@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _holds, _leaf_totals, _loss_values, _score_kernel
+from .bounds import _holds, _leaf_totals, _loss_values, _score_kernel, _squares_sum
 from .distributions import _SAMPLE_BLOCK, _map_sample_blocks, sect7_adversarial, sect7_nonadversarial
 from .hypotheses import HypothesisClass, HypothesisSpec
 from .losses import (
@@ -146,11 +146,6 @@ def _run_cells(cfg, experiment, losses, extras):
     early, last = [ZERO_ONE] + [losses[k] for k in order[:-1]], losses[order[-1]]
     arg, errs = np.empty(n), np.empty(n, dtype=bool)
 
-    def squares(v, mean):
-        v -= mean
-        v *= v
-        return v.sum()
-
     def cell(i):
         sigma, seed = cfg.sigmas[i], _cell_seed(cfg.seed, i)
         dist = sect7_adversarial(sigma, gamma) if adversarial else sect7_nonadversarial(sigma)
@@ -173,13 +168,13 @@ def _run_cells(cfg, experiment, losses, extras):
             return _loss_values(loss, errs[a:b], arg[a:b], held.buf[: b - a])
 
         def second(a, b):
-            m2s = [squares(values(loss, a, b), mean) for loss, mean in zip(early, means)]
+            m2s = [_squares_sum(values(loss, a, b), mean) for loss, mean in zip(early, means)]
             return m2s + [eval_margin_loss(last, arg[a:b], arg[a:b]).sum()]  # the margins' last use
 
         means = [total / n for total in _leaf_totals(n, lambda a, b: [values(loss, a, b).sum() for loss in early])]
         *m2s, total = _leaf_totals(n, second)
         means.append(total / n)
-        m2s += _leaf_totals(n, lambda a, b: [squares(arg[a:b], means[-1])])
+        m2s += _leaf_totals(n, lambda a, b: [_squares_sum(arg[a:b], means[-1])])
         (lhs, se_lhs), *stats = [(float(m), math.sqrt(m2 / (n - 1)) / math.sqrt(n)) for m, m2 in zip(means, m2s)]
         stats = dict(zip(order, stats))
         rows = []

@@ -2,7 +2,9 @@
 
 import hashlib
 import math
+import multiprocessing
 import os
+import sys
 import threading
 
 import numpy as np
@@ -695,6 +697,22 @@ class TestThreadMap:
             return me != main and thread_map(lambda j: threading.get_ident(), range(4)) == [me] * 4
 
         assert thread_map(outer, range(3)) == [True] * 3
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_makes_its_own_pool(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("HCB_THREADS", "2")
+        assert thread_map(lambda i: i, range(4)) == [0, 1, 2, 3]  # the parent's pool exists
+
+        def child():  # the parent's workers do not exist here; a map on them would hang
+            sys.exit(0 if thread_map(lambda i: i * i, range(4)) == [0, 1, 4, 9] else 1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        if proc.is_alive():
+            proc.kill()
+        assert proc.exitcode == 0
 
     def test_empty_and_single_item_run_inline(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -315,20 +316,15 @@ class TestBlockedSampler:
         assert np.array_equal(got.view(np.uint64), whole[offset:].view(np.uint64))
 
     def test_sweep_and_sample_reuse_one_pool_that_the_cap_resizes(self, four_cpus):
-        made = []
+        made = []  # (weak reference, workers, worker threads) of each pool made
 
         class CountingPool(ThreadPoolExecutor):
             def __init__(self, max_workers, **kwargs):
                 super().__init__(max_workers, **kwargs)
-                self.workers, self.closed = max_workers, False
-                made.append(self)
-
-            def shutdown(self, *args, **kwargs):
-                super().shutdown(*args, **kwargs)
-                self.closed = True
+                made.append((weakref.ref(self), max_workers, self._threads))
 
         four_cpus.setattr(conditional, "ThreadPoolExecutor", CountingPool)
-        four_cpus.setattr(conditional, "_pool", None)  # the next pooled call makes one
+        conditional._pool.cache_clear()  # the next pooled call makes one
         four_cpus.setenv("HCB_THREADS", "2")
         main, n = threading.get_ident(), 2 * _SAMPLE_BLOCK + 5  # three blocks per sample
         try:
@@ -336,15 +332,18 @@ class TestBlockedSampler:
             rows = run_nonadversarial_sweep(SweepConfig(sigmas=(0.2, 0.1), n_samples=n, seed=4))
             assert len(rows) == 6
             sample(sect7_nonadversarial(0.2), n, 0)
-            assert [(p.workers, p.closed) for p in made] == [(2, False)]
+            assert [(ref() is not None, workers) for ref, workers, _ in made] == [(True, 2)]
             ran_on = set(_map_sample_blocks(sect7_nonadversarial(0.2), n, 0, lambda *_: threading.get_ident()))
             assert 1 <= len(ran_on) <= 2 and main not in ran_on
             four_cpus.setenv("HCB_THREADS", "3")
             sample(sect7_nonadversarial(0.2), n, 0)
-            assert [(p.workers, p.closed) for p in made] == [(2, True), (3, False)]
+            # the 2-worker pool is dropped, and its idle workers exit
+            assert [(ref() is not None, workers) for ref, workers, _ in made] == [(False, 2), (True, 3)]
+            for worker in made[0][2]:
+                worker.join(timeout=10)
+                assert not worker.is_alive()
         finally:
-            for pool in made:
-                pool.shutdown()
+            conditional._pool.cache_clear()
 
 
 def _cumulative_weights(dist):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcbounds.bounds import _leaf_totals, _mean_m2, _score_kernel
+from hcbounds.bounds import _leaf_totals, _mean_m2, _score_kernel, _squares_sum
 from hcbounds.conditional import min_risk_symmetric
 from hcbounds.distributions import _SAMPLE_BLOCK, expectation, sample, sect7_adversarial, sect7_nonadversarial
 from hcbounds.experiments import (
@@ -264,37 +264,44 @@ class TestInPlaceReduction:
 
     @staticmethod
     def _leaf_reduction(v):
-        """``_mean_m2`` over v read as leaf copies, its calls, and numpy's
-        (mean, M2) over the whole array, both as float hex."""
-        calls = []
+        """(mean, M2) of v from ``_leaf_totals`` over leaf copies, then from
+        ``_mean_m2`` over a copy of v, the leaves of each pass, and numpy's
+        (mean, M2) over the whole array, all as float hex."""
+        n, passes = v.size, ([], [])
 
-        def values(start, stop):
-            calls.append((start, stop))
-            return v[start:stop].copy()
+        def leaf_sums(calls, reduce):
+            def sums(start, stop):
+                calls.append((start, stop))
+                return [reduce(v[start:stop].copy())]
 
-        got = _mean_m2(v.size, values)
-        want = (float(np.mean(v)), float(((v - v.mean()) ** 2).sum()))
-        return [x.hex() for x in got], [x.hex() for x in want], calls
+            return sums
+
+        (total,) = _leaf_totals(n, leaf_sums(passes[0], lambda c: c.sum()))
+        mean = total / n
+        (m2,) = _leaf_totals(n, leaf_sums(passes[1], lambda c: _squares_sum(c, mean)))
+        got = [float(mean).hex(), float(m2).hex()]
+        whole = [x.hex() for x in _mean_m2(v.copy())]
+        want = [x.hex() for x in (float(np.mean(v)), float(((v - v.mean()) ** 2).sum()))]
+        return got, whole, want, [sorted(calls) for calls in passes]
 
     @pytest.mark.parametrize("kind", REDUCTION_KINDS)
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 2**16 - 1, 2**16, 2**16 + 1, 10**6, 2**20 + 5])
-    def test_leaf_reduction_matches_numpy_bit_for_bit(self, n, kind):
-        got, want, calls = self._leaf_reduction(_reduction_values(kind, n, n))
-        assert got == want
-        if n <= _SAMPLE_BLOCK:  # one leaf, read once
-            assert calls == [(0, n)]
-            return
-        # two passes over the same leaves, each at most one block, in order
-        leaves = calls[: len(calls) // 2]
-        assert calls == leaves * 2
+    def test_leaf_reduction_matches_numpy_bit_for_bit(self, monkeypatch, n, kind):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        got, whole, want, (leaves, again) = self._leaf_reduction(_reduction_values(kind, n, n))
+        assert got == want and whole == want
+        # both passes read the same leaves once each: at most one block, tiling [0, n)
+        assert again == leaves
+        if n <= _SAMPLE_BLOCK:
+            assert leaves == [(0, n)]
         assert [a for a, _ in leaves] == [0] + [b for _, b in leaves[:-1]] and leaves[-1][1] == n
         assert all(b - a <= _SAMPLE_BLOCK for a, b in leaves)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 3 * 2**16), kind=st.sampled_from(REDUCTION_KINDS), seed=st.integers(0, 2**32 - 1))
     def test_leaf_reduction_matches_numpy_at_any_size(self, n, kind, seed):
-        got, want, _ = self._leaf_reduction(_reduction_values(kind, n, seed))
-        assert got == want
+        got, whole, want, _ = self._leaf_reduction(_reduction_values(kind, n, seed))
+        assert got == want and whole == want
 
 
 # n spanning several sampling blocks, and a whole chunk plus a short one
