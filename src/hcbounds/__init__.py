@@ -35,7 +35,6 @@ from .conditional import (
     OracleInfeasibleError,
     brute_force_inf,
     conditional_risk,
-    conditional_risk_zero_one,
     min_conditional_risk,
     min_conditional_risk_adversarial,
     thread_cap,

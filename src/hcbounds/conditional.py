@@ -18,9 +18,11 @@ pairs in the adversarial setting.  Infima over open constraint sets
 which is equivalent for continuous losses and lets the grid attain the
 boundary value exactly.  Both oracles run on the calling thread and skip
 blocks of cells whose rounded risks provably cannot go below the best cell
-found, so each minimum is the whole grid's, bit for bit.  The score-grid
-kernel takes many grids per call: the oracle-check rows pass all of an
-instance's grids at once.
+found, so each minimum is the whole grid's, bit for bit; the (w, b) oracle
+first bounds tiles of 16 rows of blocks, and cuts only the tiles that could
+hold a smaller cell into their blocks.  The score-grid kernel takes many
+grids per call: the oracle-check rows pass all of an instance's grids at
+once.
 """
 
 from __future__ import annotations
@@ -36,14 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypotheses import HypothesisClass, HypothesisSpec, attainable_adversarial_range, score_range
-from .losses import LossFamily, MarginLoss, eval_margin_loss, sign
+from .losses import LossFamily, MarginLoss, eval_margin_loss
 
 __all__ = [
     "ConditionalPoint",
     "Constraint",
     "OracleInfeasibleError",
     "conditional_risk",
-    "conditional_risk_zero_one",
     "min_conditional_risk",
     "min_conditional_risk_adversarial",
     "brute_force_inf",
@@ -97,11 +98,6 @@ def _interval_risk(loss: MarginLoss, t, lo, hi):
     score interval [lo, hi], and the conditional risk of u at lo = hi = u.
     Scalars or broadcastable arrays."""
     return t * eval_margin_loss(loss, lo) + (1.0 - t) * eval_margin_loss(loss, -hi)
-
-
-def conditional_risk_zero_one(u: float, t: float) -> float:
-    """Conditional zero-one risk of a score: t when the score predicts -1, else 1-t."""
-    return t if sign(u) < 0 else 1.0 - t
 
 
 def _weighted(w, v):
@@ -225,7 +221,11 @@ def brute_force_inf(
     places 0 on the grid.  Both grids are pruned by exact block bounds: only
     blocks of cells that could hold a smaller value than the best cell found
     are evaluated, and the result is the whole grid's minimum, bit for bit.
-    Score grids of at most 128 cells are evaluated whole.
+    The (w, b) grid is bounded a tile of 16 blocks at a time first, and only
+    the tiles that could hold a smaller value are bounded block by block;
+    for the logistic loss, which steps up by an ulp in places, this is exact
+    when each of |x|*W, B and gamma*W is 0 or above ~1e-12.  Score grids of
+    at most 128 cells are evaluated whole.
     The score grid is the one-grid case of a batched kernel, which the
     oracle-check rows call once per instance with all of its grids.
     """
@@ -247,28 +247,34 @@ def brute_force_inf(
 
 
 # Columns of the (w, b) grid, or cells of a score grid, per block: the unit
-# that both oracles bound and skip.  Rows per chunk of the (w, b) oracle's
-# bound pass, and the most blocks either oracle evaluates per batch.  At
-# grid_n=4001 a chunk's temporaries take 64 KB each: fewer rows pay more
-# per-call overhead, and a whole-grid pass holds ~2 MB temporaries.
+# that both oracles bound and skip.  Rows of the (w, b) grid per tile, the
+# unit that its oracle bounds first; taller tiles bound more loosely, so that
+# more of them are cut into blocks.  The most blocks, or tiles, either oracle
+# evaluates per batch, which keeps a batch's temporaries within 64 KB each.
 _ADV_BLOCK = 64
+_ADV_TILE = 16
 _ADV_CHUNK = 128
 
 
-def _pruned_minima(bounds, blocks_min):
+def _pruned_minima(bounds, blocks_min, best=None):
     """Least cell of each group of blocks, skipping the blocks that cannot
-    hold it; bit for bit the minimum over all of the group's cells.
+    hold it; bit for bit the minimum over all of the group's cells, or over
+    those cells and ``best``, a starting value per group, if it is given.
 
     bounds[k, j] is no more than any computed cell of block j of group k;
-    ``blocks_min(flat)`` returns the least cell of each block
-    flat = k*n_blocks + j.  Each group's block of least bound is evaluated
-    first, then only the blocks whose bound is strictly below their group's
-    best cell so far, in ascending bound order and ``_ADV_CHUNK`` blocks per
-    batch.  bounds is overwritten."""
+    ``blocks_min(flat, best)`` returns the least cell of each block
+    flat = k*n_blocks + j, and may skip the cells that cannot go below best,
+    its groups' best so far.  Without a starting best, each group's block of
+    least bound is evaluated first.  Then the blocks whose bound is strictly
+    below their group's best so far are evaluated, in ascending bound order
+    and ``_ADV_CHUNK`` blocks per batch.  bounds is overwritten."""
     groups, n_blocks = np.arange(len(bounds)), bounds.shape[1]
-    least = np.argmin(bounds, axis=1)
-    best = blocks_min(groups * n_blocks + least)
-    bounds[groups, least] = math.inf
+    if best is None:
+        least = np.argmin(bounds, axis=1)
+        best = blocks_min(groups * n_blocks + least, np.full(len(groups), math.inf))
+        bounds[groups, least] = math.inf
+    else:
+        best = np.array(best, dtype=float)
     # strict: minima of flat losses are shared by many blocks, and a block
     # whose bound ties its group's best cannot hold a smaller one
     todo = np.flatnonzero(bounds < best[:, None])
@@ -278,7 +284,8 @@ def _pruned_minima(bounds, blocks_min):
         batch, todo = todo[:_ADV_CHUNK], todo[_ADV_CHUNK:]
         batch = batch[bounds[batch] < best[batch // n_blocks]]
         if len(batch):
-            np.minimum.at(best, batch // n_blocks, blocks_min(batch))
+            owners = batch // n_blocks
+            np.minimum.at(best, owners, blocks_min(batch, best[owners]))
         else:  # bounds ascend: what is left can only serve groups whose best is above it
             todo = todo[bounds[todo] < best[todo // n_blocks]]
     return best
@@ -341,7 +348,7 @@ def _score_grids_inf(loss, t, lo, hi, grid_n):
         u = cells(every, np.arange(grid_n))
         return _interval_risk(loss, t[:, None], u, u).min(axis=1)
 
-    def blocks_min(flat):
+    def blocks_min(flat, best):
         grids, blocks = np.divmod(flat, n_blocks)
         u = cells(grids, np.minimum(first[blocks, None] + np.arange(width), grid_n - 1))  # ragged last block: repeats
         return _interval_risk(loss, t[grids, None], u, u).min(axis=1)
@@ -404,16 +411,24 @@ def thread_map(fn, items) -> list:
 def _adversarial_grid_inf(loss, spec, point, constraint, grid_n):
     """Minimum of the worst-case conditional risk over the (w, b) grid.
 
-    Each w-row is cut into blocks of ``_ADV_BLOCK`` columns.  Along a row
-    both worst-case scores are non-decreasing in b (IEEE rounding is
-    monotone), and every margin loss is non-increasing in floating point
-    (the logistic one only between inputs more than a few ulps apart, as
-    columns are unless B < ~1e-12), so no cell of a block has a computed
-    risk below ``_interval_risk`` at (lo of its last column, hi of its
-    first): the block's bound.  Only blocks whose bound is strictly below
-    the best cell found so far are evaluated, cell by cell, with the
-    arithmetic of a whole-grid evaluation; the minimum is therefore the
-    grid's, bit for bit."""
+    The grid is cut into tiles of ``_ADV_TILE`` w-rows by ``_ADV_BLOCK``
+    b-columns, and each row of a tile is a block.  A cell's worst-case scores
+    are lo = fl(fl(wx + b) - spread) and hi = fl(fl(wx + b) + spread), and
+    IEEE rounding is monotone, so over a tile lo is at most
+    fl(fl(max wx + b_last) - min spread) and hi at least
+    fl(fl(min wx + b_first) + min spread); every margin loss is
+    non-increasing in floating point, so no cell of a tile has a computed
+    risk below ``_interval_risk`` at that (lo, hi): the tile's bound.  A
+    block's bound is the one-row case.  The logistic loss is non-increasing
+    only between inputs more than a few ulps apart.  A cell's lo is below
+    the tile's by the sum of its distances in wx, b and spread from the
+    extremes, each 0 or a multiple of a grid step (x*dw, db or gamma*dw),
+    and so for hi; for the logistic loss exactness therefore needs each of
+    x*W, B and gamma*W to be 0 or above ~1e-12.  Only tiles whose bound is
+    strictly below the best cell found so far are cut into their blocks,
+    only those blocks whose bound is too are evaluated, cell by cell with
+    the arithmetic of a whole-grid evaluation, and the minimum is therefore
+    the grid's, bit for bit."""
     t, x, gam = point.t, point.x_norm_p, spec.gamma
     reach, _ = attainable_adversarial_range(spec, x)
     if constraint is Constraint.ADV_SUP_NEGATIVE and reach <= 0.0:
@@ -421,31 +436,30 @@ def _adversarial_grid_inf(loss, spec, point, constraint, grid_n):
     w_grid = np.linspace(-spec.W, spec.W, grid_n)
     b_grid = np.linspace(-spec.B, spec.B, grid_n)
     wx, spread = w_grid * x, gam * np.abs(w_grid)
-    width = min(_ADV_BLOCK, grid_n)
+    width, height = min(_ADV_BLOCK, grid_n), min(_ADV_TILE, grid_n)
     first = np.arange(0, grid_n, width)
     last = np.minimum(first + width - 1, grid_n - 1)
     b_first, b_last = b_grid[first], b_grid[last]
+    n_blocks = len(first)
 
-    def scores(rows, b):
-        base = wx[rows, None] + b
-        return base - spread[rows, None], base + spread[rows, None]
-
-    def block_bounds(rows):
-        lo_first, hi_first = scores(rows, b_first)
-        lo_last, hi_last = scores(rows, b_last)
-        bound = _interval_risk(loss, t, lo_last, hi_first)
-        # feasible columns are contiguous along a row; a block whose end
-        # columns rule all of them out cannot hold the minimum
+    def bound(wx_min, wx_max, spread_min, spread_max, blocks):
+        """No more than the computed risk of any feasible cell of the block
+        columns on rows whose wx and spread lie in the given ranges; inf
+        where the end columns rule out every feasible cell."""
+        base_least, base_most = wx_min + b_first[blocks], wx_max + b_last[blocks]
+        lo_most, hi_least = base_most - spread_min, base_least + spread_min
+        out = _interval_risk(loss, t, lo_most, hi_least)
         if constraint is Constraint.ADV_STRADDLE:
-            bound[(lo_first > 0.0) | (hi_last < 0.0)] = math.inf
+            out[(base_least - spread_max > 0.0) | (base_most + spread_max < 0.0)] = math.inf
         elif constraint is Constraint.ADV_SUP_NEGATIVE:
-            bound[hi_first > 0.0] = math.inf
-        return bound
+            out[hi_least > 0.0] = math.inf
+        return out
 
-    def blocks_min(flat):
-        rows, blocks = np.divmod(flat, len(first))
+    def row_blocks_min(flat, best):
+        rows, blocks = np.divmod(flat, n_blocks)
         cols = np.minimum(first[blocks, None] + np.arange(width), grid_n - 1)  # ragged last block: repeats
-        lo, hi = scores(rows, b_grid[cols])
+        base = wx[rows, None] + b_grid[cols]
+        lo, hi = base - spread[rows, None], base + spread[rows, None]
         risk = _interval_risk(loss, t, lo, hi)
         if constraint is Constraint.ADV_STRADDLE:
             risk[(lo > 0.0) | (hi < 0.0)] = math.inf
@@ -453,12 +467,18 @@ def _adversarial_grid_inf(loss, spec, point, constraint, grid_n):
             risk[hi > 0.0] = math.inf  # closure of the open constraint
         return risk.min(axis=1)
 
-    # the bound pass streams over row chunks, so its temporaries stay small
-    bounds = np.empty((grid_n, len(first)))
-    for start in range(0, grid_n, _ADV_CHUNK):
-        rows = slice(start, start + _ADV_CHUNK)
-        bounds[rows] = block_bounds(rows)
-    best = float(_pruned_minima(bounds.reshape(1, -1), blocks_min)[0])
+    def tiles_min(flat, best):
+        row_tiles, blocks = np.divmod(flat, n_blocks)
+        rows = np.minimum(row_tiles[:, None] * height + np.arange(height), grid_n - 1)  # ragged last tile: repeats
+        row_wx, row_spread = wx[rows], spread[rows]
+        block_bounds = bound(row_wx, row_wx, row_spread, row_spread, blocks[:, None])
+        flat_blocks = rows * n_blocks + blocks[:, None]
+        return _pruned_minima(block_bounds, lambda k, b: row_blocks_min(flat_blocks.ravel()[k], b), best)
+
+    tops = np.arange(0, grid_n, height)
+    extremes = [f.reduceat(v, tops)[:, None] for f, v in ((np.minimum, wx), (np.maximum, wx),
+                                                          (np.minimum, spread), (np.maximum, spread))]
+    best = float(_pruned_minima(bound(*extremes, np.arange(n_blocks)).reshape(1, -1), tiles_min)[0])
     if not math.isfinite(best):
         raise OracleInfeasibleError(f"constraint {constraint.value} is infeasible on the grid")
     return best

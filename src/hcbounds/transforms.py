@@ -475,23 +475,29 @@ def select_transform(
     return forward, forward.inverse()
 
 
-def invert_numerically(pt: PiecewiseTransform, y: float, tol: float = 1e-12) -> float:
-    """Exact inverse of a monotone forward transform by bisection on [0, end]."""
+def invert_numerically(pt: PiecewiseTransform, y, tol: float = 1e-12):
+    """Exact inverse of a monotone forward transform by bisection on [0, end].
+
+    y may be an array: every element is bisected at once, each with the
+    midpoints, ``pt(mid) < y`` tests and ``hi - lo > tol`` stop it would
+    have alone, so each result is the scalar call's.  A scalar y gives a
+    float."""
     if pt.direction is not Direction.FORWARD:
         raise ValueError("numeric inversion applies to forward transforms")
     end = pt.breakpoints[-1]
     top = pt(end)
-    if y < -tol or y > top + 1e-9:
-        raise ValueError(f"value {y} outside transform range [0, {top}]")
-    y = min(max(y, 0.0), top)
-    lo, hi = 0.0, end
-    while hi - lo > tol:
+    ys = np.atleast_1d(np.asarray(y, dtype=float))
+    outside = (ys < -tol) | (ys > top + 1e-9)
+    if np.any(outside):
+        raise ValueError(f"value {ys[outside][0]} outside transform range [0, {top}]")
+    ys = np.minimum(np.maximum(ys, 0.0), top)
+    lo, hi = np.zeros_like(ys), np.full_like(ys, end)
+    while np.any(live := hi - lo > tol):
         mid = 0.5 * (lo + hi)
-        if pt(mid) < y:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        below = pt(mid) < ys
+        lo, hi = np.where(live & below, mid, lo), np.where(live & ~below, mid, hi)
+    out = 0.5 * (lo + hi)
+    return float(out[0]) if np.ndim(y) == 0 else out
 
 
 def _check_beta(beta: float) -> None:

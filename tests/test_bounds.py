@@ -35,7 +35,6 @@ from hcbounds.conditional import (
     ConditionalPoint,
     OracleInfeasibleError,
     conditional_risk,
-    conditional_risk_zero_one,
     min_conditional_risk,
     min_risk_symmetric,
 )
@@ -63,6 +62,7 @@ from hcbounds.losses import (
     sigmoid,
 )
 from hcbounds.transforms import NegativeResultError, massart_transform, transform
+from test_conditional import conditional_risk_zero_one
 
 LIN = HypothesisClass.LINEAR
 ALL = HypothesisClass.ALL

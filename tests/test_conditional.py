@@ -9,7 +9,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hcbounds.conditional import (
@@ -19,12 +19,12 @@ from hcbounds.conditional import (
     _interval_risk,
     _linspace_cells,
     _min_risk,
+    _pruned_minima,
     _score_grids_inf,
     Constraint,
     OracleInfeasibleError,
     brute_force_inf,
     conditional_risk,
-    conditional_risk_zero_one,
     min_conditional_risk,
     min_conditional_risk_adversarial,
     min_risk_symmetric,
@@ -38,6 +38,7 @@ from hcbounds.hypotheses import (
     LinearHypothesis,
 )
 from hcbounds.losses import (
+    LossFamily,
     eval_margin_loss,
     exponential,
     hinge,
@@ -45,6 +46,7 @@ from hcbounds.losses import (
     quadratic,
     rho_margin,
     sigmoid,
+    sign,
     truncate,
 )
 
@@ -247,6 +249,12 @@ def test_adversarial_brackets_pinned(spec_name, loss):
     if anchors is not None:
         assert len(anchors) == len(vals)
         assert all(abs(v - float.fromhex(a)) <= 2.2e-16 for v, a in zip(vals, anchors))
+
+
+def conditional_risk_zero_one(u, t):
+    """Conditional zero-one risk of a score, the tests' reference (also of
+    test_bounds and test_losses): t when the score predicts -1, else 1 - t."""
+    return t if sign(u) < 0 else 1.0 - t
 
 
 def _lemma_zero_one(t, wrong_side, eps=0.0):
@@ -530,6 +538,7 @@ _ADV_GRID_LOSSES = st.one_of(
     st.builds(rho_margin, st.floats(0.2, 2.0)),
     st.just(hinge()),
     st.builds(sigmoid, st.floats(0.3, 3.0)),
+    st.sampled_from([logistic(), exponential(), quadratic()]),
 )
 
 
@@ -565,11 +574,12 @@ class TestAdversarialGridKernel:
             assert brute_force_inf(loss, ADV_SPEC, pt, constraint, grid_n) == ref
 
     # 2 and 3 columns are narrower than one block; 37, 255, 257 and 1001
-    # leave a ragged last block
+    # leave a ragged last block; 15 to 129 sit at the edges of 16-row tiles
+    # and 64-column blocks
     @given(
         loss=_ADV_GRID_LOSSES,
         constraint=st.sampled_from(ADV_CONSTRAINTS),
-        grid_n=st.sampled_from([2, 3, 37, 255, 257, 1001]),
+        grid_n=st.sampled_from([2, 3, 15, 16, 17, 37, 63, 64, 65, 129, 255, 257, 1001]),
         W=st.floats(0.0, 2.0),
         B=st.floats(0.05, 2.0),
         gamma=st.floats(0.01, 0.99),
@@ -580,8 +590,23 @@ class TestAdversarialGridKernel:
     @example(loss=hinge(), constraint=Constraint.ADV_SUP_NEGATIVE, grid_n=37, W=1.1, B=0.7, gamma=0.15, x=0.6, t=0.0)
     @example(loss=sigmoid(1.3), constraint=Constraint.NONE, grid_n=2, W=1.1, B=0.7, gamma=0.15, x=0.6, t=1.0)
     @example(loss=hinge(), constraint=Constraint.ADV_STRADDLE, grid_n=2, W=0.0, B=0.7, gamma=0.15, x=0.6, t=0.3)
+    # W = 0: every row of a tile is the same row
+    @example(loss=hinge(), constraint=Constraint.ADV_STRADDLE, grid_n=17, W=0.0, B=0.7, gamma=0.15, x=0.6, t=0.3)
+    @example(loss=logistic(), constraint=Constraint.NONE, grid_n=64, W=0.0, B=0.7, gamma=0.15, x=0.6, t=0.8)
+    # the logistic loss near the edge of its exact region: x*W and gamma*W
+    # at 0 or just above 1e-12
+    @example(loss=logistic(), constraint=Constraint.NONE, grid_n=65, W=1e-10, B=0.7, gamma=0.011, x=0.0, t=0.5)
+    @example(loss=logistic(), constraint=Constraint.ADV_STRADDLE, grid_n=129, W=1e-9, B=0.05, gamma=0.5, x=0.0011, t=0.3)
+    # the minimum lies outside the tile of least bound
+    @example(loss=hinge(), constraint=Constraint.NONE, grid_n=65, W=0.11, B=0.43, gamma=0.34, x=0.93, t=0.89)
+    @example(loss=rho_margin(0.8), constraint=Constraint.NONE, grid_n=65, W=1.41, B=0.54, gamma=0.07, x=0.19, t=0.68)
+    @example(loss=hinge(), constraint=Constraint.ADV_SUP_NEGATIVE, grid_n=65, W=1.01, B=1.67, gamma=0.03, x=0.56, t=0.49)
+    @example(loss=sigmoid(1.3), constraint=Constraint.ADV_STRADDLE, grid_n=129, W=0.49, B=0.68, gamma=0.8, x=0.32, t=0.15)
     @settings(max_examples=120, deadline=None)
     def test_pruned_minimum_is_the_whole_grid_minimum(self, loss, constraint, grid_n, W, B, gamma, x, t):
+        # the logistic loss steps up by an ulp in places: the oracle is exact
+        # for it where x*W, B and gamma*W are each 0 or above ~1e-12
+        assume(loss.family is not LossFamily.LOGISTIC or W == 0.0 or ((x == 0.0 or x * W >= 1e-12) and gamma * W >= 1e-12))
         spec = HypothesisSpec(LIN, W=W, B=B, gamma=gamma)
         pt = ConditionalPoint(x, t)
         ref = _one_shot_adversarial_min(loss, spec, pt, constraint, grid_n)
@@ -590,6 +615,27 @@ class TestAdversarialGridKernel:
                 brute_force_inf(loss, spec, pt, constraint, grid_n)
         else:
             assert brute_force_inf(loss, spec, pt, constraint, grid_n) == ref
+
+    @given(seed=st.integers(0, 2**32 - 1), groups=st.integers(1, 5), n_blocks=st.integers(1, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_pruned_minima_from_a_starting_best(self, seed, groups, n_blocks):
+        # min(cap, the group's least cell), for caps below, at, between and
+        # above the cells, and no block evaluated whose bound is not below the
+        # best its group has when the block's batch is taken
+        rng = np.random.default_rng(seed)
+        cells = rng.choice([0.25, 0.5, 0.75, 1.0], size=(groups, n_blocks, 4)) + rng.integers(0, 3, (groups, n_blocks, 1))
+        bounds = cells.min(axis=2) - rng.choice([0.0, 0.125, 1.0], size=(groups, n_blocks))
+        cap = rng.choice([0.0, 0.6, 1.25, 2.5, math.inf], size=groups)
+        seen = []
+
+        def blocks_min(flat, best):
+            assert np.all(bounds.ravel()[flat] < best)
+            seen.extend(flat)
+            return cells.reshape(-1, 4)[flat].min(axis=1)
+
+        got = _pruned_minima(bounds.copy(), blocks_min, best=cap)
+        assert got.tobytes() == np.minimum(cap, cells.min(axis=(1, 2))).tobytes()
+        assert len(seen) == len(set(seen))
 
 
 _SCORE_GRID_LOSSES = st.one_of(

@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hcbounds.bounds import _pointwise_losses, _score_kernel
-from hcbounds.conditional import conditional_risk_zero_one
 from hcbounds.hypotheses import LinearHypothesis
 from hcbounds.losses import (
     ZERO_ONE,
@@ -28,6 +27,7 @@ from hcbounds.losses import (
     sign,
     truncate,
 )
+from test_conditional import conditional_risk_zero_one
 
 ALL_LOSSES = [hinge(), logistic(), exponential(), quadratic(), sigmoid(1.0), rho_margin(1.0)]
 CONVEX_LOSSES = [hinge(), logistic(), exponential(), quadratic()]
@@ -222,8 +222,8 @@ class TestFloatingPointPremises:
         assert np.count_nonzero(np.diff(eval_margin_loss(loss, DENSE)) > 0.0) == 0
 
     # np.logaddexp steps up by one ulp between some inputs a few ulps apart
-    # near a = -1/2, so the logistic family is left out at this scale: grid
-    # columns that close together need B below ~1e-12
+    # near a = -1/2, so the logistic family is left out at this scale: (w, b)
+    # grid cells that close together need x*W, B or gamma*W below ~1e-12
     @pytest.mark.parametrize(
         "loss", [l for l in PREMISE_LOSSES if l.family is not LossFamily.LOGISTIC], ids=lambda l: l.label()
     )

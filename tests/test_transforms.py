@@ -103,17 +103,15 @@ class TestInverseTable:
             fwd = transform(loss, spec)
             inv = transform_inverse(loss, spec)
             top = float(fwd(1.0))
-            for s in np.linspace(1e-6, top, 200):
-                exact = invert_numerically(fwd, float(s))
-                assert float(inv(float(s))) >= exact - 1e-9
+            s = np.linspace(1e-6, top, 200)
+            assert np.all(inv(s) >= invert_numerically(fwd, s) - 1e-9)
 
     @pytest.mark.parametrize("loss", [logistic(), exponential()], ids=lambda l: l.label())
     def test_bisection_inverse_roundtrip(self, loss):
         for spec in in_scope_specs():
             fwd = transform(loss, spec)
-            for t in np.linspace(0.0, 1.0, 41):
-                y = float(fwd(float(t)))
-                assert invert_numerically(fwd, y) == pytest.approx(t, abs=1e-9)
+            ts = np.linspace(0.0, 1.0, 41)
+            assert invert_numerically(fwd, fwd(ts)) == pytest.approx(ts, abs=1e-9)
 
 
 # Breakpoints and (kind, coefficients) of each exact inverse, as hex floats,
@@ -483,3 +481,28 @@ class TestSelectorGammaProperties:
         assert np.all(np.diff(gamma(grid)) >= -1e-12)
         # one array call equals the scalar calls
         assert np.array_equal(back, [gamma(float(y)) for y in ys])
+
+    @given(route=selector_routes(), fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+    @settings(max_examples=40, deadline=None)
+    def test_array_bisection_is_the_scalar_bisection(self, route, fracs):
+        fwd, _ = select_transform(*route)
+        ys = np.asarray(fracs) * float(fwd(fwd.breakpoints[-1]))
+        got = invert_numerically(fwd, ys)
+        assert got.shape == ys.shape
+        assert got.tobytes() == np.array([_scalar_bisection(fwd, float(y)) for y in ys]).tobytes()
+        assert got.tobytes() == np.array([invert_numerically(fwd, float(y)) for y in ys]).tobytes()
+
+
+def _scalar_bisection(pt, y, tol=1e-12):
+    """``invert_numerically``'s bisection one y at a time, as a reference."""
+    end = pt.breakpoints[-1]
+    top = pt(end)
+    y = min(max(y, 0.0), top)
+    lo, hi = 0.0, end
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if pt(mid) < y:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
