@@ -20,7 +20,6 @@ from .losses import (
     rho_margin,
     sigmoid,
     sign,
-    truncate,
 )
 from .hypotheses import (
     HypothesisClass,
@@ -34,11 +33,10 @@ from .conditional import (
     Constraint,
     OracleInfeasibleError,
     brute_force_inf,
-    conditional_risk,
     min_conditional_risk,
     min_conditional_risk_adversarial,
-    thread_cap,
 )
+from ._runtime import thread_cap
 from .transforms import (
     Direction,
     NegativeResultError,
@@ -76,7 +74,6 @@ from .bounds import (
     PsiBoundCheck,
     assemble_bound,
     best_in_class_risk,
-    minimizability_gap,
     negative_result_demo,
     risk,
     surrogate_split,

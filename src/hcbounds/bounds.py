@@ -42,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditional import ConditionalPoint, _adversarial_bracket, _interval_risk, _min_risk, brute_force_inf, thread_map
+from ._runtime import thread_map
+from .conditional import ConditionalPoint, _adversarial_bracket, _interval_risk, _min_risk, brute_force_inf
 from .distributions import (
-    Atom,
     LabeledDistribution,
     _SAMPLE_BLOCK,
     QuadratureError,
@@ -72,7 +72,6 @@ __all__ = [
     "NegativeResultDemo",
     "risk",
     "best_in_class_risk",
-    "minimizability_gap",
     "assemble_bound",
     "surrogate_split",
     "verify_psi_bound_discrete",
@@ -418,29 +417,6 @@ def _expect_min_conditional(loss, spec, dist, adversarial) -> tuple:
         return expectation(dist, lambda x, e: bracket(np.abs(x), e)[0], with_error=True)
     min_risk = _min_risk(loss, spec)
     return expectation(dist, lambda x, e: min_risk(np.abs(x), e), with_error=True)
-
-
-def _is_singleton(dist: LabeledDistribution) -> bool:
-    locs = {c.law.x for c in dist.components if isinstance(c.law, Atom)}
-    return len(locs) == 1 and not dist.continuous()
-
-
-def minimizability_gap(
-    loss, spec: HypothesisSpec, dist: LabeledDistribution, adversarial: bool = False
-) -> float:
-    """Best-in-class risk minus the expected pointwise minimal conditional risk.
-
-    Identically 0 for the unrestricted class with the losses in scope and for
-    single-support distributions.  When only a bracket on the pointwise
-    minimum exists (worst-case hinge/sigmoid, ReLU class) the reported gap is
-    the conservative upper end, which keeps assembled bounds valid.
-    """
-    if spec.cls is HypothesisClass.ALL and not adversarial:
-        return 0.0
-    if _is_singleton(dist):
-        return 0.0
-    star = best_in_class_risk(loss, spec, dist, adversarial=adversarial)
-    return star.value - _expect_min_conditional(loss, spec, dist, adversarial)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ Flags mirror the mathematical symbols one-to-one (--W, --B, --Lambda, --k,
 --rho, --gamma, --massart-beta; transform also takes --eps).  Inputs are
 scalars x in [-1, 1] (d = 1), where every p-norm of x is |x|, so there is no
 --p.  A JSON config file can supply any flag of its subcommand
-(--config file.json); explicit flags win, and an unknown key is a validation
-error.  Exit codes: 0 success, 1 check failure, 2 validation error.  For a
+(--config file.json); explicit flags win, each value is parsed as its flag
+would parse it, and an unknown key or a value the flag would refuse is a
+validation error.  Exit codes: 0 success, 1 check failure, 2 validation error.  For a
 linear class, bound requires h(x) = w*x + b to lie in the class: the default
 --w -5 (the sweeps' h) needs --W >= 5, so under the default --W 1 it exits 2.
 sweep refuses, with exit 2, a flag that its experiment does not read, and
@@ -39,8 +40,8 @@ import numpy as np
 import scipy
 
 from . import __version__, experiments
+from ._runtime import thread_cap
 from .bounds import Exact, MonteCarlo, Target, assemble_bound, surrogate_split
-from .conditional import thread_cap
 from .distributions import QuadratureError, dist_from_json_dict, preset_distribution
 from .hypotheses import HypothesisClass, HypothesisSpec, LinearHypothesis
 from .losses import LossFamily, MarginLoss
@@ -116,9 +117,31 @@ def _apply_config(args, parser_defaults: dict) -> None:
     unknown = set(cfg) - set(parser_defaults)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    actions = {action.dest: action for action in args._subparser._actions}
     for key, value in cfg.items():
         if getattr(args, key) == parser_defaults[key]:  # flag not explicitly set
-            setattr(args, key, value)
+            setattr(args, key, _config_value(actions[key], key, value))
+
+
+def _config_value(action: argparse.Action, key: str, value):
+    """A config file's value for ``key`` as its flag would parse it: the
+    flag's type applied to str(value), so that 2.5 is refused for an integer
+    flag instead of truncated, then its choices checked; a switch takes a
+    JSON bool."""
+    if action.nargs == 0:  # a store_true switch
+        if not isinstance(value, bool):
+            raise ValueError(f"config key {key!r} takes true or false, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"config key {key!r} takes a string or a number, got {value!r}")
+    if action.type is not None:
+        try:
+            value = action.type(str(value))
+        except ValueError:
+            raise ValueError(f"config key {key!r} is not a valid {action.type.__name__}: {value!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"config key {key!r} takes one of {list(action.choices)}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

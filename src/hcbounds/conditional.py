@@ -28,28 +28,21 @@ once.
 from __future__ import annotations
 
 import enum
-import functools
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hypotheses import HypothesisClass, HypothesisSpec, attainable_adversarial_range, score_range
+from .hypotheses import HypothesisClass, HypothesisSpec, attainable_adversarial_range
 from .losses import LossFamily, MarginLoss, eval_margin_loss
 
 __all__ = [
     "ConditionalPoint",
     "Constraint",
     "OracleInfeasibleError",
-    "conditional_risk",
     "min_conditional_risk",
     "min_conditional_risk_adversarial",
     "brute_force_inf",
-    "thread_cap",
-    "thread_map",
 ]
 
 # Score cap standing in for the unbounded class, and for any wider range, in
@@ -82,15 +75,6 @@ class Constraint(enum.Enum):
 
 class OracleInfeasibleError(ValueError):
     """The constrained hypothesis set is empty for the given point."""
-
-
-def conditional_risk(loss: MarginLoss, spec: HypothesisSpec, u: float, point: ConditionalPoint) -> float:
-    """t*Phi(u) + (1-t)*Phi(-u), with u validated against the attainable range."""
-    if spec.cls is not HypothesisClass.ALL:
-        lo, hi = score_range(spec, point.x_norm_p)
-        if not lo <= u <= hi:
-            raise ValueError(f"score u={u} outside attainable range [{lo}, {hi}]")
-    return _interval_risk(loss, point.t, u, u)
 
 
 def _interval_risk(loss: MarginLoss, t, lo, hi):
@@ -356,56 +340,6 @@ def _score_grids_inf(loss, t, lo, hi, grid_n):
     u_first = cells(every, first)
     u_last = cells(every, np.minimum(first + width - 1, grid_n - 1))
     return _pruned_minima(_interval_risk(loss, t[:, None], u_last, u_first), blocks_min)
-
-
-def thread_cap() -> int:
-    """Worker threads of ``thread_map``'s pool, which runs the sampler's
-    blocks and the sweep cells' leaf passes: ``HCB_THREADS``, clamped to
-    ``os.cpu_count()``, which is also the default when it is unset.  Results
-    never depend on it.  The grid oracles run on the calling thread: their
-    block-bound pruning leaves too few cells to split.  Raises
-    ValueError unless the variable is an integer >= 1."""
-    cpus = os.cpu_count() or 1
-    raw = os.environ.get("HCB_THREADS", "")
-    if not raw:
-        return cpus
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"HCB_THREADS must be an integer >= 1, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"HCB_THREADS must be >= 1, got {cap}")
-    return min(cap, cpus)
-
-
-# set in every pool worker, so that a thread_map called from inside one runs inline
-_in_worker = threading.local()
-
-
-def _mark_worker() -> None:
-    _in_worker.flag = True
-
-
-@functools.lru_cache(maxsize=1)
-def _pool(cap: int, pid: int) -> ThreadPoolExecutor:
-    """The executor of ``cap`` workers that process ``pid`` reuses.  A new
-    cap, or a forked child, which has none of its parent's threads, makes a
-    new one; the dropped one's idle workers then exit."""
-    return ThreadPoolExecutor(max_workers=cap, initializer=_mark_worker)
-
-
-def thread_map(fn, items) -> list:
-    """``[fn(item) for item in items]``, run on the process's one pool of
-    ``thread_cap()`` workers, which every pooled call reuses; inline when
-    ``min(thread_cap(), len(items))`` is 1, or when called from one of the
-    pool's workers, which waiting on the pool it runs on could deadlock.
-    Results come back in item order, so a caller that merges them in order
-    gets the same answer at every thread count."""
-    items = list(items)
-    cap = 1 if getattr(_in_worker, "flag", False) else thread_cap()
-    if min(cap, len(items)) <= 1:
-        return [fn(item) for item in items]
-    return list(_pool(cap, os.getpid()).map(fn, items))
 
 
 def _adversarial_grid_inf(loss, spec, point, constraint, grid_n):

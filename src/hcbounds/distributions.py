@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditional import thread_map
+from ._runtime import thread_map
 
 __all__ = [
     "Atom",
@@ -521,17 +521,15 @@ def _gauss_kronrod(f, a: float, b: float, points=(), epsabs: float = 1e-10):
         lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
 
 
-def expectation(
-    dist: LabeledDistribution, integrand, points=(), tol: float = _QUAD_ABS_TOL, with_error: bool = False
-):
+def expectation(dist: LabeledDistribution, integrand, points=(), with_error: bool = False):
     """E_X[integrand(x, eta(x))]: atoms summed exactly, continuous components
-    integrated by ``_gauss_kronrod`` to absolute tolerance tol / 100.
+    integrated by ``_gauss_kronrod`` to absolute tolerance 1e-10.
 
     integrand maps 1-D float arrays (x, eta(x)) to the integrand's values
     there, an array of the same shape.  It is called once for all atoms and
     once per quadrature round of each continuous component.  ``points``
     marks known integrand kinks and discontinuities.  Raises
-    ``QuadratureError`` when a component's error estimate exceeds tol.  With
+    ``QuadratureError`` when a component's error estimate exceeds 1e-8.  With
     ``with_error`` returns (value, error), the error being the components'
     estimates weighted like their values.
     """
@@ -553,10 +551,10 @@ def expectation(
             own = next(pdf for o, pdf in densities if o is _c)
             return integrand(xs, dist._eta_from(xs, densities)) * own
 
-        val, err = _gauss_kronrod(f, law.lo, law.hi, points, epsabs=tol * 1e-2)
-        if err > tol:
+        val, err = _gauss_kronrod(f, law.lo, law.hi, points, epsabs=_QUAD_ABS_TOL * 1e-2)
+        if err > _QUAD_ABS_TOL:
             raise QuadratureError(
-                f"quadrature error {err:.2e} above tolerance {tol:.0e} on [{law.lo}, {law.hi}]"
+                f"quadrature error {err:.2e} above tolerance {_QUAD_ABS_TOL:.0e} on [{law.lo}, {law.hi}]"
             )
         total += c.weight * val
         error += c.weight * err

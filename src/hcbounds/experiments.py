@@ -75,6 +75,9 @@ class SweepConfig:
             raise ValueError("each sigma must lie in (0, 1)")
         if self.n_samples < 10**4:
             raise ValueError("sweeps need at least 10^4 samples per cell")
+        for name in ("w", "b"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"the sweeps' h needs a finite {name}, got {name} = {getattr(self, name)}")
 
 
 def _cell_seed(seed: int, index: int) -> int:
@@ -180,6 +183,11 @@ def _run_cells(cfg, experiment, losses, extras):
         rows = []
         for k, (loss, extra) in enumerate(zip(losses, extras)):
             mean, se = stats[k]
+            if not (math.isfinite(mean) and math.isfinite(se)):
+                raise ValueError(
+                    f"the {loss.label()} risk of h(x) = {cfg.w}*x + {cfg.b} at sigma {sigma} is not finite "
+                    f"(mean {mean}, stderr {se}); a smaller |w| or |b| keeps the loss finite"
+                )
             mult = extra.get("multiplier", 1.0)
             rhs, se_rhs = mult * mean, mult * se
             rows.append(

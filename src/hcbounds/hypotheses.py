@@ -117,6 +117,9 @@ class LinearHypothesis:
             (w,) = w
         if not isinstance(w, numbers.Real):
             raise ValueError(f"inputs are scalars (d = 1): w must be a number or a 1-tuple, got {self.w!r}")
+        for name, value in (("w", w), ("b", self.b)):
+            if not math.isfinite(value):
+                raise ValueError(f"h needs a finite {name}, got {name} = {value}")
         object.__setattr__(self, "w", float(w))
 
     def score(self, x):

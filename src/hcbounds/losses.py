@@ -40,7 +40,6 @@ __all__ = [
     "rho_margin",
     "sign",
     "eval_margin_loss",
-    "truncate",
     "check_truncation_eps",
 ]
 
@@ -138,14 +137,6 @@ def eval_margin_loss(loss: MarginLoss, alpha, out=None):
     else:
         raise ValueError(f"unknown loss family {fam!r}")
     return v if out is not None or isinstance(alpha, np.ndarray) else float(v)
-
-
-def truncate(t, eps: float = 0.0):
-    """eps-truncation: t if t > eps, else 0 (strict inequality)."""
-    check_truncation_eps(eps)
-    t_a = np.asarray(t, dtype=float)
-    out = np.where(t_a > eps, t_a, 0.0)
-    return out if isinstance(t, np.ndarray) else float(out)
 
 
 def check_truncation_eps(eps: float) -> float:

@@ -56,6 +56,7 @@ __all__ = [
 _LN2 = math.log(2.0)
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 _CONTINUITY_TOL = 1e-12
+_BISECT_TOL = 1e-12  # invert_numerically's final bracket width
 
 
 class Direction(enum.Enum):
@@ -475,11 +476,12 @@ def select_transform(
     return forward, forward.inverse()
 
 
-def invert_numerically(pt: PiecewiseTransform, y, tol: float = 1e-12):
-    """Exact inverse of a monotone forward transform by bisection on [0, end].
+def invert_numerically(pt: PiecewiseTransform, y):
+    """Exact inverse of a monotone forward transform by bisection on [0, end],
+    to a bracket of width 1e-12.
 
     y may be an array: every element is bisected at once, each with the
-    midpoints, ``pt(mid) < y`` tests and ``hi - lo > tol`` stop it would
+    midpoints, ``pt(mid) < y`` tests and ``hi - lo > 1e-12`` stop it would
     have alone, so each result is the scalar call's.  A scalar y gives a
     float."""
     if pt.direction is not Direction.FORWARD:
@@ -487,12 +489,12 @@ def invert_numerically(pt: PiecewiseTransform, y, tol: float = 1e-12):
     end = pt.breakpoints[-1]
     top = pt(end)
     ys = np.atleast_1d(np.asarray(y, dtype=float))
-    outside = (ys < -tol) | (ys > top + 1e-9)
+    outside = (ys < -_BISECT_TOL) | (ys > top + 1e-9)
     if np.any(outside):
         raise ValueError(f"value {ys[outside][0]} outside transform range [0, {top}]")
     ys = np.minimum(np.maximum(ys, 0.0), top)
     lo, hi = np.zeros_like(ys), np.full_like(ys, end)
-    while np.any(live := hi - lo > tol):
+    while np.any(live := hi - lo > _BISECT_TOL):
         mid = 0.5 * (lo + hi)
         below = pt(mid) < ys
         lo, hi = np.where(live & below, mid, lo), np.where(live & ~below, mid, hi)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import math
 import os
 import tracemalloc
@@ -18,6 +19,7 @@ from hcbounds.bounds import (
     MonteCarlo,
     Target,
     _check_massart_on_dist,
+    _expect_min_conditional,
     _holds,
     _mc_risks,
     _pointwise_losses,
@@ -25,7 +27,6 @@ from hcbounds.bounds import (
     _score_kernel,
     assemble_bound,
     best_in_class_risk,
-    minimizability_gap,
     negative_result_demo,
     risk,
     surrogate_split,
@@ -34,7 +35,6 @@ from hcbounds.bounds import (
 from hcbounds.conditional import (
     ConditionalPoint,
     OracleInfeasibleError,
-    conditional_risk,
     min_conditional_risk,
     min_risk_symmetric,
 )
@@ -62,7 +62,7 @@ from hcbounds.losses import (
     sigmoid,
 )
 from hcbounds.transforms import NegativeResultError, massart_transform, transform
-from test_conditional import conditional_risk_zero_one
+from test_conditional import conditional_risk, conditional_risk_zero_one
 
 LIN = HypothesisClass.LINEAR
 ALL = HypothesisClass.ALL
@@ -224,6 +224,28 @@ class TestBestInClass:
     def test_relu_not_supported(self):
         with pytest.raises(ValueError):
             best_in_class_risk(hinge(), HypothesisSpec(HypothesisClass.ONE_HIDDEN_RELU), sect7_nonadversarial(0.1))
+
+
+def _is_singleton(dist):
+    locs = {c.law.x for c in dist.components if isinstance(c.law, Atom)}
+    return len(locs) == 1 and not dist.continuous()
+
+
+def minimizability_gap(loss, spec, dist, adversarial=False):
+    """Best-in-class risk minus the expected pointwise minimal conditional
+    risk, the tests' reference.
+
+    Identically 0 for the unrestricted class with the losses in scope and for
+    single-support distributions.  When only a bracket on the pointwise
+    minimum exists (worst-case hinge/sigmoid, ReLU class) the gap is the
+    conservative upper end, which keeps assembled bounds valid.
+    """
+    if spec.cls is HypothesisClass.ALL and not adversarial:
+        return 0.0
+    if _is_singleton(dist):
+        return 0.0
+    star = best_in_class_risk(loss, spec, dist, adversarial=adversarial)
+    return star.value - _expect_min_conditional(loss, spec, dist, adversarial)[0]
 
 
 class TestMinimizabilityGap:
@@ -835,6 +857,50 @@ class TestOneGammaPath:
         with pytest.raises(ValueError, match=quantity + ".* is not finite"):
             assemble_bound(Target.ZERO_ONE, hinge(), HypothesisSpec(LIN, W=1.0, B=0.5), sect7_nonadversarial(0.1),
                            LinearHypothesis((0.5,), 0.0))
+
+
+@st.composite
+def _report_cases(draw):
+    """(target, loss, spec, dist, h, massart, mode) on the standard, Massart
+    and worst-case rho-margin routes, over linear and unrestricted classes."""
+    route = draw(st.sampled_from(["standard", "massart", "sup-rho-margin"]))
+    W, B = draw(st.floats(0.1, 2.0)), draw(st.floats(0.05, 1.5))
+    h = LinearHypothesis((draw(st.floats(-W, W)),), draw(st.floats(-B, B)))
+    mode = draw(st.sampled_from([Exact(), MonteCarlo(2000, seed=draw(st.integers(0, 99)))]))
+    sigma = draw(st.sampled_from([0.2, 0.1, 0.05]))
+    if route == "sup-rho-margin":
+        spec = HypothesisSpec(LIN, W=W, B=B, gamma=0.1)
+        return (Target.ADVERSARIAL_ZERO_ONE, rho_margin(draw(st.floats(0.2, 2.0))), spec,
+                sect7_adversarial(sigma, 0.1), h, None, mode)
+    if route == "massart":  # on the unrestricted class; sect7's eta is 0 or 1, so every beta holds
+        loss, spec = draw(st.sampled_from([quadratic(), logistic(), exponential()])), HypothesisSpec(ALL)
+        massart = draw(st.floats(0.01, 0.5))
+    else:
+        loss, massart = draw(st.sampled_from(MARGIN_LOSSES)), None
+        spec = draw(st.sampled_from([HypothesisSpec(LIN, W=W, B=B), HypothesisSpec(ALL)]))
+    return Target.ZERO_ONE, loss, spec, sect7_nonadversarial(sigma), h, massart, mode
+
+
+def _same_json(a, b) -> bool:
+    """a == b after a JSON round trip: tuples come back as lists, and every
+    float is equal bit for bit, NaN and -0.0 included."""
+    if isinstance(a, float):
+        return type(b) is float and a.hex() == b.hex()
+    if isinstance(a, dict):
+        return type(b) is dict and a.keys() == b.keys() and all(_same_json(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return type(b) is list and len(a) == len(b) and all(map(_same_json, a, b))
+    return type(b) is type(a) and a == b
+
+
+class TestReportJson:
+    @given(case=_report_cases())
+    @settings(max_examples=25, deadline=None)
+    def test_json_round_trip_is_bit_identical(self, case):
+        target, loss, spec, dist, h, massart, mode = case
+        report = assemble_bound(target, loss, spec, dist, h, massart=massart, mode=mode)
+        doc = report.to_json_dict(surrogate_split(report, loss, spec, dist))
+        assert _same_json(doc, json.loads(json.dumps(doc)))
 
 
 class TestDiscretePsiBound:

@@ -15,7 +15,7 @@ import scipy
 import hcbounds
 from hcbounds import __version__, oracle_check
 from hcbounds.cli import main
-from hcbounds.conditional import thread_cap
+from hcbounds._runtime import thread_cap
 
 
 SRC = str(Path(hcbounds.__file__).resolve().parents[1])
@@ -530,6 +530,54 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"p": 2}))
         assert main([*command, "--config", str(cfg)]) == 2
         assert "unknown config keys: ['p']" in capsys.readouterr().err
+
+
+    def test_values_typed_like_flags(self, tmp_path):
+        # "2" for a float flag and 0.5 for a string one parse as --W 2 --B 0.5 do
+        out1, out2, cfg = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "cfg.json"
+        assert main(["transform", "--loss", "hinge", "--W", "2", "--B", "0.5", "--out", str(out1)]) == 0
+        cfg.write_text(json.dumps({"W": "2", "B": 0.5}))
+        assert main(["transform", "--loss", "hinge", "--config", str(cfg), "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("command, values, msg", [
+        (["sweep", "--experiment", "sect7-nonadv"], {"n": "abc"}, "config key 'n' is not a valid int: 'abc'"),
+        (["oracle-check"], {"instances": 2.5}, "config key 'instances' is not a valid int: 2.5"),
+        (["transform", "--loss", "hinge"], {"W": "two"}, "config key 'W' is not a valid float: 'two'"),
+        (["transform", "--loss", "hinge"], {"W": [2]}, "config key 'W' takes a string or a number, got [2]"),
+        (["transform", "--loss", "hinge"], {"eps": True}, "config key 'eps' takes a string or a number"),
+        (["transform", "--loss", "hinge"], {"format": "xml"}, "config key 'format' takes one of ['json', 'csv']"),
+        (["oracle-check"], {"tamper": 1}, "config key 'tamper' takes true or false, got 1"),
+    ], ids=["sweep-n", "oracle-check-instances", "transform-W", "transform-W-list", "transform-eps-bool",
+            "transform-format", "oracle-check-tamper"])
+    def test_wrongly_typed_values_rejected(self, tmp_path, capsys, command, values, msg):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert msg in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+class TestNonFiniteHypothesis:
+    """A slope or bias that is not finite, or a sweep's h whose loss
+    overflows, is a usage error: exit 2 with a message naming it, not a
+    failed check (exit 1)."""
+
+    SWEEP = ["sweep", "--experiment", "sect7-nonadv", "--n", "10000", "--sigmas", "0.2"]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("command, msg", [
+        (["bound", "--loss", "quadratic", "--class", "linear", "--W", "5", "--w", "nan", "--dist", "sect7-nonadv"],
+         "h needs a finite w, got w = nan"),
+        (["bound", "--loss", "quadratic", "--class", "all", "--b", "nan", "--dist", "sect7-nonadv"],
+         "h needs a finite b, got b = nan"),
+        ([*SWEEP, "--w", "-1000"], "the exponential risk of h(x) = -1000.0*x + 0.0 at sigma 0.2 is not finite"),
+        ([*SWEEP, "--w", "nan"], "the sweeps' h needs a finite w, got w = nan"),
+    ], ids=["bound-w-nan", "bound-all-b-nan", "sweep-w-overflow", "sweep-w-nan"])
+    def test_exits_2(self, tmp_path, capsys, command, msg):
+        assert main([*command, "--out", str(tmp_path / "o")]) == 2
+        assert msg in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestRetiredFlags:

@@ -2,10 +2,7 @@
 
 import hashlib
 import math
-import multiprocessing
 import os
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -24,18 +21,16 @@ from hcbounds.conditional import (
     Constraint,
     OracleInfeasibleError,
     brute_force_inf,
-    conditional_risk,
     min_conditional_risk,
     min_conditional_risk_adversarial,
     min_risk_symmetric,
-    thread_cap,
-    thread_map,
 )
 from hcbounds.bounds import _score_kernel
 from hcbounds.hypotheses import (
     HypothesisClass,
     HypothesisSpec,
     LinearHypothesis,
+    score_range,
 )
 from hcbounds.losses import (
     LossFamily,
@@ -46,8 +41,8 @@ from hcbounds.losses import (
     quadratic,
     rho_margin,
     sigmoid,
+    check_truncation_eps,
     sign,
-    truncate,
 )
 
 LIN = HypothesisClass.LINEAR
@@ -251,10 +246,29 @@ def test_adversarial_brackets_pinned(spec_name, loss):
         assert all(abs(v - float.fromhex(a)) <= 2.2e-16 for v, a in zip(vals, anchors))
 
 
+def conditional_risk(loss, spec, u, point):
+    """t*Phi(u) + (1-t)*Phi(-u), with u validated against the attainable
+    range: the tests' reference conditional risk (also of test_bounds)."""
+    if spec.cls is not HypothesisClass.ALL:
+        lo, hi = score_range(spec, point.x_norm_p)
+        if not lo <= u <= hi:
+            raise ValueError(f"score u={u} outside attainable range [{lo}, {hi}]")
+    return _interval_risk(loss, point.t, u, u)
+
+
 def conditional_risk_zero_one(u, t):
     """Conditional zero-one risk of a score, the tests' reference (also of
     test_bounds and test_losses): t when the score predicts -1, else 1 - t."""
     return t if sign(u) < 0 else 1.0 - t
+
+
+def truncate(t, eps=0.0):
+    """eps-truncation, the tests' reference (also of test_losses): t if
+    t > eps, else 0 (strict inequality)."""
+    check_truncation_eps(eps)
+    t_a = np.asarray(t, dtype=float)
+    out = np.where(t_a > eps, t_a, 0.0)
+    return out if isinstance(t, np.ndarray) else float(out)
 
 
 def _lemma_zero_one(t, wrong_side, eps=0.0):
@@ -704,65 +718,3 @@ class TestScoreGridKernel:
         for loss in ALL_LOSSES:
             got = brute_force_inf(loss, spec, pt, constraint, 4001)
             assert type(got) is float and got == _interval_risk(loss, pt.t, g, g).min()
-
-
-class TestThreadCap:
-    def test_defaults_to_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("HCB_THREADS", raising=False)
-        assert thread_cap() == os.cpu_count()
-
-    def test_clamped_to_cpu_count(self, monkeypatch):
-        # only the returned value is checked; no pool is started at this setting
-        monkeypatch.setenv("HCB_THREADS", "1000000")
-        assert thread_cap() == os.cpu_count()
-
-    @pytest.mark.parametrize("raw", ["0", "-2", "two", "1.5"])
-    def test_invalid_values_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv("HCB_THREADS", raw)
-        with pytest.raises(ValueError, match="HCB_THREADS"):
-            thread_cap()
-
-
-class TestThreadMap:
-    @pytest.mark.parametrize("threads, pooled", [("1", False), ("2", True)])
-    def test_results_in_item_order(self, monkeypatch, threads, pooled):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setenv("HCB_THREADS", threads)
-        main = threading.get_ident()
-        got = thread_map(lambda i: (i * i, threading.get_ident() != main), range(7))
-        assert [v for v, _ in got] == [i * i for i in range(7)]
-        assert {off_main for _, off_main in got} == {pooled}
-
-    def test_nested_call_runs_inline_on_the_worker(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setenv("HCB_THREADS", "2")
-        main = threading.get_ident()
-
-        def outer(i):
-            me = threading.get_ident()
-            return me != main and thread_map(lambda j: threading.get_ident(), range(4)) == [me] * 4
-
-        assert thread_map(outer, range(3)) == [True] * 3
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_makes_its_own_pool(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setenv("HCB_THREADS", "2")
-        assert thread_map(lambda i: i, range(4)) == [0, 1, 2, 3]  # the parent's pool exists
-
-        def child():  # the parent's workers do not exist here; a map on them would hang
-            sys.exit(0 if thread_map(lambda i: i * i, range(4)) == [0, 1, 4, 9] else 1)
-
-        proc = multiprocessing.get_context("fork").Process(target=child)
-        proc.start()
-        proc.join(timeout=60)
-        if proc.is_alive():
-            proc.kill()
-        assert proc.exitcode == 0
-
-    def test_empty_and_single_item_run_inline(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setenv("HCB_THREADS", "2")
-        main = threading.get_ident()
-        assert thread_map(lambda i: i, []) == []
-        assert thread_map(lambda i: threading.get_ident() == main, ["only"]) == [True]

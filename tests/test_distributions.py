@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 import hcbounds
-from hcbounds import conditional, distributions
+from hcbounds import _runtime, distributions
 from hcbounds.conditional import _adversarial_bracket, _min_risk
 from hcbounds.distributions import (
     _SAMPLE_BLOCK,
@@ -323,8 +323,8 @@ class TestBlockedSampler:
                 super().__init__(max_workers, **kwargs)
                 made.append((weakref.ref(self), max_workers, self._threads))
 
-        four_cpus.setattr(conditional, "ThreadPoolExecutor", CountingPool)
-        conditional._pool.cache_clear()  # the next pooled call makes one
+        four_cpus.setattr(_runtime, "ThreadPoolExecutor", CountingPool)
+        _runtime._pool.cache_clear()  # the next pooled call makes one
         four_cpus.setenv("HCB_THREADS", "2")
         main, n = threading.get_ident(), 2 * _SAMPLE_BLOCK + 5  # three blocks per sample
         try:
@@ -343,7 +343,7 @@ class TestBlockedSampler:
                 worker.join(timeout=10)
                 assert not worker.is_alive()
         finally:
-            conditional._pool.cache_clear()
+            _runtime._pool.cache_clear()
 
 
 def _cumulative_weights(dist):

@@ -40,6 +40,18 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(n_samples=100)
 
+    @pytest.mark.parametrize("field", [{"w": math.nan}, {"w": -math.inf}, {"b": math.nan}, {"b": math.inf}])
+    def test_non_finite_hypothesis_rejected(self, field):
+        (name,) = field
+        with pytest.raises(ValueError, match=f"finite {name}"):
+            SweepConfig(**field)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_loss_rejected(self):
+        # exp(1000) overflows: the exponential row's mean is inf and its stderr NaN
+        with pytest.raises(ValueError, match="exponential risk .* is not finite"):
+            run_nonadversarial_sweep(SweepConfig(sigmas=(0.2,), n_samples=10**4, w=-1000.0))
+
     def test_no_beta_setting(self):
         # both sweep distributions fix beta = 1/2; it is not a setting
         with pytest.raises(TypeError):

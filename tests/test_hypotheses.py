@@ -63,6 +63,13 @@ class TestLinearHypothesis:
         with pytest.raises(ValueError):
             LinearHypothesis(w, 0.0)
 
+    # abs(nan) > W is False, so validate alone would let a NaN slope through
+    @pytest.mark.parametrize("w, b, name", [(math.nan, 0.0, "w"), ((math.inf,), 0.0, "w"), (0.5, math.nan, "b"),
+                                            (0.5, -math.inf, "b")])
+    def test_non_finite_rejected(self, w, b, name):
+        with pytest.raises(ValueError, match=f"finite {name}"):
+            LinearHypothesis(w, b)
+
 
 class TestScoreRange:
     def test_linear_at_unit_norm(self):

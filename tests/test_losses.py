@@ -25,9 +25,8 @@ from hcbounds.losses import (
     rho_margin,
     sigmoid,
     sign,
-    truncate,
 )
-from test_conditional import conditional_risk_zero_one
+from test_conditional import conditional_risk_zero_one, truncate
 
 ALL_LOSSES = [hinge(), logistic(), exponential(), quadratic(), sigmoid(1.0), rho_margin(1.0)]
 CONVEX_LOSSES = [hinge(), logistic(), exponential(), quadratic()]

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hcbounds.conditional import ConditionalPoint, Constraint, brute_force_inf
@@ -491,6 +491,22 @@ class TestSelectorGammaProperties:
         assert got.shape == ys.shape
         assert got.tobytes() == np.array([_scalar_bisection(fwd, float(y)) for y in ys]).tobytes()
         assert got.tobytes() == np.array([invert_numerically(fwd, float(y)) for y in ys]).tobytes()
+
+
+    @given(route=selector_routes(), eps=st.just(0.0) | st.floats(0.0, 1.0),
+           ts=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=20))
+    @settings(max_examples=300, deadline=None)
+    @example(route=(quadratic(), HypothesisSpec(LIN, W=1.0, B=math.inf), None), eps=0.3, ts=[0.0, 1.0])
+    @example(route=(rho_margin(0.5), HypothesisSpec(RELU, W=1.0, B=0.2, Lambda=1.5, gamma=0.1), None),
+             eps=0.6, ts=[0.0, 0.61])
+    def test_forward_is_non_decreasing_and_midpoint_convex(self, route, eps, ts):
+        # Massart-modified transforms are not truncated, so they take eps = 0 only
+        loss, spec, massart = route
+        fwd, _ = select_transform(loss, spec, massart, eps=0.0 if massart is not None else eps)
+        ts = np.sort(ts)
+        assert np.all(np.diff(fwd(ts)) >= -1e-12)
+        a, b = ts, ts[::-1]
+        assert np.all(fwd(0.5 * (a + b)) <= 0.5 * (fwd(a) + fwd(b)) + 1e-12)
 
 
 def _scalar_bisection(pt, y, tol=1e-12):
