@@ -34,6 +34,7 @@ from hcbounds.hypotheses import (
 )
 from hcbounds.losses import (
     LossFamily,
+    check_truncation_eps,
     eval_margin_loss,
     exponential,
     hinge,
@@ -41,7 +42,6 @@ from hcbounds.losses import (
     quadratic,
     rho_margin,
     sigmoid,
-    check_truncation_eps,
     sign,
 )
 

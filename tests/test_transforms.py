@@ -493,7 +493,9 @@ class TestSelectorGammaProperties:
         assert got.tobytes() == np.array([invert_numerically(fwd, float(y)) for y in ys]).tobytes()
 
 
-    @given(route=selector_routes(), eps=st.just(0.0) | st.floats(0.0, 1.0),
+    # an eps so small that T(eps) underflows to 0 is refused (no chord to
+    # floor with), so the drawn eps start at 1e-6
+    @given(route=selector_routes(), eps=st.just(0.0) | st.floats(1e-6, 1.0),
            ts=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=20))
     @settings(max_examples=300, deadline=None)
     @example(route=(quadratic(), HypothesisSpec(LIN, W=1.0, B=math.inf), None), eps=0.3, ts=[0.0, 1.0])
