@@ -11,10 +11,12 @@ Subcommands::
 Flags mirror the mathematical symbols one-to-one (--W, --B, --Lambda, --k,
 --rho, --gamma, --massart-beta; transform also takes --eps).  Inputs are
 scalars x in [-1, 1] (d = 1), where every p-norm of x is |x|, so there is no
---p.  A JSON config file can supply any flag of its subcommand
-(--config file.json); explicit flags win, each value is parsed as its flag
-would parse it, and an unknown key or a value the flag would refuse is a
-validation error.  Exit codes: 0 success, 1 check failure, 2 validation error.  For a
+--p.  --config file.json names a JSON object whose entries are parsed as
+flags of the subcommand placed before the command line's own, so explicit
+flags win and the file can supply required ones: key cls with value "all"
+reads as --class=all, a switch takes true or false.  A file that is not an
+object, an unknown key, or a list, object or null value is a validation
+error.  Exit codes: 0 success, 1 check failure, 2 validation error.  For a
 linear class, bound requires h(x) = w*x + b to lie in the class: the default
 --w -5 (the sweeps' h) needs --W >= 5, so under the default --W 1 it exits 2.
 sweep refuses, with exit 2, a flag that its experiment does not read, and
@@ -46,7 +48,7 @@ from .distributions import QuadratureError, dist_from_json_dict, preset_distribu
 from .hypotheses import HypothesisClass, HypothesisSpec, LinearHypothesis
 from .losses import LossFamily, MarginLoss
 from .oracle_check import run_oracle_checks
-from .transforms import NegativeResultError, select_transform
+from .transforms import select_transform
 
 _CLASSES = {"all": HypothesisClass.ALL, "linear": HypothesisClass.LINEAR, "relu": HypothesisClass.ONE_HIDDEN_RELU}
 _LOSS_NAMES = ("hinge", "logistic", "exponential", "quadratic", "sigmoid", "rho-margin")
@@ -62,21 +64,8 @@ def _parse_loss(name: str, k: float, rho: float) -> tuple:
     return MarginLoss(fam, k=k, rho=rho), wants_sup
 
 
-def _parse_b(raw: str) -> float:
-    if raw in ("inf", "Inf", "INF", "infinity"):
-        return math.inf
-    return float(raw)
-
-
 def _build_spec(args) -> HypothesisSpec:
-    cls = _CLASSES[args.cls]
-    return HypothesisSpec(
-        cls,
-        W=args.W,
-        B=_parse_b(args.B),
-        Lambda=args.Lambda,
-        gamma=args.gamma,
-    )
+    return HypothesisSpec(_CLASSES[args.cls], W=args.W, B=args.B, Lambda=args.Lambda, gamma=args.gamma)
 
 
 _PRESETS = ("sect7-nonadv", "sect7-adv")
@@ -109,46 +98,10 @@ def _run_meta() -> dict:
     }
 
 
-def _apply_config(args, parser_defaults: dict) -> None:
-    if not getattr(args, "config", None):
-        return
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    unknown = set(cfg) - set(parser_defaults)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    actions = {action.dest: action for action in args._subparser._actions}
-    for key, value in cfg.items():
-        if getattr(args, key) == parser_defaults[key]:  # flag not explicitly set
-            setattr(args, key, _config_value(actions[key], key, value))
-
-
-def _config_value(action: argparse.Action, key: str, value):
-    """A config file's value for ``key`` as its flag would parse it: the
-    flag's type applied to str(value), so that 2.5 is refused for an integer
-    flag instead of truncated, then its choices checked; a switch takes a
-    JSON bool."""
-    if action.nargs == 0:  # a store_true switch
-        if not isinstance(value, bool):
-            raise ValueError(f"config key {key!r} takes true or false, got {value!r}")
-        return value
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise ValueError(f"config key {key!r} takes a string or a number, got {value!r}")
-    if action.type is not None:
-        try:
-            value = action.type(str(value))
-        except ValueError:
-            raise ValueError(f"config key {key!r} is not a valid {action.type.__name__}: {value!r}") from None
-    if action.choices is not None and value not in action.choices:
-        raise ValueError(f"config key {key!r} takes one of {list(action.choices)}, got {value!r}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 
 
-def cmd_transform(args, defaults) -> int:
-    _apply_config(args, defaults)
+def cmd_transform(args) -> int:
     loss, wants_sup = _parse_loss(args.loss, args.k, args.rho)
     spec = _build_spec(args)
     if wants_sup and not spec.adversarial:
@@ -199,8 +152,7 @@ def _flag_help(table: dict, key: str) -> str:
 _BOUND_FLAGS = {"--mode mc": {"n": 10**6, "seed": 0}, "a preset --dist": {"sigma": 0.05}}
 
 
-def cmd_bound(args, defaults) -> int:
-    _apply_config(args, defaults)
+def cmd_bound(args) -> int:
     reads = {"--mode mc": args.mode == "mc", "a preset --dist": args.dist in _PRESETS}
     stray = _read_flags(args, _BOUND_FLAGS, [case for case, on in reads.items() if on])
     if stray:
@@ -227,8 +179,7 @@ def cmd_bound(args, defaults) -> int:
     return 0 if report.holds else 1
 
 
-def cmd_oracle_check(args, defaults) -> int:
-    _apply_config(args, defaults)
+def cmd_oracle_check(args) -> int:
     rows = run_oracle_checks(
         grid_n=args.grid_n, instances=args.instances, seed=args.seed, tamper=args.tamper
     )
@@ -254,21 +205,20 @@ def cmd_oracle_check(args, defaults) -> int:
 _SIGMAS = ",".join(map(str, experiments._DEFAULT_SIGMAS))
 _SIM_FLAGS = {"n": 10**6, "seed": 0, "sigmas": _SIGMAS, "w": -5.0, "b": 0.0}
 _SWEEP_FLAGS = {
-    "figure1": {"W": 1.0, "B": "0.8", "grid_n": 201},
+    "figure1": {"W": 1.0, "B": 0.8, "grid_n": 201},
     "sect7-nonadv": _SIM_FLAGS,
     "sect7-adv": {**_SIM_FLAGS, "gamma": 0.1},
 }
 
 
-def cmd_sweep(args, defaults) -> int:
-    _apply_config(args, defaults)
+def cmd_sweep(args) -> int:
     stray = _read_flags(args, _SWEEP_FLAGS, [args.experiment])
     if stray:
         raise ValueError(f"--experiment {args.experiment} does not use {', '.join(stray)}")
     if args.experiment == "figure1":
-        spec = HypothesisSpec(HypothesisClass.LINEAR, W=args.W, B=_parse_b(args.B))
+        spec = HypothesisSpec(HypothesisClass.LINEAR, W=args.W, B=args.B)
         rows = experiments.emit_transform_curves(spec=spec, grid_n=args.grid_n)
-        meta = {"experiment": "figure1", "B": _parse_b(args.B), "W": args.W, "grid_n": args.grid_n}
+        meta = {"experiment": "figure1", "B": args.B, "W": args.W, "grid_n": args.grid_n}
     else:
         sigmas = tuple(float(s) for s in args.sigmas.split(","))
         adversarial = args.experiment == "sect7-adv"
@@ -309,7 +259,7 @@ def cmd_sweep(args, defaults) -> int:
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--class", dest="cls", choices=sorted(_CLASSES), default="linear")
     p.add_argument("--W", type=float, default=1.0)
-    p.add_argument("--B", type=str, default="1.0", help="bias budget; 'inf' allowed")
+    p.add_argument("--B", type=float, default=1.0, help="bias budget; 'inf' allowed")
     p.add_argument("--Lambda", type=float, default=1.0)
     p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--rho", type=float, default=1.0)
@@ -329,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--format", choices=["json", "csv"], default="json")
     p_tr.add_argument("--out", default="")
     p_tr.add_argument("--config", default="")
-    p_tr.set_defaults(func=cmd_transform, _subparser=p_tr)
+    p_tr.set_defaults(func=cmd_transform)
 
     p_b = sub.add_parser("bound", help="assemble and check one bound")
     p_b.add_argument(
@@ -351,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_b.add_argument("--seed", type=int, help=_flag_help(_BOUND_FLAGS, "seed"))
     p_b.add_argument("--out", default="")
     p_b.add_argument("--config", default="")
-    p_b.set_defaults(func=cmd_bound, _subparser=p_b)
+    p_b.set_defaults(func=cmd_bound)
 
     p_oc = sub.add_parser("oracle-check", help="closed forms vs the grid oracle")
     p_oc.add_argument("--grid-n", dest="grid_n", type=int, default=4001)
@@ -360,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oc.add_argument("--tamper", action="store_true", help="negative control: perturb closed forms")
     p_oc.add_argument("--out", default="")
     p_oc.add_argument("--config", default="")
-    p_oc.set_defaults(func=cmd_oracle_check, _subparser=p_oc)
+    p_oc.set_defaults(func=cmd_oracle_check)
 
     p_sw = sub.add_parser("sweep", help="run a simulation sweep or curve emission")
     p_sw.add_argument("--experiment", choices=["sect7-nonadv", "sect7-adv", "figure1"], required=True)
@@ -372,28 +322,58 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--b", type=float, help=_flag_help(_SWEEP_FLAGS, "b"))
     p_sw.add_argument("--gamma", type=float, help=_flag_help(_SWEEP_FLAGS, "gamma"))
     p_sw.add_argument("--W", type=float, help=_flag_help(_SWEEP_FLAGS, "W"))
-    p_sw.add_argument("--B", type=str, help=_flag_help(_SWEEP_FLAGS, "B") + "; 'inf' allowed")
+    p_sw.add_argument("--B", type=float, help=_flag_help(_SWEEP_FLAGS, "B") + "; 'inf' allowed")
     p_sw.add_argument("--grid-n", dest="grid_n", type=int, help=_flag_help(_SWEEP_FLAGS, "grid_n"))
     p_sw.add_argument("--out", default="")
     p_sw.add_argument("--format", choices=["csv", "json", "both"], default="both")
     p_sw.add_argument("--config", default="")
-    p_sw.set_defaults(func=cmd_sweep, _subparser=p_sw)
+    p_sw.set_defaults(func=cmd_sweep)
     return parser
+
+
+def _config_flags(parser: argparse.ArgumentParser, argv: list) -> list:
+    """The --config file's entries as flags of ``argv``'s subcommand: a key
+    names an option's dest; a switch takes true or false, any other option a
+    string or a number, which its flag then parses as if typed."""
+    commands = next(action.choices for action in parser._actions if action.dest == "command")
+    if not argv or argv[0] not in commands:
+        return []
+    pre = argparse.ArgumentParser(prog=f"{parser.prog} {argv[0]}", add_help=False)
+    pre.add_argument("--config", default="")
+    path = pre.parse_known_args(argv[1:])[0].config
+    if not path:
+        return []
+    with open(path) as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config file {path} must hold a JSON object, got {json.dumps(cfg)}")
+    options = {a.dest: a for a in commands[argv[0]]._actions if a.dest not in ("help", "config")}
+    unknown = set(cfg) - set(options)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    flags = []
+    for key, value in cfg.items():
+        flag = options[key].option_strings[0]
+        if options[key].nargs == 0:  # a store_true switch
+            if not isinstance(value, bool):
+                raise ValueError(f"config key {key!r} takes true or false, got {value!r}")
+            flags += [flag] if value else []
+        elif isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ValueError(f"config key {key!r} takes a string or a number, got {value!r}")
+        else:
+            flags.append(f"{flag}={value}")
+    return flags
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    sub = args._subparser
-    defaults = {
-        key: sub.get_default(key)
-        for key in vars(args)
-        if key not in ("func", "command", "_subparser")
-    }
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        # config flags go first, so that the command line's own win
+        args = parser.parse_args(argv[:1] + _config_flags(parser, argv) + argv[1:])
         thread_cap()
-        return args.func(args, defaults)
-    except (ValueError, NegativeResultError, QuadratureError, FileNotFoundError, json.JSONDecodeError) as exc:
+        return args.func(args)
+    except (ValueError, QuadratureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -567,14 +567,15 @@ def _law_to_json(law) -> dict:
     return {"kind": "truncnormal", "lo": law.lo, "hi": law.hi, "mean": law.mean, "std": law.std}
 
 
-def _law_from_json(obj: dict):
+def _law_from_json(obj):
+    _require_object(obj, "'law'")
     kind = obj.get("kind")
     if kind == "atom":
-        _require_keys(obj, {"kind", "x"})
-        return Atom(float(obj["x"]))
+        _require_keys(obj, {"kind", "x"}, "'law'")
+        return Atom(_number(obj, "x"))
     if kind == "truncnormal":
-        _require_keys(obj, {"kind", "lo", "hi", "mean", "std"})
-        return TruncNormal(float(obj["lo"]), float(obj["hi"]), float(obj["mean"]), float(obj["std"]))
+        _require_keys(obj, {"kind", "lo", "hi", "mean", "std"}, "'law'")
+        return TruncNormal(*(_number(obj, key) for key in ("lo", "hi", "mean", "std")))
     raise ValueError(f"unknown law kind {kind!r}")
 
 
@@ -588,11 +589,14 @@ def dist_to_json_dict(dist: LabeledDistribution) -> dict:
 
 
 def dist_from_json_dict(obj: dict) -> LabeledDistribution:
-    _require_keys(obj, {"components"})
+    _require_keys(obj, {"components"}, "a distribution")
+    if not isinstance(obj["components"], list):
+        raise ValueError(f"'components' takes a list, got {obj['components']!r}")
     comps = []
     for entry in obj["components"]:
-        _require_keys(entry, {"weight", "label", "law"})
-        comps.append(Component(float(entry["weight"]), int(entry["label"]), _law_from_json(entry["law"])))
+        _require_keys(entry, {"weight", "label", "law"}, "each of 'components'")
+        law = _law_from_json(entry["law"])
+        comps.append(Component(_number(entry, "weight"), _number(entry, "label", int), law))
     return LabeledDistribution(tuple(comps))
 
 
@@ -604,7 +608,20 @@ def preset_distribution(name: str, sigma: float = 0.05, gamma: float = 0.1) -> L
     raise ValueError(f"unknown preset {name!r} (expected sect7-nonadv or sect7-adv)")
 
 
-def _require_keys(obj: dict, allowed: set) -> None:
+def _require_object(obj, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} takes a JSON object, got {obj!r}")
+
+
+def _number(obj: dict, key: str, kind=float):
+    try:
+        return kind(obj[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"{key!r} takes a number, got {obj[key]!r}") from None
+
+
+def _require_keys(obj: dict, allowed: set, what: str) -> None:
+    _require_object(obj, what)
     unknown = set(obj) - allowed
     if unknown:
         raise ValueError(f"unknown keys in distribution config: {sorted(unknown)}")

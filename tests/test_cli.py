@@ -28,6 +28,14 @@ def expected_meta():
     }
 
 
+def exit_code(argv) -> int:
+    """main's exit status, whether main returns it or argparse exits with it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 SINGLETON = json.dumps(
     {
         "components": [
@@ -507,19 +515,23 @@ class TestConfigFile:
         doc = json.loads(out.read_text())
         assert doc["transform"]["segments"][0]["coefficients"][0] == pytest.approx(0.8)
 
-    def test_explicit_flag_overrides_config(self, tmp_path):
+    # 1.0 is --B's default: given is what counts
+    @pytest.mark.parametrize("B", [0.4, 1.0])
+    def test_explicit_flag_overrides_config(self, tmp_path, B):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"B": "0.8"}))
         out = tmp_path / "t.json"
-        main(["transform", "--loss", "hinge", "--B", "0.4", "--config", str(cfg), "--out", str(out)])
+        main(["transform", "--loss", "hinge", "--B", str(B), "--config", str(cfg), "--out", str(out)])
         doc = json.loads(out.read_text())
-        assert doc["transform"]["segments"][0]["coefficients"][0] == pytest.approx(0.4)
+        assert doc["transform"]["segments"][0]["coefficients"][0] == pytest.approx(B)
 
-    def test_unknown_config_keys_rejected(self, tmp_path, capsys):
+    # a config file cannot name another config file
+    @pytest.mark.parametrize("values, unknown", [({"bogus_key": 1}, "bogus_key"), ({"config": "x"}, "config")])
+    def test_unknown_config_keys_rejected(self, tmp_path, capsys, values, unknown):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bogus_key": 1}))
+        cfg.write_text(json.dumps(values))
         assert main(["transform", "--loss", "hinge", "--config", str(cfg)]) == 2
-        assert "unknown config keys" in capsys.readouterr().err
+        assert f"unknown config keys: ['{unknown}']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ["transform", "--loss", "hinge"],
@@ -541,21 +553,73 @@ class TestConfigFile:
         assert out1.read_bytes() == out2.read_bytes()
 
     @pytest.mark.parametrize("command, values, msg", [
-        (["sweep", "--experiment", "sect7-nonadv"], {"n": "abc"}, "config key 'n' is not a valid int: 'abc'"),
-        (["oracle-check"], {"instances": 2.5}, "config key 'instances' is not a valid int: 2.5"),
-        (["transform", "--loss", "hinge"], {"W": "two"}, "config key 'W' is not a valid float: 'two'"),
+        (["sweep", "--experiment", "sect7-nonadv"], {"n": "abc"}, "argument --n: invalid int value: 'abc'"),
+        (["oracle-check"], {"instances": 2.5}, "argument --instances: invalid int value: '2.5'"),
+        (["transform", "--loss", "hinge"], {"W": "two"}, "argument --W: invalid float value: 'two'"),
         (["transform", "--loss", "hinge"], {"W": [2]}, "config key 'W' takes a string or a number, got [2]"),
         (["transform", "--loss", "hinge"], {"eps": True}, "config key 'eps' takes a string or a number"),
-        (["transform", "--loss", "hinge"], {"format": "xml"}, "config key 'format' takes one of ['json', 'csv']"),
+        (["transform", "--loss", "hinge"], {"format": "xml"}, "argument --format: invalid choice: 'xml'"),
         (["oracle-check"], {"tamper": 1}, "config key 'tamper' takes true or false, got 1"),
     ], ids=["sweep-n", "oracle-check-instances", "transform-W", "transform-W-list", "transform-eps-bool",
             "transform-format", "oracle-check-tamper"])
     def test_wrongly_typed_values_rejected(self, tmp_path, capsys, command, values, msg):
+        # a value of the wrong type is refused by this reader, a string or a
+        # number that its flag cannot parse by argparse
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(values))
-        assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert exit_code([*command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert msg in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("flags, required", [
+        (["transform", "--class", "linear", "--B", "0.8"], {"loss": "hinge"}),
+        (["bound", "--class", "linear", "--B", "0.5", "--w", "-0.4"], {"loss": "hinge", "dist": SINGLETON}),
+        (["sweep", "--n", "20000", "--seed", "3", "--sigmas", "0.2", "--format", "json"],
+         {"experiment": "sect7-nonadv"}),
+    ], ids=["transform", "bound", "sweep"])
+    def test_config_supplies_required_flags(self, tmp_path, flags, required):
+        out1, out2, cfg = tmp_path / "a", tmp_path / "b", tmp_path / "cfg.json"
+        given = [f"--{key}={value}" for key, value in required.items()]
+        assert main([*flags, *given, "--out", str(out1)]) == 0
+        cfg.write_text(json.dumps(required))
+        assert main([*flags, "--config", str(cfg), "--out", str(out2)]) == 0
+        if flags[0] == "sweep":
+            out1, out2 = out1.with_suffix(".json"), out2.with_suffix(".json")
+        assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("text", ["null", "5", "[{}]"])
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["transform", "--loss", "hinge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"must hold a JSON object, got {text}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+class TestUnreadableInputs:
+    """A malformed --dist or a path that cannot be read or written exits 2
+    with a message, never 1 with a traceback."""
+
+    BOUND = ["bound", "--loss", "hinge", "--class", "linear", "--B", "0.5", "--w", "-0.4"]
+    ATOM = {"kind": "atom", "x": 0.5}
+
+    @pytest.mark.parametrize("dist, msg", [
+        ({"components": 5}, "'components' takes a list, got 5"),
+        ({"components": [5]}, "each of 'components' takes a JSON object, got 5"),
+        ({"components": [{"weight": 1.0, "label": 1, "law": 5}]}, "'law' takes a JSON object, got 5"),
+        ({"components": [{"weight": None, "label": 1, "law": ATOM}]}, "'weight' takes a number, got None"),
+        ({"components": [{"weight": 1.0, "label": 1, "law": {"kind": "atom", "x": [0.5]}}]},
+         "'x' takes a number, got [0.5]"),
+    ], ids=["components-number", "component-number", "law-number", "weight-null", "atom-x-list"])
+    def test_malformed_dist_exits_2(self, capsys, dist, msg):
+        assert main([*self.BOUND, "--dist", json.dumps(dist)]) == 2
+        assert msg in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--dist", "--config", "--out"])
+    def test_directory_path_exits_2(self, tmp_path, capsys, flag):
+        # a second --dist replaces the first
+        assert main([*self.BOUND, "--dist", SINGLETON, flag, str(tmp_path)]) == 2
+        assert "Is a directory" in capsys.readouterr().err
 
 
 class TestNonFiniteHypothesis:

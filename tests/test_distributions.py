@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -621,6 +622,25 @@ class TestSerialization:
         doc2["components"][0]["law"]["bogus"] = 2
         with pytest.raises(ValueError):
             dist_from_json_dict(doc2)
+
+
+    @pytest.mark.parametrize("doc, msg", [
+        (5, "a distribution takes a JSON object, got 5"),
+        ({"components": 5}, "'components' takes a list, got 5"),
+        ({"components": [5]}, "each of 'components' takes a JSON object, got 5"),
+        ({"components": [{"weight": 1.0, "label": 1, "law": 5}]}, "'law' takes a JSON object, got 5"),
+        ({"components": [{"weight": None, "label": 1, "law": {"kind": "atom", "x": 0.5}}]},
+         "'weight' takes a number, got None"),
+        ({"components": [{"weight": 1.0, "label": 1, "law": {"kind": "atom", "x": [0.5]}}]},
+         "'x' takes a number, got [0.5]"),
+        ({"components": [{"weight": 1.0, "label": 1, "law": {"kind": "truncnormal", "lo": 0, "hi": 1,
+                                                              "mean": "abc", "std": 1}}]},
+         "'mean' takes a number, got 'abc'"),
+    ], ids=["number", "components-number", "component-number", "law-number", "weight-null", "atom-x-list",
+            "mean-string"])
+    def test_malformed_shapes_name_the_field(self, doc, msg):
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            dist_from_json_dict(doc)
 
 
 class TestFromAtoms:
