@@ -19,7 +19,6 @@ from .losses import (
     quadratic,
     rho_margin,
     sigmoid,
-    sign,
 )
 from .hypotheses import (
     HypothesisClass,

@@ -23,12 +23,11 @@ and the constructive no-guarantee demonstration for worst-case convex/sigmoid
 surrogates.
 
 Exact zero-one risks are closed-form tail masses.  Exact margin-loss risks
-and the expectations E[C*] integrate each truncated normal with
-``distributions._gauss_kronrod``, QUADPACK's adaptive 21-point Gauss-Kronrod
-rule (absolute and relative tolerance 1e-10; an error estimate above 1e-8
-raises ``QuadratureError``); a report's ``provenance`` key ``quad_err`` sums
-the error estimates of every integration it ran.  scipy is used only for the
-normal cdf and its inverse.
+and the expectations E[C*] integrate the truncated normals through
+``distributions._integrate_continuous``, which owns the quadrature and its
+tolerances; a report's ``provenance`` key ``quad_err`` sums the error
+estimates of every integration it ran.  scipy is used only for the normal cdf
+and its inverse.
 """
 
 from __future__ import annotations
@@ -44,14 +43,7 @@ import numpy as np
 
 from ._runtime import thread_map
 from .conditional import ConditionalPoint, _adversarial_bracket, _interval_risk, _min_risk, brute_force_inf
-from .distributions import (
-    LabeledDistribution,
-    _SAMPLE_BLOCK,
-    QuadratureError,
-    _gauss_kronrod,
-    _map_sample_blocks,
-    expectation,
-)
+from .distributions import LabeledDistribution, _SAMPLE_BLOCK, _integrate_continuous, _map_sample_blocks, expectation
 from .hypotheses import HypothesisClass, HypothesisSpec, LinearHypothesis
 from .losses import (
     ZERO_ONE,
@@ -259,9 +251,8 @@ def risk(
     MonteCarlo mode reduces the sample block by block (``_mc_risks``).
 
     Exact mode takes the zero-one risk from closed-form tail masses and a
-    margin loss's risk from ``distributions._gauss_kronrod`` (QUADPACK's
-    adaptive 21-point Gauss-Kronrod rule, absolute and relative tolerance
-    1e-10) over each truncated normal, split where the loss of h has a kink or
+    margin loss's risk from ``distributions._integrate_continuous`` over the
+    truncated normals, its panels split where the loss of h has a kink or
     jump; an error estimate above 1e-8 raises ``QuadratureError``.  With
     ``with_error`` returns (value, stderr, quad_err), quad_err being the
     components' error estimates weighted like their risks (0 unless the
@@ -269,25 +260,19 @@ def risk(
     """
     if adversarial and not gamma > 0:
         raise ValueError("adversarial risk needs gamma > 0")
-    quad_err = 0.0
+    quad_err = se = 0.0
     if isinstance(mode, MonteCarlo):
         ((value, se),) = _mc_risks((loss,), h, dist, mode, adversarial, gamma)
     elif isinstance(loss, ZeroOneLoss):
-        value, se = float(_risk_grid(loss, dist, [h.w], [h.b], adversarial, gamma)[0, 0]), 0.0
+        value = float(_risk_grid(loss, dist, [h.w], [h.b], adversarial, gamma)[0, 0])
     else:
-        value, se = float(_atom_risk(loss, dist, h.w, h.b, adversarial, gamma)), 0.0
+
+        def integrand_on(c):
+            return lambda xs: _pointwise_losses(loss, h, xs, c.label, adversarial, gamma) * c.law.pdf(xs)
+
+        atoms = float(_atom_risk(loss, dist, h.w, h.b, adversarial, gamma))
         pts = _discontinuity_points(loss, h, adversarial, gamma)
-        for c in dist.continuous():
-            law = c.law
-
-            def f(xs, _law=law, _y=c.label):
-                return _pointwise_losses(loss, h, xs, _y, adversarial, gamma) * _law.pdf(xs)
-
-            val, err = _gauss_kronrod(f, law.lo, law.hi, pts)
-            if err > 1e-8:
-                raise QuadratureError(f"risk quadrature error {err:.2e} on [{law.lo}, {law.hi}]")
-            value += c.weight * val
-            quad_err += c.weight * err
+        value, quad_err = _integrate_continuous(dist, integrand_on, pts, atoms)
     return (value, se, quad_err) if with_error else (value, se)
 
 
@@ -466,19 +451,20 @@ class BoundReport:
 
 
 def _check_massart_on_dist(dist: LabeledDistribution, beta: float) -> int:
-    """Grid check of |eta - 1/2| >= beta off zero-density sets; warns on
-    violation and returns the number of violating grid points and atoms."""
-    xs = np.linspace(-1.0, 1.0, 10001)
-    dens = np.zeros_like(xs)
+    """Grid check of |eta - 1/2| >= beta off zero-density sets, and at every
+    atom location; warns on violation and returns the number of distinct
+    violating locations."""
+    grid = np.linspace(-1.0, 1.0, 10001)
+    dens = np.zeros_like(grid)
     for c in dist.continuous():
-        dens += c.weight * c.law.pdf(xs)
-    bad = int(np.count_nonzero((dens > 1e-12) & (np.abs(dist.eta(xs) - 0.5) < beta - 1e-12)))
-    for c in dist.atoms():
-        if abs(dist.eta(c.law.x) - 0.5) < beta - 1e-12:
-            bad += 1
+        dens += c.weight * c.law.pdf(grid)
+    locs = np.array(list(dict.fromkeys(c.law.x for c in dist.atoms())), dtype=float)
+    xs = np.concatenate((grid, locs))
+    checked = np.concatenate((dens > 1e-12, np.ones(locs.size, dtype=bool)))
+    bad = np.unique(xs[checked & (np.abs(dist.eta(xs) - 0.5) < beta - 1e-12)]).size
     if bad:
         warnings.warn(
-            f"distribution violates the beta={beta:g} noise condition at {bad} grid points",
+            f"distribution violates the beta={beta:g} noise condition at {bad} grid points and atom locations",
             stacklevel=3,
         )
     return bad

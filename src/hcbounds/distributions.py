@@ -17,14 +17,16 @@ caller's array, and hands each block to a consumer on its worker: ``sample``
 draws into its output and copies the labels, Monte Carlo risks and the sweep
 cells score each block in place.  No output depends on the
 thread count.
-Expectations take an integrand of arrays (x, eta(x)), sum atoms exactly and
-integrate continuous components with ``_gauss_kronrod``, QUADPACK's adaptive
-21-point Gauss-Kronrod rule evaluated on every open panel in one array call,
-so the integrand runs once per round (absolute and relative tolerance 1e-10;
-an error estimate above 1e-8 raises ``QuadratureError``).  The error estimates
+Expectations take an integrand of arrays (x, eta(x)) and sum atoms exactly.
+``_integrate_continuous``, the one per-component integrator of expectations
+and of exact risks, runs ``_gauss_kronrod``, QUADPACK's adaptive 21-point
+Gauss-Kronrod rule evaluated on every open panel in one array call, so the
+integrand runs once per round (absolute and relative tolerance 1e-10; an
+error estimate above 1e-8 raises ``QuadratureError``).  The error estimates
 come back on request, and bound reports sum them into their ``quad_err``
 provenance entry.  scipy is used only for the normal cdf ``ndtr`` and its
-inverse ``ndtri``, imported when a truncated normal first needs them.
+inverse ``ndtri``, imported when a truncated normal first needs them; each
+truncated normal computes the tail at its lower end once.
 
 The two preset families used by the simulation sweeps live here as
 ``sect7_nonadversarial`` and ``sect7_adversarial`` (names kept short in the
@@ -103,13 +105,21 @@ class TruncNormal:
         # the complementary tail ndtr(-z) keeps full relative precision.
         return self.lo > self.mean
 
-    @functools.cached_property
-    def _mass(self) -> float:
+    def _tail(self, x):
+        """The normal cdf at z(x), or on an upper tail its complement ndtr(-z(x))."""
         from scipy.special import ndtr  # scipy.special is imported on first use
 
+        return ndtr(-self._z(x) if self._upper else self._z(x))
+
+    @functools.cached_property
+    def _lo_tail(self) -> float:
+        return float(self._tail(self.lo))
+
+    @functools.cached_property
+    def _mass(self) -> float:
         if self._upper:
-            return float(ndtr(-self._z(self.lo)) - ndtr(-self._z(self.hi)))
-        return float(ndtr(self._z(self.hi)) - ndtr(self._z(self.lo)))
+            return float(self._lo_tail - self._tail(self.hi))
+        return float(self._tail(self.hi) - self._lo_tail)
 
     def pdf(self, x):
         x_arr = np.asarray(x, dtype=float)
@@ -120,29 +130,24 @@ class TruncNormal:
         return out if isinstance(x, np.ndarray) else float(out)
 
     def cdf(self, x):
-        from scipy.special import ndtr
-
-        x_arr = np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
-        if self._upper:
-            out = (ndtr(-self._z(self.lo)) - ndtr(-self._z(x_arr))) / self._mass
-        else:
-            out = (ndtr(self._z(x_arr)) - ndtr(self._z(self.lo))) / self._mass
+        tail = self._tail(np.clip(np.asarray(x, dtype=float), self.lo, self.hi))
+        out = (self._lo_tail - tail if self._upper else tail - self._lo_tail) / self._mass
         return out if isinstance(x, np.ndarray) else float(out)
 
     def ppf(self, u, out=None):
         """Inverse cdf at u, written into ``out`` when given (a float64 array
         of u's shape, u itself included)."""
-        from scipy.special import ndtr, ndtri
+        from scipy.special import ndtri
 
-        # clip(mean + std * ndtri(lo_mass + u * mass)), computed in one buffer;
-        # on an upper tail, clip(mean - std * ndtri(upper_lo_mass - u * mass))
+        # clip(mean + std * ndtri(lo_tail + u * mass)), computed in one buffer;
+        # on an upper tail, clip(mean - std * ndtri(lo_tail - u * mass))
         x = np.multiply(u, self._mass, out=np.empty(np.shape(u)) if out is None else out)
         if self._upper:
-            np.subtract(ndtr(-self._z(self.lo)), x, out=x)
+            np.subtract(self._lo_tail, x, out=x)
             ndtri(x, out=x)
             x *= -self.std
         else:
-            x += ndtr(self._z(self.lo))
+            x += self._lo_tail
             ndtri(x, out=x)
             x *= self.std
         x += self.mean
@@ -222,22 +227,11 @@ class LabeledDistribution:
         """P(y = +1 | x), for a scalar x or elementwise for an ndarray.
 
         Point masses dominate at their exact locations; where neither atoms
-        nor densities put mass, returns 1/2."""
-        if isinstance(x, np.ndarray):
-            return self._eta_from(x, [(c, c.law.pdf(x)) for c in self._continuous])
-        e = self._atom_eta.get(x)
-        if e is not None:
-            return e
-        d_pos = d_neg = 0.0
-        for c in self._continuous:
-            d = c.weight * c.law.pdf(x)
-            if c.label > 0:
-                d_pos += d
-            else:
-                d_neg += d
-        if d_pos + d_neg == 0.0:
-            return 0.5
-        return d_pos / (d_pos + d_neg)
+        nor densities put mass, returns 1/2.  A scalar is taken as a
+        one-element array."""
+        xs = x if isinstance(x, np.ndarray) else np.array([x], dtype=float)
+        out = self._eta_from(xs, [(c, c.law.pdf(xs)) for c in self._continuous])
+        return out if xs is x else float(out[0])
 
     def _eta_from(self, x, densities):
         """eta at the array x from (continuous component, its pdf at x)
@@ -521,9 +515,32 @@ def _gauss_kronrod(f, a: float, b: float, points=(), epsabs: float = 1e-10):
         lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
 
 
+def _integrate_continuous(dist: LabeledDistribution, integrand_on, points, total: float):
+    """(total + sum of weight * integral, sum of weight * error estimate)
+    over the continuous components of dist, added in component order.
+
+    ``integrand_on(c)`` maps 1-D node arrays to the integrand over component
+    c's support, its density included; ``_gauss_kronrod`` integrates it,
+    first panels split at ``points``.  Raises ``QuadratureError`` when a
+    component's error estimate exceeds 1e-8.  Exact risks and ``expectation``
+    both integrate here, starting from their atoms' part.
+    """
+    error = 0.0
+    for c in dist.continuous():
+        law = c.law
+        val, err = _gauss_kronrod(integrand_on(c), law.lo, law.hi, points)
+        if err > _QUAD_ABS_TOL:
+            raise QuadratureError(
+                f"quadrature error {err:.2e} above tolerance {_QUAD_ABS_TOL:.0e} on [{law.lo}, {law.hi}]"
+            )
+        total += c.weight * val
+        error += c.weight * err
+    return total, error
+
+
 def expectation(dist: LabeledDistribution, integrand, points=(), with_error: bool = False):
     """E_X[integrand(x, eta(x))]: atoms summed exactly, continuous components
-    integrated by ``_gauss_kronrod`` to absolute tolerance 1e-10.
+    integrated by ``_integrate_continuous`` (absolute tolerance 1e-10).
 
     integrand maps 1-D float arrays (x, eta(x)) to the integrand's values
     there, an array of the same shape.  It is called once for all atoms and
@@ -533,31 +550,27 @@ def expectation(dist: LabeledDistribution, integrand, points=(), with_error: boo
     ``with_error`` returns (value, error), the error being the components'
     estimates weighted like their values.
     """
-    total = error = 0.0
+    total = 0.0
     atoms = dist.atoms()
     if atoms:
         xs = np.array([c.law.x for c in atoms])
         vals = integrand(xs, dist.eta(xs)).tolist()
         for c, v in zip(atoms, vals):
             total += c.weight * v
-    for c in dist.continuous():
-        law = c.law
+
+    def integrand_on(c):
         # eta from the components whose support meets this one's: the others'
         # densities are exact zeros here, and this one's pdf is the weight
-        near = [o for o in dist.continuous() if o.law.lo <= law.hi and law.lo <= o.law.hi]
+        near = [o for o in dist.continuous() if o.law.lo <= c.law.hi and c.law.lo <= o.law.hi]
 
-        def f(xs, _c=c, _near=near):
-            densities = [(o, o.law.pdf(xs)) for o in _near]
-            own = next(pdf for o, pdf in densities if o is _c)
+        def f(xs):
+            densities = [(o, o.law.pdf(xs)) for o in near]
+            own = next(pdf for o, pdf in densities if o is c)
             return integrand(xs, dist._eta_from(xs, densities)) * own
 
-        val, err = _gauss_kronrod(f, law.lo, law.hi, points, epsabs=_QUAD_ABS_TOL * 1e-2)
-        if err > _QUAD_ABS_TOL:
-            raise QuadratureError(
-                f"quadrature error {err:.2e} above tolerance {_QUAD_ABS_TOL:.0e} on [{law.lo}, {law.hi}]"
-            )
-        total += c.weight * val
-        error += c.weight * err
+        return f
+
+    total, error = _integrate_continuous(dist, integrand_on, points, total)
     return (total, error) if with_error else total
 
 
@@ -596,7 +609,7 @@ def dist_from_json_dict(obj: dict) -> LabeledDistribution:
     for entry in obj["components"]:
         _require_keys(entry, {"weight", "label", "law"}, "each of 'components'")
         law = _law_from_json(entry["law"])
-        comps.append(Component(_number(entry, "weight"), _number(entry, "label", int), law))
+        comps.append(Component(_number(entry, "weight"), _number(entry, "label", integral=True), law))
     return LabeledDistribution(tuple(comps))
 
 
@@ -613,11 +626,17 @@ def _require_object(obj, what: str) -> None:
         raise ValueError(f"{what} takes a JSON object, got {obj!r}")
 
 
-def _number(obj: dict, key: str, kind=float):
+def _number(obj: dict, key: str, integral: bool = False):
+    """obj[key] as a float, or as an int when integral; a bool, a value that
+    float() refuses and a fractional integral value raise ``ValueError``."""
+    value = obj[key]
     try:
-        return kind(obj[key])
-    except (TypeError, ValueError):
-        raise ValueError(f"{key!r} takes a number, got {obj[key]!r}") from None
+        number = None if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or integral and not number.is_integer():
+        raise ValueError(f"{key!r} takes {'an integer' if integral else 'a number'}, got {value!r}")
+    return int(number) if integral else number
 
 
 def _require_keys(obj: dict, allowed: set, what: str) -> None:

@@ -122,9 +122,6 @@ class LinearHypothesis:
                 raise ValueError(f"h needs a finite {name}, got {name} = {value}")
         object.__setattr__(self, "w", float(w))
 
-    def score(self, x):
-        return self.w * np.asarray(x, dtype=float) + self.b
-
     def validate(self, spec: HypothesisSpec) -> "LinearHypothesis":
         if spec.cls is not HypothesisClass.LINEAR:
             raise ValueError("LinearHypothesis only validates against a LINEAR spec")

@@ -38,7 +38,6 @@ __all__ = [
     "quadratic",
     "sigmoid",
     "rho_margin",
-    "sign",
     "eval_margin_loss",
     "check_truncation_eps",
 ]
@@ -99,15 +98,6 @@ def sigmoid(k: float = 1.0) -> MarginLoss:
 
 def rho_margin(rho: float = 1.0) -> MarginLoss:
     return MarginLoss(LossFamily.RHO_MARGIN, rho=rho)
-
-
-def sign(alpha: float) -> int:
-    """Classification sign with the tie broken toward +1: sign(0) = +1.
-
-    ``bounds._score_kernel`` applies the same convention on arrays, and in
-    its robust case counts a worst-case score of exactly 0 as an error.
-    """
-    return 1 if alpha >= 0 else -1
 
 
 def eval_margin_loss(loss: MarginLoss, alpha, out=None):

@@ -219,20 +219,6 @@ class PiecewiseTransform:
         """Largest one-sided derivative at t (conservative at breakpoints)."""
         return max(self._one_sided_derivatives(t))
 
-    def scaled(self, factor: float) -> "PiecewiseTransform":
-        """Pointwise multiple of this transform (used to build negative controls)."""
-        segs = []
-        for seg in self.segments:
-            if seg.kind == "affine":
-                a, b = seg.coefficients
-                segs.append(Segment("affine", (factor * a, factor * b)))
-            elif seg.kind == "power":
-                s, e = seg.coefficients
-                segs.append(Segment("power", (factor * s, e)))
-            else:
-                raise ValueError(f"cannot scale segment kind {seg.kind!r} in closed form")
-        return replace(self, segments=tuple(segs), note=f"scaled x{factor:g}")
-
     def inverse(self) -> "PiecewiseTransform":
         """Inverse of an increasing forward transform, segment by segment.
         Its breakpoints are this transform's values at its breakpoints, so its

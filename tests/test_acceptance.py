@@ -37,6 +37,7 @@ from hcbounds.transforms import (
     transform,
     transform_inverse,
 )
+from test_transforms import scaled
 
 LIN = HypothesisClass.LINEAR
 RELU = HypothesisClass.ONE_HIDDEN_RELU
@@ -194,7 +195,7 @@ def test_criterion_5_discrete_psi_verification():
     dist = LabeledDistribution.from_atoms(((0.2, 0.6, 0.9), (0.7, 0.4, 0.2)))
     spec = HypothesisSpec(LIN, W=1.0, B=0.5)
     control = verify_psi_bound_discrete(
-        dist, hinge(), spec, transform(hinge(), spec).scaled(2.0), [LinearHypothesis((1.0,), -0.21)]
+        dist, hinge(), spec, scaled(transform(hinge(), spec), 2.0), [LinearHypothesis((1.0,), -0.21)]
     )
     _announce(
         "criterion 5 (discrete convex-Psi verification)",

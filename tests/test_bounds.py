@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hcbounds import bounds
+from hcbounds import bounds, distributions
 from hcbounds.bounds import (
     Exact,
     MonteCarlo,
@@ -43,6 +43,7 @@ from hcbounds.distributions import (
     Atom,
     Component,
     LabeledDistribution,
+    QuadratureError,
     TruncNormal,
     expectation,
     sample,
@@ -63,6 +64,7 @@ from hcbounds.losses import (
 )
 from hcbounds.transforms import NegativeResultError, massart_transform, transform
 from test_conditional import conditional_risk, conditional_risk_zero_one
+from test_transforms import scaled
 
 LIN = HypothesisClass.LINEAR
 ALL = HypothesisClass.ALL
@@ -85,6 +87,17 @@ class TestRisk:
         h0 = LinearHypothesis((0.0,), 0.0)
         val, _ = risk(rho_margin(1.0), h0, d, Exact(), adversarial=True, gamma=0.1)
         assert val == pytest.approx(1.0)
+
+    def test_risk_and_expectation_share_the_quadrature_ceiling(self, monkeypatch):
+        # an error estimate of 2e-8 is above the one 1e-8 ceiling, whoever integrates
+        monkeypatch.setattr(distributions, "_gauss_kronrod", lambda f, a, b, points=(), epsabs=1e-10: (0.0, 2e-8))
+        d, h = sect7_nonadversarial(0.1), LinearHypothesis((-5.0,), 0.0)
+        with pytest.raises(QuadratureError, match="above tolerance 1e-08"):
+            risk(hinge(), h, d, Exact())
+        with pytest.raises(QuadratureError, match="above tolerance 1e-08"):
+            expectation(d, lambda x, e: e)
+        monkeypatch.setattr(distributions, "_gauss_kronrod", lambda f, a, b, points=(), epsabs=1e-10: (0.0, 1e-8))
+        assert risk(hinge(), h, d, Exact(), with_error=True)[2] == 1e-8 * (7 / 16 + 7 / 16)
 
     def test_exact_matches_monte_carlo(self):
         d = sect7_nonadversarial(0.1)
@@ -398,11 +411,18 @@ class TestAssembleBound:
         d = singleton(0.3, 0.6)  # |eta - 1/2| = 0.1 < 0.25
         spec = HypothesisSpec(ALL)
         h = LinearHypothesis((1.0,), 0.0)
-        with pytest.warns(UserWarning, match="at 2 grid points"):
+        with pytest.warns(UserWarning, match="at 1 grid points and atom locations"):
             rep = assemble_bound(Target.ZERO_ONE, quadratic(), spec, d, h, massart=0.25)
-        assert dict(rep.provenance)["massart_violations"] == 2  # one per atom
+        assert dict(rep.provenance)["massart_violations"] == 1  # one location, two atoms
         plain = assemble_bound(Target.ZERO_ONE, quadratic(), spec, d, h)
         assert "massart_violations" not in dict(plain.provenance)
+
+    def test_massart_violations_count_locations_not_atoms(self):
+        d = LabeledDistribution.from_atoms([(0.0, 1.0, 0.5)])  # two atoms at x = 0
+        h = LinearHypothesis((1.0,), 0.0)
+        with pytest.warns(UserWarning, match="at 1 grid points and atom locations"):
+            rep = assemble_bound(Target.ZERO_ONE, quadratic(), HypothesisSpec(ALL), d, h, massart=0.5)
+        assert dict(rep.provenance)["massart_violations"] == 1
 
     @pytest.mark.parametrize("beta", [0.5, 0.25, 0.1])
     @pytest.mark.parametrize(
@@ -425,16 +445,17 @@ class TestAssembleBound:
         ids=["nonadv-0.2", "nonadv-0.02", "adv-0.2", "adv-0.02", "overlap"],
     )
     def test_massart_count_matches_scalar_loop(self, dist, beta):
+        # the overlap case's atoms sit on the grid point x = 0, counted once
         def reference(dist, beta):
-            bad = 0
+            bad = set()
             for x in np.linspace(-1.0, 1.0, 10001):
                 dens = sum(c.weight * c.law.pdf(float(x)) for c in dist.continuous())
                 if dens > 1e-12 and abs(dist.eta(float(x)) - 0.5) < beta - 1e-12:
-                    bad += 1
+                    bad.add(float(x))
             for c in dist.atoms():
                 if abs(dist.eta(c.law.x) - 0.5) < beta - 1e-12:
-                    bad += 1
-            return bad
+                    bad.add(c.law.x)
+            return len(bad)
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -935,7 +956,7 @@ class TestDiscretePsiBound:
         # small reach and a barely-negative score
         dist = LabeledDistribution.from_atoms(((0.2, 0.6, 0.9), (0.7, 0.4, 0.2)))
         spec = HypothesisSpec(LIN, W=1.0, B=0.5)
-        psi2 = transform(hinge(), spec).scaled(2.0)
+        psi2 = scaled(transform(hinge(), spec), 2.0)
         hyps = [LinearHypothesis((1.0,), -0.21)]  # score -0.01 at x=0.2
         res = verify_psi_bound_discrete(dist, hinge(), spec, psi2, hyps)
         assert not res.precondition_ok
@@ -988,7 +1009,7 @@ class TestDiscretePsiBound:
         # test_scaled_transform_flagged's distribution, x = 0.7 listed first
         # and each location split in two: the violation moves to location 1
         spec = HypothesisSpec(LIN, W=1.0, B=0.5)
-        psi2 = transform(hinge(), spec).scaled(2.0)
+        psi2 = scaled(transform(hinge(), spec), 2.0)
         hyps = [LinearHypothesis((1.0,), -0.21)]
         dist = LabeledDistribution.from_atoms(((0.2, 0.6, 0.9), (0.7, 0.4, 0.2)))
         shuffled = LabeledDistribution.from_atoms(((0.7, 0.1, 0.2), (0.2, 0.3, 0.9), (0.7, 0.3, 0.2), (0.2, 0.3, 0.9)))
@@ -1012,13 +1033,13 @@ class TestDiscretePsiBound:
             hyps = [LinearHypothesis((float(rng.uniform(-1, 1)),), float(rng.uniform(-spec.B, spec.B)))
                     for _ in range(8)]
             loss = losses[trial % len(losses)]
-            psi2 = transform(loss, spec).scaled(2.0)
+            psi2 = scaled(transform(loss, spec), 2.0)
             want = []
             locations = list(dict.fromkeys(float(x) for x, _, _ in atoms))
             for hj, h in enumerate(hyps):
                 for ai, x in enumerate(locations):
                     e = dist.eta(x)
-                    point, u = ConditionalPoint(abs(x), e), float(h.score(x))
+                    point, u = ConditionalPoint(abs(x), e), h.w * x + h.b
                     target = conditional_risk_zero_one(u, e) - min(e, 1.0 - e)
                     surr = conditional_risk(loss, spec, u, point) - min_conditional_risk(loss, spec, point)
                     if float(psi2(target)) - surr > 1e-10:

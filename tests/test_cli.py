@@ -610,7 +610,10 @@ class TestUnreadableInputs:
         ({"components": [{"weight": None, "label": 1, "law": ATOM}]}, "'weight' takes a number, got None"),
         ({"components": [{"weight": 1.0, "label": 1, "law": {"kind": "atom", "x": [0.5]}}]},
          "'x' takes a number, got [0.5]"),
-    ], ids=["components-number", "component-number", "law-number", "weight-null", "atom-x-list"])
+        ({"components": [{"weight": 1.0, "label": 1.7, "law": ATOM}]}, "'label' takes an integer, got 1.7"),
+        ({"components": [{"weight": True, "label": 1, "law": ATOM}]}, "'weight' takes a number, got True"),
+    ], ids=["components-number", "component-number", "law-number", "weight-null", "atom-x-list", "label-fraction",
+            "weight-bool"])
     def test_malformed_dist_exits_2(self, capsys, dist, msg):
         assert main([*self.BOUND, "--dist", json.dumps(dist)]) == 2
         assert msg in capsys.readouterr().err

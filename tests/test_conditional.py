@@ -42,7 +42,6 @@ from hcbounds.losses import (
     quadratic,
     rho_margin,
     sigmoid,
-    sign,
 )
 
 LIN = HypothesisClass.LINEAR
@@ -254,6 +253,14 @@ def conditional_risk(loss, spec, u, point):
         if not lo <= u <= hi:
             raise ValueError(f"score u={u} outside attainable range [{lo}, {hi}]")
     return _interval_risk(loss, point.t, u, u)
+
+
+def sign(alpha):
+    """Classification sign with the tie broken toward +1, sign(0) = +1: the
+    tests' reference (also of test_losses) for ``bounds._score_kernel``'s
+    indicator, which in its robust case counts a worst-case score of
+    exactly 0 as an error."""
+    return 1 if alpha >= 0 else -1
 
 
 def conditional_risk_zero_one(u, t):

