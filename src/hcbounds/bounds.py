@@ -1,10 +1,11 @@
 """Assembled estimation-error bounds and their verification primitives.
 
 Pieces: generalization risks of a concrete linear hypothesis (exact, or
-Monte Carlo with standard errors), best-in-class risks at d=1 by
-coarse-to-fine (w, b) grid refinement, minimizability gaps (best-in-class
-risk minus the expected pointwise minimal conditional risk), and complete
-bound reports of the form
+Monte Carlo with standard errors), best-in-class risks at d=1 (the zero-one
+target's exactly, by reducing the linear class to thresholds; a margin
+loss's by coarse-to-fine (w, b) grid refinement, to 1e-4), minimizability
+gaps (best-in-class risk minus the expected pointwise minimal conditional
+risk), and complete bound reports of the form
 
     target_excess  <=  Gamma(surrogate_excess + M_surrogate) - M_target
 
@@ -44,6 +45,7 @@ import numpy as np
 from ._runtime import thread_map
 from .conditional import ConditionalPoint, _adversarial_bracket, _interval_risk, _min_risk, brute_force_inf
 from .distributions import LabeledDistribution, _SAMPLE_BLOCK, _integrate_continuous, _map_sample_blocks, expectation
+from .distributions import _EPMACH, _UFLOW  # machine epsilon and the least normal double
 from .hypotheses import HypothesisClass, HypothesisSpec, LinearHypothesis
 from .losses import (
     ZERO_ONE,
@@ -70,10 +72,13 @@ __all__ = [
     "negative_result_demo",
 ]
 
-_BIC_TOL = 1e-4
+_BIC_TOL = 1e-4  # accuracy of the margin-loss grid search
 _GL_NODES = 201
 _REFINE_ROUNDS = 4  # initial grid + 3 tenfold refinements
 _GRID_SIDE = 41
+_SIDE_ULPS = 16  # a threshold breakpoint's neighbours, in ulps of the kernel's operands
+_SLOPE_NODES = np.linspace(-8.0, 8.0, 33)  # bracketing nodes, in standard deviations from the mean
+_BISECTIONS = 40
 _PSI_TOL = 1e-10  # rounding allowance of the discrete verifier's checks
 
 
@@ -264,7 +269,7 @@ def risk(
     if isinstance(mode, MonteCarlo):
         ((value, se),) = _mc_risks((loss,), h, dist, mode, adversarial, gamma)
     elif isinstance(loss, ZeroOneLoss):
-        value = float(_risk_grid(loss, dist, [h.w], [h.b], adversarial, gamma)[0, 0])
+        value = float(_zero_one_risk(dist, h.w, h.b, adversarial, gamma))
     else:
 
         def integrand_on(c):
@@ -277,7 +282,8 @@ def risk(
 
 
 # ---------------------------------------------------------------------------
-# best-in-class risk by grid refinement (d=1, linear class)
+# best-in-class risk (d=1, linear class): thresholds for zero-one, a grid for
+# margin losses
 # ---------------------------------------------------------------------------
 
 
@@ -324,20 +330,26 @@ def _error_mass(law, label, w, b, adversarial, gamma):
     return np.where(w == 0.0, err0, sided)
 
 
+def _zero_one_risk(dist, w, b, adversarial, gamma):
+    """Exact zero-one (or robust zero-one) risk of the scores w*x + b, w and b
+    broadcast: the atoms' kernel indicators, then each truncated normal's
+    closed-form error mass, added in component order."""
+    out = _atom_risk(ZERO_ONE, dist, w, b, adversarial, gamma)
+    for c in dist.continuous():
+        out = out + c.weight * _error_mass(c.law, c.label, w, b, adversarial, gamma)
+    return out
+
+
 def _risk_grid(loss, dist, w_vals, b_vals, adversarial, gamma):
-    """Risk of every (w, b) pair: exact tail masses for zero-one, fixed
-    Gauss-Legendre panels for margin losses (search accuracy only).  A loss
-    that overflows makes its cell's risk inf, silently; a node whose density
-    underflowed to 0 adds 0 there, never inf * 0."""
+    """Margin-loss risk of every (w, b) pair on fixed Gauss-Legendre panels
+    (search accuracy only).  A loss that overflows makes its cell's risk inf,
+    silently; a node whose density underflowed to 0 adds 0 there, never
+    inf * 0."""
     w = np.asarray(w_vals, dtype=float)[:, None]
     b = np.asarray(b_vals, dtype=float)[None, :]
     out = np.zeros((w.shape[0], b.shape[1]))
     with np.errstate(over="ignore"):
         out += _atom_risk(loss, dist, w, b, adversarial, gamma)
-        if isinstance(loss, ZeroOneLoss):
-            for c in dist.continuous():
-                out += c.weight * _error_mass(c.law, c.label, w, b, adversarial, gamma)
-            return out
         nodes, weights = _gauss_legendre()
         for c in dist.continuous():
             law = c.law
@@ -351,6 +363,87 @@ def _risk_grid(loss, dist, w_vals, b_vals, adversarial, gamma):
     return out
 
 
+def _zero_one_best_linear(spec: HypothesisSpec, dist: LabeledDistribution, adversarial: bool) -> BestInClass:
+    """R*_01,H over the linear class, exactly, by the threshold reduction.
+
+    For w != 0 the kernel's error at (x, y) depends only on the threshold
+    theta = -b/w and the orientation s = sign(w): the robust error is
+    y*s*(x - theta) <= gamma, the standard one a half-line in x beyond theta.
+    With B > 0 every theta lies in the class (|w| = min(W, B/|theta|),
+    b = -w*theta), with B = 0 only theta = 0, and w = 0 gives the constants.
+    In theta the risk is the atoms' step function plus the truncated
+    normals' tail masses, whose derivative is the signed density sum
+    sum_c y_c*s*weight_c*pdf_c(theta + gamma*y_c*s).  Its least value is
+    taken, or approached from one side, at a breakpoint (an atom location or
+    a support end, each +-gamma) or where that derivative turns from negative
+    to positive.
+
+    Candidates, in both orientations: every breakpoint, and the thresholds
+    16 ulps of the kernel's operands (|breakpoint| + gamma) to either side of
+    it, where the kernel's float arithmetic puts an atom at the breakpoint on
+    each side; the derivative's sign changes, bracketed on nodes spread over
+    each component's support and +-8 standard deviations of its mean, then
+    bisected; and the constants.  Each candidate is scored as the (w, b) of
+    the class that realizes it by ``_zero_one_risk``, the exact risk that
+    ``risk`` computes, so value is the risk of the returned (w, b).  It
+    differs from the infimum by rounding only, unless two breakpoints lie
+    closer than the kernel's rounding, a gap no float (w, b) can realize.
+    """
+    gamma = spec.gamma if adversarial else 0.0
+    W, B = spec.W, spec.B
+    shifts = (-gamma, gamma) if adversarial else (0.0,)
+    comps = dist.continuous()
+    ends = [e for c in comps for e in (c.law.lo, c.law.hi)]
+    points = np.unique(np.add.outer([c.law.x for c in dist.atoms()] + ends, shifts))
+    step = _SIDE_ULPS * _EPMACH * (np.abs(points) + gamma) + _UFLOW
+
+    def slope(theta, s):  # d risk / d theta in orientation s, at the array theta
+        out = np.zeros(theta.shape)
+        for c in comps:
+            ys = c.label * s
+            out = out + ys * c.weight * c.law.pdf(theta + gamma * ys)
+        return out
+
+    nodes = [points]
+    for c in comps:
+        law = c.law
+        spread = np.clip(law.mean + law.std * _SLOPE_NODES, law.lo, law.hi)
+        xs = np.concatenate((spread, np.linspace(law.lo, law.hi, 17)))
+        nodes.append(np.add.outer(xs, shifts).ravel())
+    nodes = np.unique(np.concatenate(nodes))
+    # midpoints too: across a gap between supports the slope is 0, not a turn
+    nodes = np.sort(np.concatenate((nodes, 0.5 * (nodes[:-1] + nodes[1:]))))
+    lo, hi, orient = [], [], []
+    for s in (1.0, -1.0):
+        d = slope(nodes, s)
+        turn = np.flatnonzero((d[:-1] < 0.0) & (d[1:] >= 0.0))
+        hi.append(nodes[turn + 1])
+        lo.append(np.where(d[turn + 1] == 0.0, hi[-1], nodes[turn]))  # a turn on a node needs no bisection
+        orient.append(np.full(turn.size, s))
+    lo, hi, orient = map(np.concatenate, (lo, hi, orient))
+    if np.any(lo < hi):
+        for _ in range(_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            up = slope(mid, orient) > 0.0
+            lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+
+    both = np.concatenate((points - step, points, points + step))
+    theta = np.concatenate((both, both, 0.5 * (lo + hi)))
+    sign = np.concatenate((np.ones(both.size), -np.ones(both.size), orient))
+    if B == 0.0:  # only theta = 0 is in the class
+        theta, sign = np.zeros(2), np.array([1.0, -1.0])
+    if W == 0.0:
+        theta, sign = np.zeros(0), np.zeros(0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # W where B / |theta| > W or theta = 0
+        w = sign * np.where(theta == 0.0, W, np.minimum(W, B / np.abs(theta)))
+    b = np.clip(-w * theta, -B, B)
+    const = min(B, 1.0)  # any bias of that sign makes w = 0 the same constant; B may be inf
+    w, b = np.append(w, (0.0, 0.0)), np.append(b, (const, -const))
+    risks = _zero_one_risk(dist, w, b, adversarial, gamma)
+    i = int(np.argmin(risks))
+    return BestInClass(float(risks[i]), exact=True, tol=0.0, w=float(w[i]), b=float(b[i]))
+
+
 def best_in_class_risk(
     loss, spec: HypothesisSpec, dist: LabeledDistribution, adversarial: bool = False
 ) -> BestInClass:
@@ -358,8 +451,11 @@ def best_in_class_risk(
 
     Unrestricted class: exact, as the expectation of the pointwise minimal
     conditional risk (the class attains the pointwise optimum everywhere).
-    Linear class: coarse-to-fine (w, b) grid refinement; the returned value
-    re-evaluates the best grid point with ``risk``'s exact quadrature.
+    Linear class, zero-one loss: exact (tol 0), by the threshold reduction of
+    ``_zero_one_best_linear``, for every W and B (B = inf included).  Linear
+    class, margin loss: coarse-to-fine (w, b) grid refinement over finite W
+    and B (tol 1e-4); the returned value re-evaluates the best grid point
+    with ``risk``'s exact quadrature.
     """
     if adversarial and not spec.adversarial:
         raise ValueError("adversarial best-in-class risk needs spec.gamma > 0")
@@ -370,6 +466,8 @@ def best_in_class_risk(
         return BestInClass(val, exact=True, tol=0.0, quad_err=err)
     if spec.cls is not HypothesisClass.LINEAR:
         raise ValueError("best-in-class search supports the linear and unrestricted classes")
+    if isinstance(loss, ZeroOneLoss):
+        return _zero_one_best_linear(spec, dist, adversarial)
     if not (math.isfinite(spec.W) and math.isfinite(spec.B)):
         raise ValueError("grid search needs finite W and B")
     gamma = spec.gamma if adversarial else 0.0
@@ -452,13 +550,13 @@ class BoundReport:
 
 def _check_massart_on_dist(dist: LabeledDistribution, beta: float) -> int:
     """Grid check of |eta - 1/2| >= beta off zero-density sets, and at every
-    atom location; warns on violation and returns the number of distinct
-    violating locations."""
+    location of an atom with mass; warns on violation and returns the number
+    of distinct violating locations."""
     grid = np.linspace(-1.0, 1.0, 10001)
     dens = np.zeros_like(grid)
     for c in dist.continuous():
         dens += c.weight * c.law.pdf(grid)
-    locs = np.array(list(dict.fromkeys(c.law.x for c in dist.atoms())), dtype=float)
+    locs = np.array(list(dict.fromkeys(c.law.x for c in dist.atoms() if c.weight > 0.0)), dtype=float)
     xs = np.concatenate((grid, locs))
     checked = np.concatenate((dens > 1e-12, np.ones(locs.size, dtype=bool)))
     bad = np.unique(xs[checked & (np.abs(dist.eta(xs) - 0.5) < beta - 1e-12)]).size
@@ -551,7 +649,7 @@ def assemble_bound(
         ("mode", "mc" if isinstance(mode, MonteCarlo) else "exact"),
         ("n", getattr(mode, "n", 0)),
         ("seed", getattr(mode, "seed", 0)),
-        ("best_in_class_tol", _BIC_TOL if spec.cls is not HypothesisClass.ALL else 0.0),
+        ("best_in_class_tol", star_target.tol),
         ("massart_beta", massart if massart is not None else ""),
         ("target", target.value),
         ("quad_err", r_surr_err + star_target.quad_err + e_target_err + e_surr_err),

@@ -627,11 +627,12 @@ def _require_object(obj, what: str) -> None:
 
 
 def _number(obj: dict, key: str, integral: bool = False):
-    """obj[key] as a float, or as an int when integral; a bool, a value that
-    float() refuses and a fractional integral value raise ``ValueError``."""
+    """obj[key] as a float, or as an int when integral; a bool, a string, a
+    value that float() refuses and a fractional integral value raise
+    ``ValueError``."""
     value = obj[key]
     try:
-        number = None if isinstance(value, bool) else float(value)
+        number = None if isinstance(value, (bool, str)) else float(value)
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or integral and not number.is_integer():

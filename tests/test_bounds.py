@@ -25,6 +25,7 @@ from hcbounds.bounds import (
     _pointwise_losses,
     _risk_grid,
     _score_kernel,
+    _zero_one_risk,
     assemble_bound,
     best_in_class_risk,
     negative_result_demo,
@@ -64,6 +65,7 @@ from hcbounds.losses import (
 )
 from hcbounds.transforms import NegativeResultError, massart_transform, transform
 from test_conditional import conditional_risk, conditional_risk_zero_one
+from test_distributions import _eta_reference, _mixture
 from test_transforms import scaled
 
 LIN = HypothesisClass.LINEAR
@@ -144,7 +146,8 @@ _ZERO_ONE_RISK_DIGESTS = {
 }
 
 # SHA-256 of the bytes of _risk_grid on a 21 x 21 (w, b) grid, computed when
-# its atom and Gauss-Legendre branches still typed out the score arithmetic.
+# its atom and Gauss-Legendre branches still typed out the score arithmetic
+# (zero-one rows: _zero_one_risk on the same grid).
 _RISK_GRID_DIGESTS = {
     ("zero-one", False): "220ac628af4ebc399d5c146b0cb06ae87b1a79dfe5a63acbc95e17d36a14c61d",
     ("zero-one", True): "bc2068b3e088cdb50d548b15f5f13a86ff9e8a779474f1494a68134c9b89b617",
@@ -174,9 +177,15 @@ class TestPinnedRiskValues:
     @pytest.mark.parametrize("loss", _GRID_LOSSES, ids=lambda l: l.label())
     @pytest.mark.parametrize("adversarial", [False, True])
     def test_risk_grid_digest(self, loss, adversarial):
+        # zero-one: the exact risk that risk and the threshold search share,
+        # pinned when _risk_grid still had a zero-one branch
         dist = _PIN_DISTS["adv" if adversarial else "nonadv"]()
         w_vals, b_vals = np.linspace(-3.0, 3.0, 21), np.linspace(-1.0, 1.0, 21)
-        grid = _risk_grid(loss, dist, w_vals, b_vals, adversarial, 0.1 if adversarial else 0.0)
+        gamma = 0.1 if adversarial else 0.0
+        if isinstance(loss, ZeroOneLoss):
+            grid = _zero_one_risk(dist, w_vals[:, None], b_vals[None, :], adversarial, gamma)
+        else:
+            grid = _risk_grid(loss, dist, w_vals, b_vals, adversarial, gamma)
         assert hashlib.sha256(grid.tobytes()).hexdigest() == _RISK_GRID_DIGESTS[loss.label(), adversarial]
 
 
@@ -232,11 +241,154 @@ class TestBestInClass:
         # only the two flipped endpoint atoms are inseparable: R* = 1/8
         d = sect7_nonadversarial(0.05)
         got = best_in_class_risk(ZERO_ONE, HypothesisSpec(LIN, W=1.0, B=0.5), d)
-        assert got.value == pytest.approx(1 / 8, abs=1e-6)
+        assert got.value == 1 / 8
+        assert (got.exact, got.tol) == (True, 0.0)
 
     def test_relu_not_supported(self):
         with pytest.raises(ValueError):
             best_in_class_risk(hinge(), HypothesisSpec(HypothesisClass.ONE_HIDDEN_RELU), sect7_nonadversarial(0.1))
+
+
+def threshold_scan(spec, dist, adversarial, grid_n=2001):
+    """R*_01,H over a linear class at d = 1 by brute force over thresholds:
+    the zero-one best-in-class search's independent reference.
+
+    For w != 0 the error depends on (w, b) only through theta = -b/w and
+    s = sign(w).  This scores (theta, s) by the error's definition, not by
+    the score kernel: the robust error at (x, y) is y*s*(x - theta) <= gamma,
+    the standard one whether the prediction, +1 where s*(x - theta) >= 0,
+    differs from y.  Atoms are compared with theta in exact rational
+    arithmetic, at every breakpoint (an atom location or a support end, each
+    +-gamma) and in the limits from either side of it.  On each open
+    interval between breakpoints the atoms' part is constant, and the
+    truncated normals' tail masses are scanned on a ``grid_n``-point grid,
+    whose least interior point bounded Brent refines.  With B > 0 every
+    theta is in the class, with B = 0 only theta = 0, with W = 0 none; the
+    constants (w = 0, b = 0 and, with B > 0, b of either sign) complete it.
+    """
+    from fractions import Fraction
+
+    from scipy.optimize import minimize_scalar
+
+    gamma = spec.gamma if adversarial else 0.0
+    g = Fraction(gamma)
+    atoms = [(Fraction(c.law.x), c.label, c.weight) for c in dist.atoms()]
+    comps = dist.continuous()
+
+    def atom_part(theta, side, s):  # at theta + side * (an infinitesimal)
+        total = 0.0
+        for x, y, weight in atoms:
+            if adversarial:  # y*s*(x - theta) - gamma <= 0
+                a, e = y * s * (x - theta) - g, -y * s * side
+                err = a < 0 or (a == 0 and e <= 0)
+            else:  # the prediction is +1 where s*(x - theta) >= 0
+                a, e = s * (x - theta), -s * side
+                err = (a > 0 or (a == 0 and e >= 0)) != (y > 0)
+            total += weight * err
+        return total
+
+    def tail_part(theta, s):  # theta a float array
+        total = np.zeros(theta.shape)
+        for c in comps:
+            mass = c.law.cdf(theta + gamma) if c.label == s else 1.0 - c.law.cdf(theta - gamma)
+            total = total + c.weight * mass
+        return total
+
+    p_neg = math.fsum(c.weight for c in dist.components if c.label < 0)
+    values = [1.0 if adversarial else p_neg]  # w = 0, b = 0
+    if spec.B > 0:
+        values += [p_neg, 1.0 - p_neg]
+    if spec.W > 0 and spec.B == 0:
+        values += [atom_part(Fraction(0), 0, s) + float(tail_part(np.zeros(1), s)[0]) for s in (1, -1)]
+    elif spec.W > 0:
+        locs = [x for x, _, _ in atoms] + [Fraction(e) for c in comps for e in (c.law.lo, c.law.hi)]
+        points = sorted({x + d for x in locs for d in (g, -g)})
+        edges = [points[0] - 1, *points, points[-1] + 1]
+        for s in (1, -1):
+            tails = tail_part(np.array([float(p) for p in points]), s)
+            values += [atom_part(p, side, s) + t for p, t in zip(points, tails) for side in (-1, 0, 1)]
+            for lo, hi in zip(edges, edges[1:]):
+                xs = np.linspace(float(lo), float(hi), grid_n)
+                ts = tail_part(xs, s)
+                k = int(np.argmin(ts))
+                best = float(ts[k])
+                if 0 < k < grid_n - 1:
+                    res = minimize_scalar(lambda t: float(tail_part(np.array([t]), s)[0]), method="bounded",
+                                          bounds=(xs[k - 1], xs[k + 1]), options={"xatol": 1e-13})
+                    best = min(best, float(res.fun))
+                values.append(atom_part((lo + hi) / 2, 0, s) + best)
+    return float(min(values))
+
+
+# a -1 lobe on [-1, 0.6] and a +1 lobe on [0.6, 1]: theta = 0.6 splits them,
+# which a (w, b) grid search with B << W missed
+_SPLIT_AT_0_6 = LabeledDistribution(
+    (
+        Component(0.5, -1, TruncNormal(-1.0, 0.6, 0.2, 0.3)),
+        Component(0.5, 1, TruncNormal(0.6, 1.0, 0.8, 0.2)),
+    )
+)
+
+
+@st.composite
+def _linear_specs(draw):
+    """A linear class, robust or not, with B = 0, W = 0 and B = inf among
+    the drawn budgets."""
+    W = draw(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)))
+    B = draw(st.one_of(st.sampled_from([0.0, math.inf]), st.floats(1e-4, 2.0)))
+    return HypothesisSpec(LIN, W=W, B=B, gamma=draw(st.sampled_from([0.0, 0.05, 0.3])))
+
+
+class TestZeroOneThresholdSearch:
+    """The zero-one best-in-class risk over the linear class is exact: a
+    (w, b) in the class whose exact risk is the threshold scan's least
+    value, to rounding."""
+
+    @staticmethod
+    def _check(spec, dist):
+        adversarial = spec.adversarial
+        got = best_in_class_risk(ZERO_ONE, spec, dist, adversarial=adversarial)
+        h = LinearHypothesis((got.w,), got.b)
+        assert abs(h.w) <= spec.W and abs(h.b) <= spec.B
+        assert got.value == risk(ZERO_ONE, h, dist, Exact(), adversarial, spec.gamma)[0]
+        assert (got.exact, got.tol, got.quad_err) == (True, 0.0, 0.0)
+        assert abs(got.value - threshold_scan(spec, dist, adversarial)) <= 1e-12
+        return got
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=_linear_specs(), dist=_mixture())
+    @example(spec=HypothesisSpec(LIN, W=1.0, B=0.5), dist=sect7_nonadversarial(0.05))
+    @example(spec=HypothesisSpec(LIN, W=5.0, B=1.0, gamma=0.1), dist=sect7_adversarial(0.1, 0.1))
+    # overlapping lobes: the least risk lies where the slope turns, on a
+    # bracketing node (theta = 0, w > 0) and, with unequal lobes, between two
+    # (w < 0)
+    @example(spec=HypothesisSpec(LIN, W=1.0, B=1.0), dist=LabeledDistribution(
+        (Component(0.5, 1, TruncNormal(-1.0, 1.0, 0.3, 0.2)), Component(0.5, -1, TruncNormal(-1.0, 1.0, -0.3, 0.2)))))
+    @example(spec=HypothesisSpec(LIN, W=2.0, B=0.3, gamma=0.05), dist=LabeledDistribution(
+        (Component(0.6, -1, TruncNormal(-1.0, 1.0, 0.25, 0.2)), Component(0.4, 1, TruncNormal(-1.0, 0.9, -0.35, 0.3)))))
+    def test_matches_threshold_scan(self, spec, dist):
+        self._check(spec, dist)
+
+    def test_split_distribution_has_zero_risk_at_small_bias(self):
+        # the grid search gave R* = 3.6e-3 here, and lhs = -3.6e-3 below
+        spec = HypothesisSpec(LIN, W=1.0, B=0.001)
+        assert self._check(spec, _SPLIT_AT_0_6).value == 0.0
+        rep = assemble_bound(Target.ZERO_ONE, hinge(), spec, _SPLIT_AT_0_6, LinearHypothesis((0.001,), -0.0006))
+        assert rep.lhs == 0.0 and rep.m_target >= 0.0
+        assert dict(rep.provenance)["best_in_class_tol"] == 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        dist=_mixture(),
+        budgets=st.lists(st.tuples(st.floats(1e-3, 10.0), st.one_of(st.just(math.inf), st.floats(1e-4, 2.0))),
+                         min_size=2, max_size=4),
+        gamma=st.sampled_from([0.0, 0.05, 0.3]),
+    )
+    def test_same_for_every_positive_budget(self, dist, budgets, gamma):
+        # every threshold is in the class once B > 0, whatever W and B
+        values = [best_in_class_risk(ZERO_ONE, HypothesisSpec(LIN, W=W, B=B, gamma=gamma), dist,
+                                     adversarial=gamma > 0).value for W, B in budgets]
+        assert max(values) - min(values) <= 1e-12
 
 
 def _is_singleton(dist):
@@ -424,6 +576,13 @@ class TestAssembleBound:
             rep = assemble_bound(Target.ZERO_ONE, quadratic(), HypothesisSpec(ALL), d, h, massart=0.5)
         assert dict(rep.provenance)["massart_violations"] == 1
 
+    def test_massart_skips_zero_weight_atoms(self):
+        # no mass sits at x = 0, where eta is 1/2 by convention
+        d = LabeledDistribution((Component(1.0, 1, Atom(0.5)), Component(0.0, -1, Atom(0.0))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _check_massart_on_dist(d, 0.5) == 0
+
     @pytest.mark.parametrize("beta", [0.5, 0.25, 0.1])
     @pytest.mark.parametrize(
         "dist",
@@ -445,15 +604,16 @@ class TestAssembleBound:
         ids=["nonadv-0.2", "nonadv-0.02", "adv-0.2", "adv-0.02", "overlap"],
     )
     def test_massart_count_matches_scalar_loop(self, dist, beta):
-        # the overlap case's atoms sit on the grid point x = 0, counted once
+        # the overlap case's atoms sit on the grid point x = 0, counted once;
+        # eta by the scalar definition, not the package's array form
         def reference(dist, beta):
             bad = set()
             for x in np.linspace(-1.0, 1.0, 10001):
                 dens = sum(c.weight * c.law.pdf(float(x)) for c in dist.continuous())
-                if dens > 1e-12 and abs(dist.eta(float(x)) - 0.5) < beta - 1e-12:
+                if dens > 1e-12 and abs(_eta_reference(dist, float(x)) - 0.5) < beta - 1e-12:
                     bad.add(float(x))
             for c in dist.atoms():
-                if abs(dist.eta(c.law.x) - 0.5) < beta - 1e-12:
+                if c.weight > 0.0 and abs(_eta_reference(dist, c.law.x) - 0.5) < beta - 1e-12:
                     bad.add(c.law.x)
             return len(bad)
 

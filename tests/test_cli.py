@@ -327,6 +327,21 @@ class TestBoundCommand:
                      "--dist", str(path), "--w", "-0.4", "--b", "0", "--out", str(out)])
         assert code == 0
 
+    def test_zero_risk_hypothesis_has_zero_estimation_error(self, tmp_path):
+        # h splits the two lobes at x = 0.6; a (w, b) grid search with
+        # B << W missed that threshold and reported lhs = -3.6e-3
+        lobes = [{"weight": 0.5, "label": -1, "law": {"kind": "truncnormal", "lo": -1.0, "hi": 0.6, "mean": 0.2,
+                                                        "std": 0.3}},
+                 {"weight": 0.5, "label": 1, "law": {"kind": "truncnormal", "lo": 0.6, "hi": 1.0, "mean": 0.8,
+                                                       "std": 0.2}}]
+        out = tmp_path / "rep.json"
+        code = main(["bound", "--loss", "hinge", "--class", "linear", "--W", "1", "--B", "0.001",
+                     "--w", "0.001", "--b", "-0.0006", "--dist", json.dumps({"components": lobes}), "--out", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["lhs"] == 0.0 and doc["components"]["M_target"] >= 0.0
+        assert doc["provenance"]["best_in_class_tol"] == 0.0
+
 
 class TestBoundFlagsTheRunDoesNotRead:
     """--n/--seed are read only with --mode mc, --sigma only with a preset
@@ -612,8 +627,9 @@ class TestUnreadableInputs:
          "'x' takes a number, got [0.5]"),
         ({"components": [{"weight": 1.0, "label": 1.7, "law": ATOM}]}, "'label' takes an integer, got 1.7"),
         ({"components": [{"weight": True, "label": 1, "law": ATOM}]}, "'weight' takes a number, got True"),
+        ({"components": [{"weight": "1.0", "label": 1, "law": ATOM}]}, "'weight' takes a number, got '1.0'"),
     ], ids=["components-number", "component-number", "law-number", "weight-null", "atom-x-list", "label-fraction",
-            "weight-bool"])
+            "weight-bool", "weight-numeric-string"])
     def test_malformed_dist_exits_2(self, capsys, dist, msg):
         assert main([*self.BOUND, "--dist", json.dumps(dist)]) == 2
         assert msg in capsys.readouterr().err

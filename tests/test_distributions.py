@@ -701,8 +701,15 @@ class TestSerialization:
         ({"components": [{"weight": 1.0, "label": 1, "law": {"kind": "truncnormal", "lo": 0, "hi": 1,
                                                               "mean": False, "std": 1}}]},
          "'mean' takes a number, got False"),
+        ({"components": [{"weight": "1.0", "label": 1, "law": {"kind": "atom", "x": 0.5}}]},
+         "'weight' takes a number, got '1.0'"),
+        ({"components": [{"weight": 1.0, "label": "1", "law": {"kind": "atom", "x": 0.5}}]},
+         "'label' takes an integer, got '1'"),
+        ({"components": [{"weight": 1.0, "label": 1, "law": {"kind": "atom", "x": "0.5"}}]},
+         "'x' takes a number, got '0.5'"),
     ], ids=["number", "components-number", "component-number", "law-number", "weight-null", "atom-x-list",
-            "mean-string", "label-fraction", "weight-bool", "label-bool", "mean-bool"])
+            "mean-string", "label-fraction", "weight-bool", "label-bool", "mean-bool", "weight-numeric-string",
+            "label-numeric-string", "atom-x-numeric-string"])
     def test_malformed_shapes_name_the_field(self, doc, msg):
         with pytest.raises(ValueError, match=re.escape(msg)):
             dist_from_json_dict(doc)
