@@ -218,8 +218,6 @@ def _mc_risks(losses, h, dist, mode, adversarial, gamma) -> list:
 
 
 def _kink_margins(loss) -> tuple:
-    if isinstance(loss, ZeroOneLoss):
-        return (0.0,)
     fam = loss.family
     if fam in (LossFamily.HINGE, LossFamily.QUADRATIC):
         return (1.0,)
@@ -462,7 +460,7 @@ def best_in_class_risk(
     if spec.cls is HypothesisClass.ALL:
         if adversarial:
             raise ValueError("no exact machinery for the unrestricted class under perturbations")
-        val, err = _expect_min_conditional(loss, HypothesisSpec(HypothesisClass.ALL), dist, False)
+        val, err = _expect_min_conditional(loss, spec, dist, False)
         return BestInClass(val, exact=True, tol=0.0, quad_err=err)
     if spec.cls is not HypothesisClass.LINEAR:
         raise ValueError("best-in-class search supports the linear and unrestricted classes")
@@ -632,8 +630,11 @@ def assemble_bound(
     _require_finite("Gamma's argument R_surrogate(h) - E[C*]", y)
 
     star_target = best_in_class_risk(ZERO_ONE, spec, dist, adversarial=adversarial)
-    e_cstar_target, e_target_err = _expect_min_conditional(ZERO_ONE, spec, dist, adversarial)
-    m_target = 0.0 if spec.cls is HypothesisClass.ALL else star_target.value - e_cstar_target
+    if spec.cls is HypothesisClass.ALL:  # R*_01,H is E[C*_01]: one integral serves both
+        e_cstar_target, e_target_err = star_target.value, 0.0
+    else:
+        e_cstar_target, e_target_err = _expect_min_conditional(ZERO_ONE, spec, dist, adversarial)
+    m_target = star_target.value - e_cstar_target
     lhs = r_target - star_target.value
 
     y = max(y, 0.0)

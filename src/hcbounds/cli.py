@@ -20,8 +20,9 @@ error.  Exit codes: 0 success, 1 check failure, 2 validation error.  For a
 linear class, bound requires h(x) = w*x + b to lie in the class: the default
 --w -5 (the sweeps' h) needs --W >= 5, so under the default --W 1 it exits 2.
 sweep refuses, with exit 2, a flag that its experiment does not read, and
-bound one that its run does not read: --n and --seed without --mode mc,
---sigma with a JSON or path --dist.
+transform and bound one that their run does not read: --k without a sigmoid
+loss, --rho without a rho-margin loss, --Lambda without --class relu, and
+bound's --n and --seed without --mode mc, --sigma with a JSON or path --dist.
 HCB_THREADS sizes the process's one worker pool, which runs the sampler's
 blocks and each sweep cell's leaf passes while the sigma cells run one after
 another (default and ceiling: the CPU count; results never depend on it); an
@@ -101,7 +102,19 @@ def _run_meta() -> dict:
 # ---------------------------------------------------------------------------
 
 
+# the loss and class parameters, by the loss (sup- or not) or class that reads them
+_SPEC_FLAGS = {"--loss sigmoid": {"k": 1.0}, "--loss rho-margin": {"rho": 1.0}, "--class relu": {"Lambda": 1.0}}
+_SPEC_NEEDS = "--k needs a sigmoid loss, --rho a rho-margin loss, --Lambda --class relu"
+
+
+def _spec_cases(args) -> list:
+    return ["--loss " + args.loss.removeprefix("sup-"), "--class " + args.cls]
+
+
 def cmd_transform(args) -> int:
+    stray = _read_flags(args, _SPEC_FLAGS, _spec_cases(args))
+    if stray:
+        raise ValueError(f"this transform does not use {', '.join(stray)} ({_SPEC_NEEDS})")
     loss, wants_sup = _parse_loss(args.loss, args.k, args.rho)
     spec = _build_spec(args)
     if wants_sup and not spec.adversarial:
@@ -131,15 +144,17 @@ def cmd_transform(args) -> int:
 
 
 def _read_flags(args, table: dict, cases) -> list:
-    """Default the flags that the chosen cases of ``table`` (case -> {flag:
-    default}) read; return the table's other flags that were given (parser
-    default None), by flag or config key, as sorted '--name's."""
-    used = {key: default for case in cases for key, default in table[case].items()}
-    unused = {key for flags in table.values() for key in flags} - used.keys()
-    for key, default in used.items():
+    """Default the flags of ``table`` (case -> {flag: default}) that were not
+    given (parser default None), the chosen cases' defaults first; return
+    the flags given, by flag or config key, that no chosen case reads, as
+    sorted '--name's.  A case that is not in the table reads no flag."""
+    used = {key: default for case in cases for key, default in table.get(case, {}).items()}
+    defaults = {key: default for flags in table.values() for key, default in flags.items()} | used
+    given = [key for key in defaults.keys() - used.keys() if getattr(args, key) is not None]
+    for key, default in defaults.items():
         if getattr(args, key) is None:
             setattr(args, key, default)
-    return sorted("--" + key.replace("_", "-") for key in unused if getattr(args, key) is not None)
+    return sorted("--" + key.replace("_", "-") for key in given)
 
 
 def _flag_help(table: dict, key: str) -> str:
@@ -149,16 +164,16 @@ def _flag_help(table: dict, key: str) -> str:
 
 # the flags bound reads only in some runs, with their defaults, by the case
 # that reads them
-_BOUND_FLAGS = {"--mode mc": {"n": 10**6, "seed": 0}, "a preset --dist": {"sigma": 0.05}}
+_BOUND_FLAGS = {"--mode mc": {"n": 10**6, "seed": 0}, "a preset --dist": {"sigma": 0.05}, **_SPEC_FLAGS}
 
 
 def cmd_bound(args) -> int:
     reads = {"--mode mc": args.mode == "mc", "a preset --dist": args.dist in _PRESETS}
-    stray = _read_flags(args, _BOUND_FLAGS, [case for case, on in reads.items() if on])
+    stray = _read_flags(args, _BOUND_FLAGS, [case for case, on in reads.items() if on] + _spec_cases(args))
     if stray:
         raise ValueError(
             f"this bound run does not use {', '.join(stray)} "
-            "(--n and --seed need --mode mc, --sigma a preset --dist)"
+            f"(--n and --seed need --mode mc, --sigma a preset --dist; {_SPEC_NEEDS})"
         )
     loss, wants_sup = _parse_loss(args.loss, args.k, args.rho)
     spec = _build_spec(args)
@@ -195,7 +210,7 @@ def cmd_oracle_check(args) -> int:
             f"(threshold {row.threshold:.3e}, {row.instances} instances)"
         )
     if args.out:
-        _emit({"rows": [dataclasses.asdict(r) for r in rows]}, args.out)
+        _emit({"rows": [dataclasses.asdict(r) for r in rows], "meta": _run_meta()}, args.out)
     return 0 if ok else 1
 
 
@@ -260,9 +275,10 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--class", dest="cls", choices=sorted(_CLASSES), default="linear")
     p.add_argument("--W", type=float, default=1.0)
     p.add_argument("--B", type=float, default=1.0, help="bias budget; 'inf' allowed")
-    p.add_argument("--Lambda", type=float, default=1.0)
-    p.add_argument("--k", type=float, default=1.0)
-    p.add_argument("--rho", type=float, default=1.0)
+    # defaults in _SPEC_FLAGS; a flag the loss or class does not read exits 2
+    p.add_argument("--Lambda", type=float, help=_flag_help(_SPEC_FLAGS, "Lambda"))
+    p.add_argument("--k", type=float, help=_flag_help(_SPEC_FLAGS, "k"))
+    p.add_argument("--rho", type=float, help=_flag_help(_SPEC_FLAGS, "rho"))
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--massart-beta", dest="massart_beta", type=float, default=None)
 

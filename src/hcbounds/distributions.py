@@ -336,58 +336,6 @@ def _component_picker(cum):
     return pick
 
 
-def _block_filler(dist: LabeledDistribution, n: int, seed: int):
-    """The blocks of an n-draw sample and the body that draws one of them.
-
-    Returns (blocks, fill): blocks lists (chunk, m, a, start, size) in sample
-    order, and fill(block, bufs, x) draws that block's positions into x, a
-    float64 array of its size, and the rest into bufs, a worker's
-    (u, idx, scratch, y) arrays of at least its size (float, intp, float,
-    int8); it returns views (x, y, (u, scratch)) of the draws, the labels
-    as int8, and of the two float buffers they no longer need.  Chunk c of
-    2^20 draws (m of them in a short last chunk) reads substream (seed, c):
-    its doubles 0..m-1 pick the components and its doubles m..2m-1 the
-    positions.  The block at offset a reads the doubles from a and from
-    m + a, so it consumes exactly the words a single pass over the chunk
-    would, and every element goes through the same elementwise operations.
-    No step allocates a block of floats: only each continuous component's
-    index list and a block of bools are fresh.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    comps = dist.components
-    cum = np.cumsum([c.weight for c in comps])
-    cum[-1] = np.inf  # a draw past the rounded total belongs to the last component
-    labels = np.array([c.label for c in comps], dtype=np.int8)
-    # continuous components get a placeholder location, overwritten by their ppf
-    locs = np.array([c.law.x if isinstance(c.law, Atom) else 0.0 for c in comps])
-    continuous = [(ci, c.law) for ci, c in enumerate(comps) if isinstance(c.law, TruncNormal)]
-    pick = _component_picker(cum)
-
-    def fill(block, bufs, x):
-        chunk, m, a, _, size = block
-        u, idx, scratch, y = (buf[:size] for buf in bufs)
-        _philox_at(seed, chunk, a).random(out=u)  # component draws
-        pick(u, idx, scratch.view(np.intp)[:size])  # scratch holds the cells until the positions need it
-        _philox_at(seed, chunk, m + a).random(out=u)  # position draws, same buffer
-        # idx is always in range; mode="raise" would buffer the output
-        np.take(locs, idx, out=x, mode="clip")
-        for ci, law in continuous:
-            ix = np.flatnonzero(idx == ci)
-            part = scratch[: len(ix)]
-            x[ix] = law.ppf(u.take(ix, out=part, mode="clip"), out=part)
-        np.take(labels, idx, out=y, mode="clip")
-        return x, y, (u, scratch)
-
-    blocks = []
-    for chunk, c0 in enumerate(range(0, n, _SAMPLE_CHUNK)):
-        m = min(_SAMPLE_CHUNK, n - c0)
-        blocks += [(chunk, m, a, c0 + a, min(_SAMPLE_BLOCK, m - a)) for a in range(0, m, _SAMPLE_BLOCK)]
-    return blocks, fill
-
-
 def sample(dist: LabeledDistribution, n: int, seed: int):
     """n i.i.d. draws; returns (x, y) arrays. Deterministic given the seed.
 
@@ -407,7 +355,14 @@ def sample(dist: LabeledDistribution, n: int, seed: int):
 
 def _map_sample_blocks(dist: LabeledDistribution, n: int, seed: int, fn, into=None) -> list:
     """[fn(start, x, y, spare) for each block of ``sample(dist, n, seed)``],
-    in block order: the sampler's one driver.
+    in block order: the sampler's one block loop.
+
+    Chunk c of 2^20 draws (m of them in a short last chunk) reads substream
+    (seed, c): its doubles 0..m-1 pick the components and its doubles
+    m..2m-1 the positions.  The 2^16-draw block at offset a of its chunk
+    reads the doubles from a and from m + a, so it consumes exactly the
+    words a single pass over the chunk would, and every element goes
+    through the same elementwise operations.
 
     start is the block's offset in the sample, x and y hold its positions
     and its labels (int8), and spare is a pair of float arrays of its size
@@ -416,21 +371,47 @@ def _map_sample_blocks(dist: LabeledDistribution, n: int, seed: int, fn, into=No
     values, x is the block's slice of it; else a worker buffer.  Each worker
     reuses its block buffers, five floats or int8 labels per draw (four with
     ``into``), held in a ``threading.local`` of this call: memory does not
-    grow with n, and no buffer outlives the call.
+    grow with n, and no buffer outlives the call.  No step allocates a block
+    of floats: only each continuous component's index list, released before
+    fn runs, and a block of bools are fresh.
     """
-    blocks, fill = _block_filler(dist, n, seed)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    comps = dist.components
+    cum = np.cumsum([c.weight for c in comps])
+    cum[-1] = np.inf  # a draw past the rounded total belongs to the last component
+    labels = np.array([c.label for c in comps], dtype=np.int8)
+    # continuous components get a placeholder location, overwritten by their ppf
+    locs = np.array([c.law.x if isinstance(c.law, Atom) else 0.0 for c in comps])
+    continuous = [(ci, c.law) for ci, c in enumerate(comps) if isinstance(c.law, TruncNormal)]
+    pick = _component_picker(cum)
     held = threading.local()
-    size = min(_SAMPLE_BLOCK, n)
 
-    def run(block):
-        start, m = block[3:]
+    def run(start):
+        chunk, a = divmod(start, _SAMPLE_CHUNK)
+        m, size = min(_SAMPLE_CHUNK, n - start + a), min(_SAMPLE_BLOCK, n - start)
         if not hasattr(held, "bufs"):
-            held.bufs = tuple(np.empty(size, t) for t in (float, np.intp, float, np.int8))
-            held.x = np.empty(size) if into is None else None
-        x = held.x[:m] if into is None else into[start : start + m]
-        return fn(start, *fill(block, held.bufs, x))
+            cap = min(_SAMPLE_BLOCK, n)
+            held.bufs = tuple(np.empty(cap, t) for t in (float, np.intp, float, np.int8))
+            held.x = np.empty(cap) if into is None else None
+        u, idx, scratch, y = (buf[:size] for buf in held.bufs)
+        x = held.x[:size] if into is None else into[start : start + size]
+        _philox_at(seed, chunk, a).random(out=u)  # component draws
+        pick(u, idx, scratch.view(np.intp)[:size])  # scratch holds the cells until the positions need it
+        _philox_at(seed, chunk, m + a).random(out=u)  # position draws, same buffer
+        # idx is always in range; mode="raise" would buffer the output
+        np.take(locs, idx, out=x, mode="clip")
+        for ci, law in continuous:
+            ix = np.flatnonzero(idx == ci)
+            part = scratch[: len(ix)]
+            x[ix] = law.ppf(u.take(ix, out=part, mode="clip"), out=part)
+            del ix  # fn may need the memory
+        np.take(labels, idx, out=y, mode="clip")
+        return fn(start, x, y, (u, scratch))
 
-    return thread_map(run, blocks)
+    return thread_map(run, range(0, n, _SAMPLE_BLOCK))
 
 
 # QUADPACK's qk21 pair (Piessens et al., QUADPACK, 1983): the Kronrod

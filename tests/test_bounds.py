@@ -329,6 +329,13 @@ _SPLIT_AT_0_6 = LabeledDistribution(
     )
 )
 
+# a +1 lobe on [0, 1] and a -1 atom at its upper end: only a threshold a few
+# ulps below 1 separates them (R* is 1e-15, the lobe's mass above it); the
+# breakpoint 1 itself misclassifies the atom or the whole lobe
+_ATOM_AT_SUPPORT_END = LabeledDistribution(
+    (Component(0.5, 1, TruncNormal(0.0, 1.0, 0.0, 1.0)), Component(0.5, -1, Atom(1.0)))
+)
+
 
 @st.composite
 def _linear_specs(draw):
@@ -359,6 +366,7 @@ class TestZeroOneThresholdSearch:
     @given(spec=_linear_specs(), dist=_mixture())
     @example(spec=HypothesisSpec(LIN, W=1.0, B=0.5), dist=sect7_nonadversarial(0.05))
     @example(spec=HypothesisSpec(LIN, W=5.0, B=1.0, gamma=0.1), dist=sect7_adversarial(0.1, 0.1))
+    @example(spec=HypothesisSpec(LIN, W=1.0, B=math.inf), dist=_ATOM_AT_SUPPORT_END)
     # overlapping lobes: the least risk lies where the slope turns, on a
     # bracketing node (theta = 0, w > 0) and, with unequal lobes, between two
     # (w < 0)
@@ -697,8 +705,9 @@ class TestZeroOneBestInClassCancels:
     """For a linear class the zero-one best-in-class value R* enters lhs as
     -R* and rhs through M_target = R* - E[C*] as -R*, so it cancels in
     slack = rhs - lhs: moving it by delta moves slack by rounding only and
-    never flips holds.  With the unrestricted class (``--class all``)
-    M_target is 0, so lhs alone moves and slack shifts by delta."""
+    never flips holds.  With the unrestricted class (``--class all``) R* is
+    E[C*] itself and M_target is exactly 0, so lhs alone moves and slack
+    shifts by delta."""
 
     @pytest.mark.parametrize(
         "target, loss, spec, dist, h",
@@ -721,16 +730,36 @@ class TestZeroOneBestInClassCancels:
             assert abs(rep.slack - base.slack) <= 1e-12
             assert rep.holds == base.holds
 
-    def test_unrestricted_class_slack_moves_with_lhs(self, monkeypatch):
-        args = (Target.ZERO_ONE, quadratic(), HypothesisSpec(ALL), sect7_nonadversarial(0.1),
-                LinearHypothesis((-5.0,), 0.0))
-        base = assemble_bound(*args)
-        _shift_zero_one_best_in_class(monkeypatch, 0.05)
-        rep = assemble_bound(*args)
+    def test_unrestricted_class_slack_moves_with_the_zero_one_expectation(self, monkeypatch):
+        base = assemble_bound(*_ALL_CASE)
+        real = bounds._expect_min_conditional
+
+        def shifted(loss, *args):
+            val, err = real(loss, *args)
+            return (val + 0.05 if isinstance(loss, ZeroOneLoss) else val), err
+
+        monkeypatch.setattr(bounds, "_expect_min_conditional", shifted)
+        rep = assemble_bound(*_ALL_CASE)
         assert rep.m_target == base.m_target == 0.0
+        assert rep.lhs == pytest.approx(base.lhs - 0.05, abs=1e-12)
         assert rep.slack == pytest.approx(base.slack + 0.05, abs=1e-12)
 
+    def test_unrestricted_class_integrates_the_zero_one_expectation_once(self, monkeypatch):
+        """R*_01,H of the unrestricted class is E[C*_01]: the report runs that
+        integral once, and its quad_err counts it once."""
+        target, loss, spec, dist, h = _ALL_CASE
+        real = bounds._expect_min_conditional
+        e01_err, e_surr_err = (real(l, spec, dist, False)[1] for l in (ZERO_ONE, loss))
+        r_surr_err = risk(loss, h, dist, Exact(), with_error=True)[2]
+        calls = []
+        monkeypatch.setattr(bounds, "_expect_min_conditional", lambda l, *args: calls.append(l) or real(l, *args))
+        rep = assemble_bound(*_ALL_CASE)
+        assert sum(isinstance(l, ZeroOneLoss) for l in calls) == 1
+        assert dict(rep.provenance)["quad_err"] == r_surr_err + e01_err + e_surr_err
 
+
+_ALL_CASE = (Target.ZERO_ONE, quadratic(), HypothesisSpec(ALL), sect7_nonadversarial(0.1),
+             LinearHypothesis((-5.0,), 0.0))
 _NONADV_CASE = (HypothesisSpec(LIN, W=1.0, B=0.5), sect7_nonadversarial(0.05), LinearHypothesis((-0.8,), 0.1))
 _ADV_SPEC = HypothesisSpec(LIN, W=1.0, B=0.5, gamma=0.1)
 _ADV_CASE = (_ADV_SPEC, sect7_adversarial(0.1, 0.1), LinearHypothesis((0.7,), -0.2))

@@ -118,6 +118,76 @@ class TestTransformCommand:
         assert main(["transform", *loss_args, "--eps", "0", "--out", str(out)]) == 0
 
 
+class TestTransformCsv:
+    def test_csv_holds_the_json_samples(self, tmp_path):
+        csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
+        flags = ["transform", "--loss", "logistic", "--class", "linear", "--B", "0.8", "--grid-n", "5"]
+        assert main([*flags, "--format", "csv", "--out", str(csv_out)]) == 0
+        assert main([*flags, "--out", str(json_out)]) == 0
+        header, *lines = csv_out.read_text().splitlines()
+        samples = json.loads(json_out.read_text())["samples"]
+        assert header == "t,T" and len(lines) == 5
+        assert [[float(v) for v in line.split(",")] for line in lines] == [
+            [float(format(s["t"], ".12g")), float(format(s["T"], ".12g"))] for s in samples
+        ]
+
+    def test_csv_needs_out(self, capsys):
+        assert main(["transform", "--loss", "hinge", "--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert "--format csv requires --out" in captured.err and captured.out == ""
+
+
+class TestSpecFlagsTheLossOrClassDoesNotRead:
+    """--k is read only by a sigmoid loss, --rho only by a rho-margin loss
+    and --Lambda only by --class relu; given elsewhere, on the command line
+    or in a config file, they exit 2 instead of being ignored."""
+
+    COMMANDS = {
+        "transform": ["transform", "--class", "linear", "--B", "0.8"],
+        "bound": ["bound", "--class", "linear", "--B", "0.5", "--w", "-0.4", "--dist", SINGLETON],
+    }
+    STRAY = [
+        (["--loss", "hinge", "--k", "2"], "--k"),
+        (["--loss", "hinge", "--rho", "0.5"], "--rho"),
+        (["--loss", "sigmoid", "--rho", "0.5", "--Lambda", "0.5"], "--Lambda, --rho"),
+        (["--loss", "rho-margin", "--k", "2"], "--k"),
+    ]
+
+    @pytest.mark.parametrize("flags, named", STRAY, ids=["k-hinge", "rho-hinge", "rho-Lambda-sigmoid", "k-rho-margin"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_flag_the_run_does_not_read(self, capsys, command, flags, named):
+        assert main([*self.COMMANDS[command], *flags]) == 2
+        assert f"does not use {named} (" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("k", 2), ("rho", 0.5), ("Lambda", 0.5)])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_config_key_the_run_does_not_read(self, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert main([*self.COMMANDS[command], "--loss", "hinge", "--config", str(cfg)]) == 2
+        assert f"does not use --{key} (" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, field, label", [
+        (["--loss", "rho-margin", "--rho", "0.5"], "loss", "rho-margin(rho=0.5)"),
+        (["--loss", "sigmoid", "--k", "2"], "loss", "sigmoid(k=2)"),
+        (["--loss", "hinge", "--class", "relu", "--Lambda", "0.5"], "class_params", "relu(Lambda=0.5,W=1,B=0.8)"),
+    ], ids=["rho", "k", "Lambda"])
+    def test_read_flags_reach_the_transform(self, tmp_path, flags, field, label):
+        out, cfg_out, cfg = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "cfg.json"
+        assert main([*self.COMMANDS["transform"], *flags, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["transform"][field] == doc["inverse"][field] == label
+        # the same parameter from a config file
+        cfg.write_text(json.dumps({flags[-2].lstrip("-"): float(flags[-1])}))
+        assert main([*self.COMMANDS["transform"], *flags[:-2], "--config", str(cfg), "--out", str(cfg_out)]) == 0
+        assert out.read_bytes() == cfg_out.read_bytes()
+
+    def test_read_flag_reaches_the_bound_report(self, tmp_path):
+        out = tmp_path / "b.json"
+        assert main([*self.COMMANDS["bound"], "--loss", "rho-margin", "--rho", "0.5", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["components"]["transform"] == "rho-margin(rho=0.5)"
+
+
 class TestOneTransformSelector:
     """transform and bound pick their transform through one selector, and the
     JSON inverse of transform is the Gamma that bound applies."""
@@ -430,6 +500,12 @@ class TestOracleCheckCommand:
         fields = {"label", "instances", "max_dev_min_risk", "max_dev_transform", "max_closed_over_oracle",
                   "threshold", "passed"}
         assert all(set(r) == fields for r in rows.values())
+
+    def test_out_carries_meta(self, tmp_path):
+        out = tmp_path / "oc.json"
+        assert main(["oracle-check", "--grid-n", "37", "--instances", "2", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert set(doc) == {"rows", "meta"} and doc["meta"] == expected_meta()
 
     # a usage error, not a failed check: exit 2 with a message, no traceback
     @pytest.mark.parametrize("flag, value, msg", [

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
+from scipy.stats import kstest
 
 import hcbounds
 from hcbounds import _runtime, distributions
@@ -223,6 +224,57 @@ class TestSampling:
         xs, ys = sample(dists[name], _SAMPLE_CHUNK + 4097, seed)
         assert xs.dtype == np.float64 and ys.dtype == np.int64
         assert hashlib.sha256(xs.tobytes() + ys.tobytes()).hexdigest() == digest
+
+
+def _drawn_normal_mixture(seed):
+    """2-5 truncated normals with drawn weights, labels, supports and
+    parameters, each within two standard deviations of its support."""
+    rng = np.random.default_rng([0x4B5, seed])
+    k = int(rng.integers(2, 6))
+    weights = rng.dirichlet(np.ones(k))
+    comps = []
+    for w, y in zip(weights, rng.choice([-1, 1], size=k)):
+        lo = float(rng.uniform(-1.0, 0.8))
+        hi = min(1.0, lo + float(rng.uniform(0.05, 1.5)))
+        std = float(rng.uniform(0.05, 1.0))
+        mean = float(rng.uniform(lo - 2 * std, hi + 2 * std))
+        comps.append(Component(float(w), int(y), TruncNormal(lo, hi, mean, std)))
+    return LabeledDistribution(tuple(comps))
+
+
+KS_N = 3 * _SAMPLE_BLOCK + 17  # four sampling blocks, the last one short
+KS_DISTS = {
+    "nonadv": sect7_nonadversarial(0.2),
+    "adv": sect7_adversarial(0.5, 0.1),
+    **{f"drawn-{seed}": _drawn_normal_mixture(seed) for seed in range(6)},
+}
+
+
+def _ks_pvalues(dist, n, seed) -> list:
+    """For each label, the Kolmogorov-Smirnov p-value of the positions that
+    ``sample`` drew with it, off its atoms, against the weighted cdf of its
+    truncated normals: the sampler's law, checked by ``TruncNormal.cdf``
+    alone, not by the ppf or the stream layout that drew them."""
+    xs, ys = sample(dist, n, seed)
+    out = []
+    for label in (-1, 1):
+        comps = [c for c in dist.continuous() if c.label == label and c.weight > 0.0]
+        if comps:
+            atoms = [c.law.x for c in dist.atoms() if c.label == label]
+            drawn = xs[(ys == label) & ~np.isin(xs, atoms)]
+            total = math.fsum(c.weight for c in comps)
+            out.append(kstest(drawn, lambda x: sum(c.weight * c.law.cdf(x) for c in comps) / total).pvalue)
+    return out
+
+
+class TestSamplerLaw:
+    """Drawn positions follow their components' laws, per label, over
+    several sampling blocks."""
+
+    @pytest.mark.parametrize("name", sorted(KS_DISTS))
+    def test_positions_match_the_components_cdf(self, name):
+        pvalues = _ks_pvalues(KS_DISTS[name], KS_N, 31)
+        assert pvalues and min(pvalues) > 1e-3, pvalues
 
 
 _ETAS = (0.0, 0.1, 0.25, 0.5, 1.0, 0.9, 0.3, 0.6, 0.75, 0.05, 0.4, 1.0)
