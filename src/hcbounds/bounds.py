@@ -3,7 +3,9 @@
 Pieces: generalization risks of a concrete linear hypothesis (exact, or
 Monte Carlo with standard errors), best-in-class risks at d=1 (the zero-one
 target's exactly, by reducing the linear class to thresholds; a margin
-loss's by coarse-to-fine (w, b) grid refinement, to 1e-4), minimizability
+loss's by a branch-and-bound over (w, b) that scores with ``risk`` and
+bounds cells below by convexity, or by the largest corner margin, until
+within 1e-6 or 1,000 hypotheses, reporting the gap as tol), minimizability
 gaps (best-in-class risk minus the expected pointwise minimal conditional
 risk), and complete bound reports of the form
 
@@ -34,7 +36,7 @@ and its inverse.
 from __future__ import annotations
 
 import enum
-import functools
+import heapq
 import math
 import numbers
 import warnings
@@ -44,8 +46,8 @@ import numpy as np
 
 from ._runtime import thread_map
 from .conditional import ConditionalPoint, _adversarial_bracket, _interval_risk, _min_risk, brute_force_inf
-from .distributions import LabeledDistribution, _SAMPLE_BLOCK, _integrate_continuous, _map_sample_blocks, expectation
-from .distributions import _EPMACH, _UFLOW  # machine epsilon and the least normal double
+from .distributions import LabeledDistribution, QuadratureError, _integrate_continuous, _map_sample_blocks, expectation
+from .distributions import _EPMACH, _SAMPLE_BLOCK, _UFLOW  # machine epsilon, a sampling block, least normal double
 from .hypotheses import HypothesisClass, HypothesisSpec, LinearHypothesis
 from .losses import (
     ZERO_ONE,
@@ -72,10 +74,8 @@ __all__ = [
     "negative_result_demo",
 ]
 
-_BIC_TOL = 1e-4  # accuracy of the margin-loss grid search
-_GL_NODES = 201
-_REFINE_ROUNDS = 4  # initial grid + 3 tenfold refinements
-_GRID_SIDE = 41
+_BIC_GAP = 1e-6  # the margin-loss search's target gap between its least score and least cell bound
+_BIC_BUDGET = 1000  # hypotheses the margin-loss search may score
 _SIDE_ULPS = 16  # a threshold breakpoint's neighbours, in ulps of the kernel's operands
 _SLOPE_NODES = np.linspace(-8.0, 8.0, 33)  # bracketing nodes, in standard deviations from the mean
 _BISECTIONS = 40
@@ -280,27 +280,17 @@ def risk(
 
 
 # ---------------------------------------------------------------------------
-# best-in-class risk (d=1, linear class): thresholds for zero-one, a grid for
-# margin losses
+# best-in-class risk (d=1): thresholds for zero-one, branch-and-bound for margin losses
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class BestInClass:
     value: float
-    exact: bool
-    tol: float
+    tol: float  # value less tol is at most the infimum, to the quadrature's error estimates
     w: float = math.nan
     b: float = math.nan
     quad_err: float = 0.0  # error estimate of the quadrature behind value
-
-
-@functools.lru_cache(maxsize=1)
-def _gauss_legendre():
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
-    nodes.setflags(write=False)  # shared by every caller
-    weights.setflags(write=False)
-    return nodes, weights
 
 
 def _atom_risk(loss, dist, w, b, adversarial, gamma):
@@ -338,29 +328,6 @@ def _zero_one_risk(dist, w, b, adversarial, gamma):
     return out
 
 
-def _risk_grid(loss, dist, w_vals, b_vals, adversarial, gamma):
-    """Margin-loss risk of every (w, b) pair on fixed Gauss-Legendre panels
-    (search accuracy only).  A loss that overflows makes its cell's risk inf,
-    silently; a node whose density underflowed to 0 adds 0 there, never
-    inf * 0."""
-    w = np.asarray(w_vals, dtype=float)[:, None]
-    b = np.asarray(b_vals, dtype=float)[None, :]
-    out = np.zeros((w.shape[0], b.shape[1]))
-    with np.errstate(over="ignore"):
-        out += _atom_risk(loss, dist, w, b, adversarial, gamma)
-        nodes, weights = _gauss_legendre()
-        for c in dist.continuous():
-            law = c.law
-            half = 0.5 * (law.hi - law.lo)
-            xg = law.lo + half * (nodes + 1.0)
-            wg = weights * half * law.pdf(xg) * c.weight
-            _, arg = _score_kernel(w[:, :, None], b[:, :, None], xg, c.label, adversarial, gamma)
-            vals = eval_margin_loss(loss, arg)
-            vals[..., wg == 0.0] = 0.0
-            out += vals @ wg
-    return out
-
-
 def _zero_one_best_linear(spec: HypothesisSpec, dist: LabeledDistribution, adversarial: bool) -> BestInClass:
     """R*_01,H over the linear class, exactly, by the threshold reduction.
 
@@ -385,7 +352,12 @@ def _zero_one_best_linear(spec: HypothesisSpec, dist: LabeledDistribution, adver
     the class that realizes it by ``_zero_one_risk``, the exact risk that
     ``risk`` computes, so value is the risk of the returned (w, b).  It
     differs from the infimum by rounding only, unless two breakpoints lie
-    closer than the kernel's rounding, a gap no float (w, b) can realize.
+    within a side step of each other: no float (w, b) may realize a
+    threshold between them, and a side candidate may jump past one.  tol is
+    then the weight of the atoms with a breakpoint in such a cluster, which
+    bounds the miss: the candidate a side step beyond the cluster sits on the
+    same side of every other breakpoint as any threshold within it, so off
+    those atoms the errors agree, and the tail masses move by rounding only.
     """
     gamma = spec.gamma if adversarial else 0.0
     W, B = spec.W, spec.B
@@ -394,6 +366,9 @@ def _zero_one_best_linear(spec: HypothesisSpec, dist: LabeledDistribution, adver
     ends = [e for c in comps for e in (c.law.lo, c.law.hi)]
     points = np.unique(np.add.outer([c.law.x for c in dist.atoms()] + ends, shifts))
     step = _SIDE_ULPS * _EPMACH * (np.abs(points) + gamma) + _UFLOW
+    close = np.diff(points) <= np.maximum(step[:-1], step[1:])
+    clustered = points[np.append(close, False) | np.insert(close, 0, False)]
+    tol = math.fsum(c.weight for c in dist.atoms() if np.isin(np.add(c.law.x, shifts), clustered).any())
 
     def slope(theta, s):  # d risk / d theta in orientation s, at the array theta
         out = np.zeros(theta.shape)
@@ -429,9 +404,9 @@ def _zero_one_best_linear(spec: HypothesisSpec, dist: LabeledDistribution, adver
     theta = np.concatenate((both, both, 0.5 * (lo + hi)))
     sign = np.concatenate((np.ones(both.size), -np.ones(both.size), orient))
     if B == 0.0:  # only theta = 0 is in the class
-        theta, sign = np.zeros(2), np.array([1.0, -1.0])
+        theta, sign, tol = np.zeros(2), np.array([1.0, -1.0]), 0.0
     if W == 0.0:
-        theta, sign = np.zeros(0), np.zeros(0)
+        theta, sign, tol = np.zeros(0), np.zeros(0), 0.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # W where B / |theta| > W or theta = 0
         w = sign * np.where(theta == 0.0, W, np.minimum(W, B / np.abs(theta)))
     b = np.clip(-w * theta, -B, B)
@@ -439,21 +414,61 @@ def _zero_one_best_linear(spec: HypothesisSpec, dist: LabeledDistribution, adver
     w, b = np.append(w, (0.0, 0.0)), np.append(b, (const, -const))
     risks = _zero_one_risk(dist, w, b, adversarial, gamma)
     i = int(np.argmin(risks))
-    return BestInClass(float(risks[i]), exact=True, tol=0.0, w=float(w[i]), b=float(b[i]))
+    return BestInClass(float(risks[i]), tol=tol, w=float(w[i]), b=float(b[i]))
+
+
+def _cell_bound(loss, dist, adversarial, gamma, score, wl, wh, bl, bh) -> float:
+    """A lower bound, never NaN, on the margin-loss risk over the cell
+    [wl, wh] x [bl, bh] of a half box (w of one sign), net of the error
+    estimates of score(w, b) = (risk, error estimate), taken at the cell's
+    centre and corners.
+
+    Hinge, logistic, exponential and quadratic risks are convex in (w, b),
+    worst-case forms included (y*(w*x + b) - gamma*|w| is concave), so
+    R(p) >= 2*R(centre) - R(2*centre - p) >= 2*R(centre) - max R(corner);
+    sigmoid's -phi'' <= M = 4*k^2/sqrt(27) costs it M*((1 + gamma)*hw + hb)^2
+    (half widths hw, hb; |x| <= 1).  Else (rho-margin, or no finite convex
+    bound) the risk of the corners' largest margin at each x: on a half box
+    the margin is linear in (w, b), and every loss is non-increasing.
+    """
+    centre, centre_err = score(0.5 * (wl + wh), 0.5 * (bl + bh))
+    bound = 2.0 * (centre - centre_err) - max(sum(score(w, b)) for w in (wl, wh) for b in (bl, bh))
+    if loss.family is LossFamily.SIGMOID:
+        bound -= 4.0 * loss.k**2 / math.sqrt(27.0) * ((1.0 + gamma) * 0.5 * (wh - wl) + 0.5 * (bh - bl)) ** 2
+    if loss.family is not LossFamily.RHO_MARGIN and bound > -math.inf:
+        return bound
+    corners = [LinearHypothesis((w,), b) for w in (wl, wh) for b in (bl, bh)]
+    ws, bs = np.array([[h.w] for h in corners]), np.array([[h.b] for h in corners])
+
+    def losses(xs, label):
+        return eval_margin_loss(loss, _score_kernel(ws, bs, xs, label, adversarial, gamma)[1].max(axis=0))
+
+    pts = [p for h in corners for p in _discontinuity_points(loss, h, adversarial, gamma)]
+    atoms = sum(c.weight * float(losses(c.law.x, c.label)[0]) for c in dist.atoms())
+    try:
+        value, err = _integrate_continuous(dist, lambda c: lambda xs: losses(xs, c.label) * c.law.pdf(xs), pts, atoms)
+    except QuadratureError:
+        return -math.inf
+    return max(-math.inf, value - err)  # NaN -> -inf
 
 
 def best_in_class_risk(
     loss, spec: HypothesisSpec, dist: LabeledDistribution, adversarial: bool = False
 ) -> BestInClass:
-    """Infimum of the risk over the class at d=1.
+    """Infimum of the risk over the class at d=1, to within ``tol``.
 
     Unrestricted class: exact, as the expectation of the pointwise minimal
     conditional risk (the class attains the pointwise optimum everywhere).
-    Linear class, zero-one loss: exact (tol 0), by the threshold reduction of
-    ``_zero_one_best_linear``, for every W and B (B = inf included).  Linear
-    class, margin loss: coarse-to-fine (w, b) grid refinement over finite W
-    and B (tol 1e-4); the returned value re-evaluates the best grid point
-    with ``risk``'s exact quadrature.
+    Linear class, zero-one loss: ``_zero_one_best_linear``'s threshold
+    reduction, for every W and B (B = inf included).  Linear class, margin
+    loss, finite W and B: a best-first branch-and-bound over the (w, b) box,
+    split first at w = 0.  It halves the cell of least ``_cell_bound``
+    (2*R(centre) - max R(corner), or the risk of its largest corner margin)
+    across its longer side ((1 + gamma)*hw against hb) until the least
+    ``risk`` scored is within 1e-6 of the least open bound, 1,000 hypotheses
+    are scored, or no float halves the cell.  value is that least score, at
+    the returned (w, b); tol is the gap reached (inf while a cell has no
+    finite bound), resting, like quad_err, on the quadrature's error estimates.
     """
     if adversarial and not spec.adversarial:
         raise ValueError("adversarial best-in-class risk needs spec.gamma > 0")
@@ -461,30 +476,44 @@ def best_in_class_risk(
         if adversarial:
             raise ValueError("no exact machinery for the unrestricted class under perturbations")
         val, err = _expect_min_conditional(loss, spec, dist, False)
-        return BestInClass(val, exact=True, tol=0.0, quad_err=err)
+        return BestInClass(val, tol=0.0, quad_err=err)
     if spec.cls is not HypothesisClass.LINEAR:
         raise ValueError("best-in-class search supports the linear and unrestricted classes")
     if isinstance(loss, ZeroOneLoss):
         return _zero_one_best_linear(spec, dist, adversarial)
     if not (math.isfinite(spec.W) and math.isfinite(spec.B)):
-        raise ValueError("grid search needs finite W and B")
+        raise ValueError("the margin-loss search needs finite W and B")
     gamma = spec.gamma if adversarial else 0.0
-    w_lo, w_hi = -spec.W, spec.W
-    b_lo, b_hi = -spec.B, spec.B
-    wi = bi = 0.0
-    for _ in range(_REFINE_ROUNDS):
-        w_vals = np.linspace(w_lo, w_hi, _GRID_SIDE)
-        b_vals = np.linspace(b_lo, b_hi, _GRID_SIDE)
-        grid = _risk_grid(loss, dist, w_vals, b_vals, adversarial, gamma)
-        i, j = np.unravel_index(int(np.argmin(grid)), grid.shape)
-        wi, bi = float(w_vals[i]), float(b_vals[j])
-        dw = (w_hi - w_lo) / (_GRID_SIDE - 1)
-        db = (b_hi - b_lo) / (_GRID_SIDE - 1)
-        w_lo, w_hi = max(-spec.W, wi - 2 * dw), min(spec.W, wi + 2 * dw)
-        b_lo, b_hi = max(-spec.B, bi - 2 * db), min(spec.B, bi + 2 * db)
-    best_h = LinearHypothesis((wi,), bi)
-    val, _, err = risk(loss, best_h, dist, Exact(), adversarial=adversarial, gamma=gamma, with_error=True)
-    return BestInClass(val, exact=False, tol=_BIC_TOL, w=wi, b=bi, quad_err=err)
+    scores, best, cells = {}, [math.inf, math.nan, math.nan, 0.0], []  # best: value, w, b, error estimate
+
+    def score(w, b):
+        if (w, b) not in scores:
+            try:
+                value, _, err = risk(loss, LinearHypothesis((w,), b), dist, Exact(), adversarial, gamma, True)
+            except QuadratureError:
+                value = err = math.inf
+            scores[w, b] = value, err
+            if value < best[0]:
+                best[:] = value, w, b, err
+        return scores[w, b]
+
+    def push(cell):
+        heapq.heappush(cells, (_cell_bound(loss, dist, adversarial, gamma, score, *cell), cell))
+
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing loss scores inf
+        push((-spec.W, 0.0, -spec.B, spec.B))
+        push((0.0, spec.W, -spec.B, spec.B))
+        while best[0] - cells[0][0] > _BIC_GAP and len(scores) < _BIC_BUDGET:
+            wl, wh, bl, bh = cells[0][1]
+            wm, bm = 0.5 * (wl + wh), 0.5 * (bl + bh)
+            split_w = (1.0 + gamma) * (wh - wl) >= bh - bl
+            if not (wl < wm < wh if split_w else bl < bm < bh):
+                break
+            heapq.heappop(cells)
+            push((wl, wm, bl, bh) if split_w else (wl, wh, bl, bm))
+            push((wm, wh, bl, bh) if split_w else (wl, wh, bm, bh))
+    value, w, b, err = best
+    return BestInClass(value, tol=max(0.0, value - cells[0][0]), w=w, b=b, quad_err=err)
 
 
 def _expect_min_conditional(loss, spec, dist, adversarial) -> tuple:
@@ -525,8 +554,8 @@ class BoundReport:
     provenance: tuple = ()
 
     def to_json_dict(self, split: tuple) -> dict:
-        """JSON form; split is (surrogate_excess, M_surrogate) from ``surrogate_split``."""
-        surrogate_excess, m_surrogate = split
+        """JSON form; split is (surrogate_excess, M_surrogate, tol) from ``surrogate_split``."""
+        surrogate_excess, m_surrogate, tol = split
         return {
             "lhs": self.lhs,
             "rhs": self.rhs,
@@ -542,7 +571,7 @@ class BoundReport:
             "slack": self.slack,
             "saturated": self.saturated,
             "relaxed_inverse": self.relaxed_inverse,
-            "provenance": dict(self.provenance),
+            "provenance": {**dict(self.provenance), "surrogate_best_in_class_tol": tol},
         }
 
 
@@ -677,17 +706,19 @@ def assemble_bound(
 def surrogate_split(
     report: BoundReport, surrogate: MarginLoss, spec: HypothesisSpec, dist: LabeledDistribution
 ) -> tuple:
-    """(surrogate_excess, M_surrogate) of a report from ``assemble_bound``
-    with the same surrogate, spec and dist: R(h) - R*_H and R*_H - E[C*].
+    """(surrogate_excess, M_surrogate, tol) of a report from
+    ``assemble_bound`` with the same surrogate, spec and dist: R(h) - R*_H and
+    R*_H - E[C*], R*_H being the best-in-class search's value, which exceeds
+    the infimum by at most its tol.
 
     For a linear class this runs the best-in-class search on the surrogate;
-    the unrestricted class has R*_H = E[C*] and needs no search.
+    the unrestricted class has R*_H = E[C*] and needs no search (tol 0).
     """
     r_surr, e_cstar = report.r_surrogate, report.e_cstar_surrogate
     if spec.cls is HypothesisClass.ALL:
-        return r_surr - e_cstar, 0.0
-    star = best_in_class_risk(surrogate, spec, dist, adversarial=spec.adversarial).value
-    return r_surr - star, star - e_cstar
+        return r_surr - e_cstar, 0.0, 0.0
+    star = best_in_class_risk(surrogate, spec, dist, adversarial=spec.adversarial)
+    return r_surr - star.value, star.value - e_cstar, star.tol
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from hcbounds.bounds import (
     _holds,
     _mc_risks,
     _pointwise_losses,
-    _risk_grid,
     _score_kernel,
     _zero_one_risk,
     assemble_bound,
@@ -145,26 +144,12 @@ _ZERO_ONE_RISK_DIGESTS = {
     ("adv", True): "6bf1461c6bacad1f66bfdff0231a0ccdbc45361b8ed80a86041aafa6bbb00b3e",
 }
 
-# SHA-256 of the bytes of _risk_grid on a 21 x 21 (w, b) grid, computed when
-# its atom and Gauss-Legendre branches still typed out the score arithmetic
-# (zero-one rows: _zero_one_risk on the same grid).
+# SHA-256 of the bytes of _zero_one_risk on a 21 x 21 (w, b) grid, computed
+# when a grid search still scored the zero-one loss with its own arithmetic
 _RISK_GRID_DIGESTS = {
     ("zero-one", False): "220ac628af4ebc399d5c146b0cb06ae87b1a79dfe5a63acbc95e17d36a14c61d",
     ("zero-one", True): "bc2068b3e088cdb50d548b15f5f13a86ff9e8a779474f1494a68134c9b89b617",
-    ("hinge", False): "e5f299961d65d0e5d0283d971e271b0328b978b440279ad9f17d57d58c4e85b8",
-    ("hinge", True): "e1d23d15128cbd716b5a59c3273191b36a2751f3229e21e47fa7e8bd35247e7d",
-    ("logistic", False): "54fa007cb781f978bd9d95f74866a532019d8a1b9e910d582e16ead15a430f05",
-    ("logistic", True): "178af915da058b7665dc3494e081cb72e33f70fde5f6cddc83789e7a800a0238",
-    ("exponential", False): "223a68e6853bc6ba106ca2f6335cac33a6f7ff1913b4b95e0a5e759df2de1c0f",
-    ("exponential", True): "17c481389be26be57493832dfa75d71e432daeb67f001e0cb58a8da3c9f6e382",
-    ("quadratic", False): "05065f4e75daf843c9c967b36668648921d9370e6ada3c9ff72ebd5ffeaf8d26",
-    ("quadratic", True): "a4557f00da231f8ad9b851403a2b410e427f4b7b56f1fa04d1463629b5db667a",
-    ("sigmoid(k=1)", False): "f1b40d50c76644757dc68334177cf7680ae17ea6ae0a16b43c9000d0b85dec1e",
-    ("sigmoid(k=1)", True): "21eb51a98422e97df00d0177f6cba84acbb3d3380c572e1f4620796a56f424ad",
-    ("rho-margin(rho=0.5)", False): "25077859aace46ce983e47f128a8c4d9421baac893646a9970d1083ee6f6e2b4",
-    ("rho-margin(rho=0.5)", True): "efbf52252a48570a4535fdf28449ce30f44a97c638e12b3f771c040394c7eb6a",
 }
-_GRID_LOSSES = (ZERO_ONE, hinge(), logistic(), exponential(), quadratic(), sigmoid(1.0), rho_margin(0.5))
 
 
 class TestPinnedRiskValues:
@@ -174,35 +159,19 @@ class TestPinnedRiskValues:
         vals = [risk(ZERO_ONE, h, dist, Exact(), adversarial, gamma)[0] for h in _pin_hypotheses()]
         assert _hexdigest(vals) == _ZERO_ONE_RISK_DIGESTS[dist_name, adversarial]
 
-    @pytest.mark.parametrize("loss", _GRID_LOSSES, ids=lambda l: l.label())
+    @pytest.mark.parametrize("loss", [ZERO_ONE], ids=lambda l: l.label())
     @pytest.mark.parametrize("adversarial", [False, True])
     def test_risk_grid_digest(self, loss, adversarial):
-        # zero-one: the exact risk that risk and the threshold search share,
-        # pinned when _risk_grid still had a zero-one branch
+        # the exact risk that risk and the threshold search share, on a grid
         dist = _PIN_DISTS["adv" if adversarial else "nonadv"]()
         w_vals, b_vals = np.linspace(-3.0, 3.0, 21), np.linspace(-1.0, 1.0, 21)
-        gamma = 0.1 if adversarial else 0.0
-        if isinstance(loss, ZeroOneLoss):
-            grid = _zero_one_risk(dist, w_vals[:, None], b_vals[None, :], adversarial, gamma)
-        else:
-            grid = _risk_grid(loss, dist, w_vals, b_vals, adversarial, gamma)
+        grid = _zero_one_risk(dist, w_vals[:, None], b_vals[None, :], adversarial, 0.1 if adversarial else 0.0)
         assert hashlib.sha256(grid.tobytes()).hexdigest() == _RISK_GRID_DIGESTS[loss.label(), adversarial]
 
 
 class TestNonFiniteRiskGrid:
-    """A class whose bias budget overflows the surrogate: the grid must hold
-    inf, never NaN, so the search never picks a NaN cell, and raise no
-    overflow warning."""
-
-    @pytest.mark.parametrize("loss", [quadratic(), exponential()], ids=lambda l: l.label())
-    @pytest.mark.parametrize("sigma", [0.1, 0.02])
-    def test_overflow_is_an_infinite_risk(self, loss, sigma):
-        dist = sect7_nonadversarial(sigma)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            grid = _risk_grid(loss, dist, np.linspace(-1.0, 1.0, 41), np.linspace(-1e200, 1e200, 41), False, 0.0)
-        assert not np.isnan(grid).any()
-        assert np.isinf(grid).any() and np.isfinite(grid).any()
+    """A class whose bias budget overflows the surrogate: the search scores
+    those hypotheses inf, never NaN, and raises no overflow warning."""
 
     @pytest.mark.parametrize("loss", [quadratic(), exponential()], ids=lambda l: l.label())
     def test_search_skips_infinite_cells(self, loss):
@@ -211,6 +180,14 @@ class TestNonFiniteRiskGrid:
             warnings.simplefilter("error")
             star = best_in_class_risk(loss, spec, sect7_nonadversarial(0.02))
         assert math.isfinite(star.value) and abs(star.b) < 1e199
+
+
+@st.composite
+def _atom_mixture(draw):
+    """1-4 atoms of either label, with weights n_i / sum(n)."""
+    counts = draw(st.lists(st.integers(1, 100), min_size=1, max_size=4))
+    return LabeledDistribution(tuple(Component(n / sum(counts), draw(st.sampled_from([-1, 1])),
+                                               Atom(draw(st.floats(-1.0, 1.0)))) for n in counts))
 
 
 class TestBestInClass:
@@ -224,7 +201,7 @@ class TestBestInClass:
     def test_unrestricted_class_exact(self):
         d = sect7_nonadversarial(0.1)
         got = best_in_class_risk(quadratic(), HypothesisSpec(ALL), d)
-        assert got.exact
+        assert got.tol == 0.0
         assert got.value == pytest.approx(0.0, abs=1e-8)
 
     def test_grid_value_dominates_conditional_floor(self):
@@ -237,12 +214,32 @@ class TestBestInClass:
             floor = expectation(d, lambda x, e, _l=loss: min_risk_symmetric(_l, spec.score_bound(np.abs(x)), e))
             assert got.value >= floor - 1e-4
 
+    def test_larger_class_is_no_worse_on_the_pool_case(self):
+        # the bound pool's hinge class of slot 8 contains slot 28's; a
+        # (w, b) grid search put the larger's R* at 0.907796 > 0.906463
+        d = sect7_nonadversarial(0.02)
+        larger = best_in_class_risk(hinge(), HypothesisSpec(LIN, W=5.84, B=0.78), d)
+        smaller = best_in_class_risk(hinge(), HypothesisSpec(LIN, W=1.87, B=0.24), d)
+        assert larger.value <= smaller.value + larger.tol
+
+    @settings(max_examples=40, deadline=None)
+    @given(dist=_atom_mixture(), loss=st.sampled_from([hinge(), logistic(), exponential(), quadratic(), sigmoid(2.0),
+                                                       rho_margin(0.5)]),
+           W=st.floats(0.0, 3.0), B=st.floats(0.0, 1.0), grow=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 1.0)),
+           gamma=st.sampled_from([0.0, 0.1]))
+    def test_larger_class_is_no_worse(self, dist, loss, W, B, grow, gamma):
+        # atoms only: every risk is exact, so the search's tol is all the slack
+        small, large = (HypothesisSpec(LIN, W=W + dW, B=B + dB, gamma=gamma) for dW, dB in ((0.0, 0.0), grow))
+        smaller = best_in_class_risk(loss, small, dist, adversarial=gamma > 0)
+        larger = best_in_class_risk(loss, large, dist, adversarial=gamma > 0)
+        assert larger.value <= smaller.value + larger.tol + 1e-12
+
     def test_zero_one_linear_on_preset(self):
         # only the two flipped endpoint atoms are inseparable: R* = 1/8
         d = sect7_nonadversarial(0.05)
         got = best_in_class_risk(ZERO_ONE, HypothesisSpec(LIN, W=1.0, B=0.5), d)
         assert got.value == 1 / 8
-        assert (got.exact, got.tol) == (True, 0.0)
+        assert got.tol == 0.0
 
     def test_relu_not_supported(self):
         with pytest.raises(ValueError):
@@ -349,7 +346,8 @@ def _linear_specs(draw):
 class TestZeroOneThresholdSearch:
     """The zero-one best-in-class risk over the linear class is exact: a
     (w, b) in the class whose exact risk is the threshold scan's least
-    value, to rounding."""
+    value, to rounding, with tol 0.  Only where two breakpoints lie within
+    rounding of each other may it miss, and by at most its tol."""
 
     @staticmethod
     def _check(spec, dist):
@@ -358,8 +356,14 @@ class TestZeroOneThresholdSearch:
         h = LinearHypothesis((got.w,), got.b)
         assert abs(h.w) <= spec.W and abs(h.b) <= spec.B
         assert got.value == risk(ZERO_ONE, h, dist, Exact(), adversarial, spec.gamma)[0]
-        assert (got.exact, got.tol, got.quad_err) == (True, 0.0, 0.0)
-        assert abs(got.value - threshold_scan(spec, dist, adversarial)) <= 1e-12
+        assert got.quad_err == 0.0
+        shifts = (-spec.gamma, spec.gamma) if adversarial else (0.0,)
+        ends = [c.law.x for c in dist.atoms()] + [e for c in dist.continuous() for e in (c.law.lo, c.law.hi)]
+        points = sorted({x + s for x in ends for s in shifts})
+        if all(q - p > 1e-9 for p, q in zip(points, points[1:])):
+            assert got.tol == 0.0
+        scan = threshold_scan(spec, dist, adversarial)
+        assert scan - 1e-12 <= got.value <= scan + got.tol + 1e-12
         return got
 
     @settings(max_examples=40, deadline=None)
@@ -384,6 +388,19 @@ class TestZeroOneThresholdSearch:
         rep = assemble_bound(Target.ZERO_ONE, hinge(), spec, _SPLIT_AT_0_6, LinearHypothesis((0.001,), -0.0006))
         assert rep.lhs == 0.0 and rep.m_target >= 0.0
         assert dict(rep.provenance)["best_in_class_tol"] == 0.0
+
+    def test_breakpoints_a_rounding_apart_count_their_atoms(self):
+        # the robust breakpoints 2*fl(1/3) and 1 - fl(1/3) are an ulp apart:
+        # thresholds between them separate the atoms (R* = 0), no float (w, b) does
+        third = 1.0 / 3.0
+        dist = LabeledDistribution((Component(0.5, -1, Atom(third)), Component(0.5, 1, Atom(1.0))))
+        spec = HypothesisSpec(LIN, W=0.3, B=0.001, gamma=third)
+        got = self._check(spec, dist)
+        assert threshold_scan(spec, dist, True) == 0.0 and got.value == 0.5 and got.tol >= 1.0
+        # breakpoints that coincide exactly, 0.25 + 0.25 = 0.75 - 0.25, leave nothing between them
+        dist = LabeledDistribution((Component(0.5, -1, Atom(0.25)), Component(0.5, 1, Atom(0.75))))
+        got = self._check(HypothesisSpec(LIN, W=0.3, B=0.001, gamma=0.25), dist)
+        assert (got.value, got.tol) == (0.5, 0.0)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -982,10 +999,10 @@ class TestVerdictPath:
         target, loss, spec, dist, h, massart, mode = _VERDICT_CASES[name]
         rep = assemble_bound(target, loss, spec, dist, h, massart=massart, mode=mode)
         calls = _count_best_in_class_calls(monkeypatch)
-        excess, gap = surrogate_split(rep, loss, spec, dist)
+        excess, gap, tol = surrogate_split(rep, loss, spec, dist)
         assert calls == [loss]
-        star = best_in_class_risk(loss, spec, dist, adversarial=spec.adversarial).value
-        assert (excess, gap) == (rep.r_surrogate - star, star - rep.e_cstar_surrogate)
+        star = best_in_class_risk(loss, spec, dist, adversarial=spec.adversarial)
+        assert (excess, gap, tol) == (rep.r_surrogate - star.value, star.value - rep.e_cstar_surrogate, star.tol)
         assert excess + gap == pytest.approx(rep.r_surrogate - rep.e_cstar_surrogate, abs=1e-15)
         assert gap >= -1e-6
 
@@ -996,7 +1013,7 @@ class TestVerdictPath:
         calls = _count_best_in_class_calls(monkeypatch)
         split = surrogate_split(rep, quadratic(), spec, sect7_nonadversarial(0.1))
         assert calls == []
-        assert split == (rep.r_surrogate - rep.e_cstar_surrogate, 0.0)
+        assert split == (rep.r_surrogate - rep.e_cstar_surrogate, 0.0, 0.0)
 
 
 # Massart logistic/exponential bounds with beta < 1/2, where Gamma reaches the

@@ -374,6 +374,8 @@ class TestBoundCommand:
             pin = repins.get(key, anchor)
             assert doc["components"][key].hex() == pin
             assert abs(float.fromhex(pin) - float.fromhex(anchor)) <= 1e-10
+        # the surrogate search's certified gap; the unrestricted class needs no search
+        assert 0.0 <= doc["provenance"]["surrogate_best_in_class_tol"] <= (0.0 if "--class all" in args else 1e-6)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("grid_n", ["0", "1", "-3"])

@@ -125,8 +125,15 @@ def _no_side_neighbours(monkeypatch):
     monkeypatch.setattr(bounds, "_SIDE_ULPS", 0)
 
 
-def _two_refine_rounds(monkeypatch):
-    monkeypatch.setattr(bounds, "_REFINE_ROUNDS", 2)
+def _cell_bound_without_reflection(monkeypatch):
+    """The margin-loss search's cell bound as R(centre) - err, which holds
+    only where the centre is the cell's least risk."""
+
+    def bound(loss, dist, adversarial, gamma, score, wl, wh, bl, bh):
+        centre, err = score(0.5 * (wl + wh), 0.5 * (bl + bh))
+        return centre - err
+
+    _inject(monkeypatch, bounds, "_cell_bound", bound)
 
 
 def _quadrature_without_kinks(monkeypatch):
@@ -166,19 +173,20 @@ FAULTS = {
         lambda: test_distributions.TestSamplerLaw().test_positions_match_the_components_cdf("nonadv"),
     ),
     "no-side-neighbours": (_no_side_neighbours, _threshold_scan_at_the_atom_on_the_support_end),
+    "cell-bound-without-reflection": (
+        _cell_bound_without_reflection, test_bounds.TestBestInClass().test_larger_class_is_no_worse_on_the_pool_case
+    ),
     # no independent check catches these yet
     "gamma-x1.01-logistic": (
         _gamma_times(1.01, LossFamily.LOGISTIC), test_bounds.TestAssembleBound().test_holds_on_random_exact_instances
     ),
     "e-cstar-kink": (_quadrature_without_kinks, test_bounds.test_expected_min_conditional_sees_the_score_bound_kink),
-    "two-refine-rounds": (_two_refine_rounds, test_bounds.TestBestInClass().test_singleton_equals_pointwise_minimum),
 }
 UNCAUGHT = {
     "gamma-x1.01-logistic": "every logistic-route check is one-sided or a pin; the tightness witnesses "
     "of ROADMAP item 9 catch it",
     "e-cstar-kink": "E[C*] passes no kink points, so the check fails with or without the fault; "
     "ROADMAP items 3 and 4 close it",
-    "two-refine-rounds": "no check measures the surrogate search's 1e-4 claim (ROADMAP item 11)",
 }
 
 
