@@ -190,6 +190,9 @@ def _atom_mixture(draw):
                                                Atom(draw(st.floats(-1.0, 1.0)))) for n in counts))
 
 
+_MARGIN_LOSSES = (hinge(), logistic(), exponential(), quadratic(), sigmoid(1.0), rho_margin(0.5))
+
+
 class TestBestInClass:
     def test_singleton_equals_pointwise_minimum(self):
         d = singleton(0.5, 0.8)
@@ -233,6 +236,22 @@ class TestBestInClass:
         smaller = best_in_class_risk(loss, small, dist, adversarial=gamma > 0)
         larger = best_in_class_risk(loss, large, dist, adversarial=gamma > 0)
         assert larger.value <= smaller.value + larger.tol + 1e-12
+
+    @pytest.mark.parametrize("loss", _MARGIN_LOSSES, ids=lambda l: l.label())
+    @pytest.mark.parametrize("adversarial", [False, True])
+    def test_search_is_within_tol_of_a_grid(self, loss, adversarial):
+        # the box a (w, b) grid search once covered: its exact risks on an
+        # 11 x 11 grid (corners and w = 0 included) bound value - tol
+        dist, gamma = _PIN_DISTS["adv" if adversarial else "nonadv"](), 0.1 if adversarial else 0.0
+        spec = HypothesisSpec(LIN, W=3.0, B=1.0, gamma=gamma)
+        got = best_in_class_risk(loss, spec, dist, adversarial=adversarial)
+        assert abs(got.w) <= spec.W and abs(got.b) <= spec.B
+        assert got.value == risk(loss, LinearHypothesis((got.w,), got.b), dist, Exact(), adversarial, gamma)[0]
+        grid = min(risk(loss, LinearHypothesis((w,), b), dist, Exact(), adversarial, gamma)[0]
+                   for w in np.linspace(-3.0, 3.0, 11) for b in np.linspace(-1.0, 1.0, 11))
+        assert got.value - got.tol <= grid + 1e-12
+        # rho-margin's corner-margin bound stalls at the budget (tol 3.4e-4 there)
+        assert 0.0 <= got.tol <= (1e-3 if (loss.label(), adversarial) == ("rho-margin(rho=0.5)", False) else 1e-5)
 
     def test_zero_one_linear_on_preset(self):
         # only the two flipped endpoint atoms are inseparable: R* = 1/8
