@@ -25,17 +25,21 @@ the bound reports and whose pointwise condition uses the array closed forms,
 and the constructive no-guarantee demonstration for worst-case convex/sigmoid
 surrogates.
 
-Exact zero-one risks are closed-form tail masses.  Exact margin-loss risks
-and the expectations E[C*] integrate the truncated normals through
-``distributions._integrate_continuous``, which owns the quadrature and its
-tolerances; a report's ``provenance`` key ``quad_err`` sums the error
-estimates of every integration it ran.  scipy is used only for the normal cdf
-and its inverse.
+Risks are standard at gamma = 0 (sign(0) = +1) and robust, the loss's
+supremum over the gamma-ball, at gamma > 0: ``risk``'s gamma, or the spec's
+for ``best_in_class_risk``, alone selects the setting.  Exact zero-one risks
+are closed-form tail masses.  Exact margin-loss risks (``_margin_risk``,
+which also bounds the search's cells) and the expectations E[C*] integrate
+the truncated normals through ``distributions._integrate_continuous``, which
+owns the quadrature and its tolerances; a report's ``provenance`` key
+``quad_err`` sums the error estimates of every integration it ran.  scipy is
+used only for the normal cdf and its inverse.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
 import math
 import numbers
@@ -109,17 +113,18 @@ class Target(enum.Enum):
 # ---------------------------------------------------------------------------
 
 
-def _score_kernel(w, b, xs, ys, adversarial, gamma, out=None):
+def _score_kernel(w, b, xs, ys, gamma, out=None):
     """(err, arg) for the scores s = w*x + b at points xs with labels ys in {-1, +1}.
 
     w and b broadcast against xs: scalars for one hypothesis on a sample, or
     a (w, b) grid against one atom or a quadrature rule.  err is the zero-one
-    error indicator (bool): sign(s) != y, or in the robust case whether the
-    gamma-ball reaches the wrong side.  arg is the argument at which every
-    margin loss is taken: y*s, or the worst-case margin np.where(y > 0, lo, -hi)
-    over the ball [lo, hi] = [s - gamma|w|, s + gamma|w|].  Given ``out``, a
-    float64 array of xs's shape (xs itself included), the score and arg are
-    computed in it (w and b scalars), and arg is out.
+    error indicator (bool): at gamma = 0 sign(s) != y, sign(0) = +1; at
+    gamma > 0 whether the gamma-ball reaches 0 or the wrong side.  arg is the
+    margin at which every loss is taken: y*s, or the worst-case margin
+    np.where(y > 0, lo, -hi) over the ball [lo, hi] = [s - gamma|w|,
+    s + gamma|w|].  Given ``out``, a float64 array of xs's shape (xs itself
+    included), the score and arg are computed in it (w and b scalars), and
+    arg is out.
     """
     ys = np.asarray(ys)
     if out is not None:
@@ -127,7 +132,7 @@ def _score_kernel(w, b, xs, ys, adversarial, gamma, out=None):
         s += b
     else:
         s = w * np.asarray(xs, dtype=float) + b
-    if adversarial:
+    if gamma > 0:
         s -= (gamma * np.abs(w)) * ys  # lo where y = +1, hi where y = -1
         s *= ys
         return s <= 0.0, s
@@ -142,10 +147,6 @@ def _loss_values(loss, err, arg, out=None):
     if isinstance(loss, ZeroOneLoss):
         return np.multiply(err, 1.0, out=out)  # 0.0 or 1.0, as err.astype(float)
     return eval_margin_loss(loss, arg, out)
-
-
-def _pointwise_losses(loss, h, xs, ys, adversarial, gamma):
-    return _loss_values(loss, *_score_kernel(h.w, h.b, xs, ys, adversarial, gamma))
 
 
 def _pairwise_sum(start, m, leaf_sum):
@@ -189,7 +190,7 @@ def _mean_m2(v):
     return float(mean), float(_squares_sum(v, mean))
 
 
-def _mc_risks(losses, h, dist, mode, adversarial, gamma) -> list:
+def _mc_risks(losses, h, dist, mode, gamma) -> list:
     """Monte Carlo (risk, stderr) of h under each loss, from one shared sample.
 
     Each 2^16-draw sampling block is scored in place and reduced on its
@@ -203,7 +204,7 @@ def _mc_risks(losses, h, dist, mode, adversarial, gamma) -> list:
     """
 
     def block_stats(start, xs, ys, spare):
-        err, arg = _score_kernel(h.w, h.b, xs, ys, adversarial, gamma, out=xs)
+        err, arg = _score_kernel(h.w, h.b, xs, ys, gamma, out=xs)
         return [(xs.size, *_mean_m2(_loss_values(loss, err, arg, spare[0]))) for loss in losses]
 
     out = []
@@ -226,12 +227,12 @@ def _kink_margins(loss) -> tuple:
     return ()
 
 
-def _discontinuity_points(loss, h, adversarial, gamma):
+def _discontinuity_points(loss, h, gamma):
     """x locations where the pointwise loss of h has a kink or jump."""
     w = h.w
     if w == 0.0:
         return ()
-    shifts = (gamma * abs(w), -gamma * abs(w)) if adversarial else (0.0,)
+    shifts = (gamma * abs(w), -gamma * abs(w)) if gamma > 0 else (0.0,)
     pts = []
     for v in _kink_margins(loss):
         for vv in (v, -v):
@@ -240,42 +241,51 @@ def _discontinuity_points(loss, h, adversarial, gamma):
     return tuple(sorted(set(pts)))
 
 
+def _margin_risk(loss, dist, hs, gamma) -> tuple:
+    """(risk, error estimate) of the margin loss taken at each point's
+    largest margin over the linear hypotheses hs: the atoms summed, then the
+    truncated normals integrated by ``distributions._integrate_continuous``,
+    its panels split where a loss of hs has a kink or jump.  For hs = (h,)
+    it is the exact risk of h."""
+
+    def losses(xs, label):
+        margins = (_score_kernel(h.w, h.b, xs, label, gamma)[1] for h in hs)
+        return eval_margin_loss(loss, functools.reduce(np.maximum, margins))
+
+    atoms = sum(c.weight * float(losses(c.law.x, c.label)) for c in dist.atoms())
+    pts = [p for h in hs for p in _discontinuity_points(loss, h, gamma)]
+    return _integrate_continuous(dist, lambda c: lambda xs: losses(xs, c.label) * c.law.pdf(xs), pts, atoms)
+
+
 def risk(
     loss,
     h: LinearHypothesis,
     dist: LabeledDistribution,
     mode=Exact(),
-    adversarial: bool = False,
     gamma: float = 0.0,
     with_error: bool = False,
 ):
     """Generalization risk of h; returns (value, stderr). stderr is 0 in Exact mode.
 
-    MonteCarlo mode reduces the sample block by block (``_mc_risks``).
-
-    Exact mode takes the zero-one risk from closed-form tail masses and a
-    margin loss's risk from ``distributions._integrate_continuous`` over the
-    truncated normals, its panels split where the loss of h has a kink or
-    jump; an error estimate above 1e-8 raises ``QuadratureError``.  With
+    gamma = 0 gives the standard risk (sign(0) = +1), gamma > 0 the robust
+    one (``_score_kernel``); a gamma outside [0, 1), NaN included, raises
+    ``ValueError``.  MonteCarlo mode reduces the sample block by block
+    (``_mc_risks``).  Exact mode takes the zero-one risk from closed-form
+    tail masses and a margin loss's risk from ``_margin_risk``; a quadrature
+    error estimate above 1e-8 raises ``QuadratureError``.  With
     ``with_error`` returns (value, stderr, quad_err), quad_err being the
     components' error estimates weighted like their risks (0 unless the
     margin-loss quadrature ran).
     """
-    if adversarial and not gamma > 0:
-        raise ValueError("adversarial risk needs gamma > 0")
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
     quad_err = se = 0.0
     if isinstance(mode, MonteCarlo):
-        ((value, se),) = _mc_risks((loss,), h, dist, mode, adversarial, gamma)
+        ((value, se),) = _mc_risks((loss,), h, dist, mode, gamma)
     elif isinstance(loss, ZeroOneLoss):
-        value = float(_zero_one_risk(dist, h.w, h.b, adversarial, gamma))
+        value = float(_zero_one_risk(dist, h.w, h.b, gamma))
     else:
-
-        def integrand_on(c):
-            return lambda xs: _pointwise_losses(loss, h, xs, c.label, adversarial, gamma) * c.law.pdf(xs)
-
-        atoms = float(_atom_risk(loss, dist, h.w, h.b, adversarial, gamma))
-        pts = _discontinuity_points(loss, h, adversarial, gamma)
-        value, quad_err = _integrate_continuous(dist, integrand_on, pts, atoms)
+        value, quad_err = _margin_risk(loss, dist, (h,), gamma)
     return (value, se, quad_err) if with_error else (value, se)
 
 
@@ -293,16 +303,7 @@ class BestInClass:
     quad_err: float = 0.0  # error estimate of the quadrature behind value
 
 
-def _atom_risk(loss, dist, w, b, adversarial, gamma):
-    """Risk mass on the atoms of dist of the scores w*x + b (w, b broadcast)."""
-    out = 0.0
-    for c in dist.atoms():
-        err, arg = _score_kernel(w, b, c.law.x, c.label, adversarial, gamma)
-        out = out + c.weight * _loss_values(loss, err, arg)
-    return out
-
-
-def _error_mass(law, label, w, b, adversarial, gamma):
+def _error_mass(law, label, w, b, gamma):
     """Exact zero-one error mass of the scores w*x + b (w, b broadcast) on one
     truncated normal with the given label.
 
@@ -311,24 +312,26 @@ def _error_mass(law, label, w, b, adversarial, gamma):
     null set, so its strictness does not matter.  For w = 0 the score is the
     constant b, and the kernel's indicator decides, strictness included.
     """
-    err0, margin0 = _score_kernel(w, b, 0.0, label, adversarial, gamma)
+    err0, margin0 = _score_kernel(w, b, 0.0, label, gamma)
     thr = -margin0 / np.where(w == 0.0, np.nan, label * w)
     cdf = law.cdf(np.nan_to_num(thr, nan=0.0))
     sided = np.where((w > 0) == (label > 0), cdf, 1.0 - cdf)
     return np.where(w == 0.0, err0, sided)
 
 
-def _zero_one_risk(dist, w, b, adversarial, gamma):
-    """Exact zero-one (or robust zero-one) risk of the scores w*x + b, w and b
-    broadcast: the atoms' kernel indicators, then each truncated normal's
-    closed-form error mass, added in component order."""
-    out = _atom_risk(ZERO_ONE, dist, w, b, adversarial, gamma)
+def _zero_one_risk(dist, w, b, gamma):
+    """Exact zero-one (robust for gamma > 0) risk of the scores w*x + b, w
+    and b broadcast: the atoms' kernel indicators, then each truncated
+    normal's closed-form error mass, added in component order."""
+    out = 0.0
+    for c in dist.atoms():
+        out = out + c.weight * _score_kernel(w, b, c.law.x, c.label, gamma)[0]
     for c in dist.continuous():
-        out = out + c.weight * _error_mass(c.law, c.label, w, b, adversarial, gamma)
+        out = out + c.weight * _error_mass(c.law, c.label, w, b, gamma)
     return out
 
 
-def _zero_one_best_linear(spec: HypothesisSpec, dist: LabeledDistribution, adversarial: bool) -> BestInClass:
+def _zero_one_best_linear(spec: HypothesisSpec, dist: LabeledDistribution) -> BestInClass:
     """R*_01,H over the linear class, exactly, by the threshold reduction.
 
     For w != 0 the kernel's error at (x, y) depends only on the threshold
@@ -359,9 +362,8 @@ def _zero_one_best_linear(spec: HypothesisSpec, dist: LabeledDistribution, adver
     same side of every other breakpoint as any threshold within it, so off
     those atoms the errors agree, and the tail masses move by rounding only.
     """
-    gamma = spec.gamma if adversarial else 0.0
-    W, B = spec.W, spec.B
-    shifts = (-gamma, gamma) if adversarial else (0.0,)
+    gamma, W, B = spec.gamma, spec.W, spec.B
+    shifts = (-gamma, gamma) if gamma > 0 else (0.0,)
     comps = dist.continuous()
     ends = [e for c in comps for e in (c.law.lo, c.law.hi)]
     points = np.unique(np.add.outer([c.law.x for c in dist.atoms()] + ends, shifts))
@@ -412,12 +414,12 @@ def _zero_one_best_linear(spec: HypothesisSpec, dist: LabeledDistribution, adver
     b = np.clip(-w * theta, -B, B)
     const = min(B, 1.0)  # any bias of that sign makes w = 0 the same constant; B may be inf
     w, b = np.append(w, (0.0, 0.0)), np.append(b, (const, -const))
-    risks = _zero_one_risk(dist, w, b, adversarial, gamma)
+    risks = _zero_one_risk(dist, w, b, gamma)
     i = int(np.argmin(risks))
     return BestInClass(float(risks[i]), tol=tol, w=float(w[i]), b=float(b[i]))
 
 
-def _cell_bound(loss, dist, adversarial, gamma, score, wl, wh, bl, bh) -> float:
+def _cell_bound(loss, dist, gamma, score, wl, wh, bl, bh) -> float:
     """A lower bound, never NaN, on the margin-loss risk over the cell
     [wl, wh] x [bl, bh] of a half box (w of one sign), net of the error
     estimates of score(w, b) = (risk, error estimate), taken at the cell's
@@ -427,38 +429,30 @@ def _cell_bound(loss, dist, adversarial, gamma, score, wl, wh, bl, bh) -> float:
     worst-case forms included (y*(w*x + b) - gamma*|w| is concave), so
     R(p) >= 2*R(centre) - R(2*centre - p) >= 2*R(centre) - max R(corner);
     sigmoid's -phi'' <= M = 4*k^2/sqrt(27) costs it M*((1 + gamma)*hw + hb)^2
-    (half widths hw, hb; |x| <= 1).  Else (rho-margin, or no finite convex
-    bound) the risk of the corners' largest margin at each x: on a half box
-    the margin is linear in (w, b), and every loss is non-increasing.
+    (half widths hw, hb; |x| <= 1; none finite if k^2 overflows).  Else
+    (rho-margin, or no finite convex bound) ``_margin_risk`` at the corners'
+    largest margin: on a half box the margin is linear in (w, b), and every
+    loss is non-increasing.
     """
     centre, centre_err = score(0.5 * (wl + wh), 0.5 * (bl + bh))
     bound = 2.0 * (centre - centre_err) - max(sum(score(w, b)) for w in (wl, wh) for b in (bl, bh))
     if loss.family is LossFamily.SIGMOID:
-        bound -= 4.0 * loss.k**2 / math.sqrt(27.0) * ((1.0 + gamma) * 0.5 * (wh - wl) + 0.5 * (bh - bl)) ** 2
+        bound -= 4.0 * (loss.k * loss.k) / math.sqrt(27.0) * ((1.0 + gamma) * 0.5 * (wh - wl) + 0.5 * (bh - bl)) ** 2
     if loss.family is not LossFamily.RHO_MARGIN and bound > -math.inf:
         return bound
-    corners = [LinearHypothesis((w,), b) for w in (wl, wh) for b in (bl, bh)]
-    ws, bs = np.array([[h.w] for h in corners]), np.array([[h.b] for h in corners])
-
-    def losses(xs, label):
-        return eval_margin_loss(loss, _score_kernel(ws, bs, xs, label, adversarial, gamma)[1].max(axis=0))
-
-    pts = [p for h in corners for p in _discontinuity_points(loss, h, adversarial, gamma)]
-    atoms = sum(c.weight * float(losses(c.law.x, c.label)[0]) for c in dist.atoms())
     try:
-        value, err = _integrate_continuous(dist, lambda c: lambda xs: losses(xs, c.label) * c.law.pdf(xs), pts, atoms)
+        value, err = _margin_risk(loss, dist, [LinearHypothesis((w,), b) for w in (wl, wh) for b in (bl, bh)], gamma)
     except QuadratureError:
         return -math.inf
     return max(-math.inf, value - err)  # NaN -> -inf
 
 
-def best_in_class_risk(
-    loss, spec: HypothesisSpec, dist: LabeledDistribution, adversarial: bool = False
-) -> BestInClass:
-    """Infimum of the risk over the class at d=1, to within ``tol``.
+def best_in_class_risk(loss, spec: HypothesisSpec, dist: LabeledDistribution) -> BestInClass:
+    """Infimum of the risk over the class at d=1, to within ``tol``: the
+    standard risk for spec.gamma = 0, the robust one for spec.gamma > 0.
 
-    Unrestricted class: exact, as the expectation of the pointwise minimal
-    conditional risk (the class attains the pointwise optimum everywhere).
+    Unrestricted class, gamma = 0 only: exact, as the expectation of the
+    pointwise minimal conditional risk (the class attains it everywhere).
     Linear class, zero-one loss: ``_zero_one_best_linear``'s threshold
     reduction, for every W and B (B = inf included).  Linear class, margin
     loss, finite W and B: a best-first branch-and-bound over the (w, b) box,
@@ -470,26 +464,24 @@ def best_in_class_risk(
     the returned (w, b); tol is the gap reached (inf while a cell has no
     finite bound), resting, like quad_err, on the quadrature's error estimates.
     """
-    if adversarial and not spec.adversarial:
-        raise ValueError("adversarial best-in-class risk needs spec.gamma > 0")
     if spec.cls is HypothesisClass.ALL:
-        if adversarial:
+        if spec.adversarial:
             raise ValueError("no exact machinery for the unrestricted class under perturbations")
-        val, err = _expect_min_conditional(loss, spec, dist, False)
+        val, err = _expect_min_conditional(loss, spec, dist)
         return BestInClass(val, tol=0.0, quad_err=err)
     if spec.cls is not HypothesisClass.LINEAR:
         raise ValueError("best-in-class search supports the linear and unrestricted classes")
     if isinstance(loss, ZeroOneLoss):
-        return _zero_one_best_linear(spec, dist, adversarial)
+        return _zero_one_best_linear(spec, dist)
     if not (math.isfinite(spec.W) and math.isfinite(spec.B)):
         raise ValueError("the margin-loss search needs finite W and B")
-    gamma = spec.gamma if adversarial else 0.0
+    gamma = spec.gamma
     scores, best, cells = {}, [math.inf, math.nan, math.nan, 0.0], []  # best: value, w, b, error estimate
 
     def score(w, b):
         if (w, b) not in scores:
             try:
-                value, _, err = risk(loss, LinearHypothesis((w,), b), dist, Exact(), adversarial, gamma, True)
+                value, _, err = risk(loss, LinearHypothesis((w,), b), dist, Exact(), gamma, True)
             except QuadratureError:
                 value = err = math.inf
             scores[w, b] = value, err
@@ -498,7 +490,7 @@ def best_in_class_risk(
         return scores[w, b]
 
     def push(cell):
-        heapq.heappush(cells, (_cell_bound(loss, dist, adversarial, gamma, score, *cell), cell))
+        heapq.heappush(cells, (_cell_bound(loss, dist, gamma, score, *cell), cell))
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing loss scores inf
         push((-spec.W, 0.0, -spec.B, spec.B))
@@ -516,13 +508,13 @@ def best_in_class_risk(
     return BestInClass(value, tol=max(0.0, value - cells[0][0]), w=w, b=b, quad_err=err)
 
 
-def _expect_min_conditional(loss, spec, dist, adversarial) -> tuple:
+def _expect_min_conditional(loss, spec, dist) -> tuple:
     """(E_X of the pointwise minimal conditional risk, quadrature error
-    estimate); the lower endpoint when only a bracket is available, which
-    upper-bounds the resulting gap."""
+    estimate), robust for spec.gamma > 0; the lower endpoint when only a
+    bracket is available, which upper-bounds the resulting gap."""
     if isinstance(loss, ZeroOneLoss):
         return expectation(dist, lambda x, e: np.minimum(e, 1.0 - e), with_error=True)
-    if adversarial:
+    if spec.adversarial:
         bracket = _adversarial_bracket(loss, spec)
         return expectation(dist, lambda x, e: bracket(np.abs(x), e)[0], with_error=True)
     min_risk = _min_risk(loss, spec)
@@ -645,24 +637,22 @@ def assemble_bound(
     gamma = spec.gamma
 
     if isinstance(mode, MonteCarlo):
-        (r_target, se_target), (r_surr, se_surr) = _mc_risks(
-            (ZERO_ONE, surrogate), h, dist, mode, adversarial, gamma
-        )
+        (r_target, se_target), (r_surr, se_surr) = _mc_risks((ZERO_ONE, surrogate), h, dist, mode, gamma)
         r_surr_err = 0.0
     else:
-        r_target, se_target = risk(ZERO_ONE, h, dist, Exact(), adversarial, gamma)
-        r_surr, se_surr, r_surr_err = risk(surrogate, h, dist, Exact(), adversarial, gamma, with_error=True)
+        r_target, se_target = risk(ZERO_ONE, h, dist, Exact(), gamma)
+        r_surr, se_surr, r_surr_err = risk(surrogate, h, dist, Exact(), gamma, with_error=True)
     _require_finite("surrogate risk R_surrogate(h)", r_surr)
-    e_cstar_surr, e_surr_err = _expect_min_conditional(surrogate, spec, dist, adversarial)
+    e_cstar_surr, e_surr_err = _expect_min_conditional(surrogate, spec, dist)
     _require_finite("expected minimal conditional surrogate risk E[C*]", e_cstar_surr)
     y = r_surr - e_cstar_surr  # = surrogate excess + surrogate gap, grid-noise free
     _require_finite("Gamma's argument R_surrogate(h) - E[C*]", y)
 
-    star_target = best_in_class_risk(ZERO_ONE, spec, dist, adversarial=adversarial)
+    star_target = best_in_class_risk(ZERO_ONE, spec, dist)
     if spec.cls is HypothesisClass.ALL:  # R*_01,H is E[C*_01]: one integral serves both
         e_cstar_target, e_target_err = star_target.value, 0.0
     else:
-        e_cstar_target, e_target_err = _expect_min_conditional(ZERO_ONE, spec, dist, adversarial)
+        e_cstar_target, e_target_err = _expect_min_conditional(ZERO_ONE, spec, dist)
     m_target = star_target.value - e_cstar_target
     lhs = r_target - star_target.value
 
@@ -717,7 +707,7 @@ def surrogate_split(
     r_surr, e_cstar = report.r_surrogate, report.e_cstar_surrogate
     if spec.cls is HypothesisClass.ALL:
         return r_surr - e_cstar, 0.0, 0.0
-    star = best_in_class_risk(surrogate, spec, dist, adversarial=spec.adversarial)
+    star = best_in_class_risk(surrogate, spec, dist)
     return r_surr - star.value, star.value - e_cstar, star.tol
 
 
@@ -773,8 +763,8 @@ def verify_psi_bound_discrete(
     gap = psi(target_regret) - surrogate_regret
     violations = tuple((int(ai), int(hj), float(gap[hj, ai])) for hj, ai in np.argwhere(gap > _PSI_TOL))
 
-    e_target = _expect_min_conditional(ZERO_ONE, spec, dist, False)[0]
-    e_surr = _expect_min_conditional(surrogate, spec, dist, False)[0]
+    e_target = _expect_min_conditional(ZERO_ONE, spec, dist)[0]
+    e_surr = _expect_min_conditional(surrogate, spec, dist)[0]
     psi0 = float(psi(0.0))
     slack = np.array(
         [psi(risk(ZERO_ONE, h, dist)[0] - e_target) - (risk(surrogate, h, dist)[0] - e_surr + psi0) for h in hypotheses]

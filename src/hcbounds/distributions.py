@@ -63,6 +63,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _WEIGHT_TOL = 1e-12
 _QUAD_ABS_TOL = 1e-8
 _QUAD_REL_TOL = 1e-10
+_QUAD_EPSABS = 1e-10  # the adaptive rule stops once its error estimate is below this or _QUAD_REL_TOL * |value|
 _QUAD_LIMIT = 200  # most panels one integral may use
 _SAMPLE_CHUNK = 1 << 20  # draws per Philox substream
 _SAMPLE_BLOCK = 1 << 16  # draws per sampling task
@@ -448,7 +449,7 @@ _EPMACH = float(np.finfo(float).eps)
 _UFLOW = float(np.finfo(float).tiny)
 
 
-def _gauss_kronrod(f, a: float, b: float, points=(), epsabs: float = 1e-10):
+def _gauss_kronrod(f, a: float, b: float, points=()):
     """Adaptive 21-point Gauss-Kronrod quadrature of f over [a, b]; returns
     (value, error estimate).
 
@@ -456,7 +457,7 @@ def _gauss_kronrod(f, a: float, b: float, points=(), epsabs: float = 1e-10):
     panels are [a, b] split at ``points`` (kinks and jumps of f).  Each round
     evaluates f once on the 21 nodes of every open panel and estimates each
     panel's error from the K21/G10 difference with QUADPACK's scaling.  It
-    stops when the summed estimate is within max(epsabs, 1e-10 * |value|),
+    stops when the summed estimate is within max(1e-10, 1e-10 * |value|),
     else bisects the panels whose estimate exceeds their width's share of it.
     Raises ``QuadratureError`` when that would exceed 200 panels, or when
     the integrand is not finite.
@@ -480,7 +481,7 @@ def _gauss_kronrod(f, a: float, b: float, points=(), epsabs: float = 1e-10):
         err = np.where(resabs > _UFLOW / (50.0 * _EPMACH), np.maximum(50.0 * _EPMACH * resabs, err), err)
         val = resk * half
         value, error = done_val + float(val.sum()), done_err + float(err.sum())
-        tol = max(epsabs, _QUAD_REL_TOL * abs(value))
+        tol = max(_QUAD_EPSABS, _QUAD_REL_TOL * abs(value))
         split = err > tol * (hi - lo) / (b - a)
         if error <= tol or not split.any():
             return value, error

@@ -154,7 +154,7 @@ def _run_cells(cfg, experiment, losses, extras):
         dist = sect7_adversarial(sigma, gamma) if adversarial else sect7_nonadversarial(sigma)
 
         def score(start, xs, ys, spare):
-            err, a = _score_kernel(cfg.w, cfg.b, xs, ys, adversarial, gamma, out=xs)  # xs is arg's slice
+            err, a = _score_kernel(cfg.w, cfg.b, xs, ys, gamma, out=xs)  # xs is arg's slice
             errs[start : start + len(a)] = err
             if not counted:
                 return 0

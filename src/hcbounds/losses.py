@@ -7,8 +7,8 @@ alpha = y*h(x):
     logistic     log2(1 + e^-a)
     exponential  e^-a
     quadratic    (1 - a)^2 for a <= 1, else 0
-    sigmoid      1 - tanh(k*a),            k > 0
-    rho-margin   min{1, max{0, 1 - a/rho}}, rho > 0
+    sigmoid      1 - tanh(k*a),            finite k > 0
+    rho-margin   min{1, max{0, 1 - a/rho}}, finite rho > 0
 
 The classification target is the zero-one loss with the convention
 sign(0) = +1, and its robust counterpart, which charges an error whenever
@@ -63,10 +63,10 @@ class MarginLoss:
     rho: float = 1.0
 
     def __post_init__(self):
-        if self.family is LossFamily.SIGMOID and not self.k > 0:
-            raise ValueError(f"sigmoid loss requires k > 0, got k={self.k}")
-        if self.family is LossFamily.RHO_MARGIN and not self.rho > 0:
-            raise ValueError(f"rho-margin loss requires rho > 0, got rho={self.rho}")
+        if self.family is LossFamily.SIGMOID and not 0.0 < self.k < math.inf:
+            raise ValueError(f"sigmoid loss requires a finite k > 0, got k={self.k}")
+        if self.family is LossFamily.RHO_MARGIN and not 0.0 < self.rho < math.inf:
+            raise ValueError(f"rho-margin loss requires a finite rho > 0, got rho={self.rho}")
 
     def label(self) -> str:
         if self.family is LossFamily.SIGMOID:
@@ -136,7 +136,7 @@ def check_truncation_eps(eps: float) -> float:
 
 
 class ZeroOneLoss:
-    """Marker for the zero-one target loss (robust variant selected by context)."""
+    """Marker for the zero-one target loss (robust where gamma > 0)."""
 
     def label(self) -> str:
         return "zero-one"

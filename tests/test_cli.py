@@ -741,6 +741,35 @@ class TestNonFiniteHypothesis:
         assert not list(tmp_path.iterdir())
 
 
+class TestNonFiniteLossParameters:
+    """A sigmoid k or rho-margin rho that is not finite is a usage error
+    (exit 2), not a crash with the failed-check code 1."""
+
+    SPEC = ["--class", "linear", "--W", "5", "--B", "0.5"]
+
+    @pytest.mark.parametrize("command, msg", [
+        (["transform", "--loss", "rho-margin", "--rho", "inf"],
+         "rho-margin loss requires a finite rho > 0, got rho=inf"),
+        (["bound", "--loss", "rho-margin", "--rho", "inf", "--dist", "sect7-nonadv"],
+         "rho-margin loss requires a finite rho > 0, got rho=inf"),
+        (["transform", "--loss", "sigmoid", "--k", "inf"], "sigmoid loss requires a finite k > 0, got k=inf"),
+        (["bound", "--loss", "sigmoid", "--k", "inf", "--dist", "sect7-nonadv"],
+         "sigmoid loss requires a finite k > 0, got k=inf"),
+    ], ids=["transform-rho-inf", "bound-rho-inf", "transform-k-inf", "bound-k-inf"])
+    def test_exits_2(self, capsys, command, msg):
+        assert main([*command, *self.SPEC]) == 2
+        assert msg in capsys.readouterr().err
+
+    def test_overflowing_sigmoid_curvature_falls_back_to_the_corner_bound(self, tmp_path):
+        # k^2 overflows (k >~ 1.3e154): the cell's curvature is inf and the
+        # search bounds it by its corners' largest margin instead
+        out = tmp_path / "b.json"
+        assert main(["bound", "--loss", "sigmoid", "--k", "1e160", *self.SPEC, "--dist", "sect7-nonadv",
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["holds"] is True and math.isfinite(doc["provenance"]["surrogate_best_in_class_tol"])
+
+
 class TestRetiredFlags:
     """Inputs are scalars, so no --p; bound does not truncate, so no --eps."""
 

@@ -297,8 +297,8 @@ def _lemma_adversarial(lo, hi, t):
 def _robust_regret(h, x, t, gamma):
     """Robust conditional zero-one regret of h at (x, t), from the kernel's
     robust indicator: t*err(+1) + (1-t)*err(-1) - min(t, 1-t)."""
-    err_pos, arg_pos = _score_kernel(h.w, h.b, x, 1, True, gamma)
-    err_neg, arg_neg = _score_kernel(h.w, h.b, x, -1, True, gamma)
+    err_pos, arg_pos = _score_kernel(h.w, h.b, x, 1, gamma)
+    err_neg, arg_neg = _score_kernel(h.w, h.b, x, -1, gamma)
     regret = t * float(err_pos) + (1.0 - t) * float(err_neg) - min(t, 1.0 - t)
     return regret, float(arg_pos), -float(arg_neg)  # the margins are lo and -hi
 

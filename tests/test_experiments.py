@@ -128,8 +128,8 @@ class TestAdversarialSweep:
         rows = run_adversarial_sweep(cfg)
         dist = sect7_adversarial(0.1, cfg.gamma)
         h = LinearHypothesis((cfg.w,), cfg.b)
-        exact_lhs, _ = risk(ZERO_ONE, h, dist, Exact(), adversarial=True, gamma=cfg.gamma)
-        exact_hinge, _ = risk(hinge_loss(), h, dist, Exact(), adversarial=True, gamma=cfg.gamma)
+        exact_lhs, _ = risk(ZERO_ONE, h, dist, Exact(), gamma=cfg.gamma)
+        exact_hinge, _ = risk(hinge_loss(), h, dist, Exact(), gamma=cfg.gamma)
         hinge_row = next(r for r in rows if r["loss"] == "sup-hinge")
         assert abs(hinge_row["lhs"] - exact_lhs) <= 4 * hinge_row["stderr_lhs"]
         assert abs(hinge_row["rhs"] - exact_hinge) <= 4 * hinge_row["stderr_rhs"]
@@ -334,7 +334,7 @@ def _whole_array_rows(kind, n):
     for i, sigma in enumerate(cfg.sigmas):
         dist = sect7_adversarial(sigma, cfg.gamma) if adversarial else sect7_nonadversarial(sigma)
         xs, ys = sample(dist, n, _cell_seed(cfg.seed, i))
-        err, arg = _score_kernel(cfg.w, cfg.b, xs, ys, adversarial, cfg.gamma if adversarial else 0.0)
+        err, arg = _score_kernel(cfg.w, cfg.b, xs, ys, cfg.gamma if adversarial else 0.0)
         err = err.astype(float)
         lhs, se_lhs = np.mean(err), np.std(err, ddof=1) / math.sqrt(n)
         vals = [eval_margin_loss(loss, arg) for loss in losses]

@@ -17,9 +17,11 @@ points moves exact risks by rounding only (the adaptive rule copes), so no
 check should catch it.
 """
 
+import functools
 import math
 import sys
 
+import numpy as np
 import pytest
 
 import test_acceptance
@@ -62,8 +64,8 @@ def _zero_one_cstar_times(factor):
     def inject(monkeypatch):
         real = bounds._expect_min_conditional
 
-        def expect(loss, spec, dist, adversarial):
-            value, err = real(loss, spec, dist, adversarial)
+        def expect(loss, spec, dist):
+            value, err = real(loss, spec, dist)
             return (factor * value if isinstance(loss, ZeroOneLoss) else value), err
 
         _inject(monkeypatch, bounds, "_expect_min_conditional", expect)
@@ -75,9 +77,9 @@ def _mc_merge_without_delta(monkeypatch):
     """``_mc_risks`` with the blocks' M2 summed, the delta term of Chan,
     Golub and LeVeque's merge left out."""
 
-    def mc_risks(losses, h, dist, mode, adversarial, gamma):
+    def mc_risks(losses, h, dist, mode, gamma):
         def block_stats(start, xs, ys, spare):
-            err, arg = bounds._score_kernel(h.w, h.b, xs, ys, adversarial, gamma, out=xs)
+            err, arg = bounds._score_kernel(h.w, h.b, xs, ys, gamma, out=xs)
             return [(xs.size, *bounds._mean_m2(bounds._loss_values(loss, err, arg, spare[0]))) for loss in losses]
 
         out = []
@@ -129,16 +131,35 @@ def _cell_bound_without_reflection(monkeypatch):
     """The margin-loss search's cell bound as R(centre) - err, which holds
     only where the centre is the cell's least risk."""
 
-    def bound(loss, dist, adversarial, gamma, score, wl, wh, bl, bh):
+    def bound(loss, dist, gamma, score, wl, wh, bl, bh):
         centre, err = score(0.5 * (wl + wh), 0.5 * (bl + bh))
         return centre - err
 
     _inject(monkeypatch, bounds, "_cell_bound", bound)
 
 
+def _margin_risk_at_the_least_margin(monkeypatch):
+    """``_margin_risk`` at each point's least margin over the hypotheses, not
+    the largest: a single hypothesis's risk is unchanged, but the rho-margin
+    search's corner bound on a cell exceeds the cell's least risk."""
+
+    def margin_risk(loss, dist, hs, gamma):
+        def losses(xs, label):
+            margins = (bounds._score_kernel(h.w, h.b, xs, label, gamma)[1] for h in hs)
+            return bounds.eval_margin_loss(loss, functools.reduce(np.minimum, margins))
+
+        atoms = sum(c.weight * float(losses(c.law.x, c.label)) for c in dist.atoms())
+        pts = [p for h in hs for p in bounds._discontinuity_points(loss, h, gamma)]
+        return distributions._integrate_continuous(
+            dist, lambda c: lambda xs: losses(xs, c.label) * c.law.pdf(xs), pts, atoms
+        )
+
+    _inject(monkeypatch, bounds, "_margin_risk", margin_risk)
+
+
 def _quadrature_without_kinks(monkeypatch):
     real = distributions._gauss_kronrod
-    _inject(monkeypatch, distributions, "_gauss_kronrod", lambda f, a, b, points=(), **kw: real(f, a, b, (), **kw))
+    _inject(monkeypatch, distributions, "_gauss_kronrod", lambda f, a, b, points=(): real(f, a, b))
 
 
 def _threshold_scan_at_the_atom_on_the_support_end():
@@ -175,6 +196,11 @@ FAULTS = {
     "no-side-neighbours": (_no_side_neighbours, _threshold_scan_at_the_atom_on_the_support_end),
     "cell-bound-without-reflection": (
         _cell_bound_without_reflection, test_bounds.TestBestInClass().test_larger_class_is_no_worse_on_the_pool_case
+    ),
+    # the non-adversarial rho-margin pair catches it too, in 4x the time
+    "margin-risk-at-the-least-margin": (
+        _margin_risk_at_the_least_margin,
+        lambda: test_bounds.TestBestInClass().test_search_is_within_tol_of_a_grid(test_bounds.rho_margin(0.5), True),
     ),
     # no independent check catches these yet
     "gamma-x1.01-logistic": (

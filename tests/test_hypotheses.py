@@ -21,9 +21,9 @@ RELU = HypothesisClass.ONE_HIDDEN_RELU
 def adversarial_extrema(h, x, gamma):
     """(lo, hi), the extreme scores of h over the gamma-ball around x, as
     ``bounds._score_kernel`` takes them: its margin is lo at y = +1 and -hi
-    at y = -1."""
-    _, lo = _score_kernel(h.w, h.b, x, 1, True, gamma)
-    _, neg_hi = _score_kernel(h.w, h.b, x, -1, True, gamma)
+    at y = -1 (at gamma = 0, y*s in its standard branch, which is the same)."""
+    _, lo = _score_kernel(h.w, h.b, x, 1, gamma)
+    _, neg_hi = _score_kernel(h.w, h.b, x, -1, gamma)
     return float(lo), -float(neg_hi)
 
 

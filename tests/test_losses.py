@@ -2,7 +2,7 @@
 
 The zero-one, robust zero-one and worst-case margin losses of a linear
 hypothesis are checked through ``bounds._score_kernel`` and
-``bounds._pointwise_losses``, the code that every risk, bound and sweep runs.
+``bounds._loss_values``, the code that every risk, bound and sweep runs.
 """
 
 import math
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hcbounds.bounds import _pointwise_losses, _score_kernel
+from hcbounds.bounds import _loss_values, _score_kernel
 from hcbounds.hypotheses import LinearHypothesis
 from hcbounds.losses import (
     ZERO_ONE,
@@ -31,16 +31,21 @@ ALL_LOSSES = [hinge(), logistic(), exponential(), quadratic(), sigmoid(1.0), rho
 CONVEX_LOSSES = [hinge(), logistic(), exponential(), quadratic()]
 
 
+def _pointwise(loss, h, xs, y, gamma):
+    """The loss of h at the points xs with label y, from the kernel: robust for gamma > 0."""
+    return _loss_values(loss, *_score_kernel(h.w, h.b, xs, y, gamma))
+
+
 def _zero_one(u, y):
     """Zero-one loss of the score u against label y, from the kernel."""
-    return float(_pointwise_losses(ZERO_ONE, LinearHypothesis(0.0, u), 0.0, y, False, 0.0))
+    return float(_pointwise(ZERO_ONE, LinearHypothesis(0.0, u), 0.0, y, 0.0))
 
 
 def _on_interval(loss, y, lo, hi):
     """Worst-case loss against label y of a hypothesis whose scores over the
     ball are [lo, hi]: h = (1, (lo + hi)/2) around x = 0 with gamma = (hi - lo)/2."""
     h = LinearHypothesis(1.0, (lo + hi) / 2.0)
-    return float(_pointwise_losses(loss, h, 0.0, y, True, (hi - lo) / 2.0))
+    return float(_pointwise(loss, h, 0.0, y, (hi - lo) / 2.0))
 
 
 class TestPointwiseValues:
@@ -66,10 +71,12 @@ class TestPointwiseValues:
         assert val == pytest.approx(800.0 / math.log(2.0), rel=1e-12)
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            sigmoid(0.0)
-        with pytest.raises(ValueError):
-            rho_margin(-1.0)
+        # sigmoid(inf) evaluates to NaN at 0, and rho-margin(inf) has no inverse transform
+        for value in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="requires a finite k > 0"):
+                sigmoid(value)
+            with pytest.raises(ValueError, match="requires a finite rho > 0"):
+                rho_margin(value)
 
 
 class TestZeroOne:
@@ -86,7 +93,7 @@ class TestZeroOne:
     def test_kernel_indicator_on_arrays(self):
         scores = np.array([-1.0, -0.0, 0.0, 1e-300, 2.0])
         for y in (-1, 1):
-            err, arg = _score_kernel(1.0, 0.0, scores.copy(), y, False, 0.0)
+            err, arg = _score_kernel(1.0, 0.0, scores.copy(), y, 0.0)
             assert err.tolist() == [sign(u) != y for u in scores]
             assert np.array_equal(arg, y * scores)
 
@@ -115,7 +122,7 @@ class TestSupLoss:
             grid_max = float(np.max(eval_margin_loss(loss, y * (w * grid + b))))
             h_lo = w * x0 - gamma * abs(w) + b
             h_hi = w * x0 + gamma * abs(w) + b
-            got = float(_pointwise_losses(loss, LinearHypothesis(w, b), x0, y, True, gamma))
+            got = float(_pointwise(loss, LinearHypothesis(w, b), x0, y, gamma))
             # Phi(lo) for y = +1, Phi(-hi) for y = -1
             closed = eval_margin_loss(loss, h_lo if y > 0 else -h_hi)
             assert got == pytest.approx(closed, rel=1e-12, abs=1e-12)
@@ -195,8 +202,8 @@ class TestInvariants:
             xs = np.append(rng.uniform(-1, 1, 100), -h.b / h.w)  # a centre score of about 0
             gamma = rng.uniform(0.0, 0.5)
             for y in (-1, 1):
-                sup_vals = _pointwise_losses(loss, h, xs, y, True, gamma)
-                adv = _pointwise_losses(ZERO_ONE, h, xs, y, True, gamma)
+                sup_vals = _pointwise(loss, h, xs, y, gamma)
+                adv = _pointwise(ZERO_ONE, h, xs, y, gamma)
                 assert np.all(sup_vals >= adv - 1e-12)
 
 
