@@ -39,7 +39,6 @@ used only for the normal cdf and its inverse.
 from __future__ import annotations
 
 import enum
-import functools
 import heapq
 import math
 import numbers
@@ -249,8 +248,10 @@ def _margin_risk(loss, dist, hs, gamma) -> tuple:
     it is the exact risk of h."""
 
     def losses(xs, label):
-        margins = (_score_kernel(h.w, h.b, xs, label, gamma)[1] for h in hs)
-        return eval_margin_loss(loss, functools.reduce(np.maximum, margins))
+        margins = _score_kernel(hs[0].w, hs[0].b, xs, label, gamma)[1]
+        for h in hs[1:]:
+            margins = np.maximum(margins, _score_kernel(h.w, h.b, xs, label, gamma)[1])
+        return eval_margin_loss(loss, margins)
 
     atoms = sum(c.weight * float(losses(c.law.x, c.label)) for c in dist.atoms())
     pts = [p for h in hs for p in _discontinuity_points(loss, h, gamma)]

@@ -55,18 +55,18 @@ _CLASSES = {"all": HypothesisClass.ALL, "linear": HypothesisClass.LINEAR, "relu"
 _LOSS_NAMES = ("hinge", "logistic", "exponential", "quadratic", "sigmoid", "rho-margin")
 
 
-def _parse_loss(name: str, k: float, rho: float) -> tuple:
-    """Returns (MarginLoss, wants_sup)."""
-    wants_sup = name.startswith("sup-")
-    base = name[4:] if wants_sup else name
+def _loss_and_spec(args) -> tuple:
+    """(MarginLoss, HypothesisSpec) of --loss and the class flags: a sup-
+    loss needs --gamma > 0, and --gamma > 0 a sup- loss."""
+    base = args.loss.removeprefix("sup-")
     if base not in _LOSS_NAMES:
-        raise ValueError(f"unknown loss {name!r}; expected one of {_LOSS_NAMES} or sup- prefix")
-    fam = LossFamily(base)
-    return MarginLoss(fam, k=k, rho=rho), wants_sup
-
-
-def _build_spec(args) -> HypothesisSpec:
-    return HypothesisSpec(_CLASSES[args.cls], W=args.W, B=args.B, Lambda=args.Lambda, gamma=args.gamma)
+        raise ValueError(f"unknown loss {args.loss!r}; expected one of {_LOSS_NAMES} or sup- prefix")
+    loss = MarginLoss(LossFamily(base), k=args.k, rho=args.rho)
+    spec = HypothesisSpec(_CLASSES[args.cls], W=args.W, B=args.B, Lambda=args.Lambda, gamma=args.gamma)
+    sup = base != args.loss
+    if sup != spec.adversarial:
+        raise ValueError(f"{args.loss} requires --gamma > 0" if sup else "--gamma > 0 requires a sup- loss")
+    return loss, spec
 
 
 _PRESETS = ("sect7-nonadv", "sect7-adv")
@@ -115,12 +115,7 @@ def cmd_transform(args) -> int:
     stray = _read_flags(args, _SPEC_FLAGS, _spec_cases(args))
     if stray:
         raise ValueError(f"this transform does not use {', '.join(stray)} ({_SPEC_NEEDS})")
-    loss, wants_sup = _parse_loss(args.loss, args.k, args.rho)
-    spec = _build_spec(args)
-    if wants_sup and not spec.adversarial:
-        raise ValueError(f"{args.loss} requires --gamma > 0")
-    if spec.adversarial and not wants_sup:
-        raise ValueError("--gamma > 0 requires a sup- loss")
+    loss, spec = _loss_and_spec(args)
     if args.massart_beta is not None and args.eps != 0.0:
         raise ValueError(f"Massart-modified transforms are not truncated; --eps must be 0, got {args.eps}")
     if args.grid_n < 2:
@@ -175,16 +170,13 @@ def cmd_bound(args) -> int:
             f"this bound run does not use {', '.join(stray)} "
             f"(--n and --seed need --mode mc, --sigma a preset --dist; {_SPEC_NEEDS})"
         )
-    loss, wants_sup = _parse_loss(args.loss, args.k, args.rho)
-    spec = _build_spec(args)
-    target = Target.ADVERSARIAL_ZERO_ONE if wants_sup else Target.ZERO_ONE
+    target = Target.ADVERSARIAL_ZERO_ONE if args.loss.startswith("sup-") else Target.ZERO_ONE
     if args.target is not None and args.target != target.value:
         raise ValueError(
             f"--target {args.target} does not match --loss {args.loss}: "
             "the adversarial-zero-one target takes a sup- loss, the zero-one target a plain one"
         )
-    if wants_sup and not spec.adversarial:
-        raise ValueError(f"{args.loss} requires --gamma > 0")
+    loss, spec = _loss_and_spec(args)
     dist = _load_dist(args)
     h = LinearHypothesis((args.w,), args.b)
     mode = MonteCarlo(args.n, args.seed) if args.mode == "mc" else Exact()

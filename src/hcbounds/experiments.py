@@ -63,12 +63,10 @@ class SweepConfig:
     w: float = -5.0
     b: float = 0.0
     gamma: float = 0.1
-    losses: tuple = ()
 
     def __post_init__(self):
         sig = tuple(float(s) for s in self.sigmas)
         object.__setattr__(self, "sigmas", sig)
-        object.__setattr__(self, "losses", tuple(self.losses))
         if any(s2 >= s1 for s1, s2 in zip(sig, sig[1:])):
             raise ValueError("sigmas must be strictly decreasing toward 0")
         if any(not 0.0 < s < 1.0 for s in sig):
@@ -93,10 +91,7 @@ def run_nonadversarial_sweep(cfg: SweepConfig):
     another, in sigma order, each spreading its sampling blocks and its
     reduction over ``thread_map``'s pool (``_run_cells``).
     """
-    losses = cfg.losses or (quadratic(), logistic(), exponential())
-    allowed = {LossFamily.QUADRATIC, LossFamily.LOGISTIC, LossFamily.EXPONENTIAL}
-    if any(l.family not in allowed for l in losses):
-        raise ValueError("non-adversarial sweep covers quadratic/logistic/exponential")
+    losses = (quadratic(), logistic(), exponential())
     spec_all = HypothesisSpec(HypothesisClass.ALL)
     mults = [2.0 * _BETA / float(transform(loss, spec_all)(2.0 * _BETA)) for loss in losses]
     return _run_cells(cfg, "sect7-nonadv", losses, [{"multiplier": m} for m in mults])
@@ -107,13 +102,9 @@ def run_adversarial_sweep(cfg: SweepConfig):
     against the absolute worst-case surrogate risk (the reduced beta = 1/2
     form of the bounds).  Cells run as in ``run_nonadversarial_sweep``, one
     at a time."""
-    losses = cfg.losses or (rho_margin(1.0), hinge(), sigmoid(1.0))
-    allowed = {LossFamily.RHO_MARGIN, LossFamily.HINGE, LossFamily.SIGMOID}
-    if any(l.family not in allowed for l in losses):
-        raise ValueError("adversarial sweep covers sup-rho-margin/sup-hinge/sup-sigmoid")
     if not 0.0 < cfg.gamma < 1.0:
         raise ValueError("adversarial sweep needs gamma in (0, 1)")
-    return _run_cells(cfg, "sect7-adv", losses, [{"gamma": cfg.gamma}] * len(losses))
+    return _run_cells(cfg, "sect7-adv", (rho_margin(1.0), hinge(), sigmoid(1.0)), [{"gamma": cfg.gamma}] * 3)
 
 
 def _run_cells(cfg, experiment, losses, extras):
@@ -130,20 +121,15 @@ def _run_cells(cfg, experiment, losses, extras):
     errors and every loss but the last; the second sums their squared
     deviations from the mean, and evaluates the last loss in place over the
     margins and sums it; the third sums the last loss's squared deviations.
-    The last is the logistic or sigmoid loss where there is one, whose
-    kernel costs the most, so it is evaluated once.  Each mean and stderr is
-    ``np.mean`` and ``np.std(ddof=1) / sqrt(n)`` of the values, bit for bit.
-    Each block counts where the first rho-margin loss is at most the first
-    hinge one (``frac_rho_rhs_le_hinge``).  extras are each loss's own row
-    fields, and a "multiplier" there scales its rhs."""
+    The last is the logistic or sigmoid loss, whose kernel costs the most,
+    so it is evaluated once.  Each mean and stderr is ``np.mean`` and
+    ``np.std(ddof=1) / sqrt(n)`` of the values, bit for bit.  Each
+    adversarial block counts where the rho-margin loss, losses[0], is at
+    most the hinge one, losses[1] (``frac_rho_rhs_le_hinge``).  extras are
+    each loss's own row fields, and a "multiplier" there scales its rhs."""
     adversarial = experiment == "sect7-adv"
     gamma = cfg.gamma if adversarial else 0.0
     n = cfg.n_samples
-    pair = [
-        next((l for l in losses if l.family is fam), None)
-        for fam in (LossFamily.RHO_MARGIN, LossFamily.HINGE)
-    ]
-    counted = None not in pair  # only the adversarial sweep takes both
     costly = (LossFamily.LOGISTIC, LossFamily.SIGMOID)
     order = sorted(range(len(losses)), key=lambda k: losses[k].family in costly)  # reduction order
     early, last = [ZERO_ONE] + [losses[k] for k in order[:-1]], losses[order[-1]]
@@ -156,9 +142,9 @@ def _run_cells(cfg, experiment, losses, extras):
         def score(start, xs, ys, spare):
             err, a = _score_kernel(cfg.w, cfg.b, xs, ys, gamma, out=xs)  # xs is arg's slice
             errs[start : start + len(a)] = err
-            if not counted:
+            if not adversarial:
                 return 0
-            rho, hinge = (eval_margin_loss(loss, a, out) for loss, out in zip(pair, spare))
+            rho, hinge = (eval_margin_loss(loss, a, out) for loss, out in zip(losses, spare))
             hinge += 1e-12
             return int(np.count_nonzero(rho <= hinge))
 
@@ -208,26 +194,24 @@ def _run_cells(cfg, experiment, losses, extras):
             )
         if adversarial:
             # np.mean of the pointwise comparison: its count over n
-            frac = hits / n if counted else math.nan
             for row in rows:
-                row["frac_rho_rhs_le_hinge"] = frac
+                row["frac_rho_rhs_le_hinge"] = hits / n
         return rows
 
     return [row for i in range(len(cfg.sigmas)) for row in cell(i)]
 
 
-def emit_transform_curves(losses=(), spec: HypothesisSpec = None, grid_n: int = 201):
-    """Plot-ready samples: each loss on [-2, 2], its transform on [0, 1], and
-    the materialized inverse on [0, T(1)]."""
+def emit_transform_curves(spec: HypothesisSpec = None, grid_n: int = 201):
+    """Plot-ready samples for the six margin losses: each loss on [-2, 2],
+    its transform on [0, 1], and the materialized inverse on [0, T(1)]."""
     if grid_n < 100:
         raise ValueError("need grid_n >= 100 for smooth curves")
     if spec is None:
         spec = HypothesisSpec(HypothesisClass.LINEAR, W=1.0, B=0.8)
-    losses = losses or (hinge(), logistic(), exponential(), quadratic(), sigmoid(1.0), rho_margin(1.0))
     rows = []
     alphas = np.linspace(-2.0, 2.0, grid_n)
     ts = np.linspace(0.0, 1.0, grid_n)
-    for loss in losses:
+    for loss in (hinge(), logistic(), exponential(), quadratic(), sigmoid(1.0), rho_margin(1.0)):
         fwd = transform(loss, spec)
         inv = transform_inverse(loss, spec)
         top = float(fwd(1.0))

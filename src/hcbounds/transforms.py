@@ -12,14 +12,15 @@ Segment kinds:
     power               scale * t**exponent
     entropy             (t+1)/2*log2(t+1) + (1-t)/2*log2(1-t)
     exp_branch          1 - sqrt(1 - t^2)
-    exp_branch_inverse  sqrt(y*(2 - y))
-    entropy_inverse     smallest float t in [0, 1] with entropy(t) >= y
+    <kind>_inverse      least float t in [0, 1] with <kind>(t) >= y, for
+                        kind entropy or exp_branch
 
 The forward transforms for the six margin losses over bounded linear or ReLU
 classes only differ through one scalar, the class's bias reach c (B, or
 Lambda*B for networks); c = +inf recovers the classical unrestricted-class
-forms.  Every segment kind has an inverse, so every forward transform is
-inverted segment by segment (``PiecewiseTransform.inverse``).
+forms.  Every segment kind has an inverse, so every Gamma, the relaxed
+logistic and exponential ones included, is the inverse of forward pieces,
+taken segment by segment (``PiecewiseTransform.inverse``).
 
 Worst-case (adversarial) transforms exist only for the rho-margin family;
 for worst-case hinge and sigmoid losses, transforms exist only under a
@@ -90,10 +91,8 @@ class Segment:
         if self.kind == "exp_branch":
             # 1 - sqrt(1 - t^2) without its cancellation near 0
             return t * t / (1.0 + np.sqrt(np.maximum(1.0 - t * t, 0.0)))
-        if self.kind == "exp_branch_inverse":
-            return np.sqrt(t * (2.0 - t))
-        if self.kind == "entropy_inverse":
-            return _entropy_inverse(t)
+        if self.kind.endswith("_inverse"):
+            return _least_preimage(Segment(self.kind.removesuffix("_inverse")), t)
         raise ValueError(f"unknown segment kind {self.kind!r}")
 
     def derivative(self, t: float) -> float:
@@ -134,16 +133,16 @@ class Segment:
 _ONE_BITS = int(np.float64(1.0).view(np.int64))
 
 
-def _entropy_inverse(y):
-    """Smallest float t in [0, 1] with entropy(t) >= y, elementwise: bisection
-    over the ordered bit patterns of [0, 1], down to adjacent floats."""
+def _least_preimage(forward: Segment, y):
+    """Least float t in [0, 1] with forward(t) >= y, elementwise, for an
+    increasing forward segment: bisection over the ordered bit patterns of
+    [0, 1], down to adjacent floats."""
     y = np.asarray(y, dtype=float)
-    entropy = Segment("entropy")
     lo = np.zeros(y.shape, dtype=np.int64)
     hi = np.full(y.shape, _ONE_BITS, dtype=np.int64)
     while np.any(hi - lo > 1):
         mid = lo + (hi - lo) // 2
-        below = entropy(mid.view(np.float64)) < y
+        below = forward(mid.view(np.float64)) < y
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return np.where(y > 0.0, hi.view(np.float64), 0.0)
@@ -342,27 +341,23 @@ def _apply_eps_floor(pt: PiecewiseTransform, eps: float) -> PiecewiseTransform:
 
 
 def transform_inverse(loss: MarginLoss, spec: HypothesisSpec) -> PiecewiseTransform:
-    """Inverse transform on R+ (exact, or the standard upper-bounding relaxation
-    for the logistic and exponential losses, flagged ``relaxed``).
-
-    The exact inverses invert the forward formula on [0, inf), so a knot the
-    forward transform has beyond 1 (quadratic loss, B >= 1) is kept."""
+    """Inverse transform on R+: the inverse of the forward formula on
+    [0, inf), so a knot the forward transform has beyond 1 (quadratic loss,
+    B >= 1) is kept.  For the logistic and exponential losses it inverts the
+    standard relaxation T(t) >= t^2/2 instead, flagged ``relaxed``: t^2/2 up
+    to tanh(c'), then its chord 0.5*tanh(c')*t, with c' = c/2 (logistic) or
+    c (exponential)."""
     if spec.adversarial:
         raise ValueError("spec has gamma > 0; use adversarial_transform")
     c = _check_scale(spec.margin_scale())
+    relaxed = loss.family in (LossFamily.LOGISTIC, LossFamily.EXPONENTIAL)
+    if relaxed:
+        knot = math.tanh(c / 2.0 if loss.family is LossFamily.LOGISTIC else c)  # 1 at c = inf
+        pieces = [knot], [_power(0.5, 2.0), _affine(0.5 * knot)]
+    else:
+        pieces = _forward_pieces(loss, c)
     labels = dict(loss_label=loss.label(), class_label=spec.label())
-    fam = loss.family
-    if fam not in (LossFamily.LOGISTIC, LossFamily.EXPONENTIAL):
-        return _restricted(*_forward_pieces(loss, c), math.inf, **labels).inverse()
-    half_c = c / 2.0 if fam is LossFamily.LOGISTIC else c
-    tanh_c = 1.0 if math.isinf(half_c) else math.tanh(half_c)
-    return PiecewiseTransform(
-        (0.0, 0.5 * tanh_c * tanh_c, math.inf),
-        [_power(math.sqrt(2.0), 0.5), _affine(2.0 / tanh_c)],
-        Direction.INVERSE,
-        relaxed=True,
-        **labels,
-    )
+    return _restricted(*pieces, math.inf, relaxed=relaxed, **labels).inverse()
 
 
 def adversarial_transform(

@@ -222,6 +222,16 @@ class TestOneTransformSelector:
         assert code == 2
         assert "Massart-modified worst-case transform not derived for rho-margin" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["transform"], ["bound", "--W", "5", "--B", "0.5", "--dist", "sect7-adv"]],
+                             ids=["transform", "bound"])
+    @pytest.mark.parametrize("loss, gamma, msg", [("hinge", "0.1", "--gamma > 0 requires a sup- loss"),
+                                                  ("sup-hinge", "0", "sup-hinge requires --gamma > 0")],
+                             ids=["plain-loss-with-gamma", "sup-loss-without-gamma"])
+    def test_loss_must_match_gamma(self, capsys, command, loss, gamma, msg):
+        # both commands name the flag and the prefix, not the library's spec check
+        assert main(command + ["--loss", loss, "--gamma", gamma, "--class", "linear"]) == 2
+        assert msg in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # exp(900) overflows
     def test_non_finite_surrogate_risk_exits_2(self, capsys):
         code = main(["bound", "--loss", "exponential", "--class", "linear", "--W", "1000", "--B", "0.5",

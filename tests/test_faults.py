@@ -170,6 +170,7 @@ def _threshold_scan_at_the_atom_on_the_support_end():
 # fault name: (injection, the independent check that must catch it)
 FAULTS = {
     "gamma-x1.01": (_gamma_times(1.01), test_bounds.TestAssembleBound().test_singleton_hinge_exact),
+    "gamma-x0.99": (_gamma_times(0.99), test_bounds.TestAssembleBound().test_singleton_hinge_exact),
     "zero-one-cstar-x0.99": (_zero_one_cstar_times(0.99), test_acceptance.test_criterion_5_discrete_psi_verification),
     "mc-merge-without-delta": (
         _mc_merge_without_delta,

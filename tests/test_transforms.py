@@ -207,6 +207,18 @@ class TestDerivedInverse:
             ts = np.linspace(0.1, top, 20)
             assert seg.inverse()(seg(ts)) == pytest.approx(ts, rel=1e-12)
 
+    @given(kind=st.sampled_from(["entropy", "exp_branch"]),
+           ys=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    @example(kind="entropy", ys=[1.0, 5e-324])
+    @example(kind="exp_branch", ys=[1.0, 5e-324])
+    def test_inverse_is_the_least_float_preimage(self, kind, ys):
+        # on (0, T(1)] = (0, 1]: T(Gamma(y)) >= y > T(the float below Gamma(y))
+        forward, ys = Segment(kind), np.asarray(ys)
+        ts = forward.inverse()(ys)
+        assert np.all(forward(ts) >= ys)
+        assert np.all(forward(np.nextafter(ts, 0.0)) < ys)
+
     def test_no_closed_form_inverse_rejected(self):
         fwd = transform(logistic(), HypothesisSpec(LIN, W=1.0, B=0.8))
         ts = np.linspace(0.0, 1.0, 101)
