@@ -50,6 +50,7 @@ import numpy as np
 from ._runtime import thread_map
 from .conditional import ConditionalPoint, _adversarial_bracket, _interval_risk, _min_risk, brute_force_inf
 from .distributions import LabeledDistribution, QuadratureError, _integrate_continuous, _map_sample_blocks, expectation
+from .distributions import _expectation, _meeting
 from .distributions import _EPMACH, _SAMPLE_BLOCK, _UFLOW  # machine epsilon, a sampling block, least normal double
 from .hypotheses import HypothesisClass, HypothesisSpec, LinearHypothesis
 from .losses import (
@@ -255,7 +256,9 @@ def _margin_risk(loss, dist, hs, gamma) -> tuple:
 
     atoms = sum(c.weight * float(losses(c.law.x, c.label)) for c in dist.atoms())
     pts = [p for h in hs for p in _discontinuity_points(loss, h, gamma)]
-    return _integrate_continuous(dist, lambda c: lambda xs: losses(xs, c.label) * c.law.pdf(xs), pts, atoms)
+    return _integrate_continuous(
+        dist.continuous(), lambda c: lambda xs: losses(xs, c.label) * c.law.pdf(xs), pts, atoms
+    )
 
 
 def risk(
@@ -514,7 +517,11 @@ def _expect_min_conditional(loss, spec, dist) -> tuple:
     estimate), robust for spec.gamma > 0; the lower endpoint when only a
     bracket is available, which upper-bounds the resulting gap."""
     if isinstance(loss, ZeroOneLoss):
-        return expectation(dist, lambda x, e: np.minimum(e, 1.0 - e), with_error=True)
+        # on a component whose support meets no continuous component of the
+        # other label, eta is 0 or 1 wherever it has density and no atom sits, so
+        # min(eta, 1 - eta) * pdf integrates to exactly 0 there
+        mixed = [c for c in dist.continuous() if any(o.label != c.label for o in _meeting(dist, c))]
+        return _expectation(dist, lambda x, e: np.minimum(e, 1.0 - e), (), mixed)
     if spec.adversarial:
         bracket = _adversarial_bracket(loss, spec)
         return expectation(dist, lambda x, e: bracket(np.abs(x), e)[0], with_error=True)

@@ -21,12 +21,16 @@ Expectations take an integrand of arrays (x, eta(x)) and sum atoms exactly.
 ``_integrate_continuous``, the one per-component integrator of expectations
 and of exact risks, runs ``_gauss_kronrod``, QUADPACK's adaptive 21-point
 Gauss-Kronrod rule evaluated on every open panel in one array call, so the
-integrand runs once per round (absolute and relative tolerance 1e-10; an
-error estimate above 1e-8 raises ``QuadratureError``).  The error estimates
-come back on request, and bound reports sum them into their ``quad_err``
-provenance entry.  scipy is used only for the normal cdf ``ndtr`` and its
-inverse ``ndtri``, imported when a truncated normal first needs them; each
-truncated normal computes the tail at its lower end once.
+integrand runs once per round, and each panel it refines cut into 4
+(absolute and relative tolerance 1e-10; an error estimate above 1e-8 raises
+``QuadratureError``).  ``expectation`` splits its first panels at every
+support end, where eta jumps.  The error estimates come back on request,
+and bound reports sum them into their ``quad_err`` provenance entry; each
+is the sum of the K21/G10 estimates of the panels evaluated, blind to a
+feature that lies between one panel's nodes.  scipy is used only for the
+normal cdf ``ndtr`` and its inverse ``ndtri``, imported when a truncated
+normal first needs them; each truncated normal computes the tail at its
+lower end once.
 
 The two preset families used by the simulation sweeps live here as
 ``sect7_nonadversarial`` and ``sect7_adversarial`` (names kept short in the
@@ -64,7 +68,7 @@ _WEIGHT_TOL = 1e-12
 _QUAD_ABS_TOL = 1e-8
 _QUAD_REL_TOL = 1e-10
 _QUAD_EPSABS = 1e-10  # the adaptive rule stops once its error estimate is below this or _QUAD_REL_TOL * |value|
-_QUAD_LIMIT = 200  # most panels one integral may use
+_QUAD_LIMIT = 200  # most panels one integral may evaluate, checked before each round
 _SAMPLE_CHUNK = 1 << 20  # draws per Philox substream
 _SAMPLE_BLOCK = 1 << 16  # draws per sampling task
 
@@ -458,9 +462,11 @@ def _gauss_kronrod(f, a: float, b: float, points=()):
     evaluates f once on the 21 nodes of every open panel and estimates each
     panel's error from the K21/G10 difference with QUADPACK's scaling.  It
     stops when the summed estimate is within max(1e-10, 1e-10 * |value|),
-    else bisects the panels whose estimate exceeds their width's share of it.
-    Raises ``QuadratureError`` when that would exceed 200 panels, or when
-    the integrand is not finite.
+    else cuts each panel whose estimate exceeds its width's share of it into
+    4 equal panels (``_refine``): a round costs mostly numpy overhead, not
+    integrand work, and 4-way cuts reach a fine panel in half the rounds of
+    bisection.  Raises ``QuadratureError`` when the panels accepted and the
+    new ones would exceed 200, or when the integrand is not finite.
     """
     edges = np.array([a, *sorted({p for p in points if a < p < b}), b], dtype=float)
     lo, hi = edges[:-1], edges[1:]
@@ -488,18 +494,24 @@ def _gauss_kronrod(f, a: float, b: float, points=()):
         done_val += float(val[~split].sum())
         done_err += float(err[~split].sum())
         n_done += int(np.count_nonzero(~split))
-        lo, hi = lo[split], hi[split]
-        if n_done + 2 * lo.size > _QUAD_LIMIT:
+        lo, hi = _refine(lo[split], hi[split])
+        if n_done + lo.size > _QUAD_LIMIT:
             raise QuadratureError(
                 f"quadrature needs more than {_QUAD_LIMIT} panels on [{a}, {b}] (error {error:.2e})"
             )
-        mid = 0.5 * (lo + hi)
-        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
 
 
-def _integrate_continuous(dist: LabeledDistribution, integrand_on, points, total: float):
+def _refine(lo, hi):
+    """The panels [lo, hi] each cut into 4 equal panels at its midpoint and
+    at the midpoints of its halves, so that they tile it exactly."""
+    mid = 0.5 * (lo + hi)
+    cuts = (lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi), hi)
+    return np.concatenate(cuts[:-1]), np.concatenate(cuts[1:])
+
+
+def _integrate_continuous(components, integrand_on, points, total: float):
     """(total + sum of weight * integral, sum of weight * error estimate)
-    over the continuous components of dist, added in component order.
+    over the continuous components given, added in their order.
 
     ``integrand_on(c)`` maps 1-D node arrays to the integrand over component
     c's support, its density included; ``_gauss_kronrod`` integrates it,
@@ -508,7 +520,7 @@ def _integrate_continuous(dist: LabeledDistribution, integrand_on, points, total
     both integrate here, starting from their atoms' part.
     """
     error = 0.0
-    for c in dist.continuous():
+    for c in components:
         law = c.law
         val, err = _gauss_kronrod(integrand_on(c), law.lo, law.hi, points)
         if err > _QUAD_ABS_TOL:
@@ -520,6 +532,12 @@ def _integrate_continuous(dist: LabeledDistribution, integrand_on, points, total
     return total, error
 
 
+def _meeting(dist: LabeledDistribution, c) -> list:
+    """The continuous components of dist whose support meets component c's,
+    c included: the others' densities are exact zeros on c's support."""
+    return [o for o in dist.continuous() if o.law.lo <= c.law.hi and c.law.lo <= o.law.hi]
+
+
 def expectation(dist: LabeledDistribution, integrand, points=(), with_error: bool = False):
     """E_X[integrand(x, eta(x))]: atoms summed exactly, continuous components
     integrated by ``_integrate_continuous`` (absolute tolerance 1e-10).
@@ -527,11 +545,20 @@ def expectation(dist: LabeledDistribution, integrand, points=(), with_error: boo
     integrand maps 1-D float arrays (x, eta(x)) to the integrand's values
     there, an array of the same shape.  It is called once for all atoms and
     once per quadrature round of each continuous component.  ``points``
-    marks known integrand kinks and discontinuities.  Raises
+    marks known integrand kinks and discontinuities; the support ends of the
+    continuous components, where eta jumps, are marked too.  Raises
     ``QuadratureError`` when a component's error estimate exceeds 1e-8.  With
     ``with_error`` returns (value, error), the error being the components'
     estimates weighted like their values.
     """
+    value, error = _expectation(dist, integrand, points, dist.continuous())
+    return (value, error) if with_error else value
+
+
+def _expectation(dist: LabeledDistribution, integrand, points, components) -> tuple:
+    """(value, error) of ``expectation`` with only ``components`` of dist's
+    continuous components integrated; the caller vouches that the others'
+    integrals are exactly 0."""
     total = 0.0
     atoms = dist.atoms()
     if atoms:
@@ -541,9 +568,8 @@ def expectation(dist: LabeledDistribution, integrand, points=(), with_error: boo
             total += c.weight * v
 
     def integrand_on(c):
-        # eta from the components whose support meets this one's: the others'
-        # densities are exact zeros here, and this one's pdf is the weight
-        near = [o for o in dist.continuous() if o.law.lo <= c.law.hi and c.law.lo <= o.law.hi]
+        # eta from the components that meet this one; its own pdf is the weight
+        near = _meeting(dist, c)
 
         def f(xs):
             densities = [(o, o.law.pdf(xs)) for o in near]
@@ -552,8 +578,8 @@ def expectation(dist: LabeledDistribution, integrand, points=(), with_error: boo
 
         return f
 
-    total, error = _integrate_continuous(dist, integrand_on, points, total)
-    return (total, error) if with_error else total
+    ends = [end for c in dist.continuous() for end in (c.law.lo, c.law.hi)]
+    return _integrate_continuous(components, integrand_on, (*points, *ends), total)
 
 
 def _law_to_json(law) -> dict:

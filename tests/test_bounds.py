@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import test_distributions
 from hcbounds import bounds, distributions
 from hcbounds.bounds import (
     Exact,
@@ -496,6 +497,21 @@ class TestMinimizabilityGap:
         for loss in (hinge(), quadratic(), sigmoid(1.0), ZERO_ONE):
             assert minimizability_gap(loss, spec, d) >= -1e-6
 
+    @pytest.mark.parametrize("name", ["sect7-nonadv", "sect7-adv", "overlapping"])
+    def test_zero_one_expectation_integrates_only_label_mixed_components(self, monkeypatch, name):
+        """E[C*_01] skips each component whose support meets no continuous
+        component of the other label (there min(eta, 1 - eta) * pdf is 0
+        almost everywhere), and is the full expectation bit for bit."""
+        dist = {"sect7-nonadv": sect7_nonadversarial(0.05), "sect7-adv": sect7_adversarial(0.05, 0.1),
+                "overlapping": test_distributions.TestExpectation.OVERLAPPING}[name]
+        full = expectation(dist, lambda x, e: np.minimum(e, 1.0 - e), with_error=True)
+        real, integrated = distributions._gauss_kronrod, []
+        monkeypatch.setattr(distributions, "_gauss_kronrod", lambda f, a, b, points=(): integrated.append((a, b))
+                            or real(f, a, b, points))
+        got = _expect_min_conditional(ZERO_ONE, HypothesisSpec(ALL), dist)
+        assert [x.hex() for x in got] == [x.hex() for x in full]
+        assert integrated == ([(-0.5, 0.8), (0.2, 1.0)] if name == "overlapping" else [])
+
     def test_adversarial_gap_nonnegative(self):
         d = sect7_adversarial(0.05, 0.1)
         spec = HypothesisSpec(LIN, W=5.0, B=1.0, gamma=0.1)
@@ -853,11 +869,12 @@ _VERDICT_PINS = {
 }
 # Fields that moved since: the Gauss-Kronrod quadrature (E[C*] to within
 # 1e-11), then the exact affine inverse replacing a 1e-12 bisection of the
-# forward transform.  The new hex; the pin above stays as the anchor, within
-# 1e-10 of it.
+# forward transform, then the quadrature's 4-way panel refinement.  The new
+# hex; the pin above stays as the anchor, within 1e-10 of it.
 _VERDICT_REPINS = {
-    "mc-sup-hinge-massart": {"rhs": "0x1.73f8933f829cap-1", "slack": "0x1.6b30b0bd41e5cp-1"},
-    "sup-rho-margin-adversarial-linear": {"rhs": "0x1.a86824dfa9f44p-1", "slack": "0x1.686824dfa9f4ep-1"},
+    "hinge-linear": {"rhs": "0x1.154a6bacd3114p+0", "slack": "0x1.6ca6db5e9f24ap-1"},
+    "mc-sup-hinge-massart": {"rhs": "0x1.73f8933f82fa3p-1", "slack": "0x1.6b30b0bd42435p-1"},
+    "sup-rho-margin-adversarial-linear": {"rhs": "0x1.a86824dfaa51bp-1", "slack": "0x1.686824dfaa525p-1"},
 }
 
 

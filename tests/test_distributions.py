@@ -16,11 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 from scipy.stats import kstest
 
 import hcbounds
 from hcbounds import _runtime, distributions
+from hcbounds.bounds import _expect_min_conditional
 from hcbounds.conditional import _adversarial_bracket, _min_risk
 from hcbounds.distributions import (
     _SAMPLE_BLOCK,
@@ -44,7 +46,7 @@ from hcbounds.distributions import (
 )
 from hcbounds.experiments import SweepConfig, run_nonadversarial_sweep
 from hcbounds.hypotheses import HypothesisClass, HypothesisSpec
-from hcbounds.losses import hinge, logistic, quadratic
+from hcbounds.losses import ZERO_ONE, hinge, logistic, quadratic
 
 
 class TestPresets:
@@ -535,6 +537,43 @@ class TestExpectation:
             monkeypatch.setattr(distributions, "_gauss_kronrod", checked)
             expectation(dist, integrand)
         assert rounds and all(rounds)
+
+    def test_min_eta_matches_a_dense_rule(self):
+        """E[min(eta, 1 - eta)] on OVERLAPPING, from ``expectation`` and from
+        the zero-one E[C*] (which integrates only the components that meet
+        the other label), against a composite midpoint rule that reads only
+        ``dist.eta`` and each pdf.  Its pieces end at every support end and
+        where the two labels' densities cross, so the integrand is smooth on
+        each and the rule's error, O(h^2), is below |D_2n - D_n|."""
+        dist = self.OVERLAPPING
+
+        def density_gap(x):
+            return sum(c.label * c.weight * c.law.pdf(x) for c in dist.continuous())
+
+        ends = sorted({-1.0, 1.0} | {end for c in dist.continuous() for end in (c.law.lo, c.law.hi)})
+        crossings = []
+        for a, b in zip(ends[:-1], ends[1:]):
+            x = np.linspace(a, b, 1001)[1:-1]  # inside the piece: a support end is a jump
+            sign = np.sign(density_gap(x))
+            flips = np.flatnonzero(sign[:-1] != sign[1:])
+            crossings += [brentq(density_gap, x[i], x[i + 1], xtol=1e-15) for i in flips]
+        assert len(ends) == 6 and len(crossings) == 1  # -1 and 1 are support ends
+        cuts = sorted(ends + crossings)
+
+        def dense(n):
+            atoms = math.fsum(c.weight * min(dist.eta(c.law.x), 1.0 - dist.eta(c.law.x)) for c in dist.atoms())
+            pieces = []
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                x = a + (np.arange(n) + 0.5) * ((b - a) / n)
+                eta, pdf = dist.eta(x), sum(c.weight * c.law.pdf(x) for c in dist.continuous())
+                pieces.append(math.fsum(np.minimum(eta, 1.0 - eta) * pdf) * ((b - a) / n))
+            return atoms + math.fsum(pieces)
+
+        want, coarse = dense(16000), dense(8000)
+        zero_one = _expect_min_conditional(ZERO_ONE, HypothesisSpec(HypothesisClass.ALL), dist)
+        for got, err in (expectation(dist, lambda x, e: np.minimum(e, 1.0 - e), with_error=True), zero_one):
+            assert abs(got - want) <= abs(want - coarse) + err
+        assert abs(want - coarse) <= 1e-10
 
     def test_error_estimate_weighted_like_the_value(self):
         d = sect7_nonadversarial(0.1)

@@ -151,7 +151,7 @@ def _margin_risk_at_the_least_margin(monkeypatch):
         atoms = sum(c.weight * float(losses(c.law.x, c.label)) for c in dist.atoms())
         pts = [p for h in hs for p in bounds._discontinuity_points(loss, h, gamma)]
         return distributions._integrate_continuous(
-            dist, lambda c: lambda xs: losses(xs, c.label) * c.law.pdf(xs), pts, atoms
+            dist.continuous(), lambda c: lambda xs: losses(xs, c.label) * c.law.pdf(xs), pts, atoms
         )
 
     _inject(monkeypatch, bounds, "_margin_risk", margin_risk)
@@ -160,6 +160,28 @@ def _margin_risk_at_the_least_margin(monkeypatch):
 def _quadrature_without_kinks(monkeypatch):
     real = distributions._gauss_kronrod
     _inject(monkeypatch, distributions, "_gauss_kronrod", lambda f, a, b, points=(): real(f, a, b))
+
+
+def _every_component_label_pure(monkeypatch):
+    """No continuous component meets another, so eta is 0 or 1 on each and
+    E[C*_01] is its atoms' part alone."""
+    _inject(monkeypatch, distributions, "_meeting", lambda dist, c: [c])
+
+
+def _refined_panels_drop_their_last_quarter(monkeypatch):
+    real = distributions._refine
+
+    def refine(lo, hi):
+        lo, hi = real(lo, hi)
+        return lo[: 3 * lo.size // 4], hi[: 3 * hi.size // 4]
+
+    _inject(monkeypatch, distributions, "_refine", refine)
+
+
+def _gauss_kronrod_exact_values():
+    case = test_distributions.TestGaussKronrod()
+    case.test_narrow_normal_mass()
+    case.test_kinks_and_jumps(lambda x: np.abs(x - 1 / 3), 10 / 9, ())
 
 
 def _threshold_scan_at_the_atom_on_the_support_end():
@@ -203,6 +225,10 @@ FAULTS = {
         _margin_risk_at_the_least_margin,
         lambda: test_bounds.TestBestInClass().test_search_is_within_tol_of_a_grid(test_bounds.rho_margin(0.5), True),
     ),
+    "every-component-label-pure": (
+        _every_component_label_pure, test_distributions.TestExpectation().test_min_eta_matches_a_dense_rule
+    ),
+    "refined-panels-drop-their-last-quarter": (_refined_panels_drop_their_last_quarter, _gauss_kronrod_exact_values),
     # no independent check catches these yet
     "gamma-x1.01-logistic": (
         _gamma_times(1.01, LossFamily.LOGISTIC), test_bounds.TestAssembleBound().test_holds_on_random_exact_instances
