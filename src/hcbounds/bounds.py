@@ -317,7 +317,8 @@ def _error_mass(law, label, w, b, gamma):
     constant b, and the kernel's indicator decides, strictness included.
     """
     err0, margin0 = _score_kernel(w, b, 0.0, label, gamma)
-    thr = -margin0 / np.where(w == 0.0, np.nan, label * w)
+    with np.errstate(over="ignore", divide="ignore"):  # an infinite threshold clips to a support end
+        thr = -margin0 / np.where(w == 0.0, np.nan, label * w)
     cdf = law.cdf(np.nan_to_num(thr, nan=0.0))
     sided = np.where((w > 0) == (label > 0), cdf, 1.0 - cdf)
     return np.where(w == 0.0, err0, sided)
@@ -433,15 +434,16 @@ def _cell_bound(loss, dist, gamma, score, wl, wh, bl, bh) -> float:
     worst-case forms included (y*(w*x + b) - gamma*|w| is concave), so
     R(p) >= 2*R(centre) - R(2*centre - p) >= 2*R(centre) - max R(corner);
     sigmoid's -phi'' <= M = 4*k^2/sqrt(27) costs it M*((1 + gamma)*hw + hb)^2
-    (half widths hw, hb; |x| <= 1; none finite if k^2 overflows).  Else
-    (rho-margin, or no finite convex bound) ``_margin_risk`` at the corners'
-    largest margin: on a half box the margin is linear in (w, b), and every
-    loss is non-increasing.
+    (half widths hw, hb; |x| <= 1; none finite if k^2 or the square overflows).
+    Else (rho-margin, or no finite convex bound) ``_margin_risk`` at the
+    corners' largest margin: on a half box the margin is linear in (w, b),
+    and every loss is non-increasing.
     """
     centre, centre_err = score(0.5 * (wl + wh), 0.5 * (bl + bh))
     bound = 2.0 * (centre - centre_err) - max(sum(score(w, b)) for w in (wl, wh) for b in (bl, bh))
     if loss.family is LossFamily.SIGMOID:
-        bound -= 4.0 * (loss.k * loss.k) / math.sqrt(27.0) * ((1.0 + gamma) * 0.5 * (wh - wl) + 0.5 * (bh - bl)) ** 2
+        width = (1.0 + gamma) * 0.5 * (wh - wl) + 0.5 * (bh - bl)
+        bound -= 4.0 * (loss.k * loss.k) / math.sqrt(27.0) * (width * width)  # inf, not OverflowError
     if loss.family is not LossFamily.RHO_MARGIN and bound > -math.inf:
         return bound
     try:

@@ -3,8 +3,8 @@
 Subcommands::
 
     hcbounds transform    --loss hinge --class linear --B 0.8 [--out t.json]
-    hcbounds bound        --target zero-one --loss hinge --class linear --B 0.5
-                          --dist '{"components": [...]}' --w -0.4 --b 0 --mode mc --n 100000
+    hcbounds bound        --loss hinge --class linear --B 0.5 --dist '{"components": [...]}'
+                          --w -0.4 --b 0 --mode mc --n 100000
     hcbounds oracle-check [--grid-n 4001 --instances 25 --seed 0]
     hcbounds sweep        --experiment sect7-nonadv --n 1000000 --seed 7 --out run1
 
@@ -16,19 +16,21 @@ flags of the subcommand placed before the command line's own, so explicit
 flags win and the file can supply required ones: key cls with value "all"
 reads as --class=all, a switch takes true or false.  A file that is not an
 object, an unknown key, or a list, object or null value is a validation
-error.  Exit codes: 0 success, 1 check failure, 2 validation error.  For a
-linear class, bound requires h(x) = w*x + b to lie in the class: the default
---w -5 (the sweeps' h) needs --W >= 5, so under the default --W 1 it exits 2.
-sweep refuses, with exit 2, a flag that its experiment does not read, and
-transform and bound one that their run does not read: --k without a sigmoid
-loss, --rho without a rho-margin loss, --Lambda without --class relu, and
-bound's --n and --seed without --mode mc, --sigma with a JSON or path --dist.
+error.  Exit codes: 0 success, 1 a bound or check that fails, 2 a validation
+error, 3 an internal error.  bound's target is the adversarial zero-one loss
+for a sup- loss, else the zero-one loss.  For a linear class, bound requires
+h(x) = w*x + b to lie in the class: the default --w -5 (the sweeps' h) needs
+--W >= 5, so under the default --W 1 it exits 2.  sweep refuses, with exit 2,
+a flag that its experiment does not read, and transform and bound one that
+their run does not read: --k without a sigmoid loss, --rho without a
+rho-margin loss, --Lambda without --class relu, --W and --B with --class all,
+and bound's --n and --seed without --mode mc, --sigma with a JSON or path
+--dist.  A negative value in exponent form needs the = form: --b=-1e-300.
 HCB_THREADS sizes the process's one worker pool, which runs the sampler's
 blocks and each sweep cell's leaf passes while the sigma cells run one after
 another (default and ceiling: the CPU count; results never depend on it); an
 invalid value is a validation error.  The grid oracles run on the calling
-thread.  oracle-check --grid-n below 2
-exits 2.
+thread.  oracle-check --grid-n below 2 exits 2.
 """
 
 from __future__ import annotations
@@ -103,8 +105,9 @@ def _run_meta() -> dict:
 
 
 # the loss and class parameters, by the loss (sup- or not) or class that reads them
-_SPEC_FLAGS = {"--loss sigmoid": {"k": 1.0}, "--loss rho-margin": {"rho": 1.0}, "--class relu": {"Lambda": 1.0}}
-_SPEC_NEEDS = "--k needs a sigmoid loss, --rho a rho-margin loss, --Lambda --class relu"
+_SPEC_FLAGS = {"--loss sigmoid": {"k": 1.0}, "--loss rho-margin": {"rho": 1.0}, "--class linear": {"W": 1.0, "B": 1.0},
+               "--class relu": {"Lambda": 1.0, "W": 1.0, "B": 1.0}}
+_SPEC_NEEDS = "--k needs a sigmoid loss, --rho a rho-margin loss, --Lambda --class relu, --W and --B a bounded class"
 
 
 def _spec_cases(args) -> list:
@@ -170,13 +173,8 @@ def cmd_bound(args) -> int:
             f"this bound run does not use {', '.join(stray)} "
             f"(--n and --seed need --mode mc, --sigma a preset --dist; {_SPEC_NEEDS})"
         )
-    target = Target.ADVERSARIAL_ZERO_ONE if args.loss.startswith("sup-") else Target.ZERO_ONE
-    if args.target is not None and args.target != target.value:
-        raise ValueError(
-            f"--target {args.target} does not match --loss {args.loss}: "
-            "the adversarial-zero-one target takes a sup- loss, the zero-one target a plain one"
-        )
     loss, spec = _loss_and_spec(args)
+    target = Target.ADVERSARIAL_ZERO_ONE if spec.adversarial else Target.ZERO_ONE
     dist = _load_dist(args)
     h = LinearHypothesis((args.w,), args.b)
     mode = MonteCarlo(args.n, args.seed) if args.mode == "mc" else Exact()
@@ -265,9 +263,9 @@ def cmd_sweep(args) -> int:
 
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--class", dest="cls", choices=sorted(_CLASSES), default="linear")
-    p.add_argument("--W", type=float, default=1.0)
-    p.add_argument("--B", type=float, default=1.0, help="bias budget; 'inf' allowed")
     # defaults in _SPEC_FLAGS; a flag the loss or class does not read exits 2
+    p.add_argument("--W", type=float, help=_flag_help(_SPEC_FLAGS, "W"))
+    p.add_argument("--B", type=float, help="bias budget; 'inf' allowed; " + _flag_help(_SPEC_FLAGS, "B"))
     p.add_argument("--Lambda", type=float, help=_flag_help(_SPEC_FLAGS, "Lambda"))
     p.add_argument("--k", type=float, help=_flag_help(_SPEC_FLAGS, "k"))
     p.add_argument("--rho", type=float, help=_flag_help(_SPEC_FLAGS, "rho"))
@@ -290,10 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.set_defaults(func=cmd_transform)
 
     p_b = sub.add_parser("bound", help="assemble and check one bound")
-    p_b.add_argument(
-        "--target", choices=["zero-one", "adversarial-zero-one"], default=None,
-        help="defaults to the one the loss implies: adversarial-zero-one for sup- losses",
-    )
     p_b.add_argument("--loss", required=True)
     _add_spec_flags(p_b)
     p_b.add_argument("--dist", required=True, help="preset name, JSON literal, or path")
@@ -384,6 +378,9 @@ def main(argv=None) -> int:
     except (ValueError, QuadratureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # exit 1 is kept for a bound or check that fails
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -221,9 +221,17 @@ class PiecewiseTransform:
     def inverse(self) -> "PiecewiseTransform":
         """Inverse of an increasing forward transform, segment by segment.
         Its breakpoints are this transform's values at its breakpoints, so its
-        domain is this transform's range: [0, T(1)] on [0, 1], R+ on R+."""
+        domain is this transform's range: [0, T(1)] on [0, 1], R+ on R+.  An
+        affine piece whose slope rounds to 0, or whose inverse slope
+        overflows, raises ``ValueError``."""
         if self.direction is not Direction.FORWARD:
             raise ValueError("only forward transforms are inverted")
+        slopes = [seg.coefficients[0] for seg in self.segments if seg.kind == "affine"]
+        if not all(slope > 0.0 and math.isfinite(1.0 / slope) for slope in slopes):
+            raise ValueError(
+                f"the {self.loss_label} transform on {self.class_label} has an affine piece of slope "
+                f"{min(slopes)}, whose inverse is not a finite float: the bias budget B is too small"
+            )
         return replace(
             self,
             breakpoints=(0.0, *(float(self(b)) for b in self.breakpoints[1:])),

@@ -589,6 +589,16 @@ class TestAssembleBound:
                 with pytest.raises(ValueError, match="outside the class"):
                     assemble_bound(target, rho_margin(1.0), spec, d, h)
 
+    @pytest.mark.parametrize("target, gamma, msg", [
+        (Target.ADVERSARIAL_ZERO_ONE, 0.0, "^adversarial target requires spec.gamma > 0$"),
+        (Target.ZERO_ONE, 0.1, "^non-adversarial target requires spec.gamma = 0$"),
+    ], ids=["adversarial-target-gamma-0", "zero-one-target-gamma-positive"])
+    def test_target_must_match_gamma(self, target, gamma, msg):
+        # the CLI derives the target from gamma, so only library callers can mismatch them
+        spec = HypothesisSpec(LIN, W=1.0, B=0.5, gamma=gamma)
+        with pytest.raises(ValueError, match=msg):
+            assemble_bound(target, rho_margin(1.0), spec, singleton(0.5, 0.8), LinearHypothesis((0.5,), 0.0))
+
     def test_singleton_hinge_exact(self):
         d = singleton(0.5, 0.8)
         spec = HypothesisSpec(LIN, W=1.0, B=0.5)

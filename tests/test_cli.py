@@ -65,7 +65,7 @@ class TestTransformCommand:
 
     def test_quadratic_unrestricted_is_pure_square(self, tmp_path):
         out = tmp_path / "q.json"
-        code = main(["transform", "--loss", "quadratic", "--class", "all", "--B", "inf", "--out", str(out)])
+        code = main(["transform", "--loss", "quadratic", "--class", "all", "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
         assert [s["kind"] for s in doc["transform"]["segments"]] == ["power"]
@@ -138,40 +138,46 @@ class TestTransformCsv:
 
 
 class TestSpecFlagsTheLossOrClassDoesNotRead:
-    """--k is read only by a sigmoid loss, --rho only by a rho-margin loss
-    and --Lambda only by --class relu; given elsewhere, on the command line
-    or in a config file, they exit 2 instead of being ignored."""
+    """--k is read only by a sigmoid loss, --rho only by a rho-margin loss,
+    --Lambda only by --class relu, and --W and --B only by --class linear
+    and relu; given elsewhere, on the command line or in a config file, they
+    exit 2 instead of being ignored."""
 
     COMMANDS = {
-        "transform": ["transform", "--class", "linear", "--B", "0.8"],
-        "bound": ["bound", "--class", "linear", "--B", "0.5", "--w", "-0.4", "--dist", SINGLETON],
+        "transform": ["transform", "--class", "linear"],
+        "bound": ["bound", "--class", "linear", "--w", "-0.4", "--dist", SINGLETON],
     }
     STRAY = [
         (["--loss", "hinge", "--k", "2"], "--k"),
         (["--loss", "hinge", "--rho", "0.5"], "--rho"),
         (["--loss", "sigmoid", "--rho", "0.5", "--Lambda", "0.5"], "--Lambda, --rho"),
         (["--loss", "rho-margin", "--k", "2"], "--k"),
+        (["--loss", "logistic", "--class", "all", "--W", "7", "--B", "0.3"], "--B, --W"),
+        (["--loss", "quadratic", "--class", "all", "--B", "inf"], "--B"),
     ]
 
-    @pytest.mark.parametrize("flags, named", STRAY, ids=["k-hinge", "rho-hinge", "rho-Lambda-sigmoid", "k-rho-margin"])
+    @pytest.mark.parametrize("flags, named", STRAY, ids=["k-hinge", "rho-hinge", "rho-Lambda-sigmoid", "k-rho-margin",
+                                                         "W-B-all", "B-inf-all"])
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_flag_the_run_does_not_read(self, capsys, command, flags, named):
         assert main([*self.COMMANDS[command], *flags]) == 2
         assert f"does not use {named} (" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("k", 2), ("rho", 0.5), ("Lambda", 0.5)])
+    @pytest.mark.parametrize("key, value, cls", [("k", 2, "linear"), ("rho", 0.5, "linear"), ("Lambda", 0.5, "linear"),
+                                                 ("W", 7, "all"), ("B", 0.3, "all")])
     @pytest.mark.parametrize("command", sorted(COMMANDS))
-    def test_config_key_the_run_does_not_read(self, tmp_path, capsys, command, key, value):
+    def test_config_key_the_run_does_not_read(self, tmp_path, capsys, command, key, value, cls):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
-        assert main([*self.COMMANDS[command], "--loss", "hinge", "--config", str(cfg)]) == 2
+        assert main([*self.COMMANDS[command], "--loss", "hinge", "--class", cls, "--config", str(cfg)]) == 2
         assert f"does not use --{key} (" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, field, label", [
         (["--loss", "rho-margin", "--rho", "0.5"], "loss", "rho-margin(rho=0.5)"),
         (["--loss", "sigmoid", "--k", "2"], "loss", "sigmoid(k=2)"),
-        (["--loss", "hinge", "--class", "relu", "--Lambda", "0.5"], "class_params", "relu(Lambda=0.5,W=1,B=0.8)"),
-    ], ids=["rho", "k", "Lambda"])
+        (["--loss", "hinge", "--class", "relu", "--Lambda", "0.5"], "class_params", "relu(Lambda=0.5,W=1,B=1)"),
+        (["--loss", "hinge", "--W", "3", "--B", "0.8"], "class_params", "linear(W=3,B=0.8)"),
+    ], ids=["rho", "k", "Lambda", "W-B"])
     def test_read_flags_reach_the_transform(self, tmp_path, flags, field, label):
         out, cfg_out, cfg = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "cfg.json"
         assert main([*self.COMMANDS["transform"], *flags, "--out", str(out)]) == 0
@@ -244,7 +250,7 @@ class TestBoundCommand:
     def test_singleton_inline_json(self, tmp_path):
         out = tmp_path / "b.json"
         code = main(
-            ["bound", "--target", "zero-one", "--loss", "hinge", "--class", "linear", "--B", "0.5",
+            ["bound", "--loss", "hinge", "--class", "linear", "--B", "0.5",
              "--dist", SINGLETON, "--w", "-0.4", "--b", "0", "--mode", "exact", "--out", str(out)]
         )
         assert code == 0
@@ -311,16 +317,6 @@ class TestBoundCommand:
         assert code == 2
         assert "no floating-point mass" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "target, loss",
-        [("adversarial-zero-one", "hinge"), ("zero-one", "sup-hinge")],
-    )
-    def test_target_must_match_loss(self, capsys, target, loss):
-        code = main(["bound", "--target", target, "--loss", loss, "--class", "linear", "--gamma", "0.1",
-                     "--massart-beta", "0.5", "--dist", "sect7-adv", "--w", "-0.5"])
-        assert code == 2
-        assert "does not match" in capsys.readouterr().err
-
     @pytest.mark.parametrize("eps", ["0.1", "0"])
     def test_eps_is_not_a_bound_flag(self, capsys, eps):
         with pytest.raises(SystemExit) as exc:
@@ -366,7 +362,7 @@ class TestBoundCommand:
             ("--loss sup-rho-margin --class linear --W 1 --B 0.5 --gamma 0.1 --w 0.7 --b -0.2 "
              "--dist sect7-adv --sigma 0.1", "0x1.397a07b9229fap-2", "0x1.bbb8749a04050p-4",
              {"surrogate_excess": "0x1.397a07b9229fcp-2", "M_surrogate": "0x1.bbb8749a1eca4p-4"}),
-            ("--loss quadratic --class all --B inf --w -5 --b 0 --dist sect7-nonadv --sigma 0.1",
+            ("--loss quadratic --class all --w -5 --b 0 --dist sect7-nonadv --sigma 0.1",
              "0x1.9e0b6b501a1d3p+1", "0x0.0p+0", {"surrogate_excess": "0x1.9e0b6b501a1d2p+1"}),
         ],
         ids=["linear", "adversarial-linear", "all"],
@@ -782,7 +778,8 @@ class TestNonFiniteLossParameters:
 
 
 class TestRetiredFlags:
-    """Inputs are scalars, so no --p; bound does not truncate, so no --eps."""
+    """Inputs are scalars, so no --p; bound does not truncate, so no --eps;
+    bound's target follows from --loss, so no --target."""
 
     @pytest.mark.parametrize("command", [
         ["transform", "--loss", "hinge", "--class", "linear", "--B", "0.8"],
@@ -794,6 +791,16 @@ class TestRetiredFlags:
         assert exc.value.code == 2
         assert "unrecognized arguments: --p" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["zero-one", "adversarial-zero-one"])
+    def test_target_flag_exits_2(self, tmp_path, capsys, target):
+        bound = ["bound", "--loss", "hinge", "--class", "linear", "--W", "5", "--B", "0.5", "--dist", "sect7-nonadv"]
+        assert exit_code([*bound, "--target", target]) == 2
+        assert "unrecognized arguments: --target" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"target": target}))
+        assert main([*bound, "--config", str(cfg)]) == 2
+        assert "unknown config keys: ['target']" in capsys.readouterr().err
+
 
 class TestEnvironment:
     def test_thread_cap_validated(self, monkeypatch, capsys):
@@ -801,3 +808,49 @@ class TestEnvironment:
         assert main(["transform", "--loss", "hinge"]) == 2
         monkeypatch.setenv("HCB_THREADS", "4")
         assert main(["transform", "--loss", "hinge"]) == 0
+
+
+class TestExitCodes:
+    """Exit 1 means a bound or check that fails and nothing else: extreme
+    finite inputs report, or exit 2 with a message, with RuntimeWarning
+    raised as an error; any other exception is an internal error, exit 3."""
+
+    BOUND = ["bound", "--class", "linear", "--dist", "sect7-nonadv"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_slope_clips_its_threshold_to_a_support_end(self, tmp_path, capsys):
+        # -b/w overflows to -inf: the truncated normals' error masses are whole or empty
+        out = tmp_path / "b.json"
+        args = ["--loss", "hinge", "--W", "1", "--B", "0.5", "--w", "1e-310", "--b", "0.4", "--out", str(out)]
+        assert main([*self.BOUND, *args]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["holds"] is True and doc["lhs"] == 0.375
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_sigmoid_cell_width_falls_back_to_the_corner_bound(self, tmp_path, capsys):
+        # the square of a cell's width overflows at W = 1e200; B = 1e-300 lies in
+        # the tiny-budget regime, where a false violation (exit 1) is known
+        out = tmp_path / "b.json"
+        args = ["--loss", "sigmoid", "--W", "1e+200", "--B", "1e-300", "--w", "7.0", "--b", "5e-324", "--out", str(out)]
+        code = main([*self.BOUND, *args])
+        doc = json.loads(out.read_text())
+        assert code == (0 if doc["holds"] else 1)
+        assert "error" not in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("loss, B, slope", [("exponential", "5e-324", "0.0"), ("hinge", "5e-324", "5e-324")],
+                             ids=["relaxed-chord-slope-0", "inverse-slope-overflows"])
+    def test_subnormal_bias_budget_has_no_gamma(self, capsys, loss, B, slope):
+        args = ["--loss", loss, "--W", "5e-324", "--B", B, "--w", "5e-324", "--b", "0.0"]
+        assert main([*self.BOUND, *args]) == 2
+        err = capsys.readouterr().err
+        assert f"has an affine piece of slope {slope}, whose inverse is not a finite float" in err
+        assert "the bias budget B is too small" in err
+
+    def test_any_other_exception_is_an_internal_error(self, monkeypatch, capsys):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(hcbounds.cli, "cmd_transform", boom)
+        assert main(["transform", "--loss", "hinge"]) == 3
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"

@@ -1,0 +1,185 @@
+"""A closed-form oracle for exact margin-loss risks and E[C*].
+
+Every continuous component is a truncated normal, and on each piece between
+its breakpoints the hinge, quadratic and rho-margin losses of a linear h are
+scale * (root - m)^k in the margin m = a*x + c, k <= 2, plain (m = y(wx + b))
+or robust (m = y(wx + b) - gamma*|w|).  With x = mean + std*z the loss is a
+polynomial of degree k in z, so its integral against the density is a sum of
+the standard normal's partial moments of order 0-2 over the piece:
+
+    M0 = Phi(zu) - Phi(zl),  M1 = phi(zl) - phi(zu),  M2 = M0 + zl*phi(zl) - zu*phi(zu),
+
+Phi's difference taken on the upper tail's side (ndtr(-zl) - ndtr(-zu))
+when the piece lies above the mean, as ``TruncNormal._tail`` does.  On a
+label-pure distribution (eta is 0 or 1 wherever a component has mass) the
+minimal conditional risk C* is the loss at the class's best score: W|x| + B,
+or W*max(|x|, gamma) - gamma*W + B for the robust losses, whose pieces split
+at x = 0 and x = +-gamma.  No quadrature runs.
+
+The oracle is independent of the package in its integration only: Phi is
+scipy's ``ndtr``, the normal cdf the package's truncated normals use too.
+Cost: about 10 us per closed-form risk against 0.2-0.9 ms for ``risk``, in
+process on a 2-CPU KVM host (Python 3.11, numpy 2.4, scipy 1.17).
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.special import ndtr
+
+from hcbounds import Exact, risk
+from hcbounds.bounds import _expect_min_conditional
+from hcbounds.distributions import Atom, Component, LabeledDistribution, TruncNormal
+from hcbounds.distributions import sect7_adversarial, sect7_nonadversarial
+from hcbounds.hypotheses import HypothesisClass, HypothesisSpec, LinearHypothesis
+from hcbounds.losses import LossFamily, hinge, quadratic, rho_margin
+
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+SIGMAS = (0.2, 0.1, 0.05, 0.02, 0.01)
+
+
+def _kinks(loss) -> tuple:
+    return (0.0, loss.rho) if loss.family is LossFamily.RHO_MARGIN else (1.0,)
+
+
+def _piece(loss, m) -> tuple:
+    """(scale, root, k): the loss is scale * (root - m')^k on the piece of
+    the margin line that holds m."""
+    if loss.family is LossFamily.RHO_MARGIN:
+        if m <= 0.0:
+            return 1.0, 0.0, 0
+        return (1.0 / loss.rho, loss.rho, 1) if m < loss.rho else (0.0, 0.0, 0)
+    if m >= 1.0:
+        return 0.0, 0.0, 0
+    return 1.0, 1.0, 1 if loss.family is LossFamily.HINGE else 2
+
+
+def loss_at(loss, m) -> float:
+    scale, root, k = _piece(loss, m)
+    return scale * (root - m) ** k
+
+
+def _moments(zl, zu) -> tuple:
+    """The integrals of z^k phi(z) over [zl, zu], k = 0, 1, 2."""
+    m0 = float(ndtr(-zl) - ndtr(-zu) if zl > 0.0 else ndtr(zu) - ndtr(zl))
+    fl, fu = math.exp(-0.5 * zl * zl) * _INV_SQRT_2PI, math.exp(-0.5 * zu * zu) * _INV_SQRT_2PI
+    return m0, fl - fu, m0 + zl * fl - zu * fu
+
+
+def _mean_over(loss, law, pieces) -> float:
+    """E of loss(a*x + c) under the truncated normal law, for pieces
+    (xl, xu, a, c) that tile its support."""
+    mu, sd = law.mean, law.std
+    total = 0.0
+    for xl, xu, a, c in pieces:
+        cuts = {xl, xu, *((k - c) / a for k in _kinks(loss) if a != 0.0)}
+        cuts = sorted(x for x in cuts if xl <= x <= xu)
+        for lo, hi in zip(cuts, cuts[1:]):
+            scale, root, k = _piece(loss, a * (0.5 * (lo + hi)) + c)
+            d, e = root - (a * mu + c), a * sd  # root - m = d - e*z
+            m0, m1, m2 = _moments((lo - mu) / sd, (hi - mu) / sd)
+            total += scale * (m0, d * m0 - e * m1, d * d * m0 - 2.0 * d * e * m1 + e * e * m2)[k]
+    return total / _moments((law.lo - mu) / sd, (law.hi - mu) / sd)[0]
+
+
+def closed_form_risk(loss, h, dist, gamma=0.0) -> float:
+    """The hinge, quadratic or rho-margin risk of h, robust for gamma > 0."""
+    w, b, shift = h.w, h.b, gamma * abs(h.w)
+    total = math.fsum(c.weight * loss_at(loss, c.label * (w * c.law.x + b) - shift) for c in dist.atoms())
+    for c in dist.continuous():
+        pieces = [(c.law.lo, c.law.hi, c.label * w, c.label * b - shift)]
+        total += c.weight * _mean_over(loss, c.law, pieces)
+    return total
+
+
+def closed_form_e_cstar(loss, spec, dist) -> float:
+    """E[C*] of the hinge, quadratic or rho-margin loss over a linear class
+    (robust for spec.gamma > 0) on a label-pure distribution."""
+    labels = {}
+    for c in dist.atoms():
+        labels.setdefault(c.law.x, set()).add(c.label)
+    comps = dist.continuous()
+    if any(len(ys) > 1 for ys in labels.values()) or any(
+        o.label != c.label and o.law.lo <= c.law.hi and c.law.lo <= o.law.hi for c in comps for o in comps
+    ):
+        raise ValueError("closed_form_e_cstar needs a label-pure distribution")
+    W, B, g = spec.W, spec.B, spec.gamma
+    total = math.fsum(c.weight * loss_at(loss, W * max(abs(c.law.x), g) - g * W + B) for c in dist.atoms())
+    for c in comps:
+        cuts = sorted({c.law.lo, c.law.hi, *(x for x in (-g, 0.0, g) if c.law.lo < x < c.law.hi)})
+        pieces = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            mid = 0.5 * (lo + hi)
+            a = 0.0 if abs(mid) <= g else math.copysign(W, mid)  # the score is B where |x| <= gamma
+            pieces.append((lo, hi, a, B - g * W if a else B))
+        total += c.weight * _mean_over(loss, c.law, pieces)
+    return total
+
+
+# a component whose support starts 10 standard deviations above its mean
+FAR_TAIL = LabeledDistribution((
+    Component(0.25, -1, Atom(0.3)),
+    Component(0.375, 1, TruncNormal(0.5, 1.0, 0.0, 0.05)),
+    Component(0.375, -1, TruncNormal(-1.0, 0.2, 0.0, 0.3)),
+))
+
+
+def seeded_case(seed, losses):
+    """(loss, spec, h, dist): a linear class and an h in it, drawn as the
+    benchmark's bound pool draws them; robust (gamma 0.1) for seeds 2 and 3
+    of every 4, on ``FAR_TAIL`` for every seventh seed."""
+    rng = np.random.default_rng([0xCF, seed])
+    make = losses[seed % len(losses)]
+    loss = make(float(rng.uniform(0.5, 1.5))) if make is rho_margin else make()
+    gamma = 0.1 if seed % 4 >= 2 else 0.0
+    W, B = float(rng.uniform(0.5, 6.0)), float(rng.uniform(0.1, 1.0))
+    spec = HypothesisSpec(HypothesisClass.LINEAR, W=W, B=B, gamma=gamma)
+    h = LinearHypothesis((float(rng.uniform(-W, W)),), float(rng.uniform(-B, B)))
+    sigma = SIGMAS[seed % len(SIGMAS)]
+    if seed % 7 == 6:
+        return loss, spec, h, FAR_TAIL
+    return loss, spec, h, sect7_adversarial(sigma, gamma) if gamma else sect7_nonadversarial(sigma)
+
+
+def test_partial_moments_on_the_whole_line_and_a_far_tail():
+    assert _moments(-40.0, 40.0) == (1.0, 0.0, 1.0)
+    # Mills ratio: above z = 10, M0 = phi(10)/10 * (1 - 1/100 + 3/10^4 - ...), M1 = phi(10)
+    m0, m1, m2 = _moments(10.0, 40.0)
+    phi = math.exp(-50.0) * _INV_SQRT_2PI
+    assert m0 == pytest.approx(phi / 10.0 * (1.0 - 1e-2 + 3e-4 - 1.5e-5), rel=2e-6)
+    assert (m1, m2) == (phi, pytest.approx(m0 + 10.0 * phi, rel=1e-15))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_risk_matches_the_closed_form(seed):
+    loss, spec, h, dist = seeded_case(seed, (hinge, quadratic, rho_margin))
+    value, _, quad_err = risk(loss, h, dist, Exact(), spec.gamma, with_error=True)
+    assert abs(value - closed_form_risk(loss, h, dist, spec.gamma)) <= quad_err + 1e-12
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_expected_min_conditional_matches_the_closed_form(seed):
+    # no closed C* for the robust quadratic loss
+    loss, spec, h, dist = seeded_case(seed, (hinge, rho_margin) if seed % 4 >= 2 else (hinge, quadratic, rho_margin))
+    value, quad_err = _expect_min_conditional(loss, spec, dist)
+    assert abs(value - closed_form_e_cstar(loss, spec, dist)) <= quad_err + 1e-12
+
+
+ITEM_3 = "E[C*] passes no kink points to the quadrature, whose error estimate misses the score bound's kink"
+
+
+@pytest.mark.parametrize("loss, W, B, sigma, want", [
+    pytest.param(rho_margin(0.7959584781912772), 2.5784703113736116, 0.5359267221846399, 0.1,
+                 8.118138888661654e-06, marks=pytest.mark.xfail(strict=True, reason=ITEM_3), id="op-28-3"),
+    pytest.param(quadratic(), 4.35302933339056, 0.4672866929652578, 0.02, 0.1262379878067254,
+                 marks=pytest.mark.xfail(strict=True, reason=ITEM_3), id="op-31-2"),
+])
+def test_expected_min_conditional_of_the_pool_kinks(loss, W, B, sigma, want):
+    # the benchmark's bound pool ops (slot, position) (28, 3) and (31, 2); the
+    # package reads 0.0 for the first and 1.5e-12 low, past its error estimate
+    # 7.6e-14, for the second
+    spec, dist = HypothesisSpec(HypothesisClass.LINEAR, W=W, B=B), sect7_nonadversarial(sigma)
+    assert closed_form_e_cstar(loss, spec, dist) == pytest.approx(want, rel=1e-13)
+    value, quad_err = _expect_min_conditional(loss, spec, dist)
+    assert abs(value - want) <= quad_err + 1e-12

@@ -26,6 +26,7 @@ import pytest
 
 import test_acceptance
 import test_bounds
+import test_closed_form
 import test_distributions
 import test_transforms
 from hcbounds import bounds, distributions, transforms
@@ -60,17 +61,29 @@ def _gamma_times(factor, family=None):
     return inject
 
 
-def _zero_one_cstar_times(factor):
+def _cstar_times(factor, zero_one):
+    """E[C*] of the zero-one loss, or of every margin loss, times factor."""
+
     def inject(monkeypatch):
         real = bounds._expect_min_conditional
 
         def expect(loss, spec, dist):
             value, err = real(loss, spec, dist)
-            return (factor * value if isinstance(loss, ZeroOneLoss) else value), err
+            return (factor * value if isinstance(loss, ZeroOneLoss) == zero_one else value), err
 
         _inject(monkeypatch, bounds, "_expect_min_conditional", expect)
 
     return inject
+
+
+def _margin_risk_times_1_plus_1e_6(monkeypatch):
+    real = bounds._margin_risk
+
+    def margin_risk(loss, dist, hs, gamma):
+        value, err = real(loss, dist, hs, gamma)
+        return value * (1.0 + 1e-6), err
+
+    _inject(monkeypatch, bounds, "_margin_risk", margin_risk)
 
 
 def _mc_merge_without_delta(monkeypatch):
@@ -193,7 +206,15 @@ def _threshold_scan_at_the_atom_on_the_support_end():
 FAULTS = {
     "gamma-x1.01": (_gamma_times(1.01), test_bounds.TestAssembleBound().test_singleton_hinge_exact),
     "gamma-x0.99": (_gamma_times(0.99), test_bounds.TestAssembleBound().test_singleton_hinge_exact),
-    "zero-one-cstar-x0.99": (_zero_one_cstar_times(0.99), test_acceptance.test_criterion_5_discrete_psi_verification),
+    "zero-one-cstar-x0.99": (_cstar_times(0.99, True), test_acceptance.test_criterion_5_discrete_psi_verification),
+    "surrogate-cstar-x(1+1e-6)": (
+        _cstar_times(1.0 + 1e-6, False),
+        lambda: [test_closed_form.test_expected_min_conditional_matches_the_closed_form(seed) for seed in range(3)],
+    ),
+    "margin-risk-x(1+1e-6)": (
+        _margin_risk_times_1_plus_1e_6,
+        lambda: [test_closed_form.test_risk_matches_the_closed_form(seed) for seed in range(3)],
+    ),
     "mc-merge-without-delta": (
         _mc_merge_without_delta,
         lambda: test_bounds.TestStreamedMonteCarlo().test_matches_whole_sample_statistics(
