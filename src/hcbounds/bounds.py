@@ -29,11 +29,16 @@ Risks are standard at gamma = 0 (sign(0) = +1) and robust, the loss's
 supremum over the gamma-ball, at gamma > 0: ``risk``'s gamma, or the spec's
 for ``best_in_class_risk``, alone selects the setting.  Exact zero-one risks
 are closed-form tail masses.  Exact margin-loss risks (``_margin_risk``,
-which also bounds the search's cells) and the expectations E[C*] integrate
-the truncated normals through ``distributions._integrate_continuous``, which
-owns the quadrature and its tolerances; a report's ``provenance`` key
-``quad_err`` sums the error estimates of every integration it ran.  scipy is
-used only for the normal cdf and its inverse.
+which also bounds the search's cells) are closed form for the hinge,
+quadratic, rho-margin and exponential losses: truncated-normal partial
+moments of order 0-2 between the kinks, or a truncated moment generating
+function.  The logistic and sigmoid risks and the expectations E[C*]
+integrate the truncated normals through
+``distributions._integrate_continuous``, which owns the quadrature and its
+tolerances; a report's ``provenance`` key ``quad_err`` sums the error
+estimates of the quadratures it ran, and the closed forms add nothing to
+it.  scipy is used only for the normal cdf, its inverse and ``erfcx``,
+imported on first use.
 """
 
 from __future__ import annotations
@@ -84,6 +89,8 @@ _SIDE_ULPS = 16  # a threshold breakpoint's neighbours, in ulps of the kernel's 
 _SLOPE_NODES = np.linspace(-8.0, 8.0, 33)  # bracketing nodes, in standard deviations from the mean
 _BISECTIONS = 40
 _PSI_TOL = 1e-10  # rounding allowance of the discrete verifier's checks
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -218,47 +225,140 @@ def _mc_risks(losses, h, dist, mode, gamma) -> list:
     return out
 
 
-def _kink_margins(loss) -> tuple:
+def _largest_margins(hs, gamma, xs, label):
+    """Each point's largest margin over the linear hypotheses hs."""
+    margins = _score_kernel(hs[0].w, hs[0].b, xs, label, gamma)[1]
+    for h in hs[1:]:
+        margins = np.maximum(margins, _score_kernel(h.w, h.b, xs, label, gamma)[1])
+    return margins
+
+
+def _margin_integrand(loss, hs, gamma, c):
+    """Continuous component c's integrand of ``_margin_risk``: the loss at
+    each node's largest margin over hs, times c's density."""
+    return lambda xs: eval_margin_loss(loss, _largest_margins(hs, gamma, xs, c.label)) * c.law.pdf(xs)
+
+
+def _loss_piece(loss, m) -> tuple:
+    """(scale, root, k): the hinge, quadratic or rho-margin loss is
+    scale*(root - m')^k on the piece of the margin line that holds m."""
+    if loss.family is LossFamily.RHO_MARGIN:
+        if m <= 0.0:
+            return 1.0, 0.0, 0
+        return (1.0 / loss.rho, loss.rho, 1) if m < loss.rho else (0.0, 0.0, 0)
+    if m >= 1.0:
+        return 0.0, 0.0, 0
+    return 1.0, 1.0, 1 if loss.family is LossFamily.HINGE else 2
+
+
+def _exp_to(x: float) -> float:
+    """e^x, inf past the largest double instead of ``OverflowError``."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _closed_form_mean(loss, law, lines) -> float:
+    """E of the loss at the largest of the margin lines a*x + c under the
+    truncated normal law, in closed form.  The arithmetic is on Python
+    floats, so an overflow is inf, never an exception, a warning or NaN.
+
+    The support is cut where two lines cross and where a line meets a kink;
+    on each piece the largest line and the loss's form are those at its
+    midpoint.  With x = mean + std*z a piece's loss is scale*(d - e*z)^k
+    (hinge, quadratic, rho-margin; d = root - (a*mean + c), e = a*std, k <= 2),
+    whose integral against phi is d^k*M0 - ... from the standard normal's
+    partial moments M0 = Phi(zu) - Phi(zl), M1 = phi(zl) - phi(zu) and
+    M2 = M0 + zl*phi(zl) - zu*phi(zu), M0 taken on the upper tail's side
+    (ndtr(-zl) - ndtr(-zu)) above the mean, as ``TruncNormal._tail`` does;
+    or e^-(a*x + c) (exponential), whose integral is the truncated MGF
+    e^(-(a*mean + c) + e^2/2)*(Phi(zu + e) - Phi(zl + e)).  Where t = z + e
+    keeps one sign over the piece that difference is taken on its tail's
+    side through erfcx, e^(t^2/2)*Phi(-t) = erfcx(t/sqrt 2)/2, so that the
+    MGF's exponent and the tail's never meet as inf*0.  A piece whose
+    integral of a non-negative loss comes out NaN overflowed: it is inf.
+    """
+    from scipy.special import erfcx, ndtr  # scipy.special is imported on first use
+
+    mu, sd = law.mean, law.std
+    lo, hi = law.lo, law.hi
     fam = loss.family
-    if fam in (LossFamily.HINGE, LossFamily.QUADRATIC):
-        return (1.0,)
-    if fam is LossFamily.RHO_MARGIN:
-        return (0.0, loss.rho)
-    return ()
-
-
-def _discontinuity_points(loss, h, gamma):
-    """x locations where the pointwise loss of h has a kink or jump."""
-    w = h.w
-    if w == 0.0:
-        return ()
-    shifts = (gamma * abs(w), -gamma * abs(w)) if gamma > 0 else (0.0,)
-    pts = []
-    for v in _kink_margins(loss):
-        for vv in (v, -v):
-            for sh in shifts:
-                pts.append((vv + sh - h.b) / w)
-    return tuple(sorted(set(pts)))
+    kinks = () if fam is LossFamily.EXPONENTIAL else (0.0, loss.rho) if fam is LossFamily.RHO_MARGIN else (1.0,)
+    cuts = {lo, hi}
+    for i, (a, c) in enumerate(lines):
+        if a != 0.0:
+            cuts.update((k - c) / a for k in kinks)
+        cuts.update((c2 - c) / (a - a2) for a2, c2 in lines[i + 1 :] if a2 != a)
+    xs = sorted(x for x in cuts if lo <= x <= hi)  # NaN and the far side of the support drop out
+    zs = [(x - mu) / sd for x in xs]
+    cdf = ndtr(np.array(zs + [-z for z in zs])).tolist()
+    upper = cdf[len(zs) :]  # Phi(-z)
+    dens = [math.exp(-0.5 * z * z) * _INV_SQRT_2PI for z in zs]
+    total = 0.0
+    for i in range(len(xs) - 1):
+        xl, xu, zl, zu = xs[i], xs[i + 1], zs[i], zs[i + 1]
+        mid = 0.5 * (xl + xu)
+        a, c = max(lines, key=lambda line: line[0] * mid + line[1])
+        e = a * sd
+        if fam is LossFamily.EXPONENTIAL:
+            tl, tu = zl + e, zu + e
+            if tl > 0.0 or tu < 0.0:  # e^(-(a*x + c) - z^2/2)*erfcx(+-t/sqrt 2)/2 is e^(MGF exponent)*Phi(-+t)
+                s = 1.0 if tl > 0.0 else -1.0
+                v = 0.5 * s * (_exp_to(-(a * xl + c) - 0.5 * zl * zl) * float(erfcx(s * tl * _SQRT_HALF))
+                               - _exp_to(-(a * xu + c) - 0.5 * zu * zu) * float(erfcx(s * tu * _SQRT_HALF)))
+            else:
+                diff, power = float(ndtr(tu) - ndtr(tl)), -(a * mu + c) + 0.5 * e * e
+                if not diff > 0.0:
+                    continue
+                v = _exp_to(power) * diff if power < 700.0 else _exp_to(power + math.log(diff))
+        else:
+            scale, root, k = _loss_piece(loss, a * mid + c)
+            if scale == 0.0:
+                continue
+            m0 = upper[i] - upper[i + 1] if zl > 0.0 else cdf[i + 1] - cdf[i]
+            if m0 <= 0.0:
+                continue
+            d = root - (a * mu + c)
+            if k == 0:
+                v = m0
+            else:
+                m1 = dens[i] - dens[i + 1]
+                if k == 1:
+                    v = d * m0 - e * m1
+                else:
+                    m2 = m0 + (zl * dens[i] if dens[i] else 0.0) - (zu * dens[i + 1] if dens[i + 1] else 0.0)
+                    v = d * d * m0 - 2.0 * d * e * m1 + e * e * m2
+            v *= scale
+        total += v if v >= 0.0 else 0.0 if v < 0.0 else math.inf
+    return total / law._mass
 
 
 def _margin_risk(loss, dist, hs, gamma) -> tuple:
     """(risk, error estimate) of the margin loss taken at each point's
-    largest margin over the linear hypotheses hs: the atoms summed, then the
-    truncated normals integrated by ``distributions._integrate_continuous``,
-    its panels split where a loss of hs has a kink or jump.  For hs = (h,)
-    it is the exact risk of h."""
+    largest margin over the linear hypotheses hs: the atoms summed, then each
+    truncated normal's part added, in component order.  For hs = (h,) it is
+    the exact risk of h.
 
-    def losses(xs, label):
-        margins = _score_kernel(hs[0].w, hs[0].b, xs, label, gamma)[1]
-        for h in hs[1:]:
-            margins = np.maximum(margins, _score_kernel(h.w, h.b, xs, label, gamma)[1])
-        return eval_margin_loss(loss, margins)
-
-    atoms = sum(c.weight * float(losses(c.law.x, c.label)) for c in dist.atoms())
-    pts = [p for h in hs for p in _discontinuity_points(loss, h, gamma)]
-    return _integrate_continuous(
-        dist.continuous(), lambda c: lambda xs: losses(xs, c.label) * c.law.pdf(xs), pts, atoms
-    )
+    Hinge, quadratic, rho-margin and exponential risks are closed form
+    (``_closed_form_mean``, error estimate 0); on a component of label y the
+    margins are the lines y*(w*x + b) - gamma*|w|.  Logistic and sigmoid
+    risks, which have no kinks, integrate ``_margin_integrand`` by
+    ``distributions._integrate_continuous``.  An overflowing loss makes the
+    risk inf, with no floating-point warning; the quadrature raises
+    ``QuadratureError`` on it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        atoms = sum(c.weight * float(eval_margin_loss(loss, _largest_margins(hs, gamma, c.law.x, c.label)))
+                    for c in dist.atoms())
+        if loss.family in (LossFamily.LOGISTIC, LossFamily.SIGMOID):
+            return _integrate_continuous(dist.continuous(), lambda c: _margin_integrand(loss, hs, gamma, c), (), atoms)
+    total = atoms
+    for c in dist.continuous():
+        lines = list(dict.fromkeys((c.label * h.w, c.label * h.b - gamma * abs(h.w)) for h in hs))
+        if c.weight:
+            total += c.weight * _closed_form_mean(loss, c.law, lines)
+    return total, 0.0
 
 
 def risk(
@@ -279,7 +379,7 @@ def risk(
     error estimate above 1e-8 raises ``QuadratureError``.  With
     ``with_error`` returns (value, stderr, quad_err), quad_err being the
     components' error estimates weighted like their risks (0 unless the
-    margin-loss quadrature ran).
+    logistic or sigmoid quadrature ran).
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
@@ -319,7 +419,7 @@ def _error_mass(law, label, w, b, gamma):
     err0, margin0 = _score_kernel(w, b, 0.0, label, gamma)
     with np.errstate(over="ignore", divide="ignore"):  # an infinite threshold clips to a support end
         thr = -margin0 / np.where(w == 0.0, np.nan, label * w)
-    cdf = law.cdf(np.nan_to_num(thr, nan=0.0))
+    cdf = law.cdf(np.where(np.isnan(thr), 0.0, thr))  # the cdf clips +-inf to the support ends
     sided = np.where((w > 0) == (label > 0), cdf, 1.0 - cdf)
     return np.where(w == 0.0, err0, sided)
 
@@ -329,10 +429,11 @@ def _zero_one_risk(dist, w, b, gamma):
     and b broadcast: the atoms' kernel indicators, then each truncated
     normal's closed-form error mass, added in component order."""
     out = 0.0
-    for c in dist.atoms():
-        out = out + c.weight * _score_kernel(w, b, c.law.x, c.label, gamma)[0]
-    for c in dist.continuous():
-        out = out + c.weight * _error_mass(c.law, c.label, w, b, gamma)
+    with np.errstate(over="ignore"):  # a score past the largest double is +-inf, on the same side
+        for c in dist.atoms():
+            out = out + c.weight * _score_kernel(w, b, c.law.x, c.label, gamma)[0]
+        for c in dist.continuous():
+            out = out + c.weight * _error_mass(c.law, c.label, w, b, gamma)
     return out
 
 
@@ -375,7 +476,9 @@ def _zero_one_best_linear(spec: HypothesisSpec, dist: LabeledDistribution) -> Be
     step = _SIDE_ULPS * _EPMACH * (np.abs(points) + gamma) + _UFLOW
     close = np.diff(points) <= np.maximum(step[:-1], step[1:])
     clustered = points[np.append(close, False) | np.insert(close, 0, False)]
-    tol = math.fsum(c.weight for c in dist.atoms() if np.isin(np.add(c.law.x, shifts), clustered).any())
+    tol = 0.0
+    if clustered.size:
+        tol = math.fsum(c.weight for c in dist.atoms() if np.isin(np.add(c.law.x, shifts), clustered).any())
 
     def slope(theta, s):  # d risk / d theta in orientation s, at the array theta
         out = np.zeros(theta.shape)
@@ -384,23 +487,27 @@ def _zero_one_best_linear(spec: HypothesisSpec, dist: LabeledDistribution) -> Be
             out = out + ys * c.weight * c.law.pdf(theta + gamma * ys)
         return out
 
-    nodes = [points]
-    for c in comps:
-        law = c.law
-        spread = np.clip(law.mean + law.std * _SLOPE_NODES, law.lo, law.hi)
-        xs = np.concatenate((spread, np.linspace(law.lo, law.hi, 17)))
-        nodes.append(np.add.outer(xs, shifts).ravel())
-    nodes = np.unique(np.concatenate(nodes))
-    # midpoints too: across a gap between supports the slope is 0, not a turn
-    nodes = np.sort(np.concatenate((nodes, 0.5 * (nodes[:-1] + nodes[1:]))))
-    lo, hi, orient = [], [], []
-    for s in (1.0, -1.0):
-        d = slope(nodes, s)
-        turn = np.flatnonzero((d[:-1] < 0.0) & (d[1:] >= 0.0))
-        hi.append(nodes[turn + 1])
-        lo.append(np.where(d[turn + 1] == 0.0, hi[-1], nodes[turn]))  # a turn on a node needs no bisection
-        orient.append(np.full(turn.size, s))
-    lo, hi, orient = map(np.concatenate, (lo, hi, orient))
+    lo = hi = orient = np.zeros(0)
+    # the slope can turn only where densities of both labels meet, 2*gamma apart at most
+    if any(o.label != c.label and o.law.lo - 2.0 * gamma <= c.law.hi and c.law.lo - 2.0 * gamma <= o.law.hi
+           for c in comps for o in comps):
+        nodes = [points]
+        for c in comps:
+            law = c.law
+            spread = np.clip(law.mean + law.std * _SLOPE_NODES, law.lo, law.hi)
+            xs = np.concatenate((spread, np.linspace(law.lo, law.hi, 17)))
+            nodes.append(np.add.outer(xs, shifts).ravel())
+        nodes = np.unique(np.concatenate(nodes))
+        # midpoints too: across a gap between supports the slope is 0, not a turn
+        nodes = np.sort(np.concatenate((nodes, 0.5 * (nodes[:-1] + nodes[1:]))))
+        lo, hi, orient = [], [], []
+        for s in (1.0, -1.0):
+            d = slope(nodes, s)
+            turn = np.flatnonzero((d[:-1] < 0.0) & (d[1:] >= 0.0))
+            hi.append(nodes[turn + 1])
+            lo.append(np.where(d[turn + 1] == 0.0, hi[-1], nodes[turn]))  # a turn on a node needs no bisection
+            orient.append(np.full(turn.size, s))
+        lo, hi, orient = map(np.concatenate, (lo, hi, orient))
     if np.any(lo < hi):
         for _ in range(_BISECTIONS):
             mid = 0.5 * (lo + hi)
@@ -439,7 +546,7 @@ def _cell_bound(loss, dist, gamma, score, wl, wh, bl, bh) -> float:
     corners' largest margin: on a half box the margin is linear in (w, b),
     and every loss is non-increasing.
     """
-    centre, centre_err = score(0.5 * (wl + wh), 0.5 * (bl + bh))
+    centre, centre_err = score(0.5 * wl + 0.5 * wh, 0.5 * bl + 0.5 * bh)  # halves first: wl + wh may overflow
     bound = 2.0 * (centre - centre_err) - max(sum(score(w, b)) for w in (wl, wh) for b in (bl, bh))
     if loss.family is LossFamily.SIGMOID:
         width = (1.0 + gamma) * 0.5 * (wh - wl) + 0.5 * (bh - bl)
@@ -468,7 +575,8 @@ def best_in_class_risk(loss, spec: HypothesisSpec, dist: LabeledDistribution) ->
     ``risk`` scored is within 1e-6 of the least open bound, 1,000 hypotheses
     are scored, or no float halves the cell.  value is that least score, at
     the returned (w, b); tol is the gap reached (inf while a cell has no
-    finite bound), resting, like quad_err, on the quadrature's error estimates.
+    finite bound), resting, like quad_err, on the quadrature's error
+    estimates where the risk integrates (logistic, sigmoid).
     """
     if spec.cls is HypothesisClass.ALL:
         if spec.adversarial:
@@ -503,7 +611,7 @@ def best_in_class_risk(loss, spec: HypothesisSpec, dist: LabeledDistribution) ->
         push((0.0, spec.W, -spec.B, spec.B))
         while best[0] - cells[0][0] > _BIC_GAP and len(scores) < _BIC_BUDGET:
             wl, wh, bl, bh = cells[0][1]
-            wm, bm = 0.5 * (wl + wh), 0.5 * (bl + bh)
+            wm, bm = 0.5 * wl + 0.5 * wh, 0.5 * bl + 0.5 * bh
             split_w = (1.0 + gamma) * (wh - wl) >= bh - bl
             if not (wl < wm < wh if split_w else bl < bm < bh):
                 break
@@ -525,8 +633,8 @@ def _expect_min_conditional(loss, spec, dist) -> tuple:
         mixed = [c for c in dist.continuous() if any(o.label != c.label for o in _meeting(dist, c))]
         return _expectation(dist, lambda x, e: np.minimum(e, 1.0 - e), (), mixed)
     if spec.adversarial:
-        bracket = _adversarial_bracket(loss, spec)
-        return expectation(dist, lambda x, e: bracket(np.abs(x), e)[0], with_error=True)
+        lower = _adversarial_bracket(loss, spec, lower_only=True)
+        return expectation(dist, lambda x, e: lower(np.abs(x), e), with_error=True)
     min_risk = _min_risk(loss, spec)
     return expectation(dist, lambda x, e: min_risk(np.abs(x), e), with_error=True)
 
@@ -671,7 +779,8 @@ def assemble_bound(
     if saturated:
         gamma_val, deriv = 1.0, 0.0
     else:
-        gamma_val, deriv = float(inverse(y)), inverse.derivative_upper(y)
+        with np.errstate(over="ignore"):  # an inverse slope of up to 1/B may overflow Gamma(y) to inf
+            gamma_val, deriv = float(inverse(y)), inverse.derivative_upper(y)
     rhs = gamma_val - m_target
     se_rhs = deriv * se_surr if se_surr else 0.0
     slack = rhs - lhs

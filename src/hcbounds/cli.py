@@ -274,7 +274,8 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="hcbounds", description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(prog="hcbounds", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_tr = sub.add_parser("transform", help="materialize an estimation-error transform")

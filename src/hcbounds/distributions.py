@@ -19,12 +19,14 @@ cells score each block in place.  No output depends on the
 thread count.
 Expectations take an integrand of arrays (x, eta(x)) and sum atoms exactly.
 ``_integrate_continuous``, the one per-component integrator of expectations
-and of exact risks, runs ``_gauss_kronrod``, QUADPACK's adaptive 21-point
-Gauss-Kronrod rule evaluated on every open panel in one array call, so the
-integrand runs once per round, and each panel it refines cut into 4
-(absolute and relative tolerance 1e-10; an error estimate above 1e-8 raises
-``QuadratureError``).  ``expectation`` splits its first panels at every
-support end, where eta jumps.  The error estimates come back on request,
+and of the exact logistic and sigmoid risks, runs ``_gauss_kronrod``,
+QUADPACK's adaptive 21-point Gauss-Kronrod rule evaluated on every open
+panel in one array call, so the integrand runs once per round, and each
+panel it refines cut into 4 (absolute and relative tolerance 1e-10; an
+error estimate above 1e-8 raises ``QuadratureError``).  ``expectation``
+splits its first panels at every support end, where eta jumps, and on a
+component that meets no other takes eta as its label's 0 or 1 off the
+atoms.  The error estimates come back on request,
 and bound reports sum them into their ``quad_err`` provenance entry; each
 is the sum of the K21/G10 estimates of the panels evaluated, blind to a
 feature that lies between one panel's nodes.  scipy is used only for the
@@ -126,12 +128,15 @@ class TruncNormal:
             return float(self._lo_tail - self._tail(self.hi))
         return float(self._tail(self.hi) - self._lo_tail)
 
+    def _density(self, x):
+        """The density at the array x, taken as if every x lay in the support."""
+        z = self._z(x)
+        return np.exp(-0.5 * z * z) / (self.std * _SQRT_2PI * self._mass)
+
     def pdf(self, x):
         x_arr = np.asarray(x, dtype=float)
-        z = self._z(x_arr)
         inside = (x_arr >= self.lo) & (x_arr <= self.hi)
-        vals = np.exp(-0.5 * z * z) / (self.std * _SQRT_2PI * self._mass)
-        out = np.where(inside, vals, 0.0)
+        out = np.where(inside, self._density(x_arr), 0.0)
         return out if isinstance(x, np.ndarray) else float(out)
 
     def cdf(self, x):
@@ -251,6 +256,11 @@ class LabeledDistribution:
         total = d_pos + d_neg
         out = np.full(x.shape, 0.5)
         np.divide(d_pos, total, out=out, where=total != 0.0)
+        return self._atoms_over(out, x)
+
+    def _atoms_over(self, out, x):
+        """out, eta at the array x off the atoms, with the atoms' eta written
+        in at their locations."""
         for loc, e in self._atom_eta.items():
             out[x == loc] = e
         return out
@@ -516,8 +526,8 @@ def _integrate_continuous(components, integrand_on, points, total: float):
     ``integrand_on(c)`` maps 1-D node arrays to the integrand over component
     c's support, its density included; ``_gauss_kronrod`` integrates it,
     first panels split at ``points``.  Raises ``QuadratureError`` when a
-    component's error estimate exceeds 1e-8.  Exact risks and ``expectation``
-    both integrate here, starting from their atoms' part.
+    component's error estimate exceeds 1e-8.  The logistic and sigmoid risks
+    and ``expectation`` integrate here, starting from their atoms' part.
     """
     error = 0.0
     for c in components:
@@ -563,13 +573,22 @@ def _expectation(dist: LabeledDistribution, integrand, points, components) -> tu
     atoms = dist.atoms()
     if atoms:
         xs = np.array([c.law.x for c in atoms])
-        vals = integrand(xs, dist.eta(xs)).tolist()
+        if all(c.law.x in dist._atom_eta for c in atoms):
+            # at an atom location that carries mass the atoms' eta overwrites the densities'
+            eta = dist._atoms_over(np.full(xs.shape, 0.5), xs)
+        else:
+            eta = dist.eta(xs)
+        vals = integrand(xs, eta).tolist()
         for c, v in zip(atoms, vals):
             total += c.weight * v
 
     def integrand_on(c):
         # eta from the components that meet this one; its own pdf is the weight
         near = _meeting(dist, c)
+        if near == [c] and c.weight > 0.0:
+            # alone, c makes eta its label's 0 or 1 off the atoms, and every node lies in its support
+            pure = 1.0 if c.label > 0 else 0.0
+            return lambda xs: integrand(xs, dist._atoms_over(np.full(xs.shape, pure), xs)) * c.law._density(xs)
 
         def f(xs):
             densities = [(o, o.law.pdf(xs)) for o in near]

@@ -82,9 +82,10 @@ class HypothesisSpec:
         _check_x_norm(x_norm_p)
         if self.cls is HypothesisClass.ALL:
             return math.inf
-        if self.cls is HypothesisClass.LINEAR:
-            return self.W * x_norm_p + self.B
-        return self.Lambda * (self.W * x_norm_p + self.B)
+        with np.errstate(over="ignore"):  # a reach past the largest double is inf
+            if self.cls is HypothesisClass.LINEAR:
+                return self.W * x_norm_p + self.B
+            return self.Lambda * (self.W * x_norm_p + self.B)
 
     def margin_scale(self) -> float:
         """The bias budget that drives the estimation-error transforms:
@@ -151,7 +152,8 @@ def attainable_adversarial_range(spec: HypothesisSpec, x_norm_p) -> tuple:
     _check_x_norm(x_norm_p)
     if spec.cls is HypothesisClass.ALL:
         raise ValueError("attainable_adversarial_range is undefined for the unbounded class")
-    shifted = spec.W * np.maximum(x_norm_p, spec.gamma) - spec.gamma * spec.W + spec.B
+    with np.errstate(over="ignore"):  # a reach past the largest double is inf
+        shifted = spec.W * np.maximum(x_norm_p, spec.gamma) - spec.gamma * spec.W + spec.B
     if spec.cls is HypothesisClass.LINEAR:
         return (shifted, shifted)
     return (spec.Lambda * spec.B, spec.Lambda * shifted)

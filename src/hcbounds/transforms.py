@@ -31,6 +31,7 @@ alone decides which transform applies and returns it with its Gamma.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass, replace
@@ -192,6 +193,8 @@ class PiecewiseTransform:
         return np.searchsorted(knots, t, side="left")
 
     def __call__(self, t):
+        if isinstance(t, float) and 0.0 <= t <= self.domain_end:
+            return float(self.segments[bisect.bisect_left(self.breakpoints, t, 1, len(self.segments)) - 1](t))
         scalar = np.isscalar(t)
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(t_arr < -1e-12) or np.any(t_arr > self.domain_end + 1e-12):

@@ -91,15 +91,17 @@ class TestRisk:
         assert val == pytest.approx(1.0)
 
     def test_risk_and_expectation_share_the_quadrature_ceiling(self, monkeypatch):
-        # an error estimate of 2e-8 is above the one 1e-8 ceiling, whoever integrates
+        # an error estimate of 2e-8 is above the one 1e-8 ceiling, whoever integrates;
+        # the logistic risk is one of the two that integrate, hinge's is closed form
         monkeypatch.setattr(distributions, "_gauss_kronrod", lambda f, a, b, points=(): (0.0, 2e-8))
         d, h = sect7_nonadversarial(0.1), LinearHypothesis((-5.0,), 0.0)
         with pytest.raises(QuadratureError, match="above tolerance 1e-08"):
-            risk(hinge(), h, d, Exact())
+            risk(logistic(), h, d, Exact())
         with pytest.raises(QuadratureError, match="above tolerance 1e-08"):
             expectation(d, lambda x, e: e)
+        assert risk(hinge(), h, d, Exact(), with_error=True)[2] == 0.0
         monkeypatch.setattr(distributions, "_gauss_kronrod", lambda f, a, b, points=(): (0.0, 1e-8))
-        assert risk(hinge(), h, d, Exact(), with_error=True)[2] == 1e-8 * (7 / 16 + 7 / 16)
+        assert risk(logistic(), h, d, Exact(), with_error=True)[2] == 1e-8 * (7 / 16 + 7 / 16)
 
     def test_exact_matches_monte_carlo(self):
         d = sect7_nonadversarial(0.1)

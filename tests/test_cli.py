@@ -326,16 +326,17 @@ class TestBoundCommand:
         assert "unrecognized arguments: --eps" in capsys.readouterr().err
 
     def test_failed_quadrature_is_a_validation_error(self, capsys):
-        # exp(900 * |x|) overflows on the continuous components
+        # the score -1e308*(x + 1) overflows to -inf, and the logistic loss there to inf, on the
+        # label +1 component (the logistic risk integrates, the exponential one is closed form)
         dist = json.dumps({"components": [
             {"weight": 0.5, "label": 1, "law": {"kind": "truncnormal", "lo": 0.1, "hi": 1.0, "mean": 0.1, "std": 0.1}},
             {"weight": 0.5, "label": -1, "law": {"kind": "truncnormal", "lo": -1.0, "hi": -0.1, "mean": -0.1,
                                                   "std": 0.1}},
         ]})
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            code = main(["bound", "--loss", "exponential", "--class", "linear", "--W", "1000", "--B", "0.5",
-                         "--w", "-900", "--b", "0", "--dist", dist])
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["bound", "--loss", "logistic", "--class", "linear", "--W", "1e308", "--B", "1e308",
+                         "--w=-1e308", "--b=-1e308", "--dist", dist])
         assert code == 2
         assert "integrand not finite" in capsys.readouterr().err
 
@@ -358,7 +359,7 @@ class TestBoundCommand:
         [
             ("--loss hinge --class linear --W 1 --B 0.5 --w -0.8 --b 0.1 --dist sect7-nonadv --sigma 0.05",
              "0x1.2fb5e5ddb1480p-7", "0x1.308b94155c4c4p-1",
-             {"surrogate_excess": "0x1.2fb5e5ddb1440p-7", "M_surrogate": "0x1.308b94155c4c2p-1"}),
+             {"surrogate_excess": "0x1.2fb5e5ddb14c0p-7", "M_surrogate": "0x1.308b94155c4c0p-1"}),
             ("--loss sup-rho-margin --class linear --W 1 --B 0.5 --gamma 0.1 --w 0.7 --b -0.2 "
              "--dist sect7-adv --sigma 0.1", "0x1.397a07b9229fap-2", "0x1.bbb8749a04050p-4",
              {"surrogate_excess": "0x1.397a07b9229fcp-2", "M_surrogate": "0x1.bbb8749a1eca4p-4"}),
@@ -369,8 +370,8 @@ class TestBoundCommand:
     )
     def test_surrogate_split_pinned(self, tmp_path, args, surrogate_excess, m_surrogate, repins):
         # pinned while assemble_bound still ran the surrogate search itself;
-        # repins: the fields the Gauss-Kronrod quadrature and its 4-way panel
-        # refinement moved, within 1e-10
+        # repins: the fields the Gauss-Kronrod quadrature, its 4-way panel
+        # refinement and the closed-form exact risks moved, within 1e-10
         out = tmp_path / "split.json"
         assert main(["bound", *args.split(), "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
@@ -846,6 +847,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"has an affine piece of slope {slope}, whose inverse is not a finite float" in err
         assert "the bias budget B is too small" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("args", [
+        # Gamma's slope 1/B times y passes the largest double: rhs is inf
+        "--loss hinge --W 1e10 --B 1e-300 --w=-1e10 --b=1e-300 --sigma 0.2",
+        # W|x| + B passes the largest double in E[C*]
+        "--loss sigmoid --W 1.7e308 --B 1.7e308 --w=0.0 --b=1e200 --sigma 0.05",
+        # the zero-one threshold scan's candidate scores pass it
+        "--loss logistic --W 1.7e308 --B 1.7e308 --w=1.0 --b=1.0 --sigma 0.05",
+        # the search's first cells: wl + wh would pass it at their centres (the h = -inf message)
+        "--loss rho-margin --W 1.7e308 --B 900 --w=-1e-300 --b=-900 --sigma 0.01",
+        # the robust reach W*max(|x|, gamma) - gamma*W + B passes it
+        "--loss sup-rho-margin --gamma 0.1 --W 1.7e308 --B 1.7e308 --w=-0.3 --b=-900 --sigma 0.05 --dist sect7-adv",
+    ], ids=["gamma-of-y", "score-bound", "zero-one-scores", "cell-centres", "robust-reach"])
+    def test_overflow_past_the_largest_double_reports(self, tmp_path, capsys, args):
+        # each exited 2 or 3 (a RuntimeWarning raised) before; about 0.2-1 s each
+        out = tmp_path / "b.json"
+        assert main([*self.BOUND, *args.split(), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["holds"] is True
+        assert capsys.readouterr().err == ""
+
+    def test_help_lists_every_exit_code(self, capsys):
+        # --help prints the whole module docstring, exit codes included
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "Exit codes: 0 success, 1 a bound or check that fails, 2 a validation error, 3 an internal error" in text
 
     def test_any_other_exception_is_an_internal_error(self, monkeypatch, capsys):
         def boom(args):

@@ -1,4 +1,14 @@
-"""A closed-form oracle for exact margin-loss risks and E[C*].
+"""Checks of the closed-form exact margin-loss risks, and a closed-form
+oracle for E[C*].
+
+The package's ``bounds._margin_risk`` is closed form for the hinge,
+quadratic, rho-margin and exponential losses.  Its reference is the
+adaptive Gauss-Kronrod rule ``distributions._gauss_kronrod`` on the
+package's per-component integrand ``bounds._margin_integrand`` (the one
+that the logistic and sigmoid risks integrate), its first panels split here
+at every kink of the integrand, with the rule's error estimate as the
+allowance.  A second formula, ``closed_form_risk`` below, derives the same
+risks for single hypotheses independently of the package's code.
 
 Every continuous component is a truncated normal, and on each piece between
 its breakpoints the hinge, quadratic and rho-margin losses of a linear h are
@@ -18,29 +28,65 @@ at x = 0 and x = +-gamma.  No quadrature runs.
 
 The oracle is independent of the package in its integration only: Phi is
 scipy's ``ndtr``, the normal cdf the package's truncated normals use too.
-Cost: about 10 us per closed-form risk against 0.2-0.9 ms for ``risk``, in
-process on a 2-CPU KVM host (Python 3.11, numpy 2.4, scipy 1.17).
+Cost: about 10 us per closed-form risk; a quadrature reference takes
+0.2-0.9 ms, in process on a 2-CPU KVM host (Python 3.11, numpy 2.4, scipy 1.17).
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+import hcbounds
 from hcbounds import Exact, risk
-from hcbounds.bounds import _expect_min_conditional
-from hcbounds.distributions import Atom, Component, LabeledDistribution, TruncNormal
+from hcbounds.bounds import _expect_min_conditional, _margin_integrand, _margin_risk
+from hcbounds.distributions import Atom, Component, LabeledDistribution, TruncNormal, _gauss_kronrod
 from hcbounds.distributions import sect7_adversarial, sect7_nonadversarial
 from hcbounds.hypotheses import HypothesisClass, HypothesisSpec, LinearHypothesis
-from hcbounds.losses import LossFamily, hinge, quadratic, rho_margin
+from hcbounds.losses import LossFamily, eval_margin_loss, exponential, hinge, logistic, quadratic, rho_margin, sigmoid
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 SIGMAS = (0.2, 0.1, 0.05, 0.02, 0.01)
 
 
 def _kinks(loss) -> tuple:
+    if loss.family in (LossFamily.EXPONENTIAL, LossFamily.LOGISTIC, LossFamily.SIGMOID):
+        return ()
     return (0.0, loss.rho) if loss.family is LossFamily.RHO_MARGIN else (1.0,)
+
+
+def _lines(hs, label, gamma) -> list:
+    """The margin lines (a, c), margin a*x + c, of the hypotheses hs on label."""
+    return [(label * h.w, label * h.b - gamma * abs(h.w)) for h in hs]
+
+
+def kink_points(loss, hs, gamma) -> list:
+    """Every x where the loss at the largest margin over hs may have a kink:
+    where a margin line meets a kink of the loss, and where two lines cross."""
+    points = []
+    for label in (-1, 1):
+        lines = _lines(hs, label, gamma)
+        points += [(k - c) / a for a, c in lines if a != 0.0 for k in _kinks(loss)]
+        points += [(c2 - c1) / (a1 - a2) for i, (a1, c1) in enumerate(lines) for a2, c2 in lines[i + 1:] if a1 != a2]
+    return points
+
+
+def quadrature_risk(loss, dist, hs, gamma) -> tuple:
+    """(risk, error estimate) of the loss at each point's largest margin over
+    hs: the atoms' losses, and ``_gauss_kronrod`` on each component's
+    ``_margin_integrand`` with its first panels split at ``kink_points``."""
+    margins = [(c.weight, max(a * c.law.x + b for a, b in _lines(hs, c.label, gamma))) for c in dist.atoms()]
+    value = math.fsum(weight * float(eval_margin_loss(loss, m)) for weight, m in margins)
+    error, points = 0.0, kink_points(loss, hs, gamma)
+    for c in dist.continuous():
+        val, err = _gauss_kronrod(_margin_integrand(loss, hs, gamma, c), c.law.lo, c.law.hi, points)
+        value, error = value + c.weight * val, error + c.weight * err
+    return value, error
 
 
 def _piece(loss, m) -> tuple:
@@ -156,6 +202,56 @@ def test_risk_matches_the_closed_form(seed):
     loss, spec, h, dist = seeded_case(seed, (hinge, quadratic, rho_margin))
     value, _, quad_err = risk(loss, h, dist, Exact(), spec.gamma, with_error=True)
     assert abs(value - closed_form_risk(loss, h, dist, spec.gamma)) <= quad_err + 1e-12
+
+
+def corners(seed, spec, h) -> list:
+    """The 4 corners of a seeded cell of the margin-loss search's kind: a
+    (w, b) box in the class with w of one sign, one corner at h."""
+    rng = np.random.default_rng([0xCE, seed])
+    dw, db = float(rng.uniform(0.05, 1.0)) * spec.W, float(rng.uniform(0.05, 1.0)) * spec.B
+    w2 = h.w - dw if h.w > 0.0 else min(h.w + dw, 0.0)
+    b2 = max(h.b - db, -spec.B) if rng.integers(2) else min(h.b + db, spec.B)
+    return [LinearHypothesis((w,), b) for w in (h.w, w2) for b in (h.b, b2)]
+
+
+CLOSED_FORM_LOSSES = (hinge, quadratic, rho_margin, exponential)
+
+
+@pytest.mark.parametrize("envelope", [False, True], ids=["one-hypothesis", "4-corner-envelope"])
+@pytest.mark.parametrize("seed", range(24))
+def test_closed_form_risk_matches_the_quadrature(seed, envelope):
+    # plain and robust, sect7 presets and FAR_TAIL (every seventh seed)
+    loss, spec, h, dist = seeded_case(seed, CLOSED_FORM_LOSSES)
+    hs = corners(seed, spec, h) if envelope else [h]
+    value, err = _margin_risk(loss, dist, hs, spec.gamma)
+    want, quad_err = quadrature_risk(loss, dist, hs, spec.gamma)
+    assert err == 0.0
+    assert abs(value - want) <= quad_err + 1e-12
+
+
+@pytest.mark.parametrize("loss", [logistic(), sigmoid(2.0)], ids=lambda l: l.label())
+def test_logistic_and_sigmoid_risks_integrate_the_same_integrand(loss):
+    # the package integrates them without split points, the reference splits at the envelope's kinks
+    _, spec, h, dist = seeded_case(5, CLOSED_FORM_LOSSES)
+    hs = corners(5, spec, h)
+    value, err = _margin_risk(loss, dist, hs, 0.1)
+    want, quad_err = quadrature_risk(loss, dist, hs, 0.1)
+    assert 0.0 < err and abs(value - want) <= err + quad_err + 1e-12
+
+
+def test_import_leaves_scipy_special_to_the_first_risk():
+    # importing scipy.special costs a process about 23 MB and 0.2 s, which
+    # oracle-check never needs; a fresh interpreter, about 0.5 s
+    script = (
+        "import sys, hcbounds\n"
+        "print('scipy.special' in sys.modules)\n"
+        "h, d = hcbounds.LinearHypothesis((-0.5,), 0.1), hcbounds.sect7_nonadversarial(0.05)\n"
+        "print(hcbounds.risk(hcbounds.hinge(), h, d, hcbounds.Exact())[0] > 0.0, 'scipy.special' in sys.modules)\n"
+    )
+    src = str(Path(hcbounds.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False", "True", "True"]
 
 
 @pytest.mark.parametrize("seed", range(24))

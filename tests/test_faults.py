@@ -12,9 +12,7 @@ and under the fault, where it must fail.
 
 A fault that no independent check catches yet is a strict xfail naming the
 ROADMAP item that closes it; when that item lands the row passes, and its
-marker goes.  Left out: ``bounds._discontinuity_points`` returning no
-points moves exact risks by rounding only (the adaptive rule copes), so no
-check should catch it.
+marker goes.
 """
 
 import functools
@@ -162,9 +160,9 @@ def _margin_risk_at_the_least_margin(monkeypatch):
             return bounds.eval_margin_loss(loss, functools.reduce(np.minimum, margins))
 
         atoms = sum(c.weight * float(losses(c.law.x, c.label)) for c in dist.atoms())
-        pts = [p for h in hs for p in bounds._discontinuity_points(loss, h, gamma)]
         return distributions._integrate_continuous(
-            dist.continuous(), lambda c: lambda xs: losses(xs, c.label) * c.law.pdf(xs), pts, atoms
+            dist.continuous(), lambda c: lambda xs: losses(xs, c.label) * c.law.pdf(xs),
+            test_closed_form.kink_points(loss, hs, gamma), atoms,
         )
 
     _inject(monkeypatch, bounds, "_margin_risk", margin_risk)
