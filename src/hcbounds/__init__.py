@@ -41,10 +41,7 @@ from .transforms import (
     NegativeResultError,
     PiecewiseTransform,
     Segment,
-    adversarial_transform,
     invert_numerically,
-    massart_adversarial_transform,
-    massart_transform,
     select_transform,
     transform,
     transform_inverse,

@@ -46,7 +46,6 @@ from __future__ import annotations
 import enum
 import heapq
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -55,7 +54,7 @@ import numpy as np
 from ._runtime import thread_map
 from .conditional import ConditionalPoint, _adversarial_bracket, _interval_risk, _min_risk, brute_force_inf
 from .distributions import LabeledDistribution, QuadratureError, _integrate_continuous, _map_sample_blocks, expectation
-from .distributions import _expectation, _meeting
+from .distributions import _expectation, _meeting, _require_integer
 from .distributions import _EPMACH, _SAMPLE_BLOCK, _UFLOW  # machine epsilon, a sampling block, least normal double
 from .hypotheses import HypothesisClass, HypothesisSpec, LinearHypothesis
 from .losses import (
@@ -104,8 +103,8 @@ class MonteCarlo:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
-            raise ValueError(f"Monte Carlo sample size must be an integer, got {self.n!r}")
+        _require_integer("Monte Carlo sample size", self.n)
+        _require_integer("Monte Carlo seed", self.seed)
         if self.n < 2:
             raise ValueError(f"Monte Carlo sample size must be >= 2 for a standard error, got {self.n}")
 
@@ -663,8 +662,13 @@ class BoundReport:
     relaxed_inverse: bool = False
     provenance: tuple = ()
 
-    def to_json_dict(self, split: tuple) -> dict:
-        """JSON form; split is (surrogate_excess, M_surrogate, tol) from ``surrogate_split``."""
+    def to_json_dict(self, split) -> dict:
+        """JSON form; split is (surrogate_excess, M_surrogate, tol) from
+        ``surrogate_split``, or the reason it could not run, which writes the
+        three as null and the reason as provenance's ``surrogate_split``."""
+        provenance = dict(self.provenance)
+        if isinstance(split, str):
+            provenance["surrogate_split"], split = split, (None, None, None)
         surrogate_excess, m_surrogate, tol = split
         return {
             "lhs": self.lhs,
@@ -681,7 +685,7 @@ class BoundReport:
             "slack": self.slack,
             "saturated": self.saturated,
             "relaxed_inverse": self.relaxed_inverse,
-            "provenance": {**dict(self.provenance), "surrogate_best_in_class_tol": tol},
+            "provenance": {**provenance, "surrogate_best_in_class_tol": tol},
         }
 
 
@@ -820,8 +824,9 @@ def surrogate_split(
     R*_H - E[C*], R*_H being the best-in-class search's value, which exceeds
     the infimum by at most its tol.
 
-    For a linear class this runs the best-in-class search on the surrogate;
-    the unrestricted class has R*_H = E[C*] and needs no search (tol 0).
+    For a linear class this runs the best-in-class search on the surrogate,
+    so an infinite W or B raises ``ValueError``, as ``best_in_class_risk``
+    does; the unrestricted class has R*_H = E[C*] and needs no search (tol 0).
     """
     r_surr, e_cstar = report.r_surrogate, report.e_cstar_surrogate
     if spec.cls is HypothesisClass.ALL:

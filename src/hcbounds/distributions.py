@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 
@@ -299,6 +300,13 @@ def sect7_adversarial(sigma: float, gamma: float = 0.1) -> LabeledDistribution:
     )
 
 
+def _require_integer(what: str, value) -> None:
+    """Refuse a bool or any non-integer (numpy integers pass): the uint64
+    key of ``_philox_at`` would truncate a float or a bool to an integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def _philox_at(seed: int, chunk: int, offset: int):
     """The generator of substream (seed, chunk), positioned after ``offset``
     doubles: Philox yields four 64-bit words per counter step and each double
@@ -390,6 +398,9 @@ def _map_sample_blocks(dist: LabeledDistribution, n: int, seed: int, fn, into=No
     of floats: only each continuous component's index list, released before
     fn runs, and a block of bools are fresh.
     """
+    _require_integer("the sample size n", n)
+    _require_integer("the seed", seed)
+    n, seed = int(n), int(seed)  # a numpy integer n would overflow Philox.advance
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if not 0 <= seed < 2**64:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _holds, _leaf_totals, _loss_values, _score_kernel, _squares_sum
-from .distributions import _SAMPLE_BLOCK, _map_sample_blocks, sect7_adversarial, sect7_nonadversarial
+from .distributions import _SAMPLE_BLOCK, _map_sample_blocks, _require_integer, sect7_adversarial, sect7_nonadversarial
 from .hypotheses import HypothesisClass, HypothesisSpec
 from .losses import (
     ZERO_ONE,
@@ -71,6 +71,8 @@ class SweepConfig:
             raise ValueError("sigmas must be strictly decreasing toward 0")
         if any(not 0.0 < s < 1.0 for s in sig):
             raise ValueError("each sigma must lie in (0, 1)")
+        _require_integer("n_samples", self.n_samples)
+        _require_integer("seed", self.seed)
         if self.n_samples < 10**4:
             raise ValueError("sweeps need at least 10^4 samples per cell")
         for name in ("w", "b"):
@@ -79,7 +81,7 @@ class SweepConfig:
 
 
 def _cell_seed(seed: int, index: int) -> int:
-    return (seed ^ ((index + 1) * 0x9E3779B97F4A7C15)) % 2**64
+    return (int(seed) ^ ((index + 1) * 0x9E3779B97F4A7C15)) % 2**64
 
 
 def run_nonadversarial_sweep(cfg: SweepConfig):

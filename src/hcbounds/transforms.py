@@ -22,11 +22,14 @@ forms.  Every segment kind has an inverse, so every Gamma, the relaxed
 logistic and exponential ones included, is the inverse of forward pieces,
 taken segment by segment (``PiecewiseTransform.inverse``).
 
-Worst-case (adversarial) transforms exist only for the rho-margin family;
-for worst-case hinge and sigmoid losses, transforms exist only under a
-Massart noise assumption, and for worst-case convex losses no nontrivial
-transform exists at all (``NegativeResultError``).  ``select_transform``
-alone decides which transform applies and returns it with its Gamma.
+The loss, the class, its perturbation radius gamma and a Massart beta
+select the transform, and ``select_transform`` is the one builder of every
+route: the standard transform (``transform``, whose Gamma is
+``transform_inverse``), the worst-case one, which only the rho-margin family
+has, and the Massart-modified ones, of the unrestricted class's convex
+losses and of the worst-case hinge and sigmoid losses.  Worst-case hinge and
+sigmoid losses without a beta, and worst-case convex losses with or without
+one, have no nontrivial transform (``NegativeResultError``).
 """
 
 from __future__ import annotations
@@ -48,9 +51,6 @@ __all__ = [
     "NegativeResultError",
     "transform",
     "transform_inverse",
-    "adversarial_transform",
-    "massart_transform",
-    "massart_adversarial_transform",
     "select_transform",
     "invert_numerically",
 ]
@@ -188,19 +188,15 @@ class PiecewiseTransform:
     def domain_end(self) -> float:
         return self.breakpoints[-1]
 
-    def _segment_index(self, t):
-        knots = np.asarray(self.breakpoints[1:-1], dtype=float)
-        return np.searchsorted(knots, t, side="left")
-
     def __call__(self, t):
         if isinstance(t, float) and 0.0 <= t <= self.domain_end:
-            return float(self.segments[bisect.bisect_left(self.breakpoints, t, 1, len(self.segments)) - 1](t))
+            return float(self.segments[self._segment_at(t)](t))
         scalar = np.isscalar(t)
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(t_arr < -1e-12) or np.any(t_arr > self.domain_end + 1e-12):
             raise ValueError(f"argument outside domain [0, {self.domain_end}]")
         t_arr = np.clip(t_arr, 0.0, None)
-        idx = self._segment_index(t_arr)
+        idx = np.searchsorted(np.asarray(self.breakpoints[1:-1], dtype=float), t_arr)
         out = np.empty_like(t_arr)
         for i, seg in enumerate(self.segments):
             mask = idx == i
@@ -208,18 +204,17 @@ class PiecewiseTransform:
                 out[mask] = seg(t_arr[mask])
         return float(out[0]) if scalar else out
 
-    def _one_sided_derivatives(self, t: float):
-        i = int(self._segment_index(t))
-        cands = [self.segments[i].derivative(t)]
-        for j, knot in enumerate(self.breakpoints[1:-1]):
-            if abs(knot - t) <= 1e-15:
-                cands.append(self.segments[j].derivative(t))
-                cands.append(self.segments[j + 1].derivative(t))
-        return cands
+    def _segment_at(self, t: float) -> int:
+        """Index of the segment whose closed interval holds t, the left one at a knot."""
+        return bisect.bisect_left(self.breakpoints, t, 1, len(self.segments)) - 1
 
     def derivative_upper(self, t: float) -> float:
-        """Largest one-sided derivative at t (conservative at breakpoints)."""
-        return max(self._one_sided_derivatives(t))
+        """Largest one-sided derivative at t: within 1e-15 of an interior
+        breakpoint, the larger of its two segments' (conservative there)."""
+        i = self._segment_at(t)
+        lo = i - (i > 0 and t - self.breakpoints[i] <= 1e-15)
+        hi = i + (i + 1 < len(self.segments) and self.breakpoints[i + 1] - t <= 1e-15)
+        return max(seg.derivative(t) for seg in self.segments[lo : hi + 1])
 
     def inverse(self) -> "PiecewiseTransform":
         """Inverse of an increasing forward transform, segment by segment.
@@ -324,7 +319,7 @@ def transform(loss: MarginLoss, spec: HypothesisSpec, eps: float = 0.0) -> Piece
     """Forward estimation-error transform of a margin loss for the given class."""
     check_truncation_eps(eps)
     if spec.adversarial:
-        raise ValueError("spec has gamma > 0; use adversarial_transform")
+        raise ValueError("spec has gamma > 0; use select_transform")
     c = _check_scale(spec.margin_scale())
     pt = _restricted(*_forward_pieces(loss, c), loss_label=loss.label(), class_label=spec.label())
     if eps > 0.0:
@@ -359,7 +354,7 @@ def transform_inverse(loss: MarginLoss, spec: HypothesisSpec) -> PiecewiseTransf
     to tanh(c'), then its chord 0.5*tanh(c')*t, with c' = c/2 (logistic) or
     c (exponential)."""
     if spec.adversarial:
-        raise ValueError("spec has gamma > 0; use adversarial_transform")
+        raise ValueError("spec has gamma > 0; use select_transform")
     c = _check_scale(spec.margin_scale())
     relaxed = loss.family in (LossFamily.LOGISTIC, LossFamily.EXPONENTIAL)
     if relaxed:
@@ -371,100 +366,76 @@ def transform_inverse(loss: MarginLoss, spec: HypothesisSpec) -> PiecewiseTransf
     return _restricted(*pieces, math.inf, relaxed=relaxed, **labels).inverse()
 
 
-def adversarial_transform(
-    loss: MarginLoss, spec: HypothesisSpec, eps: float = 0.0
-) -> PiecewiseTransform:
-    """Worst-case estimation-error transform; only the rho-margin family has one.
-
-    For the ReLU class the slope uses the Lambda*B relaxation of the class's
-    best worst-case score (the exact quantity has no explicit expression).
-    """
-    check_truncation_eps(eps)
-    if not spec.adversarial:
-        raise ValueError("adversarial transform requires gamma > 0")
-    if spec.cls not in (HypothesisClass.LINEAR, HypothesisClass.ONE_HIDDEN_RELU):
-        raise ValueError("adversarial transforms cover linear and ReLU classes only")
-    fam = loss.family
-    if fam is not LossFamily.RHO_MARGIN:
-        hint = (
-            " (under Massart noise, use massart_adversarial_transform)"
-            if fam in (LossFamily.HINGE, LossFamily.SIGMOID)
-            else ""
-        )
-        raise NegativeResultError(
-            f"no nontrivial worst-case transform exists for the {fam.value} loss: any "
-            f"distribution-independent guarantee is lower bounded by 1/2{hint}"
-        )
-    c = _check_scale(spec.margin_scale())
-    note = "Lambda*B relaxation" if spec.cls is HypothesisClass.ONE_HIDDEN_RELU else ""
-    return _restricted(
-        *_forward_pieces(loss, c),
-        eps=eps,
-        loss_label="sup-" + loss.label(),
-        class_label=spec.label(),
-        note=note,
-    )
-
-
-def massart_transform(loss: MarginLoss, spec: HypothesisSpec, beta: float) -> PiecewiseTransform:
-    """Noise-adapted transform for the unrestricted class: the base transform
-    above 2*beta, its chord through the origin below."""
-    _check_beta(beta)
-    if spec.cls is not HypothesisClass.ALL:
-        raise ValueError("the Massart-modified transform is defined for the unrestricted class")
-    if loss.family not in (LossFamily.QUADRATIC, LossFamily.LOGISTIC, LossFamily.EXPONENTIAL):
-        raise ValueError(f"Massart-modified transform not derived for {loss.family.value}")
-    _, (base,) = _forward_pieces(loss, math.inf)
-    knot = 2.0 * beta  # at beta = 1/2 the chord covers all of [0, 1]
-    chord = _affine(float(base(knot)) / knot)
-    label = f"massart(beta={beta:g})-" + loss.label()
-    return _restricted([knot], [chord, base], loss_label=label, class_label=spec.label())
-
-
-def massart_adversarial_transform(
-    loss: MarginLoss, spec: HypothesisSpec, beta: float
-) -> PiecewiseTransform:
-    """Noise-adapted worst-case transform for hinge or sigmoid surrogates:
-    slope c*4*beta/(1+2*beta) below 1/2+beta, then c*(2t-1), where c is
-    min{B,1} (hinge) or tanh(k*B) (sigmoid), with Lambda*B replacing B for
-    ReLU networks.  Worst-case convex losses have no nontrivial transform
-    (``NegativeResultError``); rho-margin has no Massart-modified one."""
-    _check_beta(beta)
-    if not spec.adversarial:
-        raise ValueError("adversarial transform requires gamma > 0")
-    if spec.cls not in (HypothesisClass.LINEAR, HypothesisClass.ONE_HIDDEN_RELU):
-        raise ValueError("adversarial transforms cover linear and ReLU classes only")
-    if loss.family is LossFamily.RHO_MARGIN:
-        raise ValueError("Massart-modified worst-case transform not derived for rho-margin")
-    if loss.family not in (LossFamily.HINGE, LossFamily.SIGMOID):
-        fam = loss.family.value
-        raise NegativeResultError(f"no nontrivial guarantee exists for the worst-case {fam} loss")
-    _, (base,) = _forward_pieces(loss, _check_scale(spec.margin_scale()))
-    c = base.coefficients[0]  # the standard transform's slope
-    segs = [_affine(c * 4.0 * beta / (1.0 + 2.0 * beta)), _affine(2.0 * c, -c)]
-    label = f"massart(beta={beta:g})-sup-" + loss.label()
-    return _restricted([0.5 + beta], segs, loss_label=label, class_label=spec.label())
-
-
 def select_transform(
     loss: MarginLoss, spec: HypothesisSpec, massart: float = None, eps: float = 0.0
 ) -> tuple:
-    """(forward, gamma): the transform that applies to this loss, class and
-    Massart beta (worst-case if spec.gamma > 0, Massart-modified if beta is
-    given), and the Gamma a bound applies to a surrogate regret: on the
-    standard route ``transform_inverse`` on R+ (relaxed for logistic and
-    exponential), else ``forward.inverse()`` on [0, T(1)].  Massart-modified
-    transforms are not truncated, so a beta with eps != 0 is rejected."""
+    """(forward, gamma): the one transform the loss, the class, its
+    perturbation radius gamma and a Massart beta select, and the Gamma a
+    bound applies to a surrogate regret.  With c the class's bias reach
+    (``HypothesisSpec.margin_scale``):
+
+    standard (gamma = 0, no beta)
+        ``transform`` with its eps floor, and Gamma = ``transform_inverse``
+        on R+ (relaxed for the logistic and exponential losses).
+    worst-case (gamma > 0, no beta; rho-margin only)
+        min(c, rho)/rho * t on a linear or ReLU class, with Lambda*B
+        relaxing the ReLU class's best worst-case score; eps is recorded,
+        not applied, as the transform is linear through 0.  Every other
+        loss raises ``NegativeResultError``.
+    Massart (gamma = 0, beta in (0, 1/2]; unrestricted class; quadratic,
+    logistic or exponential)
+        the unrestricted base transform T above 2*beta, its chord
+        T(2*beta)/(2*beta) * t below.
+    Massart worst-case (gamma > 0, beta; hinge or sigmoid)
+        s*4*beta/(1+2*beta) * t below 1/2+beta, s*(2t-1) above, where s is
+        the standard slope min(c, 1) (hinge) or tanh(k*c) (sigmoid).  The
+        convex losses raise ``NegativeResultError``, rho-margin
+        ``ValueError``.
+
+    Off the standard route Gamma is ``forward.inverse()`` on [0, T(1)].
+    Massart-modified transforms are not truncated, so a beta with eps != 0
+    is rejected."""
     if massart is not None and eps != 0.0:
         raise ValueError(f"Massart-modified transforms are not truncated; eps must be 0, got {eps}")
+    if not spec.adversarial and massart is None:
+        return transform(loss, spec, eps), transform_inverse(loss, spec)
+    if massart is None:
+        check_truncation_eps(eps)
+    elif not 0.0 < massart <= 0.5:
+        raise ValueError(f"Massart beta must lie in (0, 1/2], got {massart}")
+    fam = loss.family
     if not spec.adversarial:
-        if massart is None:
-            return transform(loss, spec, eps), transform_inverse(loss, spec)
-        forward = massart_transform(loss, spec, massart)
-    elif massart is None:
-        forward = adversarial_transform(loss, spec, eps)
+        if spec.cls is not HypothesisClass.ALL:
+            raise ValueError("the Massart-modified transform is defined for the unrestricted class")
+        if fam not in (LossFamily.QUADRATIC, LossFamily.LOGISTIC, LossFamily.EXPONENTIAL):
+            raise ValueError(f"Massart-modified transform not derived for {fam.value}")
+        _, (base,) = _forward_pieces(loss, math.inf)
+        knot = 2.0 * massart  # at beta = 1/2 the chord covers all of [0, 1]
+        pieces = [knot], [_affine(float(base(knot)) / knot), base]
+        labels = dict(loss_label=f"massart(beta={massart:g})-" + loss.label())
     else:
-        forward = massart_adversarial_transform(loss, spec, massart)
+        if spec.cls not in (HypothesisClass.LINEAR, HypothesisClass.ONE_HIDDEN_RELU):
+            raise ValueError("adversarial transforms cover linear and ReLU classes only")
+        if massart is None and fam is not LossFamily.RHO_MARGIN:
+            hint = " (under Massart noise, pass a beta)" if fam in (LossFamily.HINGE, LossFamily.SIGMOID) else ""
+            raise NegativeResultError(
+                f"no nontrivial worst-case transform exists for the {fam.value} loss: any "
+                f"distribution-independent guarantee is lower bounded by 1/2{hint}"
+            )
+        if massart is not None and fam is LossFamily.RHO_MARGIN:
+            raise ValueError("Massart-modified worst-case transform not derived for rho-margin")
+        if massart is not None and fam not in (LossFamily.HINGE, LossFamily.SIGMOID):
+            raise NegativeResultError(f"no nontrivial guarantee exists for the worst-case {fam.value} loss")
+        _, (base,) = _forward_pieces(loss, _check_scale(spec.margin_scale()))
+        if massart is None:
+            note = "Lambda*B relaxation" if spec.cls is HypothesisClass.ONE_HIDDEN_RELU else ""
+            pieces = [], [base]
+            labels = dict(eps=eps, loss_label="sup-" + loss.label(), note=note)
+        else:
+            s = base.coefficients[0]  # the standard transform's slope
+            pieces = [0.5 + massart], [_affine(s * 4.0 * massart / (1.0 + 2.0 * massart)), _affine(2.0 * s, -s)]
+            labels = dict(loss_label=f"massart(beta={massart:g})-sup-" + loss.label())
+    forward = _restricted(*pieces, class_label=spec.label(), **labels)
     return forward, forward.inverse()
 
 
@@ -493,7 +464,3 @@ def invert_numerically(pt: PiecewiseTransform, y):
     out = 0.5 * (lo + hi)
     return float(out[0]) if np.ndim(y) == 0 else out
 
-
-def _check_beta(beta: float) -> None:
-    if not 0.0 < beta <= 0.5:
-        raise ValueError(f"Massart beta must lie in (0, 1/2], got {beta}")

@@ -29,14 +29,7 @@ from hcbounds.experiments import (
 from hcbounds.hypotheses import HypothesisClass, HypothesisSpec, LinearHypothesis
 from hcbounds.losses import exponential, hinge, logistic, quadratic, rho_margin, sigmoid
 from hcbounds.oracle_check import run_oracle_checks
-from hcbounds.transforms import (
-    adversarial_transform,
-    invert_numerically,
-    massart_adversarial_transform,
-    massart_transform,
-    transform,
-    transform_inverse,
-)
+from hcbounds.transforms import invert_numerically, select_transform, transform, transform_inverse
 from test_transforms import scaled
 
 LIN = HypothesisClass.LINEAR
@@ -124,13 +117,13 @@ def _forward_transforms_in_scope():
             cases.append((loss, spec, transform(loss, spec)))
     adv_lin = HypothesisSpec(LIN, W=1.0, B=0.8, gamma=0.1)
     adv_relu = HypothesisSpec(RELU, W=1.0, B=0.4, Lambda=1.5, gamma=0.1)
-    cases.append((rho_margin(1.0), adv_lin, adversarial_transform(rho_margin(1.0), adv_lin)))
-    cases.append((rho_margin(1.0), adv_relu, adversarial_transform(rho_margin(1.0), adv_relu)))
+    cases.append((rho_margin(1.0), adv_lin, select_transform(rho_margin(1.0), adv_lin)[0]))
+    cases.append((rho_margin(1.0), adv_relu, select_transform(rho_margin(1.0), adv_relu)[0]))
     for beta in (0.25, 0.5):
         for loss in (quadratic(), logistic(), exponential()):
-            cases.append((loss, HypothesisSpec(ALL), massart_transform(loss, HypothesisSpec(ALL), beta)))
+            cases.append((loss, HypothesisSpec(ALL), select_transform(loss, HypothesisSpec(ALL), beta)[0]))
         for loss in (hinge(), sigmoid(1.0)):
-            cases.append((loss, adv_lin, massart_adversarial_transform(loss, adv_lin, beta)))
+            cases.append((loss, adv_lin, select_transform(loss, adv_lin, beta)[0]))
     return cases
 
 

@@ -63,7 +63,7 @@ from hcbounds.losses import (
     rho_margin,
     sigmoid,
 )
-from hcbounds.transforms import NegativeResultError, massart_transform, transform
+from hcbounds.transforms import NegativeResultError, select_transform, transform
 from test_conditional import conditional_risk, conditional_risk_zero_one
 from test_distributions import _eta_reference, _mixture
 from test_transforms import scaled
@@ -719,6 +719,18 @@ class TestAssembleBound:
         with pytest.raises(ValueError):
             MonteCarlo(n)
 
+    @pytest.mark.parametrize("seed", [1.9, 1.0, True, np.float64(1.0)])
+    def test_non_integer_monte_carlo_seed_rejected(self, seed):
+        # a uint64 key would truncate it to seed 1 and repeat that stream
+        with pytest.raises(ValueError, match="Monte Carlo seed must be an integer"):
+            MonteCarlo(5000, seed=seed)
+
+    def test_numpy_integer_monte_carlo_seed_is_the_int_seed(self):
+        d, h = sect7_nonadversarial(0.1), LinearHypothesis((-0.9,), 0.1)
+        want = risk(hinge(), h, d, MonteCarlo(5000, seed=7))
+        for seed in (np.int64(7), np.uint64(7)):
+            assert risk(hinge(), h, d, MonteCarlo(5000, seed=seed)) == want
+
     def test_saturated_transform_still_valid(self):
         # far-from-optimal quadratic risk exceeds T(1); the report clamps and flags
         d = sect7_nonadversarial(0.1)
@@ -1133,7 +1145,7 @@ class TestOneGammaPath:
         spec = HypothesisSpec(ALL)
         rep = assemble_bound(Target.ZERO_ONE, loss, spec, _MASSART_DIST, LinearHypothesis((w,), 0.0), massart=beta)
         y = rep.r_surrogate - rep.e_cstar_surrogate
-        knot = float(massart_transform(loss, spec, beta)(2.0 * beta))
+        knot = float(select_transform(loss, spec, beta)[0](2.0 * beta))
         assert (y < knot) == (segment == "chord") and y < 1.0
         rhs, slack, holds, saturated = _MASSART_PINS[case]
         assert abs(rep.rhs - float.fromhex(rhs)) <= 1e-12
@@ -1377,3 +1389,14 @@ class TestNegativeResultDemo:
         with pytest.raises(ValueError, match="finite B") as err:
             negative_result_demo(hinge(), HypothesisSpec(LIN, W=1.0, B=math.inf, gamma=0.1))
         assert not isinstance(err.value, OracleInfeasibleError)
+
+
+class TestInputChecks:
+    def test_no_unrestricted_best_in_class_under_perturbations(self):
+        spec = HypothesisSpec(HypothesisClass.ALL, gamma=0.1)
+        with pytest.raises(ValueError, match="no exact machinery for the unrestricted class"):
+            best_in_class_risk(hinge(), spec, sect7_adversarial(0.1))
+
+    def test_negative_result_demo_needs_a_bounded_class(self):
+        with pytest.raises(ValueError, match="requires a linear or ReLU class"):
+            negative_result_demo(hinge(), HypothesisSpec(HypothesisClass.ALL, gamma=0.1))

@@ -113,9 +113,13 @@ class TestTransformCommand:
     def test_massart_with_eps_rejected(self, tmp_path, capsys, loss_args):
         out = tmp_path / "m.json"
         assert main(["transform", *loss_args, "--eps", "0.1", "--out", str(out)]) == 2
-        assert "--eps must be 0" in capsys.readouterr().err
+        assert "eps must be 0" in capsys.readouterr().err
         assert not out.exists()
         assert main(["transform", *loss_args, "--eps", "0", "--out", str(out)]) == 0
+
+    def test_unknown_loss(self, capsys):
+        assert main(["transform", "--loss", "cubic"]) == 2
+        assert "unknown loss 'cubic'" in capsys.readouterr().err
 
 
 class TestTransformCsv:
@@ -285,6 +289,18 @@ class TestBoundCommand:
         assert doc["holds"] is True
         split = doc["components"]
         assert all(math.isfinite(v) for v in (doc["lhs"], doc["rhs"], split["M_surrogate"], split["surrogate_excess"]))
+
+    def test_unrestricted_bias_writes_a_null_split(self, tmp_path):
+        # --B inf: the verdict holds, but the margin-loss search cannot run
+        out = tmp_path / "b.json"
+        code = main(["bound", "--loss", "hinge", "--class", "linear", "--W", "5", "--B", "inf",
+                     "--dist", "sect7-nonadv", "--out", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["holds"] is True and doc["lhs"] == 0.75
+        assert doc["components"]["surrogate_excess"] is None and doc["components"]["M_surrogate"] is None
+        assert doc["provenance"]["surrogate_best_in_class_tol"] is None
+        assert "finite W and B" in doc["provenance"]["surrogate_split"]
 
     def test_overflowing_bias_budget_under_warnings_as_errors(self):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
@@ -625,6 +641,14 @@ class TestConfigFile:
         main(["transform", "--loss", "hinge", "--B", str(B), "--config", str(cfg), "--out", str(out)])
         doc = json.loads(out.read_text())
         assert doc["transform"]["segments"][0]["coefficients"][0] == pytest.approx(B)
+
+    # a tampered grid-5 check fails every row; a false switch must leave it off
+    @pytest.mark.parametrize("tamper, code", [(False, 0), (True, 1)])
+    def test_config_switch(self, tmp_path, capsys, tamper, code):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tamper": tamper}))
+        assert main(["oracle-check", "--grid-n", "5", "--instances", "1", "--config", str(cfg)]) == code
+        assert ("[FAIL]" in capsys.readouterr().out) is tamper
 
     # a config file cannot name another config file
     @pytest.mark.parametrize("values, unknown", [({"bogus_key": 1}, "bogus_key"), ({"config": "x"}, "config")])

@@ -725,3 +725,29 @@ class TestScoreGridKernel:
         for loss in ALL_LOSSES:
             got = brute_force_inf(loss, spec, pt, constraint, 4001)
             assert type(got) is float and got == _interval_risk(loss, pt.t, g, g).min()
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("x,t,match", [(1.5, 0.5, "must lie in"), (-0.1, 0.5, "must lie in"),
+                                            (0.5, 1.2, "t must lie"), (0.5, math.nan, "t must lie")])
+    def test_point_out_of_range(self, x, t, match):
+        with pytest.raises(ValueError, match=match):
+            ConditionalPoint(x, t)
+
+    @pytest.mark.parametrize(
+        "spec,match",
+        [(HypothesisSpec(HypothesisClass.LINEAR), "requires gamma > 0"),
+         (HypothesisSpec(HypothesisClass.ALL, gamma=0.1), "cover linear and ReLU classes only")],
+    )
+    def test_adversarial_bracket_refusals(self, spec, match):
+        with pytest.raises(ValueError, match=match):
+            _adversarial_bracket(rho_margin(1.0), spec)
+
+    def test_oracle_grid_of_one_refused(self):
+        with pytest.raises(ValueError, match="grid_n must be >= 2"):
+            brute_force_inf(hinge(), HypothesisSpec(HypothesisClass.LINEAR), ConditionalPoint(0.5, 0.7), grid_n=1)
+
+    def test_adversarial_oracle_is_linear_only(self):
+        spec = HypothesisSpec(HypothesisClass.ONE_HIDDEN_RELU, gamma=0.1)
+        with pytest.raises(ValueError, match="enumerates linear hypotheses only"):
+            brute_force_inf(rho_margin(1.0), spec, ConditionalPoint(0.5, 0.7), grid_n=5)

@@ -162,6 +162,23 @@ class TestSampling:
         x3, _ = sample(d, 50_000, seed=124)
         assert not np.array_equal(x1, x3)
 
+    # the uint64 key would truncate a float or bool seed, so 1.5 and True drew seed 1's stream
+    @pytest.mark.parametrize("n,seed", [(1000, 1.5), (1000, True), (1000, np.float64(1.0)), (1000.0, 1), (True, 1)])
+    def test_non_integer_n_or_seed_refused(self, n, seed):
+        with pytest.raises(ValueError, match="must be an integer"):
+            _map_sample_blocks(sect7_nonadversarial(0.1), n, seed, lambda *block: None)
+
+    def test_fractional_seed_refused_by_sample(self):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            sample(sect7_nonadversarial(0.1), 1000, 1.5)
+
+    def test_numpy_integer_seed_is_the_int_seed(self):
+        d = sect7_nonadversarial(0.1)
+        x, y = sample(d, 70_000, 5)
+        for seed in (np.int64(5), np.uint64(5), np.int8(5)):
+            xs, ys = sample(d, np.int64(70_000), seed)
+            assert xs.tobytes() == x.tobytes() and ys.tobytes() == y.tobytes()
+
     def test_component_frequencies_within_binomial_ci(self):
         d = sect7_nonadversarial(0.1)
         n = 10**6
@@ -835,3 +852,42 @@ class TestFromAtoms:
     def test_validation(self, atoms):
         with pytest.raises(ValueError):
             LabeledDistribution.from_atoms(atoms)
+
+
+# input checks, one case each: (call, message fragment)
+_REFUSALS = {
+    "truncnormal std 0": (lambda: TruncNormal(0.0, 1.0, 0.5, 0.0), "std must be positive"),
+    "truncnormal std nan": (lambda: TruncNormal(0.0, 1.0, 0.5, math.nan), "std must be positive"),
+    "label 0": (lambda: Component(1.0, 0, Atom(0.0)), "label must be -1 or \\+1"),
+    "empty mixture": (lambda: LabeledDistribution(()), "at least one component"),
+    "unknown law": (lambda: LabeledDistribution((Component(1.0, 1, "uniform"),)), "unknown law"),
+    "sect7-adv sigma 0": (lambda: sect7_adversarial(0.0), "sigma must be positive"),
+    "sect7-adv sigma -0.1": (lambda: sect7_adversarial(-0.1), "sigma must be positive"),
+    "blocks n 0": (lambda: _map_sample_blocks(sect7_nonadversarial(0.1), 0, 1, print), "need n >= 1"),
+    "blocks seed 2^64": (lambda: _map_sample_blocks(sect7_nonadversarial(0.1), 10, 2**64, print), "unsigned 64-bit"),
+    "blocks seed -1": (lambda: _map_sample_blocks(sect7_nonadversarial(0.1), 10, -1, print), "unsigned 64-bit"),
+    "json law kind": (lambda: dist_from_json_dict(
+        {"components": [{"weight": 1.0, "label": 1, "law": {"kind": "uniform", "x": 0.0}}]}), "unknown law kind"),
+    "json missing law key": (lambda: dist_from_json_dict(
+        {"components": [{"weight": 1.0, "label": 1, "law": {"kind": "truncnormal", "lo": 0.0, "hi": 1.0}}]}),
+        "missing keys"),
+    "json missing component key": (lambda: dist_from_json_dict({"components": [{"weight": 1.0, "label": 1}]}),
+                                   "missing keys"),
+}
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("name", sorted(_REFUSALS))
+    def test_refused(self, name):
+        call, match = _REFUSALS[name]
+        with pytest.raises(ValueError, match=match):
+            call()
+
+    def test_zero_weight_atom_adds_nothing_to_an_expectation(self):
+        # a massless atom has no eta of its own, so the atoms' eta comes from dist.eta
+        law = TruncNormal(-1.0, 0.5, 0.0, 0.3)
+        with_it = LabeledDistribution((Component(0.6, -1, law), Component(0.4, 1, Atom(0.8)),
+                                       Component(0.0, 1, Atom(-0.2))))
+        without = LabeledDistribution((Component(0.6, -1, law), Component(0.4, 1, Atom(0.8))))
+        integrand = lambda x, e: np.minimum(e, 1.0 - e) + x * x + e
+        assert expectation(with_it, integrand) == expectation(without, integrand)

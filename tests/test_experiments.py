@@ -52,6 +52,17 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="exponential risk .* is not finite"):
             run_nonadversarial_sweep(SweepConfig(sigmas=(0.2,), n_samples=10**4, w=-1000.0))
 
+    @pytest.mark.parametrize("field", [{"n_samples": 10000.5}, {"n_samples": 10.0**4}, {"seed": 1.5}, {"seed": True}])
+    def test_non_integer_budget_or_seed_rejected(self, field):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SweepConfig(**field)
+
+    def test_numpy_integer_seed_is_the_int_seed(self):
+        cfg = SweepConfig(sigmas=(0.1,), n_samples=10**4, seed=5)
+        want = run_nonadversarial_sweep(cfg)
+        for seed in (np.int64(5), np.uint64(5)):
+            assert run_nonadversarial_sweep(SweepConfig(sigmas=(0.1,), n_samples=np.int64(10**4), seed=seed)) == want
+
     def test_no_beta_setting(self):
         # both sweep distributions fix beta = 1/2; it is not a setting
         with pytest.raises(TypeError):
@@ -381,3 +392,15 @@ class TestStreamedCells:
         assert peak - base < 1.75 * 8 * n
         # the rows alone remain: no block buffer (8 * 2^16 bytes) outlives the call
         assert current - base < 8 * _SAMPLE_BLOCK / 4
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("sigmas", [(1.5,), (1.0,), (0.5, 0.0), (0.5, -0.1)])
+    def test_sigma_outside_the_unit_interval(self, sigmas):
+        with pytest.raises(ValueError, match="each sigma must lie in"):
+            SweepConfig(sigmas=sigmas)
+
+    def test_no_rows_to_write(self, tmp_path):
+        with pytest.raises(ValueError, match="no rows to write"):
+            write_rows_csv([], tmp_path / "rows.csv")
+        assert not (tmp_path / "rows.csv").exists()

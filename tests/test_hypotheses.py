@@ -169,3 +169,25 @@ class TestAttainableAdversarialRange:
                 best = max(best, lo)
                 assert lo <= target + 1e-12
             assert best > target - 0.15  # random search approaches the supremum
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [({"W": -1.0}, "W must be finite"), ({"W": math.inf}, "W must be finite"), ({"W": math.nan}, "W must be finite"),
+         ({"B": -0.5}, "B must be >= 0"), ({"B": math.nan}, "B must be >= 0"),
+         ({"cls": HypothesisClass.ONE_HIDDEN_RELU, "Lambda": -1.0}, "Lambda must be finite"),
+         ({"cls": HypothesisClass.ONE_HIDDEN_RELU, "Lambda": math.inf}, "Lambda must be finite")],
+    )
+    def test_spec_budgets_refused(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            HypothesisSpec(**{"cls": HypothesisClass.LINEAR, **kwargs})
+
+    @pytest.mark.parametrize("cls", [HypothesisClass.ALL, HypothesisClass.ONE_HIDDEN_RELU])
+    def test_validate_needs_a_linear_spec(self, cls):
+        with pytest.raises(ValueError, match="only validates against a LINEAR spec"):
+            LinearHypothesis((0.1,), 0.0).validate(HypothesisSpec(cls))
+
+    def test_adversarial_range_undefined_on_the_unrestricted_class(self):
+        with pytest.raises(ValueError, match="undefined for the unbounded class"):
+            attainable_adversarial_range(HypothesisSpec(HypothesisClass.ALL, gamma=0.1), 0.5)

@@ -16,10 +16,7 @@ from hcbounds.transforms import (
     NegativeResultError,
     PiecewiseTransform,
     Segment,
-    adversarial_transform,
     invert_numerically,
-    massart_adversarial_transform,
-    massart_transform,
     select_transform,
     transform,
     transform_inverse,
@@ -330,18 +327,18 @@ class TestEpsilonFloor:
 class TestAdversarialTransform:
     def test_linear_slope(self):
         spec = HypothesisSpec(LIN, W=1.0, B=0.8, gamma=0.1)
-        T = adversarial_transform(rho_margin(1.0), spec)
+        T = select_transform(rho_margin(1.0), spec)[0]
         assert T(1.0) == pytest.approx(0.8)
 
     def test_saturated_bias(self):
         spec = HypothesisSpec(LIN, W=1.0, B=1.5, gamma=0.1)
-        T = adversarial_transform(rho_margin(1.0), spec)
+        T = select_transform(rho_margin(1.0), spec)[0]
         for t in (0.2, 0.7, 1.0):
             assert T(t) == pytest.approx(t)
 
     def test_relu_relaxation(self):
         spec = HypothesisSpec(RELU, W=1.0, B=0.3, Lambda=2.0, gamma=0.1)
-        T = adversarial_transform(rho_margin(1.0), spec)
+        T = select_transform(rho_margin(1.0), spec)[0]
         assert T(1.0) == pytest.approx(0.6)
         assert "relaxation" in T.note
 
@@ -349,17 +346,20 @@ class TestAdversarialTransform:
         spec = HypothesisSpec(LIN, W=1.0, B=1.0, gamma=0.1)
         for loss in (hinge(), sigmoid(1.0), logistic(), exponential(), quadratic()):
             with pytest.raises(NegativeResultError):
-                adversarial_transform(loss, spec)
+                select_transform(loss, spec)[0]
 
     def test_requires_gamma(self):
-        with pytest.raises(ValueError):
-            adversarial_transform(rho_margin(1.0), HypothesisSpec(LIN, W=1.0, B=1.0))
+        # gamma alone selects the worst-case route: at gamma = 0 rho-margin takes the standard one
+        spec = HypothesisSpec(LIN, W=1.0, B=1.0)
+        assert select_transform(rho_margin(1.0), spec)[0] == transform(rho_margin(1.0), spec)
+        with pytest.raises(ValueError, match="use select_transform"):
+            transform(rho_margin(1.0), dataclasses.replace(spec, gamma=0.1))
 
     def test_definitional_consistency(self):
         # T equals min of the two case-constrained oracle gaps, minimized over x
         loss = rho_margin(1.0)
         spec = HypothesisSpec(LIN, W=1.0, B=0.8, gamma=0.1)
-        T = adversarial_transform(loss, spec)
+        T = select_transform(loss, spec)[0]
         xs = np.linspace(0.0, 1.0, 9)
         for t in (0.55, 0.75, 0.95):
             t1 = min(
@@ -378,32 +378,32 @@ class TestAdversarialTransform:
 
 class TestMassartTransforms:
     def test_quadratic_half_beta_is_identity(self):
-        T = massart_transform(quadratic(), HypothesisSpec(ALL), 0.5)
+        T = select_transform(quadratic(), HypothesisSpec(ALL), 0.5)[0]
         for t in (0.0, 0.4, 1.0):
             assert T(t) == pytest.approx(t)
 
     def test_exponential_half_beta_multiplier_one(self):
-        T = massart_transform(exponential(), HypothesisSpec(ALL), 0.5)
+        T = select_transform(exponential(), HypothesisSpec(ALL), 0.5)[0]
         assert 2 * 0.5 / float(T(1.0)) == pytest.approx(1.0)
         assert 1.0 - math.sqrt(1.0 - 1.0) == pytest.approx(1.0 - 0.0)
 
     def test_quadratic_quarter_beta_chord(self):
-        T = massart_transform(quadratic(), HypothesisSpec(ALL), 0.25)
+        T = select_transform(quadratic(), HypothesisSpec(ALL), 0.25)[0]
         assert T(0.3) == pytest.approx(0.5 * 0.3)  # chord slope T(0.5)/0.5 = 0.5
         assert T(0.7) == pytest.approx(0.49)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            massart_transform(quadratic(), HypothesisSpec(ALL), 0.7)
+            select_transform(quadratic(), HypothesisSpec(ALL), 0.7)[0]
         with pytest.raises(ValueError):
-            massart_transform(hinge(), HypothesisSpec(ALL), 0.25)
+            select_transform(hinge(), HypothesisSpec(ALL), 0.25)[0]
         with pytest.raises(ValueError):
-            massart_transform(quadratic(), HypothesisSpec(LIN, W=1, B=1), 0.25)
+            select_transform(quadratic(), HypothesisSpec(LIN, W=1, B=1), 0.25)[0]
 
     def test_convex_and_anchored(self):
         for loss in (quadratic(), logistic(), exponential()):
             for beta in (0.1, 0.25, 0.5):
-                T = massart_transform(loss, HypothesisSpec(ALL), beta)
+                T = select_transform(loss, HypothesisSpec(ALL), beta)[0]
                 assert T(0.0) == pytest.approx(0.0, abs=1e-15)
                 rng = np.random.default_rng(2)
                 a, b = rng.uniform(0, 1, 200), rng.uniform(0, 1, 200)
@@ -413,18 +413,18 @@ class TestMassartTransforms:
 class TestMassartAdversarialTransforms:
     def test_sup_hinge_half_beta_identity(self):
         spec = HypothesisSpec(LIN, W=1.0, B=1.0, gamma=0.1)
-        T = massart_adversarial_transform(hinge(), spec, 0.5)
+        T = select_transform(hinge(), spec, 0.5)[0]
         for t in (0.0, 0.5, 1.0):
             assert T(t) == pytest.approx(t)
 
     def test_zero_anchored(self):
         spec = HypothesisSpec(LIN, W=1.0, B=0.7, gamma=0.1)
         for loss, beta in ((hinge(), 0.3), (sigmoid(2.0), 0.25)):
-            assert massart_adversarial_transform(loss, spec, beta)(0.0) == 0.0
+            assert select_transform(loss, spec, beta)[0](0.0) == 0.0
 
     def test_sup_sigmoid_slope(self):
         spec = HypothesisSpec(LIN, W=1.0, B=1.0, gamma=0.1)
-        T = massart_adversarial_transform(sigmoid(1.0), spec, 0.25)
+        T = select_transform(sigmoid(1.0), spec, 0.25)[0]
         expected = math.tanh(1.0) * (4 * 0.25 / 1.5)
         assert T(0.5) == pytest.approx(0.5 * expected)
         # above the knot: tanh(kB) * (2t - 1)
@@ -432,24 +432,89 @@ class TestMassartAdversarialTransforms:
 
     def test_relu_scaling(self):
         spec = HypothesisSpec(RELU, W=1.0, B=0.4, Lambda=1.5, gamma=0.1)
-        T = massart_adversarial_transform(hinge(), spec, 0.5)
+        T = select_transform(hinge(), spec, 0.5)[0]
         assert T(1.0) == pytest.approx(min(0.6, 1.0))
 
     def test_rejected_families(self):
         spec = HypothesisSpec(LIN, W=1.0, B=1.0, gamma=0.1)
         for loss in (logistic(), exponential(), quadratic(), rho_margin(1.0)):
             with pytest.raises(ValueError):
-                massart_adversarial_transform(loss, spec, 0.25)
+                select_transform(loss, spec, 0.25)[0]
 
     def test_numeric_inversion_against_hand_algebra(self):
         # sup-hinge, B=0.7, beta=0.25: knot 0.75, chord slope 0.7*(1/1.5),
         # upper piece 1.4*t - 0.7
         spec = HypothesisSpec(LIN, W=1.0, B=0.7, gamma=0.1)
-        T = massart_adversarial_transform(hinge(), spec, 0.25)
+        T = select_transform(hinge(), spec, 0.25)[0]
         chord = 0.7 * (4 * 0.25 / 1.5)
         assert T(0.75) == pytest.approx(chord * 0.75)
         assert invert_numerically(T, 0.2) == pytest.approx(0.2 / chord, abs=1e-9)
         assert invert_numerically(T, 0.5) == pytest.approx((0.5 + 0.7) / 1.4, abs=1e-9)
+
+
+_ADV_LIN = HypothesisSpec(LIN, W=1.0, B=0.7, gamma=0.1)
+_ADV_RELU = HypothesisSpec(RELU, W=1.0, B=0.3, Lambda=2.0, gamma=0.1)
+# one valid input per route: (loss, spec, massart, eps)
+_ROUTES = {
+    "standard": (hinge(), HypothesisSpec(LIN, W=1.0, B=0.7), None, 0.1),
+    "worst-case": (rho_margin(1.0), _ADV_RELU, None, 0.1),
+    "massart": (quadratic(), HypothesisSpec(ALL), 0.25, 0.0),
+    "massart-worst-case": (hinge(), _ADV_LIN, 0.25, 0.0),
+}
+
+
+def _fault(route, **change):
+    loss, spec, massart, eps = _ROUTES[route]
+    spec = dataclasses.replace(spec, **{k: v for k, v in change.items() if k in ("cls", "B")})
+    return change.get("loss", loss), spec, change.get("massart", massart), change.get("eps", eps)
+
+
+# single faults on a valid route input, by the exception each must raise;
+# the worst-case families' NegativeResultError has its own table below
+_SINGLE_FAULTS = {
+    "massart-worst-case rho-margin": (_fault("massart-worst-case", loss=rho_margin(1.0)), ValueError),
+    **{f"massart {loss.label()}": (_fault("massart", loss=loss), ValueError)
+       for loss in (hinge(), sigmoid(1.0), rho_margin(1.0))},
+    **{f"{route} eps 0.1": (_fault(route, eps=0.1), ValueError) for route in ("massart", "massart-worst-case")},
+    **{f"{route} beta {beta}": (_fault(route, massart=beta), ValueError)
+       for route in ("massart", "massart-worst-case") for beta in (0.0, -0.1, 0.7, math.nan)},
+    **{f"massart on {cls.value}": (_fault("massart", cls=cls), ValueError) for cls in (LIN, RELU)},
+    **{f"{route} on all": (_fault(route, cls=ALL), ValueError) for route in ("worst-case", "massart-worst-case")},
+    **{f"{route} B 0": (_fault(route, B=0.0), ValueError)
+       for route in ("standard", "worst-case", "massart-worst-case")},
+    **{f"{route} eps {eps}": (_fault(route, eps=eps), ValueError)
+       for route in ("standard", "worst-case") for eps in (-0.1, 1.5)},
+}
+
+
+class TestRouteTable:
+    @pytest.mark.parametrize("route", sorted(_ROUTES))
+    def test_each_route_accepts_its_input(self, route):
+        fwd, gamma = select_transform(*_ROUTES[route])
+        assert fwd.direction is Direction.FORWARD and gamma.direction is Direction.INVERSE
+
+    @pytest.mark.parametrize("name", sorted(_SINGLE_FAULTS))
+    def test_single_fault_raises_its_class(self, name):
+        args, error = _SINGLE_FAULTS[name]
+        with pytest.raises(ValueError) as info:
+            select_transform(*args)
+        assert type(info.value) is error
+
+    @pytest.mark.parametrize("spec", [_ADV_LIN, _ADV_RELU], ids=["linear", "relu"])
+    @pytest.mark.parametrize("massart", [None, 0.25])
+    def test_negative_result_exactly_where_the_paper_has_one(self, spec, massart):
+        # worst-case convex losses never have a nontrivial transform, hinge and
+        # sigmoid only under Massart noise
+        for loss in ALL_LOSSES:
+            ruled_out = loss.family.value in ("logistic", "exponential", "quadratic") or (
+                massart is None and loss.family.value in ("hinge", "sigmoid")
+            )
+            try:
+                select_transform(loss, spec, massart)
+                raised = None
+            except ValueError as exc:
+                raised = type(exc)
+            assert (raised is NegativeResultError) == ruled_out, loss.label()
 
 
 class TestDefinitionalConsistencyKeystone:
@@ -550,3 +615,45 @@ def _scalar_bisection(pt, y, tol=1e-12):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+_AFFINE = Segment("affine", (1.0, 0.0))
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "breakpoints,segments,match",
+        [((0.0, 1.0), (), "one more breakpoint than segments"),
+         ((0.0, 0.5, 0.5), (_AFFINE, _AFFINE), "strictly increasing"),
+         ((0.1, 1.0), (_AFFINE,), "start at 0")],
+    )
+    def test_malformed_transform(self, breakpoints, segments, match):
+        with pytest.raises(ValueError, match=match):
+            PiecewiseTransform(breakpoints, segments, Direction.FORWARD)
+
+    def test_eps_floor_needs_a_positive_chord(self):
+        # T(1e-200) = 1e-400 underflows to 0: no chord to floor with
+        with pytest.raises(ValueError, match="degenerate chord slope"):
+            transform(quadratic(), HypothesisSpec(LIN, W=1.0, B=0.5), eps=1e-200)
+
+    def test_numeric_inversion_refusals(self):
+        fwd = transform(hinge(), HypothesisSpec(LIN, W=1.0, B=0.5))
+        with pytest.raises(ValueError, match="applies to forward transforms"):
+            invert_numerically(fwd.inverse(), 0.1)
+        with pytest.raises(ValueError, match="outside transform range"):
+            invert_numerically(fwd, 0.6)
+
+    @pytest.mark.parametrize(
+        "segment,t,want",
+        [(Segment("power", (2.0, 0.5)), 0.0, math.inf), (Segment("power", (2.0, 1.0)), 0.0, 2.0),
+         (Segment("power", (2.0, 2.0)), -0.1, 0.0), (Segment("entropy"), 1.0, math.inf),
+         (Segment("exp_branch"), 1.0, math.inf)],
+    )
+    def test_derivative_at_the_domain_edges(self, segment, t, want):
+        assert segment.derivative(t) == want
+
+    def test_unknown_segment_kind(self):
+        with pytest.raises(ValueError, match="unknown segment kind"):
+            Segment("cubic")(0.5)
+        with pytest.raises(ValueError, match="unknown segment kind"):
+            Segment("cubic").derivative(0.5)
