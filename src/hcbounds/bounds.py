@@ -14,12 +14,11 @@ risk), and complete bound reports of the form
 where Gamma is the inverse of the estimation-error transform (standard,
 worst-case, or Massart-modified) that ``transforms.select_transform`` picks.
 Every route applies Gamma the same way: an inverse-direction piecewise
-transform, saturating at 1 past its domain.  The surrogate's best-in-class
-risk cancels in Gamma's argument, surrogate_excess + M_surrogate =
-R_surrogate(h) - E[C*_surrogate], so the verdict never searches for it; the
-split into surrogate_excess and M_surrogate is computed on request
-(``surrogate_split``), as the CLI does for its JSON.  The module also carries
-the discrete verifier for the general convex-Psi bound on atom-only
+transform, saturating at 1 past its domain.  Both best-in-class risks cancel,
+excess + M = R(h) - E[C*], so the verdict reads R(h) - E[C*] of both losses
+and no R*_H; ``_split`` alone splits it into excess and gap, for a report's
+lhs and M_target and, on request, ``surrogate_split``.  The module also
+carries the discrete verifier for the general convex-Psi bound on atom-only
 distributions, whose assembled inequality uses the same ``risk`` and E[C*] as
 the bound reports and whose pointwise condition uses the array closed forms,
 and the constructive no-guarantee demonstration for worst-case convex/sigmoid
@@ -403,7 +402,6 @@ class BestInClass:
     tol: float  # value less tol is at most the infimum, to the quadrature's error estimates
     w: float = math.nan
     b: float = math.nan
-    quad_err: float = 0.0  # error estimate of the quadrature behind value
 
 
 def _error_mass(law, label, w, b, gamma):
@@ -574,14 +572,13 @@ def best_in_class_risk(loss, spec: HypothesisSpec, dist: LabeledDistribution) ->
     ``risk`` scored is within 1e-6 of the least open bound, 1,000 hypotheses
     are scored, or no float halves the cell.  value is that least score, at
     the returned (w, b); tol is the gap reached (inf while a cell has no
-    finite bound), resting, like quad_err, on the quadrature's error
-    estimates where the risk integrates (logistic, sigmoid).
+    finite bound), resting on the quadrature's error estimates where the
+    risk integrates (logistic, sigmoid).
     """
     if spec.cls is HypothesisClass.ALL:
         if spec.adversarial:
             raise ValueError("no exact machinery for the unrestricted class under perturbations")
-        val, err = _expect_min_conditional(loss, spec, dist)
-        return BestInClass(val, tol=0.0, quad_err=err)
+        return BestInClass(_expect_min_conditional(loss, spec, dist)[0], tol=0.0)
     if spec.cls is not HypothesisClass.LINEAR:
         raise ValueError("best-in-class search supports the linear and unrestricted classes")
     if isinstance(loss, ZeroOneLoss):
@@ -589,7 +586,7 @@ def best_in_class_risk(loss, spec: HypothesisSpec, dist: LabeledDistribution) ->
     if not (math.isfinite(spec.W) and math.isfinite(spec.B)):
         raise ValueError("the margin-loss search needs finite W and B")
     gamma = spec.gamma
-    scores, best, cells = {}, [math.inf, math.nan, math.nan, 0.0], []  # best: value, w, b, error estimate
+    scores, best, cells = {}, [math.inf, math.nan, math.nan], []  # best: value, w, b
 
     def score(w, b):
         if (w, b) not in scores:
@@ -599,7 +596,7 @@ def best_in_class_risk(loss, spec: HypothesisSpec, dist: LabeledDistribution) ->
                 value = err = math.inf
             scores[w, b] = value, err
             if value < best[0]:
-                best[:] = value, w, b, err
+                best[:] = value, w, b
         return scores[w, b]
 
     def push(cell):
@@ -617,8 +614,8 @@ def best_in_class_risk(loss, spec: HypothesisSpec, dist: LabeledDistribution) ->
             heapq.heappop(cells)
             push((wl, wm, bl, bh) if split_w else (wl, wh, bl, bm))
             push((wm, wh, bl, bh) if split_w else (wl, wh, bm, bh))
-    value, w, b, err = best
-    return BestInClass(value, tol=max(0.0, value - cells[0][0]), w=w, b=b, quad_err=err)
+    value, w, b = best
+    return BestInClass(value, tol=max(0.0, value - cells[0][0]), w=w, b=b)
 
 
 def _expect_min_conditional(loss, spec, dist) -> tuple:
@@ -645,8 +642,9 @@ def _expect_min_conditional(loss, spec, dist) -> tuple:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One assembled bound.  The verdict needs the surrogate only through
-    r_surrogate - e_cstar_surrogate, which ``surrogate_split`` splits."""
+    """One assembled bound.  slack and holds read R(h) - E[C*] of both
+    losses alone; lhs, rhs and m_target split the target's at its R*_H and
+    are report-only, as is ``surrogate_split``'s split of the surrogate's."""
 
     lhs: float
     rhs: float
@@ -721,6 +719,16 @@ def _require_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} is not finite ({value}); the bound needs finite risks")
 
 
+def _split(loss, r_h: float, e_cstar: float, spec: HypothesisSpec, dist: LabeledDistribution) -> tuple:
+    """(excess, M, tol) = (R(h) - R*_H, R*_H - E[C*], tol) of the loss: R*_H is
+    E[C*] itself for the unrestricted class (tol 0), else the value of
+    ``best_in_class_risk``, which raises ``ValueError`` where it cannot run."""
+    if spec.cls is HypothesisClass.ALL:
+        return r_h - e_cstar, 0.0, 0.0
+    star = best_in_class_risk(loss, spec, dist)
+    return r_h - star.value, star.value - e_cstar, star.tol
+
+
 def assemble_bound(
     target: Target,
     surrogate: MarginLoss,
@@ -732,20 +740,22 @@ def assemble_bound(
 ) -> BoundReport:
     """Instantiate one complete estimation-error bound and check it.
 
-    lhs is the target estimation error of h; rhs is Gamma(y) - M_target,
-    with Gamma from ``select_transform`` and y = surrogate excess + surrogate
-    gap = R_surrogate(h) - E[C*_surrogate]: the surrogate's best-in-class
-    risk cancels, so only the zero-one target is searched.  The split of y
-    into surrogate excess and gap is not part of the verdict;
-    ``surrogate_split`` computes it on request.  Gamma's domain is the
-    forward transform's range, [0, T(1)] (R+ on the standard route); a y
-    beyond it saturates: Gamma = 1, the largest target regret, and the
+    Both best-in-class risks cancel, so the verdict reads no R*_H: slack =
+    Gamma(y) - (R_target(h) - E[C*_target]) and ``holds`` is ``_holds`` on
+    those two sides, with Gamma from ``select_transform`` and y =
+    R_surrogate(h) - E[C*_surrogate].  lhs, rhs = Gamma(y) - M_target and
+    best_in_class_tol, the target's ``_split``, are report-only.  The ReLU
+    class raises ``ValueError`` before any risk is computed.  Gamma's domain
+    is the forward transform's range, [0, T(1)] (R+ on the standard route);
+    a y beyond it saturates: Gamma = 1, the largest target regret, and the
     report says ``saturated``.  A non-finite R_surrogate(h), E[C*] or y
-    raises ``ValueError``.  In Monte Carlo mode both risks are estimated
-    from one shared sample, reduced block by block (``_mc_risks``), and
-    carry delta-method standard errors, rhs's through Gamma's largest
-    one-sided derivative at y.  ``holds`` follows ``_holds``.
+    raises ``ValueError``.  In Monte Carlo mode both risks come from one
+    shared sample, reduced block by block (``_mc_risks``), with delta-method
+    standard errors, rhs's through Gamma's largest one-sided derivative at y.
     """
+    if spec.cls is HypothesisClass.ONE_HIDDEN_RELU:
+        raise ValueError("bound reports refuse the ReLU class: it has no zero-one best-in-class route, "
+                         "and no rule for whether a linear h lies in it")
     adversarial = target is Target.ADVERSARIAL_ZERO_ONE
     if adversarial and not spec.adversarial:
         raise ValueError("adversarial target requires spec.gamma > 0")
@@ -756,27 +766,20 @@ def assemble_bound(
     _, inverse = select_transform(surrogate, spec, massart)
     if massart is not None:
         massart_violations = _check_massart_on_dist(dist, massart)
-    gamma = spec.gamma
 
     if isinstance(mode, MonteCarlo):
-        (r_target, se_target), (r_surr, se_surr) = _mc_risks((ZERO_ONE, surrogate), h, dist, mode, gamma)
+        (r_target, se_target), (r_surr, se_surr) = _mc_risks((ZERO_ONE, surrogate), h, dist, mode, spec.gamma)
         r_surr_err = 0.0
     else:
-        r_target, se_target = risk(ZERO_ONE, h, dist, Exact(), gamma)
-        r_surr, se_surr, r_surr_err = risk(surrogate, h, dist, Exact(), gamma, with_error=True)
+        r_target, se_target = risk(ZERO_ONE, h, dist, Exact(), spec.gamma)
+        r_surr, se_surr, r_surr_err = risk(surrogate, h, dist, Exact(), spec.gamma, with_error=True)
     _require_finite("surrogate risk R_surrogate(h)", r_surr)
     e_cstar_surr, e_surr_err = _expect_min_conditional(surrogate, spec, dist)
     _require_finite("expected minimal conditional surrogate risk E[C*]", e_cstar_surr)
     y = r_surr - e_cstar_surr  # = surrogate excess + surrogate gap, grid-noise free
     _require_finite("Gamma's argument R_surrogate(h) - E[C*]", y)
-
-    star_target = best_in_class_risk(ZERO_ONE, spec, dist)
-    if spec.cls is HypothesisClass.ALL:  # R*_01,H is E[C*_01]: one integral serves both
-        e_cstar_target, e_target_err = star_target.value, 0.0
-    else:
-        e_cstar_target, e_target_err = _expect_min_conditional(ZERO_ONE, spec, dist)
-    m_target = star_target.value - e_cstar_target
-    lhs = r_target - star_target.value
+    e_cstar_target, e_target_err = _expect_min_conditional(ZERO_ONE, spec, dist)
+    lhs, m_target, target_tol = _split(ZERO_ONE, r_target, e_cstar_target, spec, dist)
 
     y = max(y, 0.0)
     saturated = y > inverse.domain_end
@@ -785,31 +788,30 @@ def assemble_bound(
     else:
         with np.errstate(over="ignore"):  # an inverse slope of up to 1/B may overflow Gamma(y) to inf
             gamma_val, deriv = float(inverse(y)), inverse.derivative_upper(y)
-    rhs = gamma_val - m_target
     se_rhs = deriv * se_surr if se_surr else 0.0
-    slack = rhs - lhs
+    target_side = r_target - e_cstar_target  # = lhs + M_target, R*_H cancelled
     prov = (
         ("mode", "mc" if isinstance(mode, MonteCarlo) else "exact"),
         ("n", getattr(mode, "n", 0)),
         ("seed", getattr(mode, "seed", 0)),
-        ("best_in_class_tol", star_target.tol),
+        ("best_in_class_tol", target_tol),
         ("massart_beta", massart if massart is not None else ""),
         ("target", target.value),
-        ("quad_err", r_surr_err + star_target.quad_err + e_target_err + e_surr_err),
+        ("quad_err", r_surr_err + e_target_err + e_surr_err),
     )
     if massart is not None:
         prov += (("massart_violations", massart_violations),)
     return BoundReport(
         lhs=lhs,
-        rhs=rhs,
+        rhs=gamma_val - m_target,
         r_surrogate=r_surr,
         e_cstar_surrogate=e_cstar_surr,
         m_target=m_target,
         transform_label=inverse.loss_label,
         mc_stderr_lhs=se_target,
         mc_stderr_rhs=se_rhs,
-        holds=_holds(lhs, rhs, se_target, se_rhs),
-        slack=slack,
+        holds=_holds(target_side, gamma_val, se_target, se_rhs),
+        slack=gamma_val - target_side,
         saturated=saturated,
         relaxed_inverse=inverse.relaxed,
         provenance=prov,
@@ -820,19 +822,9 @@ def surrogate_split(
     report: BoundReport, surrogate: MarginLoss, spec: HypothesisSpec, dist: LabeledDistribution
 ) -> tuple:
     """(surrogate_excess, M_surrogate, tol) of a report from
-    ``assemble_bound`` with the same surrogate, spec and dist: R(h) - R*_H and
-    R*_H - E[C*], R*_H being the best-in-class search's value, which exceeds
-    the infimum by at most its tol.
-
-    For a linear class this runs the best-in-class search on the surrogate,
-    so an infinite W or B raises ``ValueError``, as ``best_in_class_risk``
-    does; the unrestricted class has R*_H = E[C*] and needs no search (tol 0).
-    """
-    r_surr, e_cstar = report.r_surrogate, report.e_cstar_surrogate
-    if spec.cls is HypothesisClass.ALL:
-        return r_surr - e_cstar, 0.0, 0.0
-    star = best_in_class_risk(surrogate, spec, dist)
-    return r_surr - star.value, star.value - e_cstar, star.tol
+    ``assemble_bound`` with the same surrogate, spec and dist: ``_split`` of
+    its R_surrogate(h) and E[C*_surrogate]."""
+    return _split(surrogate, report.r_surrogate, report.e_cstar_surrogate, spec, dist)
 
 
 # ---------------------------------------------------------------------------

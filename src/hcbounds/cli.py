@@ -18,19 +18,22 @@ reads as --class=all, a switch takes true or false.  A file that is not an
 object, an unknown key, or a list, object or null value is a validation
 error.  Exit codes: 0 success, 1 a bound or check that fails, 2 a validation
 error, 3 an internal error.  bound's target is the adversarial zero-one loss
-for a sup- loss, else the zero-one loss.  For a linear class, bound requires
-h(x) = w*x + b to lie in the class: the default --w -5 (the sweeps' h) needs
---W >= 5, so under the default --W 1 it exits 2.  sweep refuses, with exit 2,
-a flag that its experiment does not read, and transform and bound one that
-their run does not read: --k without a sigmoid loss, --rho without a
-rho-margin loss, --Lambda without --class relu, --W and --B with --class all,
-and bound's --n and --seed without --mode mc, --sigma with a JSON or path
---dist.  A negative value in exponent form needs the = form: --b=-1e-300.
-HCB_THREADS sizes the process's one worker pool, which runs the sampler's
-blocks and each sweep cell's leaf passes while the sigma cells run one after
-another (default and ceiling: the CPU count; results never depend on it); an
-invalid value is a validation error.  The grid oracles run on the calling
-thread.  oracle-check --grid-n below 2 exits 2.
+for a sup- loss, else the zero-one loss.  Its verdict reads R(h) - E[C*] of
+both losses alone; lhs, rhs and the components are report-only.  bound has
+no --class relu (and no --Lambda): the ReLU class has no best-in-class
+route.  For a linear class, bound requires h(x) = w*x + b to lie in the
+class: the default --w -5 (the sweeps' h) needs --W >= 5, so under the
+default --W 1 it exits 2.  sweep refuses, with exit 2, a flag that its
+experiment does not read, and transform and bound one that their run does
+not read: --k without a sigmoid loss, --rho without a rho-margin loss,
+--Lambda without --class relu, --W and --B with --class all, and bound's --n
+and --seed without --mode mc, --sigma with a JSON or path --dist.  A
+negative value in exponent form needs the = form: --b=-1e-300.  HCB_THREADS
+sizes the process's one worker pool, which runs the sampler's blocks and
+each sweep cell's leaf passes while the sigma cells run one after another
+(default and ceiling: the CPU count; results never depend on it); an invalid
+value is a validation error.  The grid oracles run on the calling thread.
+oracle-check --grid-n below 2 exits 2.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ def _loss_and_spec(args) -> tuple:
     if base not in _LOSS_NAMES:
         raise ValueError(f"unknown loss {args.loss!r}; expected one of {_LOSS_NAMES} or sup- prefix")
     loss = MarginLoss(LossFamily(base), k=args.k, rho=args.rho)
-    spec = HypothesisSpec(_CLASSES[args.cls], W=args.W, B=args.B, Lambda=args.Lambda, gamma=args.gamma)
+    spec = HypothesisSpec(_CLASSES[args.cls], W=args.W, B=args.B, Lambda=getattr(args, "Lambda", 1.0), gamma=args.gamma)
     sup = base != args.loss
     if sup != spec.adversarial:
         raise ValueError(f"{args.loss} requires --gamma > 0" if sup else "--gamma > 0 requires a sup- loss")
@@ -104,10 +107,11 @@ def _run_meta() -> dict:
 # ---------------------------------------------------------------------------
 
 
-# the loss and class parameters, by the loss (sup- or not) or class that reads them
-_SPEC_FLAGS = {"--loss sigmoid": {"k": 1.0}, "--loss rho-margin": {"rho": 1.0}, "--class linear": {"W": 1.0, "B": 1.0},
-               "--class relu": {"Lambda": 1.0, "W": 1.0, "B": 1.0}}
-_SPEC_NEEDS = "--k needs a sigmoid loss, --rho a rho-margin loss, --Lambda --class relu, --W and --B a bounded class"
+# the loss and class parameters, by the loss (sup- or not) or class that reads them;
+# transform alone offers --class relu (bound has no best-in-class route for it) and --Lambda
+_SPEC_FLAGS = {"--loss sigmoid": {"k": 1.0}, "--loss rho-margin": {"rho": 1.0}, "--class linear": {"W": 1.0, "B": 1.0}}
+_TRANSFORM_FLAGS = {**_SPEC_FLAGS, "--class relu": {"Lambda": 1.0, "W": 1.0, "B": 1.0}}
+_SPEC_NEEDS = "--k needs a sigmoid loss, --rho a rho-margin loss, --W and --B a bounded class"
 
 
 def _spec_cases(args) -> list:
@@ -115,9 +119,9 @@ def _spec_cases(args) -> list:
 
 
 def cmd_transform(args) -> int:
-    stray = _read_flags(args, _SPEC_FLAGS, _spec_cases(args))
+    stray = _read_flags(args, _TRANSFORM_FLAGS, _spec_cases(args))
     if stray:
-        raise ValueError(f"this transform does not use {', '.join(stray)} ({_SPEC_NEEDS})")
+        raise ValueError(f"this transform does not use {', '.join(stray)} ({_SPEC_NEEDS}, --Lambda --class relu)")
     loss, spec = _loss_and_spec(args)
     if args.grid_n < 2:
         raise ValueError(f"--grid-n must be >= 2 to sample both t = 0 and t = 1, got {args.grid_n}")
@@ -262,14 +266,16 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_spec_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--class", dest="cls", choices=sorted(_CLASSES), default="linear")
-    # defaults in _SPEC_FLAGS; a flag the loss or class does not read exits 2
-    p.add_argument("--W", type=float, help=_flag_help(_SPEC_FLAGS, "W"))
-    p.add_argument("--B", type=float, help="bias budget; 'inf' allowed; " + _flag_help(_SPEC_FLAGS, "B"))
-    p.add_argument("--Lambda", type=float, help=_flag_help(_SPEC_FLAGS, "Lambda"))
-    p.add_argument("--k", type=float, help=_flag_help(_SPEC_FLAGS, "k"))
-    p.add_argument("--rho", type=float, help=_flag_help(_SPEC_FLAGS, "rho"))
+def _add_spec_flags(p: argparse.ArgumentParser, table: dict) -> None:
+    # all and the classes table names; defaults in table, and a flag the loss or class does not read exits 2
+    classes = ["all"] + [case.removeprefix("--class ") for case in table if case.startswith("--class ")]
+    p.add_argument("--class", dest="cls", choices=sorted(classes), default="linear")
+    p.add_argument("--W", type=float, help=_flag_help(table, "W"))
+    p.add_argument("--B", type=float, help="bias budget; 'inf' allowed; " + _flag_help(table, "B"))
+    if "--class relu" in table:
+        p.add_argument("--Lambda", type=float, help=_flag_help(table, "Lambda"))
+    p.add_argument("--k", type=float, help=_flag_help(table, "k"))
+    p.add_argument("--rho", type=float, help=_flag_help(table, "rho"))
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--massart-beta", dest="massart_beta", type=float, default=None)
 
@@ -281,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tr = sub.add_parser("transform", help="materialize an estimation-error transform")
     p_tr.add_argument("--loss", required=True)
-    _add_spec_flags(p_tr)
+    _add_spec_flags(p_tr, _TRANSFORM_FLAGS)
     p_tr.add_argument("--eps", type=float, default=0.0, help="truncation level of the transform")
     p_tr.add_argument("--grid-n", dest="grid_n", type=int, default=101)
     p_tr.add_argument("--format", choices=["json", "csv"], default="json")
@@ -291,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_b = sub.add_parser("bound", help="assemble and check one bound")
     p_b.add_argument("--loss", required=True)
-    _add_spec_flags(p_b)
+    _add_spec_flags(p_b, _SPEC_FLAGS)
     p_b.add_argument("--dist", required=True, help="preset name, JSON literal, or path")
     # defaults in _BOUND_FLAGS; a flag this run does not read exits 2
     p_b.add_argument("--sigma", type=float, help=_flag_help(_BOUND_FLAGS, "sigma"))

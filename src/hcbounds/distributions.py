@@ -366,6 +366,8 @@ def sample(dist: LabeledDistribution, n: int, seed: int):
     are drawn into their slice of the output and its labels copied there,
     so the output does not depend on the thread count.
     """
+    _require_integer("the sample size n", n)  # before np.empty reads n
+    _require_integer("the seed", seed)
     xs = np.empty(n, dtype=float)
     ys = np.empty(n, dtype=np.int64)
 

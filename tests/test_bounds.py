@@ -400,7 +400,6 @@ class TestZeroOneThresholdSearch:
         h = LinearHypothesis((got.w,), got.b)
         assert abs(h.w) <= spec.W and abs(h.b) <= spec.B
         assert got.value == risk(ZERO_ONE, h, dist, Exact(), spec.gamma)[0]
-        assert got.quad_err == 0.0
         shifts = (-spec.gamma, spec.gamma) if adversarial else (0.0,)
         ends = [c.law.x for c in dist.atoms()] + [e for c in dist.continuous() for e in (c.law.lo, c.law.hi)]
         points = sorted({x + s for x in ends for s in shifts})
@@ -714,6 +713,20 @@ class TestAssembleBound:
             warnings.simplefilter("ignore")
             assert _check_massart_on_dist(dist, beta) == reference(dist, beta)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the Massart check tests a grid of spacing 2e-4, so a narrower violating band "
+                       "between two grid points goes unseen (ROADMAP item 29)")
+    def test_massart_check_sees_a_narrow_band(self):
+        # eta crosses (0.25, 0.75) on about [0.100075, 0.100185], a band of mass 3.4e-7
+        # between the grid points 0.1 and 0.1002
+        dist = LabeledDistribution((Component(0.5, 1, TruncNormal(-1.0, 1.0, 0.10263, 0.0005)),
+                                    Component(0.5, -1, TruncNormal(-1.0, 1.0, 0.09763, 0.0005))))
+        xs = np.linspace(0.10008, 0.10018, 11)
+        assert np.all(np.abs(dist.eta(xs) - 0.5) < 0.25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert _check_massart_on_dist(dist, 0.25) > 0
+
     @pytest.mark.parametrize("n", [1, 1.5, True])
     def test_degenerate_monte_carlo_size_rejected(self, n):
         with pytest.raises(ValueError):
@@ -800,11 +813,11 @@ def _shift_zero_one_best_in_class(monkeypatch, delta):
 
 class TestZeroOneBestInClassCancels:
     """For a linear class the zero-one best-in-class value R* enters lhs as
-    -R* and rhs through M_target = R* - E[C*] as -R*, so it cancels in
-    slack = rhs - lhs: moving it by delta moves slack by rounding only and
-    never flips holds.  With the unrestricted class (``--class all``) R* is
-    E[C*] itself and M_target is exactly 0, so lhs alone moves and slack
-    shifts by delta."""
+    -R* and rhs through M_target = R* - E[C*] as -R*, and the verdict reads
+    neither: slack and holds come from R_target(h) - E[C*], so moving R* by
+    delta moves lhs and M_target and leaves slack bit-identical.  With the
+    unrestricted class (``--class all``) R* is E[C*] itself and M_target is
+    exactly 0, so moving E[C*] moves lhs and slack by delta."""
 
     @pytest.mark.parametrize(
         "target, loss, spec, dist, h",
@@ -824,7 +837,7 @@ class TestZeroOneBestInClassCancels:
             monkeypatch.undo()
             assert rep.lhs == pytest.approx(base.lhs - delta, abs=1e-12)
             assert rep.m_target == pytest.approx(base.m_target + delta, abs=1e-12)
-            assert abs(rep.slack - base.slack) <= 1e-12
+            assert rep.slack == base.slack
             assert rep.holds == base.holds
 
     def test_unrestricted_class_slack_moves_with_the_zero_one_expectation(self, monkeypatch):
@@ -1037,7 +1050,10 @@ class TestVerdictRule:
         target, loss, spec, dist, h, massart, mode = _VERDICT_CASES["mc-sup-hinge-massart"]
         rep = assemble_bound(target, loss, spec, dist, h, massart=massart, mode=mode)
         assert not rep.holds
-        assert calls == [(rep.lhs, rep.rhs, rep.mc_stderr_lhs, rep.mc_stderr_rhs)]
+        # the verdict's sides are R_t(h) - E[C*_t] and Gamma(y): no R*, so slack is their difference
+        [(a, b, se_lhs, se_rhs)] = calls
+        assert (b - a).hex() == rep.slack.hex()
+        assert (se_lhs, se_rhs) == (rep.mc_stderr_lhs, rep.mc_stderr_rhs)
         rows = experiments.run_nonadversarial_sweep(experiments.SweepConfig(sigmas=(0.2,), n_samples=10**4))
         assert not any(r["holds"] for r in rows)
         assert calls[1:] == [(r["lhs"], r["rhs"], r["stderr_lhs"], r["stderr_rhs"]) for r in rows]
@@ -1062,9 +1078,21 @@ class TestVerdictRule:
 
 
 class TestVerdictPath:
-    """The verdict needs the surrogate only through R(h) - E[C*]: its
-    best-in-class risk cancels, so assemble_bound searches the zero-one
-    target alone and surrogate_split runs the surrogate search on request."""
+    """slack and holds read R(h) - E[C*] of both losses: both best-in-class
+    risks cancel.  assemble_bound searches the zero-one target alone, for
+    its report-only lhs, M_target and best_in_class_tol, and surrogate_split
+    runs the surrogate search on request."""
+
+    def test_relu_class_refused_before_any_risk(self, monkeypatch):
+        # no zero-one R*_H route, and no rule for whether a linear h lies in the ReLU class
+        def no_risk(*args, **kwargs):
+            raise AssertionError("a risk was computed")
+
+        for name in ("risk", "_mc_risks", "_expect_min_conditional", "best_in_class_risk"):
+            monkeypatch.setattr(bounds, name, no_risk)
+        spec = HypothesisSpec(HypothesisClass.ONE_HIDDEN_RELU, W=5.0, B=0.5, Lambda=2.0)
+        with pytest.raises(ValueError, match="ReLU class"):
+            assemble_bound(Target.ZERO_ONE, hinge(), spec, sect7_nonadversarial(0.1), LinearHypothesis((-0.4,), 0.0))
 
     @pytest.mark.parametrize(
         "name", ["hinge-linear", "sup-rho-margin-adversarial-linear", "mc-sup-hinge-massart"]

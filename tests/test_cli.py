@@ -143,9 +143,10 @@ class TestTransformCsv:
 
 class TestSpecFlagsTheLossOrClassDoesNotRead:
     """--k is read only by a sigmoid loss, --rho only by a rho-margin loss,
-    --Lambda only by --class relu, and --W and --B only by --class linear
-    and relu; given elsewhere, on the command line or in a config file, they
-    exit 2 instead of being ignored."""
+    --Lambda only by transform's --class relu, and --W and --B only by
+    --class linear and relu; given elsewhere, on the command line or in a
+    config file, they exit 2 instead of being ignored.  bound has no
+    --Lambda at all, so argparse refuses it there."""
 
     COMMANDS = {
         "transform": ["transform", "--class", "linear"],
@@ -164,8 +165,10 @@ class TestSpecFlagsTheLossOrClassDoesNotRead:
                                                          "W-B-all", "B-inf-all"])
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_flag_the_run_does_not_read(self, capsys, command, flags, named):
-        assert main([*self.COMMANDS[command], *flags]) == 2
-        assert f"does not use {named} (" in capsys.readouterr().err
+        assert exit_code([*self.COMMANDS[command], *flags]) == 2
+        bound_lambda = command == "bound" and "--Lambda" in flags
+        assert ("unrecognized arguments: --Lambda 0.5" if bound_lambda else f"does not use {named} (") in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value, cls", [("k", 2, "linear"), ("rho", 0.5, "linear"), ("Lambda", 0.5, "linear"),
                                                  ("W", 7, "all"), ("B", 0.3, "all")])
@@ -174,7 +177,9 @@ class TestSpecFlagsTheLossOrClassDoesNotRead:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
         assert main([*self.COMMANDS[command], "--loss", "hinge", "--class", cls, "--config", str(cfg)]) == 2
-        assert f"does not use --{key} (" in capsys.readouterr().err
+        bound_lambda = command == "bound" and key == "Lambda"
+        assert ("unknown config keys: ['Lambda']" if bound_lambda else f"does not use --{key} (") in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, field, label", [
         (["--loss", "rho-margin", "--rho", "0.5"], "loss", "rho-margin(rho=0.5)"),
@@ -804,7 +809,20 @@ class TestNonFiniteLossParameters:
 
 class TestRetiredFlags:
     """Inputs are scalars, so no --p; bound does not truncate, so no --eps;
-    bound's target follows from --loss, so no --target."""
+    bound's target follows from --loss, so no --target; bound has no
+    best-in-class route for the ReLU class, so no --class relu (and no
+    --Lambda: TestSpecFlagsTheLossOrClassDoesNotRead), which transform keeps."""
+
+    BOUND = ["bound", "--loss", "hinge", "--W", "5", "--B", "0.5", "--dist", "sect7-nonadv"]
+
+    def test_bound_relu_class_exits_2_at_parse_time(self, tmp_path, capsys):
+        assert exit_code([*self.BOUND, "--class", "relu"]) == 2
+        err = capsys.readouterr().err
+        assert "argument --class: invalid choice: 'relu'" in err and "best-in-class" not in err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cls": "relu"}))
+        assert exit_code([*self.BOUND, "--config", str(cfg)]) == 2
+        assert "argument --class: invalid choice: 'relu'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ["transform", "--loss", "hinge", "--class", "linear", "--B", "0.8"],

@@ -172,6 +172,12 @@ class TestSampling:
         with pytest.raises(ValueError, match="seed must be an integer"):
             sample(sect7_nonadversarial(0.1), 1000, 1.5)
 
+    @pytest.mark.parametrize("n", [1000.5, 1000.0, True])
+    def test_non_integer_n_refused_by_sample(self, n):
+        # before the output arrays are allocated: np.empty(1000.5) raises TypeError
+        with pytest.raises(ValueError, match="sample size n must be an integer"):
+            sample(sect7_nonadversarial(0.1), n, 1)
+
     def test_numpy_integer_seed_is_the_int_seed(self):
         d = sect7_nonadversarial(0.1)
         x, y = sample(d, 70_000, 5)
