@@ -31,13 +31,15 @@ are closed-form tail masses.  Exact margin-loss risks (``_margin_risk``,
 which also bounds the search's cells) are closed form for the hinge,
 quadratic, rho-margin and exponential losses: truncated-normal partial
 moments of order 0-2 between the kinks, or a truncated moment generating
-function.  The logistic and sigmoid risks and the expectations E[C*]
-integrate the truncated normals through
-``distributions._integrate_continuous``, which owns the quadrature and its
-tolerances; a report's ``provenance`` key ``quad_err`` sums the error
-estimates of the quadratures it ran, and the closed forms add nothing to
-it.  scipy is used only for the normal cdf, its inverse and ``erfcx``,
-imported on first use.
+function.  E[C*] is closed form on a label-pure component, one that meets
+no continuous component of the other label: the same means of the loss at
+the class's best score, or nothing where C* is 0 there.  The logistic and
+sigmoid risks, and E[C*] on every other component, integrate the truncated
+normals through ``distributions._integrate_continuous``, which owns the
+quadrature and its tolerances; a report's ``provenance`` key ``quad_err``
+sums the error estimates of the quadratures it ran, and the closed forms
+add nothing to it.  scipy is used only for the normal cdf, its inverse and
+``erfcx``, imported on first use.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import numpy as np
 
 from ._runtime import thread_map
 from .conditional import ConditionalPoint, _adversarial_bracket, _interval_risk, _min_risk, brute_force_inf
-from .distributions import LabeledDistribution, QuadratureError, _integrate_continuous, _map_sample_blocks, expectation
+from .distributions import LabeledDistribution, QuadratureError, _integrate_continuous, _map_sample_blocks
 from .distributions import _expectation, _meeting, _require_integer
 from .distributions import _EPMACH, _SAMPLE_BLOCK, _UFLOW  # machine epsilon, a sampling block, least normal double
 from .hypotheses import HypothesisClass, HypothesisSpec, LinearHypothesis
@@ -172,11 +174,19 @@ def _leaf_totals(n, leaf_sums) -> list:
     ``leaf_sums(start, stop)`` returns the sums of every set's values
     [start, stop), one per set.  It runs once for each of ``_pairwise_sum``'s
     leaves over n values, on ``thread_map``, so it may run on several threads
-    at once; the totals do not depend on how many."""
+    at once; the totals do not depend on how many.  Overflow and invalid
+    values pass silently, in each leaf (numpy's error state is per thread)
+    and in the totals, leaving inf or NaN for the caller to check."""
+
+    def leaf(bounds):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return leaf_sums(*bounds)
+
     leaves = []
     _pairwise_sum(0, n, lambda start, stop: leaves.append((start, stop)) or 0.0)
-    by_start = dict(zip((start for start, _ in leaves), thread_map(lambda leaf: leaf_sums(*leaf), leaves)))
-    return [_pairwise_sum(0, n, lambda start, stop: by_start[start][k]) for k in range(len(by_start[0]))]
+    by_start = dict(zip((start for start, _ in leaves), thread_map(leaf, leaves)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [_pairwise_sum(0, n, lambda start, stop: by_start[start][k]) for k in range(len(by_start[0]))]
 
 
 def _squares_sum(v, mean):
@@ -209,8 +219,10 @@ def _mc_risks(losses, h, dist, mode, gamma) -> list:
     """
 
     def block_stats(start, xs, ys, spare):
-        err, arg = _score_kernel(h.w, h.b, xs, ys, gamma, out=xs)
-        return [(xs.size, *_mean_m2(_loss_values(loss, err, arg, spare[0]))) for loss in losses]
+        # numpy's error state is per thread, so each block sets its own; an overflow is inf, its M2 NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            err, arg = _score_kernel(h.w, h.b, xs, ys, gamma, out=xs)
+            return [(xs.size, *_mean_m2(_loss_values(loss, err, arg, spare[0]))) for loss in losses]
 
     out = []
     for by_block in zip(*_map_sample_blocks(dist, mode.n, mode.seed, block_stats)):  # one loss's blocks
@@ -618,21 +630,55 @@ def best_in_class_risk(loss, spec: HypothesisSpec, dist: LabeledDistribution) ->
     return BestInClass(value, tol=max(0.0, value - cells[0][0]), w=w, b=b)
 
 
+def _pure_lines(loss, spec):
+    """The margin lines (a, c) whose largest, a*x + c, is the score at which
+    C*(x, 0) = C*(x, 1) takes the loss: the score bound (+-W, B), or on the
+    worst-case route (+-W, B - gamma*W) and (0, B), whose largest is
+    W*max(|x|, gamma) - gamma*W + B.  [] where C* is 0 at eta in {0, 1}
+    (the zero-one loss, the unrestricted class); None where
+    ``_closed_form_mean`` does not cover the loss on this route, or the
+    class is ReLU."""
+    if isinstance(loss, ZeroOneLoss) or spec.cls is HypothesisClass.ALL:
+        return []
+    if spec.cls is not HypothesisClass.LINEAR:
+        return None
+    W, B, g, fam = spec.W, spec.B, spec.gamma, loss.family
+    if g > 0.0:
+        return [(W, B - g * W), (-W, B - g * W), (0.0, B)] if fam in (LossFamily.HINGE, LossFamily.RHO_MARGIN) else None
+    # rho-margin's standard route integrates until ROADMAP item 3 re-pins pool op (28, 3) to its closed form
+    return [(W, B), (-W, B)] if fam in (LossFamily.HINGE, LossFamily.QUADRATIC, LossFamily.EXPONENTIAL) else None
+
+
 def _expect_min_conditional(loss, spec, dist) -> tuple:
     """(E_X of the pointwise minimal conditional risk, quadrature error
     estimate), robust for spec.gamma > 0; the lower endpoint when only a
-    bracket is available, which upper-bounds the resulting gap."""
+    bracket is available, which upper-bounds the resulting gap.
+
+    On a label-pure continuous component, one that meets no continuous
+    component of the other label, eta is that label's 1 or 0 wherever it has
+    density and no atom sits, and C* is the loss at the class's best score:
+    the component adds nothing where that loss is 0 and
+    ``_closed_form_mean`` of ``_pure_lines`` where it covers the loss:
+    the hinge, quadratic and exponential losses on the standard route, the
+    hinge and rho-margin losses on the worst-case route.  Atoms are summed,
+    and the other components integrate through ``_expectation``, so the
+    error estimate is theirs alone.  A worst-case convex loss raises
+    ``ValueError`` (``_adversarial_bracket``) before anything is computed.
+    """
     if isinstance(loss, ZeroOneLoss):
-        # on a component whose support meets no continuous component of the
-        # other label, eta is 0 or 1 wherever it has density and no atom sits, so
-        # min(eta, 1 - eta) * pdf integrates to exactly 0 there
-        mixed = [c for c in dist.continuous() if any(o.label != c.label for o in _meeting(dist, c))]
-        return _expectation(dist, lambda x, e: np.minimum(e, 1.0 - e), (), mixed)
-    if spec.adversarial:
-        lower = _adversarial_bracket(loss, spec, lower_only=True)
-        return expectation(dist, lambda x, e: lower(np.abs(x), e), with_error=True)
-    min_risk = _min_risk(loss, spec)
-    return expectation(dist, lambda x, e: min_risk(np.abs(x), e), with_error=True)
+        cstar = lambda x_abs, e: np.minimum(e, 1.0 - e)
+    elif spec.adversarial:
+        cstar = _adversarial_bracket(loss, spec, lower_only=True)
+    else:
+        cstar = _min_risk(loss, spec)
+    lines = _pure_lines(loss, spec)
+    comps = dist.continuous()
+    pure = [lines is not None and all(o.label == c.label for o in _meeting(dist, c)) for c in comps]
+    value, err = _expectation(dist, lambda x, e: cstar(np.abs(x), e), (), [c for c, p in zip(comps, pure) if not p])
+    for c, p in zip(comps, pure):
+        if p and lines and c.weight:
+            value += c.weight * _closed_form_mean(loss, c.law, lines)
+    return value, err
 
 
 # ---------------------------------------------------------------------------

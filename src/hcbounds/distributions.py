@@ -580,8 +580,8 @@ def expectation(dist: LabeledDistribution, integrand, points=(), with_error: boo
 
 def _expectation(dist: LabeledDistribution, integrand, points, components) -> tuple:
     """(value, error) of ``expectation`` with only ``components`` of dist's
-    continuous components integrated; the caller vouches that the others'
-    integrals are exactly 0."""
+    continuous components integrated, the atoms summed; the caller accounts
+    for the others (E[C*] adds their closed forms, or nothing)."""
     total = 0.0
     atoms = dist.atoms()
     if atoms:

@@ -140,7 +140,8 @@ def _run_cells(cfg, experiment, losses, extras):
         dist = sect7_adversarial(sigma, gamma) if adversarial else sect7_nonadversarial(sigma)
 
         def score(start, xs, ys, spare):
-            err, a = _score_kernel(cfg.w, cfg.b, xs, ys, gamma, out=xs)  # xs is arg's slice
+            with np.errstate(over="ignore"):  # per thread, as ``_leaf_totals``' leaves: a score past 1.8e308 is inf
+                err, a = _score_kernel(cfg.w, cfg.b, xs, ys, gamma, out=xs)  # xs is arg's slice
             errs[start : start + len(a)] = err
 
         _map_sample_blocks(dist, n, seed, score, into=arg)

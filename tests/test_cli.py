@@ -380,10 +380,10 @@ class TestBoundCommand:
         [
             ("--loss hinge --class linear --W 1 --B 0.5 --w -0.8 --b 0.1 --dist sect7-nonadv --sigma 0.05",
              "0x1.2fb5e5ddb1480p-7", "0x1.308b94155c4c4p-1",
-             {"surrogate_excess": "0x1.2fb5e5ddb14c0p-7", "M_surrogate": "0x1.308b94155c4c0p-1"}),
+             {"surrogate_excess": "0x1.2fb5e5ddb14c0p-7", "M_surrogate": "0x1.308b94155c4c2p-1"}),
             ("--loss sup-rho-margin --class linear --W 1 --B 0.5 --gamma 0.1 --w 0.7 --b -0.2 "
              "--dist sect7-adv --sigma 0.1", "0x1.397a07b9229fap-2", "0x1.bbb8749a04050p-4",
-             {"surrogate_excess": "0x1.397a07b9229fcp-2", "M_surrogate": "0x1.bbb8749a1eca4p-4"}),
+             {"surrogate_excess": "0x1.397a07b9229fcp-2", "M_surrogate": "0x1.bbb8749a1c0c4p-4"}),
             ("--loss quadratic --class all --w -5 --b 0 --dist sect7-nonadv --sigma 0.1",
              "0x1.9e0b6b501a1d3p+1", "0x0.0p+0", {"surrogate_excess": "0x1.9e0b6b501a1d2p+1"}),
         ],
@@ -392,7 +392,8 @@ class TestBoundCommand:
     def test_surrogate_split_pinned(self, tmp_path, args, surrogate_excess, m_surrogate, repins):
         # pinned while assemble_bound still ran the surrogate search itself;
         # repins: the fields the Gauss-Kronrod quadrature, its 4-way panel
-        # refinement and the closed-form exact risks moved, within 1e-10
+        # refinement, the closed-form exact risks and the closed-form E[C*]
+        # moved, within 1e-10
         out = tmp_path / "split.json"
         assert main(["bound", *args.split(), "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
@@ -859,6 +860,23 @@ class TestExitCodes:
     raised as an error; any other exception is an internal error, exit 3."""
 
     BOUND = ["bound", "--class", "linear", "--dist", "sect7-nonadv"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("command, msg", [
+        (["sweep", "--experiment", "sect7-nonadv", "--n", "10000", "--sigmas", "0.2", "--w=-1000"],
+         "the exponential risk of h(x) = -1000.0*x + 0.0 at sigma 0.2 is not finite"),
+        (["bound", "--loss", "exponential", "--class", "all", "--w=-1000", "--b", "0", "--dist", "sect7-nonadv",
+          "--sigma", "0.2", "--mode", "mc", "--n", "200000"], "surrogate risk R_surrogate(h) is not finite"),
+        # each leaf's hinge sum is finite, their total is not
+        (["sweep", "--experiment", "sect7-adv", "--gamma", "0.1", "--n", "200000", "--sigmas", "0.2", "--w=-5e303"],
+         "the hinge risk of h(x) = -5e+303*x + 0.0 at sigma 0.2 is not finite (mean inf"),
+    ], ids=["sweep-exp-overflow", "bound-mc-exp-overflow", "sweep-hinge-total-overflow"])
+    def test_overflowing_monte_carlo_loss_exits_2(self, tmp_path, monkeypatch, capsys, command, msg, threads):
+        # numpy's error state is per thread: each sampling block and reduction leaf sets its own
+        monkeypatch.setenv("HCB_THREADS", threads)
+        assert main([*command, "--out", str(tmp_path / "o")]) == 2
+        assert msg in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_subnormal_slope_clips_its_threshold_to_a_support_end(self, tmp_path, capsys):

@@ -26,6 +26,11 @@ minimal conditional risk C* is the loss at the class's best score: W|x| + B,
 or W*max(|x|, gamma) - gamma*W + B for the robust losses, whose pieces split
 at x = 0 and x = +-gamma.  No quadrature runs.
 
+The package computes that E[C*] in closed form too, on each label-pure
+component of any distribution.  Its second reference, ``quadrature_e_cstar``,
+shares none of that code: the package's ``expectation`` of the pointwise
+closed forms of C*, its first panels split at the score bound's kinks.
+
 The oracle is independent of the package in its integration only: Phi is
 scipy's ``ndtr``, the normal cdf the package's truncated normals use too.
 Cost: about 10 us per closed-form risk; a quadrature reference takes
@@ -45,7 +50,8 @@ from scipy.special import ndtr
 import hcbounds
 from hcbounds import Exact, risk
 from hcbounds.bounds import _expect_min_conditional, _margin_integrand, _margin_risk
-from hcbounds.distributions import Atom, Component, LabeledDistribution, TruncNormal, _gauss_kronrod
+from hcbounds.conditional import _adversarial_bracket, _min_risk
+from hcbounds.distributions import Atom, Component, LabeledDistribution, TruncNormal, _gauss_kronrod, expectation
 from hcbounds.distributions import sect7_adversarial, sect7_nonadversarial
 from hcbounds.hypotheses import HypothesisClass, HypothesisSpec, LinearHypothesis
 from hcbounds.losses import LossFamily, eval_margin_loss, exponential, hinge, logistic, quadratic, rho_margin, sigmoid
@@ -262,20 +268,94 @@ def test_expected_min_conditional_matches_the_closed_form(seed):
     assert abs(value - closed_form_e_cstar(loss, spec, dist)) <= quad_err + 1e-12
 
 
-ITEM_3 = "E[C*] passes no kink points to the quadrature, whose error estimate misses the score bound's kink"
+ITEM_3 = ("rho-margin's standard route is the one E[C*] left on the quadrature, which passes no kink points, "
+          "and whose error estimate misses the score bound's kink")
 
 
 @pytest.mark.parametrize("loss, W, B, sigma, want", [
     pytest.param(rho_margin(0.7959584781912772), 2.5784703113736116, 0.5359267221846399, 0.1,
                  8.118138888661654e-06, marks=pytest.mark.xfail(strict=True, reason=ITEM_3), id="op-28-3"),
-    pytest.param(quadratic(), 4.35302933339056, 0.4672866929652578, 0.02, 0.1262379878067254,
-                 marks=pytest.mark.xfail(strict=True, reason=ITEM_3), id="op-31-2"),
+    pytest.param(quadratic(), 4.35302933339056, 0.4672866929652578, 0.02, 0.1262379878067254, id="op-31-2"),
 ])
 def test_expected_min_conditional_of_the_pool_kinks(loss, W, B, sigma, want):
     # the benchmark's bound pool ops (slot, position) (28, 3) and (31, 2); the
-    # package reads 0.0 for the first and 1.5e-12 low, past its error estimate
-    # 7.6e-14, for the second
+    # quadrature read 0.0 for the first and, before E[C*] was closed form on
+    # label-pure components, 1.5e-12 low, past its error estimate 7.6e-14,
+    # for the second
     spec, dist = HypothesisSpec(HypothesisClass.LINEAR, W=W, B=B), sect7_nonadversarial(sigma)
     assert closed_form_e_cstar(loss, spec, dist) == pytest.approx(want, rel=1e-13)
     value, quad_err = _expect_min_conditional(loss, spec, dist)
     assert abs(value - want) <= quad_err + 1e-12
+
+
+def quadrature_e_cstar(loss, spec, dist) -> tuple:
+    """(E[C*], error estimate) by the package's quadrature, ``expectation``
+    of the pointwise closed forms of C*, its first panels split at the score
+    bound's kinks: x = 0 and +-gamma, and +-|x| where the class's best score
+    W*max(|x|, gamma) - gamma*W + B (W|x| + B at gamma = 0) meets a kink of
+    the loss."""
+    W, B, g = spec.W, spec.B, spec.gamma
+    cstar = _adversarial_bracket(loss, spec, lower_only=True) if spec.adversarial else _min_risk(loss, spec)
+    knees = [x for x in ((k - B) / W + g for k in _kinks(loss)) if x >= g] if W > 0.0 else []
+    points = [s * x for x in (0.0, g, *knees) for s in (-1.0, 1.0)]
+    return expectation(dist, lambda x, e: cstar(np.abs(x), e), points=points, with_error=True)
+
+
+# two +1 components that overlap (label-pure), apart from the -1 component
+SAME_LABEL_OVERLAP = LabeledDistribution((
+    Component(0.1, -1, Atom(0.95)),
+    Component(0.3, 1, TruncNormal(0.05, 1.0, 0.3, 0.2)),
+    Component(0.3, 1, TruncNormal(0.4, 0.8, 0.6, 0.05)),
+    Component(0.3, -1, TruncNormal(-1.0, -0.05, -0.2, 0.3)),
+))
+# a +1 component that meets the -1 component (label-mixed), and a label-pure one apart
+LABEL_MIXED = LabeledDistribution((
+    Component(0.1, 1, Atom(-0.9)),
+    Component(0.35, 1, TruncNormal(-0.3, 1.0, 0.4, 0.3)),
+    Component(0.35, -1, TruncNormal(-0.5, 0.2, -0.1, 0.2)),
+    Component(0.2, -1, TruncNormal(-1.0, -0.6, -0.8, 0.1)),
+))
+LIN = HypothesisClass.LINEAR
+
+
+def _case_id(value) -> str:
+    return value.label() if hasattr(value, "label") else f"gamma={value:g}"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4, 5, 8, 13, 2, 3, 6, 7, 10, 11])
+def test_closed_form_e_cstar_matches_the_quadrature(seed):
+    # standard hinge, quadratic and exponential (seeds 0-13; 13 on FAR_TAIL),
+    # then worst-case hinge and rho-margin (seeds 2-11; 6 on FAR_TAIL): every
+    # component is label-pure, so nothing integrates.  About 1 ms a seed
+    standard = seed % 4 < 2
+    loss, spec, _, dist = seeded_case(seed, (hinge, quadratic, exponential) if standard else (hinge, rho_margin))
+    value, err = _expect_min_conditional(loss, spec, dist)
+    want, quad_err = quadrature_e_cstar(loss, spec, dist)
+    assert err == 0.0
+    assert abs(value - want) <= quad_err + 1e-12
+
+
+@pytest.mark.parametrize("W, B", [(2.0, math.inf), (0.0, 0.4)], ids=["B-inf", "W-0"])
+@pytest.mark.parametrize("loss, gamma", [(hinge(), 0.0), (quadratic(), 0.0), (exponential(), 0.0),
+                                         (hinge(), 0.1), (rho_margin(0.7), 0.1)], ids=_case_id)
+def test_closed_form_e_cstar_at_the_class_extremes(loss, gamma, W, B):
+    # B = inf puts every best score past the kinks, W = 0 makes it the constant B; under 1 ms each
+    spec = HypothesisSpec(LIN, W=W, B=B, gamma=gamma)
+    dist = sect7_adversarial(0.1, gamma) if gamma else sect7_nonadversarial(0.05)
+    value, err = _expect_min_conditional(loss, spec, dist)
+    want, quad_err = quadrature_e_cstar(loss, spec, dist)
+    assert err == 0.0
+    assert abs(value - want) <= quad_err + 1e-12
+
+
+@pytest.mark.parametrize("loss, gamma", [(hinge(), 0.0), (quadratic(), 0.0), (exponential(), 0.0),
+                                         (hinge(), 0.1), (rho_margin(0.7), 0.1)], ids=_case_id)
+@pytest.mark.parametrize("dist", [SAME_LABEL_OVERLAP, LABEL_MIXED], ids=["same-label-overlap", "label-mixed"])
+def test_closed_form_e_cstar_on_overlapping_components(dist, loss, gamma):
+    # overlapping components of one label are closed form; a label-mixed
+    # one still integrates, so its error estimate is nonzero.  1-3 ms each
+    spec = HypothesisSpec(LIN, W=1.5, B=0.3, gamma=gamma)
+    value, err = _expect_min_conditional(loss, spec, dist)
+    want, quad_err = quadrature_e_cstar(loss, spec, dist)
+    assert (err > 0.0) == (dist is LABEL_MIXED)
+    assert abs(value - want) <= err + quad_err + 1e-12

@@ -179,6 +179,18 @@ def _every_component_label_pure(monkeypatch):
     _inject(monkeypatch, distributions, "_meeting", lambda dist, c: [c])
 
 
+def _pure_lines_without_the_flat_piece(monkeypatch):
+    """The worst-case route's best score as W*|x| - gamma*W + B, its (0, B)
+    line dropped, so it falls short of B where |x| < gamma."""
+    real = bounds._pure_lines
+
+    def lines(loss, spec):
+        out = real(loss, spec)
+        return out[:2] if spec.adversarial and out else out
+
+    _inject(monkeypatch, bounds, "_pure_lines", lines)
+
+
 def _refined_panels_drop_their_last_quarter(monkeypatch):
     real = distributions._refine
 
@@ -248,6 +260,10 @@ FAULTS = {
         _every_component_label_pure, test_distributions.TestExpectation().test_min_eta_matches_a_dense_rule
     ),
     "refined-panels-drop-their-last-quarter": (_refined_panels_drop_their_last_quarter, _gauss_kronrod_exact_values),
+    "e-cstar-closed-form-drops-the-flat-piece": (
+        _pure_lines_without_the_flat_piece,
+        lambda: [test_closed_form.test_closed_form_e_cstar_matches_the_quadrature(seed) for seed in (2, 3)],
+    ),
     # no independent check catches these yet
     "gamma-x1.01-logistic": (
         _gamma_times(1.01, LossFamily.LOGISTIC), test_bounds.TestAssembleBound().test_holds_on_random_exact_instances
@@ -257,8 +273,8 @@ FAULTS = {
 UNCAUGHT = {
     "gamma-x1.01-logistic": "every logistic-route check is one-sided or a pin; the tightness witnesses "
     "of ROADMAP item 9 catch it",
-    "e-cstar-kink": "E[C*] passes no kink points, so the check fails with or without the fault; "
-    "ROADMAP items 3 and 4 close it",
+    "e-cstar-kink": "rho-margin's standard route is the one E[C*] left on the quadrature, which passes no kink "
+    "points, so the check fails with or without the fault; ROADMAP items 3 and 4 close it",
 }
 
 
