@@ -38,8 +38,10 @@ sigmoid risks, and E[C*] on every other component, integrate the truncated
 normals through ``distributions._integrate_continuous``, which owns the
 quadrature and its tolerances; a report's ``provenance`` key ``quad_err``
 sums the error estimates of the quadratures it ran, and the closed forms
-add nothing to it.  scipy is used only for the normal cdf, its inverse and
-``erfcx``, imported on first use.
+add nothing to it.  ``_positive_cells`` certifies where signed sums of
+truncated-normal densities are positive, for the zero-one search's turns
+and the Massart check's violating mass.  scipy is used only for the normal
+cdf, its inverse and ``erfcx``, imported on first use.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from __future__ import annotations
 import enum
 import heapq
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,8 +87,8 @@ __all__ = [
 _BIC_GAP = 1e-6  # the margin-loss search's target gap between its least score and least cell bound
 _BIC_BUDGET = 1000  # hypotheses the margin-loss search may score
 _SIDE_ULPS = 16  # a threshold breakpoint's neighbours, in ulps of the kernel's operands
-_SLOPE_NODES = np.linspace(-8.0, 8.0, 33)  # bracketing nodes, in standard deviations from the mean
-_BISECTIONS = 40
+_SIGN_WIDTH = 2.0**-39  # the sign-change finder's narrowest cell, the reach of 40 bisections of [-1, 1]
+_SIGN_CELLS = 1 << 12  # the most cells one round of the sign-change finder may make by cutting
 _PSI_TOL = 1e-10  # rounding allowance of the discrete verifier's checks
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
@@ -215,7 +216,7 @@ def _mc_risks(losses, h, dist, mode, gamma) -> list:
     does not grow with n and the result is the same at every thread count;
     with one block (n <= 2^16) it is bit-identical to ``np.mean`` and
     ``np.std(ddof=1) / sqrt(n)`` over the sample, with more it differs from
-    them by rounding only.
+    them by rounding only.  A loss that overflows in any block reads inf.
     """
 
     def block_stats(start, xs, ys, spare):
@@ -229,6 +230,9 @@ def _mc_risks(losses, h, dist, mode, gamma) -> list:
         n, mean, m2 = by_block[0]
         for nb, mean_b, m2_b in by_block[1:]:
             delta, n_a, n = mean_b - mean, n, n + nb
+            if math.isinf(mean) or math.isinf(mean_b):  # an overflowed loss stays inf, which inf - inf is not
+                mean = m2 = math.inf
+                continue
             mean += delta * nb / n
             m2 += m2_b + delta * delta * n_a * nb / n
         out.append((mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n)))
@@ -446,6 +450,49 @@ def _zero_one_risk(dist, w, b, gamma):
     return out
 
 
+def _positive_cells(sums, lo: float, hi: float) -> tuple:
+    """(lo, hi, pos) of cells tiling [lo, hi] in order: pos is 1.0 where the
+    least of the sums, each sum(a * law.pdf(x + d)) over its terms (a, law,
+    d), is > 0 throughout the cell, 0.0 where it is <= 0 throughout, and NaN
+    where unsettled.  Terms of one law and shift merge: exact cancels read 0.
+
+    Interval branch-and-bound: over a cell a density lies between the lesser
+    of its values at the cell's ends (0 if the cell leaves the support) and
+    its value at the mean clipped to the cell (0 if the cell misses it); so
+    does the computed one, its peak times exp(-z^2/2) at x + d, as x + d
+    rounds monotonically.  A round cuts each cell whose bounds on the least
+    sum straddle 0 (lower <= 0 < upper) into 16 while wider than 2^-39, the
+    reach of 40 bisections of [-1, 1], unless that makes over 4,096 cells
+    (sums that nearly cancel over a wide range); the rest stay unsettled.
+    """
+    merged = {}
+    for k, terms in enumerate(sums):
+        for a, law, d in terms:
+            merged[k, law, d] = merged.get((k, law, d), 0.0) + a
+    which, a, d, s_lo, s_hi, mean, std, peak = np.array(
+        [(k, a, d, law.lo, law.hi, law.mean, law.std, float(law._density(law.mean)))
+         for (k, law, d), a in merged.items() if a != 0.0]).reshape(-1, 8).T[:, :, None]  # a row per term
+    rows = [which[:, 0] == k for k in range(len(sums))]  # each sum's terms
+    density = lambda x: np.exp(-0.5 * ((x - mean) / std) ** 2) * peak
+    cl, cu, cells = np.array([float(lo)]), np.array([float(hi)]), []
+    while cl.size:
+        xl, xu = cl + d, cu + d
+        inner = np.where((xl >= s_lo) & (xu <= s_hi), np.minimum(density(xl), density(xu)), 0.0)
+        outer = np.where((xl <= s_hi) & (xu >= s_lo), density(np.clip(mean, xl, xu)), 0.0)
+        lower, upper = a * np.where(a > 0.0, inner, outer), a * np.where(a > 0.0, outer, inner)
+        least = np.min([lower[r].sum(axis=0) for r in rows], axis=0)
+        most = np.min([upper[r].sum(axis=0) for r in rows], axis=0)
+        pos = np.where(least > 0.0, 1.0, np.where(most <= 0.0, 0.0, np.nan))
+        cut = np.isnan(pos) & (cu - cl > _SIGN_WIDTH)
+        cut &= 16 * np.count_nonzero(cut) <= _SIGN_CELLS
+        cells.append((cl[~cut], cu[~cut], pos[~cut]))
+        left = cl[cut, None] + (cu - cl)[cut, None] * (np.arange(16) / 16.0)
+        cl, cu = left.ravel(), np.concatenate((left[:, 1:], cu[cut, None]), axis=1).ravel()
+    cl, cu, pos = map(np.concatenate, zip(*cells))
+    order = np.argsort(cl)
+    return cl[order], cu[order], pos[order]
+
+
 def _zero_one_best_linear(spec: HypothesisSpec, dist: LabeledDistribution) -> BestInClass:
     """R*_01,H over the linear class, exactly, by the threshold reduction.
 
@@ -461,21 +508,23 @@ def _zero_one_best_linear(spec: HypothesisSpec, dist: LabeledDistribution) -> Be
     a support end, each +-gamma) or where that derivative turns from negative
     to positive.
 
-    Candidates, in both orientations: every breakpoint, and the thresholds
-    16 ulps of the kernel's operands (|breakpoint| + gamma) to either side of
-    it, where the kernel's float arithmetic puts an atom at the breakpoint on
-    each side; the derivative's sign changes, bracketed on nodes spread over
-    each component's support and +-8 standard deviations of its mean, then
-    bisected; and the constants.  Each candidate is scored as the (w, b) of
-    the class that realizes it by ``_zero_one_risk``, the exact risk that
-    ``risk`` computes, so value is the risk of the returned (w, b).  It
-    differs from the infimum by rounding only, unless two breakpoints lie
-    within a side step of each other: no float (w, b) may realize a
-    threshold between them, and a side candidate may jump past one.  tol is
-    then the weight of the atoms with a breakpoint in such a cluster, which
-    bounds the miss: the candidate a side step beyond the cluster sits on the
-    same side of every other breakpoint as any threshold within it, so off
-    those atoms the errors agree, and the tail masses move by rounding only.
+    Candidates, in both orientations: every breakpoint, and the thresholds 16
+    ulps of the kernel's operands (|breakpoint| + gamma) to either side of it,
+    where the kernel's float arithmetic puts an atom at the breakpoint on each
+    side; the derivative's turns, the end of each cell where
+    ``_positive_cells`` finds it negative, or unsettled, that a cell where it
+    is not negative, or unsettled, follows; and the constants.  Each candidate
+    is scored as the (w, b) of the class that realizes it by
+    ``_zero_one_risk``, the exact risk that ``risk`` computes, so value is the
+    risk of the returned (w, b).  It differs from the infimum by rounding
+    only, unless two breakpoints lie within a side step of each other: no
+    float (w, b) may realize a threshold between them, and a side candidate
+    may jump past one.  tol is then the weight of the atoms with a breakpoint
+    in such a cluster, which bounds the miss: the candidate a side step beyond
+    the cluster sits on the same side of every other breakpoint as any
+    threshold within it, so off those atoms the errors agree, and the tail
+    masses move by rounding only.  tol is inf where the finder gives up on a
+    cell wider than 2^-39, which may hide a turn.
     """
     gamma, W, B = spec.gamma, spec.W, spec.B
     shifts = (-gamma, gamma) if gamma > 0 else (0.0,)
@@ -489,43 +538,21 @@ def _zero_one_best_linear(spec: HypothesisSpec, dist: LabeledDistribution) -> Be
     if clustered.size:
         tol = math.fsum(c.weight for c in dist.atoms() if np.isin(np.add(c.law.x, shifts), clustered).any())
 
-    def slope(theta, s):  # d risk / d theta in orientation s, at the array theta
-        out = np.zeros(theta.shape)
-        for c in comps:
-            ys = c.label * s
-            out = out + ys * c.weight * c.law.pdf(theta + gamma * ys)
-        return out
-
-    lo = hi = orient = np.zeros(0)
+    turns, orient = [], []
     # the slope can turn only where densities of both labels meet, 2*gamma apart at most
     if any(o.label != c.label and o.law.lo - 2.0 * gamma <= c.law.hi and c.law.lo - 2.0 * gamma <= o.law.hi
            for c in comps for o in comps):
-        nodes = [points]
-        for c in comps:
-            law = c.law
-            spread = np.clip(law.mean + law.std * _SLOPE_NODES, law.lo, law.hi)
-            xs = np.concatenate((spread, np.linspace(law.lo, law.hi, 17)))
-            nodes.append(np.add.outer(xs, shifts).ravel())
-        nodes = np.unique(np.concatenate(nodes))
-        # midpoints too: across a gap between supports the slope is 0, not a turn
-        nodes = np.sort(np.concatenate((nodes, 0.5 * (nodes[:-1] + nodes[1:]))))
-        lo, hi, orient = [], [], []
-        for s in (1.0, -1.0):
-            d = slope(nodes, s)
-            turn = np.flatnonzero((d[:-1] < 0.0) & (d[1:] >= 0.0))
-            hi.append(nodes[turn + 1])
-            lo.append(np.where(d[turn + 1] == 0.0, hi[-1], nodes[turn]))  # a turn on a node needs no bisection
-            orient.append(np.full(turn.size, s))
-        lo, hi, orient = map(np.concatenate, (lo, hi, orient))
-    if np.any(lo < hi):
-        for _ in range(_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            up = slope(mid, orient) > 0.0
-            lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+        for s in (1.0, -1.0):  # the risk falls where -slope > 0, and turns where a falling cell ends
+            falls = [(-c.label * s * c.weight, c.law, gamma * c.label * s) for c in comps]
+            lo, hi, pos = _positive_cells([falls], -1.0 - gamma, 1.0 + gamma)
+            turns.append(hi[:-1][(pos[:-1] != 0.0) & (pos[1:] != 1.0)])  # NaN, unsettled, is neither
+            orient.append(np.full(turns[-1].size, s))
+            if np.any(np.isnan(pos) & (hi - lo > _SIGN_WIDTH)):  # a cell the finder gave up on may hide a turn
+                tol = math.inf
 
     both = np.concatenate((points - step, points, points + step))
-    theta = np.concatenate((both, both, 0.5 * (lo + hi)))
-    sign = np.concatenate((np.ones(both.size), -np.ones(both.size), orient))
+    theta = np.concatenate((both, both, *turns))
+    sign = np.concatenate((np.ones(both.size), -np.ones(both.size), *orient))
     if B == 0.0:  # only theta = 0 is in the class
         theta, sign, tol = np.zeros(2), np.array([1.0, -1.0]), 0.0
     if W == 0.0:
@@ -733,24 +760,25 @@ class BoundReport:
         }
 
 
-def _check_massart_on_dist(dist: LabeledDistribution, beta: float) -> int:
-    """Grid check of |eta - 1/2| >= beta off zero-density sets, and at every
-    location of an atom with mass; warns on violation and returns the number
-    of distinct violating locations."""
-    grid = np.linspace(-1.0, 1.0, 10001)
-    dens = np.zeros_like(grid)
-    for c in dist.continuous():
-        dens += c.weight * c.law.pdf(grid)
-    locs = np.array(list(dict.fromkeys(c.law.x for c in dist.atoms() if c.weight > 0.0)), dtype=float)
-    xs = np.concatenate((grid, locs))
-    checked = np.concatenate((dens > 1e-12, np.ones(locs.size, dtype=bool)))
-    bad = np.unique(xs[checked & (np.abs(dist.eta(xs) - 0.5) < beta - 1e-12)]).size
-    if bad:
-        warnings.warn(
-            f"distribution violates the beta={beta:g} noise condition at {bad} grid points and atom locations",
-            stacklevel=3,
-        )
-    return bad
+def _massart_masses(dist: LabeledDistribution, beta: float) -> tuple:
+    """(violating mass, unsettled mass, a violating location or None) of the
+    Massart condition |eta - 1/2| >= beta.  It fails exactly where
+    (1/2 + beta)*p- - (1/2 - beta)*p+ and (1/2 + beta)*p+ - (1/2 - beta)*p-
+    are both > 0, p+- the masses, or weighted densities, of each label: at
+    atom locations on their masses, elsewhere on the cells where
+    ``_positive_cells`` finds both density sums > 0, measured by the cdf."""
+    up, down = 0.5 + beta, 0.5 - beta
+    atoms = [(x, p + n) for x, (p, n) in dist._atom_mass.items() if up * n - down * p > 0.0 and up * p - down * n > 0.0]
+    comps = dist.continuous()
+    lo, hi, pos = _positive_cells([[((up if c.label == y else -down) * c.weight, c.law, 0.0) for c in comps]
+                                   for y in (-1, 1)], -1.0, 1.0)
+
+    def mass(cells):
+        return math.fsum(float(np.sum(c.weight * (c.law.cdf(hi[cells]) - c.law.cdf(lo[cells])))) for c in comps)
+
+    cells = np.flatnonzero(pos == 1.0)
+    where = atoms[0][0] if atoms else float(0.5 * (lo[cells[0]] + hi[cells[0]])) if cells.size else None
+    return math.fsum(m for _, m in atoms) + mass(cells), mass(np.isnan(pos)), where
 
 
 def _holds(lhs: float, rhs: float, se_lhs: float, se_rhs: float) -> bool:
@@ -798,6 +826,8 @@ def assemble_bound(
     raises ``ValueError``.  In Monte Carlo mode both risks come from one
     shared sample, reduced block by block (``_mc_risks``), with delta-method
     standard errors, rhs's through Gamma's largest one-sided derivative at y.
+    A Massart beta that the distribution breaks on positive mass
+    (``_massart_masses``) raises ``ValueError`` before any risk is computed.
     """
     if spec.cls is HypothesisClass.ONE_HIDDEN_RELU:
         raise ValueError("bound reports refuse the ReLU class: it has no zero-one best-in-class route, "
@@ -811,7 +841,10 @@ def assemble_bound(
         h.validate(spec)  # a bound about H says nothing about an h outside it
     _, inverse = select_transform(surrogate, spec, massart)
     if massart is not None:
-        massart_violations = _check_massart_on_dist(dist, massart)
+        violating, unsettled, where = _massart_masses(dist, massart)
+        if violating > 0.0:
+            raise ValueError(f"the distribution breaks the Massart noise condition |eta - 1/2| >= {massart:g} on mass "
+                             f"{violating:.6g} (at x = {where!r}, for one); the bound assumes it almost surely")
 
     if isinstance(mode, MonteCarlo):
         (r_target, se_target), (r_surr, se_surr) = _mc_risks((ZERO_ONE, surrogate), h, dist, mode, spec.gamma)
@@ -846,7 +879,7 @@ def assemble_bound(
         ("quad_err", r_surr_err + e_target_err + e_surr_err),
     )
     if massart is not None:
-        prov += (("massart_violations", massart_violations),)
+        prov += (("massart_unsettled_mass", unsettled),)
     return BoundReport(
         lhs=lhs,
         rhs=gamma_val - m_target,

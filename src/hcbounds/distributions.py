@@ -203,14 +203,13 @@ class LabeledDistribution:
         atoms = tuple(c for c in comps if isinstance(c.law, Atom))
         object.__setattr__(self, "_atoms", atoms)
         object.__setattr__(self, "_continuous", tuple(c for c in comps if isinstance(c.law, TruncNormal)))
-        # eta at each atom location that carries mass, summed in component order
+        # the (+1, -1) masses at each atom location that carries mass, summed in component order, and eta there
         masses = {}
         for c in atoms:
             m_pos, m_neg = masses.get(c.law.x, (0.0, 0.0))
             masses[c.law.x] = (m_pos + c.weight, m_neg) if c.label > 0 else (m_pos, m_neg + c.weight)
-        object.__setattr__(
-            self, "_atom_eta", {x: p / (p + n) for x, (p, n) in masses.items() if p + n > 0.0}
-        )
+        object.__setattr__(self, "_atom_mass", {x: (p, n) for x, (p, n) in masses.items() if p + n > 0.0})
+        object.__setattr__(self, "_atom_eta", {x: p / (p + n) for x, (p, n) in self._atom_mass.items()})
 
     @classmethod
     def from_atoms(cls, atoms) -> "LabeledDistribution":

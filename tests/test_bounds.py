@@ -19,10 +19,10 @@ from hcbounds.bounds import (
     Exact,
     MonteCarlo,
     Target,
-    _check_massart_on_dist,
     _expect_min_conditional,
     _holds,
     _loss_values,
+    _massart_masses,
     _mc_risks,
     _score_kernel,
     _zero_one_risk,
@@ -377,6 +377,16 @@ _ATOM_AT_SUPPORT_END = LabeledDistribution(
     (Component(0.5, 1, TruncNormal(0.0, 1.0, 0.0, 1.0)), Component(0.5, -1, Atom(1.0)))
 )
 
+# a +1 lobe and a -1 lobe whose slope turns twice, about 3e-3 apart below their
+# shared support end 0.15875: between two of the nodes that once bracketed the
+# turns, where a search on them missed R* by 4.6e-8
+_TWO_CLOSE_TURNS = LabeledDistribution(
+    (
+        Component(0.31904838181246176, 1, TruncNormal(-1.0, 0.15875, 0.1, 0.15)),
+        Component(0.6809516181875382, -1, TruncNormal(-1.0, 0.15875, 0.0, 0.25)),
+    )
+)
+
 
 @st.composite
 def _linear_specs(draw):
@@ -414,13 +424,13 @@ class TestZeroOneThresholdSearch:
     @example(spec=HypothesisSpec(LIN, W=1.0, B=0.5), dist=sect7_nonadversarial(0.05))
     @example(spec=HypothesisSpec(LIN, W=5.0, B=1.0, gamma=0.1), dist=sect7_adversarial(0.1, 0.1))
     @example(spec=HypothesisSpec(LIN, W=1.0, B=math.inf), dist=_ATOM_AT_SUPPORT_END)
-    # overlapping lobes: the least risk lies where the slope turns, on a
-    # bracketing node (theta = 0, w > 0) and, with unequal lobes, between two
-    # (w < 0)
+    # overlapping lobes: the least risk lies where the slope turns, at theta = 0
+    # (w > 0) and, with unequal lobes, off the breakpoints (w < 0)
     @example(spec=HypothesisSpec(LIN, W=1.0, B=1.0), dist=LabeledDistribution(
         (Component(0.5, 1, TruncNormal(-1.0, 1.0, 0.3, 0.2)), Component(0.5, -1, TruncNormal(-1.0, 1.0, -0.3, 0.2)))))
     @example(spec=HypothesisSpec(LIN, W=2.0, B=0.3, gamma=0.05), dist=LabeledDistribution(
         (Component(0.6, -1, TruncNormal(-1.0, 1.0, 0.25, 0.2)), Component(0.4, 1, TruncNormal(-1.0, 0.9, -0.35, 0.3)))))
+    @example(spec=HypothesisSpec(LIN, W=1.0, B=1.0), dist=_TWO_CLOSE_TURNS)
     def test_matches_threshold_scan(self, spec, dist):
         self._check(spec, dist)
 
@@ -457,6 +467,45 @@ class TestZeroOneThresholdSearch:
         values = [best_in_class_risk(ZERO_ONE, HypothesisSpec(LIN, W=W, B=B, gamma=gamma), dist).value
                   for W, B in budgets]
         assert max(values) - min(values) <= 1e-12
+
+
+class TestPositiveCells:
+    """The sign-change finder's cells tile the interval, and each settled
+    cell's verdict holds at every point drawn in it."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(dist=_mixture(), beta=st.sampled_from([0.05, 0.25, 0.5]), gamma=st.sampled_from([0.0, 0.1]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_settled_cells_hold_at_drawn_points(self, dist, beta, gamma, seed):
+        comps = dist.continuous()
+        massart = [[((0.5 + beta if c.label == y else beta - 0.5) * c.weight, c.law, 0.0) for c in comps]
+                   for y in (-1, 1)]
+        falls = [[(-c.label * c.weight, c.law, gamma * c.label) for c in comps]]
+        for sums, lo, hi in ((massart, -1.0, 1.0), (falls, -1.0 - gamma, 1.0 + gamma)):
+            cl, cu, pos = bounds._positive_cells(sums, lo, hi)
+            assert cl[0] == lo and cu[-1] == hi and np.array_equal(cl[1:], cu[:-1]) and np.all(cl < cu)
+            xs = np.random.default_rng(seed).uniform(lo, hi, 5000)
+            values = [sum((a * law.pdf(xs + d) for a, law, d in terms), np.zeros(xs.size)) for terms in sums]
+            scale = 1e-12 * sum(sum((abs(a) * law.pdf(xs + d) for a, law, d in terms), np.zeros(xs.size))
+                                for terms in sums)
+            least, at = np.min(values, axis=0), pos[np.searchsorted(cu, xs)]
+            assert np.all(least[at == 1.0] > -scale[at == 1.0]) and np.all(least[at == 0.0] <= scale[at == 0.0])
+
+    def test_a_sum_that_cancels_exactly_is_one_settled_cell(self):
+        # two equal laws, not one object: they merge by value
+        law = TruncNormal(-1.0, 1.0, 0.0, 0.3)
+        cells = bounds._positive_cells([[(0.5, law, 0.0), (-0.5, TruncNormal(-1.0, 1.0, 0.0, 0.3), 0.0)]], -1.0, 1.0)
+        assert [c.tolist() for c in cells] == [[-1.0], [1.0], [0.0]]
+
+    def test_nearly_cancelling_lobes_stop_at_the_cell_budget(self):
+        # laws 1e-13 apart in mean: the interval bounds separate only on cells
+        # about as narrow, so the finder stops and says so (about 10 ms each)
+        dist = LabeledDistribution((Component(0.5, 1, TruncNormal(-1.0, 1.0, 0.0, 0.3)),
+                                    Component(0.5, -1, TruncNormal(-1.0, 1.0, 1e-13, 0.3))))
+        got = best_in_class_risk(ZERO_ONE, HypothesisSpec(LIN, W=1.0, B=1.0), dist)
+        assert got.tol == math.inf and abs(got.value - 0.5) < 1e-12
+        violating, unsettled, _ = _massart_masses(dist, 1e-300)  # 1/2 +- beta round to 1/2: no violation
+        assert violating == 0.0 and unsettled == pytest.approx(1.0)
 
 
 def _is_singleton(dist):
@@ -649,31 +698,30 @@ class TestAssembleBound:
             assert rep.rhs == pytest.approx(rq, abs=1e-6)
         assert rep.lhs == pytest.approx(r01, abs=1e-8)
         assert rep.holds
-        assert dict(rep.provenance)["massart_violations"] == 0
+        assert dict(rep.provenance)["massart_unsettled_mass"] == 0.0
 
-    def test_massart_warns_on_violating_distribution(self):
+    def test_massart_refuses_a_violating_distribution(self):
         d = singleton(0.3, 0.6)  # |eta - 1/2| = 0.1 < 0.25
         spec = HypothesisSpec(ALL)
         h = LinearHypothesis((1.0,), 0.0)
-        with pytest.warns(UserWarning, match="at 1 grid points and atom locations"):
-            rep = assemble_bound(Target.ZERO_ONE, quadratic(), spec, d, h, massart=0.25)
-        assert dict(rep.provenance)["massart_violations"] == 1  # one location, two atoms
+        with pytest.raises(ValueError, match=r"\|eta - 1/2\| >= 0.25 on mass 1 \(at x = 0.3, for one\)"):
+            assemble_bound(Target.ZERO_ONE, quadratic(), spec, d, h, massart=0.25)
         plain = assemble_bound(Target.ZERO_ONE, quadratic(), spec, d, h)
-        assert "massart_violations" not in dict(plain.provenance)
+        assert "massart_unsettled_mass" not in dict(plain.provenance)
+        # at |eta - 1/2| = beta exactly the condition holds: 0.6*0.4 - 0.4*0.6 is 0, not > 0
+        rep = assemble_bound(Target.ZERO_ONE, quadratic(), spec, d, h, massart=0.1)
+        assert dict(rep.provenance)["massart_unsettled_mass"] == 0.0
 
-    def test_massart_violations_count_locations_not_atoms(self):
-        d = LabeledDistribution.from_atoms([(0.0, 1.0, 0.5)])  # two atoms at x = 0
+    def test_massart_refusal_sums_the_atoms_at_a_location(self):
+        d = LabeledDistribution.from_atoms([(0.0, 1.0, 0.5)])  # two atoms at x = 0, of mass 1/2 each
         h = LinearHypothesis((1.0,), 0.0)
-        with pytest.warns(UserWarning, match="at 1 grid points and atom locations"):
-            rep = assemble_bound(Target.ZERO_ONE, quadratic(), HypothesisSpec(ALL), d, h, massart=0.5)
-        assert dict(rep.provenance)["massart_violations"] == 1
+        with pytest.raises(ValueError, match=r"on mass 1 \(at x = 0.0, for one\)"):
+            assemble_bound(Target.ZERO_ONE, quadratic(), HypothesisSpec(ALL), d, h, massart=0.5)
 
     def test_massart_skips_zero_weight_atoms(self):
         # no mass sits at x = 0, where eta is 1/2 by convention
         d = LabeledDistribution((Component(1.0, 1, Atom(0.5)), Component(0.0, -1, Atom(0.0))))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert _check_massart_on_dist(d, 0.5) == 0
+        assert _massart_masses(d, 0.5) == (0.0, 0.0, None)
 
     @pytest.mark.parametrize("beta", [0.5, 0.25, 0.1])
     @pytest.mark.parametrize(
@@ -695,37 +743,41 @@ class TestAssembleBound:
         ],
         ids=["nonadv-0.2", "nonadv-0.02", "adv-0.2", "adv-0.02", "overlap"],
     )
-    def test_massart_count_matches_scalar_loop(self, dist, beta):
-        # the overlap case's atoms sit on the grid point x = 0, counted once;
-        # eta by the scalar definition, not the package's array form
-        def reference(dist, beta):
-            bad = set()
-            for x in np.linspace(-1.0, 1.0, 10001):
-                dens = sum(c.weight * c.law.pdf(float(x)) for c in dist.continuous())
-                if dens > 1e-12 and abs(_eta_reference(dist, float(x)) - 0.5) < beta - 1e-12:
-                    bad.add(float(x))
-            for c in dist.atoms():
-                if c.weight > 0.0 and abs(_eta_reference(dist, c.law.x) - 0.5) < beta - 1e-12:
-                    bad.add(c.law.x)
-            return len(bad)
+    def test_massart_mass_matches_a_dense_midpoint_rule(self, dist, beta):
+        # the violating mass by definition: the atoms' eta by the scalar rule, and the
+        # densities' mass where |eta - 1/2| < beta by the midpoint rule on 400,000
+        # cells of [-1, 1]; each of the at most four edges of the set and of the
+        # supports costs at most one cell's mass, 5e-6 times the largest density (< 1)
+        n = 400_000
+        xs = -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
+        p_pos = sum(c.weight * c.law.pdf(xs) for c in dist.continuous() if c.label > 0)
+        p_neg = sum(c.weight * c.law.pdf(xs) for c in dist.continuous() if c.label < 0)
+        total = p_pos + p_neg
+        eta = np.divide(p_pos, total, out=np.full(n, 0.5), where=total > 0.0)
+        want = float(np.sum(np.where((total > 0.0) & (np.abs(eta - 0.5) < beta), total, 0.0))) * (2.0 / n)
+        locs = {c.law.x for c in dist.atoms() if c.weight > 0.0}
+        want += sum(c.weight for c in dist.atoms() if abs(_eta_reference(dist, c.law.x) - 0.5) < beta)
+        got, unsettled, where = _massart_masses(dist, beta)
+        assert unsettled < 1e-10
+        assert got == pytest.approx(want, abs=2e-5)
+        assert (got > 0.0) == (want > 0.0) == (where is not None)
+        if where in locs:
+            assert abs(_eta_reference(dist, where) - 0.5) < beta
+        elif where is not None:
+            assert abs(dist.eta(np.array([where]))[0] - 0.5) < beta
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert _check_massart_on_dist(dist, beta) == reference(dist, beta)
-
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the Massart check tests a grid of spacing 2e-4, so a narrower violating band "
-                       "between two grid points goes unseen (ROADMAP item 29)")
     def test_massart_check_sees_a_narrow_band(self):
         # eta crosses (0.25, 0.75) on about [0.100075, 0.100185], a band of mass 3.4e-7
-        # between the grid points 0.1 and 0.1002
+        # between the points 0.1 and 0.1002 of a grid of spacing 2e-4
         dist = LabeledDistribution((Component(0.5, 1, TruncNormal(-1.0, 1.0, 0.10263, 0.0005)),
                                     Component(0.5, -1, TruncNormal(-1.0, 1.0, 0.09763, 0.0005))))
         xs = np.linspace(0.10008, 0.10018, 11)
         assert np.all(np.abs(dist.eta(xs) - 0.5) < 0.25)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert _check_massart_on_dist(dist, 0.25) > 0
+        got, unsettled, where = _massart_masses(dist, 0.25)
+        assert abs(got - 3.4e-7) < 1e-8 and unsettled < 1e-12 and 0.10007 < where < 0.10019
+        h = LinearHypothesis((1.0,), -0.1)
+        with pytest.raises(ValueError, match=r"on mass 3\.4\d*e-07"):
+            assemble_bound(Target.ZERO_ONE, quadratic(), HypothesisSpec(ALL), dist, h, massart=0.25)
 
     @pytest.mark.parametrize("n", [1, 1.5, True])
     def test_degenerate_monte_carlo_size_rejected(self, n):

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -322,6 +323,22 @@ class TestBoundCommand:
         code = main(["bound", "--loss", "quadratic", "--class", "all", "--dist", "sect7-nonadv",
                      "--massart-beta", "0.7"])
         assert code == 2
+
+    @pytest.mark.parametrize("dist, mass", [
+        # eta crosses (0.25, 0.75) on a band 1.1e-4 wide, between two points of a grid of spacing 2e-4
+        ({"components": [
+            {"weight": 0.5, "label": 1, "law": {"kind": "truncnormal", "lo": -1, "hi": 1, "mean": 0.10263, "std": 5e-4}},
+            {"weight": 0.5, "label": -1, "law": {"kind": "truncnormal", "lo": -1, "hi": 1, "mean": 0.09763, "std": 5e-4}},
+        ]}, r"3\.4\d*e-07"),
+        ({"components": [{"weight": 0.6, "label": 1, "law": {"kind": "atom", "x": 0.3}},
+                         {"weight": 0.4, "label": -1, "law": {"kind": "atom", "x": 0.3}}]}, "1"),
+    ], ids=["narrow-band", "atom-at-eta-0.6"])
+    def test_massart_violation_exits_2_naming_its_mass(self, capsys, dist, mass):
+        # |eta - 1/2| < 0.25 on positive mass lies outside the noise condition the bound assumes
+        code = main(["bound", "--loss", "quadratic", "--class", "all", "--massart-beta", "0.25", "--w", "1",
+                     "--b=-0.1", "--dist", json.dumps(dist)])
+        assert code == 2
+        assert re.search(rf"\|eta - 1/2\| >= 0.25 on mass {mass} \(at x = ", capsys.readouterr().err)
 
     def test_single_sample_monte_carlo_rejected(self, capsys):
         code = main(["bound", "--loss", "quadratic", "--class", "all", "--dist", "sect7-nonadv",
@@ -867,7 +884,7 @@ class TestExitCodes:
         (["sweep", "--experiment", "sect7-nonadv", "--n", "10000", "--sigmas", "0.2", "--w=-1000"],
          "the exponential risk of h(x) = -1000.0*x + 0.0 at sigma 0.2 is not finite"),
         (["bound", "--loss", "exponential", "--class", "all", "--w=-1000", "--b", "0", "--dist", "sect7-nonadv",
-          "--sigma", "0.2", "--mode", "mc", "--n", "200000"], "surrogate risk R_surrogate(h) is not finite"),
+          "--sigma", "0.2", "--mode", "mc", "--n", "200000"], "surrogate risk R_surrogate(h) is not finite (inf)"),
         # each leaf's hinge sum is finite, their total is not
         (["sweep", "--experiment", "sect7-adv", "--gamma", "0.1", "--n", "200000", "--sigmas", "0.2", "--w=-5e303"],
          "the hinge risk of h(x) = -5e+303*x + 0.0 at sigma 0.2 is not finite (mean inf"),

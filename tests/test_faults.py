@@ -201,6 +201,20 @@ def _refined_panels_drop_their_last_quarter(monkeypatch):
     _inject(monkeypatch, distributions, "_refine", refine)
 
 
+def _sign_cells_on_a_fixed_grid(monkeypatch):
+    """``_positive_cells`` read off 10,001 evenly spaced points, as the
+    Massart check once sampled [-1, 1]: a cell between two points is settled
+    when the least sum's sign agrees at both, unsettled otherwise."""
+
+    def cells(sums, lo, hi):
+        xs = np.linspace(lo, hi, 10001)
+        least = np.min([sum((a * law.pdf(xs + d) for a, law, d in terms), np.zeros(xs.size)) for terms in sums], axis=0)
+        pos = (least > 0.0).astype(float)
+        return xs[:-1], xs[1:], np.where(pos[:-1] == pos[1:], pos[1:], np.nan)
+
+    _inject(monkeypatch, bounds, "_positive_cells", cells)
+
+
 def _gauss_kronrod_exact_values():
     case = test_distributions.TestGaussKronrod()
     case.test_narrow_normal_mass()
@@ -210,6 +224,16 @@ def _gauss_kronrod_exact_values():
 def _threshold_scan_at_the_atom_on_the_support_end():
     spec = HypothesisSpec(HypothesisClass.LINEAR, W=1.0, B=1.0)
     test_bounds.TestZeroOneThresholdSearch._check(spec, test_bounds._ATOM_AT_SUPPORT_END)
+
+
+def _threshold_scan_at_two_close_turns():
+    spec = HypothesisSpec(HypothesisClass.LINEAR, W=1.0, B=1.0)
+    test_bounds.TestZeroOneThresholdSearch._check(spec, test_bounds._TWO_CLOSE_TURNS)
+
+
+def _narrow_massart_band_and_two_close_turns():
+    test_bounds.TestAssembleBound().test_massart_check_sees_a_narrow_band()
+    _threshold_scan_at_two_close_turns()
 
 
 # fault name: (injection, the independent check that must catch it)
@@ -264,6 +288,8 @@ FAULTS = {
         _pure_lines_without_the_flat_piece,
         lambda: [test_closed_form.test_closed_form_e_cstar_matches_the_quadrature(seed) for seed in (2, 3)],
     ),
+    # the Massart witness and the threshold witness each catch it alone
+    "sign-changes-on-a-fixed-grid": (_sign_cells_on_a_fixed_grid, _narrow_massart_band_and_two_close_turns),
     # no independent check catches these yet
     "gamma-x1.01-logistic": (
         _gamma_times(1.01, LossFamily.LOGISTIC), test_bounds.TestAssembleBound().test_holds_on_random_exact_instances
