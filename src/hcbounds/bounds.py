@@ -28,19 +28,21 @@ Risks are standard at gamma = 0 (sign(0) = +1) and robust, the loss's
 supremum over the gamma-ball, at gamma > 0: ``risk``'s gamma, or the spec's
 for ``best_in_class_risk``, alone selects the setting.  Exact zero-one risks
 are closed-form tail masses.  Exact margin-loss risks (``_margin_risk``,
-which also bounds the search's cells) are closed form for the hinge,
-quadratic, rho-margin and exponential losses: truncated-normal partial
-moments of order 0-2 between the kinks, or a truncated moment generating
-function.  E[C*] is closed form on a label-pure component, one that meets
-no continuous component of the other label: the same means of the loss at
-the class's best score, or nothing where C* is 0 there.  The logistic and
-sigmoid risks, and E[C*] on every other component, integrate the truncated
-normals through ``distributions._integrate_continuous``, which owns the
-quadrature and its tolerances; a report's ``provenance`` key ``quad_err``
-sums the error estimates of the quadratures it ran, and the closed forms
-add nothing to it.  ``_positive_cells`` certifies where signed sums of
-truncated-normal densities are positive, for the zero-one search's turns
-and the Massart check's violating mass.  scipy is used only for the normal
+which also bounds the search's cells), and E[C*] on a label-pure component,
+one that meets no continuous component of the other label, are one kind of
+mean, ``_line_means``: the loss at the largest of a few margin lines (h's,
+or the class's best score) over a truncated normal.  It is closed form for
+the hinge, quadratic, rho-margin and exponential losses (truncated-normal
+partial moments of order 0-2 between the kinks, or a truncated moment
+generating function) and a quadrature for the logistic and sigmoid losses.
+E[C*] integrates eta only on label-mixed components, on the ReLU class and
+on rho-margin's standard route.  Every quadrature runs through
+``distributions._integrate_continuous``, which owns its tolerances; a
+report's ``provenance`` key ``quad_err`` sums the error estimates of the
+quadratures it ran, and the closed forms add nothing to it.
+``_positive_cells`` certifies where signed sums of truncated-normal
+densities are positive, for the zero-one search's turns and the Massart
+check's violating mass.  scipy is used only for the normal
 cdf, its inverse and ``erfcx``, imported on first use.
 """
 
@@ -50,6 +52,7 @@ import enum
 import heapq
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -239,20 +242,6 @@ def _mc_risks(losses, h, dist, mode, gamma) -> list:
     return out
 
 
-def _largest_margins(hs, gamma, xs, label):
-    """Each point's largest margin over the linear hypotheses hs."""
-    margins = _score_kernel(hs[0].w, hs[0].b, xs, label, gamma)[1]
-    for h in hs[1:]:
-        margins = np.maximum(margins, _score_kernel(h.w, h.b, xs, label, gamma)[1])
-    return margins
-
-
-def _margin_integrand(loss, hs, gamma, c):
-    """Continuous component c's integrand of ``_margin_risk``: the loss at
-    each node's largest margin over hs, times c's density."""
-    return lambda xs: eval_margin_loss(loss, _largest_margins(hs, gamma, xs, c.label)) * c.law.pdf(xs)
-
-
 def _loss_piece(loss, m) -> tuple:
     """(scale, root, k): the hinge, quadratic or rho-margin loss is
     scale*(root - m')^k on the piece of the margin line that holds m."""
@@ -271,6 +260,11 @@ def _exp_to(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return math.inf
+
+
+def _crossings(lines) -> list:
+    """The x where two of the margin lines a*x + c cross, NaN for two infinite c."""
+    return [(c2 - c) / (a - a2) for i, (a, c) in enumerate(lines) for a2, c2 in lines[i + 1 :] if a2 != a]
 
 
 def _closed_form_mean(loss, law, lines) -> float:
@@ -299,11 +293,10 @@ def _closed_form_mean(loss, law, lines) -> float:
     lo, hi = law.lo, law.hi
     fam = loss.family
     kinks = () if fam is LossFamily.EXPONENTIAL else (0.0, loss.rho) if fam is LossFamily.RHO_MARGIN else (1.0,)
-    cuts = {lo, hi}
-    for i, (a, c) in enumerate(lines):
+    cuts = {lo, hi, *_crossings(lines)}
+    for a, c in lines:
         if a != 0.0:
             cuts.update((k - c) / a for k in kinks)
-        cuts.update((c2 - c) / (a - a2) for a2, c2 in lines[i + 1 :] if a2 != a)
     xs = sorted(x for x in cuts if lo <= x <= hi)  # NaN and the far side of the support drop out
     zs = [(x - mu) / sd for x in xs]
     cdf = ndtr(np.array(zs + [-z for z in zs])).tolist()
@@ -348,31 +341,39 @@ def _closed_form_mean(loss, law, lines) -> float:
     return total / law._mass
 
 
+def _line_means(loss, comps, lines_of, total: float) -> tuple:
+    """(total + sum of weight * E[loss(max of the lines a*x + c)], error
+    estimate) over the truncated normals comps, added in their order, with
+    ``lines_of(comp)`` a component's lines (a, c).  The one choice between
+    closed form and quadrature: ``_closed_form_mean`` (error 0), but the
+    logistic and sigmoid losses, which have no kinks, integrate through
+    ``distributions._integrate_continuous``, first panels split where lines
+    cross.  An overflowing loss is inf, with no floating-point warning; the
+    quadrature raises ``QuadratureError`` on it."""
+    if loss.family in (LossFamily.LOGISTIC, LossFamily.SIGMOID):
+        def integrand_on(comp):  # every node lies in comp's support
+            lines, density = lines_of(comp), comp.law._density
+            return lambda xs: eval_margin_loss(loss, reduce(np.maximum, [a * xs + c for a, c in lines])) * density(xs)
+
+        cuts = [x for comp in comps for x in _crossings(lines_of(comp))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _integrate_continuous(comps, integrand_on, cuts, total)
+    for comp in comps:
+        if comp.weight:
+            total += comp.weight * _closed_form_mean(loss, comp.law, lines_of(comp))
+    return total, 0.0
+
+
 def _margin_risk(loss, dist, hs, gamma) -> tuple:
     """(risk, error estimate) of the margin loss taken at each point's
-    largest margin over the linear hypotheses hs: the atoms summed, then each
-    truncated normal's part added, in component order.  For hs = (h,) it is
-    the exact risk of h.
-
-    Hinge, quadratic, rho-margin and exponential risks are closed form
-    (``_closed_form_mean``, error estimate 0); on a component of label y the
-    margins are the lines y*(w*x + b) - gamma*|w|.  Logistic and sigmoid
-    risks, which have no kinks, integrate ``_margin_integrand`` by
-    ``distributions._integrate_continuous``.  An overflowing loss makes the
-    risk inf, with no floating-point warning; the quadrature raises
-    ``QuadratureError`` on it.
-    """
+    largest margin over the linear hypotheses hs: the atoms summed, then
+    ``_line_means`` of the truncated normals, whose lines on label y are
+    y*w*x + y*b - gamma*|w|.  For hs = (h,) it is the exact risk of h."""
     with np.errstate(over="ignore", invalid="ignore"):
-        atoms = sum(c.weight * float(eval_margin_loss(loss, _largest_margins(hs, gamma, c.law.x, c.label)))
-                    for c in dist.atoms())
-        if loss.family in (LossFamily.LOGISTIC, LossFamily.SIGMOID):
-            return _integrate_continuous(dist.continuous(), lambda c: _margin_integrand(loss, hs, gamma, c), (), atoms)
-    total = atoms
-    for c in dist.continuous():
-        lines = list(dict.fromkeys((c.label * h.w, c.label * h.b - gamma * abs(h.w)) for h in hs))
-        if c.weight:
-            total += c.weight * _closed_form_mean(loss, c.law, lines)
-    return total, 0.0
+        atoms = sum(c.weight * float(eval_margin_loss(loss, max(_score_kernel(h.w, h.b, c.law.x, c.label, gamma)[1]
+                                                                 for h in hs))) for c in dist.atoms())
+    lines_of = lambda c: list(dict.fromkeys((c.label * h.w, c.label * h.b - gamma * abs(h.w)) for h in hs))
+    return _line_means(loss, dist.continuous(), lines_of, atoms)
 
 
 def risk(
@@ -662,18 +663,18 @@ def _pure_lines(loss, spec):
     C*(x, 0) = C*(x, 1) takes the loss: the score bound (+-W, B), or on the
     worst-case route (+-W, B - gamma*W) and (0, B), whose largest is
     W*max(|x|, gamma) - gamma*W + B.  [] where C* is 0 at eta in {0, 1}
-    (the zero-one loss, the unrestricted class); None where
-    ``_closed_form_mean`` does not cover the loss on this route, or the
-    class is ReLU."""
+    (the zero-one loss, the unrestricted class); None for the ReLU class,
+    whose best score has no closed form, and for rho-margin's standard
+    route, the one margin loss whose label-pure E[C*] still integrates eta."""
     if isinstance(loss, ZeroOneLoss) or spec.cls is HypothesisClass.ALL:
         return []
     if spec.cls is not HypothesisClass.LINEAR:
         return None
-    W, B, g, fam = spec.W, spec.B, spec.gamma, loss.family
+    W, B, g = spec.W, spec.B, spec.gamma
     if g > 0.0:
-        return [(W, B - g * W), (-W, B - g * W), (0.0, B)] if fam in (LossFamily.HINGE, LossFamily.RHO_MARGIN) else None
+        return [(W, B - g * W), (-W, B - g * W), (0.0, B)]
     # rho-margin's standard route integrates until ROADMAP item 3 re-pins pool op (28, 3) to its closed form
-    return [(W, B), (-W, B)] if fam in (LossFamily.HINGE, LossFamily.QUADRATIC, LossFamily.EXPONENTIAL) else None
+    return None if loss.family is LossFamily.RHO_MARGIN else [(W, B), (-W, B)]
 
 
 def _expect_min_conditional(loss, spec, dist) -> tuple:
@@ -684,28 +685,28 @@ def _expect_min_conditional(loss, spec, dist) -> tuple:
     On a label-pure continuous component, one that meets no continuous
     component of the other label, eta is that label's 1 or 0 wherever it has
     density and no atom sits, and C* is the loss at the class's best score:
-    the component adds nothing where that loss is 0 and
-    ``_closed_form_mean`` of ``_pure_lines`` where it covers the loss:
-    the hinge, quadratic and exponential losses on the standard route, the
-    hinge and rho-margin losses on the worst-case route.  Atoms are summed,
-    and the other components integrate through ``_expectation``, so the
-    error estimate is theirs alone.  A worst-case convex loss raises
+    the component adds nothing where that loss is 0, and otherwise
+    ``_line_means`` of ``_pure_lines``, closed form but for the logistic and
+    sigmoid losses.  Atoms are summed, and eta is integrated through
+    ``_expectation`` only on label-mixed components, on the ReLU class and
+    on rho-margin's standard route.  A worst-case convex loss raises
     ``ValueError`` (``_adversarial_bracket``) before anything is computed.
     """
     if isinstance(loss, ZeroOneLoss):
         cstar = lambda x_abs, e: np.minimum(e, 1.0 - e)
     elif spec.adversarial:
-        cstar = _adversarial_bracket(loss, spec, lower_only=True)
+        bracket = _adversarial_bracket(loss, spec)
+        cstar = lambda x_abs, e: bracket(x_abs, e)[0]
     else:
         cstar = _min_risk(loss, spec)
     lines = _pure_lines(loss, spec)
     comps = dist.continuous()
     pure = [lines is not None and all(o.label == c.label for o in _meeting(dist, c)) for c in comps]
     value, err = _expectation(dist, lambda x, e: cstar(np.abs(x), e), (), [c for c, p in zip(comps, pure) if not p])
-    for c, p in zip(comps, pure):
-        if p and lines and c.weight:
-            value += c.weight * _closed_form_mean(loss, c.law, lines)
-    return value, err
+    if not lines:  # C* is 0 on the label-pure components
+        return value, err
+    value, pure_err = _line_means(loss, [c for c, p in zip(comps, pure) if p], lambda c: lines, value)
+    return value, err + pure_err
 
 
 # ---------------------------------------------------------------------------
@@ -991,7 +992,12 @@ class NegativeResultDemo:
 def negative_result_demo(surrogate: MarginLoss, spec: HypothesisSpec) -> NegativeResultDemo:
     """Singleton construction showing worst-case convex/sigmoid surrogates give
     nothing: at eta = 1/2 the zero hypothesis has surrogate estimation error 0
-    but target (robust) estimation error exactly 1/2."""
+    but target (robust) estimation error exactly 1/2.  Every risk is ``risk``
+    on the singleton at x = 0, the best-in-class ones ``best_in_class_risk``
+    for a linear class; a ReLU class has no search, so there they are the
+    risks of the zero hypothesis (phi(0), which no h beats at eta = 1/2) and
+    of the bias-only witness h = (0, Lambda*B) (1/2, its sign is right for
+    one label)."""
     if not spec.adversarial:
         raise ValueError("the construction is adversarial; spec needs gamma > 0")
     if spec.cls not in (HypothesisClass.LINEAR, HypothesisClass.ONE_HIDDEN_RELU):
@@ -1000,17 +1006,16 @@ def negative_result_demo(surrogate: MarginLoss, spec: HypothesisSpec) -> Negativ
         raise ValueError("class must contain strictly positive worst-case scores (B > 0)")
     if surrogate.family is LossFamily.RHO_MARGIN:
         raise ValueError("the rho-margin family admits a nontrivial guarantee; no demo")
-    phi0 = float(eval_margin_loss(surrogate, 0.0))
-    # h0 = 0 at the distinguishing point: both worst-case scores are 0.
-    r_surr_h0 = 0.5 * phi0 + 0.5 * phi0
-    r_surr_star = phi0  # attained by h0; no h does better at eta = 1/2
-    r_target_h0 = 1.0  # both label-wise robust indicators fire
-    r_target_star = 0.5  # sign-definite hypotheses exist (b = B > 0)
-    point = ConditionalPoint(0.0, 0.5)
+    singleton, h0 = LabeledDistribution.from_atoms([(0.0, 1.0, 0.5)]), LinearHypothesis((0.0,), 0.0)
+    r_surr_h0 = risk(surrogate, h0, singleton, Exact(), spec.gamma)[0]  # both worst-case margins are 0
+    r_target_h0 = risk(ZERO_ONE, h0, singleton, Exact(), spec.gamma)[0]  # both robust indicators fire
     if spec.cls is HypothesisClass.LINEAR:
-        oracle = brute_force_inf(surrogate, spec, point, grid_n=2001)
+        oracle = brute_force_inf(surrogate, spec, ConditionalPoint(0.0, 0.5), grid_n=2001)
+        r_surr_star = best_in_class_risk(surrogate, spec, singleton).value
+        r_target_star = best_in_class_risk(ZERO_ONE, spec, singleton).value
     else:
-        oracle = math.nan
+        oracle, r_surr_star = math.nan, r_surr_h0
+        r_target_star = risk(ZERO_ONE, LinearHypothesis((0.0,), spec.margin_scale()), singleton, Exact(), spec.gamma)[0]
     return NegativeResultDemo(
         surrogate_estimation_error=r_surr_h0 - r_surr_star,
         target_estimation_error=r_target_h0 - r_target_star,

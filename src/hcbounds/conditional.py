@@ -144,11 +144,10 @@ def min_conditional_risk(loss: MarginLoss, spec: HypothesisSpec, point: Conditio
     return _min_risk(loss, spec)(point.x_norm_p, point.t)
 
 
-def _adversarial_bracket(loss: MarginLoss, spec: HypothesisSpec, lower_only: bool = False):
+def _adversarial_bracket(loss: MarginLoss, spec: HypothesisSpec):
     """f(|x|, t) -> (lo, hi): ``min_conditional_risk_adversarial``'s bracket
-    on arrays of |x| and t that broadcast, or f(|x|, t) -> lo alone with
-    ``lower_only``.  The class and loss are checked here, once, not at every
-    point."""
+    on arrays of |x| and t that broadcast.  The class and loss are checked
+    here, once, not at every point."""
     if not spec.adversarial:
         raise ValueError("adversarial minimal conditional risk requires gamma > 0")
     if spec.cls not in (HypothesisClass.LINEAR, HypothesisClass.ONE_HIDDEN_RELU):
@@ -166,10 +165,8 @@ def _adversarial_bracket(loss: MarginLoss, spec: HypothesisSpec, lower_only: boo
         # score.  Hinge / sigmoid: the lower bound decouples the two worst-case
         # scores, the upper bound takes the bias-only witness (reach margin_scale).
         lo = min_risk_symmetric(loss, reach_hi, t)
-        if lower_only:
-            return lo
         upper_reach = reach_lo if fam is LossFamily.RHO_MARGIN else spec.margin_scale()
-        return lo, min_risk_symmetric(loss, upper_reach, t)
+        return lo, lo if upper_reach is reach_hi else min_risk_symmetric(loss, upper_reach, t)  # linear rho: exact
 
     return bracket
 

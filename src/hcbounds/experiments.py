@@ -160,7 +160,9 @@ def _run_cells(cfg, experiment, losses, extras):
         *m2s, total = _leaf_totals(n, second)
         means.append(total / n)
         m2s += _leaf_totals(n, lambda a, b: [_squares_sum(arg[a:b], means[-1])])
-        (lhs, se_lhs), *stats = [(float(m), math.sqrt(m2 / (n - 1)) / math.sqrt(n)) for m, m2 in zip(means, m2s)]
+        # an overflowed loss's mean is inf and its M2 inf - inf: its stderr reads inf, as ``_mc_risks``' does
+        (lhs, se_lhs), *stats = [(float(m), math.sqrt(m2 / (n - 1)) / math.sqrt(n) if math.isfinite(m) else math.inf)
+                                 for m, m2 in zip(means, m2s)]
         stats = dict(zip(order, stats))
         rows = []
         for k, (loss, extra) in enumerate(zip(losses, extras)):

@@ -990,6 +990,25 @@ def test_expected_min_conditional_sees_the_score_bound_kink():
     assert rep.e_cstar_surrogate == pytest.approx(want, rel=1e-6)
 
 
+# (loss, gamma): the six losses on the standard route, the three with a worst-case closed form on the worst-case one
+_E_CSTAR_ROUTES = [(loss, 0.0) for loss in _MARGIN_LOSSES]
+_E_CSTAR_ROUTES += [(hinge(), 0.1), (sigmoid(1.0), 0.1), (rho_margin(0.5), 0.1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(dist=_mixture(), route=st.sampled_from(_E_CSTAR_ROUTES), W=st.floats(0.0, 5.0), B=st.floats(0.0, 1.5),
+       more=st.floats(0.0, 2.0))
+def test_expected_min_conditional_is_non_increasing_in_the_budgets(dist, route, W, B, more):
+    # a larger W or B gives a larger class, so a smaller infimum at every x;
+    # allowance: both quadrature error estimates, and 1e-12 of rounding.  About 1.5 s
+    loss, gamma = route
+    spec = HypothesisSpec(LIN, W=W, B=B, gamma=gamma)
+    value, err = _expect_min_conditional(loss, spec, dist)
+    for larger in (dataclasses.replace(spec, W=W + more), dataclasses.replace(spec, B=B + more)):
+        larger_value, larger_err = _expect_min_conditional(loss, larger, dist)
+        assert larger_value <= value + err + larger_err + 1e-12, larger
+
+
 def _count_best_in_class_calls(monkeypatch):
     calls = []
     real = bounds.best_in_class_risk

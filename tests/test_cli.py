@@ -896,6 +896,15 @@ class TestExitCodes:
         assert msg in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_overflowing_sweep_reads_an_infinite_stderr(self, tmp_path, monkeypatch, capsys, threads):
+        # as ``bound --mode mc`` reads it: the spread about an inf mean, inf - inf, is no NaN stderr
+        monkeypatch.setenv("HCB_THREADS", threads)
+        command = ["sweep", "--experiment", "sect7-nonadv", "--n", "10000", "--sigmas", "0.2", "--w=-1000"]
+        assert main([*command, "--out", str(tmp_path / "o")]) == 2
+        assert "is not finite (mean inf, stderr inf)" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_subnormal_slope_clips_its_threshold_to_a_support_end(self, tmp_path, capsys):
         # -b/w overflows to -inf: the truncated normals' error masses are whole or empty
         out = tmp_path / "b.json"

@@ -284,6 +284,7 @@ FAULTS = {
         _every_component_label_pure, test_distributions.TestExpectation().test_min_eta_matches_a_dense_rule
     ),
     "refined-panels-drop-their-last-quarter": (_refined_panels_drop_their_last_quarter, _gauss_kronrod_exact_values),
+    # worst-case sigmoid (seed 2, which integrates) and hinge (3, closed form) each catch it alone
     "e-cstar-closed-form-drops-the-flat-piece": (
         _pure_lines_without_the_flat_piece,
         lambda: [test_closed_form.test_closed_form_e_cstar_matches_the_quadrature(seed) for seed in (2, 3)],
