@@ -348,8 +348,11 @@ def _line_means(loss, comps, lines_of, total: float) -> tuple:
     closed form and quadrature: ``_closed_form_mean`` (error 0), but the
     logistic and sigmoid losses, which have no kinks, integrate through
     ``distributions._integrate_continuous``, first panels split where lines
-    cross.  An overflowing loss is inf, with no floating-point warning; the
-    quadrature raises ``QuadratureError`` on it."""
+    cross and, on each component, at its own scale
+    (``TruncNormal._scale_splits``), so that a component narrow against its
+    support is not missed between the nodes.  An overflowing loss is inf,
+    with no floating-point warning; the quadrature raises
+    ``QuadratureError`` on it."""
     if loss.family in (LossFamily.LOGISTIC, LossFamily.SIGMOID):
         def integrand_on(comp):  # every node lies in comp's support
             lines, density = lines_of(comp), comp.law._density
@@ -357,7 +360,7 @@ def _line_means(loss, comps, lines_of, total: float) -> tuple:
 
         cuts = [x for comp in comps for x in _crossings(lines_of(comp))]
         with np.errstate(over="ignore", invalid="ignore"):
-            return _integrate_continuous(comps, integrand_on, cuts, total)
+            return _integrate_continuous(comps, integrand_on, lambda comp: (*cuts, *comp.law._scale_splits), total)
     for comp in comps:
         if comp.weight:
             total += comp.weight * _closed_form_mean(loss, comp.law, lines_of(comp))

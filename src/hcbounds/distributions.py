@@ -72,6 +72,7 @@ _QUAD_ABS_TOL = 1e-8
 _QUAD_REL_TOL = 1e-10
 _QUAD_EPSABS = 1e-10  # the adaptive rule stops once its error estimate is below this or _QUAD_REL_TOL * |value|
 _QUAD_LIMIT = 200  # most panels one integral may evaluate, checked before each round
+_SCALE_SPLITS = (-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0)  # in stds from a truncated normal's mean
 _SAMPLE_CHUNK = 1 << 20  # draws per Philox substream
 _SAMPLE_BLOCK = 1 << 16  # draws per sampling task
 
@@ -128,6 +129,14 @@ class TruncNormal:
         if self._upper:
             return float(self._lo_tail - self._tail(self.hi))
         return float(self._tail(self.hi) - self._lo_tail)
+
+    @property
+    def _scale_splits(self) -> list:
+        """mean + std * {0, +-1, +-2, +-4, +-8} inside (lo, hi): first-panel
+        splits at the law's own scale, so that a component narrow against its
+        support cannot fall between the 21 nodes of a panel, which would then
+        read about 0 with an error estimate about 0."""
+        return [x for k in _SCALE_SPLITS if self.lo < (x := self.mean + k * self.std) < self.hi]
 
     def _density(self, x):
         """The density at the array x, taken as if every x lay in the support."""
@@ -531,20 +540,23 @@ def _refine(lo, hi):
     return np.concatenate(cuts[:-1]), np.concatenate(cuts[1:])
 
 
-def _integrate_continuous(components, integrand_on, points, total: float):
+def _integrate_continuous(components, integrand_on, points_on, total: float):
     """(total + sum of weight * integral, sum of weight * error estimate)
     over the continuous components given, added in their order.
 
     ``integrand_on(c)`` maps 1-D node arrays to the integrand over component
     c's support, its density included; ``_gauss_kronrod`` integrates it,
-    first panels split at ``points``.  Raises ``QuadratureError`` when a
-    component's error estimate exceeds 1e-8.  The logistic and sigmoid risks
-    and ``expectation`` integrate here, starting from their atoms' part.
+    first panels split at ``points_on(c)``.  The logistic and sigmoid risks
+    (``bounds._line_means``) add each law's ``TruncNormal._scale_splits``
+    there; ``expectation`` splits only at its points and the support ends,
+    so it is blind to a component narrow against its support.  Raises
+    ``QuadratureError`` when a component's error estimate exceeds 1e-8.
+    Both callers start from their atoms' part.
     """
     error = 0.0
     for c in components:
         law = c.law
-        val, err = _gauss_kronrod(integrand_on(c), law.lo, law.hi, points)
+        val, err = _gauss_kronrod(integrand_on(c), law.lo, law.hi, points_on(c))
         if err > _QUAD_ABS_TOL:
             raise QuadratureError(
                 f"quadrature error {err:.2e} above tolerance {_QUAD_ABS_TOL:.0e} on [{law.lo}, {law.hi}]"
@@ -609,8 +621,8 @@ def _expectation(dist: LabeledDistribution, integrand, points, components) -> tu
 
         return f
 
-    ends = [end for c in dist.continuous() for end in (c.law.lo, c.law.hi)]
-    return _integrate_continuous(components, integrand_on, (*points, *ends), total)
+    splits = (*points, *(end for c in dist.continuous() for end in (c.law.lo, c.law.hi)))
+    return _integrate_continuous(components, integrand_on, lambda c: splits, total)
 
 
 def _law_to_json(law) -> dict:

@@ -6,7 +6,8 @@ instances, compares the closed-form minimal conditional risk against
 transform against the constrained-minus-unconstrained oracle infima
 minimized over an input-norm grid.  The worst-case rho-margin row for ReLU
 networks is checked by exact evaluation of sampled one-hidden-layer networks
-at d=1 against the closed-form bracket.
+at d=1 against the closed-form bracket.  Each row also reports its worst
+instance, recorded only when a row's largest deviation moves.
 
 The deviation threshold scales with grid resolution: tol(grid_n) =
 2e-3 * max(1, 4001/grid_n), matching the oracle's O(1/grid_n) accuracy.
@@ -33,15 +34,7 @@ from .conditional import (
     min_conditional_risk_adversarial,
 )
 from .hypotheses import HypothesisClass, HypothesisSpec
-from .losses import (
-    MarginLoss,
-    exponential,
-    hinge,
-    logistic,
-    quadratic,
-    rho_margin,
-    sigmoid,
-)
+from .losses import LossFamily, MarginLoss, rho_margin, sigmoid
 from .transforms import transform
 
 __all__ = ["OracleCheckRow", "run_oracle_checks", "BASE_TOLERANCE", "ONE_SIDED_TOLERANCE"]
@@ -61,21 +54,33 @@ class OracleCheckRow:
     passed: bool
     # max of closed - oracle over the min-risk comparisons; NaN on the bracket row
     max_closed_over_oracle: float
+    # the instance that set the row's largest deviation (``_instance``)
+    worst: dict
 
 
 def _tolerance(grid_n: int) -> float:
     return BASE_TOLERANCE * max(1.0, 4001.0 / grid_n)
 
 
-def _losses(rng) -> list:
-    return [
-        hinge(),
-        logistic(),
-        exponential(),
-        quadratic(),
-        sigmoid(k=float(rng.uniform(0.5, 2.0))),
-        rho_margin(rho=float(rng.uniform(0.5, 1.5))),
-    ]
+def _pick_loss(name: str, rng) -> MarginLoss:
+    """The loss named, its k or rho drawn; both are drawn for every loss, so
+    a row's stream does not depend on its loss."""
+    k, rho = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 1.5))
+    if name == "sigmoid":
+        return sigmoid(k)
+    if name == "rho-margin":
+        return rho_margin(rho)
+    return MarginLoss(LossFamily(name))
+
+
+def _instance(check, loss, spec, closed, oracle, **inputs) -> dict:
+    """A row's worst instance: the check that set its largest deviation
+    ("min-risk", "transform" or "bracket"), the loss and its k or rho, the
+    class and its budgets, the inputs given (x, t, t_arg) and the two values
+    compared, ``closed`` (tamper nudge included) and ``oracle``."""
+    param = {LossFamily.SIGMOID: {"k": loss.k}, LossFamily.RHO_MARGIN: {"rho": loss.rho}}.get(loss.family, {})
+    budgets = {"class": spec.cls.value, "W": spec.W, "B": spec.B, "Lambda": spec.Lambda, "gamma": spec.gamma}
+    return {"check": check, "loss": loss.family.value, **param, **budgets, **inputs, "closed": closed, "oracle": oracle}
 
 
 def _sample_spec(rng, cls: HypothesisClass, gamma: float = 0.0) -> HypothesisSpec:
@@ -93,41 +98,55 @@ def _sample_spec(rng, cls: HypothesisClass, gamma: float = 0.0) -> HypothesisSpe
 def _nonadv_row(loss_name, cls, instances, grid_n, seed, tamper):
     rng = np.random.default_rng(seed)
     nudge = 5.0 * _tolerance(grid_n)
-    dev_min = 0.0
-    over = -math.inf
-    dev_trans = 0.0
-    x_grid = np.linspace(0.0, 1.0, _X_GRID_POINTS)
+    dev_min = dev_trans = 0.0
+    over = worst_dev = -math.inf
+    worst = {}
+    # one oracle call per instance on 43 grids: the point's, then the
+    # constrained and the unconstrained grid at each x of the x grid
+    xs = np.empty(1 + _X_GRID_POINTS)
+    xs[1:] = np.linspace(0.0, 1.0, _X_GRID_POINTS)
+    ts = np.empty(1 + 2 * _X_GRID_POINTS)
     for _ in range(instances):
         loss = _pick_loss(loss_name, rng)
         spec = _sample_spec(rng, cls)
         point = ConditionalPoint(float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 1.0)))
         t_arg = float(rng.uniform(0.5, 1.0))
-        # one oracle call per instance: the point's grid, then the constrained
-        # and the unconstrained grid at each x of x_grid
-        lo, hi = _score_ranges(spec, np.r_[point.x_norm_p, x_grid], Constraint.NONE)
-        neg_lo, neg_hi = _score_ranges(spec, x_grid, Constraint.SCORE_NEGATIVE)
-        ts = np.r_[point.t, np.full(2 * _X_GRID_POINTS, t_arg)]
-        mins = _score_grids_inf(loss, ts, np.r_[lo[:1], neg_lo, lo[1:]], np.r_[hi[:1], neg_hi, hi[1:]], grid_n)
+        xs[0] = point.x_norm_p
+        lo, hi = _score_ranges(spec, xs, Constraint.NONE)
+        neg_lo, neg_hi = _score_ranges(spec, xs[1:], Constraint.SCORE_NEGATIVE)
+        ts[0], ts[1:] = point.t, t_arg
+        mins = _score_grids_inf(
+            loss, ts, np.concatenate((lo[:1], neg_lo, lo[1:])), np.concatenate((hi[:1], neg_hi, hi[1:])), grid_n
+        )
         closed = min_conditional_risk(loss, spec, point)
         if tamper:
             closed += nudge
         oracle = float(mins[0])
-        dev_min = max(dev_min, abs(closed - oracle))
+        dev = abs(closed - oracle)
+        dev_min = max(dev_min, dev)
         over = max(over, closed - oracle)
+        if dev > worst_dev:
+            worst_dev = dev
+            worst = _instance("min-risk", loss, spec, closed, oracle, x=point.x_norm_p, t=point.t, t_arg=t_arg)
         # transform vs constrained-minus-unconstrained infima, minimized over x
         fwd = float(transform(loss, spec)(2.0 * t_arg - 1.0))
         if tamper:
             fwd += nudge
         best = float(np.min(mins[1 : _X_GRID_POINTS + 1] - mins[_X_GRID_POINTS + 1 :]))
-        dev_trans = max(dev_trans, abs(fwd - best))
-    return dev_min, dev_trans, over
+        dev = abs(fwd - best)
+        dev_trans = max(dev_trans, dev)
+        if dev > worst_dev:
+            worst_dev = dev
+            worst = _instance("transform", loss, spec, fwd, best, x=point.x_norm_p, t=point.t, t_arg=t_arg)
+    return dev_min, dev_trans, over, worst
 
 
 def _adv_linear_row(instances, grid_n, seed, tamper):
     rng = np.random.default_rng(seed)
     nudge = 5.0 * _tolerance(grid_n)
     dev = 0.0
-    over = -math.inf
+    over = worst_dev = -math.inf
+    worst = {}
     for _ in range(instances):
         loss = rho_margin(rho=float(rng.uniform(0.5, 1.5)))
         spec = HypothesisSpec(
@@ -143,25 +162,34 @@ def _adv_linear_row(instances, grid_n, seed, tamper):
         oracle = brute_force_inf(loss, spec, point, Constraint.NONE, grid_n)
         dev = max(dev, abs(closed - oracle))
         over = max(over, closed - oracle)
-    return dev, over
+        if dev > worst_dev:
+            worst_dev = dev
+            worst = _instance("min-risk", loss, spec, closed, oracle, x=point.x_norm_p, t=point.t)
+    return dev, over, worst
 
 
 def _sample_networks(rng, spec):
     """(u, w, b) of an instance's 96 sampled networks of 1 to 3 hidden units,
     one per row, padded to 3 units with u = w = 0 (a padded unit adds 0).
-    The first two are the bias-only witnesses h = +-Lambda*relu(B): the sign
-    must come through u because a ReLU discards a negative bias."""
-    u, w = np.zeros((96, 3)), np.zeros((96, 3))
-    b = np.full(96, spec.B)
+
+    Five draws make all of them: the unit counts, a (96, 3) block of raw
+    outer weights, the 96 fractions of Lambda that their l1 norms are scaled
+    to, a (96, 3) block of w and the 96 biases, each masked to its network's
+    units.  A network's units are i.i.d.: raw and w uniform on [-1, 1] and
+    [-W, W], b uniform on [-B, B], and sum |u| = Lambda times a fraction
+    uniform on [0.2, 1].  Rows 0 and 1 are then the bias-only witnesses
+    h = +-Lambda*relu(B): the sign must come through u because a ReLU
+    discards a negative bias."""
+    n = 96
+    live = np.arange(3) < rng.integers(1, 4, n)[:, None]
+    raw = np.where(live, rng.uniform(-1.0, 1.0, (n, 3)), 0.0)
+    total = np.sum(np.abs(raw), axis=1)
+    scale = np.divide(spec.Lambda * rng.uniform(0.2, 1.0, n), total, out=np.zeros(n), where=total > 0.0)
+    u = raw * scale[:, None]
+    w = np.where(live, rng.uniform(-spec.W, spec.W, (n, 3)), 0.0)
+    b = rng.uniform(-spec.B, spec.B, n)
+    u[:2], w[:2], b[:2] = 0.0, 0.0, spec.B
     u[:2, 0] = spec.Lambda, -spec.Lambda
-    for trial in range(96):
-        n_units = int(rng.integers(1, 4))
-        if trial >= 2:
-            raw = rng.uniform(-1.0, 1.0, n_units)
-            total = np.sum(np.abs(raw))
-            u[trial, :n_units] = raw * (spec.Lambda * rng.uniform(0.2, 1.0) / total) if total else raw
-            w[trial, :n_units] = rng.uniform(-spec.W, spec.W, n_units)
-            b[trial] = rng.uniform(-spec.B, spec.B)
     return u, w, b
 
 
@@ -183,6 +211,8 @@ def _adv_relu_row(instances, seed, tamper):
     forms over one-hidden-layer ReLU networks."""
     rng = np.random.default_rng(seed)
     dev = 0.0
+    worst_violation = -math.inf
+    worst = {}
     for _ in range(instances):
         loss = rho_margin(rho=float(rng.uniform(0.5, 1.5)))
         spec = _sample_spec(rng, cls=HypothesisClass.ONE_HIDDEN_RELU, gamma=float(rng.uniform(0.05, 0.3)))
@@ -195,7 +225,11 @@ def _adv_relu_row(instances, seed, tamper):
         best = float(_interval_risk(loss, t, h_lo, h_hi).min())
         violation = max(lo - best, best - hi)  # sampled min must land inside [lo, hi]
         dev = max(dev, max(violation, 0.0))
-    return dev
+        if violation > worst_violation:
+            worst_violation = violation
+            nearer = lo if lo - best >= best - hi else hi
+            worst = _instance("bracket", loss, spec, nearer, best, x=x, t=t)
+    return dev, worst
 
 
 def run_oracle_checks(grid_n: int = 4001, instances: int = 25, seed: int = 0, tamper: bool = False):
@@ -206,33 +240,25 @@ def run_oracle_checks(grid_n: int = 4001, instances: int = 25, seed: int = 0, ta
         raise ValueError(f"instances must be >= 1, got {instances}")
     tol = _tolerance(grid_n)
 
-    def grid_row(label, dev_min, dev_trans, over):
+    def grid_row(label, dev_min, dev_trans, over, worst):
         trans_ok = math.isnan(dev_trans) or dev_trans <= tol
         passed = dev_min <= tol and trans_ok and over <= ONE_SIDED_TOLERANCE
-        return OracleCheckRow(label, instances, dev_min, dev_trans, tol, passed, over)
+        return OracleCheckRow(label, instances, dev_min, dev_trans, tol, passed, over, worst)
 
     rows = []
     fams = ["hinge", "logistic", "exponential", "quadratic", "sigmoid", "rho-margin"]
     for cls in (HypothesisClass.LINEAR, HypothesisClass.ONE_HIDDEN_RELU):
         for k, fam in enumerate(fams):
             row_seed = seed * 1009 + k + (0 if cls is HypothesisClass.LINEAR else 6)
-            dm, dt, over = _nonadv_row(fam, cls, instances, grid_n, row_seed, tamper)
-            rows.append(grid_row(f"{fam} / {cls.value}", dm, dt, over))
-    dev, over = _adv_linear_row(instances, grid_n, seed * 1009 + 12, tamper)
-    rows.append(grid_row("sup-rho-margin / linear", dev, math.nan, over))
-    dev = _adv_relu_row(instances, seed * 1009 + 13, tamper)
+            rows.append(grid_row(f"{fam} / {cls.value}", *_nonadv_row(fam, cls, instances, grid_n, row_seed, tamper)))
+    dev, over, worst = _adv_linear_row(instances, grid_n, seed * 1009 + 12, tamper)
+    rows.append(grid_row("sup-rho-margin / linear", dev, math.nan, over, worst))
+    dev, worst = _adv_relu_row(instances, seed * 1009 + 13, tamper)
     relu_tol = 1e-9  # bracket check is exact; any violation is a logic error
     rows.append(
         OracleCheckRow(
             "sup-rho-margin / relu (bracket)", instances, dev, math.nan, relu_tol, dev <= relu_tol,
-            math.nan,
+            math.nan, worst,
         )
     )
     return rows
-
-
-def _pick_loss(name: str, rng) -> MarginLoss:
-    for loss in _losses(rng):
-        if loss.family.value == name:
-            return loss
-    raise ValueError(f"unknown loss name {name!r}")

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import test_distributions
@@ -144,6 +144,41 @@ class TestRisk:
         # True is what a stale positional call passes for the removed flag
         with pytest.raises(ValueError, match=r"gamma must lie in \[0, 1\)"):
             risk(ZERO_ONE, LinearHypothesis((1.0,), 0.0), sect7_nonadversarial(0.1), Exact(), gamma)
+
+
+def _z_midpoint_mean(loss, law, cells=24000):
+    """E[loss(x)] under the truncated normal law by a midpoint rule on the
+    z-scale x = mean + std*z, z cut to [-12, 12]: its cells follow the law's
+    own width, whatever the support."""
+    zl = max((law.lo - law.mean) / law.std, -12.0)
+    zu = min((law.hi - law.mean) / law.std, 12.0)
+    z = zl + (np.arange(cells) + 0.5) * ((zu - zl) / cells)
+    phi = np.exp(-0.5 * z * z)
+    return float(np.sum(eval_margin_loss(loss, law.mean + law.std * z) * phi) / np.sum(phi))
+
+
+class TestNarrowComponents:
+    """Exact logistic and sigmoid risks on a component narrow against its
+    support.  Before the quadrature split each component at its own scale,
+    h = (1, 0) on one +1 component TruncNormal(-1, 1, 0.1, sigma) read the
+    right 0.929686 at sigma = 0.01, 5.6e-129 at 2e-3 and 0 at 5e-4, each
+    with an error estimate about 0: every node missed the density."""
+
+    @pytest.mark.parametrize("loss", [logistic(), sigmoid(2.0)], ids=["logistic", "sigmoid"])
+    @pytest.mark.parametrize("sigma", [0.01, 2e-3, 5e-4])
+    def test_risk_matches_a_z_scale_midpoint_rule(self, loss, sigma):
+        d = LabeledDistribution((Component(1.0, 1, TruncNormal(-1.0, 1.0, 0.1, sigma)),))
+        value, _, quad_err = risk(loss, LinearHypothesis((1.0,), 0.0), d, Exact(), with_error=True)
+        assert abs(value - _z_midpoint_mean(loss, d.components[0].law)) <= quad_err + 1e-12
+        assert quad_err <= 1e-13
+
+    def test_far_tail_component_matches_a_high_precision_reference(self):
+        # the support starts 25 std above the mean, so the density falls by e
+        # every 1.6e-4 from lo; the reference is mpmath at 40 digits, the
+        # integral taken in u = x - lo with breakpoints at multiples of std^2/lo
+        d = LabeledDistribution((Component(1.0, 1, TruncNormal(0.1, 1.0, 0.0, 0.004)),))
+        value, _, quad_err = risk(logistic(), LinearHypothesis((1.0,), 0.0), d, Exact(), with_error=True)
+        assert abs(value - 0.92955857346808741095) <= quad_err + 1e-12
 
 
 def _hexdigest(values):
@@ -1007,6 +1042,43 @@ def test_expected_min_conditional_is_non_increasing_in_the_budgets(dist, route, 
     for larger in (dataclasses.replace(spec, W=W + more), dataclasses.replace(spec, B=B + more)):
         larger_value, larger_err = _expect_min_conditional(loss, larger, dist)
         assert larger_value <= value + err + larger_err + 1e-12, larger
+
+
+@settings(max_examples=40, deadline=None)
+@given(dist=_mixture(), w=st.floats(-5.0, 5.0), b=st.floats(-1.0, 1.0),
+       gammas=st.lists(st.floats(0.0, 0.99), min_size=1, max_size=4))
+def test_robust_zero_one_risk_is_non_decreasing_in_gamma(dist, w, b, gammas):
+    # a larger ball can only put more points' worst case on the wrong side; the
+    # allowance is the rounding of a sum of at most 12 weighted tail masses.  About 0.2 s
+    h = LinearHypothesis((w,), b)
+    values = [risk(ZERO_ONE, h, dist, Exact(), g)[0] for g in sorted({0.0, *gammas})]
+    assert all(lower <= higher + 1e-14 for lower, higher in zip(values, values[1:])), values
+
+
+def _reflected(dist):
+    """dist under x -> -x: each atom mirrored, each truncated normal as
+    TruncNormal(-hi, -lo, -mean, std), weights and labels kept."""
+    def mirror(law):
+        return Atom(-law.x) if isinstance(law, Atom) else TruncNormal(-law.hi, -law.lo, -law.mean, law.std)
+
+    return LabeledDistribution(tuple(Component(c.weight, c.label, mirror(c.law)) for c in dist.components))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dist=_mixture(), loss=st.sampled_from((ZERO_ONE, *_MARGIN_LOSSES)), w=st.floats(-5.0, 5.0),
+       b=st.floats(-1.0, 1.0), gamma=st.sampled_from([0.0, 0.1, 0.3]))
+def test_risk_is_unchanged_by_reflection(dist, loss, w, b, gamma):
+    # w*x + b is (-w)*(-x) + b, so h = (w, b) on dist and (-w, b) on its mirror
+    # have the same risk; a truncated normal whose support lies above its mean
+    # takes the upper-tail formulas and its mirror the lower-tail ones.  The
+    # zero-one loss is left out where an atom's score is exactly 0, since
+    # sign(0) = +1.  About 0.8 s
+    if isinstance(loss, ZeroOneLoss):
+        assume(all(w * c.law.x + b != 0.0 for c in dist.atoms()))
+    value, _, err = risk(loss, LinearHypothesis((w,), b), dist, Exact(), gamma, with_error=True)
+    mirrored, _, mirrored_err = risk(loss, LinearHypothesis((-w,), b), _reflected(dist), Exact(), gamma,
+                                     with_error=True)
+    assert abs(value - mirrored) <= 1e-12 * (1.0 + abs(value)) + err + mirrored_err
 
 
 def _count_best_in_class_calls(monkeypatch):

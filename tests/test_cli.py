@@ -547,7 +547,7 @@ class TestOracleCheckCommand:
         assert hinge_row["max_closed_over_oracle"] >= 1e-6 and not hinge_row["passed"]
         assert rows["sup-rho-margin / linear"]["passed"]
         fields = {"label", "instances", "max_dev_min_risk", "max_dev_transform", "max_closed_over_oracle",
-                  "threshold", "passed"}
+                  "threshold", "passed", "worst"}
         assert all(set(r) == fields for r in rows.values())
 
     def test_out_carries_meta(self, tmp_path):

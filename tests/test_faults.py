@@ -162,7 +162,7 @@ def _margin_risk_at_the_least_margin(monkeypatch):
         atoms = sum(c.weight * float(losses(c.law.x, c.label)) for c in dist.atoms())
         return distributions._integrate_continuous(
             dist.continuous(), lambda c: lambda xs: losses(xs, c.label) * c.law.pdf(xs),
-            test_closed_form.kink_points(loss, hs, gamma), atoms,
+            lambda c: test_closed_form.kink_points(loss, hs, gamma), atoms,
         )
 
     _inject(monkeypatch, bounds, "_margin_risk", margin_risk)
@@ -199,6 +199,18 @@ def _refined_panels_drop_their_last_quarter(monkeypatch):
         return lo[: 3 * lo.size // 4], hi[: 3 * hi.size // 4]
 
     _inject(monkeypatch, distributions, "_refine", refine)
+
+
+def _line_means_without_the_component_scale(monkeypatch):
+    """The logistic and sigmoid risks' first panels split where lines cross
+    only, as before each truncated normal added splits at its own scale."""
+    monkeypatch.setattr(distributions.TruncNormal, "_scale_splits", property(lambda law: []))
+
+
+def _narrow_components_of_both_losses():
+    case = test_bounds.TestNarrowComponents()
+    for loss in (test_bounds.logistic(), test_bounds.sigmoid(2.0)):
+        case.test_risk_matches_a_z_scale_midpoint_rule(loss, 2e-3)
 
 
 def _sign_cells_on_a_fixed_grid(monkeypatch):
@@ -291,6 +303,10 @@ FAULTS = {
     ),
     # the Massart witness and the threshold witness each catch it alone
     "sign-changes-on-a-fixed-grid": (_sign_cells_on_a_fixed_grid, _narrow_massart_band_and_two_close_turns),
+    # the logistic and the sigmoid witness each catch it alone
+    "line-means-first-panels-without-the-component-scale": (
+        _line_means_without_the_component_scale, _narrow_components_of_both_losses
+    ),
     # no independent check catches these yet
     "gamma-x1.01-logistic": (
         _gamma_times(1.01, LossFamily.LOGISTIC), test_bounds.TestAssembleBound().test_holds_on_random_exact_instances

@@ -1,4 +1,5 @@
-"""Oracle-check rows: argument checks, row field types, the ReLU bracket row."""
+"""Oracle-check rows: argument checks, row field types, the worst-instance
+field, the ReLU bracket row and its network sampler."""
 
 import copy
 import dataclasses
@@ -9,16 +10,25 @@ import numpy as np
 import pytest
 
 from hcbounds.cli import main
-from hcbounds.conditional import ConditionalPoint, _interval_risk, min_conditional_risk_adversarial
-from hcbounds.hypotheses import HypothesisClass
-from hcbounds.losses import rho_margin
+from hcbounds.conditional import (
+    ConditionalPoint,
+    Constraint,
+    _interval_risk,
+    brute_force_inf,
+    min_conditional_risk,
+    min_conditional_risk_adversarial,
+)
+from hcbounds.hypotheses import HypothesisClass, HypothesisSpec
+from hcbounds.losses import LossFamily, MarginLoss, rho_margin
 from hcbounds.oracle_check import (
     OracleCheckRow,
+    _tolerance,
     _relu_ball_extrema,
     _sample_networks,
     _sample_spec,
     run_oracle_checks,
 )
+from hcbounds.transforms import transform
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(OracleCheckRow)}
 
@@ -37,7 +47,44 @@ def test_row_fields_keep_python_types(tamper):
     for row in rows:
         for name, annotation in _FIELD_TYPES.items():
             assert type(getattr(row, name)).__name__ == annotation, (row.label, name)
+        assert {"check", "loss", "class", "W", "B", "Lambda", "gamma", "x", "t", "closed", "oracle"} <= row.worst.keys()
+        for key, value in row.worst.items():
+            assert type(value) in (str, float), (row.label, key)
     json.dumps([dataclasses.asdict(r) for r in rows])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_worst_instance_rebuilds_the_values_compared(seed):
+    """A tampered row's worst instance, rebuilt from the field alone, gives
+    back the closed form (plus the tamper nudge) and the oracle value that
+    the row compared, bit for bit.  About 0.3 s a seed."""
+    grid_n = 401
+    nudge = 5.0 * _tolerance(grid_n)
+    rows = run_oracle_checks(grid_n=grid_n, instances=3, seed=seed, tamper=True)
+    assert all(not row.passed for row in rows)
+    for row in rows[:13]:
+        got = row.worst
+        loss = MarginLoss(LossFamily(got["loss"]), k=got.get("k", 1.0), rho=got.get("rho", 1.0))
+        spec = HypothesisSpec(HypothesisClass(got["class"]), got["W"], got["B"], got["Lambda"], got["gamma"])
+        point = ConditionalPoint(got["x"], got["t"])
+        if got["check"] == "transform":
+            closed = transform(loss, spec)(2.0 * got["t_arg"] - 1.0)
+            xs = np.linspace(0.0, 1.0, 21)
+            oracle = min(
+                brute_force_inf(loss, spec, ConditionalPoint(x, got["t_arg"]), Constraint.SCORE_NEGATIVE, grid_n)
+                - brute_force_inf(loss, spec, ConditionalPoint(x, got["t_arg"]), Constraint.NONE, grid_n)
+                for x in xs
+            )
+        else:
+            assert got["check"] == "min-risk"
+            closed = (min_conditional_risk_adversarial(loss, spec, point)[0] if spec.adversarial
+                      else min_conditional_risk(loss, spec, point))
+            oracle = brute_force_inf(loss, spec, point, Constraint.NONE, grid_n)
+        assert (float(closed) + nudge).hex() == got["closed"].hex(), row.label
+        assert float(oracle).hex() == got["oracle"].hex(), row.label
+        assert abs(got["closed"] - got["oracle"]) == max(row.max_dev_min_risk, np.nan_to_num(row.max_dev_transform))
+    relu = rows[13].worst
+    assert relu["check"] == "bracket" and relu["closed"] - relu["oracle"] >= 1.0 - 1e-9
 
 
 def test_out_round_trip(tmp_path):
@@ -51,20 +98,26 @@ def test_out_round_trip(tmp_path):
 
 def _scalar_relu_best(rng, spec, loss, x, t):
     """The ReLU row's sampled minimum, one network at a time, from
-    ``sum(u*relu(w*c + b))`` at the ball ends and the kinks inside it."""
+    ``sum(u*relu(w*c + b))`` at the ball ends and the kinks inside it; the
+    draws are ``_sample_networks``' five, and network j takes the first
+    n_units[j] entries of row j of each block."""
+    n_units = rng.integers(1, 4, 96)
+    raw_all = rng.uniform(-1.0, 1.0, (96, 3))
+    fractions = rng.uniform(0.2, 1.0, 96)
+    w_all = rng.uniform(-spec.W, spec.W, (96, 3))
+    b_all = rng.uniform(-spec.B, spec.B, 96)
     best = math.inf
     for trial in range(96):
-        n_units = int(rng.integers(1, 4))
         if trial < 2:
             u = np.array([spec.Lambda if trial == 0 else -spec.Lambda])
             w = np.array([0.0])
             b = spec.B
         else:
-            raw = rng.uniform(-1.0, 1.0, n_units)
+            raw = raw_all[trial, : n_units[trial]]
             total = np.sum(np.abs(raw))
-            u = raw * (spec.Lambda * rng.uniform(0.2, 1.0) / total) if total else raw
-            w = rng.uniform(-spec.W, spec.W, n_units)
-            b = float(rng.uniform(-spec.B, spec.B))
+            u = raw * (spec.Lambda * fractions[trial] / total) if total else raw
+            w = w_all[trial, : n_units[trial]]
+            b = float(b_all[trial])
         cands = [x - spec.gamma, x + spec.gamma]
         for wj in w:
             if wj != 0.0 and x - spec.gamma < -b / wj < x + spec.gamma:
@@ -76,8 +129,8 @@ def _scalar_relu_best(rng, spec, loss, x, t):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_relu_row_best_matches_the_one_network_loop(seed):
-    """The padded array form draws the same networks, in the same order, and
-    finds the same per-instance minimum, bit for bit."""
+    """The padded array form draws the same networks as the one-network loop
+    and finds the same per-instance minimum, bit for bit."""
     rng = np.random.default_rng(seed)
     for _ in range(3):
         loss = rho_margin(rho=float(rng.uniform(0.5, 1.5)))
@@ -91,3 +144,25 @@ def test_relu_row_best_matches_the_one_network_loop(seed):
         assert rng.bit_generator.state == twin.bit_generator.state
         lo, hi = min_conditional_risk_adversarial(loss, spec, ConditionalPoint(x, t))
         assert lo - 1e-9 <= got <= hi + 1e-9
+
+
+def test_sampled_networks_stay_inside_the_class():
+    """Every drawn network is in the class: sum |u| <= Lambda, |w| <= W and
+    |b| <= B; rows 0 and 1 are the witnesses +-Lambda*relu(B); a network's
+    padded units have u = w = 0 and its live ones do not; and every unit
+    count from 1 to 3 occurs.  200 instances, about 0.05 s."""
+    rng = np.random.default_rng(46)
+    counts = set()
+    for _ in range(200):
+        spec = _sample_spec(rng, cls=HypothesisClass.ONE_HIDDEN_RELU, gamma=0.1)
+        n_units = copy.deepcopy(rng).integers(1, 4, 96)
+        u, w, b = _sample_networks(rng, spec)
+        assert np.all(np.sum(np.abs(u), axis=1) <= spec.Lambda * (1.0 + 1e-12))
+        assert np.all(np.abs(w) <= spec.W) and np.all(np.abs(b) <= spec.B)
+        assert u[:2].tolist() == [[spec.Lambda, 0.0, 0.0], [-spec.Lambda, 0.0, 0.0]]
+        assert not w[:2].any() and b[:2].tolist() == [spec.B, spec.B]
+        padded = np.arange(3) >= n_units[2:, None]
+        assert not u[2:][padded].any() and not w[2:][padded].any()
+        assert np.all(u[2:][~padded] != 0.0) and np.all(w[2:][~padded] != 0.0)
+        counts.update(n_units[2:].tolist())
+    assert counts == {1, 2, 3}
