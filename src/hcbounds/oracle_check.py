@@ -73,14 +73,20 @@ def _pick_loss(name: str, rng) -> MarginLoss:
     return MarginLoss(LossFamily(name))
 
 
-def _instance(check, loss, spec, closed, oracle, **inputs) -> dict:
-    """A row's worst instance: the check that set its largest deviation
+def _instance(check, loss, spec, closed, oracle, x, t, t_arg=None) -> dict:
+    """A row's worst instance, from the tuple of these arguments that a row
+    keeps while it runs: the check that set its largest deviation
     ("min-risk", "transform" or "bracket"), the loss and its k or rho, the
-    class and its budgets, the inputs given (x, t, t_arg) and the two values
-    compared, ``closed`` (tamper nudge included) and ``oracle``."""
-    param = {LossFamily.SIGMOID: {"k": loss.k}, LossFamily.RHO_MARGIN: {"rho": loss.rho}}.get(loss.family, {})
-    budgets = {"class": spec.cls.value, "W": spec.W, "B": spec.B, "Lambda": spec.Lambda, "gamma": spec.gamma}
-    return {"check": check, "loss": loss.family.value, **param, **budgets, **inputs, "closed": closed, "oracle": oracle}
+    class and its budgets, the inputs x, t and (non-adversarial rows) t_arg,
+    and the two values compared, ``closed`` (tamper nudge included) and
+    ``oracle``.  An empty dict when no deviation was a number."""
+    if check is None:
+        return {}
+    fam = loss.family
+    param = {"k": loss.k} if fam is LossFamily.SIGMOID else {"rho": loss.rho} if fam is LossFamily.RHO_MARGIN else {}
+    inputs = {"x": x, "t": t} if t_arg is None else {"x": x, "t": t, "t_arg": t_arg}
+    return {"check": check, "loss": fam.value, **param, "class": spec.cls.value, "W": spec.W, "B": spec.B,
+            "Lambda": spec.Lambda, "gamma": spec.gamma, **inputs, "closed": closed, "oracle": oracle}
 
 
 def _sample_spec(rng, cls: HypothesisClass, gamma: float = 0.0) -> HypothesisSpec:
@@ -100,24 +106,24 @@ def _nonadv_row(loss_name, cls, instances, grid_n, seed, tamper):
     nudge = 5.0 * _tolerance(grid_n)
     dev_min = dev_trans = 0.0
     over = worst_dev = -math.inf
-    worst = {}
+    worst = (None,) * 7
     # one oracle call per instance on 43 grids: the point's, then the
     # constrained and the unconstrained grid at each x of the x grid
     xs = np.empty(1 + _X_GRID_POINTS)
     xs[1:] = np.linspace(0.0, 1.0, _X_GRID_POINTS)
     ts = np.empty(1 + 2 * _X_GRID_POINTS)
+    zeros = np.zeros(_X_GRID_POINTS)
     for _ in range(instances):
         loss = _pick_loss(loss_name, rng)
         spec = _sample_spec(rng, cls)
         point = ConditionalPoint(float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 1.0)))
         t_arg = float(rng.uniform(0.5, 1.0))
         xs[0] = point.x_norm_p
-        lo, hi = _score_ranges(spec, xs, Constraint.NONE)
-        neg_lo, neg_hi = _score_ranges(spec, xs[1:], Constraint.SCORE_NEGATIVE)
         ts[0], ts[1:] = point.t, t_arg
-        mins = _score_grids_inf(
-            loss, ts, np.concatenate((lo[:1], neg_lo, lo[1:])), np.concatenate((hi[:1], neg_hi, hi[1:])), grid_n
-        )
+        # SCORE_NEGATIVE's grid at x is [lo, 0]: every drawn spec has B > 0, so
+        # each x has a strictly negative score
+        lo, hi = _score_ranges(spec, xs, Constraint.NONE)
+        mins = _score_grids_inf(loss, ts, np.concatenate((lo, lo[1:])), np.concatenate((hi[:1], zeros, hi[1:])), grid_n)
         closed = min_conditional_risk(loss, spec, point)
         if tamper:
             closed += nudge
@@ -126,8 +132,7 @@ def _nonadv_row(loss_name, cls, instances, grid_n, seed, tamper):
         dev_min = max(dev_min, dev)
         over = max(over, closed - oracle)
         if dev > worst_dev:
-            worst_dev = dev
-            worst = _instance("min-risk", loss, spec, closed, oracle, x=point.x_norm_p, t=point.t, t_arg=t_arg)
+            worst_dev, worst = dev, ("min-risk", loss, spec, closed, oracle, point.x_norm_p, point.t, t_arg)
         # transform vs constrained-minus-unconstrained infima, minimized over x
         fwd = float(transform(loss, spec)(2.0 * t_arg - 1.0))
         if tamper:
@@ -136,9 +141,8 @@ def _nonadv_row(loss_name, cls, instances, grid_n, seed, tamper):
         dev = abs(fwd - best)
         dev_trans = max(dev_trans, dev)
         if dev > worst_dev:
-            worst_dev = dev
-            worst = _instance("transform", loss, spec, fwd, best, x=point.x_norm_p, t=point.t, t_arg=t_arg)
-    return dev_min, dev_trans, over, worst
+            worst_dev, worst = dev, ("transform", loss, spec, fwd, best, point.x_norm_p, point.t, t_arg)
+    return dev_min, dev_trans, over, _instance(*worst)
 
 
 def _adv_linear_row(instances, grid_n, seed, tamper):
@@ -146,7 +150,7 @@ def _adv_linear_row(instances, grid_n, seed, tamper):
     nudge = 5.0 * _tolerance(grid_n)
     dev = 0.0
     over = worst_dev = -math.inf
-    worst = {}
+    worst = (None,) * 7
     for _ in range(instances):
         loss = rho_margin(rho=float(rng.uniform(0.5, 1.5)))
         spec = HypothesisSpec(
@@ -163,9 +167,8 @@ def _adv_linear_row(instances, grid_n, seed, tamper):
         dev = max(dev, abs(closed - oracle))
         over = max(over, closed - oracle)
         if dev > worst_dev:
-            worst_dev = dev
-            worst = _instance("min-risk", loss, spec, closed, oracle, x=point.x_norm_p, t=point.t)
-    return dev, over, worst
+            worst_dev, worst = dev, ("min-risk", loss, spec, closed, oracle, point.x_norm_p, point.t)
+    return dev, over, _instance(*worst)
 
 
 def _sample_networks(rng, spec):
@@ -212,7 +215,7 @@ def _adv_relu_row(instances, seed, tamper):
     rng = np.random.default_rng(seed)
     dev = 0.0
     worst_violation = -math.inf
-    worst = {}
+    worst = (None,) * 7
     for _ in range(instances):
         loss = rho_margin(rho=float(rng.uniform(0.5, 1.5)))
         spec = _sample_spec(rng, cls=HypothesisClass.ONE_HIDDEN_RELU, gamma=float(rng.uniform(0.05, 0.3)))
@@ -226,10 +229,9 @@ def _adv_relu_row(instances, seed, tamper):
         violation = max(lo - best, best - hi)  # sampled min must land inside [lo, hi]
         dev = max(dev, max(violation, 0.0))
         if violation > worst_violation:
-            worst_violation = violation
             nearer = lo if lo - best >= best - hi else hi
-            worst = _instance("bracket", loss, spec, nearer, best, x=x, t=t)
-    return dev, worst
+            worst_violation, worst = violation, ("bracket", loss, spec, nearer, best, x, t)
+    return dev, _instance(*worst)
 
 
 def run_oracle_checks(grid_n: int = 4001, instances: int = 25, seed: int = 0, tamper: bool = False):
