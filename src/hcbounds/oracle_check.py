@@ -6,8 +6,8 @@ instances, compares the closed-form minimal conditional risk against
 transform against the constrained-minus-unconstrained oracle infima
 minimized over an input-norm grid.  The worst-case rho-margin row for ReLU
 networks is checked by exact evaluation of sampled one-hidden-layer networks
-at d=1 against the closed-form bracket.  Each row also reports its worst
-instance, recorded only when a row's largest deviation moves.
+at d=1 against the closed-form bracket.  A row's ``_Record`` keeps its
+maxima and worst instance; a deviation that is not a number fails the row.
 
 The deviation threshold scales with grid resolution: tol(grid_n) =
 2e-3 * max(1, 4001/grid_n), matching the oracle's O(1/grid_n) accuracy.
@@ -42,6 +42,8 @@ __all__ = ["OracleCheckRow", "run_oracle_checks", "BASE_TOLERANCE", "ONE_SIDED_T
 BASE_TOLERANCE = 2e-3
 ONE_SIDED_TOLERANCE = 1e-12
 _X_GRID_POINTS = 21
+# limits other than the grid tolerance: one-sided, the linear bracket's width (exact: < 1e-12), ReLU bracket (exact)
+_LIMITS = {"over": ONE_SIDED_TOLERANCE, "collapse": math.nextafter(1e-12, 0.0), "bracket": 1e-9}
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,39 @@ class OracleCheckRow:
     max_closed_over_oracle: float
     # the instance that set the row's largest deviation (``_instance``)
     worst: dict
+
+
+def _exceeds(new, old) -> bool:
+    # new replaces old as a maximum: it is larger, or it is NaN and old is not
+    return old == old and not new <= old
+
+
+class _Record:
+    """A row's maxima, which every comparison of the row goes through: each
+    check's largest deviation (at least 0), the largest closed - oracle of
+    the one-sided "min-risk" checks (as check "over") and the worst
+    instance's ``_instance`` arguments.  A NaN deviation counts as the
+    largest and is kept, and a row passes when each check's largest
+    deviation is at most its limit (``_LIMITS``, else the grid tolerance)."""
+
+    def __init__(self, *checks):
+        self.dev = {check: -math.inf if check == "over" else 0.0 for check in checks}
+        self.worst_dev = -math.inf
+
+    def see(self, check, dev, loss, spec, closed, oracle, x, t, t_arg=None):
+        if _exceeds(dev, self.dev[check]):
+            self.dev[check] = dev
+        if check == "min-risk" and _exceeds(closed - oracle, self.dev["over"]):
+            self.dev["over"] = closed - oracle
+        if _exceeds(dev, self.worst_dev):
+            self.worst_dev, self.worst = dev, (check, loss, spec, closed, oracle, x, t, t_arg)
+
+    def row(self, label: str, instances: int, tol: float) -> OracleCheckRow:
+        dev, limit = self.dev, lambda check: _LIMITS.get(check, tol)
+        first = next(iter(dev))  # the row's min-risk column
+        passed = all(value <= limit(check) for check, value in dev.items())
+        return OracleCheckRow(label, instances, dev[first], dev.get("transform", math.nan), limit(first), passed,
+                              dev.get("over", math.nan), _instance(*self.worst))
 
 
 def _tolerance(grid_n: int) -> float:
@@ -74,14 +109,11 @@ def _pick_loss(name: str, rng) -> MarginLoss:
 
 
 def _instance(check, loss, spec, closed, oracle, x, t, t_arg=None) -> dict:
-    """A row's worst instance, from the tuple of these arguments that a row
-    keeps while it runs: the check that set its largest deviation
-    ("min-risk", "transform" or "bracket"), the loss and its k or rho, the
-    class and its budgets, the inputs x, t and (non-adversarial rows) t_arg,
-    and the two values compared, ``closed`` (tamper nudge included) and
-    ``oracle``.  An empty dict when no deviation was a number."""
-    if check is None:
-        return {}
+    """A row's worst instance: the check that set its largest deviation
+    ("min-risk", "transform", "bracket" or "collapse"), the loss and its k or
+    rho, the class and its budgets, the inputs (t_arg on non-adversarial
+    rows) and the two values compared: ``closed`` (tamper nudge included) and
+    ``oracle``, or for "collapse" the linear bracket's hi and lo."""
     fam = loss.family
     param = {"k": loss.k} if fam is LossFamily.SIGMOID else {"rho": loss.rho} if fam is LossFamily.RHO_MARGIN else {}
     inputs = {"x": x, "t": t} if t_arg is None else {"x": x, "t": t, "t_arg": t_arg}
@@ -104,9 +136,7 @@ def _sample_spec(rng, cls: HypothesisClass, gamma: float = 0.0) -> HypothesisSpe
 def _nonadv_row(loss_name, cls, instances, grid_n, seed, tamper):
     rng = np.random.default_rng(seed)
     nudge = 5.0 * _tolerance(grid_n)
-    dev_min = dev_trans = 0.0
-    over = worst_dev = -math.inf
-    worst = (None,) * 7
+    rec = _Record("min-risk", "transform", "over")
     # one oracle call per instance on 43 grids: the point's, then the
     # constrained and the unconstrained grid at each x of the x grid
     xs = np.empty(1 + _X_GRID_POINTS)
@@ -128,29 +158,20 @@ def _nonadv_row(loss_name, cls, instances, grid_n, seed, tamper):
         if tamper:
             closed += nudge
         oracle = float(mins[0])
-        dev = abs(closed - oracle)
-        dev_min = max(dev_min, dev)
-        over = max(over, closed - oracle)
-        if dev > worst_dev:
-            worst_dev, worst = dev, ("min-risk", loss, spec, closed, oracle, point.x_norm_p, point.t, t_arg)
+        rec.see("min-risk", abs(closed - oracle), loss, spec, closed, oracle, point.x_norm_p, point.t, t_arg)
         # transform vs constrained-minus-unconstrained infima, minimized over x
         fwd = float(transform(loss, spec)(2.0 * t_arg - 1.0))
         if tamper:
             fwd += nudge
         best = float(np.min(mins[1 : _X_GRID_POINTS + 1] - mins[_X_GRID_POINTS + 1 :]))
-        dev = abs(fwd - best)
-        dev_trans = max(dev_trans, dev)
-        if dev > worst_dev:
-            worst_dev, worst = dev, ("transform", loss, spec, fwd, best, point.x_norm_p, point.t, t_arg)
-    return dev_min, dev_trans, over, _instance(*worst)
+        rec.see("transform", abs(fwd - best), loss, spec, fwd, best, point.x_norm_p, point.t, t_arg)
+    return rec
 
 
 def _adv_linear_row(instances, grid_n, seed, tamper):
     rng = np.random.default_rng(seed)
     nudge = 5.0 * _tolerance(grid_n)
-    dev = 0.0
-    over = worst_dev = -math.inf
-    worst = (None,) * 7
+    rec = _Record("min-risk", "over", "collapse")
     for _ in range(instances):
         loss = rho_margin(rho=float(rng.uniform(0.5, 1.5)))
         spec = HypothesisSpec(
@@ -161,14 +182,11 @@ def _adv_linear_row(instances, grid_n, seed, tamper):
         )
         point = ConditionalPoint(float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 1.0)))
         lo, hi = min_conditional_risk_adversarial(loss, spec, point)
-        assert abs(hi - lo) < 1e-12  # exact for the linear class
         closed = lo + (nudge if tamper else 0.0)
         oracle = brute_force_inf(loss, spec, point, Constraint.NONE, grid_n)
-        dev = max(dev, abs(closed - oracle))
-        over = max(over, closed - oracle)
-        if dev > worst_dev:
-            worst_dev, worst = dev, ("min-risk", loss, spec, closed, oracle, point.x_norm_p, point.t)
-    return dev, over, _instance(*worst)
+        rec.see("min-risk", abs(closed - oracle), loss, spec, closed, oracle, point.x_norm_p, point.t)
+        rec.see("collapse", abs(hi - lo), loss, spec, hi, lo, point.x_norm_p, point.t)
+    return rec
 
 
 def _sample_networks(rng, spec):
@@ -213,9 +231,7 @@ def _adv_relu_row(instances, seed, tamper):
     """Sampled-network bracketing check for the worst-case rho-margin closed
     forms over one-hidden-layer ReLU networks."""
     rng = np.random.default_rng(seed)
-    dev = 0.0
-    worst_violation = -math.inf
-    worst = (None,) * 7
+    rec = _Record("bracket")
     for _ in range(instances):
         loss = rho_margin(rho=float(rng.uniform(0.5, 1.5)))
         spec = _sample_spec(rng, cls=HypothesisClass.ONE_HIDDEN_RELU, gamma=float(rng.uniform(0.05, 0.3)))
@@ -226,12 +242,10 @@ def _adv_relu_row(instances, seed, tamper):
             lo, hi = lo + 1.0, hi + 1.0  # shove the bracket clear of every sampled value
         h_lo, h_hi = _relu_ball_extrema(*_sample_networks(rng, spec), x, spec.gamma)
         best = float(_interval_risk(loss, t, h_lo, h_hi).min())
-        violation = max(lo - best, best - hi)  # sampled min must land inside [lo, hi]
-        dev = max(dev, max(violation, 0.0))
-        if violation > worst_violation:
-            nearer = lo if lo - best >= best - hi else hi
-            worst_violation, worst = violation, ("bracket", loss, spec, nearer, best, x, t)
-    return dev, _instance(*worst)
+        # the sampled min must land inside [lo, hi]: a signed violation, NaN when an end is
+        violation, nearer = (best - hi, hi) if _exceeds(best - hi, lo - best) else (lo - best, lo)
+        rec.see("bracket", violation, loss, spec, nearer, best, x, t)
+    return rec
 
 
 def run_oracle_checks(grid_n: int = 4001, instances: int = 25, seed: int = 0, tamper: bool = False):
@@ -240,27 +254,12 @@ def run_oracle_checks(grid_n: int = 4001, instances: int = 25, seed: int = 0, ta
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     if instances < 1:
         raise ValueError(f"instances must be >= 1, got {instances}")
-    tol = _tolerance(grid_n)
-
-    def grid_row(label, dev_min, dev_trans, over, worst):
-        trans_ok = math.isnan(dev_trans) or dev_trans <= tol
-        passed = dev_min <= tol and trans_ok and over <= ONE_SIDED_TOLERANCE
-        return OracleCheckRow(label, instances, dev_min, dev_trans, tol, passed, over, worst)
-
-    rows = []
+    tol, records = _tolerance(grid_n), {}
     fams = ["hinge", "logistic", "exponential", "quadratic", "sigmoid", "rho-margin"]
     for cls in (HypothesisClass.LINEAR, HypothesisClass.ONE_HIDDEN_RELU):
         for k, fam in enumerate(fams):
             row_seed = seed * 1009 + k + (0 if cls is HypothesisClass.LINEAR else 6)
-            rows.append(grid_row(f"{fam} / {cls.value}", *_nonadv_row(fam, cls, instances, grid_n, row_seed, tamper)))
-    dev, over, worst = _adv_linear_row(instances, grid_n, seed * 1009 + 12, tamper)
-    rows.append(grid_row("sup-rho-margin / linear", dev, math.nan, over, worst))
-    dev, worst = _adv_relu_row(instances, seed * 1009 + 13, tamper)
-    relu_tol = 1e-9  # bracket check is exact; any violation is a logic error
-    rows.append(
-        OracleCheckRow(
-            "sup-rho-margin / relu (bracket)", instances, dev, math.nan, relu_tol, dev <= relu_tol,
-            math.nan, worst,
-        )
-    )
-    return rows
+            records[f"{fam} / {cls.value}"] = _nonadv_row(fam, cls, instances, grid_n, row_seed, tamper)
+    records["sup-rho-margin / linear"] = _adv_linear_row(instances, grid_n, seed * 1009 + 12, tamper)
+    records["sup-rho-margin / relu (bracket)"] = _adv_relu_row(instances, seed * 1009 + 13, tamper)
+    return [rec.row(label, instances, tol) for label, rec in records.items()]

@@ -1081,6 +1081,42 @@ def test_risk_is_unchanged_by_reflection(dist, loss, w, b, gamma):
     assert abs(value - mirrored) <= 1e-12 * (1.0 + abs(value)) + err + mirrored_err
 
 
+def _flipped(dist):
+    """dist with every label flipped, weights and laws kept."""
+    return LabeledDistribution(tuple(Component(c.weight, -c.label, c.law) for c in dist.components))
+
+
+@settings(max_examples=50, deadline=None)
+@given(dist=_mixture(), loss=st.sampled_from((ZERO_ONE, *_MARGIN_LOSSES)), w=st.floats(-5.0, 5.0),
+       b=st.floats(-1.0, 1.0), gamma=st.sampled_from([0.0, 0.1, 0.3]))
+def test_risk_is_unchanged_by_a_label_flip(dist, loss, w, b, gamma):
+    # y*(w*x + b) - gamma*|w| is (-y)*(-w*x - b) - gamma*|-w|, so h on dist and
+    # -h on dist with every label flipped have the same risk, bit for bit: the
+    # kernel's lines y*w and y*b - gamma*|w|, and the zero-one error masses, are
+    # the same.  The zero-one loss is left out where a score is exactly 0 (an
+    # atom's, or every score at w = b = 0), since sign(0) = +1.  About 0.3 s
+    if isinstance(loss, ZeroOneLoss):
+        assume((w, b) != (0.0, 0.0) and all(w * c.law.x + b != 0.0 for c in dist.atoms()))
+    value = risk(loss, LinearHypothesis((w,), b), dist, Exact(), gamma)[0]
+    flipped = risk(loss, LinearHypothesis((-w,), -b), _flipped(dist), Exact(), gamma)[0]
+    assert value.hex() == flipped.hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(dist=_mixture(), loss=st.sampled_from((ZERO_ONE, hinge(), quadratic(), exponential())),
+       W=st.floats(0.0, 5.0), B=st.floats(0.0, 1.5))
+@example(dist=LabeledDistribution((Component(1.0, -1, Atom(0.0)),)), loss=hinge(), W=0.0, B=0.0)
+def test_best_in_class_risk_is_at_least_the_expected_min_conditional(dist, loss, W, B):
+    # every h in the class has conditional risk >= C*_H at each x, so R*_H >=
+    # E[C*_H]; allowance: E[C*]'s quadrature error estimate, and 1e-12 of
+    # rounding.  The zero-one search is exact, and these margin losses have
+    # closed-form risks, on which the search converges.  The example is tight:
+    # its only score is 0, so R*_H = E[C*_H] = 1.  About 0.5 s
+    spec = HypothesisSpec(LIN, W=W, B=B)
+    e_cstar, quad_err = _expect_min_conditional(loss, spec, dist)
+    assert best_in_class_risk(loss, spec, dist).value >= e_cstar - quad_err - 1e-12
+
+
 def _count_best_in_class_calls(monkeypatch):
     calls = []
     real = bounds.best_in_class_risk

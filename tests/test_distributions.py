@@ -294,12 +294,25 @@ def _ks_pvalues(dist, n, seed) -> list:
 
 class TestSamplerLaw:
     """Drawn positions follow their components' laws, per label, over
-    several sampling blocks."""
+    several sampling blocks, and each labeled atom is drawn at its weight."""
 
     @pytest.mark.parametrize("name", sorted(KS_DISTS))
     def test_positions_match_the_components_cdf(self, name):
         pvalues = _ks_pvalues(KS_DISTS[name], KS_N, 31)
         assert pvalues and min(pvalues) > 1e-3, pvalues
+
+    @pytest.mark.parametrize("name", sorted(name for name, dist in KS_DISTS.items() if dist.atoms()))
+    def test_atom_frequencies_match_the_weights(self, name):
+        """Each atom's count of draws with its label is Binomial(KS_N,
+        weight) within 5 standard deviations.  The positions' KS test reads
+        only draws off the atoms, so it misses mass moved between an atom
+        and a truncated normal; this catches it."""
+        dist = KS_DISTS[name]
+        xs, ys = sample(dist, KS_N, 31)
+        for c in dist.atoms():
+            count = int(np.count_nonzero((xs == c.law.x) & (ys == c.label)))
+            z = (count - KS_N * c.weight) / math.sqrt(KS_N * c.weight * (1.0 - c.weight))
+            assert abs(z) <= 5.0, (c, count, z)
 
 
 _ETAS = (0.0, 0.1, 0.25, 0.5, 1.0, 0.9, 0.3, 0.6, 0.75, 0.05, 0.4, 1.0)

@@ -27,7 +27,7 @@ import test_bounds
 import test_closed_form
 import test_distributions
 import test_transforms
-from hcbounds import bounds, distributions, transforms
+from hcbounds import bounds, conditional, distributions, transforms
 from hcbounds.hypotheses import HypothesisClass, HypothesisSpec
 from hcbounds.losses import LossFamily, ZeroOneLoss
 
@@ -248,6 +248,39 @@ def _narrow_massart_band_and_two_close_turns():
     _threshold_scan_at_two_close_turns()
 
 
+def _min_risk_nan_for_logistic(monkeypatch):
+    """The closed-form minimal conditional risk NaN for the logistic loss."""
+    real = conditional._min_risk
+
+    def min_risk(loss, spec):
+        f = real(loss, spec)
+        return (lambda x_abs, t: f(x_abs, t) * math.nan) if loss.family is LossFamily.LOGISTIC else f
+
+    _inject(monkeypatch, conditional, "_min_risk", min_risk)
+
+
+def _one_cutoff_skewed(monkeypatch):
+    """The sampler's second cumulative weight, where it is interior, lower by
+    5e-3: its component loses that much mass to the next one.  In
+    the sect7 mixtures that moves 5e-3 of the 1/16 of the atom at -1 (label
+    +1) into the truncated normal after it, about 980 of ``KS_N`` draws
+    (z = -8.5), while the positions off the atoms keep their laws."""
+    real = distributions._component_picker
+
+    def picker(cum):
+        if len(cum) > 2:
+            cum = cum.copy()
+            cum[1] -= 5e-3
+        return real(cum)
+
+    _inject(monkeypatch, distributions, "_component_picker", picker)
+
+
+def _atom_frequencies_of_the_sect7_mixtures():
+    for name in ("nonadv", "adv"):
+        test_distributions.TestSamplerLaw().test_atom_frequencies_match_the_weights(name)
+
+
 # fault name: (injection, the independent check that must catch it)
 FAULTS = {
     "gamma-x1.01": (_gamma_times(1.01), test_bounds.TestAssembleBound().test_singleton_hinge_exact),
@@ -307,6 +340,10 @@ FAULTS = {
     "line-means-first-panels-without-the-component-scale": (
         _line_means_without_the_component_scale, _narrow_components_of_both_losses
     ),
+    # a NaN deviation fails its oracle row
+    "min-risk-nan-for-logistic": (_min_risk_nan_for_logistic, test_acceptance.test_criterion_3_oracle_equivalence),
+    # the positions' KS test misses it: the mass moves between an atom and a truncated normal
+    "one-cutoff-skewed": (_one_cutoff_skewed, _atom_frequencies_of_the_sect7_mixtures),
     # no independent check catches these yet
     "gamma-x1.01-logistic": (
         _gamma_times(1.01, LossFamily.LOGISTIC), test_bounds.TestAssembleBound().test_holds_on_random_exact_instances

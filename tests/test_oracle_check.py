@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from hcbounds import oracle_check
 from hcbounds.cli import main
 from hcbounds.conditional import (
     ConditionalPoint,
@@ -166,3 +167,71 @@ def test_sampled_networks_stay_inside_the_class():
         assert np.all(u[2:][~padded] != 0.0) and np.all(w[2:][~padded] != 0.0)
         counts.update(n_units[2:].tolist())
     assert counts == {1, 2, 3}
+
+
+def _nan_min_risk(monkeypatch):
+    monkeypatch.setattr(oracle_check, "min_conditional_risk", lambda *args: math.nan)
+
+
+def _nan_transform(monkeypatch):
+    monkeypatch.setattr(oracle_check, "transform", lambda loss, spec: lambda x: math.nan)
+
+
+def _bracket_with(end, value):
+    """Inject ``value(lo, hi)`` into one end (0 for lo, 1 for hi) of every
+    adversarial bracket the rows read."""
+
+    def inject(monkeypatch):
+        real = oracle_check.min_conditional_risk_adversarial
+
+        def bracket(loss, spec, point):
+            ends = list(real(loss, spec, point))
+            ends[end] = value(*ends)
+            return tuple(ends)
+
+        monkeypatch.setattr(oracle_check, "min_conditional_risk_adversarial", bracket)
+
+    return inject
+
+
+def _width_at_least(lo, width):
+    """The least float hi with hi - lo >= width."""
+    hi = lo + width
+    while hi - lo < width:
+        hi = math.nextafter(hi, math.inf)
+    return hi
+
+
+_LINEAR, _RELU = 12, 13  # the two adversarial rows; rows 0-11 are the grid rows
+# injection: (the rows that read the value, each with the check its worst instance must name)
+_NAN_INJECTIONS = {
+    "min-risk": (_nan_min_risk, dict.fromkeys(range(_LINEAR), "min-risk")),
+    "transform": (_nan_transform, dict.fromkeys(range(_LINEAR), "transform")),
+    "bracket-lo": (_bracket_with(0, lambda lo, hi: math.nan), {_LINEAR: "min-risk", _RELU: "bracket"}),
+    "bracket-hi": (_bracket_with(1, lambda lo, hi: math.nan), {_LINEAR: "collapse", _RELU: "bracket"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NAN_INJECTIONS))
+def test_a_nan_fails_every_row_that_reads_it(monkeypatch, name):
+    """A NaN closed form, transform or bracket end fails each row that
+    compares it, and only those, and the row's worst instance holds it as
+    ``closed``; the CLI exits 1.  About 0.05 s each."""
+    inject, checks = _NAN_INJECTIONS[name]
+    inject(monkeypatch)
+    rows = run_oracle_checks(grid_n=37, instances=3, seed=4)
+    assert [k for k, row in enumerate(rows) if not row.passed] == sorted(checks)
+    for k, check in checks.items():
+        assert rows[k].worst["check"] == check and math.isnan(rows[k].worst["closed"]), (rows[k].label, rows[k].worst)
+    assert main(["oracle-check", "--grid-n", "37", "--instances", "3", "--seed", "4"]) == 1
+
+
+@pytest.mark.parametrize("width, passed", [(1e-12, False), (0.5, False), (0.5e-12, True), (0.0, True)])
+def test_linear_bracket_must_close_below_1e_12(monkeypatch, width, passed):
+    """The linear bracket is exact for the class: ends 1e-12 or more apart
+    fail its row (exit 1, no internal error), and nothing else fails.  A
+    ReLU bracket only widens, so its row still passes."""
+    _bracket_with(1, lambda lo, hi: max(hi, _width_at_least(lo, width)))(monkeypatch)
+    rows = run_oracle_checks(grid_n=37, instances=3, seed=4)
+    assert [row.passed for row in rows] == [True] * _LINEAR + [passed, True]
+    assert main(["oracle-check", "--grid-n", "37", "--instances", "3", "--seed", "4"]) == (0 if passed else 1)
