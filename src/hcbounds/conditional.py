@@ -159,14 +159,15 @@ def _adversarial_bracket(loss: MarginLoss, spec: HypothesisSpec):
             "only a trivial guarantee exists for worst-case convex losses"
         )
 
+    exact = fam is LossFamily.RHO_MARGIN and spec.cls is HypothesisClass.LINEAR
+
     def bracket(x_abs, t):
-        reach_lo, reach_hi = attainable_adversarial_range(spec, x_abs)
-        # Rho-margin: exact given the class's best worst-case score; bracket that
-        # score.  Hinge / sigmoid: the lower bound decouples the two worst-case
-        # scores, the upper bound takes the bias-only witness (reach margin_scale).
-        lo = min_risk_symmetric(loss, reach_hi, t)
-        upper_reach = reach_lo if fam is LossFamily.RHO_MARGIN else spec.margin_scale()
-        return lo, lo if upper_reach is reach_hi else min_risk_symmetric(loss, upper_reach, t)  # linear rho: exact
+        # Rho-margin: exact given the class's best worst-case score, which the
+        # linear class attains exactly; the ReLU class brackets it.  Hinge /
+        # sigmoid: the lower bound decouples the two worst-case scores.  Every
+        # upper bound takes the bias-only witness (reach margin_scale).
+        lo = min_risk_symmetric(loss, attainable_adversarial_range(spec, x_abs)[1], t)
+        return lo, lo if exact else min_risk_symmetric(loss, spec.margin_scale(), t)
 
     return bracket
 

@@ -210,15 +210,11 @@ def emit_transform_curves(spec: HypothesisSpec = None, grid_n: int = 201):
     ts = np.linspace(0.0, 1.0, grid_n)
     for loss in (hinge(), logistic(), exponential(), quadratic(), sigmoid(1.0), rho_margin(1.0)):
         fwd = transform(loss, spec)
-        inv = transform_inverse(loss, spec)
-        top = float(fwd(1.0))
-        args = np.linspace(0.0, top, grid_n)
-        for a in alphas:
-            rows.append({"loss": loss.label(), "curve": "surrogate", "x": float(a), "y": float(eval_margin_loss(loss, float(a)))})
-        for t in ts:
-            rows.append({"loss": loss.label(), "curve": "transform", "x": float(t), "y": float(fwd(float(t)))})
-        for s in args:
-            rows.append({"loss": loss.label(), "curve": "inverse", "x": float(s), "y": float(inv(float(s)))})
+        args = np.linspace(0.0, fwd(1.0), grid_n)
+        curves = {"surrogate": (alphas, eval_margin_loss(loss, alphas)), "transform": (ts, fwd(ts)),
+                  "inverse": (args, transform_inverse(loss, spec)(args))}
+        for curve, (xs, ys) in curves.items():
+            rows += [{"loss": loss.label(), "curve": curve, "x": x, "y": y} for x, y in zip(xs.tolist(), ys.tolist())]
     return rows
 
 

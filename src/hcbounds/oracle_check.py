@@ -7,7 +7,8 @@ transform against the constrained-minus-unconstrained oracle infima
 minimized over an input-norm grid.  The worst-case rho-margin row for ReLU
 networks is checked by exact evaluation of sampled one-hidden-layer networks
 at d=1 against the closed-form bracket.  A row's ``_Record`` keeps its
-maxima and worst instance; a deviation that is not a number fails the row.
+maxima and worst instance, and the row reports only the checks it ran, each
+with its limit; a deviation that is not a number fails the row.
 
 The deviation threshold scales with grid resolution: tol(grid_n) =
 2e-3 * max(1, 4001/grid_n), matching the oracle's O(1/grid_n) accuracy.
@@ -50,12 +51,9 @@ _LIMITS = {"over": ONE_SIDED_TOLERANCE, "collapse": math.nextafter(1e-12, 0.0), 
 class OracleCheckRow:
     label: str
     instances: int
-    max_dev_min_risk: float
-    max_dev_transform: float
-    threshold: float
+    # each check the row ran: (its largest deviation, the limit that deviation must not exceed)
+    checks: dict
     passed: bool
-    # max of closed - oracle over the min-risk comparisons; NaN on the bracket row
-    max_closed_over_oracle: float
     # the instance that set the row's largest deviation (``_instance``)
     worst: dict
 
@@ -86,11 +84,9 @@ class _Record:
             self.worst_dev, self.worst = dev, (check, loss, spec, closed, oracle, x, t, t_arg)
 
     def row(self, label: str, instances: int, tol: float) -> OracleCheckRow:
-        dev, limit = self.dev, lambda check: _LIMITS.get(check, tol)
-        first = next(iter(dev))  # the row's min-risk column
-        passed = all(value <= limit(check) for check, value in dev.items())
-        return OracleCheckRow(label, instances, dev[first], dev.get("transform", math.nan), limit(first), passed,
-                              dev.get("over", math.nan), _instance(*self.worst))
+        checks = {check: (dev, _LIMITS.get(check, tol)) for check, dev in self.dev.items()}
+        passed = all(dev <= limit for dev, limit in checks.values())
+        return OracleCheckRow(label, instances, checks, passed, _instance(*self.worst))
 
 
 def _tolerance(grid_n: int) -> float:

@@ -540,15 +540,14 @@ class TestOracleCheckCommand:
         monkeypatch.setattr(oracle_check, "min_conditional_risk", lambda *a: real(*a) + 1e-6)
         out = tmp_path / "oc.json"
         assert main(["oracle-check", "--grid-n", "501", "--instances", "2", "--out", str(out)]) == 1
-        assert "closed_over_oracle=" in capsys.readouterr().out
+        assert " over=" in capsys.readouterr().out
         rows = {r["label"]: r for r in json.loads(out.read_text())["rows"]}
         hinge_row = rows["hinge / linear"]
-        assert hinge_row["max_dev_min_risk"] <= hinge_row["threshold"]
-        assert hinge_row["max_closed_over_oracle"] >= 1e-6 and not hinge_row["passed"]
+        dev, limit = hinge_row["checks"]["min-risk"]
+        assert dev <= limit
+        assert hinge_row["checks"]["over"][0] >= 1e-6 and not hinge_row["passed"]
         assert rows["sup-rho-margin / linear"]["passed"]
-        fields = {"label", "instances", "max_dev_min_risk", "max_dev_transform", "max_closed_over_oracle",
-                  "threshold", "passed", "worst"}
-        assert all(set(r) == fields for r in rows.values())
+        assert all(set(r) == {"label", "instances", "checks", "passed", "worst"} for r in rows.values())
 
     def test_out_carries_meta(self, tmp_path):
         out = tmp_path / "oc.json"

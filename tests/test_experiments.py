@@ -26,6 +26,7 @@ from hcbounds.experiments import (
 )
 from hcbounds.hypotheses import HypothesisClass, HypothesisSpec
 from hcbounds.losses import eval_margin_loss, exponential, hinge, logistic, quadratic, rho_margin, sigmoid
+from hcbounds.transforms import transform, transform_inverse
 
 
 SMALL = SweepConfig(sigmas=(0.2, 0.05), n_samples=20_000, seed=11)
@@ -195,6 +196,26 @@ class TestTransformCurves:
         rows = emit_transform_curves(spec=spec, grid_n=101)
         tr = {r["x"]: r["y"] for r in rows if r["loss"] == "quadratic" and r["curve"] == "transform"}
         assert tr[1.0] == pytest.approx(2 * 0.3 - 0.09)
+
+    @pytest.mark.parametrize("B, grid_n", [(0.8, 201), (0.3, 101), (1.5, 120), (math.inf, 100)])
+    def test_rows_are_the_one_float_at_a_time_loop(self, B, grid_n):
+        """Each curve's one array call gives the rows, as Python floats, of
+        evaluating the loss, the transform and its inverse one float at a
+        time, bit for bit."""
+        spec = HypothesisSpec(HypothesisClass.LINEAR, W=1.0, B=B)
+        want = []
+        for loss in (hinge(), logistic(), exponential(), quadratic(), sigmoid(1.0), rho_margin(1.0)):
+            fwd, inv = transform(loss, spec), transform_inverse(loss, spec)
+            curves = {"surrogate": (np.linspace(-2.0, 2.0, grid_n), lambda a: eval_margin_loss(loss, a)),
+                      "transform": (np.linspace(0.0, 1.0, grid_n), fwd),
+                      "inverse": (np.linspace(0.0, float(fwd(1.0)), grid_n), inv)}
+            for curve, (xs, f) in curves.items():
+                want += [{"loss": loss.label(), "curve": curve, "x": float(x), "y": float(f(float(x)))} for x in xs]
+
+        def bits(rows):
+            return [(r["loss"], r["curve"], type(r["x"]), r["x"].hex(), type(r["y"]), r["y"].hex()) for r in rows]
+
+        assert bits(emit_transform_curves(spec=spec, grid_n=grid_n)) == bits(want)
 
 
 class TestWriters:

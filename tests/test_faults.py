@@ -27,7 +27,7 @@ import test_bounds
 import test_closed_form
 import test_distributions
 import test_transforms
-from hcbounds import bounds, conditional, distributions, transforms
+from hcbounds import bounds, conditional, distributions, oracle_check, transforms
 from hcbounds.hypotheses import HypothesisClass, HypothesisSpec
 from hcbounds.losses import LossFamily, ZeroOneLoss
 
@@ -243,6 +243,12 @@ def _threshold_scan_at_two_close_turns():
     test_bounds.TestZeroOneThresholdSearch._check(spec, test_bounds._TWO_CLOSE_TURNS)
 
 
+def _oracle_rows_pass_at_a_coarse_grid():
+    # every row compares its closed forms with the grid oracle, at 2 instances a row
+    rows = oracle_check.run_oracle_checks(grid_n=401, instances=2, seed=3)
+    assert all(row.passed for row in rows), [row.label for row in rows if not row.passed]
+
+
 def _narrow_massart_band_and_two_close_turns():
     test_bounds.TestAssembleBound().test_massart_check_sees_a_narrow_band()
     _threshold_scan_at_two_close_turns()
@@ -341,7 +347,7 @@ FAULTS = {
         _line_means_without_the_component_scale, _narrow_components_of_both_losses
     ),
     # a NaN deviation fails its oracle row
-    "min-risk-nan-for-logistic": (_min_risk_nan_for_logistic, test_acceptance.test_criterion_3_oracle_equivalence),
+    "min-risk-nan-for-logistic": (_min_risk_nan_for_logistic, _oracle_rows_pass_at_a_coarse_grid),
     # the positions' KS test misses it: the mass moves between an atom and a truncated normal
     "one-cutoff-skewed": (_one_cutoff_skewed, _atom_frequencies_of_the_sect7_mixtures),
     # no independent check catches these yet
@@ -372,3 +378,14 @@ def test_fault_is_caught(monkeypatch, name):
     except (AssertionError, ValueError):
         return
     raise AssertionError(f"the check misses the fault {name}")
+
+
+def test_criterion_3_message_shows_a_nan(monkeypatch):
+    """Criterion 3's summary keeps a NaN deviation: under the NaN logistic
+    closed form its message reads nan, not the finite worst of the other
+    rows.  Its rows are run at a coarse grid here, for speed."""
+    real = oracle_check.run_oracle_checks
+    monkeypatch.setattr(test_acceptance, "run_oracle_checks", lambda seed, **_: real(grid_n=37, instances=2, seed=seed))
+    _min_risk_nan_for_logistic(monkeypatch)
+    with pytest.raises(AssertionError, match=r"max \|closed-form - oracle\| = nan, "):
+        test_acceptance.test_criterion_3_oracle_equivalence()

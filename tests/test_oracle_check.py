@@ -48,6 +48,8 @@ def test_row_fields_keep_python_types(tamper):
     for row in rows:
         for name, annotation in _FIELD_TYPES.items():
             assert type(getattr(row, name)).__name__ == annotation, (row.label, name)
+        for check, pair in row.checks.items():
+            assert type(pair) is tuple and [type(value) for value in pair] == [float, float], (row.label, check)
         assert {"check", "loss", "class", "W", "B", "Lambda", "gamma", "x", "t", "closed", "oracle"} <= row.worst.keys()
         for key, value in row.worst.items():
             assert type(value) in (str, float), (row.label, key)
@@ -83,18 +85,26 @@ def test_worst_instance_rebuilds_the_values_compared(seed):
             oracle = brute_force_inf(loss, spec, point, Constraint.NONE, grid_n)
         assert (float(closed) + nudge).hex() == got["closed"].hex(), row.label
         assert float(oracle).hex() == got["oracle"].hex(), row.label
-        assert abs(got["closed"] - got["oracle"]) == max(row.max_dev_min_risk, np.nan_to_num(row.max_dev_transform))
+        # "over", closed - oracle, is at most the min-risk deviation
+        assert abs(got["closed"] - got["oracle"]) == max(dev for dev, _ in row.checks.values())
     relu = rows[13].worst
     assert relu["check"] == "bracket" and relu["closed"] - relu["oracle"] >= 1.0 - 1e-9
 
 
+def _refuse(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
 def test_out_round_trip(tmp_path):
+    """A clean ``--out`` is strict JSON (no NaN or Infinity token) and holds
+    the rows that ``run_oracle_checks`` returns, each check's pair as a list."""
     out = tmp_path / "oc.json"
     assert main(["oracle-check", "--grid-n", "37", "--instances", "2", "--seed", "4", "--out", str(out)]) == 0
-    got = json.loads(out.read_text())["rows"]
+    got = json.loads(out.read_text(), parse_constant=_refuse)["rows"]
     want = [dataclasses.asdict(r) for r in run_oracle_checks(grid_n=37, instances=2, seed=4)]
-    # through json.dumps, since the bracket rows hold NaN
-    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    for row in want:
+        row["checks"] = {check: list(pair) for check, pair in row["checks"].items()}
+    assert got == want
 
 
 def _scalar_relu_best(rng, spec, loss, x, t):
@@ -213,17 +223,24 @@ _NAN_INJECTIONS = {
 
 
 @pytest.mark.parametrize("name", sorted(_NAN_INJECTIONS))
-def test_a_nan_fails_every_row_that_reads_it(monkeypatch, name):
+def test_a_nan_fails_every_row_that_reads_it(monkeypatch, capsys, name):
     """A NaN closed form, transform or bracket end fails each row that
     compares it, and only those, and the row's worst instance holds it as
-    ``closed``; the CLI exits 1.  About 0.05 s each."""
+    ``closed``; the CLI exits 1, and each failed row's line prints the NaN
+    of the check that failed it.  About 0.05 s each."""
     inject, checks = _NAN_INJECTIONS[name]
     inject(monkeypatch)
     rows = run_oracle_checks(grid_n=37, instances=3, seed=4)
     assert [k for k, row in enumerate(rows) if not row.passed] == sorted(checks)
     for k, check in checks.items():
         assert rows[k].worst["check"] == check and math.isnan(rows[k].worst["closed"]), (rows[k].label, rows[k].worst)
+        assert math.isnan(rows[k].checks[check][0]), (rows[k].label, rows[k].checks)
     assert main(["oracle-check", "--grid-n", "37", "--instances", "3", "--seed", "4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(rows)
+    for k, line in enumerate(lines):
+        assert line.startswith("[FAIL]" if k in checks else "[PASS]"), line
+        assert (f" {checks[k]}=nan " in line) if k in checks else ("=nan" not in line), line
 
 
 @pytest.mark.parametrize("width, passed", [(1e-12, False), (0.5, False), (0.5e-12, True), (0.0, True)])

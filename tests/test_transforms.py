@@ -570,8 +570,9 @@ class TestSelectorGammaProperties:
         # non-decreasing, up to the knots' continuity tolerance
         grid = np.sort(np.concatenate([ys, np.linspace(0.0, float(fwd(1.0)), 101)]))
         assert np.all(np.diff(gamma(grid)) >= -1e-12)
-        # one array call equals the scalar calls
-        assert np.array_equal(back, [gamma(float(y)) for y in ys])
+        # one array call equals the scalar calls, forward and Gamma, bit for bit
+        assert ys.tobytes() == np.array([fwd(float(t)) for t in ts]).tobytes()
+        assert back.tobytes() == np.array([gamma(float(y)) for y in ys]).tobytes()
 
     @given(route=selector_routes(), fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
     @settings(max_examples=40, deadline=None)
